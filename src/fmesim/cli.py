@@ -24,6 +24,7 @@ from . import retrieval as retrieval_mod
 from . import write_dynamics as wd
 from .config import ConfigError, ResolvedConfig
 from .protocol import ProtocolEngine, ProtocolStats, aggregate, run_protocol
+from .rng import SEED_LIMIT
 
 STATS_COLUMNS = (
     "n_runs",
@@ -178,6 +179,8 @@ def cmd_preset_list(args) -> int:
 
 
 def _load(args) -> ResolvedConfig:
+    if not 0 <= args.seed < SEED_LIMIT:
+        raise ConfigError(f"--seed must be in [0, 2**64), got {args.seed}")
     cfg = cfg_mod.load_config(path=args.config, preset=args.preset, overrides=args.set)
     if getattr(args, "runs", None) is not None:
         cfg = cfg_mod.with_overrides(cfg, {"runs": args.runs})
@@ -283,13 +286,12 @@ def _progress(label: str):
 
 def cmd_protocol(args) -> int:
     cfg = _load(args)
-    setup = cfg_mod.build_setup(cfg)
-    engine = ProtocolEngine(setup)
-    records = run_protocol(
-        setup, args.seed, cfg.values["runs"], row=0, workers=args.workers,
+    engine = _engine(cfg)
+    trials_used, branch = run_protocol(
+        engine, args.seed, cfg.values["runs"], row=0, workers=args.workers,
         progress=_progress("protocol"),
     )
-    stats = aggregate(records)
+    stats = aggregate(trials_used, branch, engine.table)
     rows = [(cfg, _stats_row(stats, engine))]
     if args.format == "json":
         _emit_rows_json(args.out, "protocol", cfg, args.seed, rows)
@@ -335,13 +337,12 @@ def cmd_sweep(args) -> int:
     rows = []
     for i, point in enumerate(points):
         row_cfg = cfg_mod.with_overrides(cfg, point)
-        setup = cfg_mod.build_setup(row_cfg)
-        engine = ProtocolEngine(setup)
-        records = run_protocol(
-            setup, args.seed, row_cfg.values["runs"], row=i, workers=args.workers,
+        engine = _engine(row_cfg)
+        trials_used, branch = run_protocol(
+            engine, args.seed, row_cfg.values["runs"], row=i, workers=args.workers,
             progress=_progress(f"sweep row {i + 1}/{len(points)}"),
         )
-        stats = aggregate(records)
+        stats = aggregate(trials_used, branch, engine.table)
         rows.append((row_cfg, _stats_row(stats, engine)))
     if args.format == "json":
         _emit_rows_json(args.out, "sweep", cfg, args.seed, rows)

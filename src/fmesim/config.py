@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from .herald import DetectorModel
 from .protocol import ProtocolSetup, TimingSequence
 from .retrieval import ReadParams
+from .rng import COUNTER_LIMIT
 from .write_dynamics import SystemParams
 
 TWO_PI = 2.0 * math.pi
@@ -56,6 +57,12 @@ def _probability(key, value):
 def _at_least_one(key, value):
     if value < 1:
         raise ConfigError(f"{key} must be >= 1, got {value}")
+
+
+def _counter(key, value):
+    # Run and trial indices are 32-bit words of the random stream counters.
+    if not 1 <= value <= COUNTER_LIMIT:
+        raise ConfigError(f"{key} must be in [1, 2**32], got {value}")
 
 
 @dataclass(frozen=True)
@@ -95,12 +102,12 @@ SCHEMA: dict[str, KeySpec] = {
     "gate_s": KeySpec("float", "s", "detection gate duration", _positive),
     "tau_read": KeySpec("float", "s", "read pulse duration", _positive),
     "cycle_period": KeySpec("float", "s", "full cycle period", _positive),
-    "max_trials": KeySpec("int", "trials", "retry budget per run", _at_least_one),
+    "max_trials": KeySpec("int", "trials", "retry budget per run", _counter),
     "cutoff": KeySpec("int", "quanta", "per-mode Fock cutoff", _at_least_one),
     "engine": KeySpec(
         "choice", "", "write-stage engine", choices=("perturbative", "exact")
     ),
-    "runs": KeySpec("int", "runs", "Monte Carlo run count", _at_least_one),
+    "runs": KeySpec("int", "runs", "Monte Carlo run count", _counter),
     "omega_rabi_read_I": KeySpec("float", "Hz", "read Rabi frequency, species I", _positive),
     "omega_rabi_read_II": KeySpec("float", "Hz", "read Rabi frequency, species II", _positive),
     "g_read_I": KeySpec("float", "Hz", "read-out coupling, species I", _positive),
@@ -234,13 +241,19 @@ class ResolvedConfig:
         return out
 
 
+def _finite(key: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    return value
+
+
 def _coerce(key: str, raw) -> object:
     spec = SCHEMA[key]
     try:
         if spec.kind == "float":
             if isinstance(raw, bool) or not isinstance(raw, (int, float)):
                 raise TypeError
-            return float(raw)
+            return _finite(key, float(raw))
         if spec.kind == "int":
             if isinstance(raw, bool) or not isinstance(raw, int):
                 if isinstance(raw, float) and raw.is_integer():
@@ -249,13 +262,13 @@ def _coerce(key: str, raw) -> object:
             return int(raw)
         if spec.kind == "complex":
             if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-                return complex(float(raw), 0.0)
+                return complex(_finite(key, float(raw)), 0.0)
             if (
                 isinstance(raw, (list, tuple))
                 and len(raw) == 2
                 and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in raw)
             ):
-                return complex(float(raw[0]), float(raw[1]))
+                return complex(_finite(key, float(raw[0])), _finite(key, float(raw[1])))
             raise TypeError
         if spec.kind == "choice":
             if raw not in spec.choices:

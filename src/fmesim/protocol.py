@@ -7,24 +7,27 @@ perfect reset, and the next trial starts fresh; a cycle is repeated until a
 click or until max_trials is exhausted (an explicit no-success result, not
 an error).
 
+The write stage is the same on every trial, so it is computed once per
+configuration (ProtocolEngine) as a table of click branches.  A run then
+reduces to two numbers: the trials it used and the branch it clicked on
+(-1 when max_trials passed without a click).  run_protocol returns these as
+two arrays in run order, and aggregate reduces them through per-branch
+tables of concurrence, fidelity, efficiency and the false-herald flag.
+
 Randomness is drawn from counter-based streams keyed by (master seed, sweep
 row, run index, trial index), so any partitioning of runs over workers
-produces bit-identical statistics.  The batched driver and the single-trial
-path consume the same stream and agree exactly.
-
-The write stage is computed once per configuration (it is trial-invariant)
-and each trial only samples the click decision and the click branch.  The
-write engine is selectable: "perturbative" uses the short-time expansion
-(with double-excitation corrections when the cutoff allows, so multi-photon
-false heralds are represented), "exact" uses the dense evolution of the
-pair-creation Hamiltonian.
+produces bit-identical statistics; a batch of one run is the single-run
+path.  The write engine is selectable: "perturbative" uses the short-time
+expansion (with double-excitation corrections when the cutoff allows, so
+multi-photon false heralds are represented), "exact" uses the dense
+evolution of the pair-creation Hamiltonian.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from math import sqrt
 
 import numpy as np
 
@@ -34,14 +37,14 @@ from . import write_dynamics as wd
 from .herald import DetectorModel, HeraldBranch, HeraldOutcome
 from .hilbert import vacuum_state
 from .retrieval import FmeQubitState, ReadParams
-from .rng import TrialStream, trial_uniform_grid
+from .rng import trial_uniform_grid
 from .write_dynamics import SystemParams
 
 ENGINES = ("perturbative", "exact")
 
-_BATCH_WINDOW = 64
-_BATCH_WINDOW_MAX = 4096
-_RUN_CHUNK = 8192
+_RUN_CHUNK = 8192  # runs per batch (the unit handed to a pool worker)
+_GRID_CELLS = 1 << 19  # most (run, trial) cells drawn in one grid call
+_WINDOW_HIT = 0.2  # chance that a waiting run clicks within one window
 
 
 @dataclass(frozen=True)
@@ -64,30 +67,6 @@ class TimingSequence:
             )
         if self.max_trials < 1:
             raise ValueError("max_trials must be >= 1")
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    trial_index: int
-    clicked: bool
-    false_herald: bool
-    output: FmeQubitState | None
-
-    def __post_init__(self):
-        if self.clicked != (self.output is not None):
-            raise ValueError("output must be present exactly when clicked")
-
-
-@dataclass(frozen=True)
-class RunRecord:
-    """Outcome of one repeat-until-success run."""
-
-    trials_used: int
-    final: TrialRecord
-
-    @property
-    def succeeded(self) -> bool:
-        return self.final.clicked
 
 
 @dataclass(frozen=True)
@@ -149,8 +128,9 @@ class ProtocolEngine:
     """Trial-invariant write/herald/retrieve tables for one setup.
 
     Precomputes the write-stage state, the click probability, the click
-    branch distribution, and the retrieved output per branch, so a trial
-    reduces to two uniforms (click decision, branch selection).
+    branch distribution, the retrieved output per branch and the branch
+    table aggregate reads, so a trial reduces to two uniforms (click
+    decision, branch selection) and a run to (trials used, branch).
     """
 
     def __init__(self, setup: ProtocolSetup):
@@ -178,7 +158,7 @@ class ProtocolEngine:
             if self.p_click > 0.0
             else 0.0
         )
-        self.outputs = [
+        self.outputs: list[FmeQubitState] = [
             retrieval_mod.retrieve_fme(
                 HeraldOutcome(
                     clicked=True,
@@ -191,179 +171,167 @@ class ProtocolEngine:
             )
             for b in self.branches
         ]
-
-    def pick_branch(self, selector: float) -> int:
-        idx = int(np.searchsorted(self.branch_cdf, selector, side="right"))
-        return min(idx, len(self.branches) - 1)
-
-    def record_for(self, trial_index: int, clicked: bool, selector: float) -> TrialRecord:
-        if not clicked:
-            return TrialRecord(trial_index, False, False, None)
-        idx = self.pick_branch(selector)
-        branch = self.branches[idx]
-        return TrialRecord(trial_index, True, branch.false_herald, self.outputs[idx])
+        self.table = branch_table([b.false_herald for b in self.branches], self.outputs)
 
 
-def run_trial(
-    setup: ProtocolSetup,
-    stream: TrialStream,
-    trial_index: int = 0,
-    engine: ProtocolEngine | None = None,
-) -> TrialRecord:
-    """One write/detect(/read) cycle; pure function of the stream address."""
-    engine = ProtocolEngine(setup) if engine is None else engine
-    u_click, u_branch = stream.uniforms(trial_index)
-    clicked = u_click < engine.p_click
-    return engine.record_for(trial_index, clicked, u_branch)
+@dataclass(frozen=True)
+class BranchTable:
+    """Per-branch values that aggregate reads, indexed by branch number.
+
+    concurrence and fidelity are NaN for outputs that hold no photon.
+    """
+
+    false_herald: np.ndarray
+    efficiency: np.ndarray
+    concurrence: np.ndarray
+    fidelity: np.ndarray
 
 
-def run_until_success(
-    setup: ProtocolSetup,
-    stream: TrialStream,
-    max_trials: int | None = None,
-    engine: ProtocolEngine | None = None,
-) -> RunRecord:
-    """Repeat trials until a click; explicit no-success after max_trials."""
-    engine = ProtocolEngine(setup) if engine is None else engine
-    limit = setup.timing.max_trials if max_trials is None else max_trials
-    if limit < 1:
-        raise ValueError("max_trials must be >= 1")
-    for trial in range(limit):
-        record = run_trial(setup, stream, trial, engine=engine)
-        if record.clicked:
-            return RunRecord(trials_used=trial + 1, final=record)
-    return RunRecord(trials_used=limit, final=TrialRecord(limit - 1, False, False, None))
+def branch_table(false_herald: list[bool], outputs: list[FmeQubitState]) -> BranchTable:
+    def metric(fn):
+        return np.array([fn(q) if q.has_photon else math.nan for q in outputs], dtype=float)
+
+    return BranchTable(
+        false_herald=np.array(false_herald, dtype=bool),
+        efficiency=np.array([q.retrieval_efficiency for q in outputs], dtype=float),
+        concurrence=metric(retrieval_mod.concurrence),
+        fidelity=metric(retrieval_mod.fidelity_to_bell),
+    )
+
+
+def _window(p_click: float, max_trials: int) -> int:
+    """Trials per window, so that a waiting run clicks within one window with
+    probability _WINDOW_HIT; then about 90% of the drawn trials are used."""
+    if p_click >= 1.0:
+        return 1
+    span = math.log1p(-_WINDOW_HIT) / math.log1p(-p_click)
+    return max(1, math.ceil(min(span, max_trials, _GRID_CELLS)))
 
 
 def _run_batch(
-    setup: ProtocolSetup, seed: int, row: int, run_lo: int, run_hi: int
-) -> list[RunRecord]:
-    """Vectorized run_until_success over a contiguous run-index range.
+    engine: ProtocolEngine, seed: int, row: int, run_lo: int, run_hi: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Repeat-until-success for the runs run_lo .. run_hi - 1.
 
-    Identical results to the scalar path because both read the same
-    counter-based stream addresses.
+    Returns trials_used (int64) and branch (int16, -1 for no click within
+    max_trials).  A run clicks on its first trial whose click uniform is
+    below p_click, and takes the branch its selection uniform picks from the
+    branch CDF.  Trials are drawn in windows of one length, set from p_click,
+    for the runs still waiting; no result depends on the window length.
     """
-    engine = ProtocolEngine(setup)
-    max_trials = setup.timing.max_trials
-    runs = np.arange(run_lo, run_hi, dtype=np.int64)
-    found: dict[int, RunRecord] = {}
-    active = runs
+    max_trials = engine.setup.timing.max_trials
+    p = engine.p_click
+    trials_used = np.full(run_hi - run_lo, max_trials, dtype=np.int64)
+    branch = np.full(run_hi - run_lo, -1, dtype=np.int16)
+    if p == 0.0:  # no uniform in [0, 1) is below 0
+        return trials_used, branch
+    last = len(engine.branches) - 1
+    window = _window(p, max_trials)
+    per_grid = max(1, _GRID_CELLS // window)
+    waiting = np.arange(run_hi - run_lo)
     t0 = 0
-    window = _BATCH_WINDOW
-    while active.size and t0 < max_trials:
+    while waiting.size and t0 < max_trials:
         n_t = min(window, max_trials - t0)
-        u = trial_uniform_grid(seed, row, active, t0, n_t)
-        hits = u[:, :, 0] < engine.p_click
-        any_hit = hits.any(axis=1)
-        first = np.argmax(hits, axis=1)
-        for idx in np.nonzero(any_hit)[0]:
-            trial = t0 + int(first[idx])
-            record = engine.record_for(trial, True, float(u[idx, first[idx], 1]))
-            found[int(active[idx])] = RunRecord(trials_used=trial + 1, final=record)
-        active = active[~any_hit]
+        for i in range(0, waiting.size, per_grid):
+            part = waiting[i:i + per_grid]
+            u = trial_uniform_grid(seed, row, run_lo + part, t0, n_t)
+            first = np.argmax(u[:, :, 0] < p, axis=1)
+            hit_u = u[np.arange(part.size), first]
+            hit = hit_u[:, 0] < p
+            trials_used[part[hit]] = t0 + 1 + first[hit]
+            picked = np.searchsorted(engine.branch_cdf, hit_u[hit, 1], side="right")
+            branch[part[hit]] = np.minimum(picked, last)
+        waiting = waiting[branch[waiting] < 0]
         t0 += n_t
-        window = min(window * 2, _BATCH_WINDOW_MAX)
-    for run in active:
-        found[int(run)] = RunRecord(
-            trials_used=max_trials,
-            final=TrialRecord(max_trials - 1, False, False, None),
-        )
-    return [found[int(r)] for r in runs]
+    return trials_used, branch
 
 
-def _batch_worker(args) -> list[RunRecord]:
-    return _run_batch(*args)
+def _batch_worker(args) -> tuple[np.ndarray, np.ndarray]:
+    setup, seed, row, run_lo, run_hi = args
+    return _run_batch(ProtocolEngine(setup), seed, row, run_lo, run_hi)
 
 
 def run_protocol(
-    setup: ProtocolSetup,
+    engine: ProtocolEngine,
     seed: int,
     n_runs: int,
     row: int = 0,
     workers: int = 1,
     progress=None,
-) -> list[RunRecord]:
-    """All runs for one configuration; worker count never changes results.
+) -> tuple[np.ndarray, np.ndarray]:
+    """All runs for one configuration as (trials_used, branch) arrays in run
+    order; the worker count never changes them.
 
-    progress, if given, is called as progress(runs_done, n_runs) after each
-    completed chunk (reporting only; results are unaffected).
+    The serial path uses the given engine; pool workers rebuild it from
+    engine.setup.  progress, if given, is called as progress(runs_done,
+    n_runs) after each completed chunk (reporting only).
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
-    chunks = [
-        (setup, seed, row, lo, min(lo + _RUN_CHUNK, n_runs))
-        for lo in range(0, n_runs, _RUN_CHUNK)
-    ]
-    records: list[RunRecord] = []
-    if workers <= 1 or len(chunks) == 1:
-        for chunk in chunks:
-            records.extend(_batch_worker(chunk))
-            if progress is not None:
-                progress(len(records), n_runs)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_batch_worker, chunks):
-                records.extend(part)
-                if progress is not None:
-                    progress(len(records), n_runs)
-    return records
+    bounds = [(lo, min(lo + _RUN_CHUNK, n_runs)) for lo in range(0, n_runs, _RUN_CHUNK)]
+    if workers <= 1 or len(bounds) == 1:
+        parts = (_run_batch(engine, seed, row, lo, hi) for lo, hi in bounds)
+        return _gather(parts, n_runs, progress)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        jobs = [(engine.setup, seed, row, lo, hi) for lo, hi in bounds]
+        return _gather(pool.map(_batch_worker, jobs), n_runs, progress)
 
 
-def from_trial_stream(records: list[TrialRecord]) -> RunRecord:
-    """Collapse an ordered trial stream (one run) into its RunRecord."""
-    if not records:
-        raise ValueError("empty trial stream")
-    for rec in records[:-1]:
-        if rec.clicked:
-            raise ValueError("click before the final trial of the stream")
-    return RunRecord(trials_used=len(records), final=records[-1])
+def _gather(parts, n_runs: int, progress) -> tuple[np.ndarray, np.ndarray]:
+    trials, branches = [], []
+    for t, b in parts:
+        trials.append(t)
+        branches.append(b)
+        if progress is not None:
+            progress(sum(map(len, trials)), n_runs)
+    return np.concatenate(trials), np.concatenate(branches)
 
 
-def aggregate(runs: list[RunRecord]) -> ProtocolStats:
+def _run_order_sum(values: np.ndarray) -> float:
+    """values[0] + values[1] + ... added left to right, as a loop over the
+    runs adds them (np.sum would add pairwise and round differently)."""
+    return float(np.add.accumulate(values)[-1])
+
+
+def _mean_stderr(values: np.ndarray, index: np.ndarray) -> tuple[float, float]:
+    """Mean and standard error of values[i] for i in index, in index order.
+
+    Each squared deviation is computed once per distinct value.
+    """
+    n = len(index)
+    mean = _run_order_sum(values[index]) / n
+    deviations = np.array([(v - mean) ** 2 for v in values.tolist()])
+    var = _run_order_sum(deviations[index]) / max(n - 1, 1)
+    return mean, math.sqrt(var / n)
+
+
+def aggregate(trials_used: np.ndarray, branch: np.ndarray, table: BranchTable) -> ProtocolStats:
     """Unbiased sample means and standard errors, reduced in run order."""
-    if not runs:
+    n_runs = len(trials_used)
+    if not n_runs:
         raise ValueError("aggregate requires at least one completed run")
-    n_runs = len(runs)
-    n_trials = sum(r.trials_used for r in runs)
-    successes = [r for r in runs if r.succeeded]
-    n_success = len(successes)
-    clicks = n_success  # one click ends each successful run
-    p_click = clicks / n_trials
-    p_click_stderr = sqrt(p_click * (1.0 - p_click) / n_trials)
+    n_trials = int(trials_used.sum())
+    won = branch >= 0
+    n_success = int(np.count_nonzero(won))
+    p_click = n_success / n_trials  # one click ends each successful run
+    p_click_stderr = math.sqrt(p_click * (1.0 - p_click) / n_trials)
+    nan = math.nan
+    mean_trials = mean_trials_stderr = false_fraction = photon_yield = nan
+    mean_conc = conc_stderr = mean_fid = fid_stderr = nan
 
+    hits = branch[won]
     if n_success:
-        trials = [r.trials_used for r in successes]
-        mean_trials = sum(trials) / n_success
-        var = sum((t - mean_trials) ** 2 for t in trials) / max(n_success - 1, 1)
-        mean_trials_stderr = sqrt(var / n_success)
-        false_fraction = sum(1 for r in successes if r.final.false_herald) / n_success
-        photon_yield = (
-            sum(r.final.output.retrieval_efficiency for r in successes) / n_success
-        )
-    else:
-        mean_trials = float("nan")
-        mean_trials_stderr = float("nan")
-        false_fraction = float("nan")
-        photon_yield = float("nan")
+        values, order = np.unique(trials_used[won], return_inverse=True)
+        mean_trials, mean_trials_stderr = _mean_stderr(values, order)
+        false_fraction = int(np.count_nonzero(table.false_herald[hits])) / n_success
+        photon_yield = _run_order_sum(table.efficiency[hits]) / n_success
 
-    true_outputs = [
-        r.final.output for r in successes if not r.final.false_herald
-    ]
-    if true_outputs:
-        conc = [retrieval_mod.concurrence(q) for q in true_outputs]
-        fid = [retrieval_mod.fidelity_to_bell(q) for q in true_outputs]
-        mean_conc = sum(conc) / len(conc)
-        mean_fid = sum(fid) / len(fid)
-        n_out = len(true_outputs)
-        conc_var = sum((c - mean_conc) ** 2 for c in conc) / max(n_out - 1, 1)
-        fid_var = sum((f - mean_fid) ** 2 for f in fid) / max(n_out - 1, 1)
-        conc_stderr = sqrt(conc_var / n_out)
-        fid_stderr = sqrt(fid_var / n_out)
-    else:
-        mean_conc = float("nan")
-        mean_fid = float("nan")
-        conc_stderr = float("nan")
-        fid_stderr = float("nan")
+    true = hits[~table.false_herald[hits]]
+    if true.size:
+        if np.isnan(table.concurrence[true]).any():
+            raise ValueError("no-photon record: entanglement metrics are undefined")
+        mean_conc, conc_stderr = _mean_stderr(table.concurrence, true)
+        mean_fid, fid_stderr = _mean_stderr(table.fidelity, true)
 
     return ProtocolStats(
         n_runs=n_runs,
@@ -389,7 +357,9 @@ def sweep(
     the random streams, so reordering setups reorders rows unchanged)."""
     if not setups:
         raise ValueError("sweep requires at least one setup")
-    return [
-        aggregate(run_protocol(s, seed, n_runs, row=i, workers=workers))
-        for i, s in enumerate(setups)
-    ]
+    rows = []
+    for i, setup in enumerate(setups):
+        engine = ProtocolEngine(setup)
+        result = run_protocol(engine, seed, n_runs, row=i, workers=workers)
+        rows.append(aggregate(*result, engine.table))
+    return rows

@@ -147,16 +147,15 @@ def test_criterion_4_herald_statistics():
         timing=pr.TimingSequence(1.0, 1e-6, 1.0, 3.0, 1),
         read=setup.read, engine="perturbative", cutoff=1,
     )
-    records = pr.run_protocol(one_shot, seed=42, n_runs=n_trials)
-    p_hat = sum(r.succeeded for r in records) / n_trials
+    _, branch = pr.run_protocol(pr.ProtocolEngine(one_shot), seed=42, n_runs=n_trials)
+    p_hat = np.count_nonzero(branch >= 0) / n_trials
     sigma = math.sqrt(p_analytic * (1.0 - p_analytic) / n_trials)
     assert abs(p_hat - p_analytic) <= 3.0 * sigma
 
     # trials-to-success fits Geometric(p_analytic) at the 1% level
     n_runs = 100_000
-    runs = pr.run_protocol(setup, seed=42, n_runs=n_runs)
-    trials_used = np.array([r.trials_used for r in runs])
-    assert all(r.succeeded for r in runs)
+    trials_used, branch = pr.run_protocol(engine, seed=42, n_runs=n_runs)
+    assert np.all(branch >= 0)
     n_bins = 50  # equal-probability bins of the geometric distribution
     qs = np.arange(1, n_bins) / n_bins
     edges = np.ceil(np.log1p(-qs) / math.log1p(-p_analytic)).astype(int)

@@ -3,9 +3,12 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fmesim import config as cfg_mod
 from fmesim.cli import main
@@ -228,3 +231,59 @@ def test_seed_changes_output(tmp_path):
             "--out", str(path),
         ) == 0
     assert paths[0].read_bytes() != paths[1].read_bytes()
+
+
+FLOAT_KEYS = sorted(k for k, s in cfg_mod.SCHEMA.items() if s.kind == "float")
+COMPLEX_KEYS = sorted(k for k, s in cfg_mod.SCHEMA.items() if s.kind == "complex")
+NON_FINITE = ("NaN", "Infinity", "-Infinity")  # JSON spellings of nan, inf, -inf
+BASE_CONFIG = cfg_mod.load_config(preset="rb85-87")
+
+
+def test_non_finite_number_rejected():
+    for key in FLOAT_KEYS + COMPLEX_KEYS:
+        for text in NON_FINITE:
+            with pytest.raises(ConfigError, match=re.escape(key)):
+                cfg_mod.load_config(preset="rb85-87", overrides=[f"{key}={text}"])
+
+
+@given(
+    key=st.sampled_from(FLOAT_KEYS + COMPLEX_KEYS),
+    value=st.sampled_from([math.nan, math.inf, -math.inf]),
+    part=st.sampled_from(["number", "real", "imag"]),
+)
+def test_non_finite_override_value_rejected(key, value, part):
+    raw = value
+    if cfg_mod.SCHEMA[key].kind == "complex" and part != "number":
+        raw = [value, 1.0] if part == "real" else [1.0, value]
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        cfg_mod.with_overrides(BASE_CONFIG, {key: raw})
+
+
+@pytest.mark.parametrize("override", ["kappa=NaN", "g_I=NaN"])
+def test_non_finite_override_exits_2(override, capsys):
+    assert run_cli("protocol", "--preset", "rb85-87", "--set", override) == 2
+    assert override.split("=")[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [str(2**64), str(2**64 + 5), "-1"])
+def test_seed_outside_64_bits_exits_2(seed, capsys):
+    assert run_cli("protocol", "--preset", "rb85-87", "--runs", "5", "--seed", seed) == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_runs_beyond_32_bit_counter_exits_2(capsys):
+    assert run_cli("protocol", "--preset", "rb85-87", "--runs", str(2**32 + 1)) == 2
+    assert "runs" in capsys.readouterr().err
+
+
+def test_max_trials_beyond_32_bit_counter_exits_2(capsys):
+    args = ("protocol", "--preset", "rb85-87", "--runs", "5")
+    assert run_cli(*args, "--set", f"max_trials={2**32 + 1}") == 2
+    assert "max_trials" in capsys.readouterr().err
+
+
+def test_counter_bounds_are_inclusive():
+    cfg = cfg_mod.load_config(
+        preset="rb85-87", overrides=[f"runs={2**32}", f"max_trials={2**32}"]
+    )
+    assert cfg.values["runs"] == cfg.values["max_trials"] == 2**32

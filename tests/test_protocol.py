@@ -1,6 +1,8 @@
-"""Monte Carlo driver: counter-based streams, scalar/batch agreement,
-worker-count independence, and aggregate statistics."""
+"""Monte Carlo driver: counter-based streams against a pure-Python Philox,
+the batched run loop against a per-trial loop, worker-count independence, and
+aggregate statistics."""
 
+import bisect
 import math
 
 import numpy as np
@@ -11,7 +13,6 @@ from fmesim import rng as rng_mod
 from fmesim import write_dynamics as wd
 from fmesim.herald import DetectorModel
 from fmesim.retrieval import FmeQubitState, ReadParams
-from fmesim.rng import TrialStream
 
 
 def make_setup(p=0.1, eta=0.6, dark=400.0, max_trials=10_000, engine="perturbative",
@@ -41,54 +42,94 @@ def make_setup(p=0.1, eta=0.6, dark=400.0, max_trials=10_000, engine="perturbati
 # counter-based streams
 # ---------------------------------------------------------------------------
 
+KNOWN_ANSWERS = [  # published test vectors for philox4x32-10: counter, key, output
+    ([0, 0, 0, 0], [0, 0], [0x6627E8D5, 0xE169C58D, 0xBC57AC4C, 0x9B00DBD8]),
+    ([0xFFFFFFFF] * 4, [0xFFFFFFFF] * 2, [0x408F276D, 0x41C83B0E, 0xA20BC7C6, 0x6D5451FD]),
+    (
+        [0x243F6A88, 0x85A308D3, 0x13198A2E, 0x03707344],
+        [0xA4093822, 0x299F31D0],
+        [0xD16CFE09, 0x94FDCCEB, 0x5001E420, 0x24126EA1],
+    ),
+]
+
+
+def philox_reference(counter, key):
+    """Philox4x32-10 on Python integers, one block."""
+    c0, c1, c2, c3 = counter
+    k0, k1 = key
+    for _ in range(10):
+        p0 = 0xD2511F53 * c0
+        p1 = 0xCD9E8D57 * c2
+        c0, c1, c2, c3 = (p1 >> 32) ^ c1 ^ k0, p1 & 0xFFFFFFFF, (p0 >> 32) ^ c3 ^ k1, p0 & 0xFFFFFFFF
+        k0 = (k0 + 0x9E3779B9) & 0xFFFFFFFF
+        k1 = (k1 + 0xBB67AE85) & 0xFFFFFFFF
+    return [c0, c1, c2, c3]
+
+
+def uniforms_reference(seed, row, run, trial):
+    """(click, branch) uniforms of one trial from the pure-Python block."""
+    words = philox_reference(
+        [trial, run, row, 0x464D4531], [seed & 0xFFFFFFFF, seed >> 32]
+    )
+    return tuple(((hi << 32 | lo) >> 11) * 2.0**-53 for hi, lo in (words[:2], words[2:]))
+
 
 def test_philox_known_answer_vectors():
-    # published test vectors for philox4x32-10
-    counter = np.array(
-        [
-            [0, 0, 0, 0],
-            [0xFFFFFFFF] * 4,
-            [0x243F6A88, 0x85A308D3, 0x13198A2E, 0x03707344],
-        ],
-        dtype=np.uint32,
-    )
-    key = np.array(
-        [[0, 0], [0xFFFFFFFF] * 2, [0xA4093822, 0x299F31D0]], dtype=np.uint32
-    )
-    out = rng_mod.philox4x32(counter, key)
-    expected = np.array(
-        [
-            [0x6627E8D5, 0xE169C58D, 0xBC57AC4C, 0x9B00DBD8],
-            [0x408F276D, 0x41C83B0E, 0xA20BC7C6, 0x6D5451FD],
-            [0xD16CFE09, 0x94FDCCEB, 0x5001E420, 0x24126EA1],
-        ],
-        dtype=np.uint32,
-    )
-    np.testing.assert_array_equal(out, expected)
+    for counter, key, expected in KNOWN_ANSWERS:
+        out = rng_mod.philox4x32(np.array([counter], dtype=np.uint32), key)
+        np.testing.assert_array_equal(out[0], expected)
+        assert philox_reference(counter, key) == expected
+
+
+def test_philox_chunks_match_reference():
+    # more blocks than one kernel pass, with counters in every word
+    n = rng_mod._CHUNK + 7
+    counters = np.random.default_rng(4).integers(0, 2**32, size=(n, 4), dtype=np.uint64)
+    key = [0xA4093822, 0x299F31D0]
+    out = rng_mod.philox4x32(counters.astype(np.uint32), key)
+    for i in (0, 1, rng_mod._CHUNK - 1, rng_mod._CHUNK, n - 1):
+        assert out[i].tolist() == philox_reference(counters[i].tolist(), key)
 
 
 def test_trial_uniforms_deterministic_and_distinct():
-    u1 = rng_mod.trial_uniforms(42, 0, 7, np.arange(100))
-    u2 = rng_mod.trial_uniforms(42, 0, 7, np.arange(100))
+    u1 = rng_mod.trial_uniform_grid(42, 0, [7], 0, 100)[0]
+    u2 = rng_mod.trial_uniform_grid(42, 0, [7], 0, 100)[0]
     np.testing.assert_array_equal(u1, u2)
-    u3 = rng_mod.trial_uniforms(43, 0, 7, np.arange(100))
+    u3 = rng_mod.trial_uniform_grid(43, 0, [7], 0, 100)[0]
     assert np.all(u1 != u3)
-    u4 = rng_mod.trial_uniforms(42, 1, 7, np.arange(100))
+    u4 = rng_mod.trial_uniform_grid(42, 1, [7], 0, 100)[0]
     assert np.all(u1 != u4)
     assert np.all((u1 >= 0.0) & (u1 < 1.0))
 
 
 def test_grid_matches_per_trial_streams():
-    grid = rng_mod.trial_uniform_grid(7, 2, np.array([3, 5, 9]), 10, 20)
+    seed = 2**64 - 3  # both key words in use
+    grid = rng_mod.trial_uniform_grid(seed, 2, np.array([3, 5, 9]), 10, 20)
+    assert grid.shape == (3, 20, 2)
     for i, run in enumerate((3, 5, 9)):
-        per_trial = rng_mod.trial_uniforms(7, 2, run, np.arange(10, 30))
-        np.testing.assert_array_equal(grid[i], per_trial)
-    stream = TrialStream(seed=7, row=2, run=5)
-    assert stream.uniforms(12) == (grid[1, 2, 0], grid[1, 2, 1])
+        for j in range(20):
+            assert tuple(grid[i, j]) == uniforms_reference(seed, 2, run, 10 + j)
+    # a window longer than one kernel pass is split into trial columns
+    n_trials = rng_mod._CHUNK + 5
+    wide = rng_mod.trial_uniform_grid(7, 0, np.array([1, 2**32 - 1]), 2**32 - n_trials, n_trials)
+    for i, run in enumerate((1, 2**32 - 1)):
+        for j in (0, rng_mod._CHUNK - 1, rng_mod._CHUNK, n_trials - 1):
+            assert tuple(wide[i, j]) == uniforms_reference(7, 0, run, 2**32 - n_trials + j)
+
+
+def test_counter_and_seed_widths_enforced():
+    with pytest.raises(ValueError, match="seed"):
+        rng_mod.trial_uniform_grid(2**64, 0, [0], 0, 1)
+    with pytest.raises(ValueError, match="seed"):
+        rng_mod.trial_uniform_grid(-1, 0, [0], 0, 1)
+    with pytest.raises(ValueError, match="run"):
+        rng_mod.trial_uniform_grid(1, 0, [2**32], 0, 1)
+    with pytest.raises(ValueError, match="trial"):
+        rng_mod.trial_uniform_grid(1, 0, [0], 2**32 - 1, 2)
 
 
 def test_uniform_moments_sane():
-    u = rng_mod.trial_uniforms(123, 0, 0, np.arange(200_000)).ravel()
+    u = rng_mod.trial_uniform_grid(123, 0, [0], 0, 200_000).ravel()
     assert abs(u.mean() - 0.5) < 2e-3
     assert abs(u.var() - 1.0 / 12.0) < 2e-3
 
@@ -98,35 +139,90 @@ def test_uniform_moments_sane():
 # ---------------------------------------------------------------------------
 
 
+def per_trial_oracle(engine, seed, row, n_runs):
+    """Repeat-until-success as a plain loop, one Philox block per trial."""
+    max_trials = engine.setup.timing.max_trials
+    key = [seed & 0xFFFFFFFF, seed >> 32]
+    cdf = engine.branch_cdf.tolist()
+    trials_used, branch = [], []
+    for run in range(n_runs):
+        result = (max_trials, -1)
+        for trial in range(max_trials):
+            counter = np.array([[trial, run, row, 0x464D4531]], dtype=np.uint32)
+            w = rng_mod.philox4x32(counter, key)[0].tolist()
+            u_click = ((w[0] << 32 | w[1]) >> 11) * 2.0**-53
+            u_branch = ((w[2] << 32 | w[3]) >> 11) * 2.0**-53
+            if u_click < engine.p_click:
+                picked = min(bisect.bisect_right(cdf, u_branch), len(cdf) - 1)
+                result = (trial + 1, picked)
+                break
+        trials_used.append(result[0])
+        branch.append(result[1])
+    return trials_used, branch
+
+
+@pytest.mark.parametrize(
+    "label, setup, n_runs",
+    [
+        pytest.param(label, setup, n, id=label.replace(" ", "-"))
+        for label, setup, n in (
+            ("blind detector", make_setup(eta=0.0, dark=0.0, max_trials=40), 6),
+            ("p_click near 1", make_setup(eta=1.0, dark=3.0e6, max_trials=40), 50),
+            ("many windows", make_setup(eta=0.9, dark=1e5, max_trials=60), 60),
+            ("budget exhausted", make_setup(eta=0.9, dark=1e5, max_trials=7), 80),
+        )
+    ],
+)
+def test_batch_matches_per_trial_oracle(label, setup, n_runs):
+    engine = pr.ProtocolEngine(setup)
+    max_trials = setup.timing.max_trials
+    trials_used, branch = pr._run_batch(engine, 13, 2, 0, n_runs)
+    assert trials_used.dtype == np.int64 and branch.dtype == np.int16
+    expected = per_trial_oracle(engine, 13, 2, n_runs)
+    assert trials_used.tolist() == expected[0]
+    assert branch.tolist() == expected[1]
+    if label == "blind detector":
+        assert engine.p_click == 0.0
+        assert branch.tolist() == [-1] * n_runs
+        assert trials_used.tolist() == [max_trials] * n_runs
+    elif label == "p_click near 1":
+        assert engine.p_click > 0.9
+        assert pr._window(engine.p_click, max_trials) == 1
+    elif label == "many windows":
+        assert pr._window(engine.p_click, max_trials) < max(trials_used)
+    else:  # the last window is cut short by the budget
+        assert max_trials % pr._window(engine.p_click, max_trials) != 0
+        assert np.count_nonzero(branch < 0) > 0 and np.count_nonzero(branch >= 0) > 0
+
+
 def test_blind_detector_never_clicks():
     setup = make_setup(eta=0.0, dark=0.0, max_trials=50)
     engine = pr.ProtocolEngine(setup)
-    stream = TrialStream(seed=1, row=0, run=0)
-    for trial in range(50):
-        assert not pr.run_trial(setup, stream, trial, engine=engine).clicked
-    run = pr.run_until_success(setup, stream, engine=engine)
-    assert not run.succeeded
-    assert run.trials_used == 50
+    assert engine.p_click == 0.0
+    trials_used, branch = pr.run_protocol(engine, seed=1, n_runs=3)
+    assert branch.tolist() == [-1, -1, -1]
+    assert trials_used.tolist() == [50, 50, 50]
 
 
 def test_dark_clicks_on_empty_write_are_false_heralds():
-    setup = make_setup(p=0.0, eta=0.6, dark=5e4, max_trials=5_000)
-    records = pr.run_protocol(setup, seed=3, n_runs=64)
-    assert all(r.succeeded for r in records)
-    assert all(r.final.false_herald for r in records)
-    stats = pr.aggregate(records)
+    engine = pr.ProtocolEngine(make_setup(p=0.0, eta=0.6, dark=5e4, max_trials=5_000))
+    trials_used, branch = pr.run_protocol(engine, seed=3, n_runs=64)
+    assert np.all(branch >= 0)
+    assert np.all(engine.table.false_herald[branch])
+    stats = pr.aggregate(trials_used, branch, engine.table)
     assert stats.false_herald_fraction == 1.0
     assert stats.photon_yield == 0.0
 
 
-def test_trial_record_invariant():
-    with pytest.raises(ValueError):
-        pr.TrialRecord(0, True, False, None)
-    with pytest.raises(ValueError):
-        pr.TrialRecord(
-            0, False, False,
-            FmeQubitState(1.0, 0.0, -1.0, 1.0, 1.0),
-        )
+def test_run_arrays_invariant():
+    # a run without a click used the whole budget; a click picks a real branch
+    setup = make_setup(p=0.1, max_trials=12)
+    engine = pr.ProtocolEngine(setup)
+    trials_used, branch = pr.run_protocol(engine, seed=8, n_runs=400)
+    assert np.all(trials_used[branch < 0] == 12)
+    assert np.all((trials_used >= 1) & (trials_used <= 12))
+    assert np.all(branch < len(engine.branches))
+    assert np.any(branch < 0) and np.any((branch >= 0) & (trials_used < 12))
 
 
 def test_timing_sequence_invariant():
@@ -137,29 +233,45 @@ def test_timing_sequence_invariant():
 
 
 def test_scalar_and_batch_paths_agree():
-    setup = make_setup(max_trials=500)
-    engine = pr.ProtocolEngine(setup)
-    batch = pr.run_protocol(setup, seed=11, n_runs=40)
-    for run_idx, record in enumerate(batch):
-        scalar = pr.run_until_success(
-            setup, TrialStream(seed=11, row=0, run=run_idx), engine=engine
-        )
-        assert scalar == record
+    # a batch of one run is the single-run path; chunk boundaries change nothing
+    engine = pr.ProtocolEngine(make_setup(max_trials=500))
+    trials_used, branch = pr.run_protocol(engine, seed=11, n_runs=40)
+    for run in range(40):
+        one = pr._run_batch(engine, 11, 0, run, run + 1)
+        assert (one[0][0], one[1][0]) == (trials_used[run], branch[run])
+
+
+def test_grid_size_does_not_change_results(monkeypatch):
+    # a small grid caps the window and splits the waiting runs over grid calls
+    engine = pr.ProtocolEngine(make_setup(p=0.03, max_trials=3_000))
+    expected = pr.run_protocol(engine, seed=4, n_runs=300)
+    monkeypatch.setattr(pr, "_GRID_CELLS", 40)
+    assert pr._window(engine.p_click, 3_000) == 40
+    result = pr.run_protocol(engine, seed=4, n_runs=300)
+    for a, b in zip(expected, result):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_worker_count_does_not_change_results():
-    setup = make_setup(max_trials=2_000)
-    serial = pr.run_protocol(setup, seed=5, n_runs=300, workers=1)
-    parallel = pr.run_protocol(setup, seed=5, n_runs=300, workers=3)
-    assert serial == parallel
-    assert pr.aggregate(serial) == pr.aggregate(parallel)
+    engine = pr.ProtocolEngine(make_setup(max_trials=2_000))
+    n_runs = pr._RUN_CHUNK + 300  # two chunks, so the pool is used
+    serial = pr.run_protocol(engine, seed=5, n_runs=n_runs, workers=1)
+    parallel = pr.run_protocol(engine, seed=5, n_runs=n_runs, workers=3)
+    for a, b in zip(serial, parallel):
+        np.testing.assert_array_equal(a, b)
+    assert pr.aggregate(*serial, engine.table) == pr.aggregate(*parallel, engine.table)
+
+
+def test_progress_reports_each_chunk():
+    engine = pr.ProtocolEngine(make_setup())
+    seen = []
+    pr.run_protocol(engine, 2, pr._RUN_CHUNK + 1, progress=lambda d, t: seen.append((d, t)))
+    assert seen == [(pr._RUN_CHUNK, pr._RUN_CHUNK + 1), (pr._RUN_CHUNK + 1, pr._RUN_CHUNK + 1)]
 
 
 def test_trials_to_success_geometric_mean():
-    setup = make_setup()
-    engine = pr.ProtocolEngine(setup)
-    records = pr.run_protocol(setup, seed=21, n_runs=20_000)
-    stats = pr.aggregate(records)
+    engine = pr.ProtocolEngine(make_setup())
+    stats = pr.aggregate(*pr.run_protocol(engine, seed=21, n_runs=20_000), engine.table)
     expected_mean = 1.0 / engine.p_click
     assert stats.mean_trials_to_success == pytest.approx(
         expected_mean, abs=3.0 * stats.mean_trials_stderr
@@ -170,11 +282,11 @@ def test_trials_to_success_geometric_mean():
 
 
 def test_no_success_within_budget_is_explicit():
-    setup = make_setup(eta=0.0, dark=0.0, max_trials=5)
-    records = pr.run_protocol(setup, seed=9, n_runs=4)
-    assert all(not r.succeeded for r in records)
-    assert all(r.trials_used == 5 for r in records)
-    stats = pr.aggregate(records)
+    engine = pr.ProtocolEngine(make_setup(eta=0.0, dark=0.0, max_trials=5))
+    trials_used, branch = pr.run_protocol(engine, seed=9, n_runs=4)
+    assert np.all(branch == -1)
+    assert np.all(trials_used == 5)
+    stats = pr.aggregate(trials_used, branch, engine.table)
     assert stats.n_success == 0
     assert math.isnan(stats.mean_trials_to_success)
 
@@ -190,21 +302,18 @@ def _qubit(c1, c2, efficiency=1.0):
 
 def test_aggregate_all_maximal_entanglement():
     s = 1 / math.sqrt(2)
-    runs = [
-        pr.RunRecord(3, pr.TrialRecord(2, True, False, _qubit(s, -s)))
-        for _ in range(10)
-    ]
-    stats = pr.aggregate(runs)
+    table = pr.branch_table([False], [_qubit(s, -s)])
+    stats = pr.aggregate(np.full(10, 3), np.zeros(10, dtype=np.int16), table)
     assert stats.mean_concurrence == pytest.approx(1.0)
     assert stats.concurrence_stderr == 0.0
     assert stats.photon_yield == pytest.approx(1.0)
+    assert stats.mean_trials_to_success == 3.0
 
 
 def test_aggregate_half_false_heralds():
     s = 1 / math.sqrt(2)
-    good = pr.RunRecord(1, pr.TrialRecord(0, True, False, _qubit(s, -s)))
-    bad = pr.RunRecord(1, pr.TrialRecord(0, True, True, _qubit(0.0, 0.0, 0.0)))
-    stats = pr.aggregate([good, bad] * 5)
+    table = pr.branch_table([False, True], [_qubit(s, -s), _qubit(0.0, 0.0, 0.0)])
+    stats = pr.aggregate(np.ones(10), np.array([0, 1] * 5, dtype=np.int16), table)
     assert stats.false_herald_fraction == pytest.approx(0.5)
     assert stats.photon_yield == pytest.approx(0.5)
     assert stats.mean_concurrence == pytest.approx(1.0)  # true heralds only
@@ -212,20 +321,37 @@ def test_aggregate_half_false_heralds():
 
 def test_aggregate_requires_runs():
     with pytest.raises(ValueError):
-        pr.aggregate([])
+        pr.aggregate(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int16),
+                     pr.branch_table([], []))
 
 
-def test_from_trial_stream():
-    records = [pr.TrialRecord(i, False, False, None) for i in range(3)]
-    records.append(pr.TrialRecord(3, True, False, _qubit(1.0, 0.0)))
-    run = pr.from_trial_stream(records)
-    assert run.trials_used == 4 and run.succeeded
-    with pytest.raises(ValueError):
-        pr.from_trial_stream([])
-    with pytest.raises(ValueError):
-        pr.from_trial_stream(
-            [records[-1], pr.TrialRecord(1, False, False, None)]
-        )
+def test_aggregate_sums_in_run_order():
+    # per-run values summed left to right, as a loop over the runs adds them
+    rs = np.random.default_rng(3)
+    outputs = [_qubit(math.cos(a), math.sin(a)) for a in rs.uniform(0.1, 1.4, 5)]
+    flags = [False, False, True, False, False]
+    table = pr.branch_table(flags, outputs)
+    branch = rs.integers(-1, 5, 3001).astype(np.int16)
+    trials_used = rs.integers(1, 400, 3001)
+    trials_used[branch < 0] = 400
+    stats = pr.aggregate(trials_used, branch, table)
+    won = [(int(t), int(b)) for t, b in zip(trials_used, branch) if b >= 0]
+    mean_t = sum(t for t, _ in won) / len(won)
+    var_t = sum((t - mean_t) ** 2 for t, _ in won) / (len(won) - 1)
+    assert stats.mean_trials_to_success == mean_t
+    assert stats.mean_trials_stderr == math.sqrt(var_t / len(won))
+    assert stats.photon_yield == sum(outputs[b].retrieval_efficiency for _, b in won) / len(won)
+    conc = [2 * abs(outputs[b].c1) * abs(outputs[b].c2) for _, b in won if not flags[b]]
+    mean_c = sum(conc) / len(conc)
+    assert stats.mean_concurrence == mean_c
+    var_c = sum((c - mean_c) ** 2 for c in conc) / (len(conc) - 1)
+    assert stats.concurrence_stderr == math.sqrt(var_c / len(conc))
+
+
+def test_aggregate_rejects_true_herald_without_photon():
+    table = pr.branch_table([False], [_qubit(0.0, 0.0, 0.0)])
+    with pytest.raises(ValueError, match="no-photon"):
+        pr.aggregate(np.ones(3), np.zeros(3, dtype=np.int16), table)
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +368,9 @@ def test_sweep_concurrence_peaks_at_balanced_drive():
 
 
 def test_species_swap_leaves_statistics_invariant():
-    a = pr.aggregate(pr.run_protocol(make_setup(p=0.12, p_ii=0.06), 23, 500))
-    b = pr.aggregate(pr.run_protocol(make_setup(p=0.06, p_ii=0.12), 23, 500))
+    a, b = pr.sweep([make_setup(p=0.12, p_ii=0.06)], 23, 500) + pr.sweep(
+        [make_setup(p=0.06, p_ii=0.12)], 23, 500
+    )
     assert a.p_click_per_trial == b.p_click_per_trial
     assert a.mean_concurrence == pytest.approx(b.mean_concurrence, abs=1e-12)
     assert a.false_herald_fraction == b.false_herald_fraction
@@ -258,11 +385,11 @@ def test_exact_engine_close_to_perturbative():
 
 
 def test_dark_count_zero_cutoff_one_every_click_true():
-    setup = make_setup(dark=0.0, cutoff=1, max_trials=2_000)
-    records = pr.run_protocol(setup, seed=31, n_runs=200)
-    clicked = [r for r in records if r.succeeded]
-    assert clicked
-    for r in clicked:
-        assert not r.final.false_herald
-        q = r.final.output
+    engine = pr.ProtocolEngine(make_setup(dark=0.0, cutoff=1, max_trials=2_000))
+    _, branch = pr.run_protocol(engine, seed=31, n_runs=200)
+    clicked = branch[branch >= 0]
+    assert clicked.size
+    assert not engine.table.false_herald[clicked].any()
+    for b in np.unique(clicked):
+        q = engine.outputs[b]
         assert abs(q.c1) ** 2 + abs(q.c2) ** 2 == pytest.approx(1.0, abs=1e-12)
