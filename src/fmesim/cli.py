@@ -188,7 +188,13 @@ def _load(args) -> ResolvedConfig:
 
 
 def _engine(cfg: ResolvedConfig) -> ProtocolEngine:
-    return ProtocolEngine(cfg_mod.build_setup(cfg))
+    engine = ProtocolEngine(cfg_mod.build_setup(cfg))
+    if not engine.table.efficiency[~engine.table.false_herald].all():
+        raise ConfigError(
+            "a true herald retrieves no photon: retrieval_efficiency_I and "
+            "retrieval_efficiency_II are 0 on every species the write drive excites"
+        )
+    return engine
 
 
 def _state_payload(state) -> dict:

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 
 from .herald import DetectorModel
-from .protocol import ProtocolSetup, TimingSequence
+from .protocol import ProtocolSetup
 from .retrieval import ReadParams
 from .rng import COUNTER_LIMIT
 from .write_dynamics import SystemParams
@@ -100,18 +100,12 @@ SCHEMA: dict[str, KeySpec] = {
     "eta": KeySpec("float", "probability", "detector efficiency", _probability),
     "dark_rate_hz": KeySpec("float", "counts/s", "detector dark-count rate", _nonnegative),
     "gate_s": KeySpec("float", "s", "detection gate duration", _positive),
-    "tau_read": KeySpec("float", "s", "read pulse duration", _positive),
-    "cycle_period": KeySpec("float", "s", "full cycle period", _positive),
     "max_trials": KeySpec("int", "trials", "retry budget per run", _counter),
     "cutoff": KeySpec("int", "quanta", "per-mode Fock cutoff", _at_least_one),
     "engine": KeySpec(
         "choice", "", "write-stage engine", choices=("perturbative", "exact")
     ),
     "runs": KeySpec("int", "runs", "Monte Carlo run count", _counter),
-    "omega_rabi_read_I": KeySpec("float", "Hz", "read Rabi frequency, species I", _positive),
-    "omega_rabi_read_II": KeySpec("float", "Hz", "read Rabi frequency, species II", _positive),
-    "g_read_I": KeySpec("float", "Hz", "read-out coupling, species I", _positive),
-    "g_read_II": KeySpec("float", "Hz", "read-out coupling, species II", _positive),
     "omega_out_I": KeySpec(
         "float", "Hz", "output photon frequency offset, species I"
     ),
@@ -133,16 +127,10 @@ DEFAULTS: dict[str, object] = {
     "eta": 0.6,
     "dark_rate_hz": 400.0,
     "gate_s": 1.0e-6,
-    "tau_read": 4.0e-6,
-    "cycle_period": 1.0e-5,
     "max_trials": 10000,
     "cutoff": 2,
     "engine": "perturbative",
     "runs": 1000,
-    "omega_rabi_read_I": 1.0e7,
-    "omega_rabi_read_II": 1.0e7,
-    "g_read_I": 50.0,
-    "g_read_II": 50.0,
     "omega_out_I": -1.0e9,
     "omega_out_II": 1.0e9,
     "retrieval_efficiency_I": 1.0,
@@ -281,11 +269,23 @@ def _coerce(key: str, raw) -> object:
     raise ConfigError(f"{key}: unhandled kind {spec.kind}")
 
 
-def _validate(key: str, value) -> None:
-    spec = SCHEMA[key]
-    if spec.validator is not None:
-        magnitude = abs(value) if isinstance(value, complex) else value
-        spec.validator(key, magnitude)
+def _check(values: dict[str, object]) -> None:
+    """Every per-key validator, then the cross-key rule on the output frequencies."""
+    for key, value in values.items():
+        spec = SCHEMA[key]
+        if spec.validator is not None:
+            magnitude = abs(value) if isinstance(value, complex) else value
+            spec.validator(key, magnitude)
+    if values["omega_out_I"] == values["omega_out_II"]:
+        raise ConfigError("omega_out_I and omega_out_II must differ")
+
+
+def _assign(values: dict, provenance: dict, key: str, raw) -> None:
+    """Set one user-supplied key; unknown keys are rejected."""
+    if key not in SCHEMA:
+        raise ConfigError(f"unknown configuration key {key!r}")
+    values[key] = _coerce(key, raw)
+    provenance[key] = "user"
 
 
 def parse_set_override(text: str) -> tuple[str, object]:
@@ -342,17 +342,10 @@ def load_config(
         if not isinstance(data, dict):
             raise ConfigError("config file must contain a JSON object")
         for key, raw in data.items():
-            if key not in SCHEMA:
-                raise ConfigError(f"unknown configuration key {key!r}")
-            values[key] = _coerce(key, raw)
-            provenance[key] = "user"
+            _assign(values, provenance, key, raw)
 
     for text in overrides or []:
-        key, raw = parse_set_override(text)
-        if key not in SCHEMA:
-            raise ConfigError(f"unknown configuration key {key!r}")
-        values[key] = _coerce(key, raw)
-        provenance[key] = "user"
+        _assign(values, provenance, *parse_set_override(text))
 
     missing = [k for k in REQUIRED_KEYS if k not in values]
     if missing:
@@ -360,18 +353,7 @@ def load_config(
             "missing required configuration keys: " + ", ".join(sorted(missing))
         )
 
-    for key, value in values.items():
-        _validate(key, value)
-
-    timing_total = values["tau_write"] + values["gate_s"] + values["tau_read"]
-    if timing_total > values["cycle_period"]:
-        raise ConfigError(
-            "tau_write + gate_s + tau_read = "
-            f"{timing_total!r} s exceeds cycle_period = {values['cycle_period']!r} s"
-        )
-    if values["omega_out_I"] == values["omega_out_II"]:
-        raise ConfigError("omega_out_I and omega_out_II must differ")
-
+    _check(values)
     return ResolvedConfig(values=values, provenance=provenance, preset=preset)
 
 
@@ -404,24 +386,9 @@ def build_detector(cfg: ResolvedConfig) -> DetectorModel:
     return DetectorModel(eta=v["eta"], dark_rate=v["dark_rate_hz"], gate=v["gate_s"])
 
 
-def build_timing(cfg: ResolvedConfig) -> TimingSequence:
-    v = cfg.values
-    return TimingSequence(
-        tau_write=v["tau_write"],
-        detection_gate=v["gate_s"],
-        tau_read=v["tau_read"],
-        cycle_period=v["cycle_period"],
-        max_trials=v["max_trials"],
-    )
-
-
 def build_read_params(cfg: ResolvedConfig) -> ReadParams:
     v = cfg.values
     return ReadParams(
-        omega_R_I=TWO_PI * v["omega_rabi_read_I"],
-        omega_R_II=TWO_PI * v["omega_rabi_read_II"],
-        g_read_I=TWO_PI * v["g_read_I"],
-        g_read_II=TWO_PI * v["g_read_II"],
         omega_out_I=TWO_PI * v["omega_out_I"],
         omega_out_II=TWO_PI * v["omega_out_II"],
         efficiency_I=v["retrieval_efficiency_I"],
@@ -435,8 +402,8 @@ def build_setup(cfg: ResolvedConfig) -> ProtocolSetup:
         return ProtocolSetup(
             system=build_system_params(cfg),
             detector=build_detector(cfg),
-            timing=build_timing(cfg),
             read=build_read_params(cfg),
+            max_trials=cfg.values["max_trials"],
             engine=cfg.values["engine"],
             cutoff=cfg.values["cutoff"],
         )
@@ -449,9 +416,6 @@ def with_overrides(cfg: ResolvedConfig, updates: dict[str, object]) -> ResolvedC
     values = dict(cfg.values)
     provenance = dict(cfg.provenance)
     for key, raw in updates.items():
-        if key not in SCHEMA:
-            raise ConfigError(f"unknown configuration key {key!r}")
-        values[key] = _coerce(key, raw)
-        provenance[key] = "user"
-        _validate(key, values[key])
+        _assign(values, provenance, key, raw)
+    _check(values)
     return ResolvedConfig(values=values, provenance=provenance, preset=cfg.preset)

@@ -83,15 +83,6 @@ class HeraldBranch:
         return self.kind == "dark" or self.n_photons >= 2
 
 
-@dataclass(frozen=True)
-class HeraldOutcome:
-    clicked: bool
-    conditional_state: TruncatedState | None
-    click_probability: float
-    false_herald_probability: float
-    branch: HeraldBranch | None = None
-
-
 def _check_normalized(psi: TruncatedState):
     if abs(hilbert.norm(psi) - 1.0) > NORM_TOLERANCE:
         raise ValueError(f"state is not normalized (norm = {hilbert.norm(psi)!r})")
@@ -147,8 +138,8 @@ def false_herald_fraction(psi: TruncatedState, det: DetectorModel) -> float:
 
 def project_on_click(
     psi: TruncatedState, det: DetectorModel, selector: float
-) -> HeraldOutcome:
-    """Conditional state given a click, with the branch chosen by selector.
+) -> HeraldBranch:
+    """The click branch chosen by selector; its state is the conditional state.
 
     selector in [0, 1) walks the cumulative distribution of the click
     branches (conditioned on the click), so the caller's random stream fully
@@ -160,28 +151,9 @@ def project_on_click(
     p_click = sum(b.probability for b in branches)
     if p_click <= 0.0:
         raise ValueError("click requested but the click probability is zero")
-    false_p = sum(b.probability for b in branches if b.false_herald) / p_click
     acc = 0.0
-    chosen = branches[-1]
     for branch in branches:
         acc += branch.probability / p_click
         if selector < acc:
-            chosen = branch
-            break
-    return HeraldOutcome(
-        clicked=True,
-        conditional_state=chosen.state,
-        click_probability=float(p_click),
-        false_herald_probability=float(false_p),
-        branch=chosen,
-    )
-
-
-def no_click_outcome(psi: TruncatedState, det: DetectorModel) -> HeraldOutcome:
-    p_click = herald_probability(psi, det)
-    return HeraldOutcome(
-        clicked=False,
-        conditional_state=None,
-        click_probability=p_click,
-        false_herald_probability=false_herald_fraction(psi, det),
-    )
+            return branch
+    return branches[-1]

@@ -165,6 +165,8 @@ def norm(psi: TruncatedState) -> float:
 
 def normalize(psi: TruncatedState) -> TruncatedState:
     n = norm(psi)
+    if not np.isfinite(n):
+        raise FloatingPointError(f"cannot normalize a state of norm {n!r}")
     if n == 0.0:
         raise ValueError("cannot normalize the zero vector")
     return TruncatedState(psi.cutoff, psi.amplitudes / n)

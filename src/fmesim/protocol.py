@@ -1,11 +1,11 @@
-"""Repeat-until-success Monte Carlo over the write / detect / read cycle.
+"""Repeat-until-success Monte Carlo over write / detect trials.
 
-Each trial runs the cycled pulse sequence once: write pulse, detection gate,
-and, on a click, read-out of the heralded spin state into the output photon
-qubit.  On no click the read fields re-pump the ensemble, modeled as a
-perfect reset, and the next trial starts fresh; a cycle is repeated until a
-click or until max_trials is exhausted (an explicit no-success result, not
-an error).
+A trial is one write pulse (tau_write) and one detection gate.  On a click
+the heralded spin state is read out into the output photon qubit; on no
+click the ensemble is reset (modeled as perfect) and the next trial starts
+fresh.  Trials repeat until a click or until max_trials is exhausted (an
+explicit no-success result, not an error).  The read pulse and the cycle
+period take no part: no reported number depends on them.
 
 The write stage is the same on every trial, so it is computed once per
 configuration (ProtocolEngine) as a table of click branches.  A run then
@@ -34,7 +34,7 @@ import numpy as np
 from . import herald as herald_mod
 from . import retrieval as retrieval_mod
 from . import write_dynamics as wd
-from .herald import DetectorModel, HeraldBranch, HeraldOutcome
+from .herald import DetectorModel, HeraldBranch
 from .hilbert import vacuum_state
 from .retrieval import FmeQubitState, ReadParams
 from .rng import trial_uniform_grid
@@ -48,33 +48,11 @@ _WINDOW_HIT = 0.2  # chance that a waiting run clicks within one window
 
 
 @dataclass(frozen=True)
-class TimingSequence:
-    """Cycle timing (seconds) and the retry budget."""
-
-    tau_write: float
-    detection_gate: float
-    tau_read: float
-    cycle_period: float
-    max_trials: int
-
-    def __post_init__(self):
-        for name in ("tau_write", "detection_gate", "tau_read", "cycle_period"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
-        if self.tau_write + self.detection_gate + self.tau_read > self.cycle_period:
-            raise ValueError(
-                "tau_write + detection_gate + tau_read must fit in cycle_period"
-            )
-        if self.max_trials < 1:
-            raise ValueError("max_trials must be >= 1")
-
-
-@dataclass(frozen=True)
 class ProtocolSetup:
     system: SystemParams
     detector: DetectorModel
-    timing: TimingSequence
     read: ReadParams
+    max_trials: int
     engine: str = "perturbative"
     cutoff: int = 2
 
@@ -83,8 +61,8 @@ class ProtocolSetup:
             raise ValueError(f"engine must be one of {ENGINES}, got {self.engine!r}")
         if self.cutoff < 1:
             raise ValueError("cutoff must be >= 1")
-        if self.timing.tau_write != self.system.tau_write:
-            raise ValueError("timing.tau_write must equal system.tau_write")
+        if self.max_trials < 1:
+            raise ValueError("max_trials must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -106,23 +84,6 @@ class ProtocolStats:
     fidelity_stderr: float
     photon_yield: float
 
-    def to_dict(self) -> dict:
-        return {
-            "n_runs": self.n_runs,
-            "n_trials": self.n_trials,
-            "n_success": self.n_success,
-            "p_click_per_trial": self.p_click_per_trial,
-            "p_click_stderr": self.p_click_stderr,
-            "mean_trials_to_success": self.mean_trials_to_success,
-            "mean_trials_stderr": self.mean_trials_stderr,
-            "false_herald_fraction": self.false_herald_fraction,
-            "mean_concurrence": self.mean_concurrence,
-            "concurrence_stderr": self.concurrence_stderr,
-            "mean_fidelity_bell": self.mean_fidelity_bell,
-            "fidelity_stderr": self.fidelity_stderr,
-            "photon_yield": self.photon_yield,
-        }
-
 
 class ProtocolEngine:
     """Trial-invariant write/herald/retrieve tables for one setup.
@@ -142,7 +103,7 @@ class ProtocolEngine:
         else:
             h = wd.build_effective_hamiltonian(rates, setup.cutoff)
             self.write_state = wd.evolve_exact(
-                h, setup.timing.tau_write, vacuum_state(setup.cutoff)
+                h, setup.system.tau_write, vacuum_state(setup.cutoff)
             )
         det = setup.detector
         self.branches: list[HeraldBranch] = herald_mod.click_branches(self.write_state, det)
@@ -159,17 +120,7 @@ class ProtocolEngine:
             else 0.0
         )
         self.outputs: list[FmeQubitState] = [
-            retrieval_mod.retrieve_fme(
-                HeraldOutcome(
-                    clicked=True,
-                    conditional_state=b.state,
-                    click_probability=self.p_click,
-                    false_herald_probability=self.false_fraction,
-                    branch=b,
-                ),
-                setup.read,
-            )
-            for b in self.branches
+            retrieval_mod.retrieve_fme(b.state, setup.read) for b in self.branches
         ]
         self.table = branch_table([b.false_herald for b in self.branches], self.outputs)
 
@@ -219,7 +170,7 @@ def _run_batch(
     branch CDF.  Trials are drawn in windows of one length, set from p_click,
     for the runs still waiting; no result depends on the window length.
     """
-    max_trials = engine.setup.timing.max_trials
+    max_trials = engine.setup.max_trials
     p = engine.p_click
     trials_used = np.full(run_hi - run_lo, max_trials, dtype=np.int64)
     branch = np.full(run_hi - run_lo, -1, dtype=np.int16)

@@ -32,7 +32,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import hilbert
-from .herald import HeraldOutcome
 from .hilbert import TruncatedState
 
 C_LIGHT = 299_792_458.0  # m/s
@@ -43,17 +42,16 @@ GRID_ALIGNMENT_TOL = 1e-9
 
 @dataclass(frozen=True)
 class ReadParams:
-    """Per-species read-out settings (rates in rad/s, frequencies in rad/s).
+    """Per-species read-out settings (frequencies in rad/s).
 
     omega_out_I/II are the two output photon frequencies (distinct by
     construction); efficiency_I/II are single multiplicative retrieval
     efficiencies (1.0 = ideal); phase_II rotates the species-II amplitude.
+    The read pulse itself is not modeled here: the retrieved amplitudes are
+    the heralded ones scaled by these efficiencies (dsp_angle and
+    propagate_dsp model the polariton transport from explicit arguments).
     """
 
-    omega_R_I: complex
-    omega_R_II: complex
-    g_read_I: float
-    g_read_II: float
     omega_out_I: float
     omega_out_II: float
     efficiency_I: float = 1.0
@@ -105,17 +103,14 @@ def _single_excitation_amplitudes(state: TruncatedState) -> tuple[complex, compl
     return complex(alpha), complex(beta)
 
 
-def retrieve_fme(heralded: HeraldOutcome, read: ReadParams) -> FmeQubitState:
-    """Map a heralded spin state to the output frequency qubit.
+def retrieve_fme(state: TruncatedState, read: ReadParams) -> FmeQubitState:
+    """Map a heralded (post-click, normalized) spin state to the output
+    frequency qubit.
 
-    Requires a clicked outcome.  Amplitudes come from the single-excitation
-    content of the conditional spin state; components outside the
-    single-excitation manifold cannot emit the one-photon pulse and only
-    reduce retrieval_efficiency.
+    Amplitudes come from the single-excitation content of the state;
+    components outside the single-excitation manifold cannot emit the
+    one-photon pulse and only reduce retrieval_efficiency.
     """
-    if not heralded.clicked or heralded.conditional_state is None:
-        raise ValueError("retrieval requires a clicked herald outcome")
-    state = heralded.conditional_state
     if abs(hilbert.norm(state) - 1.0) > NORM_TOLERANCE:
         raise ValueError("conditional state is not normalized")
     alpha, beta = _single_excitation_amplitudes(state)
@@ -164,7 +159,7 @@ def _require_photon(q: FmeQubitState):
 # ---------------------------------------------------------------------------
 
 
-def dsp_angle(g_read: float, n_atoms: float, omega_R: complex) -> float:
+def dsp_angle(g_prime: float, n_atoms: float, omega_R: complex) -> float:
     """Polariton mixing angle theta = arctan(g' sqrt(N) / |Omega_R|).
 
     Omega_R -> infinity gives theta -> 0 (pure photon); Omega_R = 0 is
@@ -174,7 +169,7 @@ def dsp_angle(g_read: float, n_atoms: float, omega_R: complex) -> float:
         raise ValueError("Omega_R must be nonzero (no retrieval otherwise)")
     if n_atoms < 1:
         raise ValueError("atom number must be >= 1")
-    return math.atan(g_read * math.sqrt(n_atoms) / abs(omega_R))
+    return math.atan(g_prime * math.sqrt(n_atoms) / abs(omega_R))
 
 
 def group_velocity(theta: float) -> float:

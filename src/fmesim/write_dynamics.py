@@ -57,7 +57,7 @@ plain Hz; the conversion by 2*pi happens once at ingestion, never here.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -67,6 +67,9 @@ from .linalg import expm, lyapunov_propagate
 
 ADIABATIC_RATIO_WARN = 0.3
 PERTURBATIVE_P_WARN = 0.3
+# Largest norm drift of exact evolution; below the heralding stage's 1e-9
+# normalization check, so an evolved state that passes here is accepted there.
+UNITARITY_TOL = 1e-10
 
 # Canonical commutator matrix <[v_i, v_j^dag]> for v = (a, S_I^dag, S_II^dag).
 COMMUTATOR = np.diag([1.0, -1.0, -1.0]).astype(complex)
@@ -155,6 +158,8 @@ def derive_rates(p: SystemParams) -> DerivedRates:
         P_I=complex(chi_i * p.tau_write),
         P_II=complex(chi_ii * p.tau_write),
     )
+    if not np.all(np.isfinite([getattr(rates, f.name) for f in fields(rates)])):
+        raise FloatingPointError(f"non-finite derived write rates: {rates}")
     p_max = max(abs(rates.P_I), abs(rates.P_II))
     if p_max >= PERTURBATIVE_P_WARN:
         warnings.warn(
@@ -197,8 +202,15 @@ def evolve_exact(h: np.ndarray, t: float, psi0: TruncatedState) -> TruncatedStat
         raise ValueError("evolution time must be >= 0")
     if not np.all(np.isfinite(h)):
         raise FloatingPointError("non-finite Hamiltonian")
-    u = expm(-1j * t * h)
-    return TruncatedState(psi0.cutoff, u @ psi0.amplitudes)
+    # the unitary is freed before the norm check: holding it (28 MB at cutoff
+    # 10) while the check allocates raises the peak RSS of a cutoff ladder
+    psi = TruncatedState(psi0.cutoff, expm(-1j * t * h) @ psi0.amplitudes)
+    drift = abs(hilbert.norm(psi) - hilbert.norm(psi0))
+    if drift > UNITARITY_TOL:
+        raise FloatingPointError(
+            f"exact evolution lost unitarity (norm drift {drift:.3g}): |H| t is too large"
+        )
+    return psi
 
 
 # ---------------------------------------------------------------------------

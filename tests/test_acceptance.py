@@ -38,7 +38,6 @@ def rates_fixture(p_i, p_ii, tau=1.0):
 
 def ideal_read():
     return ReadParams(
-        omega_R_I=1.0, omega_R_II=1.0, g_read_I=1.0, g_read_II=1.0,
         omega_out_I=-1.0e9, omega_out_II=1.0e9,
     )
 
@@ -53,18 +52,17 @@ def protocol_setup(p=0.1, eta=0.6, dark=400.0, max_trials=10_000, cutoff=1):
         kappa=0.0, gamma_1=0.0, gamma_2=0.0, gamma_gs_I=0.0, gamma_gs_II=0.0,
         tau_write=tau,
     )
-    timing = pr.TimingSequence(tau, 1e-6, 1.0, 3.0, max_trials)
     det = DetectorModel(eta=eta, dark_rate=dark, gate=1e-6)
-    return pr.ProtocolSetup(system=system, detector=det, timing=timing,
-                            read=ideal_read(), engine="perturbative",
+    return pr.ProtocolSetup(system=system, detector=det, read=ideal_read(),
+                            max_trials=max_trials, engine="perturbative",
                             cutoff=cutoff)
 
 
 def test_criterion_1_maximal_entanglement():
     det = DetectorModel(eta=1.0, dark_rate=0.0, gate=1e-6)
     psi = wd.perturbative_state(rates_fixture(0.07, 0.07), 2)
-    outcome = hd.project_on_click(psi, det, 0.0)
-    qubit = rt.retrieve_fme(outcome, ideal_read())
+    heralded = hd.project_on_click(psi, det, 0.0).state
+    qubit = rt.retrieve_fme(heralded, ideal_read())
     assert rt.concurrence(qubit) == pytest.approx(1.0, abs=1e-10)
     assert abs(abs(qubit.c1) - abs(qubit.c2)) <= 1e-12
     report(1, "balanced drive gives concurrence 1.0 and |c1| = |c2|")
@@ -80,8 +78,8 @@ def test_criterion_2_perturbative_exact_consistency():
     diff = np.linalg.norm(exact.amplitudes - approx.amplitudes)
     assert diff <= 3.0 * p**2  # 7.5e-3
     det = DetectorModel(eta=1.0, dark_rate=0.0, gate=1e-6)
-    cond_exact = hd.project_on_click(exact, det, 0.0).conditional_state
-    cond_approx = hd.project_on_click(approx, det, 0.0).conditional_state
+    cond_exact = hd.project_on_click(exact, det, 0.0).state
+    cond_approx = hd.project_on_click(approx, det, 0.0).state
     overlap = abs(hb.inner_product(cond_exact, cond_approx)) ** 2
     assert overlap >= 1.0 - 1e-3
     report(2, f"||exact - perturbative|| = {diff:.2e} <= 7.5e-3, "
@@ -144,8 +142,7 @@ def test_criterion_4_herald_statistics():
     n_trials = 1_000_000
     one_shot = pr.ProtocolSetup(
         system=setup.system, detector=setup.detector,
-        timing=pr.TimingSequence(1.0, 1e-6, 1.0, 3.0, 1),
-        read=setup.read, engine="perturbative", cutoff=1,
+        read=setup.read, max_trials=1, engine="perturbative", cutoff=1,
     )
     _, branch = pr.run_protocol(pr.ProtocolEngine(one_shot), seed=42, n_runs=n_trials)
     p_hat = np.count_nonzero(branch >= 0) / n_trials
@@ -186,7 +183,7 @@ def test_criterion_5_dark_count_sweep_monotonicity():
         pr.ProtocolSetup(
             system=protocol_setup().system,
             detector=DetectorModel(eta=0.6, dark_rate=rate, gate=1e-6),
-            timing=protocol_setup().timing, read=ideal_read(),
+            read=ideal_read(), max_trials=protocol_setup().max_trials,
             engine="perturbative", cutoff=1,
         )
         for rate in (400.0, 50.0, 5.0)

@@ -1,13 +1,15 @@
 """Configuration resolution, provenance, and the command-line surface
 (byte-determinism, embedded-config round trips, exit codes)."""
 
+import contextlib
+import io
 import json
 import math
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fmesim import config as cfg_mod
@@ -64,9 +66,21 @@ def test_complex_drive_from_pair():
     assert params.omega_W_I == pytest.approx(TWO_PI * 1.0e7j)
 
 
-def test_timing_budget_enforced():
-    with pytest.raises(ConfigError, match="cycle_period"):
-        cfg_mod.load_config(preset="rb85-87", overrides=["tau_write=9e-6"])
+REMOVED_KEYS = (
+    "tau_read", "cycle_period", "omega_rabi_read_I", "omega_rabi_read_II",
+    "g_read_I", "g_read_II",
+)
+
+
+@pytest.mark.parametrize("key", REMOVED_KEYS)
+def test_removed_key_exits_2(key, tmp_path, capsys):
+    # a config embedded in an output written before the key was removed
+    data = cfg_mod.load_config(preset="rb85-87").serializable_values()
+    data[key] = 1.0e-6
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(data))
+    assert run_cli("protocol", "--config", str(path), "--runs", "5") == 2
+    assert repr(key) in capsys.readouterr().err
 
 
 def test_config_file_and_override_precedence(tmp_path):
@@ -287,3 +301,90 @@ def test_counter_bounds_are_inclusive():
         preset="rb85-87", overrides=[f"runs={2**32}", f"max_trials={2**32}"]
     )
     assert cfg.values["runs"] == cfg.values["max_trials"] == 2**32
+
+
+def test_sweep_equal_output_frequencies_exits_2(capsys):
+    args = ("sweep", "--preset", "rb85-87", "--runs", "10")
+    assert run_cli(*args, "--sweep", "omega_out_II=-1.368e9") == 2
+    err = capsys.readouterr().err
+    assert re.search(r"\bomega_out_I\b", err) and "omega_out_II" in err
+
+
+NO_PHOTON = (
+    ("retrieval_efficiency_I=0", "retrieval_efficiency_II=0"),
+    ("retrieval_efficiency_I=0", "omega_rabi_write_II=0"),
+)
+
+
+@pytest.mark.parametrize("overrides", NO_PHOTON)
+@pytest.mark.parametrize(
+    "command", [["protocol", "--runs", "50"], ["sweep", "--sweep", "eta=0.5,0.6"], ["retrieve"]]
+)
+def test_true_herald_without_photon_exits_2(command, overrides, capsys):
+    sets = [arg for text in overrides for arg in ("--set", text)]
+    assert run_cli(*command, "--preset", "rb85-87", *sets) == 2
+    err = capsys.readouterr().err
+    assert "retrieval_efficiency_I " in err and "retrieval_efficiency_II" in err
+
+
+@pytest.mark.parametrize("override", ["N_I=1e300", "g_I=1e300"])
+def test_overflow_exits_4(override, capsys):
+    assert run_cli("protocol", "--preset", "rb85-87", "--runs", "50", "--set", override) == 4
+    assert "numeric failure" in capsys.readouterr().err
+
+
+PROBE_KEYS = (
+    "g_I", "N_I", "delta", "tau_write", "omega_rabi_write_II", "eta",
+    "dark_rate_hz", "gate_s", "retrieval_efficiency_II", "kappa",
+)
+
+
+def _probe_values(key):
+    typical = BASE_CONFIG.values[key]
+    return [0.0, 1e-300, 1.0, complex(typical).real, 1e300, -1.0]
+
+
+def _numbers(node):
+    if isinstance(node, dict):
+        for value in node.values():
+            yield from _numbers(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _numbers(value)
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield node
+
+
+def _reject_constant(name):
+    raise AssertionError(f"non-finite number {name} in the output")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    runs=st.integers(1, 50),
+    max_trials=st.integers(1, 100),
+    cutoff=st.integers(1, 3),
+    engine=st.sampled_from(["perturbative", "exact"]),
+    overrides=st.lists(
+        st.sampled_from(PROBE_KEYS).flatmap(
+            lambda k: st.sampled_from(_probe_values(k)).map(lambda v: f"{k}={v!r}")
+        ),
+        max_size=3,
+    ),
+)
+@pytest.mark.filterwarnings("ignore")  # regime warnings are expected at extreme values
+def test_protocol_argv_exits_cleanly(runs, max_trials, cutoff, engine, overrides):
+    argv = [
+        "protocol", "--preset", "rb85-87", "--format", "json", "--runs", str(runs),
+        "--set", f"max_trials={max_trials}", "--set", f"cutoff={cutoff}",
+        "--set", f"engine={engine}",
+    ]
+    for text in overrides:
+        argv += ["--set", text]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    if code in (0, 3):
+        data = json.loads(out.getvalue(), parse_constant=_reject_constant)
+        assert all(math.isfinite(x) for x in _numbers(data))

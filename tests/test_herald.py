@@ -91,7 +91,7 @@ def test_unnormalized_state_rejected():
 def test_projection_symmetric_drive_is_maximally_entangled():
     det = DetectorModel(eta=1.0, dark_rate=0.0, gate=1e-6)
     out = hd.project_on_click(fixture_state(0.1, 0.1), det, 0.0)
-    state = out.conditional_state
+    state = out.state
     assert state.amplitude(0, 1, 0) == pytest.approx(1 / math.sqrt(2))
     assert state.amplitude(0, 0, 1) == pytest.approx(-1 / math.sqrt(2))
     # equal-weight superposition with a relative minus sign: concurrence 1
@@ -105,15 +105,15 @@ def test_projection_symmetric_drive_is_maximally_entangled():
 def test_projection_single_branch_product_state():
     det = DetectorModel(eta=1.0, dark_rate=0.0, gate=1e-6)
     out = hd.project_on_click(fixture_state(0.1, 0.0), det, 0.0)
-    assert out.conditional_state.amplitude(0, 1, 0) == pytest.approx(1.0)
-    assert out.conditional_state.amplitude(0, 0, 1) == 0.0
+    assert out.state.amplitude(0, 1, 0) == pytest.approx(1.0)
+    assert out.state.amplitude(0, 0, 1) == 0.0
 
 
 def test_projection_asymmetric_amplitudes():
     det = DetectorModel(eta=1.0, dark_rate=0.0, gate=1e-6)
     out = hd.project_on_click(fixture_state(0.1, 0.05), det, 0.0)
-    assert out.conditional_state.amplitude(0, 1, 0) == pytest.approx(0.894427191)
-    assert out.conditional_state.amplitude(0, 0, 1) == pytest.approx(-0.4472135955)
+    assert out.state.amplitude(0, 1, 0) == pytest.approx(0.894427191)
+    assert out.state.amplitude(0, 0, 1) == pytest.approx(-0.4472135955)
 
 
 def test_projection_impossible_click_rejected():
@@ -207,10 +207,10 @@ def test_species_swap_equivariance():
     det = DetectorModel(eta=0.8, dark_rate=50.0, gate=1e-6)
     out = hd.project_on_click(fixture_state(0.1, 0.05), det, 0.0)
     swapped = hd.project_on_click(fixture_state(0.05, 0.1), det, 0.0)
-    a, b = (out.conditional_state.amplitude(0, 1, 0),
-            out.conditional_state.amplitude(0, 0, 1))
-    a_s, b_s = (swapped.conditional_state.amplitude(0, 1, 0),
-                swapped.conditional_state.amplitude(0, 0, 1))
+    a, b = (out.state.amplitude(0, 1, 0),
+            out.state.amplitude(0, 0, 1))
+    a_s, b_s = (swapped.state.amplitude(0, 1, 0),
+                swapped.state.amplitude(0, 0, 1))
     # swapping species labels exchanges the amplitudes up to the global
     # minus sign of the heralded-state convention
     assert a_s == pytest.approx(-b, abs=1e-12)
@@ -234,6 +234,6 @@ def test_branch_selector_walks_cdf():
     for branch in branches:
         mid = (acc + branch.probability / p_click / 2.0)
         out = hd.project_on_click(psi, det, mid)
-        assert out.branch.kind == branch.kind
-        assert out.branch.n_photons == branch.n_photons
+        assert out.kind == branch.kind
+        assert out.n_photons == branch.n_photons
         acc += branch.probability / p_click

@@ -25,17 +25,12 @@ def make_setup(p=0.1, eta=0.6, dark=400.0, max_trials=10_000, engine="perturbati
         delta=100.0, kappa=0.0, gamma_1=0.0, gamma_2=0.0,
         gamma_gs_I=0.0, gamma_gs_II=0.0, tau_write=tau,
     )
-    timing = pr.TimingSequence(
-        tau_write=tau, detection_gate=1e-6, tau_read=1.0, cycle_period=3.0,
-        max_trials=max_trials,
-    )
     detector = DetectorModel(eta=eta, dark_rate=dark, gate=1e-6)
     read = ReadParams(
-        omega_R_I=1.0, omega_R_II=1.0, g_read_I=1.0, g_read_II=1.0,
         omega_out_I=-1.0e9, omega_out_II=1.0e9,
     )
-    return pr.ProtocolSetup(system=system, detector=detector, timing=timing,
-                            read=read, engine=engine, cutoff=cutoff)
+    return pr.ProtocolSetup(system=system, detector=detector, read=read,
+                            max_trials=max_trials, engine=engine, cutoff=cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +136,7 @@ def test_uniform_moments_sane():
 
 def per_trial_oracle(engine, seed, row, n_runs):
     """Repeat-until-success as a plain loop, one Philox block per trial."""
-    max_trials = engine.setup.timing.max_trials
+    max_trials = engine.setup.max_trials
     key = [seed & 0xFFFFFFFF, seed >> 32]
     cdf = engine.branch_cdf.tolist()
     trials_used, branch = [], []
@@ -175,7 +170,7 @@ def per_trial_oracle(engine, seed, row, n_runs):
 )
 def test_batch_matches_per_trial_oracle(label, setup, n_runs):
     engine = pr.ProtocolEngine(setup)
-    max_trials = setup.timing.max_trials
+    max_trials = setup.max_trials
     trials_used, branch = pr._run_batch(engine, 13, 2, 0, n_runs)
     assert trials_used.dtype == np.int64 and branch.dtype == np.int16
     expected = per_trial_oracle(engine, 13, 2, n_runs)
@@ -225,11 +220,9 @@ def test_run_arrays_invariant():
     assert np.any(branch < 0) and np.any((branch >= 0) & (trials_used < 12))
 
 
-def test_timing_sequence_invariant():
-    with pytest.raises(ValueError):
-        pr.TimingSequence(1.0, 1.0, 1.0, 2.5, 10)
-    with pytest.raises(ValueError):
-        pr.TimingSequence(1.0, 1.0, 1.0, 4.0, 0)
+def test_protocol_setup_rejects_zero_max_trials():
+    with pytest.raises(ValueError, match="max_trials"):
+        make_setup(max_trials=0)
 
 
 def test_scalar_and_batch_paths_agree():

@@ -13,22 +13,19 @@ from fmesim.herald import DetectorModel
 
 
 def read_params(**overrides):
-    base = dict(
-        omega_R_I=1.0, omega_R_II=1.0, g_read_I=1.0, g_read_II=1.0,
-        omega_out_I=-1.0e9, omega_out_II=1.0e9,
-    )
+    base = dict(omega_out_I=-1.0e9, omega_out_II=1.0e9)
     base.update(overrides)
     return rt.ReadParams(**base)
 
 
-def heralded_outcome(p_i, p_ii, eta=1.0, dark=0.0):
+def heralded_state(p_i, p_ii, eta=1.0, dark=0.0):
     rates = wd.DerivedRates(
         chi_I=p_i, chi_II=p_ii, gamma_L_I=0.0, gamma_L_II=0.0,
         delta_L_I=0.0, delta_L_II=0.0, P_I=p_i, P_II=p_ii,
     )
     psi = wd.perturbative_state(rates, 2)
     det = DetectorModel(eta=eta, dark_rate=dark, gate=1e-6)
-    return hd.project_on_click(psi, det, 0.0)
+    return hd.project_on_click(psi, det, 0.0).state
 
 
 def gaussian(z, center, width):
@@ -41,7 +38,7 @@ def gaussian(z, center, width):
 
 
 def test_balanced_drive_gives_bell_state():
-    q = rt.retrieve_fme(heralded_outcome(0.1, 0.1), read_params())
+    q = rt.retrieve_fme(heralded_state(0.1, 0.1), read_params())
     assert abs(q.c1) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
     assert abs(q.c2) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
     assert rt.concurrence(q) == pytest.approx(1.0, abs=1e-10)
@@ -49,26 +46,17 @@ def test_balanced_drive_gives_bell_state():
 
 
 def test_single_species_product_state():
-    q = rt.retrieve_fme(heralded_outcome(0.1, 0.0), read_params())
+    q = rt.retrieve_fme(heralded_state(0.1, 0.0), read_params())
     assert q.c1 == pytest.approx(1.0)
     assert q.c2 == 0.0
     assert rt.concurrence(q) == 0.0
 
 
 def test_three_four_five_normalization():
-    q = rt.retrieve_fme(heralded_outcome(0.06, 0.08), read_params())
+    q = rt.retrieve_fme(heralded_state(0.06, 0.08), read_params())
     assert abs(q.c1) == pytest.approx(0.6, abs=1e-12)
     assert abs(q.c2) == pytest.approx(0.8, abs=1e-12)
     assert np.real(q.c2) < 0  # the heralded minus sign survives
-
-
-def test_retrieve_requires_click():
-    outcome = hd.HeraldOutcome(
-        clicked=False, conditional_state=None,
-        click_probability=0.1, false_herald_probability=0.0,
-    )
-    with pytest.raises(ValueError):
-        rt.retrieve_fme(outcome, read_params())
 
 
 def test_false_herald_dark_branch_gives_no_photon():
@@ -80,9 +68,9 @@ def test_false_herald_dark_branch_gives_no_photon():
     psi = wd.perturbative_state(rates, 2)
     det = DetectorModel(eta=0.6, dark_rate=400.0, gate=1e-6)
     out = hd.project_on_click(psi, det, 0.999)
-    assert out.branch.kind == "dark"
-    assert out.branch.n_photons == 0
-    q = rt.retrieve_fme(out, read_params())
+    assert out.kind == "dark"
+    assert out.n_photons == 0
+    q = rt.retrieve_fme(out.state, read_params())
     assert q.retrieval_efficiency == 0.0
     assert not q.has_photon
     with pytest.raises(ValueError):
@@ -91,7 +79,7 @@ def test_false_herald_dark_branch_gives_no_photon():
 
 def test_partial_efficiencies_reweight_amplitudes():
     q = rt.retrieve_fme(
-        heralded_outcome(0.1, 0.1),
+        heralded_state(0.1, 0.1),
         read_params(efficiency_I=0.5, efficiency_II=1.0),
     )
     assert q.retrieval_efficiency == pytest.approx(0.25 + 0.5)
@@ -100,10 +88,10 @@ def test_partial_efficiencies_reweight_amplitudes():
 
 
 def test_read_phase_rotates_minus_to_plus_bell():
-    q_minus = rt.retrieve_fme(heralded_outcome(0.1, 0.1), read_params())
+    q_minus = rt.retrieve_fme(heralded_state(0.1, 0.1), read_params())
     assert rt.fidelity_to_bell(q_minus) == pytest.approx(0.0, abs=1e-12)
     q_plus = rt.retrieve_fme(
-        heralded_outcome(0.1, 0.1), read_params(phase_II=math.pi)
+        heralded_state(0.1, 0.1), read_params(phase_II=math.pi)
     )
     assert rt.fidelity_to_bell(q_plus) == pytest.approx(1.0, abs=1e-12)
     assert rt.concurrence(q_plus) == pytest.approx(rt.concurrence(q_minus))
@@ -147,7 +135,7 @@ def test_state_validation():
 def test_concurrence_peaks_at_balanced_drive():
     ratios = [0.25, 0.5, 0.8, 1.0, 1.25, 2.0, 4.0]
     conc = [
-        rt.concurrence(rt.retrieve_fme(heralded_outcome(0.05 * r, 0.05), read_params()))
+        rt.concurrence(rt.retrieve_fme(heralded_state(0.05 * r, 0.05), read_params()))
         for r in ratios
     ]
     best = ratios[int(np.argmax(conc))]

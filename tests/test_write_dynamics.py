@@ -163,6 +163,13 @@ def test_unitarity_on_random_hamiltonians():
         assert abs(hb.norm(psi) - 1.0) < 1e-10
 
 
+def test_evolve_exact_rejects_lost_unitarity():
+    # |H| t = 1e10: scaling and squaring drifts the norm by ~1e-7
+    h = wd.build_effective_hamiltonian(make_rates(1.0, 1.0), 1)
+    with pytest.raises(FloatingPointError, match="unitarity"):
+        wd.evolve_exact(h, 1e10, hb.vacuum_state(1))
+
+
 def test_expm_matches_scipy_oracle():
     rng = np.random.default_rng(23)
     for n in (3, 6, 30):
