@@ -197,6 +197,18 @@ def _engine(cfg: ResolvedConfig) -> ProtocolEngine:
     return engine
 
 
+def _single_photon(engine: ProtocolEngine) -> int | None:
+    """Index of the true single-photon click branch, or None if there is none."""
+    return next(
+        (
+            i
+            for i, b in enumerate(engine.branches)
+            if b.kind == "photon" and b.n_photons == 1
+        ),
+        None,
+    )
+
+
 def _state_payload(state) -> dict:
     return json.loads(hilbert.to_json(state))
 
@@ -235,9 +247,7 @@ def cmd_herald(args) -> int:
     cfg = _load(args)
     engine = _engine(cfg)
     det = cfg_mod.build_detector(cfg)
-    single = next(
-        (b for b in engine.branches if b.kind == "photon" and b.n_photons == 1), None
-    )
+    single = _single_photon(engine)
     payload = {
         "metadata": _metadata("herald", cfg, args.seed),
         "p_click": engine.p_click,
@@ -248,7 +258,7 @@ def cmd_herald(args) -> int:
             for b in engine.branches
         ],
         "conditional_state_single_photon": (
-            _state_payload(single.state) if single is not None else None
+            _state_payload(engine.branches[single].state) if single is not None else None
         ),
     }
     _emit_json(args.out, payload)
@@ -258,14 +268,7 @@ def cmd_herald(args) -> int:
 def cmd_retrieve(args) -> int:
     cfg = _load(args)
     engine = _engine(cfg)
-    idx = next(
-        (
-            i
-            for i, b in enumerate(engine.branches)
-            if b.kind == "photon" and b.n_photons == 1
-        ),
-        None,
-    )
+    idx = _single_photon(engine)
     if idx is None:
         raise ConfigError("the write state has no single-photon herald branch")
     qubit = engine.outputs[idx]
@@ -290,20 +293,27 @@ def _progress(label: str):
     return write
 
 
+def _run_rows(args, command: str, cfg: ResolvedConfig, row_cfgs, labels) -> list[dict]:
+    """Monte Carlo statistics of each row configuration (row i keys the random
+    streams), written as one csv or json table; returns the stats rows."""
+    rows = []
+    for i, (row_cfg, label) in enumerate(zip(row_cfgs, labels)):
+        engine = _engine(row_cfg)
+        trials_used, branch = run_protocol(
+            engine, args.seed, row_cfg.values["runs"], row=i, workers=args.workers,
+            progress=_progress(label),
+        )
+        stats = aggregate(trials_used, branch, engine.table)
+        rows.append((row_cfg, _stats_row(stats, engine)))
+    emit = _emit_rows_json if args.format == "json" else _emit_rows_csv
+    emit(args.out, command, cfg, args.seed, rows)
+    return [stats_dict for _, stats_dict in rows]
+
+
 def cmd_protocol(args) -> int:
     cfg = _load(args)
-    engine = _engine(cfg)
-    trials_used, branch = run_protocol(
-        engine, args.seed, cfg.values["runs"], row=0, workers=args.workers,
-        progress=_progress("protocol"),
-    )
-    stats = aggregate(trials_used, branch, engine.table)
-    rows = [(cfg, _stats_row(stats, engine))]
-    if args.format == "json":
-        _emit_rows_json(args.out, "protocol", cfg, args.seed, rows)
-    else:
-        _emit_rows_csv(args.out, "protocol", cfg, args.seed, rows)
-    return 3 if stats.n_success == 0 else 0
+    (stats,) = _run_rows(args, "protocol", cfg, [cfg], ["protocol"])
+    return 3 if stats["n_success"] == 0 else 0
 
 
 def _parse_sweep_axis(text: str) -> tuple[str, list]:
@@ -340,20 +350,9 @@ def cmd_sweep(args) -> int:
     points: list[dict] = [{}]
     for key, values in axes:
         points = [dict(p, **{key: v}) for p in points for v in values]
-    rows = []
-    for i, point in enumerate(points):
-        row_cfg = cfg_mod.with_overrides(cfg, point)
-        engine = _engine(row_cfg)
-        trials_used, branch = run_protocol(
-            engine, args.seed, row_cfg.values["runs"], row=i, workers=args.workers,
-            progress=_progress(f"sweep row {i + 1}/{len(points)}"),
-        )
-        stats = aggregate(trials_used, branch, engine.table)
-        rows.append((row_cfg, _stats_row(stats, engine)))
-    if args.format == "json":
-        _emit_rows_json(args.out, "sweep", cfg, args.seed, rows)
-    else:
-        _emit_rows_csv(args.out, "sweep", cfg, args.seed, rows)
+    row_cfgs = (cfg_mod.with_overrides(cfg, point) for point in points)
+    labels = [f"sweep row {i + 1}/{len(points)}" for i in range(len(points))]
+    _run_rows(args, "sweep", cfg, row_cfgs, labels)
     return 0
 
 

@@ -65,6 +65,12 @@ def _counter(key, value):
         raise ConfigError(f"{key} must be in [1, 2**32], got {value}")
 
 
+def _cutoff(key, value):
+    # The branch table holds 2(cutoff+1) states of (cutoff+1)^3 amplitudes each.
+    if not 1 <= value <= 32:
+        raise ConfigError(f"{key} must be in [1, 32], got {value}")
+
+
 @dataclass(frozen=True)
 class KeySpec:
     kind: str  # "float" | "complex" | "int" | "choice"
@@ -101,7 +107,7 @@ SCHEMA: dict[str, KeySpec] = {
     "dark_rate_hz": KeySpec("float", "counts/s", "detector dark-count rate", _nonnegative),
     "gate_s": KeySpec("float", "s", "detection gate duration", _positive),
     "max_trials": KeySpec("int", "trials", "retry budget per run", _counter),
-    "cutoff": KeySpec("int", "quanta", "per-mode Fock cutoff", _at_least_one),
+    "cutoff": KeySpec("int", "quanta", "per-mode Fock cutoff", _cutoff),
     "engine": KeySpec(
         "choice", "", "write-stage engine", choices=("perturbative", "exact")
     ),

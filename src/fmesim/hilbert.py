@@ -201,18 +201,6 @@ def project_photon_number(psi: TruncatedState, n: int) -> TruncatedState:
     return TruncatedState(psi.cutoff, out.reshape(-1))
 
 
-def operator_matrix(op: ModeOperator, cutoff: int) -> np.ndarray:
-    """Dense matrix of a mode operator, built column-by-column from the
-    matrix-free application (single source of truth for the action)."""
-    dim = (cutoff + 1) ** N_MODES
-    mat = np.zeros((dim, dim), dtype=complex)
-    for col in range(dim):
-        amps = np.zeros(dim, dtype=complex)
-        amps[col] = 1.0
-        mat[:, col] = apply_operator(op, TruncatedState(cutoff, amps)).amplitudes
-    return mat
-
-
 def to_json(psi: TruncatedState) -> str:
     """Serialize as {"cutoff": int, "amplitudes": [[re, im], ...]}."""
     pairs = [[float(a.real), float(a.imag)] for a in psi.amplitudes]

@@ -19,8 +19,8 @@ row, run index, trial index), so any partitioning of runs over workers
 produces bit-identical statistics; a batch of one run is the single-run
 path.  The write engine is selectable: "perturbative" uses the short-time
 expansion (with double-excitation corrections when the cutoff allows, so
-multi-photon false heralds are represented), "exact" uses the dense
-evolution of the pair-creation Hamiltonian.
+multi-photon false heralds are represented), "exact" evolves the
+pair-creation Hamiltonian on its chain of cutoff + 1 pair states.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from . import herald as herald_mod
 from . import retrieval as retrieval_mod
 from . import write_dynamics as wd
 from .herald import DetectorModel, HeraldBranch
-from .hilbert import vacuum_state
 from .retrieval import FmeQubitState, ReadParams
 from .rng import trial_uniform_grid
 from .write_dynamics import SystemParams
@@ -101,10 +100,7 @@ class ProtocolEngine:
             order = 2 if setup.cutoff >= 2 else 1
             self.write_state = wd.perturbative_state(rates, setup.cutoff, order=order)
         else:
-            h = wd.build_effective_hamiltonian(rates, setup.cutoff)
-            self.write_state = wd.evolve_exact(
-                h, setup.system.tau_write, vacuum_state(setup.cutoff)
-            )
+            self.write_state = wd.evolve_exact(rates, setup.cutoff, setup.system.tau_write)
         det = setup.detector
         self.branches: list[HeraldBranch] = herald_mod.click_branches(self.write_state, det)
         self.p_click = float(sum(b.probability for b in self.branches))

@@ -14,7 +14,8 @@ verbatim so the sign reaches the output state's relative phase.
 
 Three routes are implemented and cross-validated:
 
-1. exact evolution exp(-i H t) on the truncated Fock space,
+1. exact evolution exp(-i H t) from vacuum, on the chain of cutoff + 1
+   pair states that H never leaves,
 2. the short-time expansion of that evolution (first order, optionally with
    the second-order double-excitation corrections),
 3. quantum Langevin moment dynamics for the operator vector
@@ -56,13 +57,14 @@ plain Hz; the conversion by 2*pi happens once at ingestion, never here.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import hilbert
-from .hilbert import Mode, ModeOperator, OperatorKind, TruncatedState
+from .hilbert import TruncatedState
 from .linalg import expm, lyapunov_propagate
 
 ADIABATIC_RATIO_WARN = 0.3
@@ -178,39 +180,41 @@ def scale_drive(p: SystemParams, factor: complex) -> SystemParams:
 
 
 # ---------------------------------------------------------------------------
-# Route 1: exact evolution on the truncated space
+# Route 1: exact evolution on the pair chain
 # ---------------------------------------------------------------------------
 
 
-def build_effective_hamiltonian(r: DerivedRates, cutoff: int) -> np.ndarray:
-    """Dense pair-creation Hamiltonian (units of rad/s, hbar = 1).
+def evolve_exact(r: DerivedRates, cutoff: int, t: float) -> TruncatedState:
+    """Write state exp(-i H t)|0,0,0> of the pair-creation Hamiltonian.
 
-    H = (chi_I S_I^dag - chi_II S_II^dag) a^dag + H.c., assembled from the
-    matrix-free mode operators; Hermitian on the truncated space because the
-    truncated raising and lowering matrices are exact adjoints.
+    H = |chi| (b^dag a^dag + H.c.) with the bright spin mode
+    b^dag = u_I S_I^dag + u_II S_II^dag, u_I = chi_I/|chi|,
+    u_II = -chi_II/|chi| and |chi|^2 = |chi_I|^2 + |chi_II|^2.  From vacuum
+    the state stays on the chain |n>_a (b^dag)^n|0> / sqrt(n!), n <= cutoff,
+    where H is tridiagonal with H[n+1, n] = |chi| (n + 1); the photon cutoff
+    is the only truncation there, since no spin occupation exceeds n.  The
+    chain amplitudes c_n expand onto (n, k, n - k) as
+    c_n sqrt(C(n, k)) u_I^k u_II^(n-k).
     """
-    a_dag = hilbert.operator_matrix(ModeOperator(OperatorKind.RAISING, Mode.STOKES), cutoff)
-    si_dag = hilbert.operator_matrix(ModeOperator(OperatorKind.RAISING, Mode.SPIN_I), cutoff)
-    sii_dag = hilbert.operator_matrix(ModeOperator(OperatorKind.RAISING, Mode.SPIN_II), cutoff)
-    k = (r.chi_I * si_dag - r.chi_II * sii_dag) @ a_dag
-    return k + k.conj().T
-
-
-def evolve_exact(h: np.ndarray, t: float, psi0: TruncatedState) -> TruncatedState:
-    """psi(t) = exp(-i H t) psi0 by dense matrix exponential."""
     if t < 0:
         raise ValueError("evolution time must be >= 0")
-    if not np.all(np.isfinite(h)):
-        raise FloatingPointError("non-finite Hamiltonian")
-    # the unitary is freed before the norm check: holding it (28 MB at cutoff
-    # 10) while the check allocates raises the peak RSS of a cutoff ladder
-    psi = TruncatedState(psi0.cutoff, expm(-1j * t * h) @ psi0.amplitudes)
-    drift = abs(hilbert.norm(psi) - hilbert.norm(psi0))
+    chi = math.hypot(abs(r.chi_I), abs(r.chi_II))
+    if chi == 0.0:
+        return hilbert.vacuum_state(cutoff)
+    ladder = np.diag(chi * np.arange(1.0, cutoff + 1), -1)
+    chain = expm(-1j * t * (ladder + ladder.T))[:, 0]
+    drift = abs(np.linalg.norm(chain) - 1.0)
     if drift > UNITARITY_TOL:
         raise FloatingPointError(
             f"exact evolution lost unitarity (norm drift {drift:.3g}): |H| t is too large"
         )
-    return psi
+    u_i, u_ii = r.chi_I / chi, -r.chi_II / chi
+    d = cutoff + 1
+    amps = np.zeros((d, d, d), dtype=complex)
+    for n, c_n in enumerate(chain):
+        for k in range(n + 1):
+            amps[n, k, n - k] = c_n * math.sqrt(math.comb(n, k)) * u_i**k * u_ii ** (n - k)
+    return TruncatedState(cutoff, amps.reshape(-1))
 
 
 # ---------------------------------------------------------------------------

@@ -72,8 +72,7 @@ def test_criterion_2_perturbative_exact_consistency():
     p = 0.05
     cutoff = 3
     rates = rates_fixture(p, p)
-    h = wd.build_effective_hamiltonian(rates, cutoff)
-    exact = wd.evolve_exact(h, 1.0, hb.vacuum_state(cutoff))
+    exact = wd.evolve_exact(rates, cutoff, 1.0)
     approx = wd.perturbative_state(rates, cutoff)
     diff = np.linalg.norm(exact.amplitudes - approx.amplitudes)
     assert diff <= 3.0 * p**2  # 7.5e-3

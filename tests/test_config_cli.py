@@ -296,6 +296,19 @@ def test_max_trials_beyond_32_bit_counter_exits_2(capsys):
     assert "max_trials" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cutoff", [33, 100000])
+def test_cutoff_beyond_bound_exits_2(cutoff, capsys):
+    args = ("herald", "--preset", "rb85-87", "--set", f"cutoff={cutoff}")
+    assert run_cli(*args) == 2
+    assert "cutoff" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("engine", ["perturbative", "exact"])
+def test_cutoff_bound_is_inclusive(engine, tmp_path):
+    args = ("herald", "--preset", "rb85-87", "--set", "cutoff=32", "--set", f"engine={engine}")
+    assert run_cli(*args, "--out", str(tmp_path / "h.json")) == 0
+
+
 def test_counter_bounds_are_inclusive():
     cfg = cfg_mod.load_config(
         preset="rb85-87", overrides=[f"runs={2**32}", f"max_trials={2**32}"]

@@ -2,6 +2,7 @@
 moments, each cross-checked against independent oracles (scipy expm,
 kron-built dense Hamiltonians, quadrature for the Lyapunov integral)."""
 
+import math
 import warnings
 
 import numpy as np
@@ -46,6 +47,18 @@ def kron_hamiltonian(chi_i, chi_ii, cutoff):
     sii_dag = np.kron(np.kron(ident, ident), ad)
     k = (chi_i * si_dag - chi_ii * sii_dag) @ a_dag
     return k + k.conj().T
+
+
+def kron_oracle_state(chi_i, chi_ii, cutoff, t=1.0):
+    """exp(-i H t)|0,0,0> by scipy's expm of the kron-built Hamiltonian."""
+    assert cutoff <= 3  # dense reference only; the engine never builds it
+    return scipy.linalg.expm(-1j * t * kron_hamiltonian(chi_i, chi_ii, cutoff))[:, 0]
+
+
+def off_shell_weight(psi):
+    """Total weight off the pair shell n_photon = n_spin_I + n_spin_II."""
+    n_s, n_i, n_ii = np.indices(psi.grid().shape)
+    return float(np.sum(np.abs(psi.grid()[n_s != n_i + n_ii]) ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -106,68 +119,105 @@ def test_weak_drive_warnings():
 
 
 # ---------------------------------------------------------------------------
-# effective Hamiltonian and exact evolution
+# exact evolution on the pair chain
 # ---------------------------------------------------------------------------
 
 
-def test_zero_couplings_give_zero_operator():
-    h = wd.build_effective_hamiltonian(make_rates(0.0, 0.0), 2)
-    assert np.all(h == 0.0)
+def test_zero_couplings_give_vacuum():
+    for cutoff in (1, 2, 4):
+        for t in (0.0, 1.0, 1e10):
+            psi = wd.evolve_exact(make_rates(0.0, 0.0), cutoff, t)
+            np.testing.assert_array_equal(psi.amplitudes, hb.vacuum_state(cutoff).amplitudes)
 
 
-def test_hamiltonian_matrix_elements():
-    h = wd.build_effective_hamiltonian(make_rates(0.3, 0.2), 2)
-    vac = hb.basis_index(2, 0, 0, 0)
-    assert h[hb.basis_index(2, 1, 1, 0), vac] == pytest.approx(0.3)
-    assert h[hb.basis_index(2, 1, 0, 1), vac] == pytest.approx(-0.2)
+def test_exact_first_order_amplitudes_and_signs():
+    # H|0> = chi_I |1,1,0> - chi_II |1,0,1>, so for small t the amplitudes are
+    # -i t chi_I and +i t chi_II: the relative minus sign between the species
+    t = 1e-4
+    psi = wd.evolve_exact(make_rates(0.3, 0.2), 2, t)
+    oracle = kron_oracle_state(0.3, 0.2, 2, t)
+    np.testing.assert_allclose(psi.amplitudes, oracle, atol=1e-14)
+    assert psi.amplitude(1, 1, 0) / (-1j * t) == pytest.approx(0.3, rel=1e-6)
+    assert psi.amplitude(1, 0, 1) / (-1j * t) == pytest.approx(-0.2, rel=1e-6)
 
 
-def test_hamiltonian_hermitian_and_matches_kron_oracle():
-    for cutoff in (2, 3):
-        chi_i, chi_ii = 0.21 + 0.1j, 0.13 - 0.05j
-        h = wd.build_effective_hamiltonian(make_rates(chi_i, chi_ii), cutoff)
-        assert np.max(np.abs(h - h.conj().T)) == 0.0
-        np.testing.assert_allclose(
-            h, kron_hamiltonian(chi_i, chi_ii, cutoff), atol=1e-14
-        )
+def test_evolve_exact_matches_kron_oracle():
+    rng = np.random.default_rng(41)
+    couplings = [(0.21 + 0.1j, 0.13 - 0.05j)] + [
+        tuple(rng.normal(size=2) + 1j * rng.normal(size=2)) for _ in range(4)
+    ]
+    for cutoff in (1, 2, 3):
+        for chi_i, chi_ii in couplings:
+            t = rng.uniform(0.1, 1.5)
+            psi = wd.evolve_exact(make_rates(chi_i, chi_ii), cutoff, t)
+            oracle = kron_oracle_state(chi_i, chi_ii, cutoff, t)
+            np.testing.assert_allclose(psi.amplitudes, oracle, atol=1e-14)
+
+
+def test_evolve_exact_matches_two_mode_squeezed_vacuum():
+    # untruncated: c_n = (-i tanh r)^n / cosh r with r = |chi| t; at cutoff 24
+    # the last kept amplitude, and so the truncated tail, is below 1e-16
+    chi_i, chi_ii, t = 0.12 + 0.08j, 0.1 - 0.05j, 1.0
+    chi = np.hypot(abs(chi_i), abs(chi_ii))
+    r = chi * t
+    cutoff = 24
+    assert np.tanh(r) ** cutoff < 1e-16
+    psi = wd.evolve_exact(make_rates(chi_i, chi_ii), cutoff, t)
+    u_i, u_ii = chi_i / chi, -chi_ii / chi
+    for n in range(cutoff + 1):
+        c_n = (-1j * np.tanh(r)) ** n / np.cosh(r)
+        for k in range(n + 1):
+            expected = c_n * np.sqrt(math.comb(n, k)) * u_i**k * u_ii ** (n - k)
+            assert psi.amplitude(n, k, n - k) == pytest.approx(expected, abs=1e-14)
+    assert off_shell_weight(psi) == 0.0
 
 
 def test_evolve_exact_identity_at_t0():
-    h = wd.build_effective_hamiltonian(make_rates(0.2, 0.1), 2)
-    psi0 = hb.vacuum_state(2)
-    psi = wd.evolve_exact(h, 0.0, psi0)
-    np.testing.assert_allclose(psi.amplitudes, psi0.amplitudes, atol=1e-14)
+    psi = wd.evolve_exact(make_rates(0.2, 0.1), 2, 0.0)
+    np.testing.assert_allclose(psi.amplitudes, hb.vacuum_state(2).amplitudes, atol=1e-14)
 
 
 def test_single_species_stays_on_pair_ladder():
     # chi_II = 0: evolution from vacuum lives on |n, n, 0> only
-    cutoff = 4
-    h = wd.build_effective_hamiltonian(make_rates(0.3, 0.0), cutoff)
-    psi = wd.evolve_exact(h, 1.0, hb.vacuum_state(cutoff))
-    oracle = scipy.linalg.expm(-1j * h) @ hb.vacuum_state(cutoff).amplitudes
-    np.testing.assert_allclose(psi.amplitudes, oracle, atol=1e-12)
-    grid = psi.grid()
-    for idx in np.ndindex(*grid.shape):
-        n_s, n_i, n_ii = idx
-        if abs(grid[idx]) > 1e-14:
-            assert n_s == n_i and n_ii == 0
+    psi = wd.evolve_exact(make_rates(0.3, 0.0), 3, 1.0)
+    np.testing.assert_allclose(
+        psi.amplitudes, kron_oracle_state(0.3, 0.0, 3), atol=1e-12
+    )
+    for cutoff in (3, 4):
+        grid = wd.evolve_exact(make_rates(0.3, 0.0), cutoff, 1.0).grid()
+        for idx in np.ndindex(*grid.shape):
+            n_s, n_i, n_ii = idx
+            if abs(grid[idx]) > 1e-14:
+                assert n_s == n_i and n_ii == 0
+
+
+def test_no_weight_off_pair_shell():
+    rng = np.random.default_rng(43)
+    for cutoff in (1, 2, 3, 6):
+        for _ in range(4):
+            chi_i, chi_ii = rng.normal(size=2) + 1j * rng.normal(size=2)
+            t = rng.uniform(0.1, 2.0)
+            psi = wd.evolve_exact(make_rates(chi_i, chi_ii), cutoff, t)
+            assert off_shell_weight(psi) == 0.0
+            if cutoff <= 3:  # the dense evolution has none either
+                oracle = hb.TruncatedState(
+                    cutoff, kron_oracle_state(chi_i, chi_ii, cutoff, t)
+                )
+                assert off_shell_weight(oracle) < 1e-28
 
 
 def test_unitarity_on_random_hamiltonians():
     rng = np.random.default_rng(17)
     for _ in range(5):
-        h = wd.build_effective_hamiltonian(
-            make_rates(rng.normal() + 1j * rng.normal(), rng.normal()), 2
-        )
-        psi = wd.evolve_exact(h, rng.uniform(0, 2.0), hb.vacuum_state(2))
+        rates = make_rates(rng.normal() + 1j * rng.normal(), rng.normal())
+        psi = wd.evolve_exact(rates, 2, rng.uniform(0, 2.0))
         assert abs(hb.norm(psi) - 1.0) < 1e-10
 
 
 def test_evolve_exact_rejects_lost_unitarity():
-    # |H| t = 1e10: scaling and squaring drifts the norm by ~1e-7
-    h = wd.build_effective_hamiltonian(make_rates(1.0, 1.0), 1)
+    # |H| t = 1e10: scaling and squaring drifts the chain's norm by ~1e-7
     with pytest.raises(FloatingPointError, match="unitarity"):
-        wd.evolve_exact(h, 1e10, hb.vacuum_state(1))
+        wd.evolve_exact(make_rates(1.0, 1.0), 1, 1e10)
 
 
 def test_expm_matches_scipy_oracle():
@@ -196,8 +246,7 @@ def test_perturbative_state_vacuum_limit():
 def test_perturbative_close_to_exact(p):
     cutoff = 3
     rates = make_rates(p, p)
-    h = wd.build_effective_hamiltonian(rates, cutoff)
-    exact = scipy.linalg.expm(-1j * h) @ hb.vacuum_state(cutoff).amplitudes
+    exact = kron_oracle_state(p, p, cutoff)
     approx = wd.perturbative_state(rates, cutoff).amplitudes
     assert np.linalg.norm(exact - approx) <= 3.0 * p**2
 
@@ -206,8 +255,7 @@ def test_second_order_state_improves_on_first_order():
     p = 0.1
     cutoff = 3
     rates = make_rates(p, p)
-    h = wd.build_effective_hamiltonian(rates, cutoff)
-    exact = scipy.linalg.expm(-1j * h) @ hb.vacuum_state(cutoff).amplitudes
+    exact = kron_oracle_state(p, p, cutoff)
     first = wd.perturbative_state(rates, cutoff, order=1).amplitudes
     second = wd.perturbative_state(rates, cutoff, order=2).amplitudes
     err1 = np.linalg.norm(exact - first)
@@ -220,8 +268,7 @@ def test_mean_photon_number_perturbative_consistency():
     # <n_S> = P_I^2 + P_II^2 + O(P^4)
     for p in (0.05, 0.1):
         rates = make_rates(p, p)
-        h = wd.build_effective_hamiltonian(rates, 4)
-        psi = wd.evolve_exact(h, 1.0, hb.vacuum_state(4))
+        psi = wd.evolve_exact(rates, 4, 1.0)
         n_s = hb.expected_occupation(psi, Mode.STOKES)
         assert abs(n_s - 2.0 * p**2) <= 10.0 * (2.0 * p**2) ** 2
 
@@ -234,8 +281,7 @@ def test_photon_spin_correlation():
     for (n_s, n_i, n_ii), amp in np.ndenumerate(grid):
         if n_s == 1 and abs(amp) > 0:
             assert n_i + n_ii == 1
-    h = wd.build_effective_hamiltonian(rates, 3)
-    psi = wd.evolve_exact(h, 1.0, hb.vacuum_state(3))
+    psi = wd.evolve_exact(rates, 3, 1.0)
     p_one_spin = 0.0
     p_photon = 0.0
     for (n_s, n_i, n_ii), amp in np.ndenumerate(psi.grid()):
@@ -398,8 +444,7 @@ def test_lyapunov_propagator_against_quadrature_oracle():
 def test_exact_moments_match_langevin_when_lossless():
     chi_i, chi_ii, t = 0.12, 0.16, 1.0  # chi_eff * t = 0.2
     rates = make_rates(chi_i, chi_ii, tau=t)
-    h = wd.build_effective_hamiltonian(rates, 4)
-    psi = wd.evolve_exact(h, t, hb.vacuum_state(4))
+    psi = wd.evolve_exact(rates, 4, t)
     p = make_params(kappa=0.0)
     sys = wd.evolve_langevin(wd.build_langevin(p, rates), t)
     n_a, n_i, n_ii = sys.occupations()
