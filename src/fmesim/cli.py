@@ -21,7 +21,6 @@ from . import config as cfg_mod
 from . import herald as herald_mod
 from . import hilbert
 from . import retrieval as retrieval_mod
-from . import write_dynamics as wd
 from .config import ConfigError, ResolvedConfig
 from .protocol import ProtocolEngine, ProtocolStats, aggregate, run_protocol
 from .rng import SEED_LIMIT
@@ -215,9 +214,8 @@ def _state_payload(state) -> dict:
 
 def cmd_write_sim(args) -> int:
     cfg = _load(args)
-    params = cfg_mod.build_system_params(cfg)
-    rates = wd.derive_rates(params)
     engine = _engine(cfg)
+    rates = engine.rates
     state = engine.write_state
     payload = {
         "metadata": _metadata("write-sim", cfg, args.seed),

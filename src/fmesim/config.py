@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 
 from .herald import DetectorModel
-from .protocol import ProtocolSetup
+from .protocol import ENGINES, ProtocolSetup
 from .retrieval import ReadParams
 from .rng import COUNTER_LIMIT
 from .write_dynamics import SystemParams
@@ -60,7 +60,9 @@ def _at_least_one(key, value):
 
 
 def _counter(key, value):
-    # Run and trial indices are 32-bit words of the random stream counters.
+    # Run indices are 32-bit words of the random stream counters; max_trials
+    # shares the bound, which keeps every trial count exact in the float64
+    # geometric draw.
     if not 1 <= value <= COUNTER_LIMIT:
         raise ConfigError(f"{key} must be in [1, 2**32], got {value}")
 
@@ -108,9 +110,7 @@ SCHEMA: dict[str, KeySpec] = {
     "gate_s": KeySpec("float", "s", "detection gate duration", _positive),
     "max_trials": KeySpec("int", "trials", "retry budget per run", _counter),
     "cutoff": KeySpec("int", "quanta", "per-mode Fock cutoff", _cutoff),
-    "engine": KeySpec(
-        "choice", "", "write-stage engine", choices=("perturbative", "exact")
-    ),
+    "engine": KeySpec("choice", "", "write-stage engine", choices=ENGINES),
     "runs": KeySpec("int", "runs", "Monte Carlo run count", _counter),
     "omega_out_I": KeySpec(
         "float", "Hz", "output photon frequency offset, species I"

@@ -41,13 +41,11 @@ class DetectorModel:
     eta        detection efficiency in [0, 1]
     dark_rate  dark events per second (plain rate, not angular)
     gate       detection gate duration in seconds
-    resolving  always False: the detector cannot count photons
     """
 
     eta: float
     dark_rate: float
     gate: float
-    resolving: bool = False
 
     def __post_init__(self):
         if not 0.0 <= self.eta <= 1.0:
@@ -56,8 +54,6 @@ class DetectorModel:
             raise ValueError("dark_rate must be >= 0")
         if self.gate <= 0:
             raise ValueError("gate must be > 0")
-        if self.resolving:
-            raise ValueError("only non-photon-number-resolving detectors are modeled")
 
     @property
     def p_dark(self) -> float:

@@ -14,12 +14,14 @@ reduces to two numbers: the trials it used and the branch it clicked on
 two arrays in run order, and aggregate reduces them through per-branch
 tables of concurrence, fidelity, efficiency and the false-herald flag.
 
-Randomness is drawn from counter-based streams keyed by (master seed, sweep
-row, run index, trial index), so any partitioning of runs over workers
-produces bit-identical statistics; a batch of one run is the single-run
-path.  The write engine is selectable: "perturbative" uses the short-time
-expansion (with double-excitation corrections when the cutoff allows, so
-multi-photon false heralds are represented), "exact" evolves the
+The ensemble reset is perfect, so trials are independent and a run's trials
+to its first click are Geometric(p_click): each run draws them with one
+uniform, and its branch with a second, from a counter-based stream keyed by
+(master seed, sweep row, run index).  Any partitioning of runs over workers
+therefore produces bit-identical statistics; a batch of one run is the
+single-run path.  The write engine is selectable: "perturbative" uses the
+short-time expansion (with double-excitation corrections when the cutoff
+allows, so multi-photon false heralds are represented), "exact" evolves the
 pair-creation Hamiltonian on its chain of cutoff + 1 pair states.
 """
 
@@ -36,14 +38,12 @@ from . import retrieval as retrieval_mod
 from . import write_dynamics as wd
 from .herald import DetectorModel, HeraldBranch
 from .retrieval import FmeQubitState, ReadParams
-from .rng import trial_uniform_grid
+from .rng import run_uniforms
 from .write_dynamics import SystemParams
 
 ENGINES = ("perturbative", "exact")
 
 _RUN_CHUNK = 8192  # runs per batch (the unit handed to a pool worker)
-_GRID_CELLS = 1 << 19  # most (run, trial) cells drawn in one grid call
-_WINDOW_HIT = 0.2  # chance that a waiting run clicks within one window
 
 
 @dataclass(frozen=True)
@@ -89,13 +89,16 @@ class ProtocolEngine:
 
     Precomputes the write-stage state, the click probability, the click
     branch distribution, the retrieved output per branch and the branch
-    table aggregate reads, so a trial reduces to two uniforms (click
-    decision, branch selection) and a run to (trials used, branch).
+    table aggregate reads, so a run reduces to two uniforms (trials to the
+    first click, branch selection) and its result to (trials used, branch).
+
+    p_click is the branch sum capped at 1, which rounding can exceed when
+    the detector is certain to click.
     """
 
     def __init__(self, setup: ProtocolSetup):
         self.setup = setup
-        rates = wd.derive_rates(setup.system)
+        self.rates = rates = wd.derive_rates(setup.system)
         if setup.engine == "perturbative":
             order = 2 if setup.cutoff >= 2 else 1
             self.write_state = wd.perturbative_state(rates, setup.cutoff, order=order)
@@ -103,16 +106,15 @@ class ProtocolEngine:
             self.write_state = wd.evolve_exact(rates, setup.cutoff, setup.system.tau_write)
         det = setup.detector
         self.branches: list[HeraldBranch] = herald_mod.click_branches(self.write_state, det)
-        self.p_click = float(sum(b.probability for b in self.branches))
-        if self.p_click > 0.0:
-            self.branch_cdf = np.cumsum(
-                [b.probability / self.p_click for b in self.branches]
-            )
+        total = float(sum(b.probability for b in self.branches))
+        self.p_click = min(total, 1.0)
+        if total > 0.0:
+            self.branch_cdf = np.cumsum([b.probability / total for b in self.branches])
         else:
             self.branch_cdf = np.array([])
         self.false_fraction = (
-            sum(b.probability for b in self.branches if b.false_herald) / self.p_click
-            if self.p_click > 0.0
+            sum(b.probability for b in self.branches if b.false_herald) / total
+            if total > 0.0
             else 0.0
         )
         self.outputs: list[FmeQubitState] = [
@@ -146,50 +148,32 @@ def branch_table(false_herald: list[bool], outputs: list[FmeQubitState]) -> Bran
     )
 
 
-def _window(p_click: float, max_trials: int) -> int:
-    """Trials per window, so that a waiting run clicks within one window with
-    probability _WINDOW_HIT; then about 90% of the drawn trials are used."""
-    if p_click >= 1.0:
-        return 1
-    span = math.log1p(-_WINDOW_HIT) / math.log1p(-p_click)
-    return max(1, math.ceil(min(span, max_trials, _GRID_CELLS)))
-
-
 def _run_batch(
     engine: ProtocolEngine, seed: int, row: int, run_lo: int, run_hi: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Repeat-until-success for the runs run_lo .. run_hi - 1.
 
     Returns trials_used (int64) and branch (int16, -1 for no click within
-    max_trials).  A run clicks on its first trial whose click uniform is
-    below p_click, and takes the branch its selection uniform picks from the
-    branch CDF.  Trials are drawn in windows of one length, set from p_click,
-    for the runs still waiting; no result depends on the window length.
+    max_trials).  A run's trials to its first click, T, come from its first
+    uniform u by inverting P(T > t) = (1 - p_click)^t; a run with T above
+    max_trials has no success.  Its second uniform picks the branch from the
+    branch CDF.
     """
     max_trials = engine.setup.max_trials
     p = engine.p_click
     trials_used = np.full(run_hi - run_lo, max_trials, dtype=np.int64)
     branch = np.full(run_hi - run_lo, -1, dtype=np.int16)
-    if p == 0.0:  # no uniform in [0, 1) is below 0
+    if p == 0.0:  # never clicks
         return trials_used, branch
-    last = len(engine.branches) - 1
-    window = _window(p, max_trials)
-    per_grid = max(1, _GRID_CELLS // window)
-    waiting = np.arange(run_hi - run_lo)
-    t0 = 0
-    while waiting.size and t0 < max_trials:
-        n_t = min(window, max_trials - t0)
-        for i in range(0, waiting.size, per_grid):
-            part = waiting[i:i + per_grid]
-            u = trial_uniform_grid(seed, row, run_lo + part, t0, n_t)
-            first = np.argmax(u[:, :, 0] < p, axis=1)
-            hit_u = u[np.arange(part.size), first]
-            hit = hit_u[:, 0] < p
-            trials_used[part[hit]] = t0 + 1 + first[hit]
-            picked = np.searchsorted(engine.branch_cdf, hit_u[hit, 1], side="right")
-            branch[part[hit]] = np.minimum(picked, last)
-        waiting = waiting[branch[waiting] < 0]
-        t0 += n_t
+    u = run_uniforms(seed, row, np.arange(run_lo, run_hi))
+    if p < 1.0:
+        t = np.floor(np.log1p(-u[:, 0]) / math.log1p(-p)) + 1.0
+    else:  # clicks on the first trial
+        t = np.ones(run_hi - run_lo)
+    hit = t <= max_trials
+    trials_used[hit] = t[hit]
+    picked = np.searchsorted(engine.branch_cdf, u[hit, 1], side="right")
+    branch[hit] = np.minimum(picked, len(engine.branches) - 1)
     return trials_used, branch
 
 
@@ -296,17 +280,3 @@ def aggregate(trials_used: np.ndarray, branch: np.ndarray, table: BranchTable) -
         photon_yield=photon_yield,
     )
 
-
-def sweep(
-    setups: list[ProtocolSetup], seed: int, n_runs: int, workers: int = 1
-) -> list[ProtocolStats]:
-    """One ProtocolStats row per setup; rows are independent (row index keys
-    the random streams, so reordering setups reorders rows unchanged)."""
-    if not setups:
-        raise ValueError("sweep requires at least one setup")
-    rows = []
-    for i, setup in enumerate(setups):
-        engine = ProtocolEngine(setup)
-        result = run_protocol(engine, seed, n_runs, row=i, workers=workers)
-        rows.append(aggregate(*result, engine.table))
-    return rows

@@ -1,9 +1,9 @@
 """Counter-based random streams for reproducible parallel Monte Carlo.
 
 Philox4x32-10 (Salmon et al., the Random123 generator) implemented directly
-on numpy arrays.  Every trial's randomness is a pure function of
+on numpy arrays.  Every run's randomness is a pure function of
 
-    (master seed, sweep row, run index, trial index)
+    (master seed, sweep row, run index)
 
 so serial and multi-worker executions agree bit for bit no matter how runs
 are partitioned.  The implementation is checked against the published
@@ -11,8 +11,8 @@ known-answer vectors in the test suite.
 
 The kernel works in place on uint64 buffers of _CHUNK blocks, small enough
 to stay in cache, with the round keys computed once per call.  One Philox
-block yields four 32-bit words per trial; they are combined into two 53-bit
-uniforms (click decision, branch selection).
+block per run yields four 32-bit words; they are combined into two 53-bit
+uniforms (trials to the first click, branch selection).
 """
 
 from __future__ import annotations
@@ -27,11 +27,11 @@ _MASK32 = np.uint64(0xFFFFFFFF)
 _ROUNDS = 10
 _CHUNK = 1 << 14  # blocks per kernel pass
 
-# Fixed tag in the last counter slot, so trial streams can never collide with
+# Fixed tag in the last counter slot, so run streams can never collide with
 # other stream families added later.
 _TRIAL_TAG = 0x464D4531
 
-# Run and trial indices are 32-bit counter words; the seed is the 64-bit key.
+# Run indices are 32-bit counter words; the seed is the 64-bit key.
 COUNTER_LIMIT = 1 << 32
 SEED_LIMIT = 1 << 64
 
@@ -92,42 +92,18 @@ def _split_seed(seed: int) -> tuple[int, int]:
     return seed & 0xFFFFFFFF, seed >> 32
 
 
-def trial_uniform_grid(
-    seed: int, row: int, runs: np.ndarray, trial_start: int, n_trials: int
-) -> np.ndarray:
-    """Uniforms for a (run x trial) window; shape (len(runs), n_trials, 2).
+def run_uniforms(seed: int, row: int, runs: np.ndarray) -> np.ndarray:
+    """Two uniforms per run; shape (len(runs), 2).
 
-    Column 0 drives the click decision, column 1 the branch selection.  The
-    block for run r, trial t has counter (t, r, row, tag) and the seed as key.
-    Counters are built one chunk at a time and the uniforms written straight
-    into the result.
+    Column 0 draws the run's trials to its first click, column 1 its branch.
+    The block for run r has counter (0, r, row, tag) and the seed as key.
     """
     runs = np.asarray(runs, dtype=np.uint64)
-    if trial_start < 0 or trial_start + n_trials > COUNTER_LIMIT:
-        raise ValueError("trial indices must lie in [0, 2**32)")
     if runs.size and int(runs.max()) >= COUNTER_LIMIT:
         raise ValueError("run indices must lie in [0, 2**32)")
-    keys = _round_keys(_split_seed(seed))
-    trials = np.arange(trial_start, trial_start + n_trials, dtype=np.uint64)
-    out = np.empty((runs.shape[0], n_trials, 2), dtype=np.float64)
-    cols = max(1, min(n_trials, _CHUNK))  # trials per pass
-    rows = _CHUNK // cols  # runs per pass
-    buf = np.empty((6, rows * cols), dtype=np.uint64)
-    for j in range(0, n_trials, cols):
-        nt = min(cols, n_trials - j)
-        for i in range(0, runs.shape[0], rows):
-            nr = min(rows, runs.shape[0] - i)
-            m = nr * nt
-            c = buf[:4, :m]
-            c[0].reshape(nr, nt)[:] = trials[j:j + nt]
-            c[1].reshape(nr, nt)[:] = runs[i:i + nr, None]
-            c[2] = row & 0xFFFFFFFF
-            c[3] = _TRIAL_TAG
-            _rounds(c, buf[4:, :m], keys)
-            block = out[i:i + nr, j:j + nt]
-            for col, (hi, lo) in enumerate(((c[0], c[1]), (c[2], c[3]))):
-                hi <<= 32
-                hi |= lo
-                hi >>= 11
-                np.multiply(hi.reshape(nr, nt), 2.0**-53, out=block[:, :, col])
-    return out
+    counter = np.zeros((runs.shape[0], 4), dtype=np.uint32)
+    counter[:, 1] = runs
+    counter[:, 2] = row & 0xFFFFFFFF
+    counter[:, 3] = _TRIAL_TAG
+    words = philox4x32(counter, _split_seed(seed)).astype(np.uint64)
+    return ((words[:, 0::2] << 32 | words[:, 1::2]) >> 11) * 2.0**-53

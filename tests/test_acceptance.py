@@ -22,6 +22,7 @@ from fmesim import write_dynamics as wd
 from fmesim.cli import main
 from fmesim.herald import DetectorModel
 from fmesim.retrieval import ReadParams
+from test_protocol import sweep_rows
 
 
 def report(criterion: int, text: str):
@@ -187,7 +188,7 @@ def test_criterion_5_dark_count_sweep_monotonicity():
         )
         for rate in (400.0, 50.0, 5.0)
     ]
-    rows = pr.sweep(setups, seed=42, n_runs=3000)
+    rows = sweep_rows(setups, seed=42, n_runs=3000)
     mc = [row.false_herald_fraction for row in rows]
     assert mc[0] > mc[1] > mc[2]
     report(5, f"false-herald fraction falls {fractions[0]:.4f} > "

@@ -152,6 +152,33 @@ def test_herald_output(tmp_path):
     assert any(abs(complex(re, im)) > 0.5 for re, im in amps)
 
 
+def test_write_sim_warns_once_on_weak_drive(tmp_path):
+    out = tmp_path / "write.json"
+    with pytest.warns(UserWarning) as record:
+        assert run_cli(
+            "write-sim", "--preset", "rb85-87", "--set", "tau_write=1e-3", "--out", str(out)
+        ) == 0
+    assert [str(w.message) for w in record if "weak-drive" in str(w.message)] == [
+        "excitation amplitude P = 23 is outside the weak-drive regime (P << 1); "
+        "perturbative results are unreliable"
+    ]
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_certain_click_reports_probability_one(tmp_path):
+    # the branch probabilities of this detector sum to 1.0000000000000002
+    certain = ("--preset", "rb85-87", "--set", "eta=1", "--set", "dark_rate_hz=4e7")
+    herald, stats = tmp_path / "herald.json", tmp_path / "stats.json"
+    assert run_cli("herald", *certain, "--out", str(herald)) == 0
+    assert json.loads(herald.read_text())["p_click"] == 1.0
+    assert run_cli(
+        "protocol", *certain, "--runs", "300", "--format", "json", "--out", str(stats)
+    ) == 0
+    row = json.loads(stats.read_text())["results"][0]
+    assert row["p_click_analytic"] == row["p_click"] == 1.0
+    assert row["n_trials"] == row["n_success"] == row["n_runs"] == 300  # one trial per run
+
+
 def test_protocol_byte_identical_across_runs_and_workers(tmp_path):
     args = ["protocol", "--preset", "rb85-87", "--seed", "42", "--runs", "200"]
     outs = []

@@ -4,14 +4,14 @@ The sha256 below is the output of
 
     fmesim protocol --preset rb85-87 --runs 2000 --seed 1
 
-as written by the per-run-object Monte Carlo loop that the array code replaced
-(85484fac...), with the six configuration keys that changed no reported number
-(tau_read, cycle_period, omega_rabi_read_I/II, g_read_I/II) stripped from its
-config and provenance comment lines and its CSV columns; any change to the
-random streams, the run loop or the float sums shows here.
+as written by the driver that draws each run's trials to its first click as
+one Geometric(p_click) variate from a single Philox block keyed by (seed, row,
+run).  It replaced a driver that drew one block per trial, which gave the same
+law with other samples, so both hashes were taken again on that change; any
+change to the random streams, the run loop or the float sums shows here.
 
-The second sha256 pins the exact write engine, as written by its evolution on
-the pair chain:
+The second sha256 pins the exact write engine, evolved on the pair chain,
+under the same driver:
 
     fmesim sweep --preset rb85-87 --set engine=exact --runs 300 --sweep cutoff=2,3 --seed 1
 """
@@ -20,8 +20,8 @@ import hashlib
 
 from fmesim.cli import main
 
-GOLDEN_PROTOCOL_SHA256 = "267bfb174923a19bdc83a70ac539c50af097cf41b7d909ba541c6eabce7e0934"
-GOLDEN_EXACT_SWEEP_SHA256 = "64968c0c9ba8c943045fee5dff9ef236bf6edaa30e0f420a160331563646d038"
+GOLDEN_PROTOCOL_SHA256 = "a51e43e47b2e5a725889cde922228236e0e386e83e092e0d5f2759c62d4d8209"
+GOLDEN_EXACT_SWEEP_SHA256 = "9a4323fc65c3bd8ab1c42fb844bacfbc19f404b90d0264fd7d07b699c4b4cc79"
 
 
 def test_golden_protocol_bytes(tmp_path):

@@ -1,5 +1,5 @@
 """Monte Carlo driver: counter-based streams against a pure-Python Philox,
-the batched run loop against a per-trial loop, worker-count independence, and
+the batched run loop against a per-run loop, worker-count independence, and
 aggregate statistics."""
 
 import bisect
@@ -33,6 +33,16 @@ def make_setup(p=0.1, eta=0.6, dark=400.0, max_trials=10_000, engine="perturbati
                             max_trials=max_trials, engine=engine, cutoff=cutoff)
 
 
+def sweep_rows(setups, seed, n_runs):
+    """ProtocolStats of each setup, with row i keying its random streams as
+    in the CLI sweep."""
+    rows = []
+    for i, setup in enumerate(setups):
+        engine = pr.ProtocolEngine(setup)
+        rows.append(pr.aggregate(*pr.run_protocol(engine, seed, n_runs, row=i), engine.table))
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # counter-based streams
 # ---------------------------------------------------------------------------
@@ -61,11 +71,9 @@ def philox_reference(counter, key):
     return [c0, c1, c2, c3]
 
 
-def uniforms_reference(seed, row, run, trial):
-    """(click, branch) uniforms of one trial from the pure-Python block."""
-    words = philox_reference(
-        [trial, run, row, 0x464D4531], [seed & 0xFFFFFFFF, seed >> 32]
-    )
+def uniforms_reference(seed, row, run):
+    """(trials, branch) uniforms of one run from the pure-Python block."""
+    words = philox_reference([0, run, row, 0x464D4531], [seed & 0xFFFFFFFF, seed >> 32])
     return tuple(((hi << 32 | lo) >> 11) * 2.0**-53 for hi, lo in (words[:2], words[2:]))
 
 
@@ -87,44 +95,41 @@ def test_philox_chunks_match_reference():
 
 
 def test_trial_uniforms_deterministic_and_distinct():
-    u1 = rng_mod.trial_uniform_grid(42, 0, [7], 0, 100)[0]
-    u2 = rng_mod.trial_uniform_grid(42, 0, [7], 0, 100)[0]
+    runs = np.arange(100)
+    u1 = rng_mod.run_uniforms(42, 0, runs)
+    u2 = rng_mod.run_uniforms(42, 0, runs)
     np.testing.assert_array_equal(u1, u2)
-    u3 = rng_mod.trial_uniform_grid(43, 0, [7], 0, 100)[0]
+    u3 = rng_mod.run_uniforms(43, 0, runs)
     assert np.all(u1 != u3)
-    u4 = rng_mod.trial_uniform_grid(42, 1, [7], 0, 100)[0]
+    u4 = rng_mod.run_uniforms(42, 1, runs)
     assert np.all(u1 != u4)
     assert np.all((u1 >= 0.0) & (u1 < 1.0))
 
 
-def test_grid_matches_per_trial_streams():
+def test_run_uniforms_match_reference_streams():
     seed = 2**64 - 3  # both key words in use
-    grid = rng_mod.trial_uniform_grid(seed, 2, np.array([3, 5, 9]), 10, 20)
-    assert grid.shape == (3, 20, 2)
+    u = rng_mod.run_uniforms(seed, 2, np.array([3, 5, 9]))
+    assert u.shape == (3, 2)
     for i, run in enumerate((3, 5, 9)):
-        for j in range(20):
-            assert tuple(grid[i, j]) == uniforms_reference(seed, 2, run, 10 + j)
-    # a window longer than one kernel pass is split into trial columns
-    n_trials = rng_mod._CHUNK + 5
-    wide = rng_mod.trial_uniform_grid(7, 0, np.array([1, 2**32 - 1]), 2**32 - n_trials, n_trials)
-    for i, run in enumerate((1, 2**32 - 1)):
-        for j in (0, rng_mod._CHUNK - 1, rng_mod._CHUNK, n_trials - 1):
-            assert tuple(wide[i, j]) == uniforms_reference(7, 0, run, 2**32 - n_trials + j)
+        assert tuple(u[i]) == uniforms_reference(seed, 2, run)
+    # more runs than one kernel pass, up to the last 32-bit run index
+    runs = np.arange(2**32 - rng_mod._CHUNK - 5, 2**32)
+    wide = rng_mod.run_uniforms(7, 0, runs)
+    for i in (0, rng_mod._CHUNK - 1, rng_mod._CHUNK, runs.size - 1):
+        assert tuple(wide[i]) == uniforms_reference(7, 0, int(runs[i]))
 
 
 def test_counter_and_seed_widths_enforced():
     with pytest.raises(ValueError, match="seed"):
-        rng_mod.trial_uniform_grid(2**64, 0, [0], 0, 1)
+        rng_mod.run_uniforms(2**64, 0, [0])
     with pytest.raises(ValueError, match="seed"):
-        rng_mod.trial_uniform_grid(-1, 0, [0], 0, 1)
+        rng_mod.run_uniforms(-1, 0, [0])
     with pytest.raises(ValueError, match="run"):
-        rng_mod.trial_uniform_grid(1, 0, [2**32], 0, 1)
-    with pytest.raises(ValueError, match="trial"):
-        rng_mod.trial_uniform_grid(1, 0, [0], 2**32 - 1, 2)
+        rng_mod.run_uniforms(1, 0, [2**32])
 
 
 def test_uniform_moments_sane():
-    u = rng_mod.trial_uniform_grid(123, 0, [0], 0, 200_000).ravel()
+    u = rng_mod.run_uniforms(123, 0, np.arange(200_000)).ravel()
     assert abs(u.mean() - 0.5) < 2e-3
     assert abs(u.var() - 1.0 / 12.0) < 2e-3
 
@@ -134,25 +139,28 @@ def test_uniform_moments_sane():
 # ---------------------------------------------------------------------------
 
 
-def per_trial_oracle(engine, seed, row, n_runs):
-    """Repeat-until-success as a plain loop, one Philox block per trial."""
+def per_run_oracle(engine, seed, row, n_runs):
+    """Repeat-until-success as a plain loop: each run inverts the geometric
+    tail (1 - p)^t at its first uniform and walks the branch CDF with its
+    second."""
     max_trials = engine.setup.max_trials
-    key = [seed & 0xFFFFFFFF, seed >> 32]
+    p = engine.p_click
     cdf = engine.branch_cdf.tolist()
     trials_used, branch = [], []
     for run in range(n_runs):
-        result = (max_trials, -1)
-        for trial in range(max_trials):
-            counter = np.array([[trial, run, row, 0x464D4531]], dtype=np.uint32)
-            w = rng_mod.philox4x32(counter, key)[0].tolist()
-            u_click = ((w[0] << 32 | w[1]) >> 11) * 2.0**-53
-            u_branch = ((w[2] << 32 | w[3]) >> 11) * 2.0**-53
-            if u_click < engine.p_click:
-                picked = min(bisect.bisect_right(cdf, u_branch), len(cdf) - 1)
-                result = (trial + 1, picked)
-                break
-        trials_used.append(result[0])
-        branch.append(result[1])
+        u_trials, u_branch = uniforms_reference(seed, row, run)
+        if p == 0.0:
+            t = math.inf
+        elif p >= 1.0:
+            t = 1
+        else:
+            t = math.floor(math.log1p(-u_trials) / math.log1p(-p)) + 1
+        if t > max_trials:
+            trials_used.append(max_trials)
+            branch.append(-1)
+        else:
+            trials_used.append(t)
+            branch.append(min(bisect.bisect_right(cdf, u_branch), len(cdf) - 1))
     return trials_used, branch
 
 
@@ -163,17 +171,19 @@ def per_trial_oracle(engine, seed, row, n_runs):
         for label, setup, n in (
             ("blind detector", make_setup(eta=0.0, dark=0.0, max_trials=40), 6),
             ("p_click near 1", make_setup(eta=1.0, dark=3.0e6, max_trials=40), 50),
-            ("many windows", make_setup(eta=0.9, dark=1e5, max_trials=60), 60),
+            ("many trials", make_setup(eta=0.9, dark=1e5, max_trials=60), 60),
             ("budget exhausted", make_setup(eta=0.9, dark=1e5, max_trials=7), 80),
+            ("certain click", make_setup(p=0.05, eta=1.0, dark=4.0e7, max_trials=40), 50),
+            ("largest budget", make_setup(p=1.5e-5, eta=0.5, dark=0.0, max_trials=2**32), 400),
         )
     ],
 )
-def test_batch_matches_per_trial_oracle(label, setup, n_runs):
+def test_batch_matches_per_run_oracle(label, setup, n_runs):
     engine = pr.ProtocolEngine(setup)
     max_trials = setup.max_trials
     trials_used, branch = pr._run_batch(engine, 13, 2, 0, n_runs)
     assert trials_used.dtype == np.int64 and branch.dtype == np.int16
-    expected = per_trial_oracle(engine, 13, 2, n_runs)
+    expected = per_run_oracle(engine, 13, 2, n_runs)
     assert trials_used.tolist() == expected[0]
     assert branch.tolist() == expected[1]
     if label == "blind detector":
@@ -181,12 +191,14 @@ def test_batch_matches_per_trial_oracle(label, setup, n_runs):
         assert branch.tolist() == [-1] * n_runs
         assert trials_used.tolist() == [max_trials] * n_runs
     elif label == "p_click near 1":
-        assert engine.p_click > 0.9
-        assert pr._window(engine.p_click, max_trials) == 1
-    elif label == "many windows":
-        assert pr._window(engine.p_click, max_trials) < max(trials_used)
-    else:  # the last window is cut short by the budget
-        assert max_trials % pr._window(engine.p_click, max_trials) != 0
+        assert 0.9 < engine.p_click < 1.0
+    elif label == "many trials":
+        assert max(trials_used) > 1 and np.all(branch >= 0)
+    elif label == "certain click":
+        assert sum(b.probability for b in engine.branches) > 1.0
+        assert engine.p_click == 1.0
+        assert trials_used.tolist() == [1] * n_runs
+    else:  # some runs exhaust the budget, others click within it
         assert np.count_nonzero(branch < 0) > 0 and np.count_nonzero(branch >= 0) > 0
 
 
@@ -234,17 +246,6 @@ def test_scalar_and_batch_paths_agree():
         assert (one[0][0], one[1][0]) == (trials_used[run], branch[run])
 
 
-def test_grid_size_does_not_change_results(monkeypatch):
-    # a small grid caps the window and splits the waiting runs over grid calls
-    engine = pr.ProtocolEngine(make_setup(p=0.03, max_trials=3_000))
-    expected = pr.run_protocol(engine, seed=4, n_runs=300)
-    monkeypatch.setattr(pr, "_GRID_CELLS", 40)
-    assert pr._window(engine.p_click, 3_000) == 40
-    result = pr.run_protocol(engine, seed=4, n_runs=300)
-    for a, b in zip(expected, result):
-        np.testing.assert_array_equal(a, b)
-
-
 def test_worker_count_does_not_change_results():
     engine = pr.ProtocolEngine(make_setup(max_trials=2_000))
     n_runs = pr._RUN_CHUNK + 300  # two chunks, so the pool is used
@@ -272,6 +273,15 @@ def test_trials_to_success_geometric_mean():
     assert stats.p_click_per_trial == pytest.approx(
         engine.p_click, abs=3.0 * stats.p_click_stderr
     )
+
+
+def test_no_success_fraction_matches_geometric_tail():
+    engine = pr.ProtocolEngine(make_setup(max_trials=60))
+    n_runs = 20_000
+    _, branch = pr.run_protocol(engine, seed=19, n_runs=n_runs)
+    tail = (1.0 - engine.p_click) ** 60
+    sigma = math.sqrt(tail * (1.0 - tail) / n_runs)
+    assert abs(np.count_nonzero(branch < 0) / n_runs - tail) <= 3.0 * sigma
 
 
 def test_no_success_within_budget_is_explicit():
@@ -354,14 +364,14 @@ def test_aggregate_rejects_true_herald_without_photon():
 
 def test_sweep_concurrence_peaks_at_balanced_drive():
     setups = [make_setup(p=0.1 * r, p_ii=0.1) for r in (0.5, 1.0, 2.0)]
-    rows = pr.sweep(setups, seed=17, n_runs=400)
+    rows = sweep_rows(setups, seed=17, n_runs=400)
     conc = [r.mean_concurrence for r in rows]
     assert conc[1] == pytest.approx(1.0, abs=1e-12)
     assert conc[1] > conc[0] and conc[1] > conc[2]
 
 
 def test_species_swap_leaves_statistics_invariant():
-    a, b = pr.sweep([make_setup(p=0.12, p_ii=0.06)], 23, 500) + pr.sweep(
+    a, b = sweep_rows([make_setup(p=0.12, p_ii=0.06)], 23, 500) + sweep_rows(
         [make_setup(p=0.06, p_ii=0.12)], 23, 500
     )
     assert a.p_click_per_trial == b.p_click_per_trial
