@@ -180,6 +180,8 @@ def cmd_preset_list(args) -> int:
 def _load(args) -> ResolvedConfig:
     if not 0 <= args.seed < SEED_LIMIT:
         raise ConfigError(f"--seed must be in [0, 2**64), got {args.seed}")
+    if getattr(args, "workers", 1) < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     cfg = cfg_mod.load_config(path=args.config, preset=args.preset, overrides=args.set)
     if getattr(args, "runs", None) is not None:
         cfg = cfg_mod.with_overrides(cfg, {"runs": args.runs})
@@ -386,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--runs", type=int, default=None, help="Monte Carlo run count")
     mc.add_argument(
         "--workers", type=int, default=1,
-        help="worker processes (never changes results)",
+        help="threads that share one engine (never change results)",
     )
     mc.add_argument(
         "--format", choices=("csv", "json"), default="csv", help="output format"

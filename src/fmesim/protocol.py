@@ -28,7 +28,6 @@ pair-creation Hamiltonian on its chain of cutoff + 1 pair states.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +42,7 @@ from .write_dynamics import SystemParams
 
 ENGINES = ("perturbative", "exact")
 
-_RUN_CHUNK = 8192  # runs per batch (the unit handed to a pool worker)
+_RUN_CHUNK = 8192  # runs per batch (the unit handed to a worker thread)
 
 
 @dataclass(frozen=True)
@@ -177,11 +176,6 @@ def _run_batch(
     return trials_used, branch
 
 
-def _batch_worker(args) -> tuple[np.ndarray, np.ndarray]:
-    setup, seed, row, run_lo, run_hi = args
-    return _run_batch(ProtocolEngine(setup), seed, row, run_lo, run_hi)
-
-
 def run_protocol(
     engine: ProtocolEngine,
     seed: int,
@@ -193,29 +187,32 @@ def run_protocol(
     """All runs for one configuration as (trials_used, branch) arrays in run
     order; the worker count never changes them.
 
-    The serial path uses the given engine; pool workers rebuild it from
-    engine.setup.  progress, if given, is called as progress(runs_done,
-    n_runs) after each completed chunk (reporting only).
+    Chunks of _RUN_CHUNK runs fill slices of both arrays on up to `workers`
+    threads sharing the engine; progress(runs_done, n_runs), if given, is
+    called after each chunk in run order (reporting only).
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
-    bounds = [(lo, min(lo + _RUN_CHUNK, n_runs)) for lo in range(0, n_runs, _RUN_CHUNK)]
-    if workers <= 1 or len(bounds) == 1:
-        parts = (_run_batch(engine, seed, row, lo, hi) for lo, hi in bounds)
-        return _gather(parts, n_runs, progress)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        jobs = [(engine.setup, seed, row, lo, hi) for lo, hi in bounds]
-        return _gather(pool.map(_batch_worker, jobs), n_runs, progress)
+    trials_used = np.empty(n_runs, dtype=np.int64)
+    branch = np.empty(n_runs, dtype=np.int16)
 
+    def fill(lo: int) -> int:
+        hi = min(lo + _RUN_CHUNK, n_runs)
+        trials_used[lo:hi], branch[lo:hi] = _run_batch(engine, seed, row, lo, hi)
+        return hi
 
-def _gather(parts, n_runs: int, progress) -> tuple[np.ndarray, np.ndarray]:
-    trials, branches = [], []
-    for t, b in parts:
-        trials.append(t)
-        branches.append(b)
-        if progress is not None:
-            progress(sum(map(len, trials)), n_runs)
-    return np.concatenate(trials), np.concatenate(branches)
+    report = progress or (lambda done, total: None)
+    starts = range(0, n_runs, _RUN_CHUNK)
+    workers = min(workers, len(starts))
+    if workers == 1:
+        for hi in map(fill, starts):
+            report(hi, n_runs)
+    else:  # ThreadPoolExecutor raises ValueError for workers < 1
+        from concurrent.futures import ThreadPoolExecutor  # loaded only when threads run
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for hi in pool.map(fill, starts):
+                report(hi, n_runs)
+    return trials_used, branch
 
 
 def _run_order_sum(values: np.ndarray) -> float:

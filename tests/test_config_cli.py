@@ -5,7 +5,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -310,6 +313,23 @@ def test_non_finite_override_exits_2(override, capsys):
 def test_seed_outside_64_bits_exits_2(seed, capsys):
     assert run_cli("protocol", "--preset", "rb85-87", "--runs", "5", "--seed", seed) == 2
     assert "--seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [("protocol",), ("sweep", "--sweep", "eta=0.5")])
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_exits_2(command, workers, capsys):
+    args = (*command, "--preset", "rb85-87", "--runs", "5", "--workers", workers)
+    assert run_cli(*args) == 2
+    assert "--workers" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_executor():
+    # the thread pool is imported only when a run uses more than one thread
+    code = "import sys, fmesim.cli; print(sorted(m for m in sys.modules if 'concurrent' in m))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 def test_runs_beyond_32_bit_counter_exits_2(capsys):
