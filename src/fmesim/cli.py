@@ -388,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--runs", type=int, default=None, help="Monte Carlo run count")
     mc.add_argument(
         "--workers", type=int, default=1,
-        help="threads that share one engine (never change results)",
+        help="accepted for compatibility; runs are drawn serially (never changes results)",
     )
     mc.add_argument(
         "--format", choices=("csv", "json"), default="csv", help="output format"

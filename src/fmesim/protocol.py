@@ -17,7 +17,7 @@ tables of concurrence, fidelity, efficiency and the false-herald flag.
 The ensemble reset is perfect, so trials are independent and a run's trials
 to its first click are Geometric(p_click): each run draws them with one
 uniform, and its branch with a second, from a counter-based stream keyed by
-(master seed, sweep row, run index).  Any partitioning of runs over workers
+(master seed, sweep row, run index).  Any partitioning of runs into batches
 therefore produces bit-identical statistics; a batch of one run is the
 single-run path.  The write engine is selectable: "perturbative" uses the
 short-time expansion (with double-excitation corrections when the cutoff
@@ -42,7 +42,7 @@ from .write_dynamics import SystemParams
 
 ENGINES = ("perturbative", "exact")
 
-_RUN_CHUNK = 8192  # runs per batch (the unit handed to a worker thread)
+_RUN_CHUNK = 8192  # runs per batch (bounds the per-batch Philox buffers)
 
 
 @dataclass(frozen=True)
@@ -185,33 +185,22 @@ def run_protocol(
     progress=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """All runs for one configuration as (trials_used, branch) arrays in run
-    order; the worker count never changes them.
+    order.
 
-    Chunks of _RUN_CHUNK runs fill slices of both arrays on up to `workers`
-    threads sharing the engine; progress(runs_done, n_runs), if given, is
-    called after each chunk in run order (reporting only).
+    Chunks of _RUN_CHUNK runs fill slices of both arrays in run order;
+    progress(runs_done, n_runs), if given, is called after each chunk
+    (reporting only).  The draws run serially, so `workers` changes nothing:
+    it is kept for callers of the --workers flag.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
     trials_used = np.empty(n_runs, dtype=np.int64)
     branch = np.empty(n_runs, dtype=np.int16)
-
-    def fill(lo: int) -> int:
+    for lo in range(0, n_runs, _RUN_CHUNK):
         hi = min(lo + _RUN_CHUNK, n_runs)
         trials_used[lo:hi], branch[lo:hi] = _run_batch(engine, seed, row, lo, hi)
-        return hi
-
-    report = progress or (lambda done, total: None)
-    starts = range(0, n_runs, _RUN_CHUNK)
-    workers = min(workers, len(starts))
-    if workers == 1:
-        for hi in map(fill, starts):
-            report(hi, n_runs)
-    else:  # ThreadPoolExecutor raises ValueError for workers < 1
-        from concurrent.futures import ThreadPoolExecutor  # loaded only when threads run
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for hi in pool.map(fill, starts):
-                report(hi, n_runs)
+        if progress is not None:
+            progress(hi, n_runs)
     return trials_used, branch
 
 

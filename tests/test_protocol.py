@@ -4,7 +4,6 @@ aggregate statistics."""
 
 import bisect
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -249,7 +248,7 @@ def test_scalar_and_batch_paths_agree():
 
 def test_worker_count_does_not_change_results():
     engine = pr.ProtocolEngine(make_setup(max_trials=2_000))
-    n_runs = pr._RUN_CHUNK + 300  # two chunks, so the pool is used
+    n_runs = pr._RUN_CHUNK + 300  # two chunks
     serial = pr.run_protocol(engine, seed=5, n_runs=n_runs, workers=1)
     parallel = pr.run_protocol(engine, seed=5, n_runs=n_runs, workers=3)
     for a, b in zip(serial, parallel):
@@ -262,69 +261,6 @@ def test_progress_reports_each_chunk():
     seen = []
     pr.run_protocol(engine, 2, pr._RUN_CHUNK + 1, progress=lambda d, t: seen.append((d, t)))
     assert seen == [(pr._RUN_CHUNK, pr._RUN_CHUNK + 1), (pr._RUN_CHUNK + 1, pr._RUN_CHUNK + 1)]
-
-
-def test_threads_share_the_engine(monkeypatch):
-    engine = pr.ProtocolEngine(make_setup())
-    builds = []
-    init = pr.ProtocolEngine.__init__
-
-    def counting_init(self, setup):
-        builds.append(setup)
-        init(self, setup)
-
-    monkeypatch.setattr(pr.ProtocolEngine, "__init__", counting_init)
-    pr.run_protocol(engine, seed=4, n_runs=2 * pr._RUN_CHUNK + 5, workers=2)
-    assert builds == []
-
-
-def test_progress_sequence_does_not_depend_on_workers():
-    engine = pr.ProtocolEngine(make_setup())
-    n_runs = 3 * pr._RUN_CHUNK + 17
-    seen = {1: [], 2: []}
-    for workers, calls in seen.items():
-        pr.run_protocol(engine, 2, n_runs, workers=workers,
-                        progress=lambda d, t, calls=calls: calls.append((d, t)))
-    chunk = pr._RUN_CHUNK
-    assert seen[1] == seen[2] == [(chunk, n_runs), (2 * chunk, n_runs), (3 * chunk, n_runs),
-                                  (n_runs, n_runs)]
-
-
-@pytest.mark.parametrize("workers", [2, 5])
-def test_threads_match_serial_with_short_last_chunk(workers):
-    # more chunks than threads, more threads than cores, and frequent thread
-    # switches: a chunk written to the wrong slice would break equality
-    engine = pr.ProtocolEngine(make_setup(max_trials=2_000))
-    n_runs = 3 * pr._RUN_CHUNK + 17
-    serial = pr.run_protocol(engine, seed=6, n_runs=n_runs, row=3, workers=1)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threaded = pr.run_protocol(engine, seed=6, n_runs=n_runs, row=3, workers=workers)
-    finally:
-        sys.setswitchinterval(interval)
-    for a, b in zip(serial, threaded):
-        assert a.dtype == b.dtype
-        np.testing.assert_array_equal(a, b)
-
-
-def test_thread_count_capped_at_chunk_count(monkeypatch):
-    import concurrent.futures
-
-    sizes = []
-    real = concurrent.futures.ThreadPoolExecutor
-
-    class Recording(real):
-        def __init__(self, max_workers=None, **kwargs):
-            sizes.append(max_workers)
-            super().__init__(max_workers=max_workers, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
-    engine = pr.ProtocolEngine(make_setup())
-    pr.run_protocol(engine, 3, 2 * pr._RUN_CHUNK + 1, workers=64)
-    assert sizes == [3]
-    pr.run_protocol(engine, 3, pr._RUN_CHUNK, workers=64)  # one chunk runs serially
-    assert sizes == [3]
 
 
 def test_trials_to_success_geometric_mean():
