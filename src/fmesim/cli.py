@@ -299,12 +299,9 @@ def _run_rows(args, command: str, cfg: ResolvedConfig, row_cfgs, labels) -> list
     rows = []
     for i, (row_cfg, label) in enumerate(zip(row_cfgs, labels)):
         engine = _engine(row_cfg)
-        trials_used, branch = run_protocol(
-            engine, args.seed, row_cfg.values["runs"], row=i, workers=args.workers,
-            progress=_progress(label),
-        )
-        stats = aggregate(trials_used, branch, engine.table)
-        rows.append((row_cfg, _stats_row(stats, engine)))
+        tally = run_protocol(engine, args.seed, row_cfg.values["runs"], row=i,
+                             progress=_progress(label))
+        rows.append((row_cfg, _stats_row(aggregate(tally, engine.table), engine)))
     emit = _emit_rows_json if args.format == "json" else _emit_rows_csv
     emit(args.out, command, cfg, args.seed, rows)
     return [stats_dict for _, stats_dict in rows]
@@ -388,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--runs", type=int, default=None, help="Monte Carlo run count")
     mc.add_argument(
         "--workers", type=int, default=1,
-        help="accepted for compatibility; runs are drawn serially (never changes results)",
+        help="ignored: runs are drawn serially (kept for scripts that pass it; must be >= 1)",
     )
     mc.add_argument(
         "--format", choices=("csv", "json"), default="csv", help="output format"

@@ -10,18 +10,20 @@ period take no part: no reported number depends on them.
 The write stage is the same on every trial, so it is computed once per
 configuration (ProtocolEngine) as a table of click branches.  A run then
 reduces to two numbers: the trials it used and the branch it clicked on
-(-1 when max_trials passed without a click).  run_protocol returns these as
-two arrays in run order, and aggregate reduces them through per-branch
-tables of concurrence, fidelity, efficiency and the false-herald flag.
+(-1 when max_trials passed without a click).  run_protocol tallies each
+chunk of runs as it is drawn (runs per outcome, trials, and sums of T and T^2
+over successful runs), so memory does not grow with the run count, and
+aggregate computes every statistic from that tally and the per-branch tables
+of concurrence, fidelity, efficiency and the false-herald flag.
 
 The ensemble reset is perfect, so trials are independent and a run's trials
 to its first click are Geometric(p_click): each run draws them with one
 uniform, and its branch with a second, from a counter-based stream keyed by
 (master seed, sweep row, run index).  Any partitioning of runs into batches
-therefore produces bit-identical statistics; a batch of one run is the
-single-run path.  The write engine is selectable: "perturbative" uses the
-short-time expansion (with double-excitation corrections when the cutoff
-allows, so multi-photon false heralds are represented), "exact" evolves the
+therefore produces the same tally; a batch of one run is the single-run
+path.  The write engine is selectable: "perturbative" uses the short-time
+expansion (with double-excitation corrections when the cutoff allows, so
+multi-photon false heralds are represented), "exact" evolves the
 pair-creation Hamiltonian on its chain of cutoff + 1 pair states.
 """
 
@@ -176,83 +178,84 @@ def _run_batch(
     return trials_used, branch
 
 
-def run_protocol(
-    engine: ProtocolEngine,
-    seed: int,
-    n_runs: int,
-    row: int = 0,
-    workers: int = 1,
-    progress=None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """All runs for one configuration as (trials_used, branch) arrays in run
-    order.
+@dataclass(frozen=True)
+class RunTally:
+    """The counts every statistic depends on: counts[0] runs without a click
+    within max_trials and counts[1 + b] runs that clicked on branch b, every
+    trial drawn, and the exact sums of T and T^2 over the successful runs."""
 
-    Chunks of _RUN_CHUNK runs fill slices of both arrays in run order;
-    progress(runs_done, n_runs), if given, is called after each chunk
-    (reporting only).  The draws run serially, so `workers` changes nothing:
-    it is kept for callers of the --workers flag.
-    """
+    counts: tuple[int, ...]
+    n_trials: int
+    trials_sum: int
+    trials_sq_sum: int
+
+
+def run_protocol(engine: ProtocolEngine, seed: int, n_runs: int, row: int = 0,
+                 progress=None) -> RunTally:
+    """The tally of all runs for one configuration, drawn serially and tallied
+    one chunk of _RUN_CHUNK runs at a time; progress(runs_done, n_runs), if
+    given, is called after each chunk (reporting only)."""
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
-    trials_used = np.empty(n_runs, dtype=np.int64)
-    branch = np.empty(n_runs, dtype=np.int16)
+    counts = np.zeros(len(engine.branches) + 1, dtype=np.int64)
+    n_trials = trials_sum = trials_sq_sum = 0
     for lo in range(0, n_runs, _RUN_CHUNK):
         hi = min(lo + _RUN_CHUNK, n_runs)
-        trials_used[lo:hi], branch[lo:hi] = _run_batch(engine, seed, row, lo, hi)
+        trials_used, branch = _run_batch(engine, seed, row, lo, hi)
+        won = trials_used[branch >= 0]
+        counts += np.bincount(branch + 1, minlength=counts.size)
+        n_trials += int(trials_used.sum())
+        trials_sum += int(won.sum())
+        # T <= 2^32, so T^2 overflows int64: square T = t1 2^16 + t0 by parts
+        t1, t0 = np.divmod(won, 1 << 16)
+        trials_sq_sum += (int(t1 @ t1) << 32) + (int(t1 @ t0) << 17) + int(t0 @ t0)
         if progress is not None:
             progress(hi, n_runs)
-    return trials_used, branch
+    return RunTally(tuple(counts.tolist()), n_trials, trials_sum, trials_sq_sum)
 
 
-def _run_order_sum(values: np.ndarray) -> float:
-    """values[0] + values[1] + ... added left to right, as a loop over the
-    runs adds them (np.sum would add pairwise and round differently)."""
-    return float(np.add.accumulate(values)[-1])
+def _weighted_mean_sem(counts: np.ndarray, values: np.ndarray) -> tuple[float, float]:
+    """Mean and standard error of values[b] taken counts[b] times each, from
+    deviations about the most frequent value (shifted data: Chan, Golub &
+    LeVeque, Am. Stat. 37, 242 (1983)); exact when all counted values agree."""
+    seen, n, ref = counts > 0, int(counts.sum()), values[np.argmax(counts)]
+    d = values[seen] - ref
+    s1, s2 = float(counts[seen] @ d), float(counts[seen] @ (d * d))
+    var = max(s2 - s1 * s1 / n, 0.0) / max(n - 1, 1)
+    return float(ref + s1 / n), math.sqrt(var / n)
 
 
-def _mean_stderr(values: np.ndarray, index: np.ndarray) -> tuple[float, float]:
-    """Mean and standard error of values[i] for i in index, in index order.
-
-    Each squared deviation is computed once per distinct value.
-    """
-    n = len(index)
-    mean = _run_order_sum(values[index]) / n
-    deviations = np.array([(v - mean) ** 2 for v in values.tolist()])
-    var = _run_order_sum(deviations[index]) / max(n - 1, 1)
-    return mean, math.sqrt(var / n)
-
-
-def aggregate(trials_used: np.ndarray, branch: np.ndarray, table: BranchTable) -> ProtocolStats:
-    """Unbiased sample means and standard errors, reduced in run order."""
-    n_runs = len(trials_used)
+def aggregate(tally: RunTally, table: BranchTable) -> ProtocolStats:
+    """Unbiased sample means and standard errors of the tallied runs."""
+    counts = np.array(tally.counts, dtype=np.int64)
+    n_runs = int(counts.sum())
     if not n_runs:
         raise ValueError("aggregate requires at least one completed run")
-    n_trials = int(trials_used.sum())
-    won = branch >= 0
-    n_success = int(np.count_nonzero(won))
-    p_click = n_success / n_trials  # one click ends each successful run
-    p_click_stderr = math.sqrt(p_click * (1.0 - p_click) / n_trials)
-    nan = math.nan
-    mean_trials = mean_trials_stderr = false_fraction = photon_yield = nan
-    mean_conc = conc_stderr = mean_fid = fid_stderr = nan
+    hits = counts[1:]
+    n_success = n_runs - int(counts[0])
+    p_click = n_success / tally.n_trials  # one click ends each successful run
+    p_click_stderr = math.sqrt(p_click * (1.0 - p_click) / tally.n_trials)
+    mean_trials = mean_trials_stderr = false_fraction = photon_yield = math.nan
+    mean_conc = conc_stderr = mean_fid = fid_stderr = math.nan
 
-    hits = branch[won]
     if n_success:
-        values, order = np.unique(trials_used[won], return_inverse=True)
-        mean_trials, mean_trials_stderr = _mean_stderr(values, order)
-        false_fraction = int(np.count_nonzero(table.false_herald[hits])) / n_success
-        photon_yield = _run_order_sum(table.efficiency[hits]) / n_success
+        n, s1, s2 = n_success, tally.trials_sum, tally.trials_sq_sum
+        mean_trials = s1 / n  # Python int / int rounds once
+        # stderr^2 = var / n, and n (n - 1) var = n s2 - s1^2 exactly in ints
+        mean_trials_stderr = math.sqrt((n * s2 - s1 * s1) / (n * n * max(n - 1, 1)))
+        false_fraction = int(hits[table.false_herald].sum()) / n_success
+        photon_yield, _ = _weighted_mean_sem(hits, table.efficiency)
 
-    true = hits[~table.false_herald[hits]]
-    if true.size:
-        if np.isnan(table.concurrence[true]).any():
+    true_hits = np.where(table.false_herald, 0, hits)
+    if true_hits.any():
+        if np.isnan(table.concurrence[true_hits > 0]).any():
             raise ValueError("no-photon record: entanglement metrics are undefined")
-        mean_conc, conc_stderr = _mean_stderr(table.concurrence, true)
-        mean_fid, fid_stderr = _mean_stderr(table.fidelity, true)
+        mean_conc, conc_stderr = _weighted_mean_sem(true_hits, table.concurrence)
+        mean_fid, fid_stderr = _weighted_mean_sem(true_hits, table.fidelity)
 
     return ProtocolStats(
         n_runs=n_runs,
-        n_trials=n_trials,
+        n_trials=tally.n_trials,
         n_success=n_success,
         p_click_per_trial=p_click,
         p_click_stderr=p_click_stderr,

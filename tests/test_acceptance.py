@@ -144,14 +144,14 @@ def test_criterion_4_herald_statistics():
         system=setup.system, detector=setup.detector,
         read=setup.read, max_trials=1, engine="perturbative", cutoff=1,
     )
-    _, branch = pr.run_protocol(pr.ProtocolEngine(one_shot), seed=42, n_runs=n_trials)
-    p_hat = np.count_nonzero(branch >= 0) / n_trials
+    no_click = pr.run_protocol(pr.ProtocolEngine(one_shot), seed=42, n_runs=n_trials).counts[0]
+    p_hat = (n_trials - no_click) / n_trials
     sigma = math.sqrt(p_analytic * (1.0 - p_analytic) / n_trials)
     assert abs(p_hat - p_analytic) <= 3.0 * sigma
 
     # trials-to-success fits Geometric(p_analytic) at the 1% level
     n_runs = 100_000
-    trials_used, branch = pr.run_protocol(engine, seed=42, n_runs=n_runs)
+    trials_used, branch = pr._run_batch(engine, 42, 0, 0, n_runs)
     assert np.all(branch >= 0)
     n_bins = 50  # equal-probability bins of the geometric distribution
     qs = np.arange(1, n_bins) / n_bins

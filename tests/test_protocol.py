@@ -1,9 +1,11 @@
 """Monte Carlo driver: counter-based streams against a pure-Python Philox,
-the batched run loop against a per-run loop, worker-count independence, and
-aggregate statistics."""
+the batched run loop against a per-run loop, chunking independence, and
+aggregate statistics against exact rational arithmetic."""
 
 import bisect
 import math
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -39,7 +41,7 @@ def sweep_rows(setups, seed, n_runs):
     rows = []
     for i, setup in enumerate(setups):
         engine = pr.ProtocolEngine(setup)
-        rows.append(pr.aggregate(*pr.run_protocol(engine, seed, n_runs, row=i), engine.table))
+        rows.append(pr.aggregate(pr.run_protocol(engine, seed, n_runs, row=i), engine.table))
     return rows
 
 
@@ -206,17 +208,17 @@ def test_blind_detector_never_clicks():
     setup = make_setup(eta=0.0, dark=0.0, max_trials=50)
     engine = pr.ProtocolEngine(setup)
     assert engine.p_click == 0.0
-    trials_used, branch = pr.run_protocol(engine, seed=1, n_runs=3)
-    assert branch.tolist() == [-1, -1, -1]
-    assert trials_used.tolist() == [50, 50, 50]
+    tally = pr.run_protocol(engine, seed=1, n_runs=3)
+    assert tally == pr.RunTally((3,) + (0,) * len(engine.branches), 150, 0, 0)
 
 
 def test_dark_clicks_on_empty_write_are_false_heralds():
     engine = pr.ProtocolEngine(make_setup(p=0.0, eta=0.6, dark=5e4, max_trials=5_000))
-    trials_used, branch = pr.run_protocol(engine, seed=3, n_runs=64)
-    assert np.all(branch >= 0)
-    assert np.all(engine.table.false_herald[branch])
-    stats = pr.aggregate(trials_used, branch, engine.table)
+    tally = pr.run_protocol(engine, seed=3, n_runs=64)
+    clicks = np.array(tally.counts[1:])
+    assert tally.counts[0] == 0 and clicks.sum() == 64
+    assert not clicks[~engine.table.false_herald].any()
+    stats = pr.aggregate(tally, engine.table)
     assert stats.false_herald_fraction == 1.0
     assert stats.photon_yield == 0.0
 
@@ -225,7 +227,7 @@ def test_run_arrays_invariant():
     # a run without a click used the whole budget; a click picks a real branch
     setup = make_setup(p=0.1, max_trials=12)
     engine = pr.ProtocolEngine(setup)
-    trials_used, branch = pr.run_protocol(engine, seed=8, n_runs=400)
+    trials_used, branch = pr._run_batch(engine, 8, 0, 0, 400)
     assert np.all(trials_used[branch < 0] == 12)
     assert np.all((trials_used >= 1) & (trials_used <= 12))
     assert np.all(branch < len(engine.branches))
@@ -240,20 +242,19 @@ def test_protocol_setup_rejects_zero_max_trials():
 def test_scalar_and_batch_paths_agree():
     # a batch of one run is the single-run path; chunk boundaries change nothing
     engine = pr.ProtocolEngine(make_setup(max_trials=500))
-    trials_used, branch = pr.run_protocol(engine, seed=11, n_runs=40)
+    trials_used, branch = pr._run_batch(engine, 11, 0, 0, 40)
     for run in range(40):
         one = pr._run_batch(engine, 11, 0, run, run + 1)
         assert (one[0][0], one[1][0]) == (trials_used[run], branch[run])
 
 
-def test_worker_count_does_not_change_results():
+def test_chunking_does_not_change_results():
     engine = pr.ProtocolEngine(make_setup(max_trials=2_000))
     n_runs = pr._RUN_CHUNK + 300  # two chunks
-    serial = pr.run_protocol(engine, seed=5, n_runs=n_runs, workers=1)
-    parallel = pr.run_protocol(engine, seed=5, n_runs=n_runs, workers=3)
-    for a, b in zip(serial, parallel):
-        np.testing.assert_array_equal(a, b)
-    assert pr.aggregate(*serial, engine.table) == pr.aggregate(*parallel, engine.table)
+    chunked = pr.run_protocol(engine, seed=5, n_runs=n_runs)
+    whole = reference_tally(*pr._run_batch(engine, 5, 0, 0, n_runs), len(engine.branches))
+    assert chunked == whole
+    assert sum(whole.counts) == n_runs
 
 
 def test_progress_reports_each_chunk():
@@ -265,7 +266,7 @@ def test_progress_reports_each_chunk():
 
 def test_trials_to_success_geometric_mean():
     engine = pr.ProtocolEngine(make_setup())
-    stats = pr.aggregate(*pr.run_protocol(engine, seed=21, n_runs=20_000), engine.table)
+    stats = pr.aggregate(pr.run_protocol(engine, seed=21, n_runs=20_000), engine.table)
     expected_mean = 1.0 / engine.p_click
     assert stats.mean_trials_to_success == pytest.approx(
         expected_mean, abs=3.0 * stats.mean_trials_stderr
@@ -278,18 +279,17 @@ def test_trials_to_success_geometric_mean():
 def test_no_success_fraction_matches_geometric_tail():
     engine = pr.ProtocolEngine(make_setup(max_trials=60))
     n_runs = 20_000
-    _, branch = pr.run_protocol(engine, seed=19, n_runs=n_runs)
+    failures = pr.run_protocol(engine, seed=19, n_runs=n_runs).counts[0]
     tail = (1.0 - engine.p_click) ** 60
     sigma = math.sqrt(tail * (1.0 - tail) / n_runs)
-    assert abs(np.count_nonzero(branch < 0) / n_runs - tail) <= 3.0 * sigma
+    assert abs(failures / n_runs - tail) <= 3.0 * sigma
 
 
 def test_no_success_within_budget_is_explicit():
     engine = pr.ProtocolEngine(make_setup(eta=0.0, dark=0.0, max_trials=5))
-    trials_used, branch = pr.run_protocol(engine, seed=9, n_runs=4)
-    assert np.all(branch == -1)
-    assert np.all(trials_used == 5)
-    stats = pr.aggregate(trials_used, branch, engine.table)
+    tally = pr.run_protocol(engine, seed=9, n_runs=4)
+    assert tally.counts[0] == 4 and tally.n_trials == 20
+    stats = pr.aggregate(tally, engine.table)
     assert stats.n_success == 0
     assert math.isnan(stats.mean_trials_to_success)
 
@@ -303,20 +303,58 @@ def _qubit(c1, c2, efficiency=1.0):
     return FmeQubitState(c1, c2, -1.0, 1.0, efficiency)
 
 
-def test_aggregate_all_maximal_entanglement():
+def reference_tally(trials_used, branch, n_branches):
+    """RunTally of per-run arrays, counted and summed in Python integers."""
+    runs = list(zip(trials_used.tolist(), branch.tolist()))
+    counts = [0] * (n_branches + 1)
+    for _, b in runs:
+        counts[b + 1] += 1
+    won = [t for t, b in runs if b >= 0]
+    return pr.RunTally(tuple(counts), sum(t for t, _ in runs), sum(won), sum(t * t for t in won))
+
+
+@pytest.fixture
+def tally(monkeypatch):
+    """tally(trials_used, branch, table): run_protocol's tally of the given
+    per-run arrays, fed to it chunk by chunk in place of the random draws."""
+
+    def streamed(trials_used, branch, table):
+        trials_used = np.asarray(trials_used, dtype=np.int64)
+        branch = np.asarray(branch, dtype=np.int16)
+        monkeypatch.setattr(pr, "_run_batch",
+                            lambda engine, seed, row, lo, hi: (trials_used[lo:hi], branch[lo:hi]))
+        engine = SimpleNamespace(branches=[None] * len(table.false_herald))
+        result = pr.run_protocol(engine, 0, len(branch))
+        assert result == reference_tally(trials_used, branch, len(table.false_herald))
+        return result
+
+    return streamed
+
+
+def exact_mean_stderr(values):
+    """Mean (a Fraction) and standard error (within 1 ulp) of the values, in
+    rational arithmetic."""
+    xs = [Fraction(v) for v in values]
+    n = len(xs)
+    mean = sum(xs) / n
+    var = sum((x - mean) ** 2 for x in xs) / max(n - 1, 1)
+    return mean, math.sqrt(var / n)
+
+
+def test_aggregate_all_maximal_entanglement(tally):
     s = 1 / math.sqrt(2)
     table = pr.branch_table([False], [_qubit(s, -s)])
-    stats = pr.aggregate(np.full(10, 3), np.zeros(10, dtype=np.int16), table)
+    stats = pr.aggregate(tally(np.full(10, 3), np.zeros(10), table), table)
     assert stats.mean_concurrence == pytest.approx(1.0)
     assert stats.concurrence_stderr == 0.0
     assert stats.photon_yield == pytest.approx(1.0)
     assert stats.mean_trials_to_success == 3.0
 
 
-def test_aggregate_half_false_heralds():
+def test_aggregate_half_false_heralds(tally):
     s = 1 / math.sqrt(2)
     table = pr.branch_table([False, True], [_qubit(s, -s), _qubit(0.0, 0.0, 0.0)])
-    stats = pr.aggregate(np.ones(10), np.array([0, 1] * 5, dtype=np.int16), table)
+    stats = pr.aggregate(tally(np.ones(10), [0, 1] * 5, table), table)
     assert stats.false_herald_fraction == pytest.approx(0.5)
     assert stats.photon_yield == pytest.approx(0.5)
     assert stats.mean_concurrence == pytest.approx(1.0)  # true heralds only
@@ -324,12 +362,11 @@ def test_aggregate_half_false_heralds():
 
 def test_aggregate_requires_runs():
     with pytest.raises(ValueError):
-        pr.aggregate(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int16),
-                     pr.branch_table([], []))
+        pr.aggregate(pr.RunTally((0,), 0, 0, 0), pr.branch_table([], []))
 
 
-def test_aggregate_sums_in_run_order():
-    # per-run values summed left to right, as a loop over the runs adds them
+def test_aggregate_matches_exact_oracle(tally):
+    # the count-based statistics against the same runs in rational arithmetic
     rs = np.random.default_rng(3)
     outputs = [_qubit(math.cos(a), math.sin(a)) for a in rs.uniform(0.1, 1.4, 5)]
     flags = [False, False, True, False, False]
@@ -337,24 +374,60 @@ def test_aggregate_sums_in_run_order():
     branch = rs.integers(-1, 5, 3001).astype(np.int16)
     trials_used = rs.integers(1, 400, 3001)
     trials_used[branch < 0] = 400
-    stats = pr.aggregate(trials_used, branch, table)
+    run_tally = tally(trials_used, branch, table)
+    stats = pr.aggregate(run_tally, table)
     won = [(int(t), int(b)) for t, b in zip(trials_used, branch) if b >= 0]
-    mean_t = sum(t for t, _ in won) / len(won)
-    var_t = sum((t - mean_t) ** 2 for t, _ in won) / (len(won) - 1)
-    assert stats.mean_trials_to_success == mean_t
-    assert stats.mean_trials_stderr == math.sqrt(var_t / len(won))
-    assert stats.photon_yield == sum(outputs[b].retrieval_efficiency for _, b in won) / len(won)
-    conc = [2 * abs(outputs[b].c1) * abs(outputs[b].c2) for _, b in won if not flags[b]]
-    mean_c = sum(conc) / len(conc)
-    assert stats.mean_concurrence == mean_c
-    var_c = sum((c - mean_c) ** 2 for c in conc) / (len(conc) - 1)
-    assert stats.concurrence_stderr == math.sqrt(var_c / len(conc))
+    assert run_tally.counts == tuple(int(np.count_nonzero(branch == b)) for b in range(-1, 5))
+    assert stats.n_success == len(won)
+    assert stats.false_herald_fraction == sum(flags[b] for _, b in won) / len(won)
+    mean_t, stderr_t = exact_mean_stderr([t for t, _ in won])
+    assert stats.mean_trials_to_success == float(mean_t)
+    assert abs(stats.mean_trials_stderr - stderr_t) <= 2 * math.ulp(stderr_t)
+    photon_yield, _ = exact_mean_stderr([outputs[b].retrieval_efficiency for _, b in won])
+    assert stats.photon_yield == pytest.approx(float(photon_yield), rel=1e-15, abs=0)
+    true = [b for _, b in won if not flags[b]]
+    for mean, stderr, column in (
+        (stats.mean_concurrence, stats.concurrence_stderr, table.concurrence),
+        (stats.mean_fidelity_bell, stats.fidelity_stderr, table.fidelity),
+    ):
+        exact_mean, exact_stderr = exact_mean_stderr([float(column[b]) for b in true])
+        assert mean == pytest.approx(float(exact_mean), rel=1e-15, abs=0)
+        assert stderr == pytest.approx(exact_stderr, rel=1e-13, abs=0)
 
 
-def test_aggregate_rejects_true_herald_without_photon():
+def test_aggregate_trial_sums_exact_at_max_trials(tally):
+    # T within a few units of max_trials = 2^32, where T^2 overflows int64;
+    # more runs than one chunk
+    rs = np.random.default_rng(5)
+    n_runs = pr._RUN_CHUNK + 3001
+    trials_used = 2**32 - rs.integers(0, 8, n_runs)
+    branch = np.where(rs.uniform(size=n_runs) < 0.1, -1, 0)
+    trials_used[branch < 0] = 2**32
+    table = pr.branch_table([False], [_qubit(0.6, 0.8)])
+    stats = pr.aggregate(tally(trials_used, branch, table), table)
+    assert stats.n_trials == sum(trials_used.tolist())
+    mean, stderr = exact_mean_stderr(trials_used[branch >= 0].tolist())
+    assert stats.mean_trials_to_success == float(mean)
+    assert abs(stats.mean_trials_stderr - stderr) <= 2 * math.ulp(stderr)
+
+
+def test_aggregate_exact_when_true_heralds_agree(tally):
+    # two true-herald branches with one output: the means are its values and
+    # the standard errors 0.0 (a running float sum drifts off them)
+    q = _qubit(math.cos(0.4), math.sin(0.4))
+    table = pr.branch_table([False, True, False], [q, _qubit(0.0, 0.0, 0.0), q])
+    branch = np.repeat([0, 1, 2, -1], [1234, 50, 777, 9])
+    stats = pr.aggregate(tally(np.full(branch.size, 7), branch, table), table)
+    assert stats.mean_concurrence == table.concurrence[0]
+    assert stats.concurrence_stderr == 0.0
+    assert stats.mean_fidelity_bell == table.fidelity[0]
+    assert stats.fidelity_stderr == 0.0
+
+
+def test_aggregate_rejects_true_herald_without_photon(tally):
     table = pr.branch_table([False], [_qubit(0.0, 0.0, 0.0)])
     with pytest.raises(ValueError, match="no-photon"):
-        pr.aggregate(np.ones(3), np.zeros(3, dtype=np.int16), table)
+        pr.aggregate(tally(np.ones(3), np.zeros(3), table), table)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +462,7 @@ def test_exact_engine_close_to_perturbative():
 
 def test_dark_count_zero_cutoff_one_every_click_true():
     engine = pr.ProtocolEngine(make_setup(dark=0.0, cutoff=1, max_trials=2_000))
-    _, branch = pr.run_protocol(engine, seed=31, n_runs=200)
+    _, branch = pr._run_batch(engine, 31, 0, 0, 200)
     clicked = branch[branch >= 0]
     assert clicked.size
     assert not engine.table.false_herald[clicked].any()
