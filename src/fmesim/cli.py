@@ -19,7 +19,6 @@ import numpy as np
 
 from . import config as cfg_mod
 from . import herald as herald_mod
-from . import hilbert
 from . import retrieval as retrieval_mod
 from .config import ConfigError, ResolvedConfig
 from .protocol import ProtocolEngine, ProtocolStats, aggregate, run_protocol
@@ -200,18 +199,15 @@ def _engine(cfg: ResolvedConfig) -> ProtocolEngine:
 
 def _single_photon(engine: ProtocolEngine) -> int | None:
     """Index of the true single-photon click branch, or None if there is none."""
-    return next(
-        (
-            i
-            for i, b in enumerate(engine.branches)
-            if b.kind == "photon" and b.n_photons == 1
-        ),
-        None,
-    )
+    kinds = [(b.kind, b.n_photons) for b in engine.branches]
+    return kinds.index(("photon", 1)) if ("photon", 1) in kinds else None
 
 
-def _state_payload(state) -> dict:
-    return json.loads(hilbert.to_json(state))
+def _grid_payload(grid: np.ndarray) -> dict:
+    """A three-mode amplitude grid as {"cutoff", "amplitudes": [[re, im], ...]},
+    row-major over (photon, spin I, spin II) with the photon slowest."""
+    pairs = [[a.real, a.imag] for a in grid.reshape(-1).tolist()]
+    return {"cutoff": grid.shape[0] - 1, "amplitudes": pairs}
 
 
 def cmd_write_sim(args) -> int:
@@ -219,6 +215,7 @@ def cmd_write_sim(args) -> int:
     engine = _engine(cfg)
     rates = engine.rates
     state = engine.write_state
+    n_mean = float(np.arange(state.chain.size) @ np.abs(state.chain) ** 2)
     payload = {
         "metadata": _metadata("write-sim", cfg, args.seed),
         "engine": cfg.values["engine"],
@@ -232,11 +229,11 @@ def cmd_write_sim(args) -> int:
             "P_I": _complex_pair(rates.P_I),
             "P_II": _complex_pair(rates.P_II),
         },
-        "write_state": _state_payload(state),
-        "expected_occupation": {
-            "photon": hilbert.expected_occupation(state, hilbert.Mode.STOKES),
-            "spin_I": hilbert.expected_occupation(state, hilbert.Mode.SPIN_I),
-            "spin_II": hilbert.expected_occupation(state, hilbert.Mode.SPIN_II),
+        "write_state": _grid_payload(state.grid()),
+        "expected_occupation": {  # n pairs put n quanta in b = u_I S_I + u_II S_II
+            "photon": n_mean,
+            "spin_I": n_mean * abs(state.u_I) ** 2,
+            "spin_II": n_mean * abs(state.u_II) ** 2,
         },
     }
     _emit_json(args.out, payload)
@@ -248,6 +245,11 @@ def cmd_herald(args) -> int:
     engine = _engine(cfg)
     det = cfg_mod.build_detector(cfg)
     single = _single_photon(engine)
+    conditional = None
+    if single is not None:  # the heralded spin state, with the photon absorbed
+        d = engine.write_state.cutoff + 1
+        conditional = np.zeros((d, d, d), dtype=complex)
+        conditional[0, 1, 0], conditional[0, 0, 1] = engine.branches[single].spin
     payload = {
         "metadata": _metadata("herald", cfg, args.seed),
         "p_click": engine.p_click,
@@ -258,7 +260,7 @@ def cmd_herald(args) -> int:
             for b in engine.branches
         ],
         "conditional_state_single_photon": (
-            _state_payload(engine.branches[single].state) if single is not None else None
+            _grid_payload(conditional) if conditional is not None else None
         ),
     }
     _emit_json(args.out, payload)
@@ -287,8 +289,15 @@ def cmd_retrieve(args) -> int:
 
 
 def _progress(label: str):
+    """A progress callback that prints on stderr once per tenth of the runs
+    passed, so at most ten lines per row, the last at done == total."""
+    tenths = 0
+
     def write(done, total):
-        print(f"{label}: {done}/{total} runs", file=sys.stderr)
+        nonlocal tenths
+        if done * 10 // total > tenths:
+            tenths = done * 10 // total
+            print(f"{label}: {done}/{total} runs", file=sys.stderr)
 
     return write
 

@@ -68,7 +68,8 @@ def _counter(key, value):
 
 
 def _cutoff(key, value):
-    # The branch table holds 2(cutoff+1) states of (cutoff+1)^3 amplitudes each.
+    # The engine is linear in the cutoff; write-sim and herald serialize the
+    # (cutoff+1)^3-amplitude three-mode grid, the only cubic cost left.
     if not 1 <= value <= 32:
         raise ConfigError(f"{key} must be in [1, 32], got {value}")
 

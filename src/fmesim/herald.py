@@ -11,13 +11,17 @@ p_dark = 1 - exp(-dark_rate * gate).  The corresponding POVM elements are
 Because both elements are diagonal in the photon number, the conditional
 state after a click is an exact mixture over photon-number branches; the
 Monte Carlo driver keeps pure states by sampling one branch per trajectory
-with the correct weight (an exact unraveling, verified against the dense
-density-matrix computation in the tests).
+with the correct weight (an exact unraveling, checked in the tests against
+the three-mode density matrix).
 
+On the pair-shell write state sum_n c_n |n>_a |n>_b the branch table has a
+closed form: photon branch n weighs |c_n|^2 (1 - (1 - eta)^n), dark branch n
+weighs |c_n|^2 (1 - eta)^n p_dark, and either leaves the spins in |n>_b.
 A click branch is a false herald when it is attributable to the dark event
 or taken on a multi-photon component (which leaves a wrong spin state).
-On the short-time write state with a single click the surviving spin state
-is (P_I |1,0> - P_II |0,1>) / sqrt(|P_I|^2 + |P_II|^2); the relative minus
+After a single click the surviving spin state is u_I |1,0> + u_II |0,1>,
+which on the short-time write state is
+(P_I |1,0> - P_II |0,1>) / sqrt(|P_I|^2 + |P_II|^2); the relative minus
 sign is preserved end to end so it reaches the output photon's amplitudes.
 """
 
@@ -28,10 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import hilbert
-from .hilbert import Mode, TruncatedState
-
-NORM_TOLERANCE = 1e-9
+from .write_dynamics import PairState
 
 
 @dataclass(frozen=True)
@@ -66,90 +67,39 @@ class HeraldBranch:
 
     kind is "photon" (a real photon was detected; n_photons is the photon
     number of the component) or "dark" (the click came from the dark event;
-    any photons in the component went undetected).
+    any photons in the component went undetected).  spin holds the
+    single-excitation amplitudes (on |1,0> and |0,1>) of the conditional spin
+    state |n>_b: (i c_1/|c_1|) (u_I, u_II) for n = 1, zero otherwise.  The
+    factor i strips the -i of the write evolution (a pure reporting gauge), so
+    a single click on the short-time write state reads (P_I, -P_II) / |P|.
     """
 
     kind: str
     n_photons: int
     probability: float
-    state: TruncatedState
+    spin: tuple[complex, complex]
 
     @property
     def false_herald(self) -> bool:
         return self.kind == "dark" or self.n_photons >= 2
 
 
-def _check_normalized(psi: TruncatedState):
-    if abs(hilbert.norm(psi) - 1.0) > NORM_TOLERANCE:
-        raise ValueError(f"state is not normalized (norm = {hilbert.norm(psi)!r})")
-
-
-def herald_probability(psi: TruncatedState, det: DetectorModel) -> float:
-    """Click probability of the threshold detector on the given state."""
-    _check_normalized(psi)
-    p_n = hilbert.occupation_distribution(psi, Mode.STOKES)
-    miss = np.sum(p_n * (1.0 - det.eta) ** np.arange(p_n.size))
-    return float(1.0 - (1.0 - det.p_dark) * miss)
-
-
-def click_branches(psi: TruncatedState, det: DetectorModel) -> list[HeraldBranch]:
+def click_branches(state: PairState, det: DetectorModel) -> list[HeraldBranch]:
     """All click branches with their unconditional probabilities.
 
     Branch order is fixed (photon branches by ascending n, then dark
     branches by ascending n) so that outcome selection is deterministic.
     """
-    _check_normalized(psi)
-    p_n = hilbert.occupation_distribution(psi, Mode.STOKES)
-    p_dark = det.p_dark
-    branches = []
-    for n in range(1, p_n.size):
-        weight = p_n[n] * (1.0 - (1.0 - det.eta) ** n)
-        if weight > 0.0:
-            branches.append(HeraldBranch("photon", n, float(weight), _collapse(psi, n)))
-    if p_dark > 0.0:
-        for n in range(p_n.size):
-            weight = p_n[n] * (1.0 - det.eta) ** n * p_dark
-            if weight > 0.0:
-                branches.append(HeraldBranch("dark", n, float(weight), _collapse(psi, n)))
-    return branches
-
-
-def _collapse(psi: TruncatedState, n: int) -> TruncatedState:
-    """Normalized spin state of the n-photon component, in the standard
-    sign convention: the global (-i)^n phase the write evolution puts on the
-    n-quantum amplitude is stripped (a pure reporting gauge), so a single
-    click on the short-time write state reads (P_I, -P_II) / sqrt(...)."""
-    state = hilbert.normalize(hilbert.project_photon_number(psi, n))
-    return TruncatedState(state.cutoff, (1j) ** n * state.amplitudes)
-
-
-def false_herald_fraction(psi: TruncatedState, det: DetectorModel) -> float:
-    """Fraction of clicks that are false heralds (dark or multi-photon)."""
-    branches = click_branches(psi, det)
-    total = sum(b.probability for b in branches)
-    if total == 0.0:
-        return 0.0
-    return sum(b.probability for b in branches if b.false_herald) / total
-
-
-def project_on_click(
-    psi: TruncatedState, det: DetectorModel, selector: float
-) -> HeraldBranch:
-    """The click branch chosen by selector; its state is the conditional state.
-
-    selector in [0, 1) walks the cumulative distribution of the click
-    branches (conditioned on the click), so the caller's random stream fully
-    determines the outcome and this function stays deterministic.
-    """
-    if not 0.0 <= selector < 1.0:
-        raise ValueError(f"selector must be in [0, 1), got {selector}")
-    branches = click_branches(psi, det)
-    p_click = sum(b.probability for b in branches)
-    if p_click <= 0.0:
-        raise ValueError("click requested but the click probability is zero")
-    acc = 0.0
-    for branch in branches:
-        acc += branch.probability / p_click
-        if selector < acc:
-            return branch
-    return branches[-1]
+    p_n = np.abs(state.chain) ** 2
+    c_1 = state.chain[1]
+    phase = 1j * c_1 / abs(c_1) if c_1 else 0.0
+    spin = {1: (complex(phase * state.u_I), complex(phase * state.u_II))}
+    miss = [(1.0 - det.eta) ** n for n in range(p_n.size)]
+    weights = [("photon", n, p_n[n] * (1.0 - miss[n])) for n in range(1, p_n.size)]
+    if det.p_dark > 0.0:
+        weights += [("dark", n, p_n[n] * miss[n] * det.p_dark) for n in range(p_n.size)]
+    return [
+        HeraldBranch(kind, n, float(w), spin.get(n, (0j, 0j)))
+        for kind, n, w in weights
+        if w > 0.0
+    ]

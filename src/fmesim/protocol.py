@@ -8,13 +8,14 @@ explicit no-success result, not an error).  The read pulse and the cycle
 period take no part: no reported number depends on them.
 
 The write stage is the same on every trial, so it is computed once per
-configuration (ProtocolEngine) as a table of click branches.  A run then
-reduces to two numbers: the trials it used and the branch it clicked on
-(-1 when max_trials passed without a click).  run_protocol tallies each
-chunk of runs as it is drawn (runs per outcome, trials, and sums of T and T^2
-over successful runs), so memory does not grow with the run count, and
-aggregate computes every statistic from that tally and the per-branch tables
-of concurrence, fidelity, efficiency and the false-herald flag.
+configuration (ProtocolEngine) as a table of at most 2 cutoff + 1 click
+branches.  A run then reduces to two numbers: the trials it used and the
+branch it clicked on (-1 when max_trials passed without a click).
+run_protocol tallies each chunk of runs as it is drawn (runs per outcome,
+trials, and sums of T and T^2 over successful runs), so memory does not
+grow with the run count, and aggregate computes every statistic from that
+tally and the per-branch tables of concurrence, fidelity, efficiency and
+the false-herald flag.
 
 The ensemble reset is perfect, so trials are independent and a run's trials
 to its first click are Geometric(p_click): each run draws them with one
@@ -88,10 +89,11 @@ class ProtocolStats:
 class ProtocolEngine:
     """Trial-invariant write/herald/retrieve tables for one setup.
 
-    Precomputes the write-stage state, the click probability, the click
-    branch distribution, the retrieved output per branch and the branch
-    table aggregate reads, so a run reduces to two uniforms (trials to the
-    first click, branch selection) and its result to (trials used, branch).
+    Holds the write-stage pair state (chain amplitudes and bright spin mode)
+    and from it the click probability, the closed-form click branch table,
+    the retrieved output per branch and the branch table aggregate reads, so
+    a run reduces to two uniforms (trials to the first click, branch
+    selection) and its result to (trials used, branch).
 
     p_click is the branch sum capped at 1, which rounding can exceed when
     the detector is certain to click.
@@ -119,7 +121,7 @@ class ProtocolEngine:
             else 0.0
         )
         self.outputs: list[FmeQubitState] = [
-            retrieval_mod.retrieve_fme(b.state, setup.read) for b in self.branches
+            retrieval_mod.retrieve_fme(b, setup.read) for b in self.branches
         ]
         self.table = branch_table([b.false_herald for b in self.branches], self.outputs)
 

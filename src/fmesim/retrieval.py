@@ -31,12 +31,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import hilbert
-from .hilbert import TruncatedState
+from .herald import HeraldBranch
 
 C_LIGHT = 299_792_458.0  # m/s
 
-NORM_TOLERANCE = 1e-9
 GRID_ALIGNMENT_TOL = 1e-9
 
 
@@ -97,27 +95,17 @@ class FmeQubitState:
         return self.retrieval_efficiency > 0.0
 
 
-def _single_excitation_amplitudes(state: TruncatedState) -> tuple[complex, complex]:
-    alpha = state.amplitude(0, 1, 0)
-    beta = state.amplitude(0, 0, 1)
-    return complex(alpha), complex(beta)
+def retrieve_fme(branch: HeraldBranch, read: ReadParams) -> FmeQubitState:
+    """Map a click branch's heralded spin state to the output frequency qubit.
 
-
-def retrieve_fme(state: TruncatedState, read: ReadParams) -> FmeQubitState:
-    """Map a heralded (post-click, normalized) spin state to the output
-    frequency qubit.
-
-    Amplitudes come from the single-excitation content of the state;
-    components outside the single-excitation manifold cannot emit the
-    one-photon pulse and only reduce retrieval_efficiency.
+    Amplitudes come from the single-excitation content of the conditional
+    state (branch.spin); components outside the single-excitation manifold
+    cannot emit the one-photon pulse and only reduce retrieval_efficiency.
     """
-    if abs(hilbert.norm(state) - 1.0) > NORM_TOLERANCE:
-        raise ValueError("conditional state is not normalized")
-    alpha, beta = _single_excitation_amplitudes(state)
-    w1 = abs(alpha) ** 2 * read.efficiency_I
-    w2 = abs(beta) ** 2 * read.efficiency_II
-    efficiency = min(w1 + w2, 1.0)  # guard fp overshoot of a unit-norm state
-    if efficiency <= 0.0:
+    alpha, beta = branch.spin
+    p1, p2 = abs(alpha) ** 2, abs(beta) ** 2  # sum to 1 on a single excitation, else 0
+    retrieved = p1 * read.efficiency_I + p2 * read.efficiency_II
+    if retrieved <= 0.0:
         return FmeQubitState(
             c1=0.0,
             c2=0.0,
@@ -133,7 +121,7 @@ def retrieve_fme(state: TruncatedState, read: ReadParams) -> FmeQubitState:
         c2=complex(c2 / scale),
         omega_I=read.omega_out_I,
         omega_II=read.omega_out_II,
-        retrieval_efficiency=float(efficiency),
+        retrieval_efficiency=float(retrieved / (p1 + p2)),  # exactly 1 when ideal
     )
 
 

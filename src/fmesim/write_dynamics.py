@@ -17,7 +17,8 @@ Three routes are implemented and cross-validated:
 1. exact evolution exp(-i H t) from vacuum, on the chain of cutoff + 1
    pair states that H never leaves,
 2. the short-time expansion of that evolution (first order, optionally with
-   the second-order double-excitation corrections),
+   the second-order double-excitation corrections); routes 1 and 2 return
+   a PairState, the chain amplitudes c_n plus the bright spin mode,
 3. quantum Langevin moment dynamics for the operator vector
    v = (a, S_I^dag, S_II^dag):
 
@@ -63,14 +64,12 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import hilbert
-from .hilbert import TruncatedState
 from .linalg import expm, lyapunov_propagate
 
 ADIABATIC_RATIO_WARN = 0.3
 PERTURBATIVE_P_WARN = 0.3
-# Largest norm drift of exact evolution; below the heralding stage's 1e-9
-# normalization check, so an evolved state that passes here is accepted there.
+# Largest norm drift of exact evolution; the branch table reads |c_n|^2 as
+# probabilities, so a chain that drifted further is rejected here.
 UNITARITY_TOL = 1e-10
 
 # Canonical commutator matrix <[v_i, v_j^dag]> for v = (a, S_I^dag, S_II^dag).
@@ -172,11 +171,42 @@ def derive_rates(p: SystemParams) -> DerivedRates:
     return rates
 
 
-def scale_drive(p: SystemParams, factor: complex) -> SystemParams:
-    """Both write Rabi frequencies scaled by a common factor."""
-    return replace(
-        p, omega_W_I=p.omega_W_I * factor, omega_W_II=p.omega_W_II * factor
-    )
+@dataclass(frozen=True)
+class PairState:
+    """Write state sum_n c_n |n>_a (b^dag)^n |0> / sqrt(n!), n <= cutoff.
+
+    chain holds c_0 .. c_cutoff with unit norm; (u_I, u_II) is the unit
+    bright spin mode b^dag = u_I S_I^dag + u_II S_II^dag.  Both routes below
+    stay on this pair shell: n Stokes photons come with n quanta of b.
+    """
+
+    chain: np.ndarray
+    u_I: complex
+    u_II: complex
+
+    @property
+    def cutoff(self) -> int:
+        return self.chain.size - 1
+
+    def grid(self) -> np.ndarray:
+        """Amplitudes over the occupations (photon, spin I, spin II), each
+        0..cutoff: c_n sqrt(C(n, k)) u_I^k u_II^(n-k) at (n, k, n - k)."""
+        d = self.chain.size
+        amps = np.zeros((d, d, d), dtype=complex)
+        for n, c_n in enumerate(self.chain):
+            for k in range(n + 1):
+                amps[n, k, n - k] = (
+                    c_n * math.sqrt(math.comb(n, k)) * self.u_I**k * self.u_II ** (n - k)
+                )
+        return amps
+
+
+def _bright_mode(a_I: complex, a_II: complex) -> tuple[float, complex, complex]:
+    """|a| and the bright-mode direction (a_I, -a_II) / |a| ((1, 0) if a = 0)."""
+    size = math.hypot(abs(a_I), abs(a_II))
+    if size == 0.0:
+        return 0.0, 1.0 + 0.0j, 0.0j
+    return size, complex(a_I / size), complex(-a_II / size)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +214,7 @@ def scale_drive(p: SystemParams, factor: complex) -> SystemParams:
 # ---------------------------------------------------------------------------
 
 
-def evolve_exact(r: DerivedRates, cutoff: int, t: float) -> TruncatedState:
+def evolve_exact(r: DerivedRates, cutoff: int, t: float) -> PairState:
     """Write state exp(-i H t)|0,0,0> of the pair-creation Hamiltonian.
 
     H = |chi| (b^dag a^dag + H.c.) with the bright spin mode
@@ -192,29 +222,22 @@ def evolve_exact(r: DerivedRates, cutoff: int, t: float) -> TruncatedState:
     u_II = -chi_II/|chi| and |chi|^2 = |chi_I|^2 + |chi_II|^2.  From vacuum
     the state stays on the chain |n>_a (b^dag)^n|0> / sqrt(n!), n <= cutoff,
     where H is tridiagonal with H[n+1, n] = |chi| (n + 1); the photon cutoff
-    is the only truncation there, since no spin occupation exceeds n.  The
-    chain amplitudes c_n expand onto (n, k, n - k) as
-    c_n sqrt(C(n, k)) u_I^k u_II^(n-k).
+    is the only truncation there, since no spin occupation exceeds n.
     """
     if t < 0:
         raise ValueError("evolution time must be >= 0")
-    chi = math.hypot(abs(r.chi_I), abs(r.chi_II))
-    if chi == 0.0:
-        return hilbert.vacuum_state(cutoff)
-    ladder = np.diag(chi * np.arange(1.0, cutoff + 1), -1)
-    chain = expm(-1j * t * (ladder + ladder.T))[:, 0]
-    drift = abs(np.linalg.norm(chain) - 1.0)
-    if drift > UNITARITY_TOL:
-        raise FloatingPointError(
-            f"exact evolution lost unitarity (norm drift {drift:.3g}): |H| t is too large"
-        )
-    u_i, u_ii = r.chi_I / chi, -r.chi_II / chi
-    d = cutoff + 1
-    amps = np.zeros((d, d, d), dtype=complex)
-    for n, c_n in enumerate(chain):
-        for k in range(n + 1):
-            amps[n, k, n - k] = c_n * math.sqrt(math.comb(n, k)) * u_i**k * u_ii ** (n - k)
-    return TruncatedState(cutoff, amps.reshape(-1))
+    chi, u_i, u_ii = _bright_mode(r.chi_I, r.chi_II)
+    chain = np.zeros(cutoff + 1, dtype=complex)
+    chain[0] = 1.0
+    if chi != 0.0:
+        ladder = np.diag(chi * np.arange(1.0, cutoff + 1), -1)
+        chain = expm(-1j * t * (ladder + ladder.T))[:, 0]
+        drift = abs(np.linalg.norm(chain) - 1.0)
+        if not drift <= UNITARITY_TOL:  # NaN included
+            raise FloatingPointError(
+                f"exact evolution lost unitarity (norm drift {drift:.3g}): |H| t is too large"
+            )
+    return PairState(chain, u_i, u_ii)
 
 
 # ---------------------------------------------------------------------------
@@ -222,17 +245,15 @@ def evolve_exact(r: DerivedRates, cutoff: int, t: float) -> TruncatedState:
 # ---------------------------------------------------------------------------
 
 
-def perturbative_state(r: DerivedRates, cutoff: int, order: int = 1) -> TruncatedState:
-    """Short-time write state, normalized.
+def perturbative_state(r: DerivedRates, cutoff: int, order: int = 1) -> PairState:
+    """Short-time write state, normalized, with |P|^2 = |P_I|^2 + |P_II|^2.
 
-    order=1: amplitudes (1, -i P_I, +i P_II) on the basis states
-    (0,0,0), (1,1,0), (1,0,1); the relative minus sign between the species
-    is preserved.  order=2 adds the double-excitation corrections
+    order=1: chain (1, -i|P|), i.e. amplitudes (1, -i P_I, +i P_II) on the
+    basis states (0,0,0), (1,1,0), (1,0,1); the relative minus sign between
+    the species is preserved.  order=2 adds -|P|^2/2 to c_0 and, when the
+    cutoff allows, c_2 = -|P|^2, the double excitations
 
-        -(|P_I|^2 + |P_II|^2)/2            on (0,0,0)
-        -P_I^2                             on (2,2,0)
-        +sqrt(2) P_I P_II                  on (2,1,1)
-        -P_II^2                            on (2,0,2)
+        -P_I^2 on (2,2,0),  +sqrt(2) P_I P_II on (2,1,1),  -P_II^2 on (2,0,2)
 
     used by the Monte Carlo driver to model multi-photon false heralds.
     """
@@ -240,19 +261,17 @@ def perturbative_state(r: DerivedRates, cutoff: int, order: int = 1) -> Truncate
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
-    d = cutoff + 1
-    amps = np.zeros((d, d, d), dtype=complex)
-    amps[0, 0, 0] = 1.0
-    amps[1, 1, 0] = -1j * r.P_I
-    amps[1, 0, 1] = 1j * r.P_II
+    p, u_i, u_ii = _bright_mode(r.P_I, r.P_II)
+    chain = np.zeros(cutoff + 1, dtype=complex)
+    chain[:2] = 1.0, -1j * p
     if order == 2:
-        amps[0, 0, 0] -= (abs(r.P_I) ** 2 + abs(r.P_II) ** 2) / 2.0
+        chain[0] -= p * p / 2.0
         if cutoff >= 2:
-            amps[2, 2, 0] = -r.P_I**2
-            amps[2, 1, 1] = np.sqrt(2.0) * r.P_I * r.P_II
-            amps[2, 0, 2] = -r.P_II**2
-    state = TruncatedState(cutoff, amps.reshape(-1))
-    return hilbert.normalize(state)
+            chain[2] = -p * p
+    norm = float(np.linalg.norm(chain))
+    if not math.isfinite(norm):
+        raise FloatingPointError(f"cannot normalize a write state of norm {norm!r}")
+    return PairState(chain / norm, u_i, u_ii)
 
 
 # ---------------------------------------------------------------------------

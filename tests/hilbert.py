@@ -1,22 +1,23 @@
-"""Truncated three-mode Fock space for the write stage.
+"""Truncated three-mode Fock space: the test oracle for the write engine.
 
 The write stage involves exactly three bosonic modes: the Stokes photon
-mode and one collective spin-wave mode per atomic species.  States are
+mode and one collective spin-wave mode per atomic species.  States here are
 complex amplitude vectors over occupation triples (n_photon, n_spin_I,
-n_spin_II) with a hard per-mode cutoff.  The flat amplitude layout is
-row-major with the photon occupation slowest, i.e.
+n_spin_II) with a hard per-mode cutoff.  fmesim itself works on the pair
+shell (chain amplitudes plus one bright spin mode); this generic grid code
+is the independent check: the engine's states expand onto the grid, and
+photon-number projection there gives the click branches that the closed
+form must reproduce.  The flat
+amplitude layout is row-major with the photon occupation slowest, i.e.
 
     index(n_s, n_i, n_ii) = n_s * (cutoff+1)**2 + n_i * (cutoff+1) + n_ii
 
-and is fixed so that serialized states are bit-comparable across runs.
+which is also the layout of the grids the CLI serializes.
 
 Truncation is hard: raising an occupation past the cutoff drops that
 component instead of renormalizing, which keeps operators linear and makes
 truncation error visible as a norm deficit.  Renormalization is always an
 explicit, separate call.
-
-All states are treated as immutable values and all operations are pure
-functions, so they are safe to share across concurrent workers.
 """
 
 from __future__ import annotations

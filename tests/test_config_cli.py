@@ -15,7 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fmesim import cli
 from fmesim import config as cfg_mod
+from fmesim import protocol as pr
 from fmesim.cli import main
 from fmesim.config import ConfigError
 
@@ -448,3 +450,15 @@ def test_protocol_argv_exits_cleanly(runs, max_trials, cutoff, engine, overrides
     if code in (0, 3):
         data = json.loads(out.getvalue(), parse_constant=_reject_constant)
         assert all(math.isfinite(x) for x in _numbers(data))
+
+
+def test_progress_prints_at_most_once_per_tenth(capsys):
+    n_runs = 10_000_000
+    chunk_ends = [*range(pr._RUN_CHUNK, n_runs, pr._RUN_CHUNK), n_runs]
+    assert len(chunk_ends) == 1221
+    progress = cli._progress("protocol")
+    for done in chunk_ends:
+        progress(done, n_runs)
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) <= 11
+    assert lines[-1] == "protocol: 10000000/10000000 runs"

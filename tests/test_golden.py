@@ -12,6 +12,13 @@ moved from float sums over every run in run order to those counts.  The
 integer columns and the configuration lines kept their bytes; the standard
 error of the trials to success and the photon yield moved in the last one or
 two ulps, to within one ulp of exact rational arithmetic on the same runs.
+Both were taken again when the write engine moved from the three-mode
+amplitude grid to the pair shell (chain amplitudes plus one bright spin mode)
+with the closed-form branch table.  Integer columns, configuration lines and
+the Monte Carlo statistics kept their bytes; p_click_analytic and
+false_herald_analytic moved in the last ulp (at most 6.9e-16 relative), and
+the exact engine's photon_yield became exactly 1.0, since ideal retrieval now
+returns efficiency 1 by construction rather than 1 - 2^-52.
 Any change to the random streams, the run loop or the statistics shows here.
 
 The second sha256 pins the exact write engine, evolved on the pair chain,
@@ -24,8 +31,8 @@ import hashlib
 
 from fmesim.cli import main
 
-GOLDEN_PROTOCOL_SHA256 = "6847de1f4aec24c52c06421bd7c7143c42457b766c6b3a44f08ca6e862a4d135"
-GOLDEN_EXACT_SWEEP_SHA256 = "311d6cc6da80a9a293cb771ab5c5b4c6f5ebd0dbc842210be855fbd62cac5187"
+GOLDEN_PROTOCOL_SHA256 = "5b140c4bdc7cf0da39af6ab3a06d0113a7122159407b5a947f8e33953818b993"
+GOLDEN_EXACT_SWEEP_SHA256 = "f328c0b6339338fb6efd95a1852bb1d5148906ad738389efacbf8c2d070e1842"
 
 
 def test_golden_protocol_bytes(tmp_path):
@@ -46,7 +53,7 @@ def test_golden_exact_sweep_bytes(tmp_path):
 
 
 def test_sweep_two_workers_match_one(tmp_path):
-    # 8200 runs make two chunks per row, so the 2-worker run uses the pool
+    # 8200 runs make two chunks per row; --workers changes nothing
     args = [
         "sweep", "--preset", "rb85-87", "--format", "json", "--runs", "8200",
         "--seed", "3", "--sweep", "omega_rabi_write_II=1e7,2.5e7",

@@ -1,15 +1,22 @@
-"""Threshold detection: click statistics against brute-force POVM oracles
-and conditional projection against a dense density-matrix computation."""
+"""Threshold detection: the closed-form click branch table against
+brute-force POVM oracles and the grid collapse of the three-mode Fock
+oracle, and the conditional states against a dense density-matrix
+computation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import hilbert as hb
+from fmesim import config as cfg_mod
 from fmesim import herald as hd
-from fmesim import hilbert as hb
+from fmesim import protocol as pr
+from fmesim import retrieval as rt
 from fmesim import write_dynamics as wd
 from fmesim.herald import DetectorModel
+from fmesim.retrieval import ReadParams
 
 
 def fixture_state(p_i=0.1, p_ii=0.1, cutoff=2, order=1):
@@ -21,6 +28,27 @@ def fixture_state(p_i=0.1, p_ii=0.1, cutoff=2, order=1):
 
 
 FIXTURE_DETECTOR = DetectorModel(eta=0.6, dark_rate=400.0, gate=1e-6)
+
+
+def fixture_engine(p_i=0.1, p_ii=0.1, det=FIXTURE_DETECTOR, cutoff=1):
+    """ProtocolEngine on the fixture drive (P = p with tau_write = 1); the
+    perturbative engine is first order at cutoff 1 and second order above."""
+    system = wd.SystemParams(
+        g_I=1.0, g_II=1.0, N_I=1.0, N_II=1.0,
+        omega_W_I=p_i * 100.0, omega_W_II=p_ii * 100.0, delta=100.0,
+        kappa=0.0, gamma_1=0.0, gamma_2=0.0, gamma_gs_I=0.0, gamma_gs_II=0.0,
+        tau_write=1.0,
+    )
+    read = ReadParams(omega_out_I=-1.0e9, omega_out_II=1.0e9)
+    return pr.ProtocolEngine(pr.ProtocolSetup(
+        system=system, detector=det, read=read, max_trials=1,
+        engine="perturbative", cutoff=cutoff,
+    ))
+
+
+def grid(state):
+    """A pair state expanded onto the three-mode oracle grid."""
+    return hb.TruncatedState(state.cutoff, state.grid().reshape(-1))
 
 
 def brute_force_click_probability(psi, det):
@@ -63,113 +91,105 @@ def test_detector_validation():
 
 def test_vacuum_ideal_detector_never_clicks():
     det = DetectorModel(eta=1.0, dark_rate=0.0, gate=1e-6)
-    assert hd.herald_probability(hb.vacuum_state(2), det) == 0.0
+    assert hd.click_branches(fixture_state(0.0, 0.0), det) == []
+    assert fixture_engine(0.0, 0.0, det, cutoff=2).p_click == 0.0
 
 
 def test_single_photon_bernoulli():
     det = DetectorModel(eta=0.6, dark_rate=0.0, gate=1e-6)
-    one = hb.basis_state(2, 1, 0, 0)
-    assert hd.herald_probability(one, det) == pytest.approx(0.6)
+    one = wd.PairState(np.array([0.0, 1.0, 0.0], dtype=complex), 1.0 + 0.0j, 0.0j)
+    (branch,) = hd.click_branches(one, det)
+    assert branch.probability == pytest.approx(0.6)
 
 
 def test_fixture_click_probability_against_oracle():
-    psi = fixture_state()
-    p = hd.herald_probability(psi, FIXTURE_DETECTOR)
-    assert p == pytest.approx(brute_force_click_probability(psi, FIXTURE_DETECTOR),
-                              abs=1e-12)
+    engine = fixture_engine()
+    p = engine.p_click
+    oracle = brute_force_click_probability(grid(engine.write_state), FIXTURE_DETECTOR)
+    assert p == pytest.approx(oracle, abs=1e-12)
     # frozen oracle value for the standard fixture
     assert p == pytest.approx(0.0121599210, abs=1e-9)
 
 
-def test_unnormalized_state_rejected():
-    amps = np.zeros(27, dtype=complex)
-    amps[0] = 0.5
-    with pytest.raises(ValueError):
-        hd.herald_probability(hb.TruncatedState(2, amps), FIXTURE_DETECTOR)
-
-
 def test_projection_symmetric_drive_is_maximally_entangled():
     det = DetectorModel(eta=1.0, dark_rate=0.0, gate=1e-6)
-    out = hd.project_on_click(fixture_state(0.1, 0.1), det, 0.0)
-    state = out.state
-    assert state.amplitude(0, 1, 0) == pytest.approx(1 / math.sqrt(2))
-    assert state.amplitude(0, 0, 1) == pytest.approx(-1 / math.sqrt(2))
+    out = hd.click_branches(fixture_state(0.1, 0.1), det)[0]
+    assert (out.kind, out.n_photons) == ("photon", 1)
+    alpha, beta = out.spin
+    assert alpha == pytest.approx(1 / math.sqrt(2))
+    assert beta == pytest.approx(-1 / math.sqrt(2))
     # equal-weight superposition with a relative minus sign: concurrence 1
-    rho = np.outer(
-        [state.amplitude(0, 1, 0), state.amplitude(0, 0, 1)],
-        np.conj([state.amplitude(0, 1, 0), state.amplitude(0, 0, 1)]),
-    )
+    rho = np.outer([alpha, beta], np.conj([alpha, beta]))
     assert 2.0 * abs(rho[0, 1]) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_projection_single_branch_product_state():
     det = DetectorModel(eta=1.0, dark_rate=0.0, gate=1e-6)
-    out = hd.project_on_click(fixture_state(0.1, 0.0), det, 0.0)
-    assert out.state.amplitude(0, 1, 0) == pytest.approx(1.0)
-    assert out.state.amplitude(0, 0, 1) == 0.0
+    out = hd.click_branches(fixture_state(0.1, 0.0), det)[0]
+    assert out.spin[0] == pytest.approx(1.0)
+    assert out.spin[1] == 0.0
 
 
 def test_projection_asymmetric_amplitudes():
     det = DetectorModel(eta=1.0, dark_rate=0.0, gate=1e-6)
-    out = hd.project_on_click(fixture_state(0.1, 0.05), det, 0.0)
-    assert out.state.amplitude(0, 1, 0) == pytest.approx(0.894427191)
-    assert out.state.amplitude(0, 0, 1) == pytest.approx(-0.4472135955)
+    out = hd.click_branches(fixture_state(0.1, 0.05), det)[0]
+    assert out.spin[0] == pytest.approx(0.894427191)
+    assert out.spin[1] == pytest.approx(-0.4472135955)
 
 
 def test_projection_impossible_click_rejected():
+    # nothing to click on: no branch, and no run ever reports a click
     det = DetectorModel(eta=1.0, dark_rate=0.0, gate=1e-6)
-    with pytest.raises(ValueError):
-        hd.project_on_click(hb.vacuum_state(2), det, 0.0)
+    engine = fixture_engine(0.0, 0.0, det, cutoff=2)
+    assert engine.branches == []
+    assert pr.run_protocol(engine, seed=1, n_runs=10).counts == (10,)
 
 
 def test_false_fraction_trivial_cases():
     ideal = DetectorModel(eta=0.7, dark_rate=0.0, gate=1e-6)
-    assert hd.false_herald_fraction(fixture_state(0.1, 0.1, cutoff=1), ideal) == 0.0
+    assert fixture_engine(0.1, 0.1, ideal, cutoff=1).false_fraction == 0.0
     dark_only = DetectorModel(eta=0.7, dark_rate=1000.0, gate=1e-6)
-    assert hd.false_herald_fraction(hb.vacuum_state(2), dark_only) == 1.0
+    assert fixture_engine(0.0, 0.0, dark_only, cutoff=2).false_fraction == 1.0
 
 
 def test_false_fraction_fixture_against_oracle():
-    psi = fixture_state()
-    frac = hd.false_herald_fraction(psi, FIXTURE_DETECTOR)
-    assert frac == pytest.approx(brute_force_false_fraction(psi, FIXTURE_DETECTOR),
-                                 abs=1e-12)
+    engine = fixture_engine()
+    frac = engine.false_fraction
+    oracle = brute_force_false_fraction(grid(engine.write_state), FIXTURE_DETECTOR)
+    assert frac == pytest.approx(oracle, abs=1e-12)
     assert frac == pytest.approx(0.0325014505, abs=1e-9)
 
 
 def test_false_fraction_includes_multiphoton_components():
-    psi = fixture_state(0.1, 0.1, cutoff=2, order=2)
     det = DetectorModel(eta=0.6, dark_rate=0.0, gate=1e-6)
-    frac = hd.false_herald_fraction(psi, det)
+    engine = fixture_engine(0.1, 0.1, det, cutoff=2)
+    frac = engine.false_fraction
     assert frac > 0.0
-    assert frac == pytest.approx(brute_force_false_fraction(psi, det), abs=1e-12)
+    assert frac == pytest.approx(
+        brute_force_false_fraction(grid(engine.write_state), det), abs=1e-12
+    )
 
 
 def test_herald_probability_monotone_in_eta_dark_and_drive():
-    psi = fixture_state()
     probs_eta = [
-        hd.herald_probability(psi, DetectorModel(eta=e, dark_rate=400.0, gate=1e-6))
+        fixture_engine(det=DetectorModel(eta=e, dark_rate=400.0, gate=1e-6)).p_click
         for e in (0.0, 0.3, 0.6, 0.9, 1.0)
     ]
     assert all(a <= b + 1e-15 for a, b in zip(probs_eta, probs_eta[1:]))
     probs_dark = [
-        hd.herald_probability(psi, DetectorModel(eta=0.6, dark_rate=d, gate=1e-6))
+        fixture_engine(det=DetectorModel(eta=0.6, dark_rate=d, gate=1e-6)).p_click
         for d in (0.0, 5.0, 50.0, 400.0, 4000.0)
     ]
     assert all(a < b for a, b in zip(probs_dark, probs_dark[1:]))
-    probs_p = [
-        hd.herald_probability(fixture_state(p, p), FIXTURE_DETECTOR)
-        for p in (0.0, 0.05, 0.1, 0.2)
-    ]
+    probs_p = [fixture_engine(p, p).p_click for p in (0.0, 0.05, 0.1, 0.2)]
     assert all(a < b for a, b in zip(probs_p, probs_p[1:]))
 
 
 def test_click_probability_affine_in_eta_without_multiphoton():
     # with only 0- and 1-photon components, p_click is affine in eta
-    psi = fixture_state(0.1, 0.1, cutoff=1)
     etas = np.linspace(0.0, 1.0, 9)
     probs = np.array([
-        hd.herald_probability(psi, DetectorModel(eta=e, dark_rate=400.0, gate=1e-6))
+        fixture_engine(det=DetectorModel(eta=e, dark_rate=400.0, gate=1e-6)).p_click
         for e in etas
     ])
     second_differences = np.diff(probs, n=2)
@@ -179,38 +199,41 @@ def test_click_probability_affine_in_eta_without_multiphoton():
 def test_povm_completeness_against_density_matrix():
     # every outcome branch recombined reproduces the unconditional reduced
     # spin density matrix (computed independently by partial trace)
-    psi = fixture_state(0.12, 0.07, cutoff=2, order=2)
+    state = fixture_state(0.12, 0.07, cutoff=2, order=2)
     det = FIXTURE_DETECTOR
-    d = psi.cutoff + 1
-    grid = psi.grid()
+    d = state.cutoff + 1
+    grid_amps = state.grid()
 
     rho_oracle = np.zeros((d * d, d * d), dtype=complex)
     for n_s in range(d):
-        block = grid[n_s].reshape(-1)
+        block = grid_amps[n_s].reshape(-1)
         rho_oracle += np.outer(block, block.conj())
 
     p_dark = det.p_dark
-    p_n = np.array([np.sum(np.abs(grid[n]) ** 2) for n in range(d)])
+    p_n = np.array([np.sum(np.abs(grid_amps[n]) ** 2) for n in range(d)])
     rho_sum = np.zeros_like(rho_oracle)
-    for branch in hd.click_branches(psi, det):
-        spins = branch.state.grid()[0].reshape(-1)
+    for branch in hd.click_branches(state, det):
+        n = branch.n_photons
+        if n == 1:  # the branch carries its conditional spin state
+            spins = np.zeros((d, d), dtype=complex)
+            spins[1, 0], spins[0, 1] = branch.spin
+            spins = spins.reshape(-1)
+        else:  # no single excitation: the state is the n-photon collapse
+            assert branch.spin == (0j, 0j)
+            spins = grid_amps[n].reshape(-1) / np.sqrt(p_n[n])
         rho_sum += branch.probability * np.outer(spins, spins.conj())
     for n in range(d):  # no-click branches share the same collapse states
         weight = p_n[n] * (1.0 - det.eta) ** n * (1.0 - p_dark)
         if weight > 0.0 and p_n[n] > 0.0:
-            spins = grid[n].reshape(-1) / np.sqrt(p_n[n])
+            spins = grid_amps[n].reshape(-1) / np.sqrt(p_n[n])
             rho_sum += weight * np.outer(spins, spins.conj())
     np.testing.assert_allclose(rho_sum, rho_oracle, atol=1e-12)
 
 
 def test_species_swap_equivariance():
     det = DetectorModel(eta=0.8, dark_rate=50.0, gate=1e-6)
-    out = hd.project_on_click(fixture_state(0.1, 0.05), det, 0.0)
-    swapped = hd.project_on_click(fixture_state(0.05, 0.1), det, 0.0)
-    a, b = (out.state.amplitude(0, 1, 0),
-            out.state.amplitude(0, 0, 1))
-    a_s, b_s = (swapped.state.amplitude(0, 1, 0),
-                swapped.state.amplitude(0, 0, 1))
+    a, b = hd.click_branches(fixture_state(0.1, 0.05), det)[0].spin
+    a_s, b_s = hd.click_branches(fixture_state(0.05, 0.1), det)[0].spin
     # swapping species labels exchanges the amplitudes up to the global
     # minus sign of the heralded-state convention
     assert a_s == pytest.approx(-b, abs=1e-12)
@@ -218,22 +241,59 @@ def test_species_swap_equivariance():
 
 
 def test_click_probability_equals_branch_sum():
-    psi = fixture_state(0.1, 0.07, cutoff=2, order=2)
-    branches = hd.click_branches(psi, FIXTURE_DETECTOR)
+    state = fixture_state(0.1, 0.07, cutoff=2, order=2)
+    branches = hd.click_branches(state, FIXTURE_DETECTOR)
     assert sum(b.probability for b in branches) == pytest.approx(
-        hd.herald_probability(psi, FIXTURE_DETECTOR), abs=1e-12
+        brute_force_click_probability(grid(state), FIXTURE_DETECTOR), abs=1e-12
     )
 
 
 def test_branch_selector_walks_cdf():
-    psi = fixture_state(0.1, 0.1, cutoff=2, order=2)
-    det = FIXTURE_DETECTOR
-    branches = hd.click_branches(psi, det)
-    p_click = sum(b.probability for b in branches)
+    engine = fixture_engine(0.1, 0.1, FIXTURE_DETECTOR, cutoff=2)
     acc = 0.0
-    for branch in branches:
-        mid = (acc + branch.probability / p_click / 2.0)
-        out = hd.project_on_click(psi, det, mid)
-        assert out.kind == branch.kind
-        assert out.n_photons == branch.n_photons
-        acc += branch.probability / p_click
+    for i, branch in enumerate(engine.branches):
+        mid = acc + branch.probability / engine.p_click / 2.0
+        assert np.searchsorted(engine.branch_cdf, mid, side="right") == i
+        acc += branch.probability / engine.p_click
+
+
+DRIVES = {
+    "rb85-87": [],
+    "chi_II=0": ["omega_rabi_write_II=0"],
+    "rotated-chain": ["tau_write=1e-4"],
+}
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 3, 6, 10, 32])
+@pytest.mark.parametrize("engine_name", ["perturbative", "exact"])
+@pytest.mark.parametrize("drive", sorted(DRIVES))
+def test_closed_form_branches_match_grid_collapse(drive, engine_name, cutoff):
+    overrides = DRIVES[drive] + [f"engine={engine_name}", f"cutoff={cutoff}"]
+    cfg = cfg_mod.load_config(preset="rb85-87", overrides=overrides)
+    setup = cfg_mod.build_setup(cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        engine = pr.ProtocolEngine(setup)
+    det = setup.detector
+    psi = grid(engine.write_state)
+    p_n = hb.occupation_distribution(psi, hb.Mode.STOKES)
+    oracle = []
+    for kind, n, weight in (
+        [("photon", n, p_n[n] * (1.0 - (1.0 - det.eta) ** n)) for n in range(1, cutoff + 1)]
+        + [("dark", n, p_n[n] * (1.0 - det.eta) ** n * det.p_dark) for n in range(cutoff + 1)]
+    ):
+        if weight > 0.0:
+            collapsed = (1j) ** n * hb.normalize(hb.project_photon_number(psi, n)).amplitudes
+            state = hb.TruncatedState(cutoff, collapsed)
+            spin = (state.amplitude(0, 1, 0), state.amplitude(0, 0, 1))
+            oracle.append(hd.HeraldBranch(kind, n, float(weight), spin))
+
+    assert [(b.kind, b.n_photons) for b in engine.branches] == [
+        (b.kind, b.n_photons) for b in oracle
+    ]
+    for branch, expected, out in zip(engine.branches, oracle, engine.outputs):
+        assert branch.probability == pytest.approx(expected.probability, rel=1e-13, abs=0)
+        q = rt.retrieve_fme(expected, setup.read)
+        assert abs(out.c1 - q.c1) <= 1e-15
+        assert abs(out.c2 - q.c2) <= 1e-15
+        assert abs(out.retrieval_efficiency - q.retrieval_efficiency) <= 1e-15

@@ -6,8 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from fmesim import hilbert as hb
-from fmesim.hilbert import Mode, ModeOperator, OperatorKind
+import hilbert as hb
+from hilbert import Mode, ModeOperator, OperatorKind
 
 
 def dense_oracle(kind: str, mode: int, cutoff: int) -> np.ndarray:

@@ -175,7 +175,7 @@ def per_run_oracle(engine, seed, row, n_runs):
             ("p_click near 1", make_setup(eta=1.0, dark=3.0e6, max_trials=40), 50),
             ("many trials", make_setup(eta=0.9, dark=1e5, max_trials=60), 60),
             ("budget exhausted", make_setup(eta=0.9, dark=1e5, max_trials=7), 80),
-            ("certain click", make_setup(p=0.05, eta=1.0, dark=4.0e7, max_trials=40), 50),
+            ("certain click", make_setup(p=0.03, eta=1.0, dark=4.0e7, max_trials=40), 50),
             ("largest budget", make_setup(p=1.5e-5, eta=0.5, dark=0.0, max_trials=2**32), 400),
         )
     ],

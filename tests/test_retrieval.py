@@ -25,7 +25,7 @@ def heralded_state(p_i, p_ii, eta=1.0, dark=0.0):
     )
     psi = wd.perturbative_state(rates, 2)
     det = DetectorModel(eta=eta, dark_rate=dark, gate=1e-6)
-    return hd.project_on_click(psi, det, 0.0).state
+    return hd.click_branches(psi, det)[0]  # the single-photon click
 
 
 def gaussian(z, center, width):
@@ -60,17 +60,19 @@ def test_three_four_five_normalization():
 
 
 def test_false_herald_dark_branch_gives_no_photon():
-    # force the dark branch: vacuum-dominated selector at the top of the CDF
+    # the dark click on the vacuum component, where 0.999 of the branch CDF falls
     rates = wd.DerivedRates(
         chi_I=0.1, chi_II=0.1, gamma_L_I=0.0, gamma_L_II=0.0,
         delta_L_I=0.0, delta_L_II=0.0, P_I=0.1, P_II=0.1,
     )
     psi = wd.perturbative_state(rates, 2)
     det = DetectorModel(eta=0.6, dark_rate=400.0, gate=1e-6)
-    out = hd.project_on_click(psi, det, 0.999)
+    branches = hd.click_branches(psi, det)
+    cdf = np.cumsum([b.probability for b in branches])
+    out = branches[np.searchsorted(cdf / cdf[-1], 0.999, side="right")]
     assert out.kind == "dark"
     assert out.n_photons == 0
-    q = rt.retrieve_fme(out.state, read_params())
+    q = rt.retrieve_fme(out, read_params())
     assert q.retrieval_efficiency == 0.0
     assert not q.has_photon
     with pytest.raises(ValueError):

@@ -4,15 +4,16 @@ kron-built dense Hamiltonians, quadrature for the Lyapunov integral)."""
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from fmesim import hilbert as hb
+import hilbert as hb
 from fmesim import linalg
 from fmesim import write_dynamics as wd
-from fmesim.hilbert import Mode
+from hilbert import Mode
 
 
 def make_params(**overrides):
@@ -53,6 +54,11 @@ def kron_oracle_state(chi_i, chi_ii, cutoff, t=1.0):
     """exp(-i H t)|0,0,0> by scipy's expm of the kron-built Hamiltonian."""
     assert cutoff <= 3  # dense reference only; the engine never builds it
     return scipy.linalg.expm(-1j * t * kron_hamiltonian(chi_i, chi_ii, cutoff))[:, 0]
+
+
+def grid_state(state):
+    """A pair state expanded onto the three-mode oracle grid."""
+    return hb.TruncatedState(state.cutoff, state.grid().reshape(-1))
 
 
 def off_shell_weight(psi):
@@ -99,7 +105,9 @@ def test_rate_homogeneity_in_drive():
     for _ in range(10):
         s = rng.uniform(0.1, 1.5)
         base = make_params(delta=300.0)
-        scaled = wd.scale_drive(base, s)
+        scaled = replace(
+            base, omega_W_I=base.omega_W_I * s, omega_W_II=base.omega_W_II * s
+        )
         r0, r1 = wd.derive_rates(base), wd.derive_rates(scaled)
         assert r1.chi_I == pytest.approx(s * r0.chi_I)
         assert r1.delta_L_I == pytest.approx(s**2 * r0.delta_L_I)
@@ -127,7 +135,9 @@ def test_zero_couplings_give_vacuum():
     for cutoff in (1, 2, 4):
         for t in (0.0, 1.0, 1e10):
             psi = wd.evolve_exact(make_rates(0.0, 0.0), cutoff, t)
-            np.testing.assert_array_equal(psi.amplitudes, hb.vacuum_state(cutoff).amplitudes)
+            np.testing.assert_array_equal(
+                grid_state(psi).amplitudes, hb.vacuum_state(cutoff).amplitudes
+            )
 
 
 def test_exact_first_order_amplitudes_and_signs():
@@ -136,9 +146,9 @@ def test_exact_first_order_amplitudes_and_signs():
     t = 1e-4
     psi = wd.evolve_exact(make_rates(0.3, 0.2), 2, t)
     oracle = kron_oracle_state(0.3, 0.2, 2, t)
-    np.testing.assert_allclose(psi.amplitudes, oracle, atol=1e-14)
-    assert psi.amplitude(1, 1, 0) / (-1j * t) == pytest.approx(0.3, rel=1e-6)
-    assert psi.amplitude(1, 0, 1) / (-1j * t) == pytest.approx(-0.2, rel=1e-6)
+    np.testing.assert_allclose(grid_state(psi).amplitudes, oracle, atol=1e-14)
+    assert psi.grid()[1, 1, 0] / (-1j * t) == pytest.approx(0.3, rel=1e-6)
+    assert psi.grid()[1, 0, 1] / (-1j * t) == pytest.approx(-0.2, rel=1e-6)
 
 
 def test_evolve_exact_matches_kron_oracle():
@@ -151,7 +161,7 @@ def test_evolve_exact_matches_kron_oracle():
             t = rng.uniform(0.1, 1.5)
             psi = wd.evolve_exact(make_rates(chi_i, chi_ii), cutoff, t)
             oracle = kron_oracle_state(chi_i, chi_ii, cutoff, t)
-            np.testing.assert_allclose(psi.amplitudes, oracle, atol=1e-14)
+            np.testing.assert_allclose(grid_state(psi).amplitudes, oracle, atol=1e-14)
 
 
 def test_evolve_exact_matches_two_mode_squeezed_vacuum():
@@ -168,20 +178,22 @@ def test_evolve_exact_matches_two_mode_squeezed_vacuum():
         c_n = (-1j * np.tanh(r)) ** n / np.cosh(r)
         for k in range(n + 1):
             expected = c_n * np.sqrt(math.comb(n, k)) * u_i**k * u_ii ** (n - k)
-            assert psi.amplitude(n, k, n - k) == pytest.approx(expected, abs=1e-14)
+            assert psi.grid()[n, k, n - k] == pytest.approx(expected, abs=1e-14)
     assert off_shell_weight(psi) == 0.0
 
 
 def test_evolve_exact_identity_at_t0():
     psi = wd.evolve_exact(make_rates(0.2, 0.1), 2, 0.0)
-    np.testing.assert_allclose(psi.amplitudes, hb.vacuum_state(2).amplitudes, atol=1e-14)
+    np.testing.assert_allclose(
+        grid_state(psi).amplitudes, hb.vacuum_state(2).amplitudes, atol=1e-14
+    )
 
 
 def test_single_species_stays_on_pair_ladder():
     # chi_II = 0: evolution from vacuum lives on |n, n, 0> only
     psi = wd.evolve_exact(make_rates(0.3, 0.0), 3, 1.0)
     np.testing.assert_allclose(
-        psi.amplitudes, kron_oracle_state(0.3, 0.0, 3), atol=1e-12
+        grid_state(psi).amplitudes, kron_oracle_state(0.3, 0.0, 3), atol=1e-12
     )
     for cutoff in (3, 4):
         grid = wd.evolve_exact(make_rates(0.3, 0.0), cutoff, 1.0).grid()
@@ -211,13 +223,20 @@ def test_unitarity_on_random_hamiltonians():
     for _ in range(5):
         rates = make_rates(rng.normal() + 1j * rng.normal(), rng.normal())
         psi = wd.evolve_exact(rates, 2, rng.uniform(0, 2.0))
-        assert abs(hb.norm(psi) - 1.0) < 1e-10
+        assert abs(hb.norm(grid_state(psi)) - 1.0) < 1e-10
 
 
 def test_evolve_exact_rejects_lost_unitarity():
     # |H| t = 1e10: scaling and squaring drifts the chain's norm by ~1e-7
     with pytest.raises(FloatingPointError, match="unitarity"):
         wd.evolve_exact(make_rates(1.0, 1.0), 1, 1e10)
+
+
+def test_evolve_exact_rejects_non_finite_chain():
+    # |chi| t = 1e150 overflows the matrix exponential to NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError, match="unitarity"):
+            wd.evolve_exact(make_rates(1e150, 1e150), 2, 1.0)
 
 
 def test_expm_matches_scipy_oracle():
@@ -232,14 +251,14 @@ def test_expm_matches_scipy_oracle():
 def test_perturbative_state_amplitudes():
     psi = wd.perturbative_state(make_rates(0.1, 0.1), 2)
     scale = 1.0 / np.sqrt(1.0 + 0.01 + 0.01)
-    assert psi.amplitude(0, 0, 0) == pytest.approx(scale)
-    assert psi.amplitude(1, 1, 0) == pytest.approx(-0.1j * scale)
-    assert psi.amplitude(1, 0, 1) == pytest.approx(+0.1j * scale)
+    assert psi.grid()[0, 0, 0] == pytest.approx(scale)
+    assert psi.grid()[1, 1, 0] == pytest.approx(-0.1j * scale)
+    assert psi.grid()[1, 0, 1] == pytest.approx(+0.1j * scale)
 
 
 def test_perturbative_state_vacuum_limit():
     psi = wd.perturbative_state(make_rates(0.0, 0.0), 2)
-    np.testing.assert_array_equal(psi.amplitudes, hb.vacuum_state(2).amplitudes)
+    np.testing.assert_array_equal(grid_state(psi).amplitudes, hb.vacuum_state(2).amplitudes)
 
 
 @pytest.mark.parametrize("p", [0.02, 0.05, 0.1])
@@ -247,7 +266,7 @@ def test_perturbative_close_to_exact(p):
     cutoff = 3
     rates = make_rates(p, p)
     exact = kron_oracle_state(p, p, cutoff)
-    approx = wd.perturbative_state(rates, cutoff).amplitudes
+    approx = grid_state(wd.perturbative_state(rates, cutoff)).amplitudes
     assert np.linalg.norm(exact - approx) <= 3.0 * p**2
 
 
@@ -256,8 +275,8 @@ def test_second_order_state_improves_on_first_order():
     cutoff = 3
     rates = make_rates(p, p)
     exact = kron_oracle_state(p, p, cutoff)
-    first = wd.perturbative_state(rates, cutoff, order=1).amplitudes
-    second = wd.perturbative_state(rates, cutoff, order=2).amplitudes
+    first = grid_state(wd.perturbative_state(rates, cutoff, order=1)).amplitudes
+    second = grid_state(wd.perturbative_state(rates, cutoff, order=2)).amplitudes
     err1 = np.linalg.norm(exact - first)
     err2 = np.linalg.norm(exact - second)
     assert err2 < err1 / 3.0
@@ -269,7 +288,7 @@ def test_mean_photon_number_perturbative_consistency():
     for p in (0.05, 0.1):
         rates = make_rates(p, p)
         psi = wd.evolve_exact(rates, 4, 1.0)
-        n_s = hb.expected_occupation(psi, Mode.STOKES)
+        n_s = hb.expected_occupation(grid_state(psi), Mode.STOKES)
         assert abs(n_s - 2.0 * p**2) <= 10.0 * (2.0 * p**2) ** 2
 
 
@@ -448,9 +467,9 @@ def test_exact_moments_match_langevin_when_lossless():
     p = make_params(kappa=0.0)
     sys = wd.evolve_langevin(wd.build_langevin(p, rates), t)
     n_a, n_i, n_ii = sys.occupations()
-    assert hb.expected_occupation(psi, Mode.STOKES) == pytest.approx(n_a, abs=1e-3)
-    assert hb.expected_occupation(psi, Mode.SPIN_I) == pytest.approx(n_i, abs=1e-3)
-    assert hb.expected_occupation(psi, Mode.SPIN_II) == pytest.approx(n_ii, abs=1e-3)
+    assert hb.expected_occupation(grid_state(psi), Mode.STOKES) == pytest.approx(n_a, abs=1e-3)
+    assert hb.expected_occupation(grid_state(psi), Mode.SPIN_I) == pytest.approx(n_i, abs=1e-3)
+    assert hb.expected_occupation(grid_state(psi), Mode.SPIN_II) == pytest.approx(n_ii, abs=1e-3)
 
 
 # ---------------------------------------------------------------------------
