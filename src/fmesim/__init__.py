@@ -2,10 +2,10 @@
 simulator for a two-species atomic ensemble.
 
 Modules by stage: write_dynamics (rates, pair-creation evolution on the
-pair shell, Langevin moments), herald (threshold detection and the
-closed-form click branch table), retrieval (frequency qubit and polariton
-transport), protocol (repeat-until-success Monte Carlo), config and cli
-(presets, validation, command line).
+pair shell), herald (threshold detection and the closed-form click branch
+table), retrieval (the output frequency qubit), protocol
+(repeat-until-success Monte Carlo), config and cli (presets, validation,
+command line).
 """
 
 __version__ = "0.1.0"

@@ -96,13 +96,8 @@ SCHEMA: dict[str, KeySpec] = {
         "complex", "Hz", "write Rabi frequency, species II (number or [re, im])"
     ),
     "delta": KeySpec("float", "Hz", "one-photon detuning", _nonzero),
-    "kappa": KeySpec("float", "Hz", "photon-mode decay", _nonnegative),
     "gamma_1": KeySpec("float", "Hz", "excited-state decay, species I", _nonnegative),
     "gamma_2": KeySpec("float", "Hz", "excited-state decay, species II", _nonnegative),
-    "gamma_gs": KeySpec(
-        "float", "Hz", "ground-state coherence decay (applied to both species)",
-        _nonnegative,
-    ),
     "tau_write": KeySpec("float", "s", "write pulse duration", _positive),
     "delta_omega_write": KeySpec("float", "Hz", "write sideband half-splitting", _positive),
     "delta_omega_read": KeySpec("float", "Hz", "read sideband half-splitting", _positive),
@@ -183,10 +178,8 @@ RB85_87 = Preset(
         "N_II": 1.0e8,
         "omega_rabi_write_I": 1.0e7,
         "omega_rabi_write_II": 1.0e7,
-        "kappa": 1.0e6,
         "gamma_1": 5.75e6,
         "gamma_2": 5.75e6,
-        "gamma_gs": 1.0e3,
         "tau_write": 4.0e-6,
         "omega_out_I": -1.368e9,
         "omega_out_II": 1.368e9,
@@ -201,10 +194,8 @@ RB85_87 = Preset(
         "N_II": "default",
         "omega_rabi_write_I": "default",
         "omega_rabi_write_II": "default",
-        "kappa": "default",
         "gamma_1": "default",
         "gamma_2": "default",
-        "gamma_gs": "default",
         "tau_write": "default",
         "omega_out_I": "default",
         "omega_out_II": "default",
@@ -379,11 +370,8 @@ def build_system_params(cfg: ResolvedConfig) -> SystemParams:
         omega_W_I=TWO_PI * v["omega_rabi_write_I"],
         omega_W_II=TWO_PI * v["omega_rabi_write_II"],
         delta=TWO_PI * v["delta"],
-        kappa=TWO_PI * v["kappa"],
         gamma_1=TWO_PI * v["gamma_1"],
         gamma_2=TWO_PI * v["gamma_2"],
-        gamma_gs_I=TWO_PI * v["gamma_gs"],
-        gamma_gs_II=TWO_PI * v["gamma_gs"],
         tau_write=v["tau_write"],
     )
 

@@ -1,10 +1,9 @@
-"""Dense linear-algebra kernels for small systems.
+"""Dense matrix exponential for small systems.
 
 The matrix exponential uses scaling-and-squaring with the Pade order fixed
 at 13, so results are deterministic across platforms (no adaptive order
 selection).  Target accuracy is ~1e-12 relative for the well-conditioned
-matrices that arise here (skew-Hermitian generators and small drift
-matrices).
+matrices that arise here (skew-Hermitian pair-chain generators).
 """
 
 from __future__ import annotations
@@ -68,26 +67,3 @@ def expm(a: np.ndarray) -> np.ndarray:
         r = r @ r
     return r
 
-
-def lyapunov_propagate(
-    drift: np.ndarray, diffusion: np.ndarray, sigma0: np.ndarray, t: float
-) -> np.ndarray:
-    """Propagate sigma' = A sigma + sigma A^H + D for time t.
-
-    Uses the block-exponential construction: for B = [[A, D], [0, -A^H]],
-    exp(B t) = [[F11, F12], [0, F22]] with F11 = exp(A t) and
-    F12 F11^H = integral_0^t exp(A u) D exp(A^H u) du, so
-
-        sigma(t) = F11 sigma0 F11^H + F12 F11^H.
-
-    Exact up to the accuracy of the matrix exponential itself.
-    """
-    n = drift.shape[0]
-    block = np.zeros((2 * n, 2 * n), dtype=complex)
-    block[:n, :n] = drift * t
-    block[:n, n:] = diffusion * t
-    block[n:, n:] = -drift.conj().T * t
-    full = expm(block)
-    f11 = full[:n, :n]
-    f12 = full[:n, n:]
-    return f11 @ sigma0 @ f11.conj().T + f12 @ f11.conj().T

@@ -14,6 +14,8 @@ import scipy.linalg
 import scipy.stats
 
 import hilbert as hb
+import polariton as pl
+import write_oracles as wo
 from fmesim import config as cfg_mod
 from fmesim import herald as hd
 from fmesim import protocol as pr
@@ -50,8 +52,7 @@ def protocol_setup(p=0.1, eta=0.6, dark=400.0, max_trials=10_000, cutoff=1):
     system = wd.SystemParams(
         g_I=1.0, g_II=1.0, N_I=1.0, N_II=1.0,
         omega_W_I=p * 100.0, omega_W_II=p * 100.0, delta=100.0,
-        kappa=0.0, gamma_1=0.0, gamma_2=0.0, gamma_gs_I=0.0, gamma_gs_II=0.0,
-        tau_write=tau,
+        gamma_1=0.0, gamma_2=0.0, tau_write=tau,
     )
     det = DetectorModel(eta=eta, dark_rate=dark, gate=1e-6)
     return pr.ProtocolSetup(system=system, detector=det, read=ideal_read(),
@@ -90,27 +91,25 @@ def test_criterion_3_langevin_sanity():
     # (a) decoupled cavity mean decays as e^{-kappa t}
     p_sys = wd.SystemParams(
         g_I=1.0, g_II=1.0, N_I=1.0, N_II=1.0, omega_W_I=0.0, omega_W_II=0.0,
-        delta=100.0, kappa=1.3, gamma_1=0.0, gamma_2=0.0,
-        gamma_gs_I=0.0, gamma_gs_II=0.0, tau_write=1.0,
+        delta=100.0, gamma_1=0.0, gamma_2=0.0, tau_write=1.0,
     )
-    sys0 = wd.build_langevin(p_sys)
-    sys0 = wd.LangevinSystem(sys0.drift, sys0.diffusion,
+    sys0 = wo.build_langevin(p_sys, kappa=1.3)
+    sys0 = wo.LangevinSystem(sys0.drift, sys0.diffusion,
                              np.array([1.0 + 0.0j, 0.0, 0.0]), sys0.covariance)
     for t in (0.3, 1.0, 2.7):
-        mean = wd.evolve_langevin(sys0, t).means[0]
+        mean = wo.evolve_langevin(sys0, t).means[0]
         closed = np.exp(-1.3 * t)
         assert abs(mean - closed) / closed <= 1e-9
 
     # (b) chi_I-only lossless photon number vs the 2x2 oracle
     p_free = wd.SystemParams(
         g_I=1.0, g_II=1.0, N_I=1.0, N_II=1.0, omega_W_I=1.0, omega_W_II=0.0,
-        delta=100.0, kappa=0.0, gamma_1=0.0, gamma_2=0.0,
-        gamma_gs_I=0.0, gamma_gs_II=0.0, tau_write=1.0,
+        delta=100.0, gamma_1=0.0, gamma_2=0.0, tau_write=1.0,
     )
     chi = 0.8
-    sys1 = wd.build_langevin(p_free, rates_fixture(chi, 0.0))
+    sys1 = wo.build_langevin(p_free, rates_fixture(chi, 0.0), kappa=0.0)
     for t in (0.4, 1.1):
-        n_a = wd.evolve_langevin(sys1, t).occupations()[0]
+        n_a = wo.evolve_langevin(sys1, t).occupations()[0]
         assert abs(n_a - math.sinh(chi * t) ** 2) <= 1e-6
         a2 = np.array([[0.0, -1j * chi], [1j * chi, 0.0]])
         f = scipy.linalg.expm(a2 * t)
@@ -120,13 +119,12 @@ def test_criterion_3_langevin_sanity():
     # (c) canonical commutators preserved with the chosen diffusion
     p_full = wd.SystemParams(
         g_I=1.0, g_II=1.0, N_I=4.0, N_II=4.0, omega_W_I=2.0, omega_W_II=1.5,
-        delta=50.0, kappa=0.9, gamma_1=1.0, gamma_2=0.7,
-        gamma_gs_I=0.04, gamma_gs_II=0.02, tau_write=1.0,
+        delta=50.0, gamma_1=1.0, gamma_2=0.7, tau_write=1.0,
     )
-    sys2 = wd.build_langevin(p_full)
+    sys2 = wo.build_langevin(p_full, kappa=0.9, gamma_gs_I=0.04, gamma_gs_II=0.02)
     for t in (0.5, 2.0, 8.0):
-        c = wd.commutator_matrix(sys2, t)
-        assert np.max(np.abs(c - wd.COMMUTATOR)) <= 1e-9
+        c = wo.commutator_matrix(sys2, t)
+        assert np.max(np.abs(c - wo.COMMUTATOR)) <= 1e-9
     report(3, "cavity decay 1e-9, sinh^2 photon number 1e-6, "
               "commutators preserved 1e-9")
 
@@ -191,23 +189,23 @@ def test_criterion_5_dark_count_sweep_monotonicity():
 
 def test_criterion_6_dsp_advection():
     # mixing angle on rational fixtures
-    assert math.tan(rt.dsp_angle(1.0, 4.0, 2.0)) ** 2 == pytest.approx(
+    assert math.tan(pl.dsp_angle(1.0, 4.0, 2.0)) ** 2 == pytest.approx(
         1.0, abs=1e-12
     )
-    assert math.tan(rt.dsp_angle(2.0, 100.0, 5.0)) ** 2 == pytest.approx(
+    assert math.tan(pl.dsp_angle(2.0, 100.0, 5.0)) ** 2 == pytest.approx(
         2.0**2 * 100.0 / 25.0, rel=1e-12
     )
-    theta = rt.dsp_angle(1.0, 4.0, 2.0)
+    theta = pl.dsp_angle(1.0, 4.0, 2.0)
 
     n, length, width, center = 1024, 1.0, 0.02, 0.3
     dz = length / n
     z = np.arange(n) * dz
     pulse = np.exp(-((z - center) ** 2) / (2.0 * width**2)).astype(complex)
-    field = rt.dsp_field(pulse, dz, theta)
+    field = pl.dsp_field(pulse, dz, theta)
 
     aligned_cells = 211
     t_aligned = aligned_cells * dz / field.v_g
-    out = rt.propagate_dsp(field, t_aligned)
+    out = pl.propagate_dsp(field, t_aligned)
     target = np.exp(
         -((z - center - aligned_cells * dz) ** 2) / (2.0 * width**2)
     )
@@ -216,7 +214,7 @@ def test_criterion_6_dsp_advection():
 
     shift = 137.613
     t_interp = shift * dz / field.v_g
-    out_i = rt.propagate_dsp(field, t_interp)
+    out_i = pl.propagate_dsp(field, t_interp)
     target_i = np.exp(-((z - center - shift * dz) ** 2) / (2.0 * width**2))
     err_interp = np.linalg.norm(out_i.values - target_i) * math.sqrt(dz)
     assert err_interp <= 1e-4
@@ -225,7 +223,7 @@ def test_criterion_6_dsp_advection():
     stepped = field
     rng = np.random.default_rng(6)
     for _ in range(10):
-        stepped = rt.propagate_dsp(stepped, rng.uniform(0, 40) * dz / field.v_g)
+        stepped = pl.propagate_dsp(stepped, rng.uniform(0, 40) * dz / field.v_g)
         assert stepped.norm_squared() + stepped.outflow == pytest.approx(
             total0, abs=1e-9
         )

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -73,7 +74,7 @@ def test_complex_drive_from_pair():
 
 REMOVED_KEYS = (
     "tau_read", "cycle_period", "omega_rabi_read_I", "omega_rabi_read_II",
-    "g_read_I", "g_read_II",
+    "g_read_I", "g_read_II", "kappa", "gamma_gs",
 )
 
 
@@ -86,6 +87,52 @@ def test_removed_key_exits_2(key, tmp_path, capsys):
     path.write_text(json.dumps(data))
     assert run_cli("protocol", "--config", str(path), "--runs", "5") == 2
     assert repr(key) in capsys.readouterr().err
+
+
+# One valid value per key, different from the preset's and chosen to bind
+# (no run reaches the default retry budget, so max_trials must be 1).
+MOVED_VALUES = {
+    "g_I": 60.0, "g_II": 60.0, "N_I": 2.0e8, "N_II": 2.0e8,
+    "omega_rabi_write_I": 2.0e7, "omega_rabi_write_II": 2.0e7, "delta": 2.0e9,
+    "gamma_1": 1.0e7, "gamma_2": 1.0e7, "tau_write": 2.0e-6,
+    "delta_omega_write": 1.0e9, "delta_omega_read": 1.0e9,
+    "eta": 0.5, "dark_rate_hz": 1000.0, "gate_s": 2.0e-6, "max_trials": 1,
+    "cutoff": 3, "engine": "exact", "runs": 300,
+    "omega_out_I": -1.0e9, "omega_out_II": 1.0e9,
+    "retrieval_efficiency_I": 0.5, "retrieval_efficiency_II": 0.5, "read_phase": 1.0,
+}
+# The paper's published sideband splittings, kept for acceptance criterion 7.
+DOCUMENTARY_KEYS = {"delta_omega_write", "delta_omega_read"}
+
+
+def _reported(overrides):
+    """What write-sim, herald, retrieve and protocol print for the preset with
+    the overrides, less the metadata and the per-row config."""
+    sets = [arg for text in overrides for arg in ("--set", text)]
+    reported = []
+    for command in (["write-sim"], ["herald"], ["retrieve"],
+                    ["protocol", "--format", "json", "--set", "runs=200"]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # regime warnings at the moved values
+            code = main([*command, "--preset", "rb85-87", *sets])
+        data = json.loads(out.getvalue())
+        data.pop("metadata")
+        for row in data.get("results", []):
+            row.pop("config")
+        reported.append((code, data))
+    return reported
+
+
+def test_every_key_moves_a_reported_number():
+    assert sorted(MOVED_VALUES) == sorted(cfg_mod.SCHEMA)
+    base = _reported([])
+    unmoved = {
+        key for key, value in MOVED_VALUES.items()
+        if _reported([f"{key}={json.dumps(value)}"]) == base
+    }
+    assert unmoved == DOCUMENTARY_KEYS
 
 
 def test_config_file_and_override_precedence(tmp_path):
@@ -305,7 +352,7 @@ def test_non_finite_override_value_rejected(key, value, part):
         cfg_mod.with_overrides(BASE_CONFIG, {key: raw})
 
 
-@pytest.mark.parametrize("override", ["kappa=NaN", "g_I=NaN"])
+@pytest.mark.parametrize("override", ["gamma_1=NaN", "g_I=NaN"])
 def test_non_finite_override_exits_2(override, capsys):
     assert run_cli("protocol", "--preset", "rb85-87", "--set", override) == 2
     assert override.split("=")[0] in capsys.readouterr().err
@@ -325,9 +372,17 @@ def test_workers_below_one_exits_2(command, workers, capsys):
     assert "--workers" in capsys.readouterr().err
 
 
+# Test-only modules: the runtime depends on numpy alone and ships no oracle.
+TEST_ONLY_MODULES = ("scipy", "hypothesis", "pytest", "hilbert", "write_oracles", "polariton")
+
+
 def test_cli_import_loads_no_executor():
-    # no executor is imported: the process pool's import cost every command about 15 ms
-    code = "import sys, fmesim.cli; print(sorted(m for m in sys.modules if 'concurrent' in m))"
+    # no executor is imported: the process pool's import cost every command about 15 ms;
+    # sys.path below includes tests/, so an import of an oracle module would succeed
+    code = (
+        "import sys, fmesim.cli; print(sorted(m for m in sys.modules "
+        f"if 'concurrent' in m or m.split('.')[0] in {TEST_ONLY_MODULES!r}))"
+    )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True, timeout=60)
@@ -389,15 +444,22 @@ def test_true_herald_without_photon_exits_2(command, overrides, capsys):
     assert "retrieval_efficiency_I " in err and "retrieval_efficiency_II" in err
 
 
-@pytest.mark.parametrize("override", ["N_I=1e300", "g_I=1e300"])
-def test_overflow_exits_4(override, capsys):
-    assert run_cli("protocol", "--preset", "rb85-87", "--runs", "50", "--set", override) == 4
+@pytest.mark.parametrize(
+    "overrides", [["N_I=1e300"], ["g_I=1e300"], ["N_I=1e300", "engine=exact"]]
+)
+def test_overflow_exits_4(overrides, capsys):
+    sets = [arg for text in overrides for arg in ("--set", text)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli("protocol", "--preset", "rb85-87", "--runs", "50", *sets) == 4
+    # the finiteness checks report the failure; numpy's own warnings stay silent
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert "numeric failure" in capsys.readouterr().err
 
 
 PROBE_KEYS = (
     "g_I", "N_I", "delta", "tau_write", "omega_rabi_write_II", "eta",
-    "dark_rate_hz", "gate_s", "retrieval_efficiency_II", "kappa",
+    "dark_rate_hz", "gate_s", "retrieval_efficiency_II", "gamma_1",
 )
 
 

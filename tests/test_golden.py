@@ -19,6 +19,10 @@ the Monte Carlo statistics kept their bytes; p_click_analytic and
 false_herald_analytic moved in the last ulp (at most 6.9e-16 relative), and
 the exact engine's photon_yield became exactly 1.0, since ideal retrieval now
 returns efficiency 1 by construction rather than 1 - 2^-52.
+Both were taken again when the config keys kappa and gamma_gs left the
+schema: they were read only by the Langevin moments, which no command
+reports, so the output lost their entries in the config and provenance
+lines and their two CSV columns, and every other byte stayed the same.
 Any change to the random streams, the run loop or the statistics shows here.
 
 The second sha256 pins the exact write engine, evolved on the pair chain,
@@ -31,8 +35,8 @@ import hashlib
 
 from fmesim.cli import main
 
-GOLDEN_PROTOCOL_SHA256 = "5b140c4bdc7cf0da39af6ab3a06d0113a7122159407b5a947f8e33953818b993"
-GOLDEN_EXACT_SWEEP_SHA256 = "f328c0b6339338fb6efd95a1852bb1d5148906ad738389efacbf8c2d070e1842"
+GOLDEN_PROTOCOL_SHA256 = "2cb2c602c089c209354b6028791ab915378c98b514ebcce949a919731266436e"
+GOLDEN_EXACT_SWEEP_SHA256 = "9dca7823dec81993c6a43f4e5b23703ded88ba13421437c10f4a9029a63a0bb6"
 
 
 def test_golden_protocol_bytes(tmp_path):

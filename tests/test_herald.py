@@ -36,8 +36,7 @@ def fixture_engine(p_i=0.1, p_ii=0.1, det=FIXTURE_DETECTOR, cutoff=1):
     system = wd.SystemParams(
         g_I=1.0, g_II=1.0, N_I=1.0, N_II=1.0,
         omega_W_I=p_i * 100.0, omega_W_II=p_ii * 100.0, delta=100.0,
-        kappa=0.0, gamma_1=0.0, gamma_2=0.0, gamma_gs_I=0.0, gamma_gs_II=0.0,
-        tau_write=1.0,
+        gamma_1=0.0, gamma_2=0.0, tau_write=1.0,
     )
     read = ReadParams(omega_out_I=-1.0e9, omega_out_II=1.0e9)
     return pr.ProtocolEngine(pr.ProtocolSetup(

@@ -24,8 +24,7 @@ def make_setup(p=0.1, eta=0.6, dark=400.0, max_trials=10_000, engine="perturbati
     system = wd.SystemParams(
         g_I=1.0, g_II=1.0, N_I=1.0, N_II=1.0,
         omega_W_I=p / tau * 100.0, omega_W_II=p_ii / tau * 100.0,
-        delta=100.0, kappa=0.0, gamma_1=0.0, gamma_2=0.0,
-        gamma_gs_I=0.0, gamma_gs_II=0.0, tau_write=tau,
+        delta=100.0, gamma_1=0.0, gamma_2=0.0, tau_write=tau,
     )
     detector = DetectorModel(eta=eta, dark_rate=dark, gate=1e-6)
     read = ReadParams(

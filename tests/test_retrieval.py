@@ -1,11 +1,12 @@
-"""Read-out mapping, entanglement metrics, and polariton advection against
-analytic shift and quadrature oracles."""
+"""Read-out mapping, entanglement metrics, and the polariton-transport
+oracle's advection against analytic shift and quadrature oracles."""
 
 import math
 
 import numpy as np
 import pytest
 
+import polariton as pl
 from fmesim import herald as hd
 from fmesim import retrieval as rt
 from fmesim import write_dynamics as wd
@@ -155,38 +156,38 @@ def test_concurrence_peaks_at_balanced_drive():
 
 
 def test_dsp_angle_substitutions():
-    assert rt.dsp_angle(1.0, 4.0, 2.0) == pytest.approx(math.pi / 4)
-    assert math.tan(rt.dsp_angle(1.0, 4.0, 2.0)) ** 2 == pytest.approx(1.0)
-    assert rt.dsp_angle(2.0, 100.0, 5.0) == pytest.approx(math.atan(4.0))
-    assert rt.dsp_angle(1.0, 4.0, 1e9) == pytest.approx(0.0, abs=1e-8)
+    assert pl.dsp_angle(1.0, 4.0, 2.0) == pytest.approx(math.pi / 4)
+    assert math.tan(pl.dsp_angle(1.0, 4.0, 2.0)) ** 2 == pytest.approx(1.0)
+    assert pl.dsp_angle(2.0, 100.0, 5.0) == pytest.approx(math.atan(4.0))
+    assert pl.dsp_angle(1.0, 4.0, 1e9) == pytest.approx(0.0, abs=1e-8)
 
 
 def test_dsp_angle_singular_at_zero_drive():
     with pytest.raises(ValueError):
-        rt.dsp_angle(1.0, 4.0, 0.0)
+        pl.dsp_angle(1.0, 4.0, 0.0)
 
 
 def test_dsp_angle_strictly_decreasing_in_drive():
     drives = [0.5, 1.0, 2.0, 5.0, 20.0]
-    angles = [rt.dsp_angle(1.0, 9.0, om) for om in drives]
+    angles = [pl.dsp_angle(1.0, 9.0, om) for om in drives]
     assert all(a > b for a, b in zip(angles, angles[1:]))
 
 
 def test_group_velocity_convention():
-    theta = rt.dsp_angle(1.0, 4.0, 2.0)
-    assert rt.group_velocity(theta) == pytest.approx(rt.C_LIGHT * 0.5)
-    assert 0.0 < rt.group_velocity(theta) <= rt.C_LIGHT
+    theta = pl.dsp_angle(1.0, 4.0, 2.0)
+    assert pl.group_velocity(theta) == pytest.approx(pl.C_LIGHT * 0.5)
+    assert 0.0 < pl.group_velocity(theta) <= pl.C_LIGHT
 
 
 def _field(n=512, length=1.0, center=0.3, width=0.02, theta=math.pi / 4):
     dz = length / n
     z = np.arange(n) * dz
-    return rt.dsp_field(gaussian(z, center, width), dz, theta)
+    return pl.dsp_field(gaussian(z, center, width), dz, theta)
 
 
 def test_propagate_zero_time_unchanged():
     field = _field()
-    out = rt.propagate_dsp(field, 0.0)
+    out = pl.propagate_dsp(field, 0.0)
     np.testing.assert_array_equal(out.values, field.values)
     assert out.outflow == 0.0
 
@@ -195,7 +196,7 @@ def test_grid_aligned_shift_is_exact():
     field = _field()
     cells = 37
     t = cells * field.dz / field.v_g
-    out = rt.propagate_dsp(field, t)
+    out = pl.propagate_dsp(field, t)
     expected = gaussian(field.grid, 0.3 + cells * field.dz, 0.02)
     assert np.linalg.norm(out.values - expected) * math.sqrt(field.dz) <= 1e-12
     assert out.norm_squared() == pytest.approx(field.norm_squared(), abs=1e-12)
@@ -205,7 +206,7 @@ def test_interpolated_shift_matches_analytic():
     field = _field()
     shift = 21.37  # cells, deliberately off-grid
     t = shift * field.dz / field.v_g
-    out = rt.propagate_dsp(field, t)
+    out = pl.propagate_dsp(field, t)
     expected = gaussian(field.grid, 0.3 + shift * field.dz, 0.02)
     err = np.linalg.norm(out.values - expected) * math.sqrt(field.dz)
     assert err <= 1e-4
@@ -216,11 +217,11 @@ def test_conservation_for_arbitrary_pulse_and_steps():
     n = 256
     dz = 1.0 / n
     values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    field = rt.dsp_field(values, dz, math.pi / 3)
+    field = pl.dsp_field(values, dz, math.pi / 3)
     total0 = field.norm_squared() + field.outflow
     for _ in range(12):
         t = rng.uniform(0.0, 30.0) * dz / field.v_g
-        field = rt.propagate_dsp(field, t)
+        field = pl.propagate_dsp(field, t)
         assert field.norm_squared() + field.outflow == pytest.approx(
             total0, abs=1e-9
         )
@@ -232,7 +233,7 @@ def test_outflow_after_full_exit_matches_quadrature():
     z_fine = np.linspace(-2.0, 3.0, 200001)
     oracle = np.trapezoid(np.abs(gaussian(z_fine, 0.35, 0.015)) ** 2, z_fine)
     t_exit = 3.0 / field.v_g  # shift by 3 domain lengths
-    out = rt.propagate_dsp(field, t_exit)
+    out = pl.propagate_dsp(field, t_exit)
     assert out.norm_squared() == pytest.approx(0.0, abs=1e-12)
     assert out.outflow == pytest.approx(oracle, abs=1e-6)
 
@@ -243,13 +244,13 @@ def test_multi_step_exit_telescopes():
     field = _field(n=512, length=1.0, center=0.2, width=0.03)
     initial = field.norm_squared()
     for _ in range(4):
-        field = rt.propagate_dsp(field, 13.37 * field.dz / field.v_g)
+        field = pl.propagate_dsp(field, 13.37 * field.dz / field.v_g)
     for _ in range(20):
-        field = rt.propagate_dsp(field, 96 * field.dz / field.v_g)
+        field = pl.propagate_dsp(field, 96 * field.dz / field.v_g)
     assert field.norm_squared() == pytest.approx(0.0, abs=1e-10)
     assert field.outflow == pytest.approx(initial, abs=1e-9)
 
 
 def test_negative_time_rejected():
     with pytest.raises(ValueError):
-        rt.propagate_dsp(_field(), -1.0)
+        pl.propagate_dsp(_field(), -1.0)

@@ -1,6 +1,7 @@
-"""Write-stage dynamics: rates, pair-creation evolution, and Langevin
-moments, each cross-checked against independent oracles (scipy expm,
-kron-built dense Hamiltonians, quadrature for the Lyapunov integral)."""
+"""Write-stage dynamics: rates and pair-creation evolution, cross-checked
+against independent oracles (scipy expm, kron-built dense Hamiltonians, the
+Langevin moments and the pre-elimination model of write_oracles), and those
+oracles' own checks (quadrature for the Lyapunov integral)."""
 
 import math
 import warnings
@@ -11,6 +12,7 @@ import pytest
 import scipy.linalg
 
 import hilbert as hb
+import write_oracles as wo
 from fmesim import linalg
 from fmesim import write_dynamics as wd
 from hilbert import Mode
@@ -19,9 +21,8 @@ from hilbert import Mode
 def make_params(**overrides):
     base = dict(
         g_I=1.0, g_II=1.0, N_I=4.0, N_II=4.0,
-        omega_W_I=2.0, omega_W_II=2.0, delta=100.0, kappa=0.0,
-        gamma_1=0.0, gamma_2=0.0, gamma_gs_I=0.0, gamma_gs_II=0.0,
-        tau_write=1.0,
+        omega_W_I=2.0, omega_W_II=2.0, delta=100.0,
+        gamma_1=0.0, gamma_2=0.0, tau_write=1.0,
     )
     base.update(overrides)
     return wd.SystemParams(**base)
@@ -317,10 +318,9 @@ def test_photon_spin_correlation():
 
 
 def test_drift_matrix_structure():
-    p = make_params(kappa=0.4, gamma_gs_I=0.02, gamma_gs_II=0.03,
-                    gamma_1=1.0, gamma_2=2.0, delta=100.0)
+    p = make_params(gamma_1=1.0, gamma_2=2.0, delta=100.0)
     r = wd.derive_rates(p)
-    sys = wd.build_langevin(p, r)
+    sys = wo.build_langevin(p, r, kappa=0.4, gamma_gs_I=0.02, gamma_gs_II=0.03)
     a = sys.drift
     assert a[0, 0] == pytest.approx(-0.4)
     assert a[0, 1] == pytest.approx(-1j * r.chi_I)
@@ -333,30 +333,36 @@ def test_drift_matrix_structure():
     assert a[2, 2] == pytest.approx(-(0.03 + r.gamma_L_II - 1j * r.delta_L_II))
 
 
+@pytest.mark.parametrize("rate", ["kappa", "gamma_gs_I", "gamma_gs_II"])
+def test_langevin_loss_rates_must_be_nonnegative(rate):
+    with pytest.raises(ValueError, match=rate):
+        wo.build_langevin(make_params(), **{rate: -0.1})
+
+
 def test_stark_shift_signs_are_opposite():
     p = make_params(delta=50.0)
-    sys = wd.build_langevin(p)
+    sys = wo.build_langevin(p)
     assert np.imag(sys.drift[1, 1]) < 0  # -i delta_L from +i delta_L in the rate
     assert np.imag(sys.drift[2, 2]) > 0
 
 
 def test_decoupled_cavity_mean_decay():
-    p = make_params(kappa=1.0, omega_W_I=0.0, omega_W_II=0.0)
-    sys = wd.build_langevin(p)
-    sys = wd.LangevinSystem(sys.drift, sys.diffusion,
+    p = make_params(omega_W_I=0.0, omega_W_II=0.0)
+    sys = wo.build_langevin(p, kappa=1.0)
+    sys = wo.LangevinSystem(sys.drift, sys.diffusion,
                             np.array([2.0 + 1.0j, 0, 0]), sys.covariance)
-    out = wd.evolve_langevin(sys, 0.8)
+    out = wo.evolve_langevin(sys, 0.8)
     assert out.means[0] == pytest.approx((2.0 + 1.0j) * np.exp(-0.8), rel=1e-9)
 
 
 def test_two_mode_squeezing_photon_number():
     # chi_I only, lossless: <n_a>(t) = sinh^2(chi t), against the dense
     # 2x2 subsystem matrix-exponential oracle
-    p = make_params(kappa=0.0)
+    p = make_params()
     r = make_rates(1.0, 0.0)
-    sys = wd.build_langevin(p, r)
+    sys = wo.build_langevin(p, r, kappa=0.0)
     for t in (0.3, 0.7, 1.2):
-        out = wd.evolve_langevin(sys, t)
+        out = wo.evolve_langevin(sys, t)
         n_a = out.occupations()[0]
         assert n_a == pytest.approx(np.sinh(t) ** 2, abs=1e-6)
         # oracle: M(t) = e^{At} M0 e^{A^H t} on the (a, S_I^dag) subsystem
@@ -368,9 +374,9 @@ def test_two_mode_squeezing_photon_number():
 
 
 def test_evolve_langevin_identity_at_t0():
-    p = make_params(kappa=0.5)
-    sys = wd.build_langevin(p)
-    out = wd.evolve_langevin(sys, 0.0)
+    p = make_params()
+    sys = wo.build_langevin(p, kappa=0.5)
+    out = wo.evolve_langevin(sys, 0.0)
     np.testing.assert_allclose(out.covariance, sys.covariance, atol=1e-12)
     np.testing.assert_allclose(out.means, sys.means, atol=1e-12)
 
@@ -386,54 +392,52 @@ def test_noiseless_antihermitian_drift_is_isometric():
     drift = 1j * herm
     assert np.max(np.abs(drift + drift.conj().T)) < 1e-14
     cov0 = np.diag([0.5, 0.2, 0.0]).astype(complex)
-    sys = wd.LangevinSystem(drift, np.zeros((3, 3), dtype=complex),
+    sys = wo.LangevinSystem(drift, np.zeros((3, 3), dtype=complex),
                             np.zeros(3, dtype=complex), cov0)
-    out = wd.evolve_langevin(sys, 1.3)
+    out = wo.evolve_langevin(sys, 1.3)
     m0 = cov0 + np.diag([1.0, 0.0, 0.0])
     m_t = out.covariance + np.diag([1.0, 0.0, 0.0])
     np.testing.assert_allclose(
         sorted(np.linalg.eigvalsh(m_t)), sorted(np.linalg.eigvalsh(m0)), atol=1e-10
     )
-    c = wd.commutator_matrix(sys, 1.3)
-    assert np.trace(c) == pytest.approx(np.trace(wd.COMMUTATOR), abs=1e-10)
+    c = wo.commutator_matrix(sys, 1.3)
+    assert np.trace(c) == pytest.approx(np.trace(wo.COMMUTATOR), abs=1e-10)
 
 
 def test_cavity_covariance_fixed_point():
     # kappa only: n_a(t) = n_a(0) e^{-2 kappa t} -> 0; in the <v v^dag>
     # ordering the fixed point is D / (2 kappa) = 1 (hand-computed).
     kappa = 1.0
-    p = make_params(kappa=kappa, omega_W_I=0.0, omega_W_II=0.0)
-    sys = wd.build_langevin(p)
+    p = make_params(omega_W_I=0.0, omega_W_II=0.0)
+    sys = wo.build_langevin(p, kappa=kappa)
     cov0 = np.zeros((3, 3), dtype=complex)
     cov0[0, 0] = 2.0  # thermal-like initial photon occupation
-    sys = wd.LangevinSystem(sys.drift, sys.diffusion, sys.means, cov0)
+    sys = wo.LangevinSystem(sys.drift, sys.diffusion, sys.means, cov0)
     for t in (0.5, 2.0, 12.0):
-        out = wd.evolve_langevin(sys, t)
+        out = wo.evolve_langevin(sys, t)
         assert out.occupations()[0] == pytest.approx(
             2.0 * np.exp(-2.0 * kappa * t), abs=1e-9
         )
     # anti-normal fixed point: M = sigma + E00 -> 1 = diffusion / (2 kappa)
-    late = wd.evolve_langevin(sys, 12.0)
+    late = wo.evolve_langevin(sys, 12.0)
     m_00 = late.covariance[0, 0] + 1.0
     assert m_00 == pytest.approx(sys.diffusion[0, 0] / (2.0 * kappa), abs=1e-9)
 
 
 def test_commutators_preserved_with_vacuum_noise():
-    p = make_params(kappa=0.8, gamma_gs_I=0.05, gamma_gs_II=0.02,
-                    gamma_1=1.0, gamma_2=0.5, delta=40.0, omega_W_I=2.0,
+    p = make_params(gamma_1=1.0, gamma_2=0.5, delta=40.0, omega_W_I=2.0,
                     omega_W_II=1.0)
-    sys = wd.build_langevin(p)
+    sys = wo.build_langevin(p, kappa=0.8, gamma_gs_I=0.05, gamma_gs_II=0.02)
     for t in (0.2, 1.0, 4.0):
-        c = wd.commutator_matrix(sys, t)
-        assert np.max(np.abs(c - wd.COMMUTATOR)) < 1e-9
+        c = wo.commutator_matrix(sys, t)
+        assert np.max(np.abs(c - wo.COMMUTATOR)) < 1e-9
 
 
 def test_opposite_order_diffusion_is_psd_spin_noise():
-    p = make_params(kappa=0.8, gamma_gs_I=0.05, gamma_gs_II=0.02,
-                    gamma_1=1.0, gamma_2=0.5, delta=40.0)
+    p = make_params(gamma_1=1.0, gamma_2=0.5, delta=40.0)
     r = wd.derive_rates(p)
-    sys = wd.build_langevin(p, r)
-    d_n = wd.opposite_order_diffusion(sys)
+    sys = wo.build_langevin(p, r, kappa=0.8, gamma_gs_I=0.05, gamma_gs_II=0.02)
+    d_n = wo.opposite_order_diffusion(sys)
     expected = np.diag([0.0, 2 * (0.05 + r.gamma_L_I), 2 * (0.02 + r.gamma_L_II)])
     np.testing.assert_allclose(d_n, expected, atol=1e-12)
     assert np.min(np.linalg.eigvalsh((d_n + d_n.conj().T) / 2)) >= -1e-12
@@ -447,7 +451,7 @@ def test_lyapunov_propagator_against_quadrature_oracle():
     d = d_half @ d_half.conj().T
     sigma0 = np.eye(3, dtype=complex)
     t = 0.9
-    result = linalg.lyapunov_propagate(a, d, sigma0, t)
+    result = wo.lyapunov_propagate(a, d, sigma0, t)
     # quadrature oracle on sigma(t) = F sigma0 F^H + int_0^t e^{Au} D e^{A^H u} du
     us, h = np.linspace(0.0, t, 4001, retstep=True)
     acc = np.zeros((3, 3), dtype=complex)
@@ -464,8 +468,8 @@ def test_exact_moments_match_langevin_when_lossless():
     chi_i, chi_ii, t = 0.12, 0.16, 1.0  # chi_eff * t = 0.2
     rates = make_rates(chi_i, chi_ii, tau=t)
     psi = wd.evolve_exact(rates, 4, t)
-    p = make_params(kappa=0.0)
-    sys = wd.evolve_langevin(wd.build_langevin(p, rates), t)
+    p = make_params()
+    sys = wo.evolve_langevin(wo.build_langevin(p, rates, kappa=0.0), t)
     n_a, n_i, n_ii = sys.occupations()
     assert hb.expected_occupation(grid_state(psi), Mode.STOKES) == pytest.approx(n_a, abs=1e-3)
     assert hb.expected_occupation(grid_state(psi), Mode.SPIN_I) == pytest.approx(n_i, abs=1e-3)
@@ -482,13 +486,13 @@ def test_full_model_reproduces_reduced_amplitudes_and_signs():
                     delta=200.0)
     r = wd.derive_rates(p)
     assert r.P_I == pytest.approx(0.05)
-    h = wd.build_full_hamiltonian(p, cutoff=1)
-    dim = 2 ** len(wd.FULL_MODEL_MODES)
+    h = wo.build_full_hamiltonian(p, cutoff=1)
+    dim = 2 ** len(wo.FULL_MODEL_MODES)
     psi0 = np.zeros(dim, dtype=complex)
     psi0[0] = 1.0
     psi_t = scipy.linalg.expm(-1j * h * p.tau_write) @ psi0
-    amp_i = psi_t[wd.full_model_index(1, (1, 0, 1, 0, 0))]
-    amp_ii = psi_t[wd.full_model_index(1, (1, 0, 0, 0, 1))]
+    amp_i = psi_t[wo.full_model_index(1, (1, 0, 1, 0, 0))]
+    amp_ii = psi_t[wo.full_model_index(1, (1, 0, 0, 0, 1))]
     # reduced model predicts -i P_I and +i P_II
     assert abs(amp_i - (-1j * r.P_I)) <= 0.05 * abs(r.P_I)
     assert abs(amp_ii - (+1j * r.P_II)) <= 0.05 * abs(r.P_II)
@@ -498,4 +502,4 @@ def test_full_model_reproduces_reduced_amplitudes_and_signs():
 
 def test_full_model_rejects_large_cutoff():
     with pytest.raises(ValueError):
-        wd.build_full_hamiltonian(make_params(), cutoff=3)
+        wo.build_full_hamiltonian(make_params(), cutoff=3)
