@@ -230,7 +230,7 @@ def cmd_write_sim(args) -> int:
             "P_II": _complex_pair(rates.P_II),
         },
         "write_state": _grid_payload(state.grid()),
-        "expected_occupation": {  # n pairs put n quanta in b = u_I S_I + u_II S_II
+        "expected_occupation": {  # listed chain only; n pairs put n quanta in b
             "photon": n_mean,
             "spin_I": n_mean * abs(state.u_I) ** 2,
             "spin_II": n_mean * abs(state.u_II) ** 2,
@@ -445,9 +445,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (FloatingPointError, ZeroDivisionError, OverflowError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 4
-    except np.linalg.LinAlgError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
 

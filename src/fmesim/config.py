@@ -68,8 +68,10 @@ def _counter(key, value):
 
 
 def _cutoff(key, value):
-    # The engine is linear in the cutoff; write-sim and herald serialize the
-    # (cutoff+1)^3-amplitude three-mode grid, the only cubic cost left.
+    # The cutoff sets how much of the chain is listed, and the perturbative
+    # order (1 at cutoff 1, else 2); the exact engine's statistics do not
+    # depend on it.  write-sim and herald serialize the (cutoff+1)^3-amplitude
+    # three-mode grid, the only cubic cost left.
     if not 1 <= value <= 32:
         raise ConfigError(f"{key} must be in [1, 32], got {value}")
 
@@ -105,7 +107,9 @@ SCHEMA: dict[str, KeySpec] = {
     "dark_rate_hz": KeySpec("float", "counts/s", "detector dark-count rate", _nonnegative),
     "gate_s": KeySpec("float", "s", "detection gate duration", _positive),
     "max_trials": KeySpec("int", "trials", "retry budget per run", _counter),
-    "cutoff": KeySpec("int", "quanta", "per-mode Fock cutoff", _cutoff),
+    "cutoff": KeySpec(
+        "int", "quanta", "largest listed photon number (exact: the rest in tail branches)", _cutoff
+    ),
     "engine": KeySpec("choice", "", "write-stage engine", choices=ENGINES),
     "runs": KeySpec("int", "runs", "Monte Carlo run count", _counter),
     "omega_out_I": KeySpec(

@@ -17,6 +17,9 @@ the three-mode density matrix).
 On the pair-shell write state sum_n c_n |n>_a |n>_b the branch table has a
 closed form: photon branch n weighs |c_n|^2 (1 - (1 - eta)^n), dark branch n
 weighs |c_n|^2 (1 - eta)^n p_dark, and either leaves the spins in |n>_b.
+The weight lam^(N+1) above the cutoff N, where the chain continues as
+|c_n|^2 = |c_0|^2 lam^n, adds one photon and one dark branch, both listed
+with n_photons = N + 1 ("above the cutoff").
 A click branch is a false herald when it is attributable to the dark event
 or taken on a multi-photon component (which leaves a wrong spin state).
 After a single click the surviving spin state is u_I |1,0> + u_II |0,1>,
@@ -66,8 +69,9 @@ class HeraldBranch:
     """One pure-state branch of the click POVM.
 
     kind is "photon" (a real photon was detected; n_photons is the photon
-    number of the component) or "dark" (the click came from the dark event;
-    any photons in the component went undetected).  spin holds the
+    number of the component, or cutoff + 1 for all components above the
+    cutoff) or "dark" (the click came from the dark event; any photons in
+    the component went undetected).  spin holds the
     single-excitation amplitudes (on |1,0> and |0,1>) of the conditional spin
     state |n>_b: (i c_1/|c_1|) (u_I, u_II) for n = 1, zero otherwise.  The
     factor i strips the -i of the write evolution (a pure reporting gauge), so
@@ -88,16 +92,28 @@ def click_branches(state: PairState, det: DetectorModel) -> list[HeraldBranch]:
     """All click branches with their unconditional probabilities.
 
     Branch order is fixed (photon branches by ascending n, then dark
-    branches by ascending n) so that outcome selection is deterministic.
+    branches by ascending n, then the photon and the dark tail) so that
+    outcome selection is deterministic.
     """
     p_n = np.abs(state.chain) ** 2
     c_1 = state.chain[1]
     phase = 1j * c_1 / abs(c_1) if c_1 else 0.0
     spin = {1: (complex(phase * state.u_I), complex(phase * state.u_II))}
-    miss = [(1.0 - det.eta) ** n for n in range(p_n.size)]
+    miss = [(1.0 - det.eta) ** n for n in range(p_n.size + 1)]
     weights = [("photon", n, p_n[n] * (1.0 - miss[n])) for n in range(1, p_n.size)]
     if det.p_dark > 0.0:
         weights += [("dark", n, p_n[n] * miss[n] * det.p_dark) for n in range(p_n.size)]
+    # Above the cutoff N the chain continues as |c_n|^2 = s lam^n, where
+    # s = |c_0|^2 = 1 - lam stays exact where lam rounds to 1: the tail
+    # weighs lam^(N+1) and the detector misses it with probability s m / den,
+    # m = (1-eta)^(N+1) and den = 1 - lam (1-eta) = s + lam eta, which is 0
+    # only at eta = 0 and lam = 1, where nothing is detected.
+    lam, top = state.tail_ratio, p_n.size
+    s, lam_eta = p_n[0], lam * det.eta
+    den = s + lam_eta
+    seen = (s * (1.0 - miss[top]) + lam_eta) / den if den else 0.0
+    missed = s * miss[top] / den if den else 1.0
+    weights += [("photon", top, lam**top * seen), ("dark", top, lam**top * missed * det.p_dark)]
     return [
         HeraldBranch(kind, n, float(w), spin.get(n, (0j, 0j)))
         for kind, n, w in weights

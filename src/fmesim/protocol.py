@@ -8,9 +8,10 @@ explicit no-success result, not an error).  The read pulse and the cycle
 period take no part: no reported number depends on them.
 
 The write stage is the same on every trial, so it is computed once per
-configuration (ProtocolEngine) as a table of at most 2 cutoff + 1 click
-branches.  A run then reduces to two numbers: the trials it used and the
-branch it clicked on (-1 when max_trials passed without a click).
+configuration (ProtocolEngine) as a table of at most 2 cutoff + 3 click
+branches, two of them for the exact state's weight above the cutoff.  A run
+then reduces to two numbers: the trials it used and the branch it clicked
+on (-1 when max_trials passed without a click).
 run_protocol tallies each chunk of runs as it is drawn (runs per outcome,
 trials, and sums of T and T^2 over successful runs), so memory does not
 grow with the run count, and aggregate computes every statistic from that
@@ -24,8 +25,9 @@ uniform, and its branch with a second, from a counter-based stream keyed by
 therefore produces the same tally; a batch of one run is the single-run
 path.  The write engine is selectable: "perturbative" uses the short-time
 expansion (with double-excitation corrections when the cutoff allows, so
-multi-photon false heralds are represented), "exact" evolves the
-pair-creation Hamiltonian on its chain of cutoff + 1 pair states.
+multi-photon false heralds are represented), "exact" is the closed-form,
+untruncated evolution of the pair-creation Hamiltonian, whose statistics do
+not depend on the cutoff.
 """
 
 from __future__ import annotations

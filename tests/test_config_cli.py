@@ -445,7 +445,7 @@ def test_true_herald_without_photon_exits_2(command, overrides, capsys):
 
 
 @pytest.mark.parametrize(
-    "overrides", [["N_I=1e300"], ["g_I=1e300"], ["N_I=1e300", "engine=exact"]]
+    "overrides", [["N_I=1e300"], ["g_I=1e300"], ["omega_rabi_write_I=1e300"]]
 )
 def test_overflow_exits_4(overrides, capsys):
     sets = [arg for text in overrides for arg in ("--set", text)]
@@ -454,7 +454,32 @@ def test_overflow_exits_4(overrides, capsys):
         assert run_cli("protocol", "--preset", "rb85-87", "--runs", "50", *sets) == 4
     # the finiteness checks report the failure; numpy's own warnings stay silent
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-    assert "numeric failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numeric failure" in err and "(34," not in err
+    if overrides == ["omega_rabi_write_I=1e300"]:  # |Omega|^2 overflows
+        assert "gamma_L_I, delta_L_I" in err
+
+
+@pytest.mark.parametrize("eta", [0.6, 0.0])
+def test_saturated_exact_state_is_all_tail(eta, tmp_path):
+    # N_I = 1e300 gives |chi| t ~ 1e145: the exact state has all its weight
+    # above the cutoff, so every click is a false herald
+    sets = ("--set", "N_I=1e300", "--set", "engine=exact", "--set", f"eta={eta}")
+    out = tmp_path / "herald.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli("herald", "--preset", "rb85-87", *sets, "--out", str(out)) == 0
+        stats = tmp_path / "stats.json"
+        args = ("protocol", "--preset", "rb85-87", "--runs", "50", "--format", "json")
+        assert run_cli(*args, *sets, "--out", str(stats)) == 0
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    herald = json.loads(out.read_text())
+    p_dark = cfg_mod.build_detector(cfg_mod.load_config(preset="rb85-87")).p_dark
+    assert herald["p_click"] == (1.0 if eta else p_dark)
+    assert herald["false_herald_fraction"] == 1.0
+    assert [b["n_photons"] for b in herald["branches"]] == [3]
+    (row,) = json.loads(stats.read_text())["results"]
+    assert row["false_herald_fraction"] == 1.0 and row["mean_concurrence"] is None
 
 
 PROBE_KEYS = (

@@ -275,7 +275,15 @@ def test_closed_form_branches_match_grid_collapse(drive, engine_name, cutoff):
         engine = pr.ProtocolEngine(setup)
     det = setup.detector
     psi = grid(engine.write_state)
-    p_n = hb.occupation_distribution(psi, hb.Mode.STOKES)
+    p_n = hb.occupation_distribution(psi, hb.Mode.STOKES)  # unnormalized
+    tails = []
+    if engine_name == "exact":  # the untruncated chain, summed term by term
+        r = math.hypot(abs(engine.rates.chi_I), abs(engine.rates.chi_II)) * setup.system.tau_write
+        n = np.arange(cutoff + 1, 20001)  # lam^20000 < 1e-50 on these drives
+        p_above = np.tanh(r) ** (2 * n) / np.cosh(r) ** 2
+        miss = (1.0 - det.eta) ** n
+        tails = [("photon", cutoff + 1, np.sum(p_above * (1.0 - miss))),
+                 ("dark", cutoff + 1, np.sum(p_above * miss) * det.p_dark)]
     oracle = []
     for kind, n, weight in (
         [("photon", n, p_n[n] * (1.0 - (1.0 - det.eta) ** n)) for n in range(1, cutoff + 1)]
@@ -286,6 +294,7 @@ def test_closed_form_branches_match_grid_collapse(drive, engine_name, cutoff):
             state = hb.TruncatedState(cutoff, collapsed)
             spin = (state.amplitude(0, 1, 0), state.amplitude(0, 0, 1))
             oracle.append(hd.HeraldBranch(kind, n, float(weight), spin))
+    oracle += [hd.HeraldBranch(kind, n, float(w), (0j, 0j)) for kind, n, w in tails if w > 0.0]
 
     assert [(b.kind, b.n_photons) for b in engine.branches] == [
         (b.kind, b.n_photons) for b in oracle
@@ -296,3 +305,20 @@ def test_closed_form_branches_match_grid_collapse(drive, engine_name, cutoff):
         assert abs(out.c1 - q.c1) <= 1e-15
         assert abs(out.c2 - q.c2) <= 1e-15
         assert abs(out.retrieval_efficiency - q.retrieval_efficiency) <= 1e-15
+
+
+@pytest.mark.parametrize("drive", sorted(DRIVES))
+def test_exact_engine_does_not_depend_on_cutoff(drive):
+    engines = []
+    for cutoff in (1, 2, 4, 10, 32):
+        overrides = DRIVES[drive] + ["engine=exact", f"cutoff={cutoff}"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            engines.append(pr.ProtocolEngine(cfg_mod.build_setup(
+                cfg_mod.load_config(preset="rb85-87", overrides=overrides))))
+    for engine in engines:
+        assert engine.p_click == pytest.approx(engines[0].p_click, rel=1e-14, abs=0)
+        assert engine.false_fraction == pytest.approx(engines[0].false_fraction, rel=1e-14, abs=0)
+        if drive == "rotated-chain":  # the two-mode squeezed vacuum at r = 3.25
+            assert abs(engine.write_state.chain[1]) ** 2 == pytest.approx(0.00598674, abs=5e-9)
+            assert engine.p_click == pytest.approx(0.990005781927038, rel=1e-14, abs=0)

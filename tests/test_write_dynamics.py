@@ -1,7 +1,8 @@
 """Write-stage dynamics: rates and pair-creation evolution, cross-checked
-against independent oracles (scipy expm, kron-built dense Hamiltonians, the
-Langevin moments and the pre-elimination model of write_oracles), and those
-oracles' own checks (quadrature for the Lyapunov integral)."""
+against independent oracles (scipy expm of the truncated pair chain and of
+kron-built dense Hamiltonians, the Langevin moments and the pre-elimination
+model of write_oracles), and those oracles' own checks (quadrature for the
+Lyapunov integral)."""
 
 import math
 import warnings
@@ -13,7 +14,6 @@ import scipy.linalg
 
 import hilbert as hb
 import write_oracles as wo
-from fmesim import linalg
 from fmesim import write_dynamics as wd
 from hilbert import Mode
 
@@ -55,6 +55,17 @@ def kron_oracle_state(chi_i, chi_ii, cutoff, t=1.0):
     """exp(-i H t)|0,0,0> by scipy's expm of the kron-built Hamiltonian."""
     assert cutoff <= 3  # dense reference only; the engine never builds it
     return scipy.linalg.expm(-1j * t * kron_hamiltonian(chi_i, chi_ii, cutoff))[:, 0]
+
+
+def chain_expm_state(chi_i, chi_ii, cutoff, t=1.0):
+    """exp(-i H t)|0,0,0> by scipy's expm of H truncated to the pair chain
+    |n>_a (b^dag)^n|0> / sqrt(n!), n <= cutoff, where H[n+1, n] = |chi| (n+1):
+    the reduction of the kron-built Hamiltonian to the pair shell."""
+    chi = math.hypot(abs(chi_i), abs(chi_ii))
+    ladder = np.diag(chi * np.arange(1.0, cutoff + 1), -1)
+    chain = scipy.linalg.expm(-1j * t * (ladder + ladder.T))[:, 0]
+    u_i, u_ii = (chi_i / chi, -chi_ii / chi) if chi else (1.0, 0.0)
+    return wd.PairState(chain, complex(u_i), complex(u_ii))
 
 
 def grid_state(state):
@@ -121,8 +132,10 @@ def test_delta_zero_is_singular():
 
 
 def test_weak_drive_warnings():
-    with pytest.warns(UserWarning, match="adiabatic"):
+    with pytest.warns(UserWarning, match="adiabatic") as record:
         make_params(delta=4.0)
+    # located where the params were built, not in the dataclass __init__ (<string>)
+    assert [w.filename for w in record] == [__file__]
     with pytest.warns(UserWarning, match="weak-drive"):
         wd.derive_rates(make_params(delta=10.0, tau_write=100.0))
 
@@ -146,13 +159,15 @@ def test_exact_first_order_amplitudes_and_signs():
     # -i t chi_I and +i t chi_II: the relative minus sign between the species
     t = 1e-4
     psi = wd.evolve_exact(make_rates(0.3, 0.2), 2, t)
+    assert psi.tail_ratio ** 3 < 1e-16  # truncating at cutoff 2 drops nothing visible
     oracle = kron_oracle_state(0.3, 0.2, 2, t)
     np.testing.assert_allclose(grid_state(psi).amplitudes, oracle, atol=1e-14)
     assert psi.grid()[1, 1, 0] / (-1j * t) == pytest.approx(0.3, rel=1e-6)
     assert psi.grid()[1, 0, 1] / (-1j * t) == pytest.approx(-0.2, rel=1e-6)
 
 
-def test_evolve_exact_matches_kron_oracle():
+def test_chain_expm_matches_kron_oracle():
+    # the pair-shell reduction: truncated chain against truncated three-mode grid
     rng = np.random.default_rng(41)
     couplings = [(0.21 + 0.1j, 0.13 - 0.05j)] + [
         tuple(rng.normal(size=2) + 1j * rng.normal(size=2)) for _ in range(4)
@@ -160,9 +175,27 @@ def test_evolve_exact_matches_kron_oracle():
     for cutoff in (1, 2, 3):
         for chi_i, chi_ii in couplings:
             t = rng.uniform(0.1, 1.5)
-            psi = wd.evolve_exact(make_rates(chi_i, chi_ii), cutoff, t)
+            psi = chain_expm_state(chi_i, chi_ii, cutoff, t)
             oracle = kron_oracle_state(chi_i, chi_ii, cutoff, t)
             np.testing.assert_allclose(grid_state(psi).amplitudes, oracle, atol=1e-14)
+
+
+def test_evolve_exact_matches_chain_expm_where_truncation_is_invisible():
+    # the closed form against the truncated chain expm at a cutoff whose
+    # dropped amplitudes, |c_n| <= sqrt(lam^(cutoff+1)), are below 1e-16
+    rng = np.random.default_rng(41)
+    couplings = [(0.21 + 0.1j, 0.13 - 0.05j)] + [
+        tuple(0.5 * (rng.normal(size=2) + 1j * rng.normal(size=2))) for _ in range(4)
+    ]
+    for chi_i, chi_ii in couplings:
+        t = rng.uniform(0.1, 1.5)
+        lam = np.tanh(math.hypot(abs(chi_i), abs(chi_ii)) * t) ** 2
+        cutoff = int(np.ceil(math.log(1e-32) / math.log(lam)))
+        psi = wd.evolve_exact(make_rates(chi_i, chi_ii), cutoff, t)
+        assert psi.tail_ratio ** (cutoff + 1) < 1e-32
+        oracle = chain_expm_state(chi_i, chi_ii, cutoff, t)
+        np.testing.assert_allclose(psi.chain, oracle.chain, atol=1e-14)
+        assert (psi.u_I, psi.u_II) == (oracle.u_I, oracle.u_II)
 
 
 def test_evolve_exact_matches_two_mode_squeezed_vacuum():
@@ -181,6 +214,7 @@ def test_evolve_exact_matches_two_mode_squeezed_vacuum():
             expected = c_n * np.sqrt(math.comb(n, k)) * u_i**k * u_ii ** (n - k)
             assert psi.grid()[n, k, n - k] == pytest.approx(expected, abs=1e-14)
     assert off_shell_weight(psi) == 0.0
+    assert psi.tail_ratio == pytest.approx(np.tanh(r) ** 2, rel=1e-15, abs=0)
 
 
 def test_evolve_exact_identity_at_t0():
@@ -192,9 +226,9 @@ def test_evolve_exact_identity_at_t0():
 
 def test_single_species_stays_on_pair_ladder():
     # chi_II = 0: evolution from vacuum lives on |n, n, 0> only
-    psi = wd.evolve_exact(make_rates(0.3, 0.0), 3, 1.0)
     np.testing.assert_allclose(
-        grid_state(psi).amplitudes, kron_oracle_state(0.3, 0.0, 3), atol=1e-12
+        grid_state(chain_expm_state(0.3, 0.0, 3)).amplitudes,
+        kron_oracle_state(0.3, 0.0, 3), atol=1e-12,
     )
     for cutoff in (3, 4):
         grid = wd.evolve_exact(make_rates(0.3, 0.0), cutoff, 1.0).grid()
@@ -220,33 +254,24 @@ def test_no_weight_off_pair_shell():
 
 
 def test_unitarity_on_random_hamiltonians():
+    # the listed chain and the weight above the cutoff add up to 1
     rng = np.random.default_rng(17)
-    for _ in range(5):
-        rates = make_rates(rng.normal() + 1j * rng.normal(), rng.normal())
-        psi = wd.evolve_exact(rates, 2, rng.uniform(0, 2.0))
-        assert abs(hb.norm(grid_state(psi)) - 1.0) < 1e-10
+    for scale in (1.0, 15.0, 30.0):  # |chi| t up to ~4, ~60 and ~120
+        for cutoff in (1, 2, 4):
+            rates = make_rates(scale * (rng.normal() + 1j * rng.normal()), scale * rng.normal())
+            psi = wd.evolve_exact(rates, cutoff, rng.uniform(0, 2.0))
+            closure = np.sum(np.abs(psi.chain) ** 2) + psi.tail_ratio ** (cutoff + 1)
+            assert abs(closure - 1.0) <= 1e-15
+    assert wd.evolve_exact(make_rates(15.0, 0.0), 2, 2.0).tail_ratio == 1.0  # r = 30
 
 
-def test_evolve_exact_rejects_lost_unitarity():
-    # |H| t = 1e10: scaling and squaring drifts the chain's norm by ~1e-7
-    with pytest.raises(FloatingPointError, match="unitarity"):
-        wd.evolve_exact(make_rates(1.0, 1.0), 1, 1e10)
-
-
-def test_evolve_exact_rejects_non_finite_chain():
-    # |chi| t = 1e150 overflows the matrix exponential to NaN
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(FloatingPointError, match="unitarity"):
-            wd.evolve_exact(make_rates(1e150, 1e150), 2, 1.0)
-
-
-def test_expm_matches_scipy_oracle():
-    rng = np.random.default_rng(23)
-    for n in (3, 6, 30):
-        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        np.testing.assert_allclose(
-            linalg.expm(a), scipy.linalg.expm(a), rtol=1e-11, atol=1e-11
-        )
+def test_evolve_exact_saturates_without_warning():
+    # |chi| t = 1.4e150: cosh r overflows, so the chain is 0 and the tail is 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        psi = wd.evolve_exact(make_rates(1e150, 1e150), 2, 1.0)
+    np.testing.assert_array_equal(psi.chain, np.zeros(3))
+    assert psi.tail_ratio == 1.0
 
 
 def test_perturbative_state_amplitudes():

@@ -45,8 +45,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg import expm
 
-from fmesim.linalg import expm
 from fmesim.write_dynamics import DerivedRates, SystemParams, derive_rates
 
 # Canonical commutator matrix <[v_i, v_j^dag]> for v = (a, S_I^dag, S_II^dag).
