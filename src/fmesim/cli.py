@@ -203,19 +203,18 @@ def _single_photon(engine: ProtocolEngine) -> int | None:
     return kinds.index(("photon", 1)) if ("photon", 1) in kinds else None
 
 
-def _grid_payload(grid: np.ndarray) -> dict:
-    """A three-mode amplitude grid as {"cutoff", "amplitudes": [[re, im], ...]},
-    row-major over (photon, spin I, spin II) with the photon slowest."""
-    pairs = [[a.real, a.imag] for a in grid.reshape(-1).tolist()]
-    return {"cutoff": grid.shape[0] - 1, "amplitudes": pairs}
-
-
 def cmd_write_sim(args) -> int:
     cfg = _load(args)
     engine = _engine(cfg)
     rates = engine.rates
     state = engine.write_state
-    n_mean = float(np.arange(state.chain.size) @ np.abs(state.chain) ** 2)
+    p_n, lam, top = np.abs(state.chain) ** 2, state.tail_ratio, state.cutoff + 1
+    # Above the cutoff |c_n|^2 = |c_0|^2 lam^n, whose share of the mean is
+    # lam^top (top + lam / |c_0|^2): 0 on the perturbative route (lam = 0),
+    # infinite (printed null) for a saturated state, c_0 = 0
+    with np.errstate(divide="ignore"):
+        tail = lam**top * (top + lam / p_n[0]) if lam else 0.0
+    n_mean = float(np.arange(top) @ p_n + tail)
     payload = {
         "metadata": _metadata("write-sim", cfg, args.seed),
         "engine": cfg.values["engine"],
@@ -229,11 +228,17 @@ def cmd_write_sim(args) -> int:
             "P_I": _complex_pair(rates.P_I),
             "P_II": _complex_pair(rates.P_II),
         },
-        "write_state": _grid_payload(state.grid()),
-        "expected_occupation": {  # listed chain only; n pairs put n quanta in b
-            "photon": n_mean,
-            "spin_I": n_mean * abs(state.u_I) ** 2,
-            "spin_II": n_mean * abs(state.u_II) ** 2,
+        "write_state": {
+            "cutoff": state.cutoff,
+            "chain": [_complex_pair(c) for c in state.chain.tolist()],
+            "u_I": _complex_pair(state.u_I),
+            "u_II": _complex_pair(state.u_II),
+            "tail_ratio": state.tail_ratio,
+        },
+        "expected_occupation": {  # n pairs put n quanta in b
+            "photon": _json_safe(n_mean),
+            "spin_I": _json_safe(n_mean * abs(state.u_I) ** 2),
+            "spin_II": _json_safe(n_mean * abs(state.u_II) ** 2),
         },
     }
     _emit_json(args.out, payload)
@@ -247,9 +252,8 @@ def cmd_herald(args) -> int:
     single = _single_photon(engine)
     conditional = None
     if single is not None:  # the heralded spin state, with the photon absorbed
-        d = engine.write_state.cutoff + 1
-        conditional = np.zeros((d, d, d), dtype=complex)
-        conditional[0, 1, 0], conditional[0, 0, 1] = engine.branches[single].spin
+        spin_i, spin_ii = engine.branches[single].spin
+        conditional = {"spin_I": _complex_pair(spin_i), "spin_II": _complex_pair(spin_ii)}
     payload = {
         "metadata": _metadata("herald", cfg, args.seed),
         "p_click": engine.p_click,
@@ -259,9 +263,7 @@ def cmd_herald(args) -> int:
             {"kind": b.kind, "n_photons": b.n_photons, "probability": b.probability}
             for b in engine.branches
         ],
-        "conditional_state_single_photon": (
-            _grid_payload(conditional) if conditional is not None else None
-        ),
+        "conditional_state_single_photon": conditional,
     }
     _emit_json(args.out, payload)
     return 0

@@ -69,9 +69,8 @@ def _counter(key, value):
 
 def _cutoff(key, value):
     # The cutoff sets how much of the chain is listed, and the perturbative
-    # order (1 at cutoff 1, else 2); the exact engine's statistics do not
-    # depend on it.  write-sim and herald serialize the (cutoff+1)^3-amplitude
-    # three-mode grid, the only cubic cost left.
+    # order (1 at cutoff 1, else 2); the exact engine's numbers do not depend
+    # on it.  The bound caps the listed chain and the 2 cutoff + 3 branch table.
     if not 1 <= value <= 32:
         raise ConfigError(f"{key} must be in [1, 32], got {value}")
 

@@ -119,13 +119,6 @@ def derive_rates(p: SystemParams) -> DerivedRates:
     bad = [f.name for f in fields(rates) if not np.isfinite(getattr(rates, f.name))]
     if bad:
         raise FloatingPointError(f"non-finite derived write rates: {', '.join(bad)}")
-    p_max = max(abs(rates.P_I), abs(rates.P_II))
-    if p_max >= PERTURBATIVE_P_WARN:
-        warnings.warn(
-            f"excitation amplitude P = {p_max:.3g} is outside the weak-drive "
-            "regime (P << 1); perturbative results are unreliable",
-            stacklevel=2,
-        )
     return rates
 
 
@@ -135,11 +128,11 @@ class PairState:
 
     chain holds c_0 .. c_cutoff; (u_I, u_II) is the unit bright spin mode
     b^dag = u_I S_I^dag + u_II S_II^dag.  Both routes below stay on this pair
-    shell: n Stokes photons come with n quanta of b.  Above the cutoff the
-    chain continues geometrically, |c_n|^2 = |c_0|^2 tail_ratio^n, so the
-    listed chain has norm^2 1 - tail_ratio^(cutoff+1); tail_ratio is
-    tanh^2 r on the exact route and 0 (unit norm, no tail) on the
-    perturbative one.
+    shell (n Stokes photons come with n quanta of b), so these four fields,
+    which write-sim prints, are the whole state.  Above the cutoff the chain
+    continues geometrically, |c_n|^2 = |c_0|^2 tail_ratio^n, so the listed
+    chain has norm^2 1 - tail_ratio^(cutoff+1); tail_ratio is tanh^2 r on
+    the exact route and 0 (unit norm, no tail) on the perturbative one.
     """
 
     chain: np.ndarray
@@ -150,18 +143,6 @@ class PairState:
     @property
     def cutoff(self) -> int:
         return self.chain.size - 1
-
-    def grid(self) -> np.ndarray:
-        """Amplitudes over the occupations (photon, spin I, spin II), each
-        0..cutoff: c_n sqrt(C(n, k)) u_I^k u_II^(n-k) at (n, k, n - k)."""
-        d = self.chain.size
-        amps = np.zeros((d, d, d), dtype=complex)
-        for n, c_n in enumerate(self.chain):
-            for k in range(n + 1):
-                amps[n, k, n - k] = (
-                    c_n * math.sqrt(math.comb(n, k)) * self.u_I**k * self.u_II ** (n - k)
-                )
-        return amps
 
 
 def _bright_mode(a_I: complex, a_II: complex) -> tuple[float, complex, complex]:
@@ -219,6 +200,13 @@ def perturbative_state(r: DerivedRates, cutoff: int, order: int = 1) -> PairStat
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
+    p_max = max(abs(r.P_I), abs(r.P_II))
+    if p_max >= PERTURBATIVE_P_WARN:
+        warnings.warn(
+            f"excitation amplitude P = {p_max:.3g} is outside the weak-drive "
+            "regime (P << 1); perturbative results are unreliable",
+            stacklevel=2,
+        )
     p, u_i, u_ii = _bright_mode(r.P_I, r.P_II)
     chain = np.zeros(cutoff + 1, dtype=complex)
     chain[:2] = 1.0, -1j * p

@@ -5,14 +5,15 @@ mode and one collective spin-wave mode per atomic species.  States here are
 complex amplitude vectors over occupation triples (n_photon, n_spin_I,
 n_spin_II) with a hard per-mode cutoff.  fmesim itself works on the pair
 shell (chain amplitudes plus one bright spin mode); this generic grid code
-is the independent check: the engine's states expand onto the grid, and
-photon-number projection there gives the click branches that the closed
-form must reproduce.  The flat
-amplitude layout is row-major with the photon occupation slowest, i.e.
+is the independent check: the engine's states expand onto the grid
+(pair_shell_state), and photon-number projection there gives the click
+branches that the closed form must reproduce.  The flat amplitude layout is
+row-major with the photon occupation slowest, i.e.
 
     index(n_s, n_i, n_ii) = n_s * (cutoff+1)**2 + n_i * (cutoff+1) + n_ii
 
-which is also the layout of the grids the CLI serializes.
+which is also the layout of the grids that write-sim and herald printed
+before they printed the pair shell itself.
 
 Truncation is hard: raising an occupation past the cutoff drops that
 component instead of renormalizing, which keeps operators linear and makes
@@ -23,6 +24,7 @@ explicit, separate call.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 
@@ -107,6 +109,23 @@ def basis_state(cutoff: int, n_s: int, n_i: int, n_ii: int) -> TruncatedState:
     amps = np.zeros((cutoff + 1) ** N_MODES, dtype=complex)
     amps[basis_index(cutoff, n_s, n_i, n_ii)] = 1.0
     return TruncatedState(cutoff, amps)
+
+
+def pair_shell_state(chain, u_I: complex, u_II: complex) -> TruncatedState:
+    """The pair-shell state sum_n c_n |n>_photon (b^dag)^n |0> / sqrt(n!),
+    b^dag = u_I S_I^dag + u_II S_II^dag, on the grid of cutoff len(chain) - 1:
+    c_n sqrt(C(n, k)) u_I^k u_II^(n-k) at (n, k, n - k), 0 elsewhere."""
+    d = len(chain)
+    amps = np.zeros((d, d, d), dtype=complex)
+    for n, c_n in enumerate(chain):
+        for k in range(n + 1):
+            amps[n, k, n - k] = c_n * math.sqrt(math.comb(n, k)) * u_I**k * u_II ** (n - k)
+    return TruncatedState(d - 1, amps.reshape(-1))
+
+
+def from_pair_state(state) -> TruncatedState:
+    """An fmesim PairState (its listed chain) expanded onto the grid."""
+    return pair_shell_state(state.chain, state.u_I, state.u_II)
 
 
 def apply_operator(op: ModeOperator, psi: TruncatedState) -> TruncatedState:

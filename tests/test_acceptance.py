@@ -76,7 +76,8 @@ def test_criterion_2_perturbative_exact_consistency():
     rates = rates_fixture(p, p)
     exact = wd.evolve_exact(rates, cutoff, 1.0)
     approx = wd.perturbative_state(rates, cutoff)
-    diff = np.linalg.norm(exact.grid() - approx.grid())
+    exact_grid, approx_grid = hb.from_pair_state(exact), hb.from_pair_state(approx)
+    diff = np.linalg.norm(exact_grid.amplitudes - approx_grid.amplitudes)
     assert diff <= 3.0 * p**2  # 7.5e-3
     det = DetectorModel(eta=1.0, dark_rate=0.0, gate=1e-6)
     cond_exact = hd.click_branches(exact, det)[0].spin

@@ -200,8 +200,11 @@ def test_herald_output(tmp_path):
     assert data["p_dark"] == pytest.approx(1.0 - math.exp(-4.0e-4))
     kinds = {b["kind"] for b in data["branches"]}
     assert kinds == {"photon", "dark"}
-    amps = data["conditional_state_single_photon"]["amplitudes"]
-    assert any(abs(complex(re, im)) > 0.5 for re, im in amps)
+    conditional = data["conditional_state_single_photon"]
+    assert sorted(conditional) == ["spin_I", "spin_II"]
+    spin_i, spin_ii = complex(*conditional["spin_I"]), complex(*conditional["spin_II"])
+    assert abs(spin_i) ** 2 + abs(spin_ii) ** 2 == pytest.approx(1.0, abs=1e-15)
+    assert spin_i == pytest.approx(-spin_ii, abs=1e-15)  # balanced drive: the singlet
 
 
 def test_write_sim_warns_once_on_weak_drive(tmp_path):
@@ -214,6 +217,45 @@ def test_write_sim_warns_once_on_weak_drive(tmp_path):
         "excitation amplitude P = 23 is outside the weak-drive regime (P << 1); "
         "perturbative results are unreliable"
     ]
+
+
+def test_exact_engine_does_not_warn_on_strong_drive(tmp_path):
+    # P = 2.3: the closed form is exact at any P, so only the perturbative
+    # route warns
+    out = tmp_path / "write.json"
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        assert run_cli(
+            "write-sim", "--preset", "rb85-87", "--set", "engine=exact",
+            "--set", "tau_write=1e-4", "--out", str(out),
+        ) == 0
+    assert [str(w.message) for w in record if "weak-drive" in str(w.message)] == []
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 32])
+def test_exact_occupation_includes_weight_above_cutoff(tmp_path, cutoff):
+    # the untruncated two-mode squeezed vacuum has mean photon number sinh^2 r
+    out = tmp_path / "write.json"
+    assert run_cli(
+        "write-sim", "--preset", "rb85-87", "--set", "engine=exact",
+        "--set", "tau_write=1e-4", "--set", f"cutoff={cutoff}", "--out", str(out),
+    ) == 0
+    occ = json.loads(out.read_text())["expected_occupation"]
+    assert occ["photon"] == pytest.approx(165.0297293048, rel=1e-12)
+    assert occ["spin_I"] + occ["spin_II"] == pytest.approx(occ["photon"], rel=1e-15)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_saturated_state_reports_null_occupation(tmp_path):
+    # cosh r overflows: c_0 = 0 and the whole state lies above the cutoff
+    out = tmp_path / "write.json"
+    assert run_cli(
+        "write-sim", "--preset", "rb85-87", "--set", "engine=exact",
+        "--set", "N_I=1e300", "--out", str(out),
+    ) == 0
+    data = json.loads(out.read_text())
+    assert data["write_state"]["tail_ratio"] == 1.0
+    assert data["expected_occupation"] == {"photon": None, "spin_I": None, "spin_II": None}
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")

@@ -45,11 +45,6 @@ def fixture_engine(p_i=0.1, p_ii=0.1, det=FIXTURE_DETECTOR, cutoff=1):
     ))
 
 
-def grid(state):
-    """A pair state expanded onto the three-mode oracle grid."""
-    return hb.TruncatedState(state.cutoff, state.grid().reshape(-1))
-
-
 def brute_force_click_probability(psi, det):
     """Sum the no-detection weight over every amplitude by explicit loops."""
     p_dark = 1.0 - math.exp(-det.dark_rate * det.gate)
@@ -104,7 +99,8 @@ def test_single_photon_bernoulli():
 def test_fixture_click_probability_against_oracle():
     engine = fixture_engine()
     p = engine.p_click
-    oracle = brute_force_click_probability(grid(engine.write_state), FIXTURE_DETECTOR)
+    psi = hb.from_pair_state(engine.write_state)
+    oracle = brute_force_click_probability(psi, FIXTURE_DETECTOR)
     assert p == pytest.approx(oracle, abs=1e-12)
     # frozen oracle value for the standard fixture
     assert p == pytest.approx(0.0121599210, abs=1e-9)
@@ -154,7 +150,8 @@ def test_false_fraction_trivial_cases():
 def test_false_fraction_fixture_against_oracle():
     engine = fixture_engine()
     frac = engine.false_fraction
-    oracle = brute_force_false_fraction(grid(engine.write_state), FIXTURE_DETECTOR)
+    psi = hb.from_pair_state(engine.write_state)
+    oracle = brute_force_false_fraction(psi, FIXTURE_DETECTOR)
     assert frac == pytest.approx(oracle, abs=1e-12)
     assert frac == pytest.approx(0.0325014505, abs=1e-9)
 
@@ -165,7 +162,7 @@ def test_false_fraction_includes_multiphoton_components():
     frac = engine.false_fraction
     assert frac > 0.0
     assert frac == pytest.approx(
-        brute_force_false_fraction(grid(engine.write_state), det), abs=1e-12
+        brute_force_false_fraction(hb.from_pair_state(engine.write_state), det), abs=1e-12
     )
 
 
@@ -201,7 +198,7 @@ def test_povm_completeness_against_density_matrix():
     state = fixture_state(0.12, 0.07, cutoff=2, order=2)
     det = FIXTURE_DETECTOR
     d = state.cutoff + 1
-    grid_amps = state.grid()
+    grid_amps = hb.from_pair_state(state).grid()
 
     rho_oracle = np.zeros((d * d, d * d), dtype=complex)
     for n_s in range(d):
@@ -243,7 +240,7 @@ def test_click_probability_equals_branch_sum():
     state = fixture_state(0.1, 0.07, cutoff=2, order=2)
     branches = hd.click_branches(state, FIXTURE_DETECTOR)
     assert sum(b.probability for b in branches) == pytest.approx(
-        brute_force_click_probability(grid(state), FIXTURE_DETECTOR), abs=1e-12
+        brute_force_click_probability(hb.from_pair_state(state), FIXTURE_DETECTOR), abs=1e-12
     )
 
 
@@ -274,7 +271,7 @@ def test_closed_form_branches_match_grid_collapse(drive, engine_name, cutoff):
         warnings.simplefilter("ignore")
         engine = pr.ProtocolEngine(setup)
     det = setup.detector
-    psi = grid(engine.write_state)
+    psi = hb.from_pair_state(engine.write_state)
     p_n = hb.occupation_distribution(psi, hb.Mode.STOKES)  # unnormalized
     tails = []
     if engine_name == "exact":  # the untruncated chain, summed term by term

@@ -68,11 +68,6 @@ def chain_expm_state(chi_i, chi_ii, cutoff, t=1.0):
     return wd.PairState(chain, complex(u_i), complex(u_ii))
 
 
-def grid_state(state):
-    """A pair state expanded onto the three-mode oracle grid."""
-    return hb.TruncatedState(state.cutoff, state.grid().reshape(-1))
-
-
 def off_shell_weight(psi):
     """Total weight off the pair shell n_photon = n_spin_I + n_spin_II."""
     n_s, n_i, n_ii = np.indices(psi.grid().shape)
@@ -136,8 +131,9 @@ def test_weak_drive_warnings():
         make_params(delta=4.0)
     # located where the params were built, not in the dataclass __init__ (<string>)
     assert [w.filename for w in record] == [__file__]
-    with pytest.warns(UserWarning, match="weak-drive"):
-        wd.derive_rates(make_params(delta=10.0, tau_write=100.0))
+    strong = wd.derive_rates(make_params(delta=10.0, tau_write=100.0))
+    with pytest.warns(UserWarning, match="weak-drive"):  # the exact route never warns
+        wd.perturbative_state(strong, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +146,7 @@ def test_zero_couplings_give_vacuum():
         for t in (0.0, 1.0, 1e10):
             psi = wd.evolve_exact(make_rates(0.0, 0.0), cutoff, t)
             np.testing.assert_array_equal(
-                grid_state(psi).amplitudes, hb.vacuum_state(cutoff).amplitudes
+                hb.from_pair_state(psi).amplitudes, hb.vacuum_state(cutoff).amplitudes
             )
 
 
@@ -161,9 +157,10 @@ def test_exact_first_order_amplitudes_and_signs():
     psi = wd.evolve_exact(make_rates(0.3, 0.2), 2, t)
     assert psi.tail_ratio ** 3 < 1e-16  # truncating at cutoff 2 drops nothing visible
     oracle = kron_oracle_state(0.3, 0.2, 2, t)
-    np.testing.assert_allclose(grid_state(psi).amplitudes, oracle, atol=1e-14)
-    assert psi.grid()[1, 1, 0] / (-1j * t) == pytest.approx(0.3, rel=1e-6)
-    assert psi.grid()[1, 0, 1] / (-1j * t) == pytest.approx(-0.2, rel=1e-6)
+    grid = hb.from_pair_state(psi)
+    np.testing.assert_allclose(grid.amplitudes, oracle, atol=1e-14)
+    assert grid.amplitude(1, 1, 0) / (-1j * t) == pytest.approx(0.3, rel=1e-6)
+    assert grid.amplitude(1, 0, 1) / (-1j * t) == pytest.approx(-0.2, rel=1e-6)
 
 
 def test_chain_expm_matches_kron_oracle():
@@ -177,7 +174,7 @@ def test_chain_expm_matches_kron_oracle():
             t = rng.uniform(0.1, 1.5)
             psi = chain_expm_state(chi_i, chi_ii, cutoff, t)
             oracle = kron_oracle_state(chi_i, chi_ii, cutoff, t)
-            np.testing.assert_allclose(grid_state(psi).amplitudes, oracle, atol=1e-14)
+            np.testing.assert_allclose(hb.from_pair_state(psi).amplitudes, oracle, atol=1e-14)
 
 
 def test_evolve_exact_matches_chain_expm_where_truncation_is_invisible():
@@ -207,31 +204,32 @@ def test_evolve_exact_matches_two_mode_squeezed_vacuum():
     cutoff = 24
     assert np.tanh(r) ** cutoff < 1e-16
     psi = wd.evolve_exact(make_rates(chi_i, chi_ii), cutoff, t)
+    grid = hb.from_pair_state(psi)
     u_i, u_ii = chi_i / chi, -chi_ii / chi
     for n in range(cutoff + 1):
         c_n = (-1j * np.tanh(r)) ** n / np.cosh(r)
         for k in range(n + 1):
             expected = c_n * np.sqrt(math.comb(n, k)) * u_i**k * u_ii ** (n - k)
-            assert psi.grid()[n, k, n - k] == pytest.approx(expected, abs=1e-14)
-    assert off_shell_weight(psi) == 0.0
+            assert grid.amplitude(n, k, n - k) == pytest.approx(expected, abs=1e-14)
+    assert off_shell_weight(grid) == 0.0
     assert psi.tail_ratio == pytest.approx(np.tanh(r) ** 2, rel=1e-15, abs=0)
 
 
 def test_evolve_exact_identity_at_t0():
     psi = wd.evolve_exact(make_rates(0.2, 0.1), 2, 0.0)
     np.testing.assert_allclose(
-        grid_state(psi).amplitudes, hb.vacuum_state(2).amplitudes, atol=1e-14
+        hb.from_pair_state(psi).amplitudes, hb.vacuum_state(2).amplitudes, atol=1e-14
     )
 
 
 def test_single_species_stays_on_pair_ladder():
     # chi_II = 0: evolution from vacuum lives on |n, n, 0> only
     np.testing.assert_allclose(
-        grid_state(chain_expm_state(0.3, 0.0, 3)).amplitudes,
+        hb.from_pair_state(chain_expm_state(0.3, 0.0, 3)).amplitudes,
         kron_oracle_state(0.3, 0.0, 3), atol=1e-12,
     )
     for cutoff in (3, 4):
-        grid = wd.evolve_exact(make_rates(0.3, 0.0), cutoff, 1.0).grid()
+        grid = hb.from_pair_state(wd.evolve_exact(make_rates(0.3, 0.0), cutoff, 1.0)).grid()
         for idx in np.ndindex(*grid.shape):
             n_s, n_i, n_ii = idx
             if abs(grid[idx]) > 1e-14:
@@ -245,7 +243,7 @@ def test_no_weight_off_pair_shell():
             chi_i, chi_ii = rng.normal(size=2) + 1j * rng.normal(size=2)
             t = rng.uniform(0.1, 2.0)
             psi = wd.evolve_exact(make_rates(chi_i, chi_ii), cutoff, t)
-            assert off_shell_weight(psi) == 0.0
+            assert off_shell_weight(hb.from_pair_state(psi)) == 0.0
             if cutoff <= 3:  # the dense evolution has none either
                 oracle = hb.TruncatedState(
                     cutoff, kron_oracle_state(chi_i, chi_ii, cutoff, t)
@@ -275,16 +273,18 @@ def test_evolve_exact_saturates_without_warning():
 
 
 def test_perturbative_state_amplitudes():
-    psi = wd.perturbative_state(make_rates(0.1, 0.1), 2)
+    psi = hb.from_pair_state(wd.perturbative_state(make_rates(0.1, 0.1), 2))
     scale = 1.0 / np.sqrt(1.0 + 0.01 + 0.01)
-    assert psi.grid()[0, 0, 0] == pytest.approx(scale)
-    assert psi.grid()[1, 1, 0] == pytest.approx(-0.1j * scale)
-    assert psi.grid()[1, 0, 1] == pytest.approx(+0.1j * scale)
+    assert psi.amplitude(0, 0, 0) == pytest.approx(scale)
+    assert psi.amplitude(1, 1, 0) == pytest.approx(-0.1j * scale)
+    assert psi.amplitude(1, 0, 1) == pytest.approx(+0.1j * scale)
 
 
 def test_perturbative_state_vacuum_limit():
     psi = wd.perturbative_state(make_rates(0.0, 0.0), 2)
-    np.testing.assert_array_equal(grid_state(psi).amplitudes, hb.vacuum_state(2).amplitudes)
+    np.testing.assert_array_equal(
+        hb.from_pair_state(psi).amplitudes, hb.vacuum_state(2).amplitudes
+    )
 
 
 @pytest.mark.parametrize("p", [0.02, 0.05, 0.1])
@@ -292,7 +292,7 @@ def test_perturbative_close_to_exact(p):
     cutoff = 3
     rates = make_rates(p, p)
     exact = kron_oracle_state(p, p, cutoff)
-    approx = grid_state(wd.perturbative_state(rates, cutoff)).amplitudes
+    approx = hb.from_pair_state(wd.perturbative_state(rates, cutoff)).amplitudes
     assert np.linalg.norm(exact - approx) <= 3.0 * p**2
 
 
@@ -301,8 +301,8 @@ def test_second_order_state_improves_on_first_order():
     cutoff = 3
     rates = make_rates(p, p)
     exact = kron_oracle_state(p, p, cutoff)
-    first = grid_state(wd.perturbative_state(rates, cutoff, order=1)).amplitudes
-    second = grid_state(wd.perturbative_state(rates, cutoff, order=2)).amplitudes
+    first = hb.from_pair_state(wd.perturbative_state(rates, cutoff, order=1)).amplitudes
+    second = hb.from_pair_state(wd.perturbative_state(rates, cutoff, order=2)).amplitudes
     err1 = np.linalg.norm(exact - first)
     err2 = np.linalg.norm(exact - second)
     assert err2 < err1 / 3.0
@@ -314,7 +314,7 @@ def test_mean_photon_number_perturbative_consistency():
     for p in (0.05, 0.1):
         rates = make_rates(p, p)
         psi = wd.evolve_exact(rates, 4, 1.0)
-        n_s = hb.expected_occupation(grid_state(psi), Mode.STOKES)
+        n_s = hb.expected_occupation(hb.from_pair_state(psi), Mode.STOKES)
         assert abs(n_s - 2.0 * p**2) <= 10.0 * (2.0 * p**2) ** 2
 
 
@@ -322,14 +322,14 @@ def test_photon_spin_correlation():
     # a detected photon implies exactly one spin excitation
     rates = make_rates(0.1, 0.08)
     psi_pert = wd.perturbative_state(rates, 2, order=1)
-    grid = psi_pert.grid()
+    grid = hb.from_pair_state(psi_pert).grid()
     for (n_s, n_i, n_ii), amp in np.ndenumerate(grid):
         if n_s == 1 and abs(amp) > 0:
             assert n_i + n_ii == 1
     psi = wd.evolve_exact(rates, 3, 1.0)
     p_one_spin = 0.0
     p_photon = 0.0
-    for (n_s, n_i, n_ii), amp in np.ndenumerate(psi.grid()):
+    for (n_s, n_i, n_ii), amp in np.ndenumerate(hb.from_pair_state(psi).grid()):
         if n_s == 1:
             p_photon += abs(amp) ** 2
             if n_i + n_ii == 1:
@@ -492,13 +492,13 @@ def test_lyapunov_propagator_against_quadrature_oracle():
 def test_exact_moments_match_langevin_when_lossless():
     chi_i, chi_ii, t = 0.12, 0.16, 1.0  # chi_eff * t = 0.2
     rates = make_rates(chi_i, chi_ii, tau=t)
-    psi = wd.evolve_exact(rates, 4, t)
+    psi = hb.from_pair_state(wd.evolve_exact(rates, 4, t))
     p = make_params()
     sys = wo.evolve_langevin(wo.build_langevin(p, rates, kappa=0.0), t)
     n_a, n_i, n_ii = sys.occupations()
-    assert hb.expected_occupation(grid_state(psi), Mode.STOKES) == pytest.approx(n_a, abs=1e-3)
-    assert hb.expected_occupation(grid_state(psi), Mode.SPIN_I) == pytest.approx(n_i, abs=1e-3)
-    assert hb.expected_occupation(grid_state(psi), Mode.SPIN_II) == pytest.approx(n_ii, abs=1e-3)
+    assert hb.expected_occupation(psi, Mode.STOKES) == pytest.approx(n_a, abs=1e-3)
+    assert hb.expected_occupation(psi, Mode.SPIN_I) == pytest.approx(n_i, abs=1e-3)
+    assert hb.expected_occupation(psi, Mode.SPIN_II) == pytest.approx(n_ii, abs=1e-3)
 
 
 # ---------------------------------------------------------------------------
