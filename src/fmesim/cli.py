@@ -18,8 +18,6 @@ import sys
 import numpy as np
 
 from . import config as cfg_mod
-from . import herald as herald_mod
-from . import retrieval as retrieval_mod
 from .config import ConfigError, ResolvedConfig
 from .protocol import ProtocolEngine, ProtocolStats, aggregate, run_protocol
 from .rng import SEED_LIMIT
@@ -160,7 +158,7 @@ def cmd_preset_list(args) -> int:
             value = preset.values[key]
             unit = f" {spec.unit}" if spec.unit else ""
             lines.append(
-                f"  {key} = {_format_cell(value)}{unit} [{preset.provenance[key]}]"
+                f"  {key} = {_format_cell(value)}{unit} [{preset.provenance(key)}]"
                 f"  {spec.description}"
             )
         lines.append("")
@@ -189,7 +187,7 @@ def _load(args) -> ResolvedConfig:
 
 def _engine(cfg: ResolvedConfig) -> ProtocolEngine:
     engine = ProtocolEngine(cfg_mod.build_setup(cfg))
-    if not engine.table.efficiency[~engine.table.false_herald].all():
+    if _single_photon(engine) and not engine.qubit.has_photon:
         raise ConfigError(
             "a true herald retrieves no photon: retrieval_efficiency_I and "
             "retrieval_efficiency_II are 0 on every species the write drive excites"
@@ -197,10 +195,9 @@ def _engine(cfg: ResolvedConfig) -> ProtocolEngine:
     return engine
 
 
-def _single_photon(engine: ProtocolEngine) -> int | None:
-    """Index of the true single-photon click branch, or None if there is none."""
-    kinds = [(b.kind, b.n_photons) for b in engine.branches]
-    return kinds.index(("photon", 1)) if ("photon", 1) in kinds else None
+def _single_photon(engine: ProtocolEngine) -> bool:
+    """Whether the click branches include the true herald, a detected single photon."""
+    return any(b.kind == "photon" and b.n_photons == 1 for b in engine.branches)
 
 
 def cmd_write_sim(args) -> int:
@@ -249,10 +246,9 @@ def cmd_herald(args) -> int:
     cfg = _load(args)
     engine = _engine(cfg)
     det = cfg_mod.build_detector(cfg)
-    single = _single_photon(engine)
     conditional = None
-    if single is not None:  # the heralded spin state, with the photon absorbed
-        spin_i, spin_ii = engine.branches[single].spin
+    if _single_photon(engine):  # the heralded spin state, with the photon absorbed
+        spin_i, spin_ii = engine.spin
         conditional = {"spin_I": _complex_pair(spin_i), "spin_II": _complex_pair(spin_ii)}
     payload = {
         "metadata": _metadata("herald", cfg, args.seed),
@@ -272,17 +268,16 @@ def cmd_herald(args) -> int:
 def cmd_retrieve(args) -> int:
     cfg = _load(args)
     engine = _engine(cfg)
-    idx = _single_photon(engine)
-    if idx is None:
+    if not _single_photon(engine):
         raise ConfigError("the write state has no single-photon herald branch")
-    qubit = engine.outputs[idx]
+    qubit, read = engine.qubit, engine.setup.read
     payload = {
         "c1": _complex_pair(qubit.c1),
         "c2": _complex_pair(qubit.c2),
-        "omega_I_hz": qubit.omega_I / cfg_mod.TWO_PI,
-        "omega_II_hz": qubit.omega_II / cfg_mod.TWO_PI,
-        "concurrence": retrieval_mod.concurrence(qubit),
-        "fidelity_bell": retrieval_mod.fidelity_to_bell(qubit),
+        "omega_I_hz": read.omega_out_I / cfg_mod.TWO_PI,
+        "omega_II_hz": read.omega_out_II / cfg_mod.TWO_PI,
+        "concurrence": engine.table.concurrence,
+        "fidelity_bell": engine.table.fidelity,
         "retrieval_efficiency": qubit.retrieval_efficiency,
         "metadata": _metadata("retrieve", cfg, args.seed),
     }

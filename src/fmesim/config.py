@@ -150,13 +150,17 @@ REQUIRED_KEYS = tuple(
 
 @dataclass(frozen=True)
 class Preset:
-    """A named parameter set with per-field provenance."""
+    """A named parameter set; the keys in paper_keys are tagged "paper",
+    every other value "default"."""
 
     name: str
     description: str
     level_labels: tuple[str, ...]
     values: dict[str, object]
-    provenance: dict[str, str]
+    paper_keys: tuple[str, ...]
+
+    def provenance(self, key: str) -> str:
+        return "paper" if key in self.paper_keys else "default"
 
 
 RB85_87 = Preset(
@@ -187,22 +191,7 @@ RB85_87 = Preset(
         "omega_out_I": -1.368e9,
         "omega_out_II": 1.368e9,
     },
-    provenance={
-        "delta": "paper",
-        "delta_omega_write": "paper",
-        "delta_omega_read": "paper",
-        "g_I": "default",
-        "g_II": "default",
-        "N_I": "default",
-        "N_II": "default",
-        "omega_rabi_write_I": "default",
-        "omega_rabi_write_II": "default",
-        "gamma_1": "default",
-        "gamma_2": "default",
-        "tau_write": "default",
-        "omega_out_I": "default",
-        "omega_out_II": "default",
-    },
+    paper_keys=("delta", "delta_omega_write", "delta_omega_read"),
 )
 
 PRESETS: dict[str, Preset] = {RB85_87.name: RB85_87}
@@ -330,7 +319,7 @@ def load_config(
         preset_obj = PRESETS[preset]
         for key, value in preset_obj.values.items():
             values[key] = _coerce(key, value)
-            provenance[key] = preset_obj.provenance[key]
+            provenance[key] = preset_obj.provenance(key)
 
     if path is not None:
         try:

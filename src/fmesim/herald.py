@@ -22,8 +22,9 @@ The weight lam^(N+1) above the cutoff N, where the chain continues as
 with n_photons = N + 1 ("above the cutoff").
 A click branch is a false herald when it is attributable to the dark event
 or taken on a multi-photon component (which leaves a wrong spin state).
-After a single click the surviving spin state is u_I |1,0> + u_II |0,1>,
-which on the short-time write state is
+Every branch with n = 1, the true herald and the dark click on the one-pair
+component, leaves the same spin state |1>_b = u_I |1,0> + u_II |0,1>, which
+on the short-time write state is
 (P_I |1,0> - P_II |0,1>) / sqrt(|P_I|^2 + |P_II|^2); the relative minus
 sign is preserved end to end so it reaches the output photon's amplitudes.
 """
@@ -71,21 +72,29 @@ class HeraldBranch:
     kind is "photon" (a real photon was detected; n_photons is the photon
     number of the component, or cutoff + 1 for all components above the
     cutoff) or "dark" (the click came from the dark event; any photons in
-    the component went undetected).  spin holds the
-    single-excitation amplitudes (on |1,0> and |0,1>) of the conditional spin
-    state |n>_b: (i c_1/|c_1|) (u_I, u_II) for n = 1, zero otherwise.  The
-    factor i strips the -i of the write evolution (a pure reporting gauge), so
-    a single click on the short-time write state reads (P_I, -P_II) / |P|.
+    the component went undetected).  The branch leaves the spins in |n>_b.
     """
 
     kind: str
     n_photons: int
     probability: float
-    spin: tuple[complex, complex]
 
     @property
     def false_herald(self) -> bool:
         return self.kind == "dark" or self.n_photons >= 2
+
+
+def heralded_spin(state: PairState) -> tuple[complex, complex]:
+    """The spin state |1>_b left by every n = 1 branch, as its amplitudes on
+    |1,0> and |0,1>: (i c_1/|c_1|) (u_I, u_II), zero when c_1 = 0.
+
+    The factor i strips the -i of the write evolution (a pure reporting
+    gauge), so a single click on the short-time write state reads
+    (P_I, -P_II) / |P|.
+    """
+    c_1 = state.chain[1]
+    phase = 1j * c_1 / abs(c_1) if c_1 else 0.0
+    return complex(phase * state.u_I), complex(phase * state.u_II)
 
 
 def click_branches(state: PairState, det: DetectorModel) -> list[HeraldBranch]:
@@ -96,9 +105,6 @@ def click_branches(state: PairState, det: DetectorModel) -> list[HeraldBranch]:
     outcome selection is deterministic.
     """
     p_n = np.abs(state.chain) ** 2
-    c_1 = state.chain[1]
-    phase = 1j * c_1 / abs(c_1) if c_1 else 0.0
-    spin = {1: (complex(phase * state.u_I), complex(phase * state.u_II))}
     miss = [(1.0 - det.eta) ** n for n in range(p_n.size + 1)]
     weights = [("photon", n, p_n[n] * (1.0 - miss[n])) for n in range(1, p_n.size)]
     if det.p_dark > 0.0:
@@ -114,8 +120,4 @@ def click_branches(state: PairState, det: DetectorModel) -> list[HeraldBranch]:
     seen = (s * (1.0 - miss[top]) + lam_eta) / den if den else 0.0
     missed = s * miss[top] / den if den else 1.0
     weights += [("photon", top, lam**top * seen), ("dark", top, lam**top * missed * det.p_dark)]
-    return [
-        HeraldBranch(kind, n, float(w), spin.get(n, (0j, 0j)))
-        for kind, n, w in weights
-        if w > 0.0
-    ]
+    return [HeraldBranch(kind, n, float(w)) for kind, n, w in weights if w > 0.0]

@@ -9,14 +9,16 @@ period take no part: no reported number depends on them.
 
 The write stage is the same on every trial, so it is computed once per
 configuration (ProtocolEngine) as a table of at most 2 cutoff + 3 click
-branches, two of them for the exact state's weight above the cutoff.  A run
-then reduces to two numbers: the trials it used and the branch it clicked
-on (-1 when max_trials passed without a click).
+branches, two of them for the exact state's weight above the cutoff, and
+one output qubit: every branch with n = 1 leaves the same heralded spin
+state, and no other branch holds a single excitation.  A run then reduces
+to two numbers: the trials it used and the branch it clicked on (-1 when
+max_trials passed without a click).
 run_protocol tallies each chunk of runs as it is drawn (runs per outcome,
 trials, and sums of T and T^2 over successful runs), so memory does not
 grow with the run count, and aggregate computes every statistic from that
-tally and the per-branch tables of concurrence, fidelity, efficiency and
-the false-herald flag.
+tally, the per-branch false-herald flags and efficiencies, and the qubit's
+concurrence and fidelity.
 
 The ensemble reset is perfect, so trials are independent and a run's trials
 to its first click are Geometric(p_click): each run draws them with one
@@ -93,9 +95,10 @@ class ProtocolEngine:
 
     Holds the write-stage pair state (chain amplitudes and bright spin mode)
     and from it the click probability, the closed-form click branch table,
-    the retrieved output per branch and the branch table aggregate reads, so
-    a run reduces to two uniforms (trials to the first click, branch
-    selection) and its result to (trials used, branch).
+    the heralded spin pair, the one output qubit retrieved from it and the
+    branch table aggregate reads, so a run reduces to two uniforms (trials to
+    the first click, branch selection) and its result to (trials used,
+    branch).
 
     p_click is the branch sum capped at 1, which rounding can exceed when
     the detector is certain to click.
@@ -122,32 +125,34 @@ class ProtocolEngine:
             if total > 0.0
             else 0.0
         )
-        self.outputs: list[FmeQubitState] = [
-            retrieval_mod.retrieve_fme(b, setup.read) for b in self.branches
-        ]
-        self.table = branch_table([b.false_herald for b in self.branches], self.outputs)
+        self.spin = herald_mod.heralded_spin(self.write_state)
+        self.qubit: FmeQubitState = retrieval_mod.retrieve_fme(self.spin, setup.read)
+        self.table = branch_table(self.branches, self.qubit)
 
 
 @dataclass(frozen=True)
 class BranchTable:
-    """Per-branch values that aggregate reads, indexed by branch number.
-
-    concurrence and fidelity are NaN for outputs that hold no photon.
-    """
+    """What aggregate reads: per branch, indexed by branch number, the
+    false-herald flag and the retrieval efficiency (the qubit's on n = 1
+    branches, 0 elsewhere); and the qubit's concurrence and fidelity, NaN
+    when it holds no photon."""
 
     false_herald: np.ndarray
     efficiency: np.ndarray
-    concurrence: np.ndarray
-    fidelity: np.ndarray
+    concurrence: float
+    fidelity: float
 
 
-def branch_table(false_herald: list[bool], outputs: list[FmeQubitState]) -> BranchTable:
+def branch_table(branches: list[HeraldBranch], qubit: FmeQubitState) -> BranchTable:
     def metric(fn):
-        return np.array([fn(q) if q.has_photon else math.nan for q in outputs], dtype=float)
+        return fn(qubit) if qubit.has_photon else math.nan
 
     return BranchTable(
-        false_herald=np.array(false_herald, dtype=bool),
-        efficiency=np.array([q.retrieval_efficiency for q in outputs], dtype=float),
+        false_herald=np.array([b.false_herald for b in branches], dtype=bool),
+        efficiency=np.array(
+            [qubit.retrieval_efficiency if b.n_photons == 1 else 0.0 for b in branches],
+            dtype=float,
+        ),
         concurrence=metric(retrieval_mod.concurrence),
         fidelity=metric(retrieval_mod.fidelity_to_bell),
     )
@@ -218,19 +223,21 @@ def run_protocol(engine: ProtocolEngine, seed: int, n_runs: int, row: int = 0,
     return RunTally(tuple(counts.tolist()), n_trials, trials_sum, trials_sq_sum)
 
 
-def _weighted_mean_sem(counts: np.ndarray, values: np.ndarray) -> tuple[float, float]:
-    """Mean and standard error of values[b] taken counts[b] times each, from
-    deviations about the most frequent value (shifted data: Chan, Golub &
-    LeVeque, Am. Stat. 37, 242 (1983)); exact when all counted values agree."""
+def _weighted_mean(counts: np.ndarray, values: np.ndarray) -> float:
+    """Mean of values[b] taken counts[b] times each, summed as deviations
+    about the most frequent value (shifted data: Chan, Golub & LeVeque,
+    Am. Stat. 37, 242 (1983)); exact when all counted values agree."""
     seen, n, ref = counts > 0, int(counts.sum()), values[np.argmax(counts)]
-    d = values[seen] - ref
-    s1, s2 = float(counts[seen] @ d), float(counts[seen] @ (d * d))
-    var = max(s2 - s1 * s1 / n, 0.0) / max(n - 1, 1)
-    return float(ref + s1 / n), math.sqrt(var / n)
+    return float(ref + float(counts[seen] @ (values[seen] - ref)) / n)
 
 
 def aggregate(tally: RunTally, table: BranchTable) -> ProtocolStats:
-    """Unbiased sample means and standard errors of the tallied runs."""
+    """Unbiased sample means and standard errors of the tallied runs.
+
+    Every true herald retrieves the one output qubit, so the mean
+    concurrence and fidelity are the qubit's and their standard errors are
+    exactly 0.0 whenever a true herald was drawn (NaN otherwise).
+    """
     counts = np.array(tally.counts, dtype=np.int64)
     n_runs = int(counts.sum())
     if not n_runs:
@@ -248,14 +255,13 @@ def aggregate(tally: RunTally, table: BranchTable) -> ProtocolStats:
         # stderr^2 = var / n, and n (n - 1) var = n s2 - s1^2 exactly in ints
         mean_trials_stderr = math.sqrt((n * s2 - s1 * s1) / (n * n * max(n - 1, 1)))
         false_fraction = int(hits[table.false_herald].sum()) / n_success
-        photon_yield, _ = _weighted_mean_sem(hits, table.efficiency)
+        photon_yield = _weighted_mean(hits, table.efficiency)
 
-    true_hits = np.where(table.false_herald, 0, hits)
-    if true_hits.any():
-        if np.isnan(table.concurrence[true_hits > 0]).any():
+    if hits[~table.false_herald].any():
+        if math.isnan(table.concurrence):
             raise ValueError("no-photon record: entanglement metrics are undefined")
-        mean_conc, conc_stderr = _weighted_mean_sem(true_hits, table.concurrence)
-        mean_fid, fid_stderr = _weighted_mean_sem(true_hits, table.fidelity)
+        mean_conc, mean_fid = table.concurrence, table.fidelity
+        conc_stderr = fid_stderr = 0.0
 
     return ProtocolStats(
         n_runs=n_runs,

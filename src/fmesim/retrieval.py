@@ -12,9 +12,11 @@ inherited from the heralded spin state:
 The minus sign is the heralded state's sign convention carried through
 ideal retrieval; the natural output is therefore the singlet-like Bell
 state, and a read-field phase knob (phase_II) is provided to rotate c2 onto
-the + Bell state.  A false herald leaves (dominantly) the unexcited
-ensemble, which has nothing to retrieve: the output records
-retrieval_efficiency 0 and no photon.
+the + Bell state.  Every click that leaves one pair, the true herald and
+the dark click on the one-pair component alike, leaves the same spin state,
+so the read-out is one qubit per configuration.  Any other click leaves
+either the unexcited ensemble or several excitations, neither of which
+emits the one-photon pulse: it is recorded as no photon.
 
 How the excitation leaves the medium (dark-state-polariton transport) moves
 no reported number, so it is not modeled here; tests/polariton.py keeps it
@@ -27,8 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .herald import HeraldBranch
 
 
 @dataclass(frozen=True)
@@ -64,18 +64,15 @@ class FmeQubitState:
     (c1, c2) are the amplitudes on |1>_I |0>_II and |0>_I |1>_II and satisfy
     |c1|^2 + |c2|^2 = 1 whenever a photon was retrieved at all
     (retrieval_efficiency > 0).  retrieval_efficiency = 0 marks a no-photon
-    record (false herald or fully lossy read-out); its amplitudes are zero.
+    record (no single excitation, or a fully lossy read-out); its amplitudes
+    are zero.  The two frequencies are ReadParams.omega_out_I/II.
     """
 
     c1: complex
     c2: complex
-    omega_I: float
-    omega_II: float
     retrieval_efficiency: float
 
     def __post_init__(self):
-        if self.omega_I == self.omega_II:
-            raise ValueError("output frequencies must differ")
         if not 0.0 <= self.retrieval_efficiency <= 1.0:
             raise ValueError("retrieval_efficiency must be in [0, 1]")
         total = abs(self.c1) ** 2 + abs(self.c2) ** 2
@@ -87,32 +84,24 @@ class FmeQubitState:
         return self.retrieval_efficiency > 0.0
 
 
-def retrieve_fme(branch: HeraldBranch, read: ReadParams) -> FmeQubitState:
-    """Map a click branch's heralded spin state to the output frequency qubit.
+def retrieve_fme(spin: tuple[complex, complex], read: ReadParams) -> FmeQubitState:
+    """Map the heralded spin amplitudes (on |1,0> and |0,1>) to the output
+    frequency qubit.
 
-    Amplitudes come from the single-excitation content of the conditional
-    state (branch.spin); components outside the single-excitation manifold
-    cannot emit the one-photon pulse and only reduce retrieval_efficiency.
+    The amplitudes are scaled by the per-species read-out; a zero spin pair
+    (no single excitation) retrieves no photon.
     """
-    alpha, beta = branch.spin
+    alpha, beta = spin
     p1, p2 = abs(alpha) ** 2, abs(beta) ** 2  # sum to 1 on a single excitation, else 0
     retrieved = p1 * read.efficiency_I + p2 * read.efficiency_II
     if retrieved <= 0.0:
-        return FmeQubitState(
-            c1=0.0,
-            c2=0.0,
-            omega_I=read.omega_out_I,
-            omega_II=read.omega_out_II,
-            retrieval_efficiency=0.0,
-        )
+        return FmeQubitState(c1=0.0, c2=0.0, retrieval_efficiency=0.0)
     c1 = alpha * math.sqrt(read.efficiency_I)
     c2 = beta * math.sqrt(read.efficiency_II) * np.exp(1j * read.phase_II)
     scale = math.sqrt(abs(c1) ** 2 + abs(c2) ** 2)
     return FmeQubitState(
         c1=complex(c1 / scale),
         c2=complex(c2 / scale),
-        omega_I=read.omega_out_I,
-        omega_II=read.omega_out_II,
         retrieval_efficiency=float(retrieved / (p1 + p2)),  # exactly 1 when ideal
     )
 

@@ -9,8 +9,9 @@ so serial and multi-worker executions agree bit for bit no matter how runs
 are partitioned.  The implementation is checked against the published
 known-answer vectors in the test suite.
 
-The kernel works in place on uint64 buffers of _CHUNK blocks, small enough
-to stay in cache, with the round keys computed once per call.  One Philox
+The kernel works in place on uint64 buffers of one call's blocks, with the
+round keys computed once per call; the Monte Carlo driver asks for one
+chunk of runs at a time (protocol._RUN_CHUNK), which bounds them.  One Philox
 block per run yields four 32-bit words; they are combined into two 53-bit
 uniforms (trials to the first click, branch selection).
 """
@@ -25,7 +26,6 @@ _W0 = 0x9E3779B9
 _W1 = 0xBB67AE85
 _MASK32 = np.uint64(0xFFFFFFFF)
 _ROUNDS = 10
-_CHUNK = 1 << 14  # blocks per kernel pass
 
 # Fixed tag in the last counter slot, so run streams can never collide with
 # other stream families added later.
@@ -71,17 +71,10 @@ def philox4x32(counter: np.ndarray, key) -> np.ndarray:
     counter: (n, 4) uint32, key: two uint32 words; returns (n, 4) uint32.
     """
     counter = np.asarray(counter, dtype=np.uint32)
-    n = counter.shape[0]
-    keys = _round_keys(key)
-    buf = np.empty((6, min(n, _CHUNK)), dtype=np.uint64)
-    out = np.empty((n, 4), dtype=np.uint32)
-    for a in range(0, n, _CHUNK):
-        m = min(_CHUNK, n - a)
-        c = buf[:4, :m]
-        c[:] = counter[a:a + m].T
-        _rounds(c, buf[4:, :m], keys)
-        out[a:a + m] = c.T
-    return out
+    buf = np.empty((6, counter.shape[0]), dtype=np.uint64)
+    buf[:4] = counter.T
+    _rounds(buf[:4], buf[4:], _round_keys(key))
+    return buf[:4].T.astype(np.uint32)
 
 
 def _split_seed(seed: int) -> tuple[int, int]:

@@ -23,7 +23,6 @@ explicit, separate call.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
@@ -219,15 +218,3 @@ def project_photon_number(psi: TruncatedState, n: int) -> TruncatedState:
     out = np.zeros((d, d, d), dtype=complex)
     out[0] = psi.grid()[n]
     return TruncatedState(psi.cutoff, out.reshape(-1))
-
-
-def to_json(psi: TruncatedState) -> str:
-    """Serialize as {"cutoff": int, "amplitudes": [[re, im], ...]}."""
-    pairs = [[float(a.real), float(a.imag)] for a in psi.amplitudes]
-    return json.dumps({"cutoff": psi.cutoff, "amplitudes": pairs})
-
-
-def from_json(text: str) -> TruncatedState:
-    data = json.loads(text)
-    amps = np.array([complex(re, im) for re, im in data["amplitudes"]])
-    return TruncatedState(int(data["cutoff"]), amps)

@@ -63,8 +63,8 @@ def protocol_setup(p=0.1, eta=0.6, dark=400.0, max_trials=10_000, cutoff=1):
 def test_criterion_1_maximal_entanglement():
     det = DetectorModel(eta=1.0, dark_rate=0.0, gate=1e-6)
     psi = wd.perturbative_state(rates_fixture(0.07, 0.07), 2)
-    heralded = hd.click_branches(psi, det)[0]
-    qubit = rt.retrieve_fme(heralded, ideal_read())
+    assert hd.click_branches(psi, det)[0].n_photons == 1
+    qubit = rt.retrieve_fme(hd.heralded_spin(psi), ideal_read())
     assert rt.concurrence(qubit) == pytest.approx(1.0, abs=1e-10)
     assert abs(abs(qubit.c1) - abs(qubit.c2)) <= 1e-12
     report(1, "balanced drive gives concurrence 1.0 and |c1| = |c2|")
@@ -79,9 +79,8 @@ def test_criterion_2_perturbative_exact_consistency():
     exact_grid, approx_grid = hb.from_pair_state(exact), hb.from_pair_state(approx)
     diff = np.linalg.norm(exact_grid.amplitudes - approx_grid.amplitudes)
     assert diff <= 3.0 * p**2  # 7.5e-3
-    det = DetectorModel(eta=1.0, dark_rate=0.0, gate=1e-6)
-    cond_exact = hd.click_branches(exact, det)[0].spin
-    cond_approx = hd.click_branches(approx, det)[0].spin
+    cond_exact = hd.heralded_spin(exact)
+    cond_approx = hd.heralded_spin(approx)
     overlap = abs(np.vdot(cond_exact, cond_approx)) ** 2
     assert overlap >= 1.0 - 1e-3
     report(2, f"||exact - perturbative|| = {diff:.2e} <= 7.5e-3, "

@@ -41,6 +41,14 @@ def test_preset_paper_values_exact():
         assert cfg.provenance[key] == "paper"
 
 
+def test_preset_tags_every_other_value_default():
+    cfg = cfg_mod.load_config(preset="rb85-87")
+    paper = {"delta", "delta_omega_write", "delta_omega_read"}
+    assert len(cfg_mod.RB85_87.values) == 14
+    for key in cfg_mod.RB85_87.values:
+        assert cfg.provenance[key] == ("paper" if key in paper else "default")
+
+
 def test_out_of_range_override_rejected():
     with pytest.raises(ConfigError, match="eta"):
         cfg_mod.load_config(preset="rb85-87", overrides=["eta=1.5"])

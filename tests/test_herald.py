@@ -108,9 +108,10 @@ def test_fixture_click_probability_against_oracle():
 
 def test_projection_symmetric_drive_is_maximally_entangled():
     det = DetectorModel(eta=1.0, dark_rate=0.0, gate=1e-6)
-    out = hd.click_branches(fixture_state(0.1, 0.1), det)[0]
+    state = fixture_state(0.1, 0.1)
+    out = hd.click_branches(state, det)[0]
     assert (out.kind, out.n_photons) == ("photon", 1)
-    alpha, beta = out.spin
+    alpha, beta = hd.heralded_spin(state)
     assert alpha == pytest.approx(1 / math.sqrt(2))
     assert beta == pytest.approx(-1 / math.sqrt(2))
     # equal-weight superposition with a relative minus sign: concurrence 1
@@ -119,17 +120,23 @@ def test_projection_symmetric_drive_is_maximally_entangled():
 
 
 def test_projection_single_branch_product_state():
-    det = DetectorModel(eta=1.0, dark_rate=0.0, gate=1e-6)
-    out = hd.click_branches(fixture_state(0.1, 0.0), det)[0]
-    assert out.spin[0] == pytest.approx(1.0)
-    assert out.spin[1] == 0.0
+    spin = hd.heralded_spin(fixture_state(0.1, 0.0))
+    assert spin[0] == pytest.approx(1.0)
+    assert spin[1] == 0.0
 
 
 def test_projection_asymmetric_amplitudes():
-    det = DetectorModel(eta=1.0, dark_rate=0.0, gate=1e-6)
-    out = hd.click_branches(fixture_state(0.1, 0.05), det)[0]
-    assert out.spin[0] == pytest.approx(0.894427191)
-    assert out.spin[1] == pytest.approx(-0.4472135955)
+    spin = hd.heralded_spin(fixture_state(0.1, 0.05))
+    assert spin[0] == pytest.approx(0.894427191)
+    assert spin[1] == pytest.approx(-0.4472135955)
+
+
+def test_heralded_spin_zero_without_one_pair_component():
+    # c_1 = 0: no branch leaves a single excitation, and the pair is zero
+    det = DetectorModel(eta=0.6, dark_rate=400.0, gate=1e-6)
+    two = wd.PairState(np.array([0.6, 0.0, 0.8], dtype=complex), 1.0 + 0.0j, 0.0j)
+    assert hd.heralded_spin(two) == (0j, 0j)
+    assert [b.n_photons for b in hd.click_branches(two, det)] == [2, 0, 2]
 
 
 def test_projection_impossible_click_rejected():
@@ -210,12 +217,11 @@ def test_povm_completeness_against_density_matrix():
     rho_sum = np.zeros_like(rho_oracle)
     for branch in hd.click_branches(state, det):
         n = branch.n_photons
-        if n == 1:  # the branch carries its conditional spin state
+        if n == 1:  # the branch leaves the heralded spin state
             spins = np.zeros((d, d), dtype=complex)
-            spins[1, 0], spins[0, 1] = branch.spin
+            spins[1, 0], spins[0, 1] = hd.heralded_spin(state)
             spins = spins.reshape(-1)
         else:  # no single excitation: the state is the n-photon collapse
-            assert branch.spin == (0j, 0j)
             spins = grid_amps[n].reshape(-1) / np.sqrt(p_n[n])
         rho_sum += branch.probability * np.outer(spins, spins.conj())
     for n in range(d):  # no-click branches share the same collapse states
@@ -228,8 +234,9 @@ def test_povm_completeness_against_density_matrix():
 
 def test_species_swap_equivariance():
     det = DetectorModel(eta=0.8, dark_rate=50.0, gate=1e-6)
-    a, b = hd.click_branches(fixture_state(0.1, 0.05), det)[0].spin
-    a_s, b_s = hd.click_branches(fixture_state(0.05, 0.1), det)[0].spin
+    a, b = hd.heralded_spin(fixture_state(0.1, 0.05))
+    a_s, b_s = hd.heralded_spin(fixture_state(0.05, 0.1))
+    assert hd.click_branches(fixture_state(0.1, 0.05), det)[0].n_photons == 1
     # swapping species labels exchanges the amplitudes up to the global
     # minus sign of the heralded-state convention
     assert a_s == pytest.approx(-b, abs=1e-12)
@@ -281,7 +288,7 @@ def test_closed_form_branches_match_grid_collapse(drive, engine_name, cutoff):
         miss = (1.0 - det.eta) ** n
         tails = [("photon", cutoff + 1, np.sum(p_above * (1.0 - miss))),
                  ("dark", cutoff + 1, np.sum(p_above * miss) * det.p_dark)]
-    oracle = []
+    oracle = []  # (kind, n, weight, single-excitation amplitudes of the collapse)
     for kind, n, weight in (
         [("photon", n, p_n[n] * (1.0 - (1.0 - det.eta) ** n)) for n in range(1, cutoff + 1)]
         + [("dark", n, p_n[n] * (1.0 - det.eta) ** n * det.p_dark) for n in range(cutoff + 1)]
@@ -289,19 +296,23 @@ def test_closed_form_branches_match_grid_collapse(drive, engine_name, cutoff):
         if weight > 0.0:
             collapsed = (1j) ** n * hb.normalize(hb.project_photon_number(psi, n)).amplitudes
             state = hb.TruncatedState(cutoff, collapsed)
-            spin = (state.amplitude(0, 1, 0), state.amplitude(0, 0, 1))
-            oracle.append(hd.HeraldBranch(kind, n, float(weight), spin))
-    oracle += [hd.HeraldBranch(kind, n, float(w), (0j, 0j)) for kind, n, w in tails if w > 0.0]
+            oracle.append((kind, n, weight, (state.amplitude(0, 1, 0), state.amplitude(0, 0, 1))))
+    # above the cutoff every component holds at least two excitations
+    oracle += [(kind, n, w, (0j, 0j)) for kind, n, w in tails if w > 0.0]
 
-    assert [(b.kind, b.n_photons) for b in engine.branches] == [
-        (b.kind, b.n_photons) for b in oracle
-    ]
-    for branch, expected, out in zip(engine.branches, oracle, engine.outputs):
-        assert branch.probability == pytest.approx(expected.probability, rel=1e-13, abs=0)
-        q = rt.retrieve_fme(expected, setup.read)
-        assert abs(out.c1 - q.c1) <= 1e-15
-        assert abs(out.c2 - q.c2) <= 1e-15
-        assert abs(out.retrieval_efficiency - q.retrieval_efficiency) <= 1e-15
+    assert [(b.kind, b.n_photons) for b in engine.branches] == [(k, n) for k, n, _, _ in oracle]
+    for i, (branch, (kind, n, weight, spin)) in enumerate(zip(engine.branches, oracle)):
+        assert branch.probability == pytest.approx(weight, rel=1e-13, abs=0)
+        if n == 1:  # every one-pair click leaves the one heralded pair ...
+            assert abs(spin[0] - engine.spin[0]) <= 1e-15
+            assert abs(spin[1] - engine.spin[1]) <= 1e-15
+            q = rt.retrieve_fme(spin, setup.read)
+            assert abs(engine.qubit.c1 - q.c1) <= 1e-15
+            assert abs(engine.qubit.c2 - q.c2) <= 1e-15
+            assert abs(engine.table.efficiency[i] - q.retrieval_efficiency) <= 1e-15
+        else:  # ... and every other click no single excitation, so no photon
+            assert spin == (0j, 0j)
+            assert engine.table.efficiency[i] == 0.0
 
 
 @pytest.mark.parametrize("drive", sorted(DRIVES))

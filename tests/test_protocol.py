@@ -13,8 +13,8 @@ import pytest
 from fmesim import protocol as pr
 from fmesim import rng as rng_mod
 from fmesim import write_dynamics as wd
-from fmesim.herald import DetectorModel
-from fmesim.retrieval import FmeQubitState, ReadParams
+from fmesim.herald import DetectorModel, HeraldBranch
+from fmesim.retrieval import FmeQubitState, ReadParams, concurrence
 
 
 def make_setup(p=0.1, eta=0.6, dark=400.0, max_trials=10_000, engine="perturbative",
@@ -86,12 +86,12 @@ def test_philox_known_answer_vectors():
 
 
 def test_philox_chunks_match_reference():
-    # more blocks than one kernel pass, with counters in every word
-    n = rng_mod._CHUNK + 7
+    # more blocks than two run chunks, with counters in every word
+    n = 16384 + 7
     counters = np.random.default_rng(4).integers(0, 2**32, size=(n, 4), dtype=np.uint64)
     key = [0xA4093822, 0x299F31D0]
     out = rng_mod.philox4x32(counters.astype(np.uint32), key)
-    for i in (0, 1, rng_mod._CHUNK - 1, rng_mod._CHUNK, n - 1):
+    for i in (0, 1, 16384 - 1, 16384, n - 1):
         assert out[i].tolist() == philox_reference(counters[i].tolist(), key)
 
 
@@ -113,10 +113,10 @@ def test_run_uniforms_match_reference_streams():
     assert u.shape == (3, 2)
     for i, run in enumerate((3, 5, 9)):
         assert tuple(u[i]) == uniforms_reference(seed, 2, run)
-    # more runs than one kernel pass, up to the last 32-bit run index
-    runs = np.arange(2**32 - rng_mod._CHUNK - 5, 2**32)
+    # more runs than two run chunks, up to the last 32-bit run index
+    runs = np.arange(2**32 - 16384 - 5, 2**32)
     wide = rng_mod.run_uniforms(7, 0, runs)
-    for i in (0, rng_mod._CHUNK - 1, rng_mod._CHUNK, runs.size - 1):
+    for i in (0, 16384 - 1, 16384, runs.size - 1):
         assert tuple(wide[i]) == uniforms_reference(7, 0, int(runs[i]))
 
 
@@ -299,7 +299,15 @@ def test_no_success_within_budget_is_explicit():
 
 
 def _qubit(c1, c2, efficiency=1.0):
-    return FmeQubitState(c1, c2, -1.0, 1.0, efficiency)
+    return FmeQubitState(c1, c2, efficiency)
+
+
+def _branches(*kinds):
+    """Click branches ("photon", 1), ("dark", 0), ... with dummy weights."""
+    return [HeraldBranch(kind, n, 0.1) for kind, n in kinds]
+
+
+TRUE = ("photon", 1)
 
 
 def reference_tally(trials_used, branch, n_branches):
@@ -342,7 +350,7 @@ def exact_mean_stderr(values):
 
 def test_aggregate_all_maximal_entanglement(tally):
     s = 1 / math.sqrt(2)
-    table = pr.branch_table([False], [_qubit(s, -s)])
+    table = pr.branch_table(_branches(TRUE), _qubit(s, -s))
     stats = pr.aggregate(tally(np.full(10, 3), np.zeros(10), table), table)
     assert stats.mean_concurrence == pytest.approx(1.0)
     assert stats.concurrence_stderr == 0.0
@@ -352,7 +360,7 @@ def test_aggregate_all_maximal_entanglement(tally):
 
 def test_aggregate_half_false_heralds(tally):
     s = 1 / math.sqrt(2)
-    table = pr.branch_table([False, True], [_qubit(s, -s), _qubit(0.0, 0.0, 0.0)])
+    table = pr.branch_table(_branches(TRUE, ("dark", 0)), _qubit(s, -s))
     stats = pr.aggregate(tally(np.ones(10), [0, 1] * 5, table), table)
     assert stats.false_herald_fraction == pytest.approx(0.5)
     assert stats.photon_yield == pytest.approx(0.5)
@@ -361,15 +369,17 @@ def test_aggregate_half_false_heralds(tally):
 
 def test_aggregate_requires_runs():
     with pytest.raises(ValueError):
-        pr.aggregate(pr.RunTally((0,), 0, 0, 0), pr.branch_table([], []))
+        pr.aggregate(pr.RunTally((0,), 0, 0, 0), pr.branch_table([], _qubit(1.0, 0.0)))
 
 
 def test_aggregate_matches_exact_oracle(tally):
     # the count-based statistics against the same runs in rational arithmetic
     rs = np.random.default_rng(3)
-    outputs = [_qubit(math.cos(a), math.sin(a)) for a in rs.uniform(0.1, 1.4, 5)]
-    flags = [False, False, True, False, False]
-    table = pr.branch_table(flags, outputs)
+    a = rs.uniform(0.1, 1.4)
+    branches = _branches(TRUE, ("photon", 2), ("dark", 0), ("dark", 1), ("photon", 3))
+    table = pr.branch_table(branches, _qubit(math.cos(a), math.sin(a), 0.7))
+    flags = [b.false_herald for b in branches]
+    efficiency = [0.7, 0.0, 0.0, 0.7, 0.0]  # the qubit's on n = 1, else no photon
     branch = rs.integers(-1, 5, 3001).astype(np.int16)
     trials_used = rs.integers(1, 400, 3001)
     trials_used[branch < 0] = 400
@@ -382,16 +392,15 @@ def test_aggregate_matches_exact_oracle(tally):
     mean_t, stderr_t = exact_mean_stderr([t for t, _ in won])
     assert stats.mean_trials_to_success == float(mean_t)
     assert abs(stats.mean_trials_stderr - stderr_t) <= 2 * math.ulp(stderr_t)
-    photon_yield, _ = exact_mean_stderr([outputs[b].retrieval_efficiency for _, b in won])
+    photon_yield, _ = exact_mean_stderr([efficiency[b] for _, b in won])
     assert stats.photon_yield == pytest.approx(float(photon_yield), rel=1e-15, abs=0)
     true = [b for _, b in won if not flags[b]]
-    for mean, stderr, column in (
+    for mean, stderr, value in (
         (stats.mean_concurrence, stats.concurrence_stderr, table.concurrence),
         (stats.mean_fidelity_bell, stats.fidelity_stderr, table.fidelity),
     ):
-        exact_mean, exact_stderr = exact_mean_stderr([float(column[b]) for b in true])
-        assert mean == pytest.approx(float(exact_mean), rel=1e-15, abs=0)
-        assert stderr == pytest.approx(exact_stderr, rel=1e-13, abs=0)
+        exact_mean, exact_stderr = exact_mean_stderr([value] * len(true))
+        assert (mean, stderr) == (float(exact_mean), exact_stderr) == (value, 0.0)
 
 
 def test_aggregate_trial_sums_exact_at_max_trials(tally):
@@ -402,7 +411,7 @@ def test_aggregate_trial_sums_exact_at_max_trials(tally):
     trials_used = 2**32 - rs.integers(0, 8, n_runs)
     branch = np.where(rs.uniform(size=n_runs) < 0.1, -1, 0)
     trials_used[branch < 0] = 2**32
-    table = pr.branch_table([False], [_qubit(0.6, 0.8)])
+    table = pr.branch_table(_branches(TRUE), _qubit(0.6, 0.8))
     stats = pr.aggregate(tally(trials_used, branch, table), table)
     assert stats.n_trials == sum(trials_used.tolist())
     mean, stderr = exact_mean_stderr(trials_used[branch >= 0].tolist())
@@ -411,20 +420,40 @@ def test_aggregate_trial_sums_exact_at_max_trials(tally):
 
 
 def test_aggregate_exact_when_true_heralds_agree(tally):
-    # two true-herald branches with one output: the means are its values and
-    # the standard errors 0.0 (a running float sum drifts off them)
+    # every true herald retrieves the one qubit: the means are its values and
+    # the standard errors 0.0, however often it was drawn among false heralds
     q = _qubit(math.cos(0.4), math.sin(0.4))
-    table = pr.branch_table([False, True, False], [q, _qubit(0.0, 0.0, 0.0), q])
+    table = pr.branch_table(_branches(TRUE, ("dark", 0), ("photon", 2)), q)
     branch = np.repeat([0, 1, 2, -1], [1234, 50, 777, 9])
     stats = pr.aggregate(tally(np.full(branch.size, 7), branch, table), table)
-    assert stats.mean_concurrence == table.concurrence[0]
+    assert stats.mean_concurrence == table.concurrence == 2.0 * math.cos(0.4) * math.sin(0.4)
     assert stats.concurrence_stderr == 0.0
-    assert stats.mean_fidelity_bell == table.fidelity[0]
+    assert stats.mean_fidelity_bell == table.fidelity
     assert stats.fidelity_stderr == 0.0
 
 
+def test_dark_one_pair_click_yields_the_qubit_outside_the_metrics(tally):
+    # a dark click on the one-pair component leaves the heralded spin pair: it
+    # retrieves the qubit (photon_yield) but is a false herald (no metrics)
+    engine = pr.ProtocolEngine(make_setup(p=0.1, eta=0.6, dark=5e4, p_ii=0.05))
+    kinds = [(b.kind, b.n_photons) for b in engine.branches]
+    true, dark = kinds.index(TRUE), kinds.index(("dark", 1))
+    table, q = engine.table, engine.qubit
+    assert table.false_herald[dark] and not table.false_herald[true]
+    assert table.efficiency[dark] == table.efficiency[true] == q.retrieval_efficiency == 1.0
+    assert table.concurrence == concurrence(q) < 1.0
+    only_dark = pr.aggregate(tally(np.full(5, 2), np.array([dark] * 4 + [-1]), table), table)
+    assert only_dark.photon_yield == q.retrieval_efficiency
+    assert only_dark.false_herald_fraction == 1.0
+    assert math.isnan(only_dark.mean_concurrence) and math.isnan(only_dark.concurrence_stderr)
+    both = pr.aggregate(tally(np.ones(4), np.array([dark, true, dark, true]), table), table)
+    assert both.photon_yield == q.retrieval_efficiency
+    assert (both.mean_concurrence, both.concurrence_stderr) == (table.concurrence, 0.0)
+    assert (both.mean_fidelity_bell, both.fidelity_stderr) == (table.fidelity, 0.0)
+
+
 def test_aggregate_rejects_true_herald_without_photon(tally):
-    table = pr.branch_table([False], [_qubit(0.0, 0.0, 0.0)])
+    table = pr.branch_table(_branches(TRUE), _qubit(0.0, 0.0, 0.0))
     with pytest.raises(ValueError, match="no-photon"):
         pr.aggregate(tally(np.ones(3), np.zeros(3), table), table)
 
@@ -465,6 +494,6 @@ def test_dark_count_zero_cutoff_one_every_click_true():
     clicked = branch[branch >= 0]
     assert clicked.size
     assert not engine.table.false_herald[clicked].any()
-    for b in np.unique(clicked):
-        q = engine.outputs[b]
-        assert abs(q.c1) ** 2 + abs(q.c2) ** 2 == pytest.approx(1.0, abs=1e-12)
+    assert (engine.table.efficiency[clicked] == 1.0).all()
+    q = engine.qubit
+    assert abs(q.c1) ** 2 + abs(q.c2) ** 2 == pytest.approx(1.0, abs=1e-12)

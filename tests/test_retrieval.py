@@ -8,6 +8,7 @@ import pytest
 
 import polariton as pl
 from fmesim import herald as hd
+from fmesim import protocol as pr
 from fmesim import retrieval as rt
 from fmesim import write_dynamics as wd
 from fmesim.herald import DetectorModel
@@ -19,14 +20,12 @@ def read_params(**overrides):
     return rt.ReadParams(**base)
 
 
-def heralded_state(p_i, p_ii, eta=1.0, dark=0.0):
+def heralded_state(p_i, p_ii):
     rates = wd.DerivedRates(
         chi_I=p_i, chi_II=p_ii, gamma_L_I=0.0, gamma_L_II=0.0,
         delta_L_I=0.0, delta_L_II=0.0, P_I=p_i, P_II=p_ii,
     )
-    psi = wd.perturbative_state(rates, 2)
-    det = DetectorModel(eta=eta, dark_rate=dark, gate=1e-6)
-    return hd.click_branches(psi, det)[0]  # the single-photon click
+    return hd.heralded_spin(wd.perturbative_state(rates, 2))
 
 
 def gaussian(z, center, width):
@@ -70,10 +69,12 @@ def test_false_herald_dark_branch_gives_no_photon():
     det = DetectorModel(eta=0.6, dark_rate=400.0, gate=1e-6)
     branches = hd.click_branches(psi, det)
     cdf = np.cumsum([b.probability for b in branches])
-    out = branches[np.searchsorted(cdf / cdf[-1], 0.999, side="right")]
-    assert out.kind == "dark"
-    assert out.n_photons == 0
-    q = rt.retrieve_fme(out, read_params())
+    idx = np.searchsorted(cdf / cdf[-1], 0.999, side="right")
+    assert (branches[idx].kind, branches[idx].n_photons) == ("dark", 0)
+    table = pr.branch_table(branches, rt.retrieve_fme(hd.heralded_spin(psi), read_params()))
+    assert table.efficiency[idx] == 0.0
+    # no single excitation: a zero spin pair retrieves no photon
+    q = rt.retrieve_fme((0j, 0j), read_params())
     assert q.retrieval_efficiency == 0.0
     assert not q.has_photon
     with pytest.raises(ValueError):
@@ -102,15 +103,15 @@ def test_read_phase_rotates_minus_to_plus_bell():
 
 def test_concurrence_and_fidelity_examples():
     s = 1 / math.sqrt(2)
-    bell = rt.FmeQubitState(s, s, -1.0, 1.0, 1.0)
+    bell = rt.FmeQubitState(s, s, 1.0)
     assert rt.concurrence(bell) == pytest.approx(1.0)
     assert rt.fidelity_to_bell(bell) == pytest.approx(1.0)
-    singlet = rt.FmeQubitState(s, -s, -1.0, 1.0, 1.0)
+    singlet = rt.FmeQubitState(s, -s, 1.0)
     assert rt.fidelity_to_bell(singlet) == pytest.approx(0.0)
-    product = rt.FmeQubitState(1.0, 0.0, -1.0, 1.0, 1.0)
+    product = rt.FmeQubitState(1.0, 0.0, 1.0)
     assert rt.concurrence(product) == 0.0
     assert rt.fidelity_to_bell(product) == pytest.approx(0.5)
-    pair = rt.FmeQubitState(0.6, 0.8, -1.0, 1.0, 1.0)
+    pair = rt.FmeQubitState(0.6, 0.8, 1.0)
     assert rt.concurrence(pair) == pytest.approx(0.96)
 
 
@@ -118,21 +119,21 @@ def test_concurrence_phase_invariant_fidelity_not():
     rng = np.random.default_rng(9)
     for _ in range(10):
         phi1, phi2 = rng.uniform(0, 2 * math.pi, 2)
-        base = rt.FmeQubitState(0.6, 0.8, -1.0, 1.0, 1.0)
-        rotated = rt.FmeQubitState(
-            0.6 * np.exp(1j * phi1), 0.8 * np.exp(1j * phi2), -1.0, 1.0, 1.0
-        )
+        base = rt.FmeQubitState(0.6, 0.8, 1.0)
+        rotated = rt.FmeQubitState(0.6 * np.exp(1j * phi1), 0.8 * np.exp(1j * phi2), 1.0)
         assert rt.concurrence(rotated) == pytest.approx(rt.concurrence(base))
-    flipped = rt.FmeQubitState(0.6, -0.8, -1.0, 1.0, 1.0)
-    base = rt.FmeQubitState(0.6, 0.8, -1.0, 1.0, 1.0)
+    flipped = rt.FmeQubitState(0.6, -0.8, 1.0)
+    base = rt.FmeQubitState(0.6, 0.8, 1.0)
     assert rt.fidelity_to_bell(flipped) != pytest.approx(rt.fidelity_to_bell(base))
 
 
 def test_state_validation():
+    with pytest.raises(ValueError, match="frequencies"):
+        read_params(omega_out_II=-1.0e9)  # equal output frequencies
     with pytest.raises(ValueError):
-        rt.FmeQubitState(1.0, 0.0, 1.0, 1.0, 1.0)  # equal frequencies
+        rt.FmeQubitState(1.0, 1.0, 1.0)  # not normalized
     with pytest.raises(ValueError):
-        rt.FmeQubitState(1.0, 1.0, -1.0, 1.0, 1.0)  # not normalized
+        rt.FmeQubitState(1.0, 0.0, 1.5)  # efficiency above 1
 
 
 def test_concurrence_peaks_at_balanced_drive():
