@@ -13,14 +13,15 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import config as cfg_mod
-from .config import ConfigError, ResolvedConfig
-from .protocol import ProtocolEngine, ProtocolStats, aggregate, run_protocol
-from .rng import SEED_LIMIT
+from .config import SEED_LIMIT, ConfigError, ResolvedConfig
+
+if TYPE_CHECKING:
+    from .protocol import ProtocolEngine, ProtocolStats
 
 STATS_COLUMNS = (
     "n_runs",
@@ -68,7 +69,7 @@ def _write_text(out_path: str | None, text: str) -> None:
 
 
 def _json_safe(value):
-    if isinstance(value, float) and not np.isfinite(value):
+    if isinstance(value, float) and not math.isfinite(value):
         return None
     return value
 
@@ -186,6 +187,8 @@ def _load(args) -> ResolvedConfig:
 
 
 def _engine(cfg: ResolvedConfig) -> ProtocolEngine:
+    from .protocol import ProtocolEngine  # numpy loads with the first engine
+
     engine = ProtocolEngine(cfg_mod.build_setup(cfg))
     if _single_photon(engine) and not engine.qubit.has_photon:
         raise ConfigError(
@@ -205,13 +208,7 @@ def cmd_write_sim(args) -> int:
     engine = _engine(cfg)
     rates = engine.rates
     state = engine.write_state
-    p_n, lam, top = np.abs(state.chain) ** 2, state.tail_ratio, state.cutoff + 1
-    # Above the cutoff |c_n|^2 = |c_0|^2 lam^n, whose share of the mean is
-    # lam^top (top + lam / |c_0|^2): 0 on the perturbative route (lam = 0),
-    # infinite (printed null) for a saturated state, c_0 = 0
-    with np.errstate(divide="ignore"):
-        tail = lam**top * (top + lam / p_n[0]) if lam else 0.0
-    n_mean = float(np.arange(top) @ p_n + tail)
+    n_mean = state.mean_occupation()  # printed null when infinite
     payload = {
         "metadata": _metadata("write-sim", cfg, args.seed),
         "engine": cfg.values["engine"],
@@ -245,7 +242,7 @@ def cmd_write_sim(args) -> int:
 def cmd_herald(args) -> int:
     cfg = _load(args)
     engine = _engine(cfg)
-    det = cfg_mod.build_detector(cfg)
+    det = engine.setup.detector
     conditional = None
     if _single_photon(engine):  # the heralded spin state, with the photon absorbed
         spin_i, spin_ii = engine.spin
@@ -302,6 +299,8 @@ def _progress(label: str):
 def _run_rows(args, command: str, cfg: ResolvedConfig, row_cfgs, labels) -> list[dict]:
     """Monte Carlo statistics of each row configuration (row i keys the random
     streams), written as one csv or json table; returns the stats rows."""
+    from .protocol import aggregate, run_protocol
+
     rows = []
     for i, (row_cfg, label) in enumerate(zip(row_cfgs, labels)):
         engine = _engine(row_cfg)
@@ -353,7 +352,8 @@ def cmd_sweep(args) -> int:
     points: list[dict] = [{}]
     for key, values in axes:
         points = [dict(p, **{key: v}) for p in points for v in values]
-    row_cfgs = (cfg_mod.with_overrides(cfg, point) for point in points)
+    # Every row is validated before the first one runs.
+    row_cfgs = [cfg_mod.with_overrides(cfg, point) for point in points]
     labels = [f"sweep row {i + 1}/{len(points)}" for i in range(len(points))]
     _run_rows(args, "sweep", cfg, row_cfgs, labels)
     return 0

@@ -6,6 +6,11 @@ quoted in plain Hz and all times in seconds; the single Hz -> rad/s
 conversion by 2*pi happens in the build_* functions here and nowhere else.
 Dark counts are an event rate and are never multiplied by 2*pi.
 
+This module imports only the standard library, so resolving and rejecting
+a configuration never loads numpy; each build_* function imports its
+physics type when it is called.  It owns the schema bounds the physics
+modules share: ENGINES, COUNTER_LIMIT and SEED_LIMIT.
+
 Every resolved value carries a provenance tag:
 
     paper    a number taken directly from the published level scheme
@@ -19,15 +24,23 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .herald import DetectorModel
-from .protocol import ENGINES, ProtocolSetup
-from .retrieval import ReadParams
-from .rng import COUNTER_LIMIT
-from .write_dynamics import SystemParams
+if TYPE_CHECKING:
+    from .herald import DetectorModel
+    from .protocol import ProtocolSetup
+    from .retrieval import ReadParams
+    from .write_dynamics import SystemParams
 
 TWO_PI = 2.0 * math.pi
+
+ENGINES = ("perturbative", "exact")
+
+# Run indices are 32-bit words of the random stream counters; the seed is
+# their 64-bit key.
+COUNTER_LIMIT = 1 << 32
+SEED_LIMIT = 1 << 64
 
 
 class ConfigError(Exception):
@@ -353,6 +366,8 @@ def load_config(
 
 
 def build_system_params(cfg: ResolvedConfig) -> SystemParams:
+    from .write_dynamics import SystemParams
+
     v = cfg.values
     return SystemParams(
         g_I=TWO_PI * v["g_I"],
@@ -369,11 +384,15 @@ def build_system_params(cfg: ResolvedConfig) -> SystemParams:
 
 
 def build_detector(cfg: ResolvedConfig) -> DetectorModel:
+    from .herald import DetectorModel
+
     v = cfg.values
     return DetectorModel(eta=v["eta"], dark_rate=v["dark_rate_hz"], gate=v["gate_s"])
 
 
 def build_read_params(cfg: ResolvedConfig) -> ReadParams:
+    from .retrieval import ReadParams
+
     v = cfg.values
     return ReadParams(
         omega_out_I=TWO_PI * v["omega_out_I"],
@@ -385,6 +404,8 @@ def build_read_params(cfg: ResolvedConfig) -> ReadParams:
 
 
 def build_setup(cfg: ResolvedConfig) -> ProtocolSetup:
+    from .protocol import ProtocolSetup
+
     try:
         return ProtocolSetup(
             system=build_system_params(cfg),

@@ -42,12 +42,11 @@ import numpy as np
 from . import herald as herald_mod
 from . import retrieval as retrieval_mod
 from . import write_dynamics as wd
+from .config import ENGINES
 from .herald import DetectorModel, HeraldBranch
 from .retrieval import FmeQubitState, ReadParams
 from .rng import run_uniforms
 from .write_dynamics import SystemParams
-
-ENGINES = ("perturbative", "exact")
 
 _RUN_CHUNK = 8192  # runs per batch (bounds the per-batch Philox buffers)
 

@@ -1,13 +1,13 @@
-"""Counter-based random streams for reproducible parallel Monte Carlo.
+"""Counter-based random streams for reproducible Monte Carlo.
 
 Philox4x32-10 (Salmon et al., the Random123 generator) implemented directly
 on numpy arrays.  Every run's randomness is a pure function of
 
     (master seed, sweep row, run index)
 
-so serial and multi-worker executions agree bit for bit no matter how runs
-are partitioned.  The implementation is checked against the published
-known-answer vectors in the test suite.
+so any partition of the runs into chunks gives the same stream, bit for
+bit.  The implementation is checked against the published known-answer
+vectors in the test suite.
 
 The kernel works in place on uint64 buffers of one call's blocks, with the
 round keys computed once per call; the Monte Carlo driver asks for one
@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .config import COUNTER_LIMIT, SEED_LIMIT
+
 _M0 = np.uint64(0xD2511F53)
 _M1 = np.uint64(0xCD9E8D57)
 _W0 = 0x9E3779B9
@@ -30,10 +32,6 @@ _ROUNDS = 10
 # Fixed tag in the last counter slot, so run streams can never collide with
 # other stream families added later.
 _TRIAL_TAG = 0x464D4531
-
-# Run indices are 32-bit counter words; the seed is the 64-bit key.
-COUNTER_LIMIT = 1 << 32
-SEED_LIMIT = 1 << 64
 
 
 def _round_keys(key) -> list[tuple[np.uint64, np.uint64]]:

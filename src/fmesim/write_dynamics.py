@@ -144,6 +144,17 @@ class PairState:
     def cutoff(self) -> int:
         return self.chain.size - 1
 
+    def mean_occupation(self) -> float:
+        """Mean pair number, the untruncated chain's mean photon number (inf
+        for a saturated state, c_0 = 0)."""
+        p_n, lam, top = np.abs(self.chain) ** 2, self.tail_ratio, self.cutoff + 1
+        # Above the cutoff |c_n|^2 = |c_0|^2 lam^n, whose share of the mean is
+        # lam^top (top + lam / |c_0|^2): 0 on the perturbative route (lam = 0),
+        # infinite for a saturated state
+        with np.errstate(divide="ignore"):
+            tail = lam**top * (top + lam / p_n[0]) if lam else 0.0
+        return float(np.arange(top) @ p_n + tail)
+
 
 def _bright_mode(a_I: complex, a_II: complex) -> tuple[float, complex, complex]:
     """|a| and the bright-mode direction (a_I, -a_II) / |a| ((1, 0) if a = 0)."""

@@ -1,0 +1,67 @@
+"""Check that fmesim's set-up path runs without numpy.
+
+Every case runs in a fresh interpreter in which numpy cannot be imported
+(sys.modules["numpy"] = None), so any numpy import on the path fails with
+ImportError.  The set-up path is importing config and cli, resolving the
+configuration of each benchmark workload in bench/spec.json, --help,
+preset-list and the config rejections that exit 2; numpy loads only when
+the first engine is built, which the control case checks.
+
+Run it with the fmesim to check importable, e.g. from the repository root:
+
+    PYTHONPATH=src python tests/setup_without_numpy.py
+
+It prints one line per case and exits 1 if any case fails.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+SPEC = os.path.join(HERE, os.pardir, "bench", "spec.json")
+PHYSICS = tuple(f"fmesim.{name}" for name in ("protocol", "herald", "retrieval", "rng", "write_dynamics"))
+
+BLOCK = 'import sys\nsys.modules["numpy"] = None\n'
+NO_PHYSICS = f"loaded = [m for m in {PHYSICS!r} if m in sys.modules]\nsys.exit(f'loaded {{loaded}}' if loaded else 0)\n"
+MAIN = "from fmesim.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+LOAD = "from fmesim import cli\ncli._load(cli.build_parser().parse_args(sys.argv[1:]))\n" + NO_PHYSICS
+ETA_ERROR = "error: eta must be in [0, 1], got 2.0"
+
+
+def cases():
+    """(name, code, argv, expected exit code, text expected on stderr)."""
+    yield "import fmesim.config", "import fmesim.config\n" + NO_PHYSICS, [], 0, ""
+    yield "import fmesim.cli", "import fmesim.cli\n" + NO_PHYSICS, [], 0, ""
+    with open(SPEC, encoding="utf-8") as fh:
+        workloads = json.load(fh)["workloads"]
+    for name, workload in workloads.items():
+        yield f"resolve {name}", LOAD, workload["argv"], 0, ""
+    yield "preset-list", MAIN, ["preset-list"], 0, ""
+    yield "--help", MAIN, ["--help"], 0, ""
+    yield "protocol eta=2", MAIN, ["protocol", "--preset", "rb85-87", "--set", "eta=2"], 2, ETA_ERROR
+    bad_sweep = ["sweep", "--preset", "rb85-87", "--runs", "1000000", "--sweep", "eta=0.5,0.6,2"]
+    yield "sweep eta=0.5,0.6,2", MAIN, bad_sweep, 2, ETA_ERROR
+    # Control: an engine build needs numpy, so the block is in force.
+    yield "control: herald loads numpy", MAIN, ["herald", "--preset", "rb85-87"], 1, "import of numpy halted"
+
+
+def main() -> int:
+    import_code = BLOCK + "import fmesim\nprint(fmesim.__file__)\n"
+    where = subprocess.run([sys.executable, "-c", import_code], capture_output=True, text=True)
+    print(f"fmesim from {where.stdout.strip() or where.stderr.strip()}")
+    failed = 0
+    for name, code, argv, want_code, want_err in cases():
+        res = subprocess.run([sys.executable, "-c", BLOCK + code, *argv],
+                             capture_output=True, text=True, timeout=60)
+        ok = res.returncode == want_code and want_err in res.stderr
+        failed += not ok
+        print(f"{'ok  ' if ok else 'FAIL'} {name}: exit {res.returncode}")
+        if not ok:
+            print(res.stderr.rstrip())
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -439,6 +439,23 @@ def test_cli_import_loads_no_executor():
     assert out.stdout.strip() == "[]"
 
 
+def test_setup_path_imports_no_numpy():
+    # tests/setup_without_numpy.py runs each set-up case in a fresh interpreter
+    # with numpy blocked; CI runs the same script against the installed package
+    script = os.path.join(os.path.dirname(__file__), "setup_without_numpy.py")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, script], capture_output=True, text=True,
+                         env=env, timeout=300)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert out.stdout.count("\nok ") == 10
+
+
+def test_bad_sweep_value_exits_before_any_row(capsys):
+    args = ("sweep", "--preset", "rb85-87", "--runs", "1000000")
+    assert run_cli(*args, "--sweep", "eta=0.5,0.6,2") == 2
+    assert capsys.readouterr().err == "error: eta must be in [0, 1], got 2.0\n"
+
+
 def test_runs_beyond_32_bit_counter_exits_2(capsys):
     assert run_cli("protocol", "--preset", "rb85-87", "--runs", str(2**32 + 1)) == 2
     assert "runs" in capsys.readouterr().err
