@@ -298,12 +298,14 @@ def _progress(label: str):
 
 def _run_rows(args, command: str, cfg: ResolvedConfig, row_cfgs, labels) -> list[dict]:
     """Monte Carlo statistics of each row configuration (row i keys the random
-    streams), written as one csv or json table; returns the stats rows."""
+    streams), written as one csv or json table; returns the stats rows.  Every
+    row's engine is built before the first run is drawn, so a rejection in
+    any row exits before any Monte Carlo."""
     from .protocol import aggregate, run_protocol
 
+    engines = [_engine(row_cfg) for row_cfg in row_cfgs]
     rows = []
-    for i, (row_cfg, label) in enumerate(zip(row_cfgs, labels)):
-        engine = _engine(row_cfg)
+    for i, (row_cfg, engine, label) in enumerate(zip(row_cfgs, engines, labels)):
         tally = run_protocol(engine, args.seed, row_cfg.values["runs"], row=i,
                              progress=_progress(label))
         rows.append((row_cfg, _stats_row(aggregate(tally, engine.table), engine)))

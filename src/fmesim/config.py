@@ -24,8 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     from .herald import DetectorModel
@@ -88,8 +87,7 @@ def _cutoff(key, value):
         raise ConfigError(f"{key} must be in [1, 32], got {value}")
 
 
-@dataclass(frozen=True)
-class KeySpec:
+class KeySpec(NamedTuple):
     kind: str  # "float" | "complex" | "int" | "choice"
     unit: str
     description: str
@@ -161,8 +159,7 @@ REQUIRED_KEYS = tuple(
 )
 
 
-@dataclass(frozen=True)
-class Preset:
+class Preset(NamedTuple):
     """A named parameter set; the keys in paper_keys are tagged "paper",
     every other value "default"."""
 
@@ -210,8 +207,7 @@ RB85_87 = Preset(
 PRESETS: dict[str, Preset] = {RB85_87.name: RB85_87}
 
 
-@dataclass(frozen=True)
-class ResolvedConfig:
+class ResolvedConfig(NamedTuple):
     """Validated configuration with one provenance tag per key."""
 
     values: dict[str, object]

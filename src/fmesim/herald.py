@@ -32,15 +32,20 @@ sign is preserved end to end so it reaches the output photon's amplitudes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .write_dynamics import PairState
 
 
-@dataclass(frozen=True)
-class DetectorModel:
+class _DetectorFields(NamedTuple):  # checked in DetectorModel.__new__, which _replace skips
+    eta: float
+    dark_rate: float
+    gate: float
+
+
+class DetectorModel(_DetectorFields):
     """Threshold click detector.
 
     eta        detection efficiency in [0, 1]
@@ -48,25 +53,24 @@ class DetectorModel:
     gate       detection gate duration in seconds
     """
 
-    eta: float
-    dark_rate: float
-    gate: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must be in [0, 1], got {self.eta}")
         if self.dark_rate < 0:
             raise ValueError("dark_rate must be >= 0")
         if self.gate <= 0:
             raise ValueError("gate must be > 0")
+        return self
 
     @property
     def p_dark(self) -> float:
         return 1.0 - math.exp(-self.dark_rate * self.gate)
 
 
-@dataclass(frozen=True)
-class HeraldBranch:
+class HeraldBranch(NamedTuple):
     """One pure-state branch of the click POVM.
 
     kind is "photon" (a real photon was detected; n_photons is the photon

@@ -35,7 +35,7 @@ not depend on the cutoff.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,8 +51,7 @@ from .write_dynamics import SystemParams
 _RUN_CHUNK = 8192  # runs per batch (bounds the per-batch Philox buffers)
 
 
-@dataclass(frozen=True)
-class ProtocolSetup:
+class _SetupFields(NamedTuple):  # checked in ProtocolSetup.__new__, which _replace skips
     system: SystemParams
     detector: DetectorModel
     read: ReadParams
@@ -60,17 +59,22 @@ class ProtocolSetup:
     engine: str = "perturbative"
     cutoff: int = 2
 
-    def __post_init__(self):
+
+class ProtocolSetup(_SetupFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.engine not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}, got {self.engine!r}")
         if self.cutoff < 1:
             raise ValueError("cutoff must be >= 1")
         if self.max_trials < 1:
             raise ValueError("max_trials must be >= 1")
+        return self
 
 
-@dataclass(frozen=True)
-class ProtocolStats:
+class ProtocolStats(NamedTuple):
     """Aggregates over completed runs; uncertainties are 1-sigma standard
     errors from the run count."""
 
@@ -129,8 +133,7 @@ class ProtocolEngine:
         self.table = branch_table(self.branches, self.qubit)
 
 
-@dataclass(frozen=True)
-class BranchTable:
+class BranchTable(NamedTuple):
     """What aggregate reads: per branch, indexed by branch number, the
     false-herald flag and the retrieval efficiency (the qubit's on n = 1
     branches, 0 elsewhere); and the qubit's concurrence and fidelity, NaN
@@ -186,8 +189,7 @@ def _run_batch(
     return trials_used, branch
 
 
-@dataclass(frozen=True)
-class RunTally:
+class RunTally(NamedTuple):
     """The counts every statistic depends on: counts[0] runs without a click
     within max_trials and counts[1 + b] runs that clicked on branch b, every
     trial drawn, and the exact sums of T and T^2 over the successful runs."""

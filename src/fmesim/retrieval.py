@@ -26,13 +26,20 @@ as a test oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class ReadParams:
+class _ReadFields(NamedTuple):  # checked in ReadParams.__new__, which _replace skips
+    omega_out_I: float
+    omega_out_II: float
+    efficiency_I: float = 1.0
+    efficiency_II: float = 1.0
+    phase_II: float = 0.0
+
+
+class ReadParams(_ReadFields):
     """Per-species read-out settings (frequencies in rad/s).
 
     omega_out_I/II are the two output photon frequencies (distinct by
@@ -42,23 +49,26 @@ class ReadParams:
     heralded ones scaled by these efficiencies.
     """
 
-    omega_out_I: float
-    omega_out_II: float
-    efficiency_I: float = 1.0
-    efficiency_II: float = 1.0
-    phase_II: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.omega_out_I == self.omega_out_II:
             raise ValueError("output frequencies must differ")
         for name in ("efficiency_I", "efficiency_II"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
+        return self
 
 
-@dataclass(frozen=True)
-class FmeQubitState:
+class _QubitFields(NamedTuple):  # checked in FmeQubitState.__new__, which _replace skips
+    c1: complex
+    c2: complex
+    retrieval_efficiency: float
+
+
+class FmeQubitState(_QubitFields):
     """Dual-rail single-photon state over the two output frequencies.
 
     (c1, c2) are the amplitudes on |1>_I |0>_II and |0>_I |1>_II and satisfy
@@ -68,16 +78,16 @@ class FmeQubitState:
     are zero.  The two frequencies are ReadParams.omega_out_I/II.
     """
 
-    c1: complex
-    c2: complex
-    retrieval_efficiency: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0.0 <= self.retrieval_efficiency <= 1.0:
             raise ValueError("retrieval_efficiency must be in [0, 1]")
         total = abs(self.c1) ** 2 + abs(self.c2) ** 2
         if self.retrieval_efficiency > 0.0 and abs(total - 1.0) > 1e-12:
             raise ValueError(f"|c1|^2 + |c2|^2 = {total!r}, expected 1")
+        return self
 
     @property
     def has_photon(self) -> bool:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,18 +36,7 @@ ADIABATIC_RATIO_WARN = 0.3
 PERTURBATIVE_P_WARN = 0.3
 
 
-@dataclass(frozen=True)
-class SystemParams:
-    """Physical rates of the write stage (all angular, rad/s; times in s).
-
-    g_I, g_II          atom-photon coupling per atom
-    N_I, N_II          atom numbers
-    omega_W_I/II       write Rabi frequencies (complex phases allowed)
-    delta              one-photon detuning (nonzero)
-    gamma_1, gamma_2   excited-state coherence decays of species I / II
-    tau_write          write pulse duration
-    """
-
+class _SystemFields(NamedTuple):  # checked in SystemParams.__new__, which _replace skips
     g_I: float
     g_II: float
     N_I: float
@@ -59,7 +48,22 @@ class SystemParams:
     gamma_2: float
     tau_write: float
 
-    def __post_init__(self):
+
+class SystemParams(_SystemFields):
+    """Physical rates of the write stage (all angular, rad/s; times in s).
+
+    g_I, g_II          atom-photon coupling per atom
+    N_I, N_II          atom numbers
+    omega_W_I/II       write Rabi frequencies (complex phases allowed)
+    delta              one-photon detuning (nonzero)
+    gamma_1, gamma_2   excited-state coherence decays of species I / II
+    tau_write          write pulse duration
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.delta == 0.0:
             raise ValueError("delta must be nonzero (adiabatic elimination is singular)")
         if self.N_I < 1 or self.N_II < 1:
@@ -74,12 +78,12 @@ class SystemParams:
             warnings.warn(
                 f"|Omega_W|/|Delta| = {ratio:.3g} exceeds {ADIABATIC_RATIO_WARN}; "
                 "the adiabatic elimination is unreliable here",
-                stacklevel=3,  # past the dataclass __init__, to the code that built the params
+                stacklevel=2,  # the code that built the params
             )
+        return self
 
 
-@dataclass(frozen=True)
-class DerivedRates:
+class DerivedRates(NamedTuple):
     """Rates of the reduced write-stage model.
 
     chi_j     = g_j sqrt(N_j) Omega_Wj / Delta   (pair-creation coupling)
@@ -116,14 +120,13 @@ def derive_rates(p: SystemParams) -> DerivedRates:
             P_I=complex(chi_i * p.tau_write),
             P_II=complex(chi_ii * p.tau_write),
         )
-    bad = [f.name for f in fields(rates) if not np.isfinite(getattr(rates, f.name))]
+    bad = [name for name, value in zip(rates._fields, rates) if not np.isfinite(value)]
     if bad:
         raise FloatingPointError(f"non-finite derived write rates: {', '.join(bad)}")
     return rates
 
 
-@dataclass(frozen=True)
-class PairState:
+class PairState(NamedTuple):
     """Write state sum_n c_n |n>_a (b^dag)^n |0> / sqrt(n!).
 
     chain holds c_0 .. c_cutoff; (u_I, u_II) is the unit bright spin mode

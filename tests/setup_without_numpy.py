@@ -1,11 +1,13 @@
-"""Check that fmesim's set-up path runs without numpy.
+"""Check that fmesim's set-up path runs without numpy, dataclasses or inspect.
 
 Every case runs in a fresh interpreter in which numpy cannot be imported
 (sys.modules["numpy"] = None), so any numpy import on the path fails with
 ImportError.  The set-up path is importing config and cli, resolving the
 configuration of each benchmark workload in bench/spec.json, --help,
 preset-list and the config rejections that exit 2; numpy loads only when
-the first engine is built, which the control case checks.
+the first engine is built, which the control case checks.  Each set-up case
+also fails if it loaded a physics module, dataclasses or inspect: fmesim's
+records are NamedTuples, so the set-up path needs neither.
 
 Run it with the fmesim to check importable, e.g. from the repository root:
 
@@ -22,18 +24,23 @@ import sys
 HERE = os.path.dirname(os.path.abspath(__file__))
 SPEC = os.path.join(HERE, os.pardir, "bench", "spec.json")
 PHYSICS = tuple(f"fmesim.{name}" for name in ("protocol", "herald", "retrieval", "rng", "write_dynamics"))
+UNLOADED = (*PHYSICS, "dataclasses", "inspect")
 
-BLOCK = 'import sys\nsys.modules["numpy"] = None\n'
-NO_PHYSICS = f"loaded = [m for m in {PHYSICS!r} if m in sys.modules]\nsys.exit(f'loaded {{loaded}}' if loaded else 0)\n"
-MAIN = "from fmesim.cli import main\nsys.exit(main(sys.argv[1:]))\n"
-LOAD = "from fmesim import cli\ncli._load(cli.build_parser().parse_args(sys.argv[1:]))\n" + NO_PHYSICS
+BLOCK = 'import sys\nsys.modules["numpy"] = None\ncode = 0\n'
+# Exits with the message "loaded [...]" if any module of UNLOADED was imported, else with code.
+CHECK = f"loaded = [m for m in {UNLOADED!r} if m in sys.modules]\nsys.exit(f'loaded {{loaded}}' if loaded else code)\n"
+MAIN = (
+    "from fmesim.cli import main\n"
+    "try:\n    code = main(sys.argv[1:])\nexcept SystemExit as exc:\n    code = exc.code\n"
+) + CHECK
+LOAD = "from fmesim import cli\ncli._load(cli.build_parser().parse_args(sys.argv[1:]))\n" + CHECK
 ETA_ERROR = "error: eta must be in [0, 1], got 2.0"
 
 
 def cases():
     """(name, code, argv, expected exit code, text expected on stderr)."""
-    yield "import fmesim.config", "import fmesim.config\n" + NO_PHYSICS, [], 0, ""
-    yield "import fmesim.cli", "import fmesim.cli\n" + NO_PHYSICS, [], 0, ""
+    yield "import fmesim.config", "import fmesim.config\n" + CHECK, [], 0, ""
+    yield "import fmesim.cli", "import fmesim.cli\n" + CHECK, [], 0, ""
     with open(SPEC, encoding="utf-8") as fh:
         workloads = json.load(fh)["workloads"]
     for name, workload in workloads.items():

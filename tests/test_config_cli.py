@@ -439,6 +439,20 @@ def test_cli_import_loads_no_executor():
     assert out.stdout.strip() == "[]"
 
 
+def test_protocol_run_imports_no_dataclasses():
+    # the records are NamedTuples, so no run pays for importing dataclasses or building them
+    code = (
+        "import sys\nfrom fmesim.cli import main\ncode = main(sys.argv[1:])\n"
+        "print('dataclasses' in sys.modules, file=sys.stderr)\nsys.exit(code)"
+    )
+    argv = ["protocol", "--preset", "rb85-87", "--runs", "300"]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                         env=env, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stderr.splitlines()[-1] == "False"
+
+
 def test_setup_path_imports_no_numpy():
     # tests/setup_without_numpy.py runs each set-up case in a fresh interpreter
     # with numpy blocked; CI runs the same script against the installed package
@@ -454,6 +468,12 @@ def test_bad_sweep_value_exits_before_any_row(capsys):
     args = ("sweep", "--preset", "rb85-87", "--runs", "1000000")
     assert run_cli(*args, "--sweep", "eta=0.5,0.6,2") == 2
     assert capsys.readouterr().err == "error: eta must be in [0, 1], got 2.0\n"
+    # rejected by the engine build, not the schema: the good first row draws no run either
+    dark_ii = ("--set", "retrieval_efficiency_II=0", "--sweep", "retrieval_efficiency_I=1,0")
+    assert run_cli(*args, *dark_ii) == 2
+    err = capsys.readouterr().err
+    assert "sweep row" not in err  # no progress line
+    assert err.startswith("error: a true herald retrieves no photon") and err.count("\n") == 1
 
 
 def test_runs_beyond_32_bit_counter_exits_2(capsys):

@@ -4,9 +4,9 @@ kron-built dense Hamiltonians, the Langevin moments and the pre-elimination
 model of write_oracles), and those oracles' own checks (quadrature for the
 Lyapunov integral)."""
 
+import linecache
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -112,8 +112,9 @@ def test_rate_homogeneity_in_drive():
     for _ in range(10):
         s = rng.uniform(0.1, 1.5)
         base = make_params(delta=300.0)
-        scaled = replace(
-            base, omega_W_I=base.omega_W_I * s, omega_W_II=base.omega_W_II * s
+        # through the validating constructor: _replace would skip SystemParams' checks
+        scaled = wd.SystemParams(
+            **{**base._asdict(), "omega_W_I": base.omega_W_I * s, "omega_W_II": base.omega_W_II * s}
         )
         r0, r1 = wd.derive_rates(base), wd.derive_rates(scaled)
         assert r1.chi_I == pytest.approx(s * r0.chi_I)
@@ -129,8 +130,9 @@ def test_delta_zero_is_singular():
 def test_weak_drive_warnings():
     with pytest.warns(UserWarning, match="adiabatic") as record:
         make_params(delta=4.0)
-    # located where the params were built, not in the dataclass __init__ (<string>)
+    # located where the params were built, not inside SystemParams.__new__
     assert [w.filename for w in record] == [__file__]
+    assert linecache.getline(__file__, record[0].lineno).strip() == "return wd.SystemParams(**base)"
     strong = wd.derive_rates(make_params(delta=10.0, tau_write=100.0))
     with pytest.warns(UserWarning, match="weak-drive"):  # the exact route never warns
         wd.perturbative_state(strong, 2)
