@@ -351,6 +351,14 @@ def cmd_sweep(args) -> int:
     axes = [_parse_sweep_axis(text) for text in args.sweep]
     if not axes:
         raise ConfigError("sweep requires at least one --sweep KEY=V1,V2,...")
+    seen = set()
+    for key, _ in axes:
+        if key in seen:
+            raise ConfigError(f"--sweep {key} is given twice; list its values in one axis")
+        seen.add(key)
+    n_points = math.prod(len(values) for _, values in axes)
+    if n_points > cfg_mod.ROW_LIMIT:  # rows key the random streams
+        raise ConfigError(f"--sweep grid has {n_points} points, more than 2**31 rows")
     points: list[dict] = [{}]
     for key, values in axes:
         points = [dict(p, **{key: v}) for p in points for v in values]

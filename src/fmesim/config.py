@@ -9,7 +9,7 @@ Dark counts are an event rate and are never multiplied by 2*pi.
 This module imports only the standard library, so resolving and rejecting
 a configuration never loads numpy; each build_* function imports its
 physics type when it is called.  It owns the schema bounds the physics
-modules share: ENGINES, COUNTER_LIMIT and SEED_LIMIT.
+modules share: ENGINES, COUNTER_LIMIT, ROW_LIMIT and SEED_LIMIT.
 
 Every resolved value carries a provenance tag:
 
@@ -36,9 +36,10 @@ TWO_PI = 2.0 * math.pi
 
 ENGINES = ("perturbative", "exact")
 
-# Run indices are 32-bit words of the random stream counters; the seed is
-# their 64-bit key.
+# The seed is the 64-bit key of the random streams.  Sweep row, run index
+# and word pack one-to-one into a 64-bit stream index (31 + 32 + 1 bits).
 COUNTER_LIMIT = 1 << 32
+ROW_LIMIT = 1 << 31
 SEED_LIMIT = 1 << 64
 
 
@@ -72,7 +73,7 @@ def _at_least_one(key, value):
 
 
 def _counter(key, value):
-    # Run indices are 32-bit words of the random stream counters; max_trials
+    # Run indices take 32 bits of the random stream index; max_trials
     # shares the bound, which keeps every trial count exact in the float64
     # geometric draw.
     if not 1 <= value <= COUNTER_LIMIT:

@@ -22,14 +22,15 @@ concurrence and fidelity.
 
 The ensemble reset is perfect, so trials are independent and a run's trials
 to its first click are Geometric(p_click): each run draws them with one
-uniform, and its branch with a second, from a counter-based stream keyed by
-(master seed, sweep row, run index).  Any partitioning of runs into batches
-therefore produces the same tally; a batch of one run is the single-run
-path.  The write engine is selectable: "perturbative" uses the short-time
-expansion (with double-excitation corrections when the cutoff allows, so
-multi-photon false heralds are represented), "exact" is the closed-form,
-untruncated evolution of the pair-creation Hamiltonian, whose statistics do
-not depend on the cutoff.
+uniform, and its branch with a second, from the two words of a SplitMix64
+counter hash of (master seed, sweep row, run index) (fmesim.rng).  A run's
+draws depend on nothing else, so any partitioning of runs into batches
+produces the same tally; a batch of one run is the single-run path.  The
+write engine is selectable: "perturbative" uses the short-time expansion
+(with double-excitation corrections when the cutoff allows, so multi-photon
+false heralds are represented), "exact" is the closed-form, untruncated
+evolution of the pair-creation Hamiltonian, whose statistics do not depend
+on the cutoff.
 """
 
 from __future__ import annotations
@@ -48,7 +49,12 @@ from .retrieval import FmeQubitState, ReadParams
 from .rng import run_uniforms
 from .write_dynamics import SystemParams
 
-_RUN_CHUNK = 8192  # runs per batch (bounds the per-batch Philox buffers)
+# Runs per batch: every per-chunk array is at most 64 KB (4096 runs x 2 words
+# x 8 B).  Against 8192 with the same code, rb-protocol peaked 0.14 MB lower
+# at the held-out seed (0.01 MB at seed 1) and drive-grid 0.02-0.05 MB lower,
+# while in-process run_protocol over 2e6 runs took 4-17% longer; 2048 and
+# 16384 were slower than both (BENCH_16.json).
+_RUN_CHUNK = 4096
 
 
 class _SetupFields(NamedTuple):  # checked in ProtocolSetup.__new__, which _replace skips
@@ -177,14 +183,14 @@ def _run_batch(
     branch = np.full(run_hi - run_lo, -1, dtype=np.int16)
     if p == 0.0:  # never clicks
         return trials_used, branch
-    u = run_uniforms(seed, row, np.arange(run_lo, run_hi))
+    u = run_uniforms(seed, row, np.arange(run_lo, run_hi, dtype=np.uint64))
     if p < 1.0:
         t = np.floor(np.log1p(-u[:, 0]) / math.log1p(-p)) + 1.0
     else:  # clicks on the first trial
         t = np.ones(run_hi - run_lo)
     hit = t <= max_trials
     trials_used[hit] = t[hit]
-    picked = np.searchsorted(engine.branch_cdf, u[hit, 1], side="right")
+    picked = np.searchsorted(engine.branch_cdf, u[:, 1][hit], side="right")
     branch[hit] = np.minimum(picked, len(engine.branches) - 1)
     return trials_used, branch
 
@@ -217,7 +223,7 @@ def run_protocol(engine: ProtocolEngine, seed: int, n_runs: int, row: int = 0,
         n_trials += int(trials_used.sum())
         trials_sum += int(won.sum())
         # T <= 2^32, so T^2 overflows int64: square T = t1 2^16 + t0 by parts
-        t1, t0 = np.divmod(won, 1 << 16)
+        t1, t0 = won >> 16, won & 0xFFFF
         trials_sq_sum += (int(t1 @ t1) << 32) + (int(t1 @ t0) << 17) + int(t0 @ t0)
         if progress is not None:
             progress(hi, n_runs)

@@ -51,6 +51,7 @@ class ReadParams(_ReadFields):
 
     __slots__ = ()
 
+    # config._check also rejects equal frequencies (naming the keys); this guards the library API
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         if self.omega_out_I == self.omega_out_II:

@@ -507,6 +507,27 @@ def test_counter_bounds_are_inclusive():
     assert cfg.values["runs"] == cfg.values["max_trials"] == 2**32
 
 
+def test_sweep_repeated_key_exits_2(capsys):
+    # a later axis on the same key used to overwrite the earlier one, so
+    # eta 0.5 and 0.6 never ran and both rows read eta 0.7
+    args = ("sweep", "--preset", "rb85-87", "--runs", "10", "--format", "json")
+    assert run_cli(*args, "--sweep", "eta=0.5,0.6", "--sweep", "eta=0.7") == 2
+    err = capsys.readouterr().err
+    assert re.search(r"\beta\b", err) and "sweep row" not in err
+
+
+def test_sweep_grid_beyond_row_limit_exits_2(monkeypatch, capsys):
+    # rows key the random streams, so a grid may not exceed ROW_LIMIT rows;
+    # the check runs before the grid is expanded (CI runs the 2**31 case)
+    monkeypatch.setattr(cfg_mod, "ROW_LIMIT", 4)
+    args = ("sweep", "--preset", "rb85-87", "--runs", "10", "--out", os.devnull)
+    assert run_cli(*args, "--sweep", "eta=0.5,0.6", "--sweep", "gate_s=1e-6,2e-6") == 0
+    capsys.readouterr()
+    assert run_cli(*args, "--sweep", "eta=0.5,0.6,0.7", "--sweep", "gate_s=1e-6,2e-6") == 2
+    err = capsys.readouterr().err
+    assert "--sweep" in err and "6 points" in err and "sweep row" not in err
+
+
 def test_sweep_equal_output_frequencies_exits_2(capsys):
     args = ("sweep", "--preset", "rb85-87", "--runs", "10")
     assert run_cli(*args, "--sweep", "omega_out_II=-1.368e9") == 2
@@ -626,10 +647,70 @@ def test_protocol_argv_exits_cleanly(runs, max_trials, cutoff, engine, overrides
         assert all(math.isfinite(x) for x in _numbers(data))
 
 
+SWEEP_VALUES = {
+    "eta": [0.0, 0.3, 1.0, 2.0],
+    "dark_rate_hz": [0.0, 50.0, 1e300, -1.0],
+    "omega_rabi_write_II": [0.0, 1e7, 1e300],
+    "runs": [1, 7, 50, 0],
+    "cutoff": [1, 3, 33],
+    "engine": ["perturbative", "exact"],
+}
+
+
+def _axis_text(key, values, as_json):
+    if as_json:
+        return f"{key}={json.dumps(values)}"
+    return f"{key}=" + ",".join(v if isinstance(v, str) else repr(v) for v in values)
+
+
+SWEEP_AXIS = st.sampled_from(sorted(SWEEP_VALUES)).flatmap(
+    lambda key: st.tuples(
+        st.just(key),
+        st.lists(st.sampled_from(SWEEP_VALUES[key]), min_size=1, max_size=3),
+        st.booleans(),
+    )
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    runs=st.integers(1, 50),
+    axes=st.lists(SWEEP_AXIS, min_size=1, max_size=3).filter(
+        lambda axes: math.prod(len(values) for _, values, _ in axes) <= 12
+    ),
+)
+@pytest.mark.filterwarnings("ignore")  # regime warnings are expected at extreme values
+def test_sweep_argv_exits_cleanly(runs, axes):
+    argv = ["sweep", "--preset", "rb85-87", "--format", "json", "--runs", str(runs)]
+    for key, values, as_json in axes:
+        argv += ["--sweep", _axis_text(key, values, as_json)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    keys = [key for key, _, _ in axes]
+    repeated = [key for key in keys if keys.count(key) > 1]
+    if repeated:
+        assert code == 2 and repeated[0] in err.getvalue(), (argv, err.getvalue())
+        assert "sweep row" not in err.getvalue()
+    if code != 0:
+        return
+    data = json.loads(out.getvalue(), parse_constant=_reject_constant)
+    assert all(math.isfinite(x) for x in _numbers(data))
+    points = [{}]
+    for key, values, _ in axes:
+        points = [{**p, key: v} for p in points for v in values]
+    results = data["results"]
+    assert len(results) == len(points)
+    for row, point in zip(results, points):
+        got = {key: row["config"][key] for key in point}  # complex keys read [re, im]
+        assert {k: complex(*v) if isinstance(v, list) else v for k, v in got.items()} == point
+
+
 def test_progress_prints_at_most_once_per_tenth(capsys):
     n_runs = 10_000_000
     chunk_ends = [*range(pr._RUN_CHUNK, n_runs, pr._RUN_CHUNK), n_runs]
-    assert len(chunk_ends) == 1221
+    assert len(chunk_ends) == math.ceil(n_runs / pr._RUN_CHUNK)
     progress = cli._progress("protocol")
     for done in chunk_ends:
         progress(done, n_runs)

@@ -5,13 +5,14 @@ The sha256 below is the output of
     fmesim protocol --preset rb85-87 --runs 2000 --seed 1
 
 as written by the driver that draws each run's trials to its first click as
-one Geometric(p_click) variate from a single Philox block keyed by (seed, row,
-run), and aggregates from per-chunk tallies: runs per click branch and exact
-integer sums of T and T^2.  Both hashes were taken again when aggregation
-moved from float sums over every run in run order to those counts.  The
-integer columns and the configuration lines kept their bytes; the standard
-error of the trials to success and the photon yield moved in the last one or
-two ulps, to within one ulp of exact rational arithmetic on the same runs.
+one Geometric(p_click) variate and its click branch from the two words of a
+SplitMix64 counter hash of (seed, row, run), and aggregates from per-chunk
+tallies: runs per click branch and exact integer sums of T and T^2.  Both
+hashes were taken again when aggregation moved from float sums over every
+run in run order to those counts.  The integer columns and the
+configuration lines kept their bytes; the standard error of the trials to
+success and the photon yield moved in the last one or two ulps, to within
+one ulp of exact rational arithmetic on the same runs.
 Both were taken again when the write engine moved from the three-mode
 amplitude grid to the pair shell (chain amplitudes plus one bright spin mode)
 with the closed-form branch table.  Integer columns, configuration lines and
@@ -23,6 +24,14 @@ Both were taken again when the config keys kappa and gamma_gs left the
 schema: they were read only by the Langevin moments, which no command
 reports, so the output lost their entries in the config and provenance
 lines and their two CSV columns, and every other byte stayed the same.
+Both were taken again when the random streams moved from Philox4x32-10
+(one block per run) to the SplitMix64 counter hash (two words per run): the
+hash costs about a tenth of the numpy calls.  Every Monte Carlo column moved
+(n_trials, p_click and its stderr, mean_trials and its stderr, the
+false-herald fraction and the photon yield), because every run draws new
+uniforms; the configuration lines, n_runs, n_success and the analytic
+columns kept their bytes, and the new tallies stay within sampling error of
+the analytic values.
 Any change to the random streams, the run loop or the statistics shows here.
 
 The second sha256 pins the exact write engine under the same driver:
@@ -39,10 +48,11 @@ and false_herald_analytic lost their dependence on the cutoff (cutoffs 2 and
 
 import hashlib
 
+from fmesim import protocol as pr
 from fmesim.cli import main
 
-GOLDEN_PROTOCOL_SHA256 = "2cb2c602c089c209354b6028791ab915378c98b514ebcce949a919731266436e"
-GOLDEN_EXACT_SWEEP_SHA256 = "c641c01e7705f35899a042a5c6a5a967994cb25fe51ca7e60c2f333c9012eef5"
+GOLDEN_PROTOCOL_SHA256 = "d3970c145456932cba7c201d342303dc1f28320e6e8c93a1deb421c8f8d88a96"
+GOLDEN_EXACT_SWEEP_SHA256 = "922305c37f24a1a9acc71e41bfbbe1abde179bfdd49361c555f5947893b63769"
 
 
 def test_golden_protocol_bytes(tmp_path):
@@ -63,7 +73,7 @@ def test_golden_exact_sweep_bytes(tmp_path):
 
 
 def test_sweep_two_workers_match_one(tmp_path):
-    # 8200 runs make two chunks per row; --workers changes nothing
+    # 8200 runs make three chunks per row; --workers changes nothing
     args = [
         "sweep", "--preset", "rb85-87", "--format", "json", "--runs", "8200",
         "--seed", "3", "--sweep", "omega_rabi_write_II=1e7,2.5e7",
@@ -72,5 +82,20 @@ def test_sweep_two_workers_match_one(tmp_path):
     for workers in ("1", "2"):
         out = tmp_path / f"w{workers}.json"
         assert main(args + ["--workers", workers, "--out", str(out)]) == 0
+        blobs.append(out.read_bytes())
+    assert blobs[0] == blobs[1]
+
+
+def test_output_does_not_depend_on_chunk_size(tmp_path, monkeypatch):
+    # 20000 runs per row: five chunks of 4096 or three of 8192
+    args = [
+        "sweep", "--preset", "rb85-87", "--format", "json", "--runs", "20000",
+        "--seed", "4", "--sweep", "eta=0.5,0.9",
+    ]
+    blobs = []
+    for chunk in (4096, 8192):
+        monkeypatch.setattr(pr, "_RUN_CHUNK", chunk)
+        out = tmp_path / f"chunk{chunk}.json"
+        assert main(args + ["--out", str(out)]) == 0
         blobs.append(out.read_bytes())
     assert blobs[0] == blobs[1]

@@ -1,4 +1,4 @@
-"""Monte Carlo driver: counter-based streams against a pure-Python Philox,
+"""Monte Carlo driver: counter-based streams against a pure-Python SplitMix64,
 the batched run loop against a per-run loop, chunking independence, and
 aggregate statistics against exact rational arithmetic."""
 
@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from fmesim import config as cfg_mod
 from fmesim import protocol as pr
 from fmesim import rng as rng_mod
 from fmesim import write_dynamics as wd
@@ -48,51 +49,41 @@ def sweep_rows(setups, seed, n_runs):
 # counter-based streams
 # ---------------------------------------------------------------------------
 
-KNOWN_ANSWERS = [  # published test vectors for philox4x32-10: counter, key, output
-    ([0, 0, 0, 0], [0, 0], [0x6627E8D5, 0xE169C58D, 0xBC57AC4C, 0x9B00DBD8]),
-    ([0xFFFFFFFF] * 4, [0xFFFFFFFF] * 2, [0x408F276D, 0x41C83B0E, 0xA20BC7C6, 0x6D5451FD]),
-    (
-        [0x243F6A88, 0x85A308D3, 0x13198A2E, 0x03707344],
-        [0xA4093822, 0x299F31D0],
-        [0xD16CFE09, 0x94FDCCEB, 0x5001E420, 0x24126EA1],
-    ),
-]
+MASK64 = (1 << 64) - 1
+GAMMA = 0x9E3779B97F4A7C15
 
 
-def philox_reference(counter, key):
-    """Philox4x32-10 on Python integers, one block."""
-    c0, c1, c2, c3 = counter
-    k0, k1 = key
-    for _ in range(10):
-        p0 = 0xD2511F53 * c0
-        p1 = 0xCD9E8D57 * c2
-        c0, c1, c2, c3 = (p1 >> 32) ^ c1 ^ k0, p1 & 0xFFFFFFFF, (p0 >> 32) ^ c3 ^ k1, p0 & 0xFFFFFFFF
-        k0 = (k0 + 0x9E3779B9) & 0xFFFFFFFF
-        k1 = (k1 + 0xBB67AE85) & 0xFFFFFFFF
-    return [c0, c1, c2, c3]
+def splitmix64_mix(z):
+    """The SplitMix64 finalizer on Python integers."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def word_reference(seed, row, run, word):
+    """One 64-bit word of the stream: mix(mix(seed) + GAMMA * i) with the
+    index i = row * 2**33 + 2 run + word."""
+    index = (row << 33) | (run << 1) | word
+    return splitmix64_mix((splitmix64_mix(seed) + GAMMA * index) & MASK64)
 
 
 def uniforms_reference(seed, row, run):
-    """(trials, branch) uniforms of one run from the pure-Python block."""
-    words = philox_reference([0, run, row, 0x464D4531], [seed & 0xFFFFFFFF, seed >> 32])
-    return tuple(((hi << 32 | lo) >> 11) * 2.0**-53 for hi, lo in (words[:2], words[2:]))
+    """(trials, branch) uniforms of one run from the pure-Python words."""
+    return tuple((word_reference(seed, row, run, w) >> 11) * 2.0**-53 for w in (0, 1))
 
 
-def test_philox_known_answer_vectors():
-    for counter, key, expected in KNOWN_ANSWERS:
-        out = rng_mod.philox4x32(np.array([counter], dtype=np.uint32), key)
-        np.testing.assert_array_equal(out[0], expected)
-        assert philox_reference(counter, key) == expected
+# The first outputs of SplitMix64 seeded with 0, from the reference C code
+# (Vigna, splitmix64.c): mix(k GAMMA) for k = 1, 2, 3, 4.
+SPLITMIX64_SEED0 = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F, 0xF88BB8A8724C81EC]
 
 
-def test_philox_chunks_match_reference():
-    # more blocks than two run chunks, with counters in every word
-    n = 16384 + 7
-    counters = np.random.default_rng(4).integers(0, 2**32, size=(n, 4), dtype=np.uint64)
-    key = [0xA4093822, 0x299F31D0]
-    out = rng_mod.philox4x32(counters.astype(np.uint32), key)
-    for i in (0, 1, 16384 - 1, 16384, n - 1):
-        assert out[i].tolist() == philox_reference(counters[i].tolist(), key)
+def test_stream_of_seed_zero_is_the_published_splitmix64_sequence():
+    # mix(0) = 0, so seed 0 keys row 0 at 0 and index i reads mix(i GAMMA)
+    assert splitmix64_mix(0) == 0
+    assert [word_reference(0, 0, k // 2, k % 2) for k in range(1, 5)] == SPLITMIX64_SEED0
+    words = [0, *SPLITMIX64_SEED0]  # index 0 reads mix(0) = 0
+    u = rng_mod.run_uniforms(0, 0, np.arange(3)).ravel()  # index order
+    assert u[:5].tolist() == [(w >> 11) * 2.0**-53 for w in words]
 
 
 def test_trial_uniforms_deterministic_and_distinct():
@@ -108,16 +99,20 @@ def test_trial_uniforms_deterministic_and_distinct():
 
 
 def test_run_uniforms_match_reference_streams():
-    seed = 2**64 - 3  # both key words in use
-    u = rng_mod.run_uniforms(seed, 2, np.array([3, 5, 9]))
-    assert u.shape == (3, 2)
-    for i, run in enumerate((3, 5, 9)):
-        assert tuple(u[i]) == uniforms_reference(seed, 2, run)
-    # more runs than two run chunks, up to the last 32-bit run index
+    # the chunk edges, the last run index, the last row and the last seed,
+    # both words of each run
+    edges = np.array([0, 1, 4095, 4096, 8191, 8192, 2**32 - 1])
+    for seed in (0, 7, 2**63, 2**64 - 1):
+        for row in (0, 1, 2, cfg_mod.ROW_LIMIT - 1):
+            u = rng_mod.run_uniforms(seed, row, edges)
+            assert u.shape == (edges.size, 2)
+            for i, run in enumerate(edges.tolist()):
+                assert tuple(u[i]) == uniforms_reference(seed, row, run)
+    # one call over more runs than two chunks, up to the last run index
     runs = np.arange(2**32 - 16384 - 5, 2**32)
-    wide = rng_mod.run_uniforms(7, 0, runs)
-    for i in (0, 16384 - 1, 16384, runs.size - 1):
-        assert tuple(wide[i]) == uniforms_reference(7, 0, int(runs[i]))
+    wide = rng_mod.run_uniforms(2**64 - 1, cfg_mod.ROW_LIMIT - 1, runs)
+    for i in (0, 4095, 4096, 8191, 8192, 16384 - 1, 16384, runs.size - 1):
+        assert tuple(wide[i]) == uniforms_reference(2**64 - 1, cfg_mod.ROW_LIMIT - 1, int(runs[i]))
 
 
 def test_counter_and_seed_widths_enforced():
@@ -133,6 +128,36 @@ def test_uniform_moments_sane():
     u = rng_mod.run_uniforms(123, 0, np.arange(200_000)).ravel()
     assert abs(u.mean() - 0.5) < 2e-3
     assert abs(u.var() - 1.0 / 12.0) < 2e-3
+
+
+def test_row_and_negative_run_enforced():
+    assert rng_mod.run_uniforms(1, cfg_mod.ROW_LIMIT - 1, [0]).shape == (1, 2)
+    for row in (-1, cfg_mod.ROW_LIMIT, 2**33):
+        with pytest.raises(ValueError, match="row"):
+            rng_mod.run_uniforms(1, row, [0])
+    for runs in ([-1], np.array([5, -1]), [2**64]):
+        with pytest.raises(ValueError, match="run"):
+            rng_mod.run_uniforms(1, 0, runs)
+
+
+def test_neighbouring_streams_uncorrelated():
+    # neighbouring runs, the two words of one run, and the same runs in
+    # neighbouring rows and under neighbouring seeds
+    n = 200_000
+    bound = 5.0 / math.sqrt(n)
+    base = rng_mod.run_uniforms(99, 4, np.arange(n + 1))
+    pairs = {
+        "next run, word 0": (base[:-1, 0], base[1:, 0]),
+        "next run, word 1": (base[:-1, 1], base[1:, 1]),
+        "word 0 of the next run after word 1": (base[:-1, 1], base[1:, 0]),
+        "the two words of a run": (base[:, 0], base[:, 1]),
+    }
+    for label, other in (("next row", rng_mod.run_uniforms(99, 5, np.arange(n + 1))),
+                         ("next seed", rng_mod.run_uniforms(100, 4, np.arange(n + 1)))):
+        for w in (0, 1):
+            pairs[f"{label}, word {w}"] = (base[:, w], other[:, w])
+    for label, (a, b) in pairs.items():
+        assert abs(np.corrcoef(a, b)[0, 1]) < bound, label
 
 
 # ---------------------------------------------------------------------------
