@@ -187,7 +187,7 @@ def _load(args) -> ResolvedConfig:
 
 
 def _engine(cfg: ResolvedConfig) -> ProtocolEngine:
-    from .protocol import ProtocolEngine  # numpy loads with the first engine
+    from .protocol import ProtocolEngine  # the physics modules load with the first engine
 
     engine = ProtocolEngine(cfg_mod.build_setup(cfg))
     if _single_photon(engine) and not engine.qubit.has_photon:
@@ -224,7 +224,7 @@ def cmd_write_sim(args) -> int:
         },
         "write_state": {
             "cutoff": state.cutoff,
-            "chain": [_complex_pair(c) for c in state.chain.tolist()],
+            "chain": [_complex_pair(c) for c in state.chain],
             "u_I": _complex_pair(state.u_I),
             "u_II": _complex_pair(state.u_II),
             "tail_ratio": state.tail_ratio,

@@ -34,8 +34,6 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-import numpy as np
-
 from .write_dynamics import PairState
 
 
@@ -108,17 +106,17 @@ def click_branches(state: PairState, det: DetectorModel) -> list[HeraldBranch]:
     branches by ascending n, then the photon and the dark tail) so that
     outcome selection is deterministic.
     """
-    p_n = np.abs(state.chain) ** 2
-    miss = [(1.0 - det.eta) ** n for n in range(p_n.size + 1)]
-    weights = [("photon", n, p_n[n] * (1.0 - miss[n])) for n in range(1, p_n.size)]
+    p_n, top = [abs(c) ** 2 for c in state.chain], len(state.chain)
+    miss = [(1.0 - det.eta) ** n for n in range(top + 1)]
+    weights = [("photon", n, p_n[n] * (1.0 - miss[n])) for n in range(1, top)]
     if det.p_dark > 0.0:
-        weights += [("dark", n, p_n[n] * miss[n] * det.p_dark) for n in range(p_n.size)]
+        weights += [("dark", n, p_n[n] * miss[n] * det.p_dark) for n in range(top)]
     # Above the cutoff N the chain continues as |c_n|^2 = s lam^n, where
     # s = |c_0|^2 = 1 - lam stays exact where lam rounds to 1: the tail
     # weighs lam^(N+1) and the detector misses it with probability s m / den,
     # m = (1-eta)^(N+1) and den = 1 - lam (1-eta) = s + lam eta, which is 0
     # only at eta = 0 and lam = 1, where nothing is detected.
-    lam, top = state.tail_ratio, p_n.size
+    lam = state.tail_ratio
     s, lam_eta = p_n[0], lam * det.eta
     den = s + lam_eta
     seen = (s * (1.0 - miss[top]) + lam_eta) / den if den else 0.0

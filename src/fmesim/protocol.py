@@ -18,7 +18,8 @@ run_protocol tallies each chunk of runs as it is drawn (runs per outcome,
 trials, and sums of T and T^2 over successful runs), so memory does not
 grow with the run count, and aggregate computes every statistic from that
 tally, the per-branch false-herald flags and efficiencies, and the qubit's
-concurrence and fidelity.
+concurrence and fidelity.  Only the draw and the tally use numpy, which
+loads with the first run; the engine and aggregate are standard library.
 
 The ensemble reset is perfect, so trials are independent and a run's trials
 to its first click are Geometric(p_click): each run draws them with one
@@ -35,10 +36,9 @@ on the cutoff.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import NamedTuple
-
-import numpy as np
 
 from . import herald as herald_mod
 from . import retrieval as retrieval_mod
@@ -46,7 +46,6 @@ from . import write_dynamics as wd
 from .config import ENGINES
 from .herald import DetectorModel, HeraldBranch
 from .retrieval import FmeQubitState, ReadParams
-from .rng import run_uniforms
 from .write_dynamics import SystemParams
 
 # Runs per batch: every per-chunk array is at most 64 KB (4096 runs x 2 words
@@ -125,15 +124,10 @@ class ProtocolEngine:
         self.branches: list[HeraldBranch] = herald_mod.click_branches(self.write_state, det)
         total = float(sum(b.probability for b in self.branches))
         self.p_click = min(total, 1.0)
-        if total > 0.0:
-            self.branch_cdf = np.cumsum([b.probability / total for b in self.branches])
-        else:
-            self.branch_cdf = np.array([])
-        self.false_fraction = (
-            sum(b.probability for b in self.branches if b.false_herald) / total
-            if total > 0.0
-            else 0.0
-        )
+        # every listed branch has a positive weight, so total > 0 unless there are none
+        self.branch_cdf = tuple(itertools.accumulate(b.probability / total for b in self.branches))
+        false = sum(b.probability for b in self.branches if b.false_herald)
+        self.false_fraction = false / total if total > 0.0 else 0.0
         self.spin = herald_mod.heralded_spin(self.write_state)
         self.qubit: FmeQubitState = retrieval_mod.retrieve_fme(self.spin, setup.read)
         self.table = branch_table(self.branches, self.qubit)
@@ -145,8 +139,8 @@ class BranchTable(NamedTuple):
     branches, 0 elsewhere); and the qubit's concurrence and fidelity, NaN
     when it holds no photon."""
 
-    false_herald: np.ndarray
-    efficiency: np.ndarray
+    false_herald: tuple[bool, ...]
+    efficiency: tuple[float, ...]
     concurrence: float
     fidelity: float
 
@@ -156,27 +150,28 @@ def branch_table(branches: list[HeraldBranch], qubit: FmeQubitState) -> BranchTa
         return fn(qubit) if qubit.has_photon else math.nan
 
     return BranchTable(
-        false_herald=np.array([b.false_herald for b in branches], dtype=bool),
-        efficiency=np.array(
-            [qubit.retrieval_efficiency if b.n_photons == 1 else 0.0 for b in branches],
-            dtype=float,
+        false_herald=tuple(b.false_herald for b in branches),
+        efficiency=tuple(
+            qubit.retrieval_efficiency if b.n_photons == 1 else 0.0 for b in branches
         ),
         concurrence=metric(retrieval_mod.concurrence),
         fidelity=metric(retrieval_mod.fidelity_to_bell),
     )
 
 
-def _run_batch(
-    engine: ProtocolEngine, seed: int, row: int, run_lo: int, run_hi: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _run_batch(engine: ProtocolEngine, seed: int, row: int, run_lo: int, run_hi: int):
     """Repeat-until-success for the runs run_lo .. run_hi - 1.
 
-    Returns trials_used (int64) and branch (int16, -1 for no click within
-    max_trials).  A run's trials to its first click, T, come from its first
-    uniform u by inverting P(T > t) = (1 - p_click)^t; a run with T above
-    max_trials has no success.  Its second uniform picks the branch from the
-    branch CDF.
+    Returns two numpy arrays: trials_used (int64) and branch (int16, -1 for
+    no click within max_trials).  A run's trials to its first click, T, come
+    from its first uniform u by inverting P(T > t) = (1 - p_click)^t; a run
+    with T above max_trials has no success.  Its second uniform picks the
+    branch from the branch CDF.
     """
+    import numpy as np
+
+    from .rng import run_uniforms
+
     max_trials = engine.setup.max_trials
     p = engine.p_click
     trials_used = np.full(run_hi - run_lo, max_trials, dtype=np.int64)
@@ -211,6 +206,8 @@ def run_protocol(engine: ProtocolEngine, seed: int, n_runs: int, row: int = 0,
     """The tally of all runs for one configuration, drawn serially and tallied
     one chunk of _RUN_CHUNK runs at a time; progress(runs_done, n_runs), if
     given, is called after each chunk (reporting only)."""
+    import numpy as np  # loads with the first run drawn; the engine does not use it
+
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
     counts = np.zeros(len(engine.branches) + 1, dtype=np.int64)
@@ -230,12 +227,13 @@ def run_protocol(engine: ProtocolEngine, seed: int, n_runs: int, row: int = 0,
     return RunTally(tuple(counts.tolist()), n_trials, trials_sum, trials_sq_sum)
 
 
-def _weighted_mean(counts: np.ndarray, values: np.ndarray) -> float:
+def _weighted_mean(counts: tuple[int, ...], values: tuple[float, ...]) -> float:
     """Mean of values[b] taken counts[b] times each, summed as deviations
     about the most frequent value (shifted data: Chan, Golub & LeVeque,
     Am. Stat. 37, 242 (1983)); exact when all counted values agree."""
-    seen, n, ref = counts > 0, int(counts.sum()), values[np.argmax(counts)]
-    return float(ref + float(counts[seen] @ (values[seen] - ref)) / n)
+    ref = values[counts.index(max(counts))]
+    shift = math.fsum(c * (v - ref) for c, v in zip(counts, values) if c)
+    return ref + shift / sum(counts)
 
 
 def aggregate(tally: RunTally, table: BranchTable) -> ProtocolStats:
@@ -245,12 +243,11 @@ def aggregate(tally: RunTally, table: BranchTable) -> ProtocolStats:
     concurrence and fidelity are the qubit's and their standard errors are
     exactly 0.0 whenever a true herald was drawn (NaN otherwise).
     """
-    counts = np.array(tally.counts, dtype=np.int64)
-    n_runs = int(counts.sum())
+    n_runs = sum(tally.counts)
     if not n_runs:
         raise ValueError("aggregate requires at least one completed run")
-    hits = counts[1:]
-    n_success = n_runs - int(counts[0])
+    hits = tally.counts[1:]
+    n_success = n_runs - tally.counts[0]
     p_click = n_success / tally.n_trials  # one click ends each successful run
     p_click_stderr = math.sqrt(p_click * (1.0 - p_click) / tally.n_trials)
     mean_trials = mean_trials_stderr = false_fraction = photon_yield = math.nan
@@ -261,10 +258,10 @@ def aggregate(tally: RunTally, table: BranchTable) -> ProtocolStats:
         mean_trials = s1 / n  # Python int / int rounds once
         # stderr^2 = var / n, and n (n - 1) var = n s2 - s1^2 exactly in ints
         mean_trials_stderr = math.sqrt((n * s2 - s1 * s1) / (n * n * max(n - 1, 1)))
-        false_fraction = int(hits[table.false_herald].sum()) / n_success
+        false_fraction = sum(h for h, f in zip(hits, table.false_herald) if f) / n_success
         photon_yield = _weighted_mean(hits, table.efficiency)
 
-    if hits[~table.false_herald].any():
+    if any(h for h, f in zip(hits, table.false_herald) if not f):
         if math.isnan(table.concurrence):
             raise ValueError("no-photon record: entanglement metrics are undefined")
         mean_conc, mean_fid = table.concurrence, table.fidelity

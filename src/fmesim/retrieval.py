@@ -28,8 +28,6 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-import numpy as np
-
 
 class _ReadFields(NamedTuple):  # checked in ReadParams.__new__, which _replace skips
     omega_out_I: float
@@ -108,7 +106,8 @@ def retrieve_fme(spin: tuple[complex, complex], read: ReadParams) -> FmeQubitSta
     if retrieved <= 0.0:
         return FmeQubitState(c1=0.0, c2=0.0, retrieval_efficiency=0.0)
     c1 = alpha * math.sqrt(read.efficiency_I)
-    c2 = beta * math.sqrt(read.efficiency_II) * np.exp(1j * read.phase_II)
+    rotation = complex(math.cos(read.phase_II), math.sin(read.phase_II))
+    c2 = beta * math.sqrt(read.efficiency_II) * rotation
     scale = math.sqrt(abs(c1) ** 2 + abs(c2) ** 2)
     return FmeQubitState(
         c1=complex(c1 / scale),

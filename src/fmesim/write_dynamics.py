@@ -30,8 +30,6 @@ import math
 import warnings
 from typing import NamedTuple
 
-import numpy as np
-
 ADIABATIC_RATIO_WARN = 0.3
 PERTURBATIVE_P_WARN = 0.3
 
@@ -103,24 +101,27 @@ class DerivedRates(NamedTuple):
 
 
 def derive_rates(p: SystemParams) -> DerivedRates:
-    # An overflow here is reported once, by the finiteness check below.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        chi_i = p.g_I * np.sqrt(p.N_I) * p.omega_W_I / p.delta
-        chi_ii = p.g_II * np.sqrt(p.N_II) * p.omega_W_II / p.delta
-        # squared as numpy scalars, so that an overflow gives inf, not OverflowError
-        w2_i, w2_ii = np.float64(abs(p.omega_W_I)) ** 2, np.float64(abs(p.omega_W_II)) ** 2
-        d2 = np.float64(p.delta) ** 2
-        rates = DerivedRates(
-            chi_I=complex(chi_i),
-            chi_II=complex(chi_ii),
-            gamma_L_I=float(p.gamma_1 * w2_i / d2),
-            gamma_L_II=float(p.gamma_2 * w2_ii / d2),
-            delta_L_I=float(w2_i / p.delta),
-            delta_L_II=float(w2_ii / p.delta),
-            P_I=complex(chi_i * p.tau_write),
-            P_II=complex(chi_ii * p.tau_write),
-        )
-    bad = [name for name, value in zip(rates._fields, rates) if not np.isfinite(value)]
+    # Each part times 1/Delta, rounded as the pinned outputs' complex quotient
+    # (a tail branch moves ~10 ulp per ulp of chi).
+    z_i, z_ii = p.g_I * math.sqrt(p.N_I) * p.omega_W_I, p.g_II * math.sqrt(p.N_II) * p.omega_W_II
+    inv_delta = 1.0 / p.delta
+    chi_i, chi_ii = (complex(z.real * inv_delta, z.imag * inv_delta) for z in (z_i, z_ii))
+    # Products, not ** 2: an overflow gives inf and an underflow of Delta^2
+    # nan, not an exception, both reported once by the finiteness check below.
+    w_i, w_ii = abs(p.omega_W_I), abs(p.omega_W_II)
+    w2_i, w2_ii, d2 = w_i * w_i, w_ii * w_ii, p.delta * p.delta or math.nan
+    rates = DerivedRates(
+        chi_I=chi_i,
+        chi_II=chi_ii,
+        gamma_L_I=p.gamma_1 * w2_i / d2,
+        gamma_L_II=p.gamma_2 * w2_ii / d2,
+        delta_L_I=w2_i / p.delta,
+        delta_L_II=w2_ii / p.delta,
+        P_I=chi_i * p.tau_write,
+        P_II=chi_ii * p.tau_write,
+    )
+    bad = [name for name, value in zip(rates._fields, rates)
+           if not (math.isfinite(value.real) and math.isfinite(value.imag))]
     if bad:
         raise FloatingPointError(f"non-finite derived write rates: {', '.join(bad)}")
     return rates
@@ -138,25 +139,27 @@ class PairState(NamedTuple):
     the exact route and 0 (unit norm, no tail) on the perturbative one.
     """
 
-    chain: np.ndarray
+    chain: tuple[complex, ...]
     u_I: complex
     u_II: complex
     tail_ratio: float = 0.0
 
     @property
     def cutoff(self) -> int:
-        return self.chain.size - 1
+        return len(self.chain) - 1
 
     def mean_occupation(self) -> float:
         """Mean pair number, the untruncated chain's mean photon number (inf
         for a saturated state, c_0 = 0)."""
-        p_n, lam, top = np.abs(self.chain) ** 2, self.tail_ratio, self.cutoff + 1
+        p_n, lam, top = [abs(c) ** 2 for c in self.chain], self.tail_ratio, self.cutoff + 1
         # Above the cutoff |c_n|^2 = |c_0|^2 lam^n, whose share of the mean is
         # lam^top (top + lam / |c_0|^2): 0 on the perturbative route (lam = 0),
-        # infinite for a saturated state
-        with np.errstate(divide="ignore"):
+        # infinite for a saturated state (c_0 = 0)
+        try:
             tail = lam**top * (top + lam / p_n[0]) if lam else 0.0
-        return float(np.arange(top) @ p_n + tail)
+        except ZeroDivisionError:
+            return math.inf
+        return math.fsum(n * p for n, p in enumerate(p_n)) + tail
 
 
 def _bright_mode(a_I: complex, a_II: complex) -> tuple[float, complex, complex]:
@@ -187,10 +190,12 @@ def evolve_exact(r: DerivedRates, cutoff: int, t: float) -> PairState:
         raise ValueError("evolution time must be >= 0")
     chi, u_i, u_ii = _bright_mode(r.chi_I, r.chi_II)
     th = math.tanh(chi * t)
-    with np.errstate(over="ignore"):  # cosh r = inf: all the weight is above the cutoff
-        sech = 1.0 / np.cosh(chi * t)
-    n = np.arange(cutoff + 1)
-    return PairState((-1j) ** n * th**n * sech, u_i, u_ii, th * th)
+    try:
+        sech = 1.0 / math.cosh(chi * t)
+    except OverflowError:  # cosh r = inf: all the weight is above the cutoff
+        sech = 0.0
+    chain = tuple((-1j) ** n * th**n * sech for n in range(cutoff + 1))
+    return PairState(chain, u_i, u_ii, th * th)
 
 
 # ---------------------------------------------------------------------------
@@ -222,15 +227,15 @@ def perturbative_state(r: DerivedRates, cutoff: int, order: int = 1) -> PairStat
             stacklevel=2,
         )
     p, u_i, u_ii = _bright_mode(r.P_I, r.P_II)
-    chain = np.zeros(cutoff + 1, dtype=complex)
-    chain[:2] = 1.0, -1j * p
+    chain = [1.0 + 0j, -1j * p] + [0j] * (cutoff - 1)
     if order == 2:
         chain[0] -= p * p / 2.0
         if cutoff >= 2:
-            chain[2] = -p * p
-    with np.errstate(over="ignore"):  # an infinite norm fails the check below
-        norm = float(np.linalg.norm(chain))
+            chain[2] = complex(-p * p)
+    # Real and imaginary parts summed apart, then scaled by 1/norm: the rounding
+    # of the pinned outputs (a certain click's branch sum exceeds 1 there).
+    re2, im2 = sum(c.real * c.real for c in chain), sum(c.imag * c.imag for c in chain)
+    norm = math.sqrt(re2 + im2)
     if not math.isfinite(norm):
         raise FloatingPointError(f"cannot normalize a write state of norm {norm!r}")
-    return PairState(chain / norm, u_i, u_ii)
-
+    return PairState(tuple(c * (1.0 / norm) for c in chain), u_i, u_ii)

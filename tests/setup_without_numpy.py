@@ -1,13 +1,16 @@
-"""Check that fmesim's set-up path runs without numpy, dataclasses or inspect.
+"""Check that fmesim's set-up path and state commands run without numpy.
 
 Every case runs in a fresh interpreter in which numpy cannot be imported
 (sys.modules["numpy"] = None), so any numpy import on the path fails with
 ImportError.  The set-up path is importing config and cli, resolving the
 configuration of each benchmark workload in bench/spec.json, --help,
-preset-list and the config rejections that exit 2; numpy loads only when
-the first engine is built, which the control case checks.  Each set-up case
-also fails if it loaded a physics module, dataclasses or inspect: fmesim's
-records are NamedTuples, so the set-up path needs neither.
+preset-list and the config rejections that exit 2; each set-up case fails if
+it loaded a physics module.  The state commands write-sim, herald and
+retrieve build the write engine, which is standard-library only, so they run
+at both engines and at the largest cutoff.  numpy loads only when the first
+Monte Carlo run is drawn, which the control case (protocol) checks.  Every
+case also fails if it loaded dataclasses or inspect: fmesim's records are
+NamedTuples, so neither path needs them.
 
 Run it with the fmesim to check importable, e.g. from the repository root:
 
@@ -24,23 +27,32 @@ import sys
 HERE = os.path.dirname(os.path.abspath(__file__))
 SPEC = os.path.join(HERE, os.pardir, "bench", "spec.json")
 PHYSICS = tuple(f"fmesim.{name}" for name in ("protocol", "herald", "retrieval", "rng", "write_dynamics"))
-UNLOADED = (*PHYSICS, "dataclasses", "inspect")
+HELPERS = ("dataclasses", "inspect")
 
 BLOCK = 'import sys\nsys.modules["numpy"] = None\ncode = 0\n'
-# Exits with the message "loaded [...]" if any module of UNLOADED was imported, else with code.
-CHECK = f"loaded = [m for m in {UNLOADED!r} if m in sys.modules]\nsys.exit(f'loaded {{loaded}}' if loaded else code)\n"
-MAIN = (
+CALL_MAIN = (
     "from fmesim.cli import main\n"
     "try:\n    code = main(sys.argv[1:])\nexcept SystemExit as exc:\n    code = exc.code\n"
-) + CHECK
-LOAD = "from fmesim import cli\ncli._load(cli.build_parser().parse_args(sys.argv[1:]))\n" + CHECK
+)
 ETA_ERROR = "error: eta must be in [0, 1], got 2.0"
+
+
+def check(unloaded):
+    """Code that exits with the message "loaded [...]" if any module of
+    unloaded was imported, else with code."""
+    return (f"loaded = [m for m in {unloaded!r} if m in sys.modules]\n"
+            "sys.exit(f'loaded {loaded}' if loaded else code)\n")
+
+
+SETUP_CHECK = check(PHYSICS + HELPERS)
+MAIN = CALL_MAIN + SETUP_CHECK
+LOAD = "from fmesim import cli\ncli._load(cli.build_parser().parse_args(sys.argv[1:]))\n" + SETUP_CHECK
 
 
 def cases():
     """(name, code, argv, expected exit code, text expected on stderr)."""
-    yield "import fmesim.config", "import fmesim.config\n" + CHECK, [], 0, ""
-    yield "import fmesim.cli", "import fmesim.cli\n" + CHECK, [], 0, ""
+    yield "import fmesim.config", "import fmesim.config\n" + SETUP_CHECK, [], 0, ""
+    yield "import fmesim.cli", "import fmesim.cli\n" + SETUP_CHECK, [], 0, ""
     with open(SPEC, encoding="utf-8") as fh:
         workloads = json.load(fh)["workloads"]
     for name, workload in workloads.items():
@@ -50,8 +62,14 @@ def cases():
     yield "protocol eta=2", MAIN, ["protocol", "--preset", "rb85-87", "--set", "eta=2"], 2, ETA_ERROR
     bad_sweep = ["sweep", "--preset", "rb85-87", "--runs", "1000000", "--sweep", "eta=0.5,0.6,2"]
     yield "sweep eta=0.5,0.6,2", MAIN, bad_sweep, 2, ETA_ERROR
-    # Control: an engine build needs numpy, so the block is in force.
-    yield "control: herald loads numpy", MAIN, ["herald", "--preset", "rb85-87"], 1, "import of numpy halted"
+    # The state commands build the engine, so they may load the physics modules.
+    for command in ("write-sim", "herald", "retrieve"):
+        for engine in ("perturbative", "exact"):
+            argv = [command, "--preset", "rb85-87", "--set", f"engine={engine}", "--set", "cutoff=32"]
+            yield f"{command} {engine} cutoff=32", CALL_MAIN + check(HELPERS), argv, 0, ""
+    # Control: drawing runs needs numpy, so the block is in force.
+    protocol = ["protocol", "--preset", "rb85-87", "--runs", "300"]
+    yield "control: protocol loads numpy", MAIN, protocol, 1, "import of numpy halted"
 
 
 def main() -> int:

@@ -454,14 +454,15 @@ def test_protocol_run_imports_no_dataclasses():
 
 
 def test_setup_path_imports_no_numpy():
-    # tests/setup_without_numpy.py runs each set-up case in a fresh interpreter
-    # with numpy blocked; CI runs the same script against the installed package
+    # tests/setup_without_numpy.py runs each set-up and state-command case in a
+    # fresh interpreter with numpy blocked; CI runs the same script against the
+    # installed package
     script = os.path.join(os.path.dirname(__file__), "setup_without_numpy.py")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, script], capture_output=True, text=True,
                          env=env, timeout=300)
     assert out.returncode == 0, out.stdout + out.stderr
-    assert out.stdout.count("\nok ") == 10
+    assert out.stdout.count("\nok ") == 16
 
 
 def test_bad_sweep_value_exits_before_any_row(capsys):
