@@ -23,25 +23,6 @@ from .config import SEED_LIMIT, ConfigError, ResolvedConfig
 if TYPE_CHECKING:
     from .protocol import ProtocolEngine, ProtocolStats
 
-STATS_COLUMNS = (
-    "n_runs",
-    "n_trials",
-    "n_success",
-    "p_click",
-    "p_click_stderr",
-    "p_click_analytic",
-    "mean_trials",
-    "mean_trials_stderr",
-    "false_herald_fraction",
-    "false_herald_analytic",
-    "mean_concurrence",
-    "concurrence_stderr",
-    "mean_fidelity_bell",
-    "fidelity_stderr",
-    "photon_yield",
-)
-
-
 def _complex_pair(z: complex) -> list[float]:
     z = complex(z)
     return [z.real, z.imag]
@@ -117,14 +98,13 @@ def _emit_rows_csv(
     buf.write("# config: " + json.dumps(meta["config"], sort_keys=True) + "\n")
     buf.write("# provenance: " + json.dumps(meta["provenance"], sort_keys=True) + "\n")
     config_keys = sorted(cfg.values)
-    header = ["row"] + config_keys + list(STATS_COLUMNS)
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
+    writer.writerow(["row"] + config_keys + list(rows[0][1]))  # _stats_row names the columns
     for i, (row_cfg, stats_dict) in enumerate(rows):
         row_values = row_cfg.serializable_values()
         cells = [str(i)]
         cells += [_format_cell(row_values[k]) for k in config_keys]
-        cells += [_format_cell(stats_dict[k]) for k in STATS_COLUMNS]
+        cells += [_format_cell(v) for v in stats_dict.values()]
         writer.writerow(cells)
     _write_text(out_path, buf.getvalue())
 

@@ -81,9 +81,10 @@ def _counter(key, value):
 
 
 def _cutoff(key, value):
-    # The cutoff sets how much of the chain is listed, and the perturbative
-    # order (1 at cutoff 1, else 2); the exact engine's numbers do not depend
-    # on it.  The bound caps the listed chain and the 2 cutoff + 3 branch table.
+    # The cutoff sets how much of the chain is listed, and so the degree of the
+    # perturbative engine's Taylor polynomial (1 at cutoff 1, else 2); the exact
+    # engine's numbers do not depend on it.  The bound caps the listed chain
+    # and the 2 cutoff + 3 branch table.
     if not 1 <= value <= 32:
         raise ConfigError(f"{key} must be in [1, 32], got {value}")
 
@@ -214,9 +215,6 @@ class ResolvedConfig(NamedTuple):
     values: dict[str, object]
     provenance: dict[str, str]
     preset: str | None = None
-
-    def get(self, key):
-        return self.values[key]
 
     def serializable_values(self) -> dict:
         out = {}

@@ -27,11 +27,11 @@ uniform, and its branch with a second, from the two words of a SplitMix64
 counter hash of (master seed, sweep row, run index) (fmesim.rng).  A run's
 draws depend on nothing else, so any partitioning of runs into batches
 produces the same tally; a batch of one run is the single-run path.  The
-write engine is selectable: "perturbative" uses the short-time expansion
-(with double-excitation corrections when the cutoff allows, so multi-photon
-false heralds are represented), "exact" is the closed-form, untruncated
-evolution of the pair-creation Hamiltonian, whose statistics do not depend
-on the cutoff.
+write engine is selectable (write_dynamics.write_state): "exact" is the
+closed-form, untruncated evolution of the pair-creation Hamiltonian, whose
+statistics do not depend on the cutoff, and "perturbative" its Taylor
+polynomial, with double excitations when the cutoff allows, so multi-photon
+false heralds are represented.
 """
 
 from __future__ import annotations
@@ -115,18 +115,16 @@ class ProtocolEngine:
     def __init__(self, setup: ProtocolSetup):
         self.setup = setup
         self.rates = rates = wd.derive_rates(setup.system)
-        if setup.engine == "perturbative":
-            order = 2 if setup.cutoff >= 2 else 1
-            self.write_state = wd.perturbative_state(rates, setup.cutoff, order=order)
-        else:
-            self.write_state = wd.evolve_exact(rates, setup.cutoff, setup.system.tau_write)
+        self.write_state = wd.write_state(rates, setup.cutoff, setup.engine)
         det = setup.detector
         self.branches: list[HeraldBranch] = herald_mod.click_branches(self.write_state, det)
-        total = float(sum(b.probability for b in self.branches))
+        # fsum, not sum: the builtin is compensated from Python 3.12 on, so its
+        # last bit would depend on the interpreter
+        total = math.fsum(b.probability for b in self.branches)
         self.p_click = min(total, 1.0)
         # every listed branch has a positive weight, so total > 0 unless there are none
         self.branch_cdf = tuple(itertools.accumulate(b.probability / total for b in self.branches))
-        false = sum(b.probability for b in self.branches if b.false_herald)
+        false = math.fsum(b.probability for b in self.branches if b.false_herald)
         self.false_fraction = false / total if total > 0.0 else 0.0
         self.spin = herald_mod.heralded_spin(self.write_state)
         self.qubit: FmeQubitState = retrieval_mod.retrieve_fme(self.spin, setup.read)

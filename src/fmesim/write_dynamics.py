@@ -11,14 +11,11 @@ the species comes from the opposite detuning signs of the two species' pair
 Hamiltonians; it is kept verbatim so it reaches the output state's relative
 phase.
 
-Two routes are implemented and cross-validated; both return a PairState,
-the chain amplitudes c_n plus the bright spin mode:
-
-1. exact evolution exp(-i H t) from vacuum, in closed form: the untruncated
-   two-mode squeezed vacuum, listed up to the cutoff, with its geometric
-   weight above the cutoff kept as the tail ratio,
-2. the short-time expansion of that evolution (first order, optionally with
-   the second-order double-excitation corrections).
+Both engines build the same state, the chain amplitudes c_n plus the bright
+spin mode (a PairState): "exact" the closed-form evolution exp(-i H t) from
+vacuum, the untruncated two-mode squeezed vacuum, with its geometric weight
+above the cutoff kept as the tail ratio; "perturbative" that chain's Taylor
+polynomial in the excitation amplitude (write_state).
 
 Units: every rate here is in rad/s (angular).  Configuration files quote
 plain Hz; the conversion by 2*pi happens once at ingestion, never here.
@@ -131,12 +128,12 @@ class PairState(NamedTuple):
     """Write state sum_n c_n |n>_a (b^dag)^n |0> / sqrt(n!).
 
     chain holds c_0 .. c_cutoff; (u_I, u_II) is the unit bright spin mode
-    b^dag = u_I S_I^dag + u_II S_II^dag.  Both routes below stay on this pair
+    b^dag = u_I S_I^dag + u_II S_II^dag.  Both engines' states stay on this pair
     shell (n Stokes photons come with n quanta of b), so these four fields,
     which write-sim prints, are the whole state.  Above the cutoff the chain
     continues geometrically, |c_n|^2 = |c_0|^2 tail_ratio^n, so the listed
     chain has norm^2 1 - tail_ratio^(cutoff+1); tail_ratio is tanh^2 r on
-    the exact route and 0 (unit norm, no tail) on the perturbative one.
+    the exact engine and 0 (unit norm, no tail) on the perturbative one.
     """
 
     chain: tuple[complex, ...]
@@ -153,7 +150,7 @@ class PairState(NamedTuple):
         for a saturated state, c_0 = 0)."""
         p_n, lam, top = [abs(c) ** 2 for c in self.chain], self.tail_ratio, self.cutoff + 1
         # Above the cutoff |c_n|^2 = |c_0|^2 lam^n, whose share of the mean is
-        # lam^top (top + lam / |c_0|^2): 0 on the perturbative route (lam = 0),
+        # lam^top (top + lam / |c_0|^2): 0 on the perturbative engine (lam = 0),
         # infinite for a saturated state (c_0 = 0)
         try:
             tail = lam**top * (top + lam / p_n[0]) if lam else 0.0
@@ -170,68 +167,49 @@ def _bright_mode(a_I: complex, a_II: complex) -> tuple[float, complex, complex]:
     return size, complex(a_I / size), complex(-a_II / size)
 
 
-# ---------------------------------------------------------------------------
-# Route 1: exact evolution in closed form
-# ---------------------------------------------------------------------------
-
-
-def evolve_exact(r: DerivedRates, cutoff: int, t: float) -> PairState:
-    """Write state exp(-i H t)|0,0,0> of the pair-creation Hamiltonian.
+def write_state(rates: DerivedRates, cutoff: int, engine: str) -> PairState:
+    """Write state exp(-i H tau_write)|0,0,0> of the pair-creation Hamiltonian.
 
     H = |chi| (b^dag a^dag + H.c.) with the bright spin mode
-    b^dag = u_I S_I^dag + u_II S_II^dag, u_I = chi_I/|chi|,
-    u_II = -chi_II/|chi| and |chi|^2 = |chi_I|^2 + |chi_II|^2.  From vacuum
-    this is the two-mode squeezed vacuum of the DLCZ write process (Duan et
-    al., Nature 414, 413 (2001)): c_n = (-i tanh r)^n / cosh r with
-    r = |chi| t, untruncated; the chain lists n <= cutoff and the tail ratio
-    tanh^2 r carries the weight above it.
-    """
-    if t < 0:
-        raise ValueError("evolution time must be >= 0")
-    chi, u_i, u_ii = _bright_mode(r.chi_I, r.chi_II)
-    th = math.tanh(chi * t)
-    try:
-        sech = 1.0 / math.cosh(chi * t)
-    except OverflowError:  # cosh r = inf: all the weight is above the cutoff
-        sech = 0.0
-    chain = tuple((-1j) ** n * th**n * sech for n in range(cutoff + 1))
-    return PairState(chain, u_i, u_ii, th * th)
+    b^dag = u_I S_I^dag + u_II S_II^dag, (u_I, u_II) = (P_I, -P_II) / r and
+    r = |P| = sqrt(|P_I|^2 + |P_II|^2).  From vacuum this is the two-mode
+    squeezed vacuum of the DLCZ write process (Duan et al., Nature 414, 413
+    (2001)), c_n = (-i tanh r)^n / cosh r.
 
-
-# ---------------------------------------------------------------------------
-# Route 2: short-time expansion
-# ---------------------------------------------------------------------------
-
-
-def perturbative_state(r: DerivedRates, cutoff: int, order: int = 1) -> PairState:
-    """Short-time write state, normalized, with |P|^2 = |P_I|^2 + |P_II|^2.
-
-    order=1: chain (1, -i|P|), i.e. amplitudes (1, -i P_I, +i P_II) on the
-    basis states (0,0,0), (1,1,0), (1,0,1); the relative minus sign between
-    the species is preserved.  order=2 adds -|P|^2/2 to c_0 and, when the
-    cutoff allows, c_2 = -|P|^2, the double excitations
+    engine "exact" lists it, untruncated, for n <= cutoff; the tail ratio
+    tanh^2 r carries the weight above the cutoff.  engine "perturbative"
+    takes its Taylor polynomial in r of degree min(cutoff, 2), (1, -i r) or
+    (1 - r^2/2, -i r, -r^2, 0, ...), renormalised with no tail: amplitudes
+    (1, -i P_I, +i P_II) on (0,0,0), (1,1,0), (1,0,1), the relative minus sign
+    between the species preserved, and at second order the double excitations
 
         -P_I^2 on (2,2,0),  +sqrt(2) P_I P_II on (2,1,1),  -P_II^2 on (2,0,2)
 
-    used by the Monte Carlo driver to model multi-photon false heralds.
+    that model multi-photon false heralds.  It warns outside the weak-drive
+    regime; the exact engine never warns.
     """
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
-    if order not in (1, 2):
-        raise ValueError(f"order must be 1 or 2, got {order}")
-    p_max = max(abs(r.P_I), abs(r.P_II))
+    r, u_i, u_ii = _bright_mode(rates.P_I, rates.P_II)
+    if engine == "exact":
+        th = math.tanh(r)
+        try:
+            sech = 1.0 / math.cosh(r)
+        except OverflowError:  # cosh r = inf: all the weight is above the cutoff
+            sech = 0.0
+        chain = tuple((-1j) ** n * th**n * sech for n in range(cutoff + 1))
+        return PairState(chain, u_i, u_ii, th * th)
+    p_max = max(abs(rates.P_I), abs(rates.P_II))
     if p_max >= PERTURBATIVE_P_WARN:
         warnings.warn(
             f"excitation amplitude P = {p_max:.3g} is outside the weak-drive "
             "regime (P << 1); perturbative results are unreliable",
             stacklevel=2,
         )
-    p, u_i, u_ii = _bright_mode(r.P_I, r.P_II)
-    chain = [1.0 + 0j, -1j * p] + [0j] * (cutoff - 1)
-    if order == 2:
-        chain[0] -= p * p / 2.0
-        if cutoff >= 2:
-            chain[2] = complex(-p * p)
+    if cutoff == 1:
+        chain = [1.0 + 0j, -1j * r]
+    else:
+        chain = [complex(1.0 - r * r / 2.0), -1j * r, complex(-r * r)] + [0j] * (cutoff - 2)
     # Real and imaginary parts summed apart, then scaled by 1/norm: the rounding
     # of the pinned outputs (a certain click's branch sum exceeds 1 there).
     re2, im2 = sum(c.real * c.real for c in chain), sum(c.imag * c.imag for c in chain)

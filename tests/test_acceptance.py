@@ -62,7 +62,7 @@ def protocol_setup(p=0.1, eta=0.6, dark=400.0, max_trials=10_000, cutoff=1):
 
 def test_criterion_1_maximal_entanglement():
     det = DetectorModel(eta=1.0, dark_rate=0.0, gate=1e-6)
-    psi = wd.perturbative_state(rates_fixture(0.07, 0.07), 2)
+    psi = wd.write_state(rates_fixture(0.07, 0.07), 2, "perturbative")
     assert hd.click_branches(psi, det)[0].n_photons == 1
     qubit = rt.retrieve_fme(hd.heralded_spin(psi), ideal_read())
     assert rt.concurrence(qubit) == pytest.approx(1.0, abs=1e-10)
@@ -74,8 +74,8 @@ def test_criterion_2_perturbative_exact_consistency():
     p = 0.05
     cutoff = 3
     rates = rates_fixture(p, p)
-    exact = wd.evolve_exact(rates, cutoff, 1.0)
-    approx = wd.perturbative_state(rates, cutoff)
+    exact = wd.write_state(rates, cutoff, "exact")
+    approx = wd.write_state(rates, cutoff, "perturbative")
     exact_grid, approx_grid = hb.from_pair_state(exact), hb.from_pair_state(approx)
     diff = np.linalg.norm(exact_grid.amplitudes - approx_grid.amplitudes)
     assert diff <= 3.0 * p**2  # 7.5e-3

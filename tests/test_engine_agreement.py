@@ -29,20 +29,20 @@ def agree(a: float, b: float) -> bool:
     return a == b or abs(a - b) <= MAX_ULP * np.spacing(max(abs(a), abs(b)))
 
 
-def reference_chain(rates, engine, cutoff, tau):
-    """Chain amplitudes and tail ratio as the numpy build computed them."""
+def reference_chain(rates, engine, cutoff):
+    """Chain amplitudes and tail ratio as the numpy build computed them, both
+    engines from the one amplitude r = |P|."""
+    p, _, _ = wd._bright_mode(rates.P_I, rates.P_II)
     if engine == "perturbative":
-        p, _, _ = wd._bright_mode(rates.P_I, rates.P_II)
         chain = np.zeros(cutoff + 1, dtype=complex)
         chain[:2] = 1.0, -1j * p
         if cutoff >= 2:  # second order wherever the cutoff allows it
             chain[0] -= p * p / 2.0
             chain[2] = -p * p
         return chain / np.linalg.norm(chain), 0.0
-    chi, _, _ = wd._bright_mode(rates.chi_I, rates.chi_II)
-    th = math.tanh(chi * tau)
+    th = math.tanh(p)
     with np.errstate(over="ignore"):
-        sech = 1.0 / np.cosh(chi * tau)
+        sech = 1.0 / np.cosh(p)
     n = np.arange(cutoff + 1)
     return (-1j) ** n * th**n * sech, th * th
 
@@ -50,7 +50,7 @@ def reference_chain(rates, engine, cutoff, tau):
 def reference_engine(setup):
     """The fields of ProtocolEngine, computed with the numpy expressions."""
     rates = wd.derive_rates(setup.system)
-    chain, lam = reference_chain(rates, setup.engine, setup.cutoff, setup.system.tau_write)
+    chain, lam = reference_chain(rates, setup.engine, setup.cutoff)
     p_n, top = np.abs(chain) ** 2, chain.size
     with np.errstate(divide="ignore"):
         tail = lam**top * (top + lam / p_n[0]) if lam else 0.0

@@ -25,7 +25,7 @@ def heralded_state(p_i, p_ii):
         chi_I=p_i, chi_II=p_ii, gamma_L_I=0.0, gamma_L_II=0.0,
         delta_L_I=0.0, delta_L_II=0.0, P_I=p_i, P_II=p_ii,
     )
-    return hd.heralded_spin(wd.perturbative_state(rates, 2))
+    return hd.heralded_spin(wd.write_state(rates, 2, "perturbative"))
 
 
 def gaussian(z, center, width):
@@ -65,7 +65,7 @@ def test_false_herald_dark_branch_gives_no_photon():
         chi_I=0.1, chi_II=0.1, gamma_L_I=0.0, gamma_L_II=0.0,
         delta_L_I=0.0, delta_L_II=0.0, P_I=0.1, P_II=0.1,
     )
-    psi = wd.perturbative_state(rates, 2)
+    psi = wd.write_state(rates, 2, "perturbative")
     det = DetectorModel(eta=0.6, dark_rate=400.0, gate=1e-6)
     branches = hd.click_branches(psi, det)
     cdf = np.cumsum([b.probability for b in branches])

@@ -60,11 +60,15 @@ def kron_oracle_state(chi_i, chi_ii, cutoff, t=1.0):
 def chain_expm_state(chi_i, chi_ii, cutoff, t=1.0):
     """exp(-i H t)|0,0,0> by scipy's expm of H truncated to the pair chain
     |n>_a (b^dag)^n|0> / sqrt(n!), n <= cutoff, where H[n+1, n] = |chi| (n+1):
-    the reduction of the kron-built Hamiltonian to the pair shell."""
+    the reduction of the kron-built Hamiltonian to the pair shell.  The bright
+    mode is the direction of the amplitudes (chi_I t, chi_II t), as the engine
+    takes it from (P_I, P_II)."""
     chi = math.hypot(abs(chi_i), abs(chi_ii))
     ladder = np.diag(chi * np.arange(1.0, cutoff + 1), -1)
     chain = scipy.linalg.expm(-1j * t * (ladder + ladder.T))[:, 0]
-    u_i, u_ii = (chi_i / chi, -chi_ii / chi) if chi else (1.0, 0.0)
+    p_i, p_ii = complex(chi_i) * t, complex(chi_ii) * t
+    p = math.hypot(abs(p_i), abs(p_ii))
+    u_i, u_ii = (p_i / p, -p_ii / p) if p else (1.0, 0.0)
     return wd.PairState(chain, complex(u_i), complex(u_ii))
 
 
@@ -134,8 +138,12 @@ def test_weak_drive_warnings():
     assert [w.filename for w in record] == [__file__]
     assert linecache.getline(__file__, record[0].lineno).strip() == "return wd.SystemParams(**base)"
     strong = wd.derive_rates(make_params(delta=10.0, tau_write=100.0))
-    with pytest.warns(UserWarning, match="weak-drive"):  # the exact route never warns
-        wd.perturbative_state(strong, 2)
+    with pytest.warns(UserWarning, match="weak-drive") as record:
+        wd.write_state(strong, 2, "perturbative")
+    assert [w.filename for w in record] == [__file__]  # located at the caller
+    with warnings.catch_warnings():  # the exact engine never warns
+        warnings.simplefilter("error")
+        wd.write_state(strong, 2, "exact")
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +154,7 @@ def test_weak_drive_warnings():
 def test_zero_couplings_give_vacuum():
     for cutoff in (1, 2, 4):
         for t in (0.0, 1.0, 1e10):
-            psi = wd.evolve_exact(make_rates(0.0, 0.0), cutoff, t)
+            psi = wd.write_state(make_rates(0.0, 0.0, tau=t), cutoff, "exact")
             np.testing.assert_array_equal(
                 hb.from_pair_state(psi).amplitudes, hb.vacuum_state(cutoff).amplitudes
             )
@@ -156,7 +164,7 @@ def test_exact_first_order_amplitudes_and_signs():
     # H|0> = chi_I |1,1,0> - chi_II |1,0,1>, so for small t the amplitudes are
     # -i t chi_I and +i t chi_II: the relative minus sign between the species
     t = 1e-4
-    psi = wd.evolve_exact(make_rates(0.3, 0.2), 2, t)
+    psi = wd.write_state(make_rates(0.3, 0.2, tau=t), 2, "exact")
     assert psi.tail_ratio ** 3 < 1e-16  # truncating at cutoff 2 drops nothing visible
     oracle = kron_oracle_state(0.3, 0.2, 2, t)
     grid = hb.from_pair_state(psi)
@@ -190,7 +198,7 @@ def test_evolve_exact_matches_chain_expm_where_truncation_is_invisible():
         t = rng.uniform(0.1, 1.5)
         lam = np.tanh(math.hypot(abs(chi_i), abs(chi_ii)) * t) ** 2
         cutoff = int(np.ceil(math.log(1e-32) / math.log(lam)))
-        psi = wd.evolve_exact(make_rates(chi_i, chi_ii), cutoff, t)
+        psi = wd.write_state(make_rates(chi_i, chi_ii, tau=t), cutoff, "exact")
         assert psi.tail_ratio ** (cutoff + 1) < 1e-32
         oracle = chain_expm_state(chi_i, chi_ii, cutoff, t)
         np.testing.assert_allclose(psi.chain, oracle.chain, atol=1e-14)
@@ -205,7 +213,7 @@ def test_evolve_exact_matches_two_mode_squeezed_vacuum():
     r = chi * t
     cutoff = 24
     assert np.tanh(r) ** cutoff < 1e-16
-    psi = wd.evolve_exact(make_rates(chi_i, chi_ii), cutoff, t)
+    psi = wd.write_state(make_rates(chi_i, chi_ii, tau=t), cutoff, "exact")
     grid = hb.from_pair_state(psi)
     u_i, u_ii = chi_i / chi, -chi_ii / chi
     for n in range(cutoff + 1):
@@ -218,7 +226,7 @@ def test_evolve_exact_matches_two_mode_squeezed_vacuum():
 
 
 def test_evolve_exact_identity_at_t0():
-    psi = wd.evolve_exact(make_rates(0.2, 0.1), 2, 0.0)
+    psi = wd.write_state(make_rates(0.2, 0.1, tau=0.0), 2, "exact")
     np.testing.assert_allclose(
         hb.from_pair_state(psi).amplitudes, hb.vacuum_state(2).amplitudes, atol=1e-14
     )
@@ -231,7 +239,7 @@ def test_single_species_stays_on_pair_ladder():
         kron_oracle_state(0.3, 0.0, 3), atol=1e-12,
     )
     for cutoff in (3, 4):
-        grid = hb.from_pair_state(wd.evolve_exact(make_rates(0.3, 0.0), cutoff, 1.0)).grid()
+        grid = hb.from_pair_state(wd.write_state(make_rates(0.3, 0.0), cutoff, "exact")).grid()
         for idx in np.ndindex(*grid.shape):
             n_s, n_i, n_ii = idx
             if abs(grid[idx]) > 1e-14:
@@ -244,7 +252,7 @@ def test_no_weight_off_pair_shell():
         for _ in range(4):
             chi_i, chi_ii = rng.normal(size=2) + 1j * rng.normal(size=2)
             t = rng.uniform(0.1, 2.0)
-            psi = wd.evolve_exact(make_rates(chi_i, chi_ii), cutoff, t)
+            psi = wd.write_state(make_rates(chi_i, chi_ii, tau=t), cutoff, "exact")
             assert off_shell_weight(hb.from_pair_state(psi)) == 0.0
             if cutoff <= 3:  # the dense evolution has none either
                 oracle = hb.TruncatedState(
@@ -258,32 +266,52 @@ def test_unitarity_on_random_hamiltonians():
     rng = np.random.default_rng(17)
     for scale in (1.0, 15.0, 30.0):  # |chi| t up to ~4, ~60 and ~120
         for cutoff in (1, 2, 4):
-            rates = make_rates(scale * (rng.normal() + 1j * rng.normal()), scale * rng.normal())
-            psi = wd.evolve_exact(rates, cutoff, rng.uniform(0, 2.0))
+            rates = make_rates(scale * (rng.normal() + 1j * rng.normal()), scale * rng.normal(),
+                               tau=rng.uniform(0, 2.0))
+            psi = wd.write_state(rates, cutoff, "exact")
             closure = np.sum(np.abs(psi.chain) ** 2) + psi.tail_ratio ** (cutoff + 1)
             assert abs(closure - 1.0) <= 1e-15
-    assert wd.evolve_exact(make_rates(15.0, 0.0), 2, 2.0).tail_ratio == 1.0  # r = 30
+    assert wd.write_state(make_rates(15.0, 0.0, tau=2.0), 2, "exact").tail_ratio == 1.0  # r = 30
 
 
 def test_evolve_exact_saturates_without_warning():
     # |chi| t = 1.4e150: cosh r overflows, so the chain is 0 and the tail is 1
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        psi = wd.evolve_exact(make_rates(1e150, 1e150), 2, 1.0)
+        psi = wd.write_state(make_rates(1e150, 1e150), 2, "exact")
     np.testing.assert_array_equal(psi.chain, np.zeros(3))
     assert psi.tail_ratio == 1.0
 
 
 def test_perturbative_state_amplitudes():
-    psi = hb.from_pair_state(wd.perturbative_state(make_rates(0.1, 0.1), 2))
+    # cutoff 1: the first-order chain (1, -i|P|)
+    psi = hb.from_pair_state(wd.write_state(make_rates(0.1, 0.1), 1, "perturbative"))
     scale = 1.0 / np.sqrt(1.0 + 0.01 + 0.01)
     assert psi.amplitude(0, 0, 0) == pytest.approx(scale)
     assert psi.amplitude(1, 1, 0) == pytest.approx(-0.1j * scale)
     assert psi.amplitude(1, 0, 1) == pytest.approx(+0.1j * scale)
+    # cutoff 2: -|P|^2/2 on the vacuum and the double excitations, signs included
+    p_i, p_ii = 0.1, 0.05
+    psi = hb.from_pair_state(wd.write_state(make_rates(p_i, p_ii), 2, "perturbative"))
+    p2 = p_i**2 + p_ii**2
+    expected = {
+        (0, 0, 0): 1.0 - p2 / 2.0, (1, 1, 0): -1j * p_i, (1, 0, 1): 1j * p_ii,
+        (2, 2, 0): -p_i**2, (2, 1, 1): math.sqrt(2.0) * p_i * p_ii, (2, 0, 2): -p_ii**2,
+    }
+    scale = 1.0 / math.sqrt((1.0 - p2 / 2.0) ** 2 + p2 + p2**2)
+    for occupations, amp in expected.items():
+        assert psi.amplitude(*occupations) == pytest.approx(amp * scale, abs=1e-15)
+    assert np.sum(np.abs(psi.amplitudes) ** 2) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_write_state_rejects_an_empty_chain():
+    for engine in ("perturbative", "exact"):
+        with pytest.raises(ValueError, match="cutoff"):
+            wd.write_state(make_rates(0.1, 0.1), 0, engine)
 
 
 def test_perturbative_state_vacuum_limit():
-    psi = wd.perturbative_state(make_rates(0.0, 0.0), 2)
+    psi = wd.write_state(make_rates(0.0, 0.0), 2, "perturbative")
     np.testing.assert_array_equal(
         hb.from_pair_state(psi).amplitudes, hb.vacuum_state(2).amplitudes
     )
@@ -294,8 +322,29 @@ def test_perturbative_close_to_exact(p):
     cutoff = 3
     rates = make_rates(p, p)
     exact = kron_oracle_state(p, p, cutoff)
-    approx = hb.from_pair_state(wd.perturbative_state(rates, cutoff)).amplitudes
+    approx = hb.from_pair_state(wd.write_state(rates, cutoff, "perturbative")).amplitudes
     assert np.linalg.norm(exact - approx) <= 3.0 * p**2
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 3, 8])
+def test_perturbative_chain_is_taylor_polynomial_of_exact(cutoff):
+    # The perturbative chain is the Taylor polynomial in r = |P| of degree
+    # d = min(cutoff, 2) of c_n = (-i tanh r)^n / cosh r, renormalised, so each
+    # listed amplitude is off by O(r^(d+1)): halving r shrinks every error by
+    # 2^-(d+1) or more.  The largest error, the r^3 term of c_1, falls by 2^-3
+    # at every cutoff (at cutoff 1 the renormalisation 1/sqrt(1 + r^2) matches
+    # the r^2 term of 1/cosh r as well).
+    d = min(cutoff, 2)
+
+    def error(scale):
+        rates = make_rates(scale * (0.03 + 0.02j), scale * -0.04)
+        pert, exact = (wd.write_state(rates, cutoff, engine).chain
+                       for engine in ("perturbative", "exact"))
+        return np.abs(np.subtract(pert, exact))
+
+    ratio = error(0.5) / error(1.0)
+    assert np.all(ratio <= 1.05 * 2.0 ** -(d + 1)), ratio
+    assert np.max(ratio) == pytest.approx(2.0**-3, rel=0.05)
 
 
 def test_second_order_state_improves_on_first_order():
@@ -303,8 +352,12 @@ def test_second_order_state_improves_on_first_order():
     cutoff = 3
     rates = make_rates(p, p)
     exact = kron_oracle_state(p, p, cutoff)
-    first = hb.from_pair_state(wd.perturbative_state(rates, cutoff, order=1)).amplitudes
-    second = hb.from_pair_state(wd.perturbative_state(rates, cutoff, order=2)).amplitudes
+    # the engine's chain at cutoff 1, listed up to this cutoff
+    engine, oracle = wd.write_state(rates, 1, "perturbative"), wo.first_order_state(rates, 1)
+    np.testing.assert_allclose(oracle.chain, engine.chain, rtol=1e-15, atol=0)
+    assert oracle[1:] == engine[1:]  # bright mode and tail ratio
+    first = hb.from_pair_state(wo.first_order_state(rates, cutoff)).amplitudes
+    second = hb.from_pair_state(wd.write_state(rates, cutoff, "perturbative")).amplitudes
     err1 = np.linalg.norm(exact - first)
     err2 = np.linalg.norm(exact - second)
     assert err2 < err1 / 3.0
@@ -315,7 +368,7 @@ def test_mean_photon_number_perturbative_consistency():
     # <n_S> = P_I^2 + P_II^2 + O(P^4)
     for p in (0.05, 0.1):
         rates = make_rates(p, p)
-        psi = wd.evolve_exact(rates, 4, 1.0)
+        psi = wd.write_state(rates, 4, "exact")
         n_s = hb.expected_occupation(hb.from_pair_state(psi), Mode.STOKES)
         assert abs(n_s - 2.0 * p**2) <= 10.0 * (2.0 * p**2) ** 2
 
@@ -323,12 +376,12 @@ def test_mean_photon_number_perturbative_consistency():
 def test_photon_spin_correlation():
     # a detected photon implies exactly one spin excitation
     rates = make_rates(0.1, 0.08)
-    psi_pert = wd.perturbative_state(rates, 2, order=1)
+    psi_pert = wo.first_order_state(rates, 2)
     grid = hb.from_pair_state(psi_pert).grid()
     for (n_s, n_i, n_ii), amp in np.ndenumerate(grid):
         if n_s == 1 and abs(amp) > 0:
             assert n_i + n_ii == 1
-    psi = wd.evolve_exact(rates, 3, 1.0)
+    psi = wd.write_state(rates, 3, "exact")
     p_one_spin = 0.0
     p_photon = 0.0
     for (n_s, n_i, n_ii), amp in np.ndenumerate(hb.from_pair_state(psi).grid()):
@@ -494,7 +547,7 @@ def test_lyapunov_propagator_against_quadrature_oracle():
 def test_exact_moments_match_langevin_when_lossless():
     chi_i, chi_ii, t = 0.12, 0.16, 1.0  # chi_eff * t = 0.2
     rates = make_rates(chi_i, chi_ii, tau=t)
-    psi = hb.from_pair_state(wd.evolve_exact(rates, 4, t))
+    psi = hb.from_pair_state(wd.write_state(rates, 4, "exact"))
     p = make_params()
     sys = wo.evolve_langevin(wo.build_langevin(p, rates, kappa=0.0), t)
     n_a, n_i, n_ii = sys.occupations()

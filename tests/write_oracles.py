@@ -2,7 +2,9 @@
 model.  fmesim computes every reported number from the pair-shell write state
 (fmesim.write_dynamics); the code here is kept only as independent checks on
 it (moments against the exact chain, amplitudes and signs against the model
-before adiabatic elimination) and on the physics invariants they pin.
+before adiabatic elimination) and on the physics invariants they pin.  It
+also lists the first-order short-time chain past cutoff 1, which fmesim
+builds only at cutoff 1 (first_order_state).
 
 Langevin moments
 ----------------
@@ -47,7 +49,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import expm
 
-from fmesim.write_dynamics import DerivedRates, SystemParams, derive_rates
+from fmesim.write_dynamics import DerivedRates, PairState, SystemParams, _bright_mode, derive_rates
 
 # Canonical commutator matrix <[v_i, v_j^dag]> for v = (a, S_I^dag, S_II^dag).
 COMMUTATOR = np.diag([1.0, -1.0, -1.0]).astype(complex)
@@ -256,3 +258,18 @@ def build_full_hamiltonian(p: SystemParams, cutoff: int = 2) -> np.ndarray:
         + p.g_II * (a @ e_ii_dag @ s_ii)
     )
     return h + k + k.conj().T
+
+
+# ---------------------------------------------------------------------------
+# First-order short-time chain
+# ---------------------------------------------------------------------------
+
+
+def first_order_state(rates: DerivedRates, cutoff: int) -> PairState:
+    """The chain (1, -i|P|, 0, ...) / sqrt(1 + |P|^2) listed up to cutoff: the
+    perturbative engine's state at cutoff 1, its first-order Taylor polynomial,
+    which it extends to second order at any larger cutoff."""
+    p, u_i, u_ii = _bright_mode(rates.P_I, rates.P_II)
+    chain = [1.0 + 0j, -1j * p] + [0j] * (cutoff - 1)
+    norm = np.sqrt(1.0 + p * p)
+    return PairState(tuple(complex(c / norm) for c in chain), u_i, u_ii)
