@@ -44,9 +44,12 @@ def _write_text(out_path: str | None, text: str) -> None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out {out_path}: {exc.strerror or exc}") from exc
 
 
 def _json_safe(value):
@@ -195,10 +198,6 @@ def cmd_write_sim(args) -> int:
         "derived_rates_rad_per_s": {
             "chi_I": _complex_pair(rates.chi_I),
             "chi_II": _complex_pair(rates.chi_II),
-            "gamma_L_I": rates.gamma_L_I,
-            "gamma_L_II": rates.gamma_L_II,
-            "delta_L_I": rates.delta_L_I,
-            "delta_L_II": rates.delta_L_II,
             "P_I": _complex_pair(rates.P_I),
             "P_II": _complex_pair(rates.P_II),
         },
@@ -243,6 +242,8 @@ def cmd_herald(args) -> int:
 
 
 def cmd_retrieve(args) -> int:
+    from . import retrieval
+
     cfg = _load(args)
     engine = _engine(cfg)
     if not _single_photon(engine):
@@ -253,8 +254,8 @@ def cmd_retrieve(args) -> int:
         "c2": _complex_pair(qubit.c2),
         "omega_I_hz": read.omega_out_I / cfg_mod.TWO_PI,
         "omega_II_hz": read.omega_out_II / cfg_mod.TWO_PI,
-        "concurrence": engine.table.concurrence,
-        "fidelity_bell": engine.table.fidelity,
+        "concurrence": retrieval.concurrence(qubit),
+        "fidelity_bell": retrieval.fidelity_to_bell(qubit),
         "retrieval_efficiency": qubit.retrieval_efficiency,
         "metadata": _metadata("retrieve", cfg, args.seed),
     }
@@ -288,7 +289,8 @@ def _run_rows(args, command: str, cfg: ResolvedConfig, row_cfgs, labels) -> list
     for i, (row_cfg, engine, label) in enumerate(zip(row_cfgs, engines, labels)):
         tally = run_protocol(engine, args.seed, row_cfg.values["runs"], row=i,
                              progress=_progress(label))
-        rows.append((row_cfg, _stats_row(aggregate(tally, engine.table), engine)))
+        stats = aggregate(tally, engine.branches, engine.qubit)
+        rows.append((row_cfg, _stats_row(stats, engine)))
     emit = _emit_rows_json if args.format == "json" else _emit_rows_csv
     emit(args.out, command, cfg, args.seed, rows)
     return [stats_dict for _, stats_dict in rows]

@@ -110,8 +110,6 @@ SCHEMA: dict[str, KeySpec] = {
         "complex", "Hz", "write Rabi frequency, species II (number or [re, im])"
     ),
     "delta": KeySpec("float", "Hz", "one-photon detuning", _nonzero),
-    "gamma_1": KeySpec("float", "Hz", "excited-state decay, species I", _nonnegative),
-    "gamma_2": KeySpec("float", "Hz", "excited-state decay, species II", _nonnegative),
     "tau_write": KeySpec("float", "s", "write pulse duration", _positive),
     "delta_omega_write": KeySpec("float", "Hz", "write sideband half-splitting", _positive),
     "delta_omega_read": KeySpec("float", "Hz", "read sideband half-splitting", _positive),
@@ -197,8 +195,6 @@ RB85_87 = Preset(
         "N_II": 1.0e8,
         "omega_rabi_write_I": 1.0e7,
         "omega_rabi_write_II": 1.0e7,
-        "gamma_1": 5.75e6,
-        "gamma_2": 5.75e6,
         "tau_write": 4.0e-6,
         "omega_out_I": -1.368e9,
         "omega_out_II": 1.368e9,
@@ -372,8 +368,6 @@ def build_system_params(cfg: ResolvedConfig) -> SystemParams:
         omega_W_I=TWO_PI * v["omega_rabi_write_I"],
         omega_W_II=TWO_PI * v["omega_rabi_write_II"],
         delta=TWO_PI * v["delta"],
-        gamma_1=TWO_PI * v["gamma_1"],
-        gamma_2=TWO_PI * v["gamma_2"],
         tau_write=v["tau_write"],
     )
 

@@ -103,10 +103,9 @@ class ProtocolEngine:
 
     Holds the write-stage pair state (chain amplitudes and bright spin mode)
     and from it the click probability, the closed-form click branch table,
-    the heralded spin pair, the one output qubit retrieved from it and the
-    branch table aggregate reads, so a run reduces to two uniforms (trials to
-    the first click, branch selection) and its result to (trials used,
-    branch).
+    the heralded spin pair and the one output qubit retrieved from it, so a
+    run reduces to two uniforms (trials to the first click, branch
+    selection) and its result to (trials used, branch).
 
     p_click is the branch sum capped at 1, which rounding can exceed when
     the detector is certain to click.
@@ -128,33 +127,6 @@ class ProtocolEngine:
         self.false_fraction = false / total if total > 0.0 else 0.0
         self.spin = herald_mod.heralded_spin(self.write_state)
         self.qubit: FmeQubitState = retrieval_mod.retrieve_fme(self.spin, setup.read)
-        self.table = branch_table(self.branches, self.qubit)
-
-
-class BranchTable(NamedTuple):
-    """What aggregate reads: per branch, indexed by branch number, the
-    false-herald flag and the retrieval efficiency (the qubit's on n = 1
-    branches, 0 elsewhere); and the qubit's concurrence and fidelity, NaN
-    when it holds no photon."""
-
-    false_herald: tuple[bool, ...]
-    efficiency: tuple[float, ...]
-    concurrence: float
-    fidelity: float
-
-
-def branch_table(branches: list[HeraldBranch], qubit: FmeQubitState) -> BranchTable:
-    def metric(fn):
-        return fn(qubit) if qubit.has_photon else math.nan
-
-    return BranchTable(
-        false_herald=tuple(b.false_herald for b in branches),
-        efficiency=tuple(
-            qubit.retrieval_efficiency if b.n_photons == 1 else 0.0 for b in branches
-        ),
-        concurrence=metric(retrieval_mod.concurrence),
-        fidelity=metric(retrieval_mod.fidelity_to_bell),
-    )
 
 
 def _run_batch(engine: ProtocolEngine, seed: int, row: int, run_lo: int, run_hi: int):
@@ -234,12 +206,15 @@ def _weighted_mean(counts: tuple[int, ...], values: tuple[float, ...]) -> float:
     return ref + shift / sum(counts)
 
 
-def aggregate(tally: RunTally, table: BranchTable) -> ProtocolStats:
-    """Unbiased sample means and standard errors of the tallied runs.
+def aggregate(tally: RunTally, branches: list[HeraldBranch],
+              qubit: FmeQubitState) -> ProtocolStats:
+    """Unbiased sample means and standard errors of the runs tallied over the
+    click branches.
 
     Every true herald retrieves the one output qubit, so the mean
     concurrence and fidelity are the qubit's and their standard errors are
-    exactly 0.0 whenever a true herald was drawn (NaN otherwise).
+    exactly 0.0 whenever a true herald was drawn (NaN otherwise); the
+    retrieval efficiency is the qubit's on n = 1 branches and 0 elsewhere.
     """
     n_runs = sum(tally.counts)
     if not n_runs:
@@ -256,13 +231,14 @@ def aggregate(tally: RunTally, table: BranchTable) -> ProtocolStats:
         mean_trials = s1 / n  # Python int / int rounds once
         # stderr^2 = var / n, and n (n - 1) var = n s2 - s1^2 exactly in ints
         mean_trials_stderr = math.sqrt((n * s2 - s1 * s1) / (n * n * max(n - 1, 1)))
-        false_fraction = sum(h for h, f in zip(hits, table.false_herald) if f) / n_success
-        photon_yield = _weighted_mean(hits, table.efficiency)
+        false_fraction = sum(h for h, b in zip(hits, branches) if b.false_herald) / n_success
+        efficiency = tuple(qubit.retrieval_efficiency if b.n_photons == 1 else 0.0
+                           for b in branches)
+        photon_yield = _weighted_mean(hits, efficiency)
 
-    if any(h for h, f in zip(hits, table.false_herald) if not f):
-        if math.isnan(table.concurrence):
-            raise ValueError("no-photon record: entanglement metrics are undefined")
-        mean_conc, mean_fid = table.concurrence, table.fidelity
+    if any(h for h, b in zip(hits, branches) if not b.false_herald):
+        mean_conc = retrieval_mod.concurrence(qubit)  # raises on a no-photon record
+        mean_fid = retrieval_mod.fidelity_to_bell(qubit)
         conc_stderr = fid_stderr = 0.0
 
     return ProtocolStats(

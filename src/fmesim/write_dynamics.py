@@ -39,8 +39,6 @@ class _SystemFields(NamedTuple):  # checked in SystemParams.__new__, which _repl
     omega_W_I: complex
     omega_W_II: complex
     delta: float
-    gamma_1: float
-    gamma_2: float
     tau_write: float
 
 
@@ -51,7 +49,6 @@ class SystemParams(_SystemFields):
     N_I, N_II          atom numbers
     omega_W_I/II       write Rabi frequencies (complex phases allowed)
     delta              one-photon detuning (nonzero)
-    gamma_1, gamma_2   excited-state coherence decays of species I / II
     tau_write          write pulse duration
     """
 
@@ -63,9 +60,6 @@ class SystemParams(_SystemFields):
             raise ValueError("delta must be nonzero (adiabatic elimination is singular)")
         if self.N_I < 1 or self.N_II < 1:
             raise ValueError("atom numbers must be >= 1")
-        for name in ("gamma_1", "gamma_2"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
         if self.tau_write <= 0:
             raise ValueError("tau_write must be > 0")
         ratio = max(abs(self.omega_W_I), abs(self.omega_W_II)) / abs(self.delta)
@@ -81,18 +75,12 @@ class SystemParams(_SystemFields):
 class DerivedRates(NamedTuple):
     """Rates of the reduced write-stage model.
 
-    chi_j     = g_j sqrt(N_j) Omega_Wj / Delta   (pair-creation coupling)
-    gamma_L_j = gamma_j |Omega_Wj|^2 / Delta^2   (optical pumping rate)
-    delta_L_j = |Omega_Wj|^2 / Delta             (ac Stark shift)
-    P_j       = chi_j * tau_write                (excitation amplitude)
+    chi_j = g_j sqrt(N_j) Omega_Wj / Delta   (pair-creation coupling)
+    P_j   = chi_j * tau_write                (excitation amplitude)
     """
 
     chi_I: complex
     chi_II: complex
-    gamma_L_I: float
-    gamma_L_II: float
-    delta_L_I: float
-    delta_L_II: float
     P_I: complex
     P_II: complex
 
@@ -103,20 +91,7 @@ def derive_rates(p: SystemParams) -> DerivedRates:
     z_i, z_ii = p.g_I * math.sqrt(p.N_I) * p.omega_W_I, p.g_II * math.sqrt(p.N_II) * p.omega_W_II
     inv_delta = 1.0 / p.delta
     chi_i, chi_ii = (complex(z.real * inv_delta, z.imag * inv_delta) for z in (z_i, z_ii))
-    # Products, not ** 2: an overflow gives inf and an underflow of Delta^2
-    # nan, not an exception, both reported once by the finiteness check below.
-    w_i, w_ii = abs(p.omega_W_I), abs(p.omega_W_II)
-    w2_i, w2_ii, d2 = w_i * w_i, w_ii * w_ii, p.delta * p.delta or math.nan
-    rates = DerivedRates(
-        chi_I=chi_i,
-        chi_II=chi_ii,
-        gamma_L_I=p.gamma_1 * w2_i / d2,
-        gamma_L_II=p.gamma_2 * w2_ii / d2,
-        delta_L_I=w2_i / p.delta,
-        delta_L_II=w2_ii / p.delta,
-        P_I=chi_i * p.tau_write,
-        P_II=chi_ii * p.tau_write,
-    )
+    rates = DerivedRates(chi_i, chi_ii, chi_i * p.tau_write, chi_ii * p.tau_write)
     bad = [name for name, value in zip(rates._fields, rates)
            if not (math.isfinite(value.real) and math.isfinite(value.imag))]
     if bad:

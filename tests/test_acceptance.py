@@ -34,7 +34,6 @@ def report(criterion: int, text: str):
 def rates_fixture(p_i, p_ii, tau=1.0):
     return wd.DerivedRates(
         chi_I=complex(p_i / tau), chi_II=complex(p_ii / tau),
-        gamma_L_I=0.0, gamma_L_II=0.0, delta_L_I=0.0, delta_L_II=0.0,
         P_I=complex(p_i), P_II=complex(p_ii),
     )
 
@@ -51,8 +50,7 @@ def protocol_setup(p=0.1, eta=0.6, dark=400.0, max_trials=10_000, cutoff=1):
     tau = 1.0
     system = wd.SystemParams(
         g_I=1.0, g_II=1.0, N_I=1.0, N_II=1.0,
-        omega_W_I=p * 100.0, omega_W_II=p * 100.0, delta=100.0,
-        gamma_1=0.0, gamma_2=0.0, tau_write=tau,
+        omega_W_I=p * 100.0, omega_W_II=p * 100.0, delta=100.0, tau_write=tau,
     )
     det = DetectorModel(eta=eta, dark_rate=dark, gate=1e-6)
     return pr.ProtocolSetup(system=system, detector=det, read=ideal_read(),
@@ -91,7 +89,7 @@ def test_criterion_3_langevin_sanity():
     # (a) decoupled cavity mean decays as e^{-kappa t}
     p_sys = wd.SystemParams(
         g_I=1.0, g_II=1.0, N_I=1.0, N_II=1.0, omega_W_I=0.0, omega_W_II=0.0,
-        delta=100.0, gamma_1=0.0, gamma_2=0.0, tau_write=1.0,
+        delta=100.0, tau_write=1.0,
     )
     sys0 = wo.build_langevin(p_sys, kappa=1.3)
     sys0 = wo.LangevinSystem(sys0.drift, sys0.diffusion,
@@ -104,7 +102,7 @@ def test_criterion_3_langevin_sanity():
     # (b) chi_I-only lossless photon number vs the 2x2 oracle
     p_free = wd.SystemParams(
         g_I=1.0, g_II=1.0, N_I=1.0, N_II=1.0, omega_W_I=1.0, omega_W_II=0.0,
-        delta=100.0, gamma_1=0.0, gamma_2=0.0, tau_write=1.0,
+        delta=100.0, tau_write=1.0,
     )
     chi = 0.8
     sys1 = wo.build_langevin(p_free, rates_fixture(chi, 0.0), kappa=0.0)
@@ -119,9 +117,10 @@ def test_criterion_3_langevin_sanity():
     # (c) canonical commutators preserved with the chosen diffusion
     p_full = wd.SystemParams(
         g_I=1.0, g_II=1.0, N_I=4.0, N_II=4.0, omega_W_I=2.0, omega_W_II=1.5,
-        delta=50.0, gamma_1=1.0, gamma_2=0.7, tau_write=1.0,
+        delta=50.0, tau_write=1.0,
     )
-    sys2 = wo.build_langevin(p_full, kappa=0.9, gamma_gs_I=0.04, gamma_gs_II=0.02)
+    sys2 = wo.build_langevin(p_full, kappa=0.9, gamma_gs_I=0.04, gamma_gs_II=0.02,
+                             gamma_1=1.0, gamma_2=0.7)
     for t in (0.5, 2.0, 8.0):
         c = wo.commutator_matrix(sys2, t)
         assert np.max(np.abs(c - wo.COMMUTATOR)) <= 1e-9

@@ -44,7 +44,7 @@ def test_preset_paper_values_exact():
 def test_preset_tags_every_other_value_default():
     cfg = cfg_mod.load_config(preset="rb85-87")
     paper = {"delta", "delta_omega_write", "delta_omega_read"}
-    assert len(cfg_mod.RB85_87.values) == 14
+    assert len(cfg_mod.RB85_87.values) == 12
     for key in cfg_mod.RB85_87.values:
         assert cfg.provenance[key] == ("paper" if key in paper else "default")
 
@@ -82,7 +82,7 @@ def test_complex_drive_from_pair():
 
 REMOVED_KEYS = (
     "tau_read", "cycle_period", "omega_rabi_read_I", "omega_rabi_read_II",
-    "g_read_I", "g_read_II", "kappa", "gamma_gs",
+    "g_read_I", "g_read_II", "kappa", "gamma_gs", "gamma_1", "gamma_2",
 )
 
 
@@ -102,7 +102,7 @@ def test_removed_key_exits_2(key, tmp_path, capsys):
 MOVED_VALUES = {
     "g_I": 60.0, "g_II": 60.0, "N_I": 2.0e8, "N_II": 2.0e8,
     "omega_rabi_write_I": 2.0e7, "omega_rabi_write_II": 2.0e7, "delta": 2.0e9,
-    "gamma_1": 1.0e7, "gamma_2": 1.0e7, "tau_write": 2.0e-6,
+    "tau_write": 2.0e-6,
     "delta_omega_write": 1.0e9, "delta_omega_read": 1.0e9,
     "eta": 0.5, "dark_rate_hz": 1000.0, "gate_s": 2.0e-6, "max_trials": 1,
     "cutoff": 3, "engine": "exact", "runs": 300,
@@ -402,7 +402,7 @@ def test_non_finite_override_value_rejected(key, value, part):
         cfg_mod.with_overrides(BASE_CONFIG, {key: raw})
 
 
-@pytest.mark.parametrize("override", ["gamma_1=NaN", "g_I=NaN"])
+@pytest.mark.parametrize("override", ["dark_rate_hz=NaN", "g_I=NaN"])
 def test_non_finite_override_exits_2(override, capsys):
     assert run_cli("protocol", "--preset", "rb85-87", "--set", override) == 2
     assert override.split("=")[0] in capsys.readouterr().err
@@ -536,6 +536,25 @@ def test_sweep_equal_output_frequencies_exits_2(capsys):
     assert re.search(r"\bomega_out_I\b", err) and "omega_out_II" in err
 
 
+OUT_COMMANDS = (
+    ("preset-list",),
+    ("write-sim", "--preset", "rb85-87"),
+    ("herald", "--preset", "rb85-87"),
+    ("retrieve", "--preset", "rb85-87"),
+    ("protocol", "--preset", "rb85-87", "--runs", "5"),
+    ("sweep", "--preset", "rb85-87", "--runs", "5", "--sweep", "eta=0.5,0.6"),
+)
+
+
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+@pytest.mark.parametrize("command", OUT_COMMANDS, ids=lambda command: command[0])
+def test_unwritable_out_exits_2(command, target, tmp_path, capsys):
+    out = tmp_path / "missing" / "out.txt" if target == "missing-directory" else tmp_path
+    assert run_cli(*command, "--out", str(out)) == 2
+    last = capsys.readouterr().err.splitlines()[-1]  # after any progress lines
+    assert last.startswith(f"error: cannot write --out {out}: ")
+
+
 NO_PHOTON = (
     ("retrieval_efficiency_I=0", "retrieval_efficiency_II=0"),
     ("retrieval_efficiency_I=0", "omega_rabi_write_II=0"),
@@ -565,35 +584,37 @@ def test_overflow_exits_4(overrides, capsys):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     err = capsys.readouterr().err
     assert "numeric failure" in err and "(34," not in err
-    if overrides == ["omega_rabi_write_I=1e300"]:  # |Omega|^2 overflows
-        assert "gamma_L_I, delta_L_I" in err
+    if overrides == ["omega_rabi_write_I=1e300"]:  # |P|^2 overflows in the Taylor chain
+        assert "cannot normalize a write state of norm inf" in err
 
 
 @pytest.mark.parametrize("eta", [0.6, 0.0])
 def test_saturated_exact_state_is_all_tail(eta, tmp_path):
-    # N_I = 1e300 gives |chi| t ~ 1e145: the exact state has all its weight
-    # above the cutoff, so every click is a false herald
-    sets = ("--set", "N_I=1e300", "--set", "engine=exact", "--set", f"eta={eta}")
-    out = tmp_path / "herald.json"
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert run_cli("herald", "--preset", "rb85-87", *sets, "--out", str(out)) == 0
-        stats = tmp_path / "stats.json"
-        args = ("protocol", "--preset", "rb85-87", "--runs", "50", "--format", "json")
-        assert run_cli(*args, *sets, "--out", str(stats)) == 0
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-    herald = json.loads(out.read_text())
+    # N_I = 1e300 gives |chi| t ~ 1e145 and omega_rabi_write_I = 1e300 about
+    # 1e292: the exact state has all its weight above the cutoff, so every
+    # click is a false herald
     p_dark = cfg_mod.build_detector(cfg_mod.load_config(preset="rb85-87")).p_dark
-    assert herald["p_click"] == (1.0 if eta else p_dark)
-    assert herald["false_herald_fraction"] == 1.0
-    assert [b["n_photons"] for b in herald["branches"]] == [3]
-    (row,) = json.loads(stats.read_text())["results"]
-    assert row["false_herald_fraction"] == 1.0 and row["mean_concurrence"] is None
+    for overflow in ("N_I=1e300", "omega_rabi_write_I=1e300"):
+        sets = ("--set", overflow, "--set", "engine=exact", "--set", f"eta={eta}")
+        out = tmp_path / "herald.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("herald", "--preset", "rb85-87", *sets, "--out", str(out)) == 0
+            stats = tmp_path / "stats.json"
+            args = ("protocol", "--preset", "rb85-87", "--runs", "50", "--format", "json")
+            assert run_cli(*args, *sets, "--out", str(stats)) == 0
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        herald = json.loads(out.read_text())
+        assert herald["p_click"] == (1.0 if eta else p_dark)
+        assert herald["false_herald_fraction"] == 1.0
+        assert [b["n_photons"] for b in herald["branches"]] == [3]
+        (row,) = json.loads(stats.read_text())["results"]
+        assert row["false_herald_fraction"] == 1.0 and row["mean_concurrence"] is None
 
 
 PROBE_KEYS = (
     "g_I", "N_I", "delta", "tau_write", "omega_rabi_write_II", "eta",
-    "dark_rate_hz", "gate_s", "retrieval_efficiency_II", "gamma_1",
+    "dark_rate_hz", "gate_s", "retrieval_efficiency_II", "omega_rabi_write_I",
 )
 
 

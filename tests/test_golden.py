@@ -41,6 +41,12 @@ exact sweep's cutoff-2 row p_click_analytic 0.0104761200805338 ->
 0.010476120080533799 and false_herald_analytic 0.06016307693500852 ->
 0.060163076935008525.  Every integer, Monte Carlo and configuration byte
 stayed the same.
+Both were taken again when the config keys gamma_1 and gamma_2 left the
+schema: the excited-state decays entered only the optical pumping rates
+gamma_L, and with the Stark shifts delta_L they were read only by the
+Langevin moments, which no command reports, so the output lost their
+entries in the config and provenance lines and their two CSV columns, and
+every other byte stayed the same.
 Any change to the random streams, the run loop or the statistics shows here.
 
 The second sha256 pins the exact write engine under the same driver:
@@ -60,8 +66,8 @@ import hashlib
 from fmesim import protocol as pr
 from fmesim.cli import main
 
-GOLDEN_PROTOCOL_SHA256 = "b0059d7a040d2fde4fce1d5a0191936ce64130b847f1cf7457f89ee36e4936ed"
-GOLDEN_EXACT_SWEEP_SHA256 = "d1c7b7b3feeecde4e714cbc1ec997b338f9912eb3f8d2a2991958f25496e2e76"
+GOLDEN_PROTOCOL_SHA256 = "88041c29d1b3ca0ada411108e42f5ef2dd1e4d22062182979fea0090b0948d60"
+GOLDEN_EXACT_SWEEP_SHA256 = "0081f3d365ad652a661500dda0485e3ed80913549eefd43cb2c9b72587280484"
 
 
 def test_golden_protocol_bytes(tmp_path):

@@ -18,13 +18,11 @@ from fmesim import retrieval as rt
 from fmesim import write_dynamics as wd
 from fmesim.herald import DetectorModel
 from fmesim.retrieval import ReadParams
+from test_protocol import branch_yield
 
 
 def fixture_state(p_i=0.1, p_ii=0.1, cutoff=2, order=1):
-    rates = wd.DerivedRates(
-        chi_I=p_i, chi_II=p_ii, gamma_L_I=0.0, gamma_L_II=0.0,
-        delta_L_I=0.0, delta_L_II=0.0, P_I=p_i, P_II=p_ii,
-    )
+    rates = wd.DerivedRates(chi_I=p_i, chi_II=p_ii, P_I=p_i, P_II=p_ii)
     if order == 1:  # the engine's chain at cutoff 1, listed up to this cutoff
         return wo.first_order_state(rates, cutoff)
     return wd.write_state(rates, cutoff, "perturbative")
@@ -39,7 +37,7 @@ def fixture_engine(p_i=0.1, p_ii=0.1, det=FIXTURE_DETECTOR, cutoff=1):
     system = wd.SystemParams(
         g_I=1.0, g_II=1.0, N_I=1.0, N_II=1.0,
         omega_W_I=p_i * 100.0, omega_W_II=p_ii * 100.0, delta=100.0,
-        gamma_1=0.0, gamma_2=0.0, tau_write=1.0,
+        tau_write=1.0,
     )
     read = ReadParams(omega_out_I=-1.0e9, omega_out_II=1.0e9)
     return pr.ProtocolEngine(pr.ProtocolSetup(
@@ -324,10 +322,11 @@ def test_closed_form_branches_match_grid_collapse(drive, engine_name, cutoff):
             q = rt.retrieve_fme(spin, setup.read)
             assert abs(engine.qubit.c1 - q.c1) <= 1e-15
             assert abs(engine.qubit.c2 - q.c2) <= 1e-15
-            assert abs(engine.table.efficiency[i] - q.retrieval_efficiency) <= 1e-15
+            assert abs(branch_yield(engine.branches, engine.qubit, i)
+                       - q.retrieval_efficiency) <= 1e-15
         else:  # ... and every other click no single excitation, so no photon
             assert spin == (0j, 0j)
-            assert engine.table.efficiency[i] == 0.0
+            assert branch_yield(engine.branches, engine.qubit, i) == 0.0
 
 
 @pytest.mark.parametrize("drive", sorted(DRIVES))

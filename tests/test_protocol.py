@@ -15,7 +15,7 @@ from fmesim import protocol as pr
 from fmesim import rng as rng_mod
 from fmesim import write_dynamics as wd
 from fmesim.herald import DetectorModel, HeraldBranch
-from fmesim.retrieval import FmeQubitState, ReadParams, concurrence
+from fmesim.retrieval import FmeQubitState, ReadParams, concurrence, fidelity_to_bell
 
 
 def make_setup(p=0.1, eta=0.6, dark=400.0, max_trials=10_000, engine="perturbative",
@@ -25,7 +25,7 @@ def make_setup(p=0.1, eta=0.6, dark=400.0, max_trials=10_000, engine="perturbati
     system = wd.SystemParams(
         g_I=1.0, g_II=1.0, N_I=1.0, N_II=1.0,
         omega_W_I=p / tau * 100.0, omega_W_II=p_ii / tau * 100.0,
-        delta=100.0, gamma_1=0.0, gamma_2=0.0, tau_write=tau,
+        delta=100.0, tau_write=tau,
     )
     detector = DetectorModel(eta=eta, dark_rate=dark, gate=1e-6)
     read = ReadParams(
@@ -41,8 +41,16 @@ def sweep_rows(setups, seed, n_runs):
     rows = []
     for i, setup in enumerate(setups):
         engine = pr.ProtocolEngine(setup)
-        rows.append(pr.aggregate(pr.run_protocol(engine, seed, n_runs, row=i), engine.table))
+        tally = pr.run_protocol(engine, seed, n_runs, row=i)
+        rows.append(pr.aggregate(tally, engine.branches, engine.qubit))
     return rows
+
+
+def branch_yield(branches, qubit, i):
+    """The photon yield aggregate gives one run that clicked on branch i."""
+    counts = [0] * (len(branches) + 1)
+    counts[1 + i] = 1
+    return pr.aggregate(pr.RunTally(tuple(counts), 1, 1, 1), branches, qubit).photon_yield
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +249,8 @@ def test_dark_clicks_on_empty_write_are_false_heralds():
     tally = pr.run_protocol(engine, seed=3, n_runs=64)
     clicks = np.array(tally.counts[1:])
     assert tally.counts[0] == 0 and clicks.sum() == 64
-    assert not clicks[~np.array(engine.table.false_herald)].any()
-    stats = pr.aggregate(tally, engine.table)
+    assert not clicks[~np.array([b.false_herald for b in engine.branches])].any()
+    stats = pr.aggregate(tally, engine.branches, engine.qubit)
     assert stats.false_herald_fraction == 1.0
     assert stats.photon_yield == 0.0
 
@@ -290,7 +298,8 @@ def test_progress_reports_each_chunk():
 
 def test_trials_to_success_geometric_mean():
     engine = pr.ProtocolEngine(make_setup())
-    stats = pr.aggregate(pr.run_protocol(engine, seed=21, n_runs=20_000), engine.table)
+    tally = pr.run_protocol(engine, seed=21, n_runs=20_000)
+    stats = pr.aggregate(tally, engine.branches, engine.qubit)
     expected_mean = 1.0 / engine.p_click
     assert stats.mean_trials_to_success == pytest.approx(
         expected_mean, abs=3.0 * stats.mean_trials_stderr
@@ -313,7 +322,7 @@ def test_no_success_within_budget_is_explicit():
     engine = pr.ProtocolEngine(make_setup(eta=0.0, dark=0.0, max_trials=5))
     tally = pr.run_protocol(engine, seed=9, n_runs=4)
     assert tally.counts[0] == 4 and tally.n_trials == 20
-    stats = pr.aggregate(tally, engine.table)
+    stats = pr.aggregate(tally, engine.branches, engine.qubit)
     assert stats.n_success == 0
     assert math.isnan(stats.mean_trials_to_success)
 
@@ -347,17 +356,17 @@ def reference_tally(trials_used, branch, n_branches):
 
 @pytest.fixture
 def tally(monkeypatch):
-    """tally(trials_used, branch, table): run_protocol's tally of the given
+    """tally(trials_used, branch, branches): run_protocol's tally of the given
     per-run arrays, fed to it chunk by chunk in place of the random draws."""
 
-    def streamed(trials_used, branch, table):
+    def streamed(trials_used, branch, branches):
         trials_used = np.asarray(trials_used, dtype=np.int64)
         branch = np.asarray(branch, dtype=np.int16)
         monkeypatch.setattr(pr, "_run_batch",
                             lambda engine, seed, row, lo, hi: (trials_used[lo:hi], branch[lo:hi]))
-        engine = SimpleNamespace(branches=[None] * len(table.false_herald))
+        engine = SimpleNamespace(branches=branches)
         result = pr.run_protocol(engine, 0, len(branch))
-        assert result == reference_tally(trials_used, branch, len(table.false_herald))
+        assert result == reference_tally(trials_used, branch, len(branches))
         return result
 
     return streamed
@@ -375,8 +384,8 @@ def exact_mean_stderr(values):
 
 def test_aggregate_all_maximal_entanglement(tally):
     s = 1 / math.sqrt(2)
-    table = pr.branch_table(_branches(TRUE), _qubit(s, -s))
-    stats = pr.aggregate(tally(np.full(10, 3), np.zeros(10), table), table)
+    branches = _branches(TRUE)
+    stats = pr.aggregate(tally(np.full(10, 3), np.zeros(10), branches), branches, _qubit(s, -s))
     assert stats.mean_concurrence == pytest.approx(1.0)
     assert stats.concurrence_stderr == 0.0
     assert stats.photon_yield == pytest.approx(1.0)
@@ -385,8 +394,8 @@ def test_aggregate_all_maximal_entanglement(tally):
 
 def test_aggregate_half_false_heralds(tally):
     s = 1 / math.sqrt(2)
-    table = pr.branch_table(_branches(TRUE, ("dark", 0)), _qubit(s, -s))
-    stats = pr.aggregate(tally(np.ones(10), [0, 1] * 5, table), table)
+    branches = _branches(TRUE, ("dark", 0))
+    stats = pr.aggregate(tally(np.ones(10), [0, 1] * 5, branches), branches, _qubit(s, -s))
     assert stats.false_herald_fraction == pytest.approx(0.5)
     assert stats.photon_yield == pytest.approx(0.5)
     assert stats.mean_concurrence == pytest.approx(1.0)  # true heralds only
@@ -394,7 +403,7 @@ def test_aggregate_half_false_heralds(tally):
 
 def test_aggregate_requires_runs():
     with pytest.raises(ValueError):
-        pr.aggregate(pr.RunTally((0,), 0, 0, 0), pr.branch_table([], _qubit(1.0, 0.0)))
+        pr.aggregate(pr.RunTally((0,), 0, 0, 0), [], _qubit(1.0, 0.0))
 
 
 def test_aggregate_matches_exact_oracle(tally):
@@ -402,14 +411,14 @@ def test_aggregate_matches_exact_oracle(tally):
     rs = np.random.default_rng(3)
     a = rs.uniform(0.1, 1.4)
     branches = _branches(TRUE, ("photon", 2), ("dark", 0), ("dark", 1), ("photon", 3))
-    table = pr.branch_table(branches, _qubit(math.cos(a), math.sin(a), 0.7))
+    q = _qubit(math.cos(a), math.sin(a), 0.7)
     flags = [b.false_herald for b in branches]
     efficiency = [0.7, 0.0, 0.0, 0.7, 0.0]  # the qubit's on n = 1, else no photon
     branch = rs.integers(-1, 5, 3001).astype(np.int16)
     trials_used = rs.integers(1, 400, 3001)
     trials_used[branch < 0] = 400
-    run_tally = tally(trials_used, branch, table)
-    stats = pr.aggregate(run_tally, table)
+    run_tally = tally(trials_used, branch, branches)
+    stats = pr.aggregate(run_tally, branches, q)
     won = [(int(t), int(b)) for t, b in zip(trials_used, branch) if b >= 0]
     assert run_tally.counts == tuple(int(np.count_nonzero(branch == b)) for b in range(-1, 5))
     assert stats.n_success == len(won)
@@ -421,8 +430,8 @@ def test_aggregate_matches_exact_oracle(tally):
     assert stats.photon_yield == pytest.approx(float(photon_yield), rel=1e-15, abs=0)
     true = [b for _, b in won if not flags[b]]
     for mean, stderr, value in (
-        (stats.mean_concurrence, stats.concurrence_stderr, table.concurrence),
-        (stats.mean_fidelity_bell, stats.fidelity_stderr, table.fidelity),
+        (stats.mean_concurrence, stats.concurrence_stderr, concurrence(q)),
+        (stats.mean_fidelity_bell, stats.fidelity_stderr, fidelity_to_bell(q)),
     ):
         exact_mean, exact_stderr = exact_mean_stderr([value] * len(true))
         assert (mean, stderr) == (float(exact_mean), exact_stderr) == (value, 0.0)
@@ -436,8 +445,8 @@ def test_aggregate_trial_sums_exact_at_max_trials(tally):
     trials_used = 2**32 - rs.integers(0, 8, n_runs)
     branch = np.where(rs.uniform(size=n_runs) < 0.1, -1, 0)
     trials_used[branch < 0] = 2**32
-    table = pr.branch_table(_branches(TRUE), _qubit(0.6, 0.8))
-    stats = pr.aggregate(tally(trials_used, branch, table), table)
+    branches = _branches(TRUE)
+    stats = pr.aggregate(tally(trials_used, branch, branches), branches, _qubit(0.6, 0.8))
     assert stats.n_trials == sum(trials_used.tolist())
     mean, stderr = exact_mean_stderr(trials_used[branch >= 0].tolist())
     assert stats.mean_trials_to_success == float(mean)
@@ -448,12 +457,12 @@ def test_aggregate_exact_when_true_heralds_agree(tally):
     # every true herald retrieves the one qubit: the means are its values and
     # the standard errors 0.0, however often it was drawn among false heralds
     q = _qubit(math.cos(0.4), math.sin(0.4))
-    table = pr.branch_table(_branches(TRUE, ("dark", 0), ("photon", 2)), q)
+    branches = _branches(TRUE, ("dark", 0), ("photon", 2))
     branch = np.repeat([0, 1, 2, -1], [1234, 50, 777, 9])
-    stats = pr.aggregate(tally(np.full(branch.size, 7), branch, table), table)
-    assert stats.mean_concurrence == table.concurrence == 2.0 * math.cos(0.4) * math.sin(0.4)
+    stats = pr.aggregate(tally(np.full(branch.size, 7), branch, branches), branches, q)
+    assert stats.mean_concurrence == concurrence(q) == 2.0 * math.cos(0.4) * math.sin(0.4)
     assert stats.concurrence_stderr == 0.0
-    assert stats.mean_fidelity_bell == table.fidelity
+    assert stats.mean_fidelity_bell == fidelity_to_bell(q)
     assert stats.fidelity_stderr == 0.0
 
 
@@ -463,24 +472,27 @@ def test_dark_one_pair_click_yields_the_qubit_outside_the_metrics(tally):
     engine = pr.ProtocolEngine(make_setup(p=0.1, eta=0.6, dark=5e4, p_ii=0.05))
     kinds = [(b.kind, b.n_photons) for b in engine.branches]
     true, dark = kinds.index(TRUE), kinds.index(("dark", 1))
-    table, q = engine.table, engine.qubit
-    assert table.false_herald[dark] and not table.false_herald[true]
-    assert table.efficiency[dark] == table.efficiency[true] == q.retrieval_efficiency == 1.0
-    assert table.concurrence == concurrence(q) < 1.0
-    only_dark = pr.aggregate(tally(np.full(5, 2), np.array([dark] * 4 + [-1]), table), table)
+    branches, q = engine.branches, engine.qubit
+    assert branches[dark].false_herald and not branches[true].false_herald
+    assert (branch_yield(branches, q, dark) == branch_yield(branches, q, true)
+            == q.retrieval_efficiency == 1.0)
+    assert concurrence(q) < 1.0
+    only_dark = pr.aggregate(tally(np.full(5, 2), np.array([dark] * 4 + [-1]), branches),
+                             branches, q)
     assert only_dark.photon_yield == q.retrieval_efficiency
     assert only_dark.false_herald_fraction == 1.0
     assert math.isnan(only_dark.mean_concurrence) and math.isnan(only_dark.concurrence_stderr)
-    both = pr.aggregate(tally(np.ones(4), np.array([dark, true, dark, true]), table), table)
+    both = pr.aggregate(tally(np.ones(4), np.array([dark, true, dark, true]), branches),
+                        branches, q)
     assert both.photon_yield == q.retrieval_efficiency
-    assert (both.mean_concurrence, both.concurrence_stderr) == (table.concurrence, 0.0)
-    assert (both.mean_fidelity_bell, both.fidelity_stderr) == (table.fidelity, 0.0)
+    assert (both.mean_concurrence, both.concurrence_stderr) == (concurrence(q), 0.0)
+    assert (both.mean_fidelity_bell, both.fidelity_stderr) == (fidelity_to_bell(q), 0.0)
 
 
 def test_aggregate_rejects_true_herald_without_photon(tally):
-    table = pr.branch_table(_branches(TRUE), _qubit(0.0, 0.0, 0.0))
+    branches = _branches(TRUE)
     with pytest.raises(ValueError, match="no-photon"):
-        pr.aggregate(tally(np.ones(3), np.zeros(3), table), table)
+        pr.aggregate(tally(np.ones(3), np.zeros(3), branches), branches, _qubit(0.0, 0.0, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +530,8 @@ def test_dark_count_zero_cutoff_one_every_click_true():
     _, branch = pr._run_batch(engine, 31, 0, 0, 200)
     clicked = branch[branch >= 0]
     assert clicked.size
-    assert not np.array(engine.table.false_herald)[clicked].any()
-    assert (np.array(engine.table.efficiency)[clicked] == 1.0).all()
+    assert not np.array([b.false_herald for b in engine.branches])[clicked].any()
+    yields = [branch_yield(engine.branches, engine.qubit, i) for i in range(len(engine.branches))]
+    assert (np.array(yields)[clicked] == 1.0).all()
     q = engine.qubit
     assert abs(q.c1) ** 2 + abs(q.c2) ** 2 == pytest.approx(1.0, abs=1e-12)

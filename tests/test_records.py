@@ -24,7 +24,6 @@ RECORD_FIELDS = [
     ("FmeQubitState", "c1"),
     ("ProtocolSetup", "max_trials"),
     ("ProtocolStats", "n_runs"),
-    ("BranchTable", "concurrence"),
     ("RunTally", "counts"),
 ]
 
@@ -38,7 +37,7 @@ def records():
     found = [
         cfg_mod.SCHEMA["eta"], cfg_mod.RB85_87, cfg, setup.system, engine.rates,
         engine.write_state, setup.detector, engine.branches[0], setup.read, engine.qubit,
-        setup, pr.aggregate(tally, engine.table), engine.table, tally,
+        setup, pr.aggregate(tally, engine.branches, engine.qubit), tally,
     ]
     return {type(record).__name__: record for record in found}
 
@@ -53,7 +52,7 @@ def test_record_rejects_attribute_assignment(records, name, field):
 
 
 SYSTEM = dict(g_I=1.0, g_II=1.0, N_I=4.0, N_II=4.0, omega_W_I=2.0, omega_W_II=2.0,
-              delta=100.0, gamma_1=0.0, gamma_2=0.0, tau_write=1.0)
+              delta=100.0, tau_write=1.0)
 DETECTOR = dict(eta=0.6, dark_rate=400.0, gate=1e-6)
 READ = dict(omega_out_I=-1.0e9, omega_out_II=1.0e9)
 QUBIT = dict(c1=0.6, c2=0.8, retrieval_efficiency=1.0)
@@ -70,8 +69,6 @@ REJECTIONS = [
      "delta must be nonzero (adiabatic elimination is singular)"),
     (wd.SystemParams, SYSTEM, {"N_I": 0.5}, "atom numbers must be >= 1"),
     (wd.SystemParams, SYSTEM, {"N_II": 0.5}, "atom numbers must be >= 1"),
-    (wd.SystemParams, SYSTEM, {"gamma_1": -1.0}, "gamma_1 must be >= 0"),
-    (wd.SystemParams, SYSTEM, {"gamma_2": -1.0}, "gamma_2 must be >= 0"),
     (wd.SystemParams, SYSTEM, {"tau_write": 0.0}, "tau_write must be > 0"),
     (DetectorModel, DETECTOR, {"eta": 1.5}, "eta must be in [0, 1], got 1.5"),
     (DetectorModel, DETECTOR, {"dark_rate": -1.0}, "dark_rate must be >= 0"),

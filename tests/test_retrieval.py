@@ -8,10 +8,10 @@ import pytest
 
 import polariton as pl
 from fmesim import herald as hd
-from fmesim import protocol as pr
 from fmesim import retrieval as rt
 from fmesim import write_dynamics as wd
 from fmesim.herald import DetectorModel
+from test_protocol import branch_yield
 
 
 def read_params(**overrides):
@@ -21,10 +21,7 @@ def read_params(**overrides):
 
 
 def heralded_state(p_i, p_ii):
-    rates = wd.DerivedRates(
-        chi_I=p_i, chi_II=p_ii, gamma_L_I=0.0, gamma_L_II=0.0,
-        delta_L_I=0.0, delta_L_II=0.0, P_I=p_i, P_II=p_ii,
-    )
+    rates = wd.DerivedRates(chi_I=p_i, chi_II=p_ii, P_I=p_i, P_II=p_ii)
     return hd.heralded_spin(wd.write_state(rates, 2, "perturbative"))
 
 
@@ -61,18 +58,15 @@ def test_three_four_five_normalization():
 
 def test_false_herald_dark_branch_gives_no_photon():
     # the dark click on the vacuum component, where 0.999 of the branch CDF falls
-    rates = wd.DerivedRates(
-        chi_I=0.1, chi_II=0.1, gamma_L_I=0.0, gamma_L_II=0.0,
-        delta_L_I=0.0, delta_L_II=0.0, P_I=0.1, P_II=0.1,
-    )
+    rates = wd.DerivedRates(chi_I=0.1, chi_II=0.1, P_I=0.1, P_II=0.1)
     psi = wd.write_state(rates, 2, "perturbative")
     det = DetectorModel(eta=0.6, dark_rate=400.0, gate=1e-6)
     branches = hd.click_branches(psi, det)
     cdf = np.cumsum([b.probability for b in branches])
     idx = np.searchsorted(cdf / cdf[-1], 0.999, side="right")
     assert (branches[idx].kind, branches[idx].n_photons) == ("dark", 0)
-    table = pr.branch_table(branches, rt.retrieve_fme(hd.heralded_spin(psi), read_params()))
-    assert table.efficiency[idx] == 0.0
+    qubit = rt.retrieve_fme(hd.heralded_spin(psi), read_params())
+    assert branch_yield(branches, qubit, idx) == 0.0
     # no single excitation: a zero spin pair retrieves no photon
     q = rt.retrieve_fme((0j, 0j), read_params())
     assert q.retrieval_efficiency == 0.0

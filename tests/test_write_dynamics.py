@@ -21,8 +21,7 @@ from hilbert import Mode
 def make_params(**overrides):
     base = dict(
         g_I=1.0, g_II=1.0, N_I=4.0, N_II=4.0,
-        omega_W_I=2.0, omega_W_II=2.0, delta=100.0,
-        gamma_1=0.0, gamma_2=0.0, tau_write=1.0,
+        omega_W_I=2.0, omega_W_II=2.0, delta=100.0, tau_write=1.0,
     )
     base.update(overrides)
     return wd.SystemParams(**base)
@@ -31,7 +30,6 @@ def make_params(**overrides):
 def make_rates(chi_i=0.0, chi_ii=0.0, tau=1.0, **extra):
     base = dict(
         chi_I=complex(chi_i), chi_II=complex(chi_ii),
-        gamma_L_I=0.0, gamma_L_II=0.0, delta_L_I=0.0, delta_L_II=0.0,
         P_I=complex(chi_i) * tau, P_II=complex(chi_ii) * tau,
     )
     base.update(extra)
@@ -90,40 +88,11 @@ def test_chi_direct_substitution():
     assert r.chi_I == pytest.approx(0.5)
 
 
-def test_no_drive_no_coupling():
-    r = wd.derive_rates(make_params(omega_W_I=0.0, omega_W_II=0.0))
-    assert r.chi_I == 0 and r.chi_II == 0
-    assert r.gamma_L_I == 0 and r.gamma_L_II == 0
-    assert r.delta_L_I == 0 and r.delta_L_II == 0
-
-
-@pytest.mark.filterwarnings("ignore::UserWarning")
-def test_pumping_and_stark_substitution():
-    r = wd.derive_rates(make_params(gamma_1=2.0, omega_W_I=2.0, delta=4.0))
-    assert r.gamma_L_I == pytest.approx(2.0 * 4.0 / 16.0)
-    assert r.delta_L_I == pytest.approx(4.0 / 4.0)
-
-
 def test_drive_phase_propagates_into_chi():
     phase = np.exp(0.7j)
     r = wd.derive_rates(make_params(omega_W_I=2.0 * phase))
     assert np.angle(r.chi_I) == pytest.approx(0.7)
     assert r.P_I == pytest.approx(r.chi_I * 1.0)
-
-
-def test_rate_homogeneity_in_drive():
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        s = rng.uniform(0.1, 1.5)
-        base = make_params(delta=300.0)
-        # through the validating constructor: _replace would skip SystemParams' checks
-        scaled = wd.SystemParams(
-            **{**base._asdict(), "omega_W_I": base.omega_W_I * s, "omega_W_II": base.omega_W_II * s}
-        )
-        r0, r1 = wd.derive_rates(base), wd.derive_rates(scaled)
-        assert r1.chi_I == pytest.approx(s * r0.chi_I)
-        assert r1.delta_L_I == pytest.approx(s**2 * r0.delta_L_I)
-        assert r1.gamma_L_II == pytest.approx(s**2 * r0.gamma_L_II)
 
 
 def test_delta_zero_is_singular():
@@ -397,23 +366,64 @@ def test_photon_spin_correlation():
 # ---------------------------------------------------------------------------
 
 
+def test_no_drive_no_coupling():
+    p = make_params(omega_W_I=0.0, omega_W_II=0.0)
+    r, s = wd.derive_rates(p), wo.light_shifts(p, gamma_1=1.0, gamma_2=1.0)
+    assert r.chi_I == 0 and r.chi_II == 0
+    assert s.gamma_L_I == 0 and s.gamma_L_II == 0
+    assert s.delta_L_I == 0 and s.delta_L_II == 0
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_pumping_and_stark_substitution():
+    s = wo.light_shifts(make_params(omega_W_I=2.0, delta=4.0), gamma_1=2.0)
+    assert s.gamma_L_I == pytest.approx(2.0 * 4.0 / 16.0)
+    assert s.delta_L_I == pytest.approx(4.0 / 4.0)
+
+
+def test_rate_homogeneity_in_drive():
+    rng = np.random.default_rng(3)
+    for _ in range(10):
+        s = rng.uniform(0.1, 1.5)
+        base = make_params(delta=300.0)
+        # through the validating constructor: _replace would skip SystemParams' checks
+        scaled = wd.SystemParams(
+            **{**base._asdict(), "omega_W_I": base.omega_W_I * s, "omega_W_II": base.omega_W_II * s}
+        )
+        r0, r1 = wd.derive_rates(base), wd.derive_rates(scaled)
+        l0, l1 = (wo.light_shifts(p, gamma_1=1.0, gamma_2=0.5) for p in (base, scaled))
+        assert r1.chi_I == pytest.approx(s * r0.chi_I)
+        assert l1.delta_L_I == pytest.approx(s**2 * l0.delta_L_I)
+        assert l1.gamma_L_II == pytest.approx(s**2 * l0.gamma_L_II)
+
+
 def test_drift_matrix_structure():
-    p = make_params(gamma_1=1.0, gamma_2=2.0, delta=100.0)
-    r = wd.derive_rates(p)
-    sys = wo.build_langevin(p, r, kappa=0.4, gamma_gs_I=0.02, gamma_gs_II=0.03)
+    p = make_params(delta=100.0)
+    r, s = wd.derive_rates(p), wo.light_shifts(p, gamma_1=1.0, gamma_2=2.0)
+    sys = wo.build_langevin(p, kappa=0.4, gamma_gs_I=0.02, gamma_gs_II=0.03,
+                            gamma_1=1.0, gamma_2=2.0)
     a = sys.drift
     assert a[0, 0] == pytest.approx(-0.4)
     assert a[0, 1] == pytest.approx(-1j * r.chi_I)
     assert a[0, 2] == pytest.approx(-1j * r.chi_II)
     assert a[1, 0] == pytest.approx(1j * np.conj(r.chi_I))
-    assert a[1, 1] == pytest.approx(-(0.02 + r.gamma_L_I + 1j * r.delta_L_I))
+    assert a[1, 1] == pytest.approx(-(0.02 + s.gamma_L_I + 1j * s.delta_L_I))
     assert a[1, 2] == 0.0  # no spin-spin coupling
     assert a[2, 0] == pytest.approx(1j * np.conj(r.chi_II))
     assert a[2, 1] == 0.0  # no spin-spin coupling
-    assert a[2, 2] == pytest.approx(-(0.03 + r.gamma_L_II - 1j * r.delta_L_II))
+    assert a[2, 2] == pytest.approx(-(0.03 + s.gamma_L_II - 1j * s.delta_L_II))
 
 
-@pytest.mark.parametrize("rate", ["kappa", "gamma_gs_I", "gamma_gs_II"])
+def test_explicit_rates_carry_no_light_shifts():
+    # explicit rates are the pair model alone: the drive in p adds no Stark shift
+    p = make_params(delta=50.0)
+    a = wo.build_langevin(p, make_rates(0.3, 0.2)).drift
+    assert a[1, 1] == 0.0 and a[2, 2] == 0.0
+    with pytest.raises(ValueError, match="gamma_1 and gamma_2"):
+        wo.build_langevin(p, make_rates(0.3, 0.2), gamma_1=1.0)
+
+
+@pytest.mark.parametrize("rate", ["kappa", "gamma_gs_I", "gamma_gs_II", "gamma_1", "gamma_2"])
 def test_langevin_loss_rates_must_be_nonnegative(rate):
     with pytest.raises(ValueError, match=rate):
         wo.build_langevin(make_params(), **{rate: -0.1})
@@ -505,20 +515,21 @@ def test_cavity_covariance_fixed_point():
 
 
 def test_commutators_preserved_with_vacuum_noise():
-    p = make_params(gamma_1=1.0, gamma_2=0.5, delta=40.0, omega_W_I=2.0,
-                    omega_W_II=1.0)
-    sys = wo.build_langevin(p, kappa=0.8, gamma_gs_I=0.05, gamma_gs_II=0.02)
+    p = make_params(delta=40.0, omega_W_I=2.0, omega_W_II=1.0)
+    sys = wo.build_langevin(p, kappa=0.8, gamma_gs_I=0.05, gamma_gs_II=0.02,
+                            gamma_1=1.0, gamma_2=0.5)
     for t in (0.2, 1.0, 4.0):
         c = wo.commutator_matrix(sys, t)
         assert np.max(np.abs(c - wo.COMMUTATOR)) < 1e-9
 
 
 def test_opposite_order_diffusion_is_psd_spin_noise():
-    p = make_params(gamma_1=1.0, gamma_2=0.5, delta=40.0)
-    r = wd.derive_rates(p)
-    sys = wo.build_langevin(p, r, kappa=0.8, gamma_gs_I=0.05, gamma_gs_II=0.02)
+    p = make_params(delta=40.0)
+    s = wo.light_shifts(p, gamma_1=1.0, gamma_2=0.5)
+    sys = wo.build_langevin(p, kappa=0.8, gamma_gs_I=0.05, gamma_gs_II=0.02,
+                            gamma_1=1.0, gamma_2=0.5)
     d_n = wo.opposite_order_diffusion(sys)
-    expected = np.diag([0.0, 2 * (0.05 + r.gamma_L_I), 2 * (0.02 + r.gamma_L_II)])
+    expected = np.diag([0.0, 2 * (0.05 + s.gamma_L_I), 2 * (0.02 + s.gamma_L_II)])
     np.testing.assert_allclose(d_n, expected, atol=1e-12)
     assert np.min(np.linalg.eigvalsh((d_n + d_n.conj().T) / 2)) >= -1e-12
 

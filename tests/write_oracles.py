@@ -16,10 +16,14 @@ Linear moment dynamics for the operator vector v = (a, S_I^dag, S_II^dag):
     dS_II^dag/dt = -(gamma_gs_II + gamma_L_II - i delta_L_II) S_II^dag
                    + i chi_II^* a + F_II
 
+with the optical pumping rates gamma_L_j = gamma_j |Omega_Wj|^2 / Delta^2
+and the ac Stark shifts delta_L_j = |Omega_Wj|^2 / Delta (light_shifts).
 Note the sign asymmetry of the Stark shifts: +i delta_L on the S_I^dag row,
 -i delta_L on the S_II^dag row.  There is no direct spin-spin coupling.  The
-loss rates kappa and gamma_gs_I/II are keyword arguments of build_langevin
-(default 0, the lossless pair model); no reported number depends on them.
+loss rates kappa and gamma_gs_I/II and the excited-state decays gamma_1/2
+are keyword arguments of build_langevin (default 0, the lossless pair
+model); no reported number depends on them, nor on the Stark shifts: the
+write state is built from chi_j and P_j alone.
 
 Means evolve as m(t) = exp(A t) m(0).  Second moments are reported as the
 normally ordered covariance sigma with sigma[0,0] = <a^dag a>,
@@ -45,6 +49,7 @@ Units: every rate here is in rad/s (angular), as in fmesim.write_dynamics.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import expm
@@ -108,6 +113,27 @@ class LangevinSystem:
         return float(diag[0]), float(diag[1]), float(diag[2])
 
 
+class LightShifts(NamedTuple):
+    """Rates the write fields add to the spin-wave rows (rad/s).
+
+    gamma_L_j = gamma_j |Omega_Wj|^2 / Delta^2   (optical pumping rate)
+    delta_L_j = |Omega_Wj|^2 / Delta             (ac Stark shift)
+    """
+
+    gamma_L_I: float = 0.0
+    gamma_L_II: float = 0.0
+    delta_L_I: float = 0.0
+    delta_L_II: float = 0.0
+
+
+def light_shifts(p: SystemParams, gamma_1: float = 0.0, gamma_2: float = 0.0) -> LightShifts:
+    """Optical pumping and ac Stark shift of each species, gamma_1 and gamma_2
+    being its excited-state coherence decays (rad/s)."""
+    w2_i, w2_ii = abs(p.omega_W_I) ** 2, abs(p.omega_W_II) ** 2
+    return LightShifts(gamma_1 * w2_i / p.delta**2, gamma_2 * w2_ii / p.delta**2,
+                       w2_i / p.delta, w2_ii / p.delta)
+
+
 def build_langevin(
     p: SystemParams,
     r: DerivedRates | None = None,
@@ -116,25 +142,37 @@ def build_langevin(
     kappa: float = 0.0,
     gamma_gs_I: float = 0.0,
     gamma_gs_II: float = 0.0,
+    gamma_1: float = 0.0,
+    gamma_2: float = 0.0,
 ) -> LangevinSystem:
     """Langevin system in the vacuum state.
 
-    kappa is the photon-mode decay and gamma_gs_I/II the ground-state
-    coherence decays (rad/s, all >= 0).  vacuum_noise=False selects the
-    noiseless mean-field mode (D = 0).
+    kappa is the photon-mode decay, gamma_gs_I/II the ground-state coherence
+    decays and gamma_1/2 the excited-state coherence decays (rad/s, all
+    >= 0).  Without r, the rates and the light shifts all follow from p;
+    rates r given explicitly stand for the pair model alone, with no optical
+    pumping or Stark shift, so gamma_1/2 then have nothing to act on and
+    must be 0.  vacuum_noise=False selects the noiseless mean-field mode
+    (D = 0).
     """
     for name, value in (("kappa", kappa), ("gamma_gs_I", gamma_gs_I),
-                        ("gamma_gs_II", gamma_gs_II)):
+                        ("gamma_gs_II", gamma_gs_II), ("gamma_1", gamma_1),
+                        ("gamma_2", gamma_2)):
         if value < 0:
             raise ValueError(f"{name} must be >= 0")
-    r = derive_rates(p) if r is None else r
-    gamma_i = gamma_gs_I + r.gamma_L_I
-    gamma_ii = gamma_gs_II + r.gamma_L_II
+    if r is None:
+        r, shifts = derive_rates(p), light_shifts(p, gamma_1, gamma_2)
+    elif gamma_1 or gamma_2:
+        raise ValueError("gamma_1 and gamma_2 act through the rates derived from p; pass no r")
+    else:
+        shifts = LightShifts()
+    gamma_i = gamma_gs_I + shifts.gamma_L_I
+    gamma_ii = gamma_gs_II + shifts.gamma_L_II
     drift = np.array(
         [
             [-kappa, -1j * r.chi_I, -1j * r.chi_II],
-            [1j * np.conj(r.chi_I), -(gamma_i + 1j * r.delta_L_I), 0.0],
-            [1j * np.conj(r.chi_II), 0.0, -(gamma_ii - 1j * r.delta_L_II)],
+            [1j * np.conj(r.chi_I), -(gamma_i + 1j * shifts.delta_L_I), 0.0],
+            [1j * np.conj(r.chi_II), 0.0, -(gamma_ii - 1j * shifts.delta_L_II)],
         ],
         dtype=complex,
     )
