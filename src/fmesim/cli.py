@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
 import math
+import os
+import stat
 import sys
 from typing import TYPE_CHECKING
 
@@ -49,7 +52,29 @@ def _write_text(out_path: str | None, text: str) -> None:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     except OSError as exc:
-        raise ConfigError(f"cannot write --out {out_path}: {exc.strerror or exc}") from exc
+        raise _out_error(out_path, exc) from exc
+
+
+def _out_error(out_path: str, exc: OSError) -> ConfigError:
+    return ConfigError(f"cannot write --out {out_path}: {exc.strerror or exc}")
+
+
+def _check_out(out_path: str) -> None:
+    """Fail as writing out_path would, before any work, creating and
+    truncating nothing: it must be a writable file or a new name in a
+    writable directory."""
+    try:
+        if os.path.isdir(out_path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        target = out_path
+        if not os.path.exists(out_path):
+            target = os.path.dirname(out_path) or os.curdir
+            if not stat.S_ISDIR(os.stat(target).st_mode):  # os.stat raises ENOENT, ENOTDIR
+                raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+        if not os.access(target, os.W_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+    except OSError as exc:
+        raise _out_error(out_path, exc) from exc
 
 
 def _json_safe(value):
@@ -62,26 +87,6 @@ def _emit_json(out_path: str | None, payload: dict) -> None:
     _write_text(out_path, json.dumps(payload, indent=2) + "\n")
 
 
-def _stats_row(stats: ProtocolStats, engine: ProtocolEngine) -> dict:
-    return {
-        "n_runs": stats.n_runs,
-        "n_trials": stats.n_trials,
-        "n_success": stats.n_success,
-        "p_click": stats.p_click_per_trial,
-        "p_click_stderr": stats.p_click_stderr,
-        "p_click_analytic": engine.p_click,
-        "mean_trials": stats.mean_trials_to_success,
-        "mean_trials_stderr": stats.mean_trials_stderr,
-        "false_herald_fraction": stats.false_herald_fraction,
-        "false_herald_analytic": engine.false_fraction,
-        "mean_concurrence": stats.mean_concurrence,
-        "concurrence_stderr": stats.concurrence_stderr,
-        "mean_fidelity_bell": stats.mean_fidelity_bell,
-        "fidelity_stderr": stats.fidelity_stderr,
-        "photon_yield": stats.photon_yield,
-    }
-
-
 def _format_cell(value) -> str:
     if isinstance(value, float):
         return repr(value)
@@ -92,7 +97,7 @@ def _format_cell(value) -> str:
 
 def _emit_rows_csv(
     out_path: str | None, command: str, cfg: ResolvedConfig, seed: int,
-    rows: list[tuple[ResolvedConfig, dict]],
+    rows: list[tuple[ResolvedConfig, ProtocolStats]],
 ) -> None:
     buf = io.StringIO()
     meta = _metadata(command, cfg, seed)
@@ -102,24 +107,24 @@ def _emit_rows_csv(
     buf.write("# provenance: " + json.dumps(meta["provenance"], sort_keys=True) + "\n")
     config_keys = sorted(cfg.values)
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["row"] + config_keys + list(rows[0][1]))  # _stats_row names the columns
-    for i, (row_cfg, stats_dict) in enumerate(rows):
+    writer.writerow(["row"] + config_keys + list(rows[0][1]._fields))
+    for i, (row_cfg, stats) in enumerate(rows):
         row_values = row_cfg.serializable_values()
         cells = [str(i)]
         cells += [_format_cell(row_values[k]) for k in config_keys]
-        cells += [_format_cell(v) for v in stats_dict.values()]
+        cells += [_format_cell(v) for v in stats]
         writer.writerow(cells)
     _write_text(out_path, buf.getvalue())
 
 
 def _emit_rows_json(
     out_path: str | None, command: str, cfg: ResolvedConfig, seed: int,
-    rows: list[tuple[ResolvedConfig, dict]],
+    rows: list[tuple[ResolvedConfig, ProtocolStats]],
 ) -> None:
     payload = {"metadata": _metadata(command, cfg, seed), "results": []}
-    for i, (row_cfg, stats_dict) in enumerate(rows):
+    for i, (row_cfg, stats) in enumerate(rows):
         entry = {"row": i, "config": row_cfg.serializable_values()}
-        entry.update({k: _json_safe(v) for k, v in stats_dict.items()})
+        entry.update({k: _json_safe(v) for k, v in stats._asdict().items()})
         payload["results"].append(entry)
     _emit_json(out_path, payload)
 
@@ -166,13 +171,13 @@ def _load(args) -> ResolvedConfig:
     cfg = cfg_mod.load_config(path=args.config, preset=args.preset, overrides=args.set)
     if getattr(args, "runs", None) is not None:
         cfg = cfg_mod.with_overrides(cfg, {"runs": args.runs})
+    if args.out is not None:
+        _check_out(args.out)
     return cfg
 
 
 def _engine(cfg: ResolvedConfig) -> ProtocolEngine:
-    from .protocol import ProtocolEngine  # the physics modules load with the first engine
-
-    engine = ProtocolEngine(cfg_mod.build_setup(cfg))
+    engine = cfg_mod.build_setup(cfg)
     if _single_photon(engine) and not engine.qubit.has_photon:
         raise ConfigError(
             "a true herald retrieves no photon: retrieval_efficiency_I and "
@@ -221,7 +226,7 @@ def cmd_write_sim(args) -> int:
 def cmd_herald(args) -> int:
     cfg = _load(args)
     engine = _engine(cfg)
-    det = engine.setup.detector
+    det = engine.detector
     conditional = None
     if _single_photon(engine):  # the heralded spin state, with the photon absorbed
         spin_i, spin_ii = engine.spin
@@ -248,12 +253,12 @@ def cmd_retrieve(args) -> int:
     engine = _engine(cfg)
     if not _single_photon(engine):
         raise ConfigError("the write state has no single-photon herald branch")
-    qubit, read = engine.qubit, engine.setup.read
+    qubit, read = engine.qubit, engine.read
     payload = {
         "c1": _complex_pair(qubit.c1),
         "c2": _complex_pair(qubit.c2),
-        "omega_I_hz": read.omega_out_I / cfg_mod.TWO_PI,
-        "omega_II_hz": read.omega_out_II / cfg_mod.TWO_PI,
+        "omega_I_hz": read.omega_out_I,
+        "omega_II_hz": read.omega_out_II,
         "concurrence": retrieval.concurrence(qubit),
         "fidelity_bell": retrieval.fidelity_to_bell(qubit),
         "retrieval_efficiency": qubit.retrieval_efficiency,
@@ -277,7 +282,7 @@ def _progress(label: str):
     return write
 
 
-def _run_rows(args, command: str, cfg: ResolvedConfig, row_cfgs, labels) -> list[dict]:
+def _run_rows(args, command: str, cfg: ResolvedConfig, row_cfgs, labels) -> list[ProtocolStats]:
     """Monte Carlo statistics of each row configuration (row i keys the random
     streams), written as one csv or json table; returns the stats rows.  Every
     row's engine is built before the first run is drawn, so a rejection in
@@ -289,17 +294,16 @@ def _run_rows(args, command: str, cfg: ResolvedConfig, row_cfgs, labels) -> list
     for i, (row_cfg, engine, label) in enumerate(zip(row_cfgs, engines, labels)):
         tally = run_protocol(engine, args.seed, row_cfg.values["runs"], row=i,
                              progress=_progress(label))
-        stats = aggregate(tally, engine.branches, engine.qubit)
-        rows.append((row_cfg, _stats_row(stats, engine)))
+        rows.append((row_cfg, aggregate(tally, engine)))
     emit = _emit_rows_json if args.format == "json" else _emit_rows_csv
     emit(args.out, command, cfg, args.seed, rows)
-    return [stats_dict for _, stats_dict in rows]
+    return [stats for _, stats in rows]
 
 
 def cmd_protocol(args) -> int:
     cfg = _load(args)
     (stats,) = _run_rows(args, "protocol", cfg, [cfg], ["protocol"])
-    return 3 if stats["n_success"] == 0 else 0
+    return 3 if stats.n_success == 0 else 0
 
 
 def _parse_sweep_axis(text: str) -> tuple[str, list]:

@@ -3,8 +3,9 @@
 Configuration files are flat JSON objects (key -> number, string, or
 [re, im] pair for complex drive amplitudes).  All frequencies and rates are
 quoted in plain Hz and all times in seconds; the single Hz -> rad/s
-conversion by 2*pi happens in the build_* functions here and nowhere else.
-Dark counts are an event rate and are never multiplied by 2*pi.
+conversion by 2*pi happens in build_system_params and nowhere else.  Dark
+counts are an event rate and the output frequencies only label the qubit's
+two rails, so neither is ever multiplied by 2*pi.
 
 This module imports only the standard library, so resolving and rejecting
 a configuration never loads numpy; each build_* function imports its
@@ -28,7 +29,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     from .herald import DetectorModel
-    from .protocol import ProtocolSetup
+    from .protocol import ProtocolEngine
     from .retrieval import ReadParams
     from .write_dynamics import SystemParams
 
@@ -352,7 +353,7 @@ def load_config(
 
 
 # ---------------------------------------------------------------------------
-# Parameter assembly (the single Hz -> rad/s conversion point)
+# Parameter assembly and the engine build
 # ---------------------------------------------------------------------------
 
 
@@ -384,28 +385,23 @@ def build_read_params(cfg: ResolvedConfig) -> ReadParams:
 
     v = cfg.values
     return ReadParams(
-        omega_out_I=TWO_PI * v["omega_out_I"],
-        omega_out_II=TWO_PI * v["omega_out_II"],
+        omega_out_I=v["omega_out_I"],
+        omega_out_II=v["omega_out_II"],
         efficiency_I=v["retrieval_efficiency_I"],
         efficiency_II=v["retrieval_efficiency_II"],
         phase_II=v["read_phase"],
     )
 
 
-def build_setup(cfg: ResolvedConfig) -> ProtocolSetup:
-    from .protocol import ProtocolSetup
+def build_setup(cfg: ResolvedConfig) -> ProtocolEngine:
+    from .protocol import ProtocolEngine
 
+    v = cfg.values
     try:
-        return ProtocolSetup(
-            system=build_system_params(cfg),
-            detector=build_detector(cfg),
-            read=build_read_params(cfg),
-            max_trials=cfg.values["max_trials"],
-            engine=cfg.values["engine"],
-            cutoff=cfg.values["cutoff"],
-        )
+        records = build_system_params(cfg), build_detector(cfg), build_read_params(cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    return ProtocolEngine(*records, v["max_trials"], v["engine"], v["cutoff"])
 
 
 def with_overrides(cfg: ResolvedConfig, updates: dict[str, object]) -> ResolvedConfig:

@@ -16,9 +16,10 @@ to two numbers: the trials it used and the branch it clicked on (-1 when
 max_trials passed without a click).
 run_protocol tallies each chunk of runs as it is drawn (runs per outcome,
 trials, and sums of T and T^2 over successful runs), so memory does not
-grow with the run count, and aggregate computes every statistic from that
-tally, the per-branch false-herald flags and efficiencies, and the qubit's
-concurrence and fidelity.  Only the draw and the tally use numpy, which
+grow with the run count, and aggregate computes one output row from that
+tally, the per-branch false-herald flags and efficiencies, the qubit's
+concurrence and fidelity, and the engine's analytic click probability and
+false fraction.  Only the draw and the tally use numpy, which
 loads with the first run; the engine and aggregate are standard library.
 
 The ensemble reset is perfect, so trials are independent and a run's trials
@@ -43,7 +44,6 @@ from typing import NamedTuple
 from . import herald as herald_mod
 from . import retrieval as retrieval_mod
 from . import write_dynamics as wd
-from .config import ENGINES
 from .herald import DetectorModel, HeraldBranch
 from .retrieval import FmeQubitState, ReadParams
 from .write_dynamics import SystemParams
@@ -56,41 +56,21 @@ from .write_dynamics import SystemParams
 _RUN_CHUNK = 4096
 
 
-class _SetupFields(NamedTuple):  # checked in ProtocolSetup.__new__, which _replace skips
-    system: SystemParams
-    detector: DetectorModel
-    read: ReadParams
-    max_trials: int
-    engine: str = "perturbative"
-    cutoff: int = 2
-
-
-class ProtocolSetup(_SetupFields):
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.engine not in ENGINES:
-            raise ValueError(f"engine must be one of {ENGINES}, got {self.engine!r}")
-        if self.cutoff < 1:
-            raise ValueError("cutoff must be >= 1")
-        if self.max_trials < 1:
-            raise ValueError("max_trials must be >= 1")
-        return self
-
-
 class ProtocolStats(NamedTuple):
-    """Aggregates over completed runs; uncertainties are 1-sigma standard
-    errors from the run count."""
+    """One output row: aggregates over completed runs, with the engine's
+    analytic click probability and false-herald fraction beside their
+    estimates; uncertainties are 1-sigma standard errors from the run count."""
 
     n_runs: int
     n_trials: int
     n_success: int
-    p_click_per_trial: float
+    p_click: float
     p_click_stderr: float
-    mean_trials_to_success: float
+    p_click_analytic: float
+    mean_trials: float
     mean_trials_stderr: float
     false_herald_fraction: float
+    false_herald_analytic: float
     mean_concurrence: float
     concurrence_stderr: float
     mean_fidelity_bell: float
@@ -99,7 +79,7 @@ class ProtocolStats(NamedTuple):
 
 
 class ProtocolEngine:
-    """Trial-invariant write/herald/retrieve tables for one setup.
+    """Trial-invariant write/herald/retrieve tables for one configuration.
 
     Holds the write-stage pair state (chain amplitudes and bright spin mode)
     and from it the click probability, the closed-form click branch table,
@@ -111,12 +91,14 @@ class ProtocolEngine:
     the detector is certain to click.
     """
 
-    def __init__(self, setup: ProtocolSetup):
-        self.setup = setup
-        self.rates = rates = wd.derive_rates(setup.system)
-        self.write_state = wd.write_state(rates, setup.cutoff, setup.engine)
-        det = setup.detector
-        self.branches: list[HeraldBranch] = herald_mod.click_branches(self.write_state, det)
+    def __init__(self, system: SystemParams, detector: DetectorModel, read: ReadParams,
+                 max_trials: int, engine: str = "perturbative", cutoff: int = 2):
+        if max_trials < 1:
+            raise ValueError("max_trials must be >= 1")
+        self.detector, self.read, self.max_trials = detector, read, max_trials
+        self.rates = rates = wd.derive_rates(system)
+        self.write_state = wd.write_state(rates, cutoff, engine)
+        self.branches: list[HeraldBranch] = herald_mod.click_branches(self.write_state, detector)
         # fsum, not sum: the builtin is compensated from Python 3.12 on, so its
         # last bit would depend on the interpreter
         total = math.fsum(b.probability for b in self.branches)
@@ -126,7 +108,7 @@ class ProtocolEngine:
         false = math.fsum(b.probability for b in self.branches if b.false_herald)
         self.false_fraction = false / total if total > 0.0 else 0.0
         self.spin = herald_mod.heralded_spin(self.write_state)
-        self.qubit: FmeQubitState = retrieval_mod.retrieve_fme(self.spin, setup.read)
+        self.qubit: FmeQubitState = retrieval_mod.retrieve_fme(self.spin, read)
 
 
 def _run_batch(engine: ProtocolEngine, seed: int, row: int, run_lo: int, run_hi: int):
@@ -142,7 +124,7 @@ def _run_batch(engine: ProtocolEngine, seed: int, row: int, run_lo: int, run_hi:
 
     from .rng import run_uniforms
 
-    max_trials = engine.setup.max_trials
+    max_trials = engine.max_trials
     p = engine.p_click
     trials_used = np.full(run_hi - run_lo, max_trials, dtype=np.int64)
     branch = np.full(run_hi - run_lo, -1, dtype=np.int16)
@@ -206,10 +188,9 @@ def _weighted_mean(counts: tuple[int, ...], values: tuple[float, ...]) -> float:
     return ref + shift / sum(counts)
 
 
-def aggregate(tally: RunTally, branches: list[HeraldBranch],
-              qubit: FmeQubitState) -> ProtocolStats:
+def aggregate(tally: RunTally, engine: ProtocolEngine) -> ProtocolStats:
     """Unbiased sample means and standard errors of the runs tallied over the
-    click branches.
+    engine's click branches, beside its analytic p_click and false fraction.
 
     Every true herald retrieves the one output qubit, so the mean
     concurrence and fidelity are the qubit's and their standard errors are
@@ -219,6 +200,7 @@ def aggregate(tally: RunTally, branches: list[HeraldBranch],
     n_runs = sum(tally.counts)
     if not n_runs:
         raise ValueError("aggregate requires at least one completed run")
+    branches, qubit = engine.branches, engine.qubit
     hits = tally.counts[1:]
     n_success = n_runs - tally.counts[0]
     p_click = n_success / tally.n_trials  # one click ends each successful run
@@ -245,15 +227,16 @@ def aggregate(tally: RunTally, branches: list[HeraldBranch],
         n_runs=n_runs,
         n_trials=tally.n_trials,
         n_success=n_success,
-        p_click_per_trial=p_click,
+        p_click=p_click,
         p_click_stderr=p_click_stderr,
-        mean_trials_to_success=mean_trials,
+        p_click_analytic=engine.p_click,
+        mean_trials=mean_trials,
         mean_trials_stderr=mean_trials_stderr,
         false_herald_fraction=false_fraction,
+        false_herald_analytic=engine.false_fraction,
         mean_concurrence=mean_conc,
         concurrence_stderr=conc_stderr,
         mean_fidelity_bell=mean_fid,
         fidelity_stderr=fid_stderr,
         photon_yield=photon_yield,
     )
-

@@ -38,7 +38,7 @@ class _ReadFields(NamedTuple):  # checked in ReadParams.__new__, which _replace 
 
 
 class ReadParams(_ReadFields):
-    """Per-species read-out settings (frequencies in rad/s).
+    """Per-species read-out settings (frequencies in Hz, as configured).
 
     omega_out_I/II are the two output photon frequencies (distinct by
     construction); efficiency_I/II are single multiplicative retrieval

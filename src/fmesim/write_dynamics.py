@@ -27,6 +27,8 @@ import math
 import warnings
 from typing import NamedTuple
 
+from .config import ENGINES
+
 ADIABATIC_RATIO_WARN = 0.3
 PERTURBATIVE_P_WARN = 0.3
 
@@ -163,6 +165,8 @@ def write_state(rates: DerivedRates, cutoff: int, engine: str) -> PairState:
     that model multi-photon false heralds.  It warns outside the weak-drive
     regime; the exact engine never warns.
     """
+    if engine not in ENGINES:
+        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
     r, u_i, u_ii = _bright_mode(rates.P_I, rates.P_II)

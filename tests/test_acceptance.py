@@ -44,7 +44,7 @@ def ideal_read():
     )
 
 
-def protocol_setup(p=0.1, eta=0.6, dark=400.0, max_trials=10_000, cutoff=1):
+def protocol_engine(p=0.1, eta=0.6, dark=400.0, max_trials=10_000, cutoff=1):
     """First-order write state (cutoff 1) so the analytic herald oracle of
     the standard fixture applies verbatim."""
     tau = 1.0
@@ -53,9 +53,7 @@ def protocol_setup(p=0.1, eta=0.6, dark=400.0, max_trials=10_000, cutoff=1):
         omega_W_I=p * 100.0, omega_W_II=p * 100.0, delta=100.0, tau_write=tau,
     )
     det = DetectorModel(eta=eta, dark_rate=dark, gate=1e-6)
-    return pr.ProtocolSetup(system=system, detector=det, read=ideal_read(),
-                            max_trials=max_trials, engine="perturbative",
-                            cutoff=cutoff)
+    return pr.ProtocolEngine(system, det, ideal_read(), max_trials, "perturbative", cutoff)
 
 
 def test_criterion_1_maximal_entanglement():
@@ -130,18 +128,14 @@ def test_criterion_3_langevin_sanity():
 
 def test_criterion_4_herald_statistics():
     # analytic click probability of the standard fixture (derived oracle)
-    setup = protocol_setup()
-    engine = pr.ProtocolEngine(setup)
+    engine = protocol_engine()
     p_analytic = engine.p_click
     assert p_analytic == pytest.approx(0.0121599210, abs=1e-9)
 
     # Monte Carlo frequency over 1e6 independent trials
     n_trials = 1_000_000
-    one_shot = pr.ProtocolSetup(
-        system=setup.system, detector=setup.detector,
-        read=setup.read, max_trials=1, engine="perturbative", cutoff=1,
-    )
-    no_click = pr.run_protocol(pr.ProtocolEngine(one_shot), seed=42, n_runs=n_trials).counts[0]
+    one_shot = protocol_engine(max_trials=1)
+    no_click = pr.run_protocol(one_shot, seed=42, n_runs=n_trials).counts[0]
     p_hat = (n_trials - no_click) / n_trials
     sigma = math.sqrt(p_analytic * (1.0 - p_analytic) / n_trials)
     assert abs(p_hat - p_analytic) <= 3.0 * sigma
@@ -166,20 +160,12 @@ def test_criterion_4_herald_statistics():
 
 
 def test_criterion_5_dark_count_sweep_monotonicity():
-    setups = [
-        pr.ProtocolSetup(
-            system=protocol_setup().system,
-            detector=DetectorModel(eta=0.6, dark_rate=rate, gate=1e-6),
-            read=ideal_read(), max_trials=protocol_setup().max_trials,
-            engine="perturbative", cutoff=1,
-        )
-        for rate in (400.0, 50.0, 5.0)
-    ]
-    fractions = [pr.ProtocolEngine(setup).false_fraction for setup in setups]
+    engines = [protocol_engine(eta=0.6, dark=rate) for rate in (400.0, 50.0, 5.0)]
+    fractions = [engine.false_fraction for engine in engines]
     assert fractions[0] > fractions[1] > fractions[2]
 
     # the Monte Carlo sweep shows the same ordering at the pinned seed
-    rows = sweep_rows(setups, seed=42, n_runs=3000)
+    rows = sweep_rows(engines, seed=42, n_runs=3000)
     mc = [row.false_herald_fraction for row in rows]
     assert mc[0] > mc[1] > mc[2]
     report(5, f"false-herald fraction falls {fractions[0]:.4f} > "

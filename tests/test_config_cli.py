@@ -555,6 +555,42 @@ def test_unwritable_out_exits_2(command, target, tmp_path, capsys):
     assert last.startswith(f"error: cannot write --out {out}: ")
 
 
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+@pytest.mark.parametrize("command", [c for c in OUT_COMMANDS if c[0] in ("protocol", "sweep")],
+                         ids=lambda command: command[0])
+def test_unwritable_out_exits_before_any_run(command, target, tmp_path, capsys):
+    out = tmp_path / "missing" / "out.txt" if target == "missing-directory" else tmp_path
+    assert run_cli(*command, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write --out {out}: ") and "runs" not in err
+    assert sorted(os.listdir(tmp_path)) == []  # the check creates nothing
+
+
+def test_writable_out_is_neither_created_nor_truncated_by_the_check(tmp_path):
+    out = tmp_path / "stats.csv"
+    out.write_text("kept")
+    args = cli.build_parser().parse_args(["protocol", "--preset", "rb85-87", "--out", str(out)])
+    cli._load(args)
+    assert out.read_text() == "kept"
+    new = tmp_path / "new.csv"
+    cli._load(cli.build_parser().parse_args(["herald", "--preset", "rb85-87", "--out", str(new)]))
+    assert not new.exists()
+
+
+def test_retrieve_prints_output_frequencies_as_given(tmp_path):
+    # frequencies used to pass through 2 pi and back, which moved the last bit
+    # of about one value in eight and could make two distinct values equal
+    out = tmp_path / "qubit.json"
+    assert run_cli("retrieve", "--preset", "rb85-87", "--set", "omega_out_II=3964744420.5640144",
+                   "--out", str(out)) == 0
+    data = json.loads(out.read_text())
+    assert data["omega_II_hz"] == 3964744420.5640144 == data["metadata"]["config"]["omega_out_II"]
+    assert run_cli("retrieve", "--preset", "rb85-87", "--set", "omega_out_I=242299859.1168529",
+                   "--set", "omega_out_II=242299859.11685294", "--out", str(out)) == 0
+    data = json.loads(out.read_text())
+    assert (data["omega_I_hz"], data["omega_II_hz"]) == (242299859.1168529, 242299859.11685294)
+
+
 NO_PHOTON = (
     ("retrieval_efficiency_I=0", "retrieval_efficiency_II=0"),
     ("retrieval_efficiency_I=0", "omega_rabi_write_II=0"),

@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from fmesim import config as cfg_mod
-from fmesim import protocol as pr
 from fmesim import write_dynamics as wd
 
 MAX_ULP = 4
@@ -47,15 +46,15 @@ def reference_chain(rates, engine, cutoff):
     return (-1j) ** n * th**n * sech, th * th
 
 
-def reference_engine(setup):
-    """The fields of ProtocolEngine, computed with the numpy expressions."""
-    rates = wd.derive_rates(setup.system)
-    chain, lam = reference_chain(rates, setup.engine, setup.cutoff)
+def reference_engine(cfg):
+    """The fields of cfg's ProtocolEngine, computed with the numpy expressions."""
+    rates = wd.derive_rates(cfg_mod.build_system_params(cfg))
+    chain, lam = reference_chain(rates, cfg.values["engine"], cfg.values["cutoff"])
     p_n, top = np.abs(chain) ** 2, chain.size
     with np.errstate(divide="ignore"):
         tail = lam**top * (top + lam / p_n[0]) if lam else 0.0
     mean_occupation = float(np.arange(top) @ p_n + tail)
-    det = setup.detector
+    det = cfg_mod.build_detector(cfg)
     miss = [(1.0 - det.eta) ** n for n in range(top + 1)]
     weights = [("photon", n, p_n[n] * (1.0 - miss[n])) for n in range(1, top)]
     if det.p_dark > 0.0:
@@ -110,8 +109,8 @@ def floats(name, value):
         yield name, value
 
 
-def setup_for(*sets):
-    return cfg_mod.build_setup(cfg_mod.load_config(preset="rb85-87", overrides=list(sets)))
+def config_for(*sets):
+    return cfg_mod.load_config(preset="rb85-87", overrides=list(sets))
 
 
 GRID = [
@@ -124,9 +123,9 @@ GRID = [
 ]
 
 
-def assert_agree(setup):
-    engine = pr.ProtocolEngine(setup)
-    got, want = engine_fields(engine), reference_engine(setup)
+def assert_agree(cfg):
+    engine = cfg_mod.build_setup(cfg)
+    got, want = engine_fields(engine), reference_engine(cfg)
     for name in want:
         new, ref = list(floats(name, got[name])), list(floats(name, want[name]))
         assert [label for label, _ in new] == [label for label, _ in ref], name
@@ -148,16 +147,15 @@ def reference_qubit(spin, read):
 def test_engine_agrees_with_numpy_reference(engine, cutoff, eta, dark, phase):
     sets = (f"engine={engine}", f"cutoff={cutoff}", f"eta={eta}", f"dark_rate_hz={dark}",
             f"read_phase={phase}")
-    setup = setup_for(*sets)
-    built = assert_agree(setup)
+    built = assert_agree(config_for(*sets))
     qubit = built.qubit
-    for a, b in zip((qubit.c1, qubit.c2), reference_qubit(built.spin, setup.read)):
+    for a, b in zip((qubit.c1, qubit.c2), reference_qubit(built.spin, built.read)):
         assert agree(a.real, b.real) and agree(a.imag, b.imag), (a, b)
 
 
 @pytest.mark.parametrize("eta", [0.6, 0.0])
 def test_saturated_exact_state_agrees_with_numpy_reference(eta):
     # N_I = 1e300: cosh r overflows, so math.cosh raises where np.cosh gave inf
-    engine = assert_agree(setup_for("N_I=1e300", "engine=exact", f"eta={eta}"))
+    engine = assert_agree(config_for("N_I=1e300", "engine=exact", f"eta={eta}"))
     assert engine.write_state.mean_occupation() == math.inf
     assert list(engine.write_state.chain) == [0j] * 3 and engine.write_state.tail_ratio == 1.0

@@ -40,10 +40,8 @@ def fixture_engine(p_i=0.1, p_ii=0.1, det=FIXTURE_DETECTOR, cutoff=1):
         tau_write=1.0,
     )
     read = ReadParams(omega_out_I=-1.0e9, omega_out_II=1.0e9)
-    return pr.ProtocolEngine(pr.ProtocolSetup(
-        system=system, detector=det, read=read, max_trials=1,
-        engine="perturbative", cutoff=cutoff,
-    ))
+    return pr.ProtocolEngine(system, det, read, max_trials=1, engine="perturbative",
+                             cutoff=cutoff)
 
 
 def brute_force_click_probability(psi, det):
@@ -160,7 +158,7 @@ def test_analytic_sums_do_not_depend_on_the_interpreter(engine):
     # math.fsum rounds the branch sums once; the builtin sum is compensated
     # from Python 3.12 on, so herald printed different last bits under 3.11
     cfg = cfg_mod.load_config(preset="rb85-87", overrides=[f"engine={engine}"])
-    built = pr.ProtocolEngine(cfg_mod.build_setup(cfg))
+    built = cfg_mod.build_setup(cfg)
     total = math.fsum(b.probability for b in built.branches)
     false = math.fsum(b.probability for b in built.branches if b.false_herald)
     assert built.p_click == min(total, 1.0)
@@ -286,16 +284,15 @@ DRIVES = {
 def test_closed_form_branches_match_grid_collapse(drive, engine_name, cutoff):
     overrides = DRIVES[drive] + [f"engine={engine_name}", f"cutoff={cutoff}"]
     cfg = cfg_mod.load_config(preset="rb85-87", overrides=overrides)
-    setup = cfg_mod.build_setup(cfg)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        engine = pr.ProtocolEngine(setup)
-    det = setup.detector
+        engine = cfg_mod.build_setup(cfg)
+    det = engine.detector
     psi = hb.from_pair_state(engine.write_state)
     p_n = hb.occupation_distribution(psi, hb.Mode.STOKES)  # unnormalized
     tails = []
     if engine_name == "exact":  # the untruncated chain, summed term by term
-        r = math.hypot(abs(engine.rates.chi_I), abs(engine.rates.chi_II)) * setup.system.tau_write
+        r = math.hypot(abs(engine.rates.chi_I), abs(engine.rates.chi_II)) * cfg.values["tau_write"]
         n = np.arange(cutoff + 1, 20001)  # lam^20000 < 1e-50 on these drives
         p_above = np.tanh(r) ** (2 * n) / np.cosh(r) ** 2
         miss = (1.0 - det.eta) ** n
@@ -319,7 +316,7 @@ def test_closed_form_branches_match_grid_collapse(drive, engine_name, cutoff):
         if n == 1:  # every one-pair click leaves the one heralded pair ...
             assert abs(spin[0] - engine.spin[0]) <= 1e-15
             assert abs(spin[1] - engine.spin[1]) <= 1e-15
-            q = rt.retrieve_fme(spin, setup.read)
+            q = rt.retrieve_fme(spin, engine.read)
             assert abs(engine.qubit.c1 - q.c1) <= 1e-15
             assert abs(engine.qubit.c2 - q.c2) <= 1e-15
             assert abs(branch_yield(engine.branches, engine.qubit, i)
@@ -336,8 +333,8 @@ def test_exact_engine_does_not_depend_on_cutoff(drive):
         overrides = DRIVES[drive] + ["engine=exact", f"cutoff={cutoff}"]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            engines.append(pr.ProtocolEngine(cfg_mod.build_setup(
-                cfg_mod.load_config(preset="rb85-87", overrides=overrides))))
+            engines.append(cfg_mod.build_setup(
+                cfg_mod.load_config(preset="rb85-87", overrides=overrides)))
     for engine in engines:
         assert engine.p_click == pytest.approx(engines[0].p_click, rel=1e-14, abs=0)
         assert engine.false_fraction == pytest.approx(engines[0].false_fraction, rel=1e-14, abs=0)

@@ -18,8 +18,8 @@ from fmesim.herald import DetectorModel, HeraldBranch
 from fmesim.retrieval import FmeQubitState, ReadParams, concurrence, fidelity_to_bell
 
 
-def make_setup(p=0.1, eta=0.6, dark=400.0, max_trials=10_000, engine="perturbative",
-               cutoff=2, p_ii=None):
+def make_engine(p=0.1, eta=0.6, dark=400.0, max_trials=10_000, engine="perturbative",
+                cutoff=2, p_ii=None):
     p_ii = p if p_ii is None else p_ii
     tau = 1.0
     system = wd.SystemParams(
@@ -31,26 +31,28 @@ def make_setup(p=0.1, eta=0.6, dark=400.0, max_trials=10_000, engine="perturbati
     read = ReadParams(
         omega_out_I=-1.0e9, omega_out_II=1.0e9,
     )
-    return pr.ProtocolSetup(system=system, detector=detector, read=read,
-                            max_trials=max_trials, engine=engine, cutoff=cutoff)
+    return pr.ProtocolEngine(system, detector, read, max_trials, engine, cutoff)
 
 
-def sweep_rows(setups, seed, n_runs):
-    """ProtocolStats of each setup, with row i keying its random streams as
+def sweep_rows(engines, seed, n_runs):
+    """ProtocolStats of each engine, with row i keying its random streams as
     in the CLI sweep."""
-    rows = []
-    for i, setup in enumerate(setups):
-        engine = pr.ProtocolEngine(setup)
-        tally = pr.run_protocol(engine, seed, n_runs, row=i)
-        rows.append(pr.aggregate(tally, engine.branches, engine.qubit))
-    return rows
+    return [pr.aggregate(pr.run_protocol(engine, seed, n_runs, row=i), engine)
+            for i, engine in enumerate(engines)]
+
+
+def table(branches, qubit):
+    """An engine stand-in holding what aggregate reads of an engine: a
+    branch table and its qubit (the analytic numbers are not tested here)."""
+    return SimpleNamespace(branches=branches, qubit=qubit, p_click=math.nan,
+                           false_fraction=math.nan)
 
 
 def branch_yield(branches, qubit, i):
     """The photon yield aggregate gives one run that clicked on branch i."""
     counts = [0] * (len(branches) + 1)
     counts[1 + i] = 1
-    return pr.aggregate(pr.RunTally(tuple(counts), 1, 1, 1), branches, qubit).photon_yield
+    return pr.aggregate(pr.RunTally(tuple(counts), 1, 1, 1), table(branches, qubit)).photon_yield
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +179,7 @@ def per_run_oracle(engine, seed, row, n_runs):
     """Repeat-until-success as a plain loop: each run inverts the geometric
     tail (1 - p)^t at its first uniform and walks the branch CDF with its
     second."""
-    max_trials = engine.setup.max_trials
+    max_trials = engine.max_trials
     p = engine.p_click
     cdf = list(engine.branch_cdf)
     trials_used, branch = [], []
@@ -199,22 +201,21 @@ def per_run_oracle(engine, seed, row, n_runs):
 
 
 @pytest.mark.parametrize(
-    "label, setup, n_runs",
+    "label, engine, n_runs",
     [
-        pytest.param(label, setup, n, id=label.replace(" ", "-"))
-        for label, setup, n in (
-            ("blind detector", make_setup(eta=0.0, dark=0.0, max_trials=40), 6),
-            ("p_click near 1", make_setup(eta=1.0, dark=3.0e6, max_trials=40), 50),
-            ("many trials", make_setup(eta=0.9, dark=1e5, max_trials=60), 60),
-            ("budget exhausted", make_setup(eta=0.9, dark=1e5, max_trials=7), 80),
-            ("certain click", make_setup(p=0.03, eta=1.0, dark=4.0e7, max_trials=40), 50),
-            ("largest budget", make_setup(p=1.5e-5, eta=0.5, dark=0.0, max_trials=2**32), 400),
+        pytest.param(label, engine, n, id=label.replace(" ", "-"))
+        for label, engine, n in (
+            ("blind detector", make_engine(eta=0.0, dark=0.0, max_trials=40), 6),
+            ("p_click near 1", make_engine(eta=1.0, dark=3.0e6, max_trials=40), 50),
+            ("many trials", make_engine(eta=0.9, dark=1e5, max_trials=60), 60),
+            ("budget exhausted", make_engine(eta=0.9, dark=1e5, max_trials=7), 80),
+            ("certain click", make_engine(p=0.03, eta=1.0, dark=4.0e7, max_trials=40), 50),
+            ("largest budget", make_engine(p=1.5e-5, eta=0.5, dark=0.0, max_trials=2**32), 400),
         )
     ],
 )
-def test_batch_matches_per_run_oracle(label, setup, n_runs):
-    engine = pr.ProtocolEngine(setup)
-    max_trials = setup.max_trials
+def test_batch_matches_per_run_oracle(label, engine, n_runs):
+    max_trials = engine.max_trials
     trials_used, branch = pr._run_batch(engine, 13, 2, 0, n_runs)
     assert trials_used.dtype == np.int64 and branch.dtype == np.int16
     expected = per_run_oracle(engine, 13, 2, n_runs)
@@ -237,28 +238,26 @@ def test_batch_matches_per_run_oracle(label, setup, n_runs):
 
 
 def test_blind_detector_never_clicks():
-    setup = make_setup(eta=0.0, dark=0.0, max_trials=50)
-    engine = pr.ProtocolEngine(setup)
+    engine = make_engine(eta=0.0, dark=0.0, max_trials=50)
     assert engine.p_click == 0.0
     tally = pr.run_protocol(engine, seed=1, n_runs=3)
     assert tally == pr.RunTally((3,) + (0,) * len(engine.branches), 150, 0, 0)
 
 
 def test_dark_clicks_on_empty_write_are_false_heralds():
-    engine = pr.ProtocolEngine(make_setup(p=0.0, eta=0.6, dark=5e4, max_trials=5_000))
+    engine = make_engine(p=0.0, eta=0.6, dark=5e4, max_trials=5_000)
     tally = pr.run_protocol(engine, seed=3, n_runs=64)
     clicks = np.array(tally.counts[1:])
     assert tally.counts[0] == 0 and clicks.sum() == 64
     assert not clicks[~np.array([b.false_herald for b in engine.branches])].any()
-    stats = pr.aggregate(tally, engine.branches, engine.qubit)
+    stats = pr.aggregate(tally, engine)
     assert stats.false_herald_fraction == 1.0
     assert stats.photon_yield == 0.0
 
 
 def test_run_arrays_invariant():
     # a run without a click used the whole budget; a click picks a real branch
-    setup = make_setup(p=0.1, max_trials=12)
-    engine = pr.ProtocolEngine(setup)
+    engine = make_engine(p=0.1, max_trials=12)
     trials_used, branch = pr._run_batch(engine, 8, 0, 0, 400)
     assert np.all(trials_used[branch < 0] == 12)
     assert np.all((trials_used >= 1) & (trials_used <= 12))
@@ -266,14 +265,14 @@ def test_run_arrays_invariant():
     assert np.any(branch < 0) and np.any((branch >= 0) & (trials_used < 12))
 
 
-def test_protocol_setup_rejects_zero_max_trials():
+def test_protocol_engine_rejects_zero_max_trials():
     with pytest.raises(ValueError, match="max_trials"):
-        make_setup(max_trials=0)
+        make_engine(max_trials=0)
 
 
 def test_scalar_and_batch_paths_agree():
     # a batch of one run is the single-run path; chunk boundaries change nothing
-    engine = pr.ProtocolEngine(make_setup(max_trials=500))
+    engine = make_engine(max_trials=500)
     trials_used, branch = pr._run_batch(engine, 11, 0, 0, 40)
     for run in range(40):
         one = pr._run_batch(engine, 11, 0, run, run + 1)
@@ -281,7 +280,7 @@ def test_scalar_and_batch_paths_agree():
 
 
 def test_chunking_does_not_change_results():
-    engine = pr.ProtocolEngine(make_setup(max_trials=2_000))
+    engine = make_engine(max_trials=2_000)
     n_runs = pr._RUN_CHUNK + 300  # two chunks
     chunked = pr.run_protocol(engine, seed=5, n_runs=n_runs)
     whole = reference_tally(*pr._run_batch(engine, 5, 0, 0, n_runs), len(engine.branches))
@@ -290,27 +289,27 @@ def test_chunking_does_not_change_results():
 
 
 def test_progress_reports_each_chunk():
-    engine = pr.ProtocolEngine(make_setup())
+    engine = make_engine()
     seen = []
     pr.run_protocol(engine, 2, pr._RUN_CHUNK + 1, progress=lambda d, t: seen.append((d, t)))
     assert seen == [(pr._RUN_CHUNK, pr._RUN_CHUNK + 1), (pr._RUN_CHUNK + 1, pr._RUN_CHUNK + 1)]
 
 
 def test_trials_to_success_geometric_mean():
-    engine = pr.ProtocolEngine(make_setup())
+    engine = make_engine()
     tally = pr.run_protocol(engine, seed=21, n_runs=20_000)
-    stats = pr.aggregate(tally, engine.branches, engine.qubit)
+    stats = pr.aggregate(tally, engine)
     expected_mean = 1.0 / engine.p_click
-    assert stats.mean_trials_to_success == pytest.approx(
+    assert stats.mean_trials == pytest.approx(
         expected_mean, abs=3.0 * stats.mean_trials_stderr
     )
-    assert stats.p_click_per_trial == pytest.approx(
+    assert stats.p_click == pytest.approx(
         engine.p_click, abs=3.0 * stats.p_click_stderr
     )
 
 
 def test_no_success_fraction_matches_geometric_tail():
-    engine = pr.ProtocolEngine(make_setup(max_trials=60))
+    engine = make_engine(max_trials=60)
     n_runs = 20_000
     failures = pr.run_protocol(engine, seed=19, n_runs=n_runs).counts[0]
     tail = (1.0 - engine.p_click) ** 60
@@ -319,12 +318,12 @@ def test_no_success_fraction_matches_geometric_tail():
 
 
 def test_no_success_within_budget_is_explicit():
-    engine = pr.ProtocolEngine(make_setup(eta=0.0, dark=0.0, max_trials=5))
+    engine = make_engine(eta=0.0, dark=0.0, max_trials=5)
     tally = pr.run_protocol(engine, seed=9, n_runs=4)
     assert tally.counts[0] == 4 and tally.n_trials == 20
-    stats = pr.aggregate(tally, engine.branches, engine.qubit)
+    stats = pr.aggregate(tally, engine)
     assert stats.n_success == 0
-    assert math.isnan(stats.mean_trials_to_success)
+    assert math.isnan(stats.mean_trials)
 
 
 # ---------------------------------------------------------------------------
@@ -385,17 +384,18 @@ def exact_mean_stderr(values):
 def test_aggregate_all_maximal_entanglement(tally):
     s = 1 / math.sqrt(2)
     branches = _branches(TRUE)
-    stats = pr.aggregate(tally(np.full(10, 3), np.zeros(10), branches), branches, _qubit(s, -s))
+    stats = pr.aggregate(tally(np.full(10, 3), np.zeros(10), branches),
+                         table(branches, _qubit(s, -s)))
     assert stats.mean_concurrence == pytest.approx(1.0)
     assert stats.concurrence_stderr == 0.0
     assert stats.photon_yield == pytest.approx(1.0)
-    assert stats.mean_trials_to_success == 3.0
+    assert stats.mean_trials == 3.0
 
 
 def test_aggregate_half_false_heralds(tally):
     s = 1 / math.sqrt(2)
     branches = _branches(TRUE, ("dark", 0))
-    stats = pr.aggregate(tally(np.ones(10), [0, 1] * 5, branches), branches, _qubit(s, -s))
+    stats = pr.aggregate(tally(np.ones(10), [0, 1] * 5, branches), table(branches, _qubit(s, -s)))
     assert stats.false_herald_fraction == pytest.approx(0.5)
     assert stats.photon_yield == pytest.approx(0.5)
     assert stats.mean_concurrence == pytest.approx(1.0)  # true heralds only
@@ -403,7 +403,7 @@ def test_aggregate_half_false_heralds(tally):
 
 def test_aggregate_requires_runs():
     with pytest.raises(ValueError):
-        pr.aggregate(pr.RunTally((0,), 0, 0, 0), [], _qubit(1.0, 0.0))
+        pr.aggregate(pr.RunTally((0,), 0, 0, 0), table([], _qubit(1.0, 0.0)))
 
 
 def test_aggregate_matches_exact_oracle(tally):
@@ -418,13 +418,13 @@ def test_aggregate_matches_exact_oracle(tally):
     trials_used = rs.integers(1, 400, 3001)
     trials_used[branch < 0] = 400
     run_tally = tally(trials_used, branch, branches)
-    stats = pr.aggregate(run_tally, branches, q)
+    stats = pr.aggregate(run_tally, table(branches, q))
     won = [(int(t), int(b)) for t, b in zip(trials_used, branch) if b >= 0]
     assert run_tally.counts == tuple(int(np.count_nonzero(branch == b)) for b in range(-1, 5))
     assert stats.n_success == len(won)
     assert stats.false_herald_fraction == sum(flags[b] for _, b in won) / len(won)
     mean_t, stderr_t = exact_mean_stderr([t for t, _ in won])
-    assert stats.mean_trials_to_success == float(mean_t)
+    assert stats.mean_trials == float(mean_t)
     assert abs(stats.mean_trials_stderr - stderr_t) <= 2 * math.ulp(stderr_t)
     photon_yield, _ = exact_mean_stderr([efficiency[b] for _, b in won])
     assert stats.photon_yield == pytest.approx(float(photon_yield), rel=1e-15, abs=0)
@@ -446,10 +446,10 @@ def test_aggregate_trial_sums_exact_at_max_trials(tally):
     branch = np.where(rs.uniform(size=n_runs) < 0.1, -1, 0)
     trials_used[branch < 0] = 2**32
     branches = _branches(TRUE)
-    stats = pr.aggregate(tally(trials_used, branch, branches), branches, _qubit(0.6, 0.8))
+    stats = pr.aggregate(tally(trials_used, branch, branches), table(branches, _qubit(0.6, 0.8)))
     assert stats.n_trials == sum(trials_used.tolist())
     mean, stderr = exact_mean_stderr(trials_used[branch >= 0].tolist())
-    assert stats.mean_trials_to_success == float(mean)
+    assert stats.mean_trials == float(mean)
     assert abs(stats.mean_trials_stderr - stderr) <= 2 * math.ulp(stderr)
 
 
@@ -459,7 +459,7 @@ def test_aggregate_exact_when_true_heralds_agree(tally):
     q = _qubit(math.cos(0.4), math.sin(0.4))
     branches = _branches(TRUE, ("dark", 0), ("photon", 2))
     branch = np.repeat([0, 1, 2, -1], [1234, 50, 777, 9])
-    stats = pr.aggregate(tally(np.full(branch.size, 7), branch, branches), branches, q)
+    stats = pr.aggregate(tally(np.full(branch.size, 7), branch, branches), table(branches, q))
     assert stats.mean_concurrence == concurrence(q) == 2.0 * math.cos(0.4) * math.sin(0.4)
     assert stats.concurrence_stderr == 0.0
     assert stats.mean_fidelity_bell == fidelity_to_bell(q)
@@ -469,7 +469,7 @@ def test_aggregate_exact_when_true_heralds_agree(tally):
 def test_dark_one_pair_click_yields_the_qubit_outside_the_metrics(tally):
     # a dark click on the one-pair component leaves the heralded spin pair: it
     # retrieves the qubit (photon_yield) but is a false herald (no metrics)
-    engine = pr.ProtocolEngine(make_setup(p=0.1, eta=0.6, dark=5e4, p_ii=0.05))
+    engine = make_engine(p=0.1, eta=0.6, dark=5e4, p_ii=0.05)
     kinds = [(b.kind, b.n_photons) for b in engine.branches]
     true, dark = kinds.index(TRUE), kinds.index(("dark", 1))
     branches, q = engine.branches, engine.qubit
@@ -477,13 +477,11 @@ def test_dark_one_pair_click_yields_the_qubit_outside_the_metrics(tally):
     assert (branch_yield(branches, q, dark) == branch_yield(branches, q, true)
             == q.retrieval_efficiency == 1.0)
     assert concurrence(q) < 1.0
-    only_dark = pr.aggregate(tally(np.full(5, 2), np.array([dark] * 4 + [-1]), branches),
-                             branches, q)
+    only_dark = pr.aggregate(tally(np.full(5, 2), np.array([dark] * 4 + [-1]), branches), engine)
     assert only_dark.photon_yield == q.retrieval_efficiency
     assert only_dark.false_herald_fraction == 1.0
     assert math.isnan(only_dark.mean_concurrence) and math.isnan(only_dark.concurrence_stderr)
-    both = pr.aggregate(tally(np.ones(4), np.array([dark, true, dark, true]), branches),
-                        branches, q)
+    both = pr.aggregate(tally(np.ones(4), np.array([dark, true, dark, true]), branches), engine)
     assert both.photon_yield == q.retrieval_efficiency
     assert (both.mean_concurrence, both.concurrence_stderr) == (concurrence(q), 0.0)
     assert (both.mean_fidelity_bell, both.fidelity_stderr) == (fidelity_to_bell(q), 0.0)
@@ -492,7 +490,8 @@ def test_dark_one_pair_click_yields_the_qubit_outside_the_metrics(tally):
 def test_aggregate_rejects_true_herald_without_photon(tally):
     branches = _branches(TRUE)
     with pytest.raises(ValueError, match="no-photon"):
-        pr.aggregate(tally(np.ones(3), np.zeros(3), branches), branches, _qubit(0.0, 0.0, 0.0))
+        pr.aggregate(tally(np.ones(3), np.zeros(3), branches),
+                     table(branches, _qubit(0.0, 0.0, 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -501,32 +500,32 @@ def test_aggregate_rejects_true_herald_without_photon(tally):
 
 
 def test_sweep_concurrence_peaks_at_balanced_drive():
-    setups = [make_setup(p=0.1 * r, p_ii=0.1) for r in (0.5, 1.0, 2.0)]
-    rows = sweep_rows(setups, seed=17, n_runs=400)
+    engines = [make_engine(p=0.1 * r, p_ii=0.1) for r in (0.5, 1.0, 2.0)]
+    rows = sweep_rows(engines, seed=17, n_runs=400)
     conc = [r.mean_concurrence for r in rows]
     assert conc[1] == pytest.approx(1.0, abs=1e-12)
     assert conc[1] > conc[0] and conc[1] > conc[2]
 
 
 def test_species_swap_leaves_statistics_invariant():
-    a, b = sweep_rows([make_setup(p=0.12, p_ii=0.06)], 23, 500) + sweep_rows(
-        [make_setup(p=0.06, p_ii=0.12)], 23, 500
+    a, b = sweep_rows([make_engine(p=0.12, p_ii=0.06)], 23, 500) + sweep_rows(
+        [make_engine(p=0.06, p_ii=0.12)], 23, 500
     )
-    assert a.p_click_per_trial == b.p_click_per_trial
+    assert a.p_click == b.p_click
     assert a.mean_concurrence == pytest.approx(b.mean_concurrence, abs=1e-12)
     assert a.false_herald_fraction == b.false_herald_fraction
 
 
 def test_exact_engine_close_to_perturbative():
     # order-2 expansion differs from the exact evolution at relative O(P^2)
-    pert = pr.ProtocolEngine(make_setup(engine="perturbative", cutoff=3))
-    exact = pr.ProtocolEngine(make_setup(engine="exact", cutoff=3))
+    pert = make_engine(engine="perturbative", cutoff=3)
+    exact = make_engine(engine="exact", cutoff=3)
     assert exact.p_click == pytest.approx(pert.p_click, rel=5e-2)
     assert exact.false_fraction == pytest.approx(pert.false_fraction, rel=1e-1)
 
 
 def test_dark_count_zero_cutoff_one_every_click_true():
-    engine = pr.ProtocolEngine(make_setup(dark=0.0, cutoff=1, max_trials=2_000))
+    engine = make_engine(dark=0.0, cutoff=1, max_trials=2_000)
     _, branch = pr._run_batch(engine, 31, 0, 0, 200)
     clicked = branch[branch >= 0]
     assert clicked.size

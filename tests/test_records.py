@@ -1,6 +1,7 @@
-"""fmesim's records: every one is immutable, and the five that validate
-(SystemParams, DetectorModel, ReadParams, FmeQubitState, ProtocolSetup)
-reject each bad field on keyword construction with their own message."""
+"""fmesim's records: every one is immutable, and the four that validate
+(SystemParams, DetectorModel, ReadParams, FmeQubitState) reject each bad
+field on keyword construction with their own message, as write_state and
+ProtocolEngine reject a bad engine name, cutoff or retry budget."""
 
 import pytest
 
@@ -22,7 +23,6 @@ RECORD_FIELDS = [
     ("HeraldBranch", "kind"),
     ("ReadParams", "omega_out_I"),
     ("FmeQubitState", "c1"),
-    ("ProtocolSetup", "max_trials"),
     ("ProtocolStats", "n_runs"),
     ("RunTally", "counts"),
 ]
@@ -31,13 +31,12 @@ RECORD_FIELDS = [
 @pytest.fixture(scope="module")
 def records():
     cfg = cfg_mod.load_config(preset="rb85-87")
-    setup = cfg_mod.build_setup(cfg)
-    engine = pr.ProtocolEngine(setup)
+    engine = cfg_mod.build_setup(cfg)
     tally = pr.run_protocol(engine, 1, 100)
     found = [
-        cfg_mod.SCHEMA["eta"], cfg_mod.RB85_87, cfg, setup.system, engine.rates,
-        engine.write_state, setup.detector, engine.branches[0], setup.read, engine.qubit,
-        setup, pr.aggregate(tally, engine.branches, engine.qubit), tally,
+        cfg_mod.SCHEMA["eta"], cfg_mod.RB85_87, cfg, cfg_mod.build_system_params(cfg),
+        engine.rates, engine.write_state, engine.detector, engine.branches[0], engine.read,
+        engine.qubit, pr.aggregate(tally, engine), tally,
     ]
     return {type(record).__name__: record for record in found}
 
@@ -58,10 +57,9 @@ READ = dict(omega_out_I=-1.0e9, omega_out_II=1.0e9)
 QUBIT = dict(c1=0.6, c2=0.8, retrieval_efficiency=1.0)
 
 
-def _setup(**changes):
-    base = dict(system=wd.SystemParams(**SYSTEM), detector=DetectorModel(**DETECTOR),
-                read=ReadParams(**READ), max_trials=100)
-    return pr.ProtocolSetup(**{**base, **changes})
+WRITE = dict(rates=wd.derive_rates(wd.SystemParams(**SYSTEM)), cutoff=2, engine="perturbative")
+ENGINE = dict(system=wd.SystemParams(**SYSTEM), detector=DetectorModel(**DETECTOR),
+              read=ReadParams(**READ), max_trials=100)
 
 
 REJECTIONS = [
@@ -79,10 +77,10 @@ REJECTIONS = [
     (FmeQubitState, QUBIT, {"retrieval_efficiency": 1.5},
      "retrieval_efficiency must be in [0, 1]"),
     (FmeQubitState, QUBIT, {"c2": 0.6}, "|c1|^2 + |c2|^2 = 0.72, expected 1"),
-    (_setup, {}, {"engine": "magic"},
+    (wd.write_state, WRITE, {"engine": "magic"},
      "engine must be one of ('perturbative', 'exact'), got 'magic'"),
-    (_setup, {}, {"cutoff": 0}, "cutoff must be >= 1"),
-    (_setup, {}, {"max_trials": 0}, "max_trials must be >= 1"),
+    (wd.write_state, WRITE, {"cutoff": 0}, "cutoff must be >= 1, got 0"),
+    (pr.ProtocolEngine, ENGINE, {"max_trials": 0}, "max_trials must be >= 1"),
 ]
 
 
