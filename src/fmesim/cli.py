@@ -64,6 +64,8 @@ def _check_out(out_path: str) -> None:
     truncating nothing: it must be a writable file or a new name in a
     writable directory."""
     try:
+        if not out_path:  # os.path.dirname("") would name the current directory
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT))
         if os.path.isdir(out_path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
         target = out_path
@@ -253,12 +255,12 @@ def cmd_retrieve(args) -> int:
     engine = _engine(cfg)
     if not _single_photon(engine):
         raise ConfigError("the write state has no single-photon herald branch")
-    qubit, read = engine.qubit, engine.read
+    qubit, splitting = engine.qubit, cfg.values["delta_omega_read"]
     payload = {
         "c1": _complex_pair(qubit.c1),
         "c2": _complex_pair(qubit.c2),
-        "omega_I_hz": read.omega_out_I,
-        "omega_II_hz": read.omega_out_II,
+        "omega_I_hz": -splitting,
+        "omega_II_hz": splitting,
         "concurrence": retrieval.concurrence(qubit),
         "fidelity_bell": retrieval.fidelity_to_bell(qubit),
         "retrieval_efficiency": qubit.retrieval_efficiency,

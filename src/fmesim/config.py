@@ -4,8 +4,8 @@ Configuration files are flat JSON objects (key -> number, string, or
 [re, im] pair for complex drive amplitudes).  All frequencies and rates are
 quoted in plain Hz and all times in seconds; the single Hz -> rad/s
 conversion by 2*pi happens in build_system_params and nowhere else.  Dark
-counts are an event rate and the output frequencies only label the qubit's
-two rails, so neither is ever multiplied by 2*pi.
+counts are an event rate and the read half-splitting only labels the qubit's
+two rails (-/+ delta_omega_read), so neither is ever multiplied by 2*pi.
 
 This module imports only the standard library, so resolving and rejecting
 a configuration never loads numpy; each build_* function imports its
@@ -123,12 +123,6 @@ SCHEMA: dict[str, KeySpec] = {
     ),
     "engine": KeySpec("choice", "", "write-stage engine", choices=ENGINES),
     "runs": KeySpec("int", "runs", "Monte Carlo run count", _counter),
-    "omega_out_I": KeySpec(
-        "float", "Hz", "output photon frequency offset, species I"
-    ),
-    "omega_out_II": KeySpec(
-        "float", "Hz", "output photon frequency offset, species II"
-    ),
     "retrieval_efficiency_I": KeySpec(
         "float", "probability", "read-out efficiency, species I", _probability
     ),
@@ -148,16 +142,13 @@ DEFAULTS: dict[str, object] = {
     "cutoff": 2,
     "engine": "perturbative",
     "runs": 1000,
-    "omega_out_I": -1.0e9,
-    "omega_out_II": 1.0e9,
+    "delta_omega_read": 1.0e9,
     "retrieval_efficiency_I": 1.0,
     "retrieval_efficiency_II": 1.0,
     "read_phase": 0.0,
 }
 
-REQUIRED_KEYS = tuple(
-    k for k in SCHEMA if k not in DEFAULTS and k not in ("delta_omega_write", "delta_omega_read")
-)
+REQUIRED_KEYS = tuple(k for k in SCHEMA if k not in DEFAULTS and k != "delta_omega_write")
 
 
 class Preset(NamedTuple):
@@ -180,7 +171,7 @@ RB85_87 = Preset(
         "Rb-85 / Rb-87 isotope mixture on the D1 lines.  The three "
         "frequencies marked [paper] are the published level-scheme values; "
         "every other number is a package default.  Output photon frequency "
-        "offsets are set to -/+ the read half-splitting."
+        "offsets are -/+ the read half-splitting."
     ),
     level_labels=(
         "species I  (Rb-85): s, g from 5S1/2 F=3, F=2; e from 5P1/2 F=3",
@@ -197,8 +188,6 @@ RB85_87 = Preset(
         "omega_rabi_write_I": 1.0e7,
         "omega_rabi_write_II": 1.0e7,
         "tau_write": 4.0e-6,
-        "omega_out_I": -1.368e9,
-        "omega_out_II": 1.368e9,
     },
     paper_keys=("delta", "delta_omega_write", "delta_omega_read"),
 )
@@ -265,14 +254,12 @@ def _coerce(key: str, raw) -> object:
 
 
 def _check(values: dict[str, object]) -> None:
-    """Every per-key validator, then the cross-key rule on the output frequencies."""
+    """Every per-key validator."""
     for key, value in values.items():
         spec = SCHEMA[key]
         if spec.validator is not None:
             magnitude = abs(value) if isinstance(value, complex) else value
             spec.validator(key, magnitude)
-    if values["omega_out_I"] == values["omega_out_II"]:
-        raise ConfigError("omega_out_I and omega_out_II must differ")
 
 
 def _assign(values: dict, provenance: dict, key: str, raw) -> None:
@@ -385,8 +372,6 @@ def build_read_params(cfg: ResolvedConfig) -> ReadParams:
 
     v = cfg.values
     return ReadParams(
-        omega_out_I=v["omega_out_I"],
-        omega_out_II=v["omega_out_II"],
         efficiency_I=v["retrieval_efficiency_I"],
         efficiency_II=v["retrieval_efficiency_II"],
         phase_II=v["read_phase"],

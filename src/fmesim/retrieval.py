@@ -2,9 +2,10 @@
 
 A true herald leaves one collective excitation shared between the species.
 Each species' read field converts its spin wave into a polariton that leaves
-the medium as a photon at that species' output frequency, so the retrieved
-photon is a dual-rail qubit over the two frequencies with amplitudes
-inherited from the heralded spin state:
+the medium as a photon at that species' read sideband, -delta_omega_read for
+species I and +delta_omega_read for species II, so the retrieved photon is a
+dual-rail qubit over the two frequencies with amplitudes inherited from the
+heralded spin state:
 
     c1 = P_I / sqrt(|P_I|^2 + |P_II|^2)
     c2 = -P_II / sqrt(|P_I|^2 + |P_II|^2)
@@ -30,30 +31,26 @@ from typing import NamedTuple
 
 
 class _ReadFields(NamedTuple):  # checked in ReadParams.__new__, which _replace skips
-    omega_out_I: float
-    omega_out_II: float
     efficiency_I: float = 1.0
     efficiency_II: float = 1.0
     phase_II: float = 0.0
 
 
 class ReadParams(_ReadFields):
-    """Per-species read-out settings (frequencies in Hz, as configured).
+    """Per-species read-out settings.
 
-    omega_out_I/II are the two output photon frequencies (distinct by
-    construction); efficiency_I/II are single multiplicative retrieval
-    efficiencies (1.0 = ideal); phase_II rotates the species-II amplitude.
-    The read pulse itself is not modeled: the retrieved amplitudes are the
-    heralded ones scaled by these efficiencies.
+    efficiency_I/II are single multiplicative retrieval efficiencies
+    (1.0 = ideal); phase_II rotates the species-II amplitude.  The read pulse
+    itself is not modeled: the retrieved amplitudes are the heralded ones
+    scaled by these efficiencies.  No retrieval formula reads the output
+    frequencies, so they are not fields here: the rails are -/+ the
+    configured delta_omega_read.
     """
 
     __slots__ = ()
 
-    # config._check also rejects equal frequencies (naming the keys); this guards the library API
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.omega_out_I == self.omega_out_II:
-            raise ValueError("output frequencies must differ")
         for name in ("efficiency_I", "efficiency_II"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -74,7 +71,8 @@ class FmeQubitState(_QubitFields):
     |c1|^2 + |c2|^2 = 1 whenever a photon was retrieved at all
     (retrieval_efficiency > 0).  retrieval_efficiency = 0 marks a no-photon
     record (no single excitation, or a fully lossy read-out); its amplitudes
-    are zero.  The two frequencies are ReadParams.omega_out_I/II.
+    are zero.  The two frequencies are -/+ the read half-splitting,
+    delta_omega_read.
     """
 
     __slots__ = ()

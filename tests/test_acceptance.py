@@ -38,12 +38,6 @@ def rates_fixture(p_i, p_ii, tau=1.0):
     )
 
 
-def ideal_read():
-    return ReadParams(
-        omega_out_I=-1.0e9, omega_out_II=1.0e9,
-    )
-
-
 def protocol_engine(p=0.1, eta=0.6, dark=400.0, max_trials=10_000, cutoff=1):
     """First-order write state (cutoff 1) so the analytic herald oracle of
     the standard fixture applies verbatim."""
@@ -53,14 +47,14 @@ def protocol_engine(p=0.1, eta=0.6, dark=400.0, max_trials=10_000, cutoff=1):
         omega_W_I=p * 100.0, omega_W_II=p * 100.0, delta=100.0, tau_write=tau,
     )
     det = DetectorModel(eta=eta, dark_rate=dark, gate=1e-6)
-    return pr.ProtocolEngine(system, det, ideal_read(), max_trials, "perturbative", cutoff)
+    return pr.ProtocolEngine(system, det, ReadParams(), max_trials, "perturbative", cutoff)
 
 
 def test_criterion_1_maximal_entanglement():
     det = DetectorModel(eta=1.0, dark_rate=0.0, gate=1e-6)
     psi = wd.write_state(rates_fixture(0.07, 0.07), 2, "perturbative")
     assert hd.click_branches(psi, det)[0].n_photons == 1
-    qubit = rt.retrieve_fme(hd.heralded_spin(psi), ideal_read())
+    qubit = rt.retrieve_fme(hd.heralded_spin(psi), ReadParams())
     assert rt.concurrence(qubit) == pytest.approx(1.0, abs=1e-10)
     assert abs(abs(qubit.c1) - abs(qubit.c2)) <= 1e-12
     report(1, "balanced drive gives concurrence 1.0 and |c1| = |c2|")

@@ -44,7 +44,7 @@ def test_preset_paper_values_exact():
 def test_preset_tags_every_other_value_default():
     cfg = cfg_mod.load_config(preset="rb85-87")
     paper = {"delta", "delta_omega_write", "delta_omega_read"}
-    assert len(cfg_mod.RB85_87.values) == 12
+    assert len(cfg_mod.RB85_87.values) == 10
     for key in cfg_mod.RB85_87.values:
         assert cfg.provenance[key] == ("paper" if key in paper else "default")
 
@@ -83,6 +83,7 @@ def test_complex_drive_from_pair():
 REMOVED_KEYS = (
     "tau_read", "cycle_period", "omega_rabi_read_I", "omega_rabi_read_II",
     "g_read_I", "g_read_II", "kappa", "gamma_gs", "gamma_1", "gamma_2",
+    "omega_out_I", "omega_out_II",
 )
 
 
@@ -97,6 +98,14 @@ def test_removed_key_exits_2(key, tmp_path, capsys):
     assert repr(key) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["omega_out_I", "omega_out_II"])
+def test_removed_key_set_exits_2(key, capsys):
+    # the rails are -/+ delta_omega_read: no override may set them apart from it
+    assert run_cli("protocol", "--preset", "rb85-87", "--runs", "5", "--set", f"{key}=1") == 2
+    err = capsys.readouterr().err
+    assert repr(key) in err and "runs" not in err
+
+
 # One valid value per key, different from the preset's and chosen to bind
 # (no run reaches the default retry budget, so max_trials must be 1).
 MOVED_VALUES = {
@@ -106,11 +115,11 @@ MOVED_VALUES = {
     "delta_omega_write": 1.0e9, "delta_omega_read": 1.0e9,
     "eta": 0.5, "dark_rate_hz": 1000.0, "gate_s": 2.0e-6, "max_trials": 1,
     "cutoff": 3, "engine": "exact", "runs": 300,
-    "omega_out_I": -1.0e9, "omega_out_II": 1.0e9,
     "retrieval_efficiency_I": 0.5, "retrieval_efficiency_II": 0.5, "read_phase": 1.0,
 }
-# The paper's published sideband splittings, kept for acceptance criterion 7.
-DOCUMENTARY_KEYS = {"delta_omega_write", "delta_omega_read"}
+# The paper's published write sideband splitting, kept for acceptance criterion 7;
+# the read splitting moves retrieve's output frequencies.
+DOCUMENTARY_KEYS = {"delta_omega_write"}
 
 
 def _reported(overrides):
@@ -529,11 +538,11 @@ def test_sweep_grid_beyond_row_limit_exits_2(monkeypatch, capsys):
     assert "--sweep" in err and "6 points" in err and "sweep row" not in err
 
 
-def test_sweep_equal_output_frequencies_exits_2(capsys):
+def test_sweep_removed_key_exits_2(capsys):
     args = ("sweep", "--preset", "rb85-87", "--runs", "10")
     assert run_cli(*args, "--sweep", "omega_out_II=-1.368e9") == 2
     err = capsys.readouterr().err
-    assert re.search(r"\bomega_out_I\b", err) and "omega_out_II" in err
+    assert repr("omega_out_II") in err and "sweep row" not in err
 
 
 OUT_COMMANDS = (
@@ -566,6 +575,18 @@ def test_unwritable_out_exits_before_any_run(command, target, tmp_path, capsys):
     assert sorted(os.listdir(tmp_path)) == []  # the check creates nothing
 
 
+@pytest.mark.parametrize("command", [c for c in OUT_COMMANDS
+                                     if c[0] in ("herald", "protocol", "sweep")],
+                         ids=lambda command: command[0])
+def test_empty_out_exits_before_any_run(command, tmp_path, monkeypatch, capsys):
+    # "" names no file, though os.path.dirname("") reads as the current directory
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*command, "--out", "") == 2
+    err = capsys.readouterr().err
+    assert err == "error: cannot write --out : No such file or directory\n"
+    assert os.listdir(tmp_path) == []
+
+
 def test_writable_out_is_neither_created_nor_truncated_by_the_check(tmp_path):
     out = tmp_path / "stats.csv"
     out.write_text("kept")
@@ -578,17 +599,26 @@ def test_writable_out_is_neither_created_nor_truncated_by_the_check(tmp_path):
 
 
 def test_retrieve_prints_output_frequencies_as_given(tmp_path):
-    # frequencies used to pass through 2 pi and back, which moved the last bit
-    # of about one value in eight and could make two distinct values equal
+    # the rails are -/+ the read half-splitting, in Hz as configured: passing
+    # through 2 pi and back would move the last bit of about one value in eight
+    value = 3964744420.5640144
     out = tmp_path / "qubit.json"
-    assert run_cli("retrieve", "--preset", "rb85-87", "--set", "omega_out_II=3964744420.5640144",
+    assert run_cli("retrieve", "--preset", "rb85-87", "--set", f"delta_omega_read={value!r}",
                    "--out", str(out)) == 0
     data = json.loads(out.read_text())
-    assert data["omega_II_hz"] == 3964744420.5640144 == data["metadata"]["config"]["omega_out_II"]
-    assert run_cli("retrieve", "--preset", "rb85-87", "--set", "omega_out_I=242299859.1168529",
-                   "--set", "omega_out_II=242299859.11685294", "--out", str(out)) == 0
+    assert data["omega_II_hz"] == value == data["metadata"]["config"]["delta_omega_read"]
+    assert data["omega_I_hz"] == -value
+
+
+def test_retrieve_rails_default_to_one_gigahertz(tmp_path):
+    # no preset and no delta_omega_read: the declared default gives -/+ 1e9
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({k: cfg_mod.RB85_87.values[k] for k in cfg_mod.REQUIRED_KEYS}))
+    out = tmp_path / "qubit.json"
+    assert run_cli("retrieve", "--config", str(path), "--out", str(out)) == 0
     data = json.loads(out.read_text())
-    assert (data["omega_I_hz"], data["omega_II_hz"]) == (242299859.1168529, 242299859.11685294)
+    assert (data["omega_I_hz"], data["omega_II_hz"]) == (-1.0e9, 1.0e9)
+    assert data["metadata"]["provenance"]["delta_omega_read"] == "default"
 
 
 NO_PHOTON = (

@@ -47,6 +47,10 @@ gamma_L, and with the Stark shifts delta_L they were read only by the
 Langevin moments, which no command reports, so the output lost their
 entries in the config and provenance lines and their two CSV columns, and
 every other byte stayed the same.
+Both were taken again when the config keys omega_out_I and omega_out_II left
+the schema: the output rails are -/+ delta_omega_read, so the output lost
+their entries in the config and provenance lines and their two CSV
+columns, and every other byte stayed the same.
 Any change to the random streams, the run loop or the statistics shows here.
 
 The second sha256 pins the exact write engine under the same driver:
@@ -66,8 +70,8 @@ import hashlib
 from fmesim import protocol as pr
 from fmesim.cli import main
 
-GOLDEN_PROTOCOL_SHA256 = "88041c29d1b3ca0ada411108e42f5ef2dd1e4d22062182979fea0090b0948d60"
-GOLDEN_EXACT_SWEEP_SHA256 = "0081f3d365ad652a661500dda0485e3ed80913549eefd43cb2c9b72587280484"
+GOLDEN_PROTOCOL_SHA256 = "a3cd478aee17f7a713f6f4e99ed2ba5b1d1b4c614c86ce6936188a2ec7cabd27"
+GOLDEN_EXACT_SWEEP_SHA256 = "e99b988aee13bf7cf228179c4d2014863dd721f2822466ad04511b17866d88f1"
 
 
 def test_golden_protocol_bytes(tmp_path):

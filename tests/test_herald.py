@@ -39,7 +39,7 @@ def fixture_engine(p_i=0.1, p_ii=0.1, det=FIXTURE_DETECTOR, cutoff=1):
         omega_W_I=p_i * 100.0, omega_W_II=p_ii * 100.0, delta=100.0,
         tau_write=1.0,
     )
-    read = ReadParams(omega_out_I=-1.0e9, omega_out_II=1.0e9)
+    read = ReadParams()
     return pr.ProtocolEngine(system, det, read, max_trials=1, engine="perturbative",
                              cutoff=cutoff)
 

@@ -28,9 +28,7 @@ def make_engine(p=0.1, eta=0.6, dark=400.0, max_trials=10_000, engine="perturbat
         delta=100.0, tau_write=tau,
     )
     detector = DetectorModel(eta=eta, dark_rate=dark, gate=1e-6)
-    read = ReadParams(
-        omega_out_I=-1.0e9, omega_out_II=1.0e9,
-    )
+    read = ReadParams()
     return pr.ProtocolEngine(system, detector, read, max_trials, engine, cutoff)
 
 

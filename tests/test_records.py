@@ -21,7 +21,7 @@ RECORD_FIELDS = [
     ("PairState", "chain"),
     ("DetectorModel", "eta"),
     ("HeraldBranch", "kind"),
-    ("ReadParams", "omega_out_I"),
+    ("ReadParams", "efficiency_I"),
     ("FmeQubitState", "c1"),
     ("ProtocolStats", "n_runs"),
     ("RunTally", "counts"),
@@ -53,7 +53,7 @@ def test_record_rejects_attribute_assignment(records, name, field):
 SYSTEM = dict(g_I=1.0, g_II=1.0, N_I=4.0, N_II=4.0, omega_W_I=2.0, omega_W_II=2.0,
               delta=100.0, tau_write=1.0)
 DETECTOR = dict(eta=0.6, dark_rate=400.0, gate=1e-6)
-READ = dict(omega_out_I=-1.0e9, omega_out_II=1.0e9)
+READ = dict(efficiency_I=1.0, efficiency_II=1.0)
 QUBIT = dict(c1=0.6, c2=0.8, retrieval_efficiency=1.0)
 
 
@@ -71,7 +71,6 @@ REJECTIONS = [
     (DetectorModel, DETECTOR, {"eta": 1.5}, "eta must be in [0, 1], got 1.5"),
     (DetectorModel, DETECTOR, {"dark_rate": -1.0}, "dark_rate must be >= 0"),
     (DetectorModel, DETECTOR, {"gate": 0.0}, "gate must be > 0"),
-    (ReadParams, READ, {"omega_out_II": -1.0e9}, "output frequencies must differ"),
     (ReadParams, READ, {"efficiency_I": 1.5}, "efficiency_I must be in [0, 1], got 1.5"),
     (ReadParams, READ, {"efficiency_II": -0.5}, "efficiency_II must be in [0, 1], got -0.5"),
     (FmeQubitState, QUBIT, {"retrieval_efficiency": 1.5},

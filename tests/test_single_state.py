@@ -14,7 +14,8 @@ herald printed before they printed the pair shell: stored sparsely as
 are expanded onto that grid here (hilbert.pair_shell_state) and must match
 it within 1e-15 absolute, as must the output amplitudes c1 and c2; every
 other number must stay within 4 ulp of its pin, and everything else is
-exact.
+exact.  The embedded config and provenance lost their omega_out_I/II entries
+when the output rails became -/+ delta_omega_read; no other pin moved.
 """
 
 import contextlib
