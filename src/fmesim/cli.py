@@ -317,7 +317,7 @@ def _parse_sweep_axis(text: str) -> tuple[str, list]:
     if raw.startswith("["):
         try:
             values = json.loads(raw)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise ConfigError(f"--sweep {key}: invalid JSON list: {exc}") from exc
         if not isinstance(values, list) or not values:
             raise ConfigError(f"--sweep {key}: expected a nonempty JSON list")
@@ -329,7 +329,7 @@ def _parse_sweep_axis(text: str) -> tuple[str, list]:
         for part in parts:
             try:
                 values.append(json.loads(part))
-            except json.JSONDecodeError:
+            except ValueError:
                 values.append(part)
     return key, values
 

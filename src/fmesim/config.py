@@ -9,7 +9,8 @@ two rails (-/+ delta_omega_read), so neither is ever multiplied by 2*pi.
 
 This module imports only the standard library, so resolving and rejecting
 a configuration never loads numpy; each build_* function imports its
-physics type when it is called.  It owns the schema bounds the physics
+physics type when it is called.  SCHEMA checks every configured value once;
+the records they fill check nothing again.  It owns the bounds the physics
 modules share: ENGINES, COUNTER_LIMIT, ROW_LIMIT and SEED_LIMIT.
 
 Every resolved value carries a provenance tag:
@@ -248,7 +249,7 @@ def _coerce(key: str, raw) -> object:
                     f"{key} must be one of {spec.choices}, got {raw!r}"
                 )
             return raw
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int beyond float range
         raise ConfigError(f"{key}: cannot interpret value {raw!r} as {spec.kind}") from None
     raise ConfigError(f"{key}: unhandled kind {spec.kind}")
 
@@ -279,7 +280,7 @@ def parse_set_override(text: str) -> tuple[str, object]:
     raw = raw.strip()
     try:
         value = json.loads(raw)
-    except json.JSONDecodeError:
+    except ValueError:  # not JSON, or an integer past the int-string digit limit
         value = raw
     return key, value
 
@@ -319,7 +320,7 @@ def load_config(
                 data = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also bytes that are not UTF-8
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config file must contain a JSON object")
@@ -382,11 +383,8 @@ def build_setup(cfg: ResolvedConfig) -> ProtocolEngine:
     from .protocol import ProtocolEngine
 
     v = cfg.values
-    try:
-        records = build_system_params(cfg), build_detector(cfg), build_read_params(cfg)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return ProtocolEngine(*records, v["max_trials"], v["engine"], v["cutoff"])
+    return ProtocolEngine(build_system_params(cfg), build_detector(cfg), build_read_params(cfg),
+                          v["max_trials"], v["engine"], v["cutoff"])
 
 
 def with_overrides(cfg: ResolvedConfig, updates: dict[str, object]) -> ResolvedConfig:

@@ -3,7 +3,8 @@
 The detector is a non-photon-number-resolving threshold device (SPAD-like):
 per gate it fires on a real photon with probability 1-(1-eta)^n for n
 incident photons, and independently fires on a dark event with probability
-p_dark = 1 - exp(-dark_rate * gate).  The corresponding POVM elements are
+p_dark = 1 - exp(-dark_rate * gate).  DetectorModel holds eta, dark_rate and
+gate as the config schema checked them.  The corresponding POVM elements are
 
     E_click   = 1 - (1 - p_dark) (1 - eta)^n_hat
     E_noclick = (1 - p_dark) (1 - eta)^n_hat.
@@ -37,13 +38,7 @@ from typing import NamedTuple
 from .write_dynamics import PairState
 
 
-class _DetectorFields(NamedTuple):  # checked in DetectorModel.__new__, which _replace skips
-    eta: float
-    dark_rate: float
-    gate: float
-
-
-class DetectorModel(_DetectorFields):
+class DetectorModel(NamedTuple):
     """Threshold click detector.
 
     eta        detection efficiency in [0, 1]
@@ -51,17 +46,9 @@ class DetectorModel(_DetectorFields):
     gate       detection gate duration in seconds
     """
 
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"eta must be in [0, 1], got {self.eta}")
-        if self.dark_rate < 0:
-            raise ValueError("dark_rate must be >= 0")
-        if self.gate <= 0:
-            raise ValueError("gate must be > 0")
-        return self
+    eta: float
+    dark_rate: float
+    gate: float
 
     @property
     def p_dark(self) -> float:

@@ -19,6 +19,8 @@ so the read-out is one qubit per configuration.  Any other click leaves
 either the unexcited ensemble or several excitations, neither of which
 emits the one-photon pulse: it is recorded as no photon.
 
+ReadParams is a plain record whose efficiencies the config schema has
+checked; FmeQubitState checks its own computed invariant, the unit norm.
 How the excitation leaves the medium (dark-state-polariton transport) moves
 no reported number, so it is not modeled here; tests/polariton.py keeps it
 as a test oracle.
@@ -30,13 +32,7 @@ import math
 from typing import NamedTuple
 
 
-class _ReadFields(NamedTuple):  # checked in ReadParams.__new__, which _replace skips
-    efficiency_I: float = 1.0
-    efficiency_II: float = 1.0
-    phase_II: float = 0.0
-
-
-class ReadParams(_ReadFields):
+class ReadParams(NamedTuple):
     """Per-species read-out settings.
 
     efficiency_I/II are single multiplicative retrieval efficiencies
@@ -47,15 +43,9 @@ class ReadParams(_ReadFields):
     configured delta_omega_read.
     """
 
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        for name in ("efficiency_I", "efficiency_II"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
-        return self
+    efficiency_I: float = 1.0
+    efficiency_II: float = 1.0
+    phase_II: float = 0.0
 
 
 class _QubitFields(NamedTuple):  # checked in FmeQubitState.__new__, which _replace skips

@@ -19,6 +19,8 @@ polynomial in the excitation amplitude (write_state).
 
 Units: every rate here is in rad/s (angular).  Configuration files quote
 plain Hz; the conversion by 2*pi happens once at ingestion, never here.
+SystemParams is a plain record whose values the config schema has checked;
+derive_rates warns where |Omega_W|/|Delta| leaves the adiabatic regime.
 """
 
 from __future__ import annotations
@@ -33,18 +35,7 @@ ADIABATIC_RATIO_WARN = 0.3
 PERTURBATIVE_P_WARN = 0.3
 
 
-class _SystemFields(NamedTuple):  # checked in SystemParams.__new__, which _replace skips
-    g_I: float
-    g_II: float
-    N_I: float
-    N_II: float
-    omega_W_I: complex
-    omega_W_II: complex
-    delta: float
-    tau_write: float
-
-
-class SystemParams(_SystemFields):
+class SystemParams(NamedTuple):
     """Physical rates of the write stage (all angular, rad/s; times in s).
 
     g_I, g_II          atom-photon coupling per atom
@@ -54,24 +45,14 @@ class SystemParams(_SystemFields):
     tau_write          write pulse duration
     """
 
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.delta == 0.0:
-            raise ValueError("delta must be nonzero (adiabatic elimination is singular)")
-        if self.N_I < 1 or self.N_II < 1:
-            raise ValueError("atom numbers must be >= 1")
-        if self.tau_write <= 0:
-            raise ValueError("tau_write must be > 0")
-        ratio = max(abs(self.omega_W_I), abs(self.omega_W_II)) / abs(self.delta)
-        if ratio > ADIABATIC_RATIO_WARN:
-            warnings.warn(
-                f"|Omega_W|/|Delta| = {ratio:.3g} exceeds {ADIABATIC_RATIO_WARN}; "
-                "the adiabatic elimination is unreliable here",
-                stacklevel=2,  # the code that built the params
-            )
-        return self
+    g_I: float
+    g_II: float
+    N_I: float
+    N_II: float
+    omega_W_I: complex
+    omega_W_II: complex
+    delta: float
+    tau_write: float
 
 
 class DerivedRates(NamedTuple):
@@ -88,6 +69,13 @@ class DerivedRates(NamedTuple):
 
 
 def derive_rates(p: SystemParams) -> DerivedRates:
+    ratio = max(abs(p.omega_W_I), abs(p.omega_W_II)) / abs(p.delta)
+    if ratio > ADIABATIC_RATIO_WARN:
+        warnings.warn(
+            f"|Omega_W|/|Delta| = {ratio:.3g} exceeds {ADIABATIC_RATIO_WARN}; "
+            "the adiabatic elimination is unreliable here",
+            stacklevel=2,
+        )
     # Each part times 1/Delta, rounded as the pinned outputs' complex quotient
     # (a tail branch moves ~10 ulp per ulp of chi).
     z_i, z_ii = p.g_I * math.sqrt(p.N_I) * p.omega_W_I, p.g_II * math.sqrt(p.N_II) * p.omega_W_II

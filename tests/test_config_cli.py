@@ -49,9 +49,29 @@ def test_preset_tags_every_other_value_default():
         assert cfg.provenance[key] == ("paper" if key in paper else "default")
 
 
-def test_out_of_range_override_rejected():
-    with pytest.raises(ConfigError, match="eta"):
-        cfg_mod.load_config(preset="rb85-87", overrides=["eta=1.5"])
+# The schema is the one place each configured value is checked: the records
+# built from it (SystemParams, DetectorModel, ReadParams) check nothing.
+OUT_OF_RANGE = [
+    ("delta=0", "delta must be nonzero"),
+    ("N_I=0.5", "N_I must be >= 1, got 0.5"),
+    ("N_II=0.5", "N_II must be >= 1, got 0.5"),
+    ("tau_write=0", "tau_write must be > 0, got 0.0"),
+    ("eta=1.5", "eta must be in [0, 1], got 1.5"),
+    ("dark_rate_hz=-1", "dark_rate_hz must be >= 0, got -1.0"),
+    ("gate_s=0", "gate_s must be > 0, got 0.0"),
+    ("retrieval_efficiency_I=1.5", "retrieval_efficiency_I must be in [0, 1], got 1.5"),
+    ("retrieval_efficiency_II=-0.5", "retrieval_efficiency_II must be in [0, 1], got -0.5"),
+]
+
+
+@pytest.mark.parametrize("override, message", OUT_OF_RANGE,
+                         ids=[override.split("=")[0] for override, _ in OUT_OF_RANGE])
+def test_out_of_range_override_rejected(override, message, capsys):
+    with pytest.raises(ConfigError) as err:
+        cfg_mod.load_config(preset="rb85-87", overrides=[override])
+    assert str(err.value) == message
+    assert run_cli("protocol", "--preset", "rb85-87", "--runs", "10000000", "--set", override) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"  # and no progress line
 
 
 def test_empty_config_lists_missing_keys():
@@ -415,6 +435,57 @@ def test_non_finite_override_value_rejected(key, value, part):
 def test_non_finite_override_exits_2(override, capsys):
     assert run_cli("protocol", "--preset", "rb85-87", "--set", override) == 2
     assert override.split("=")[0] in capsys.readouterr().err
+
+
+# An integer beyond float range (float() raises OverflowError) used to exit 4
+# as "numeric failure: int too large to convert to float", naming no key.
+HUGE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("key, value, kind", [
+    ("N_I", HUGE, "float"),
+    ("omega_rabi_write_I", HUGE, "complex"),
+    ("omega_rabi_write_II", f"[1, {HUGE}]", "complex"),
+], ids=["float", "complex", "complex-pair"])
+@pytest.mark.parametrize("source", ["set", "config", "sweep"])
+def test_integer_beyond_float_range_exits_2(key, value, kind, source, tmp_path, capsys):
+    if source == "set":
+        args = ("--set", f"{key}={value}")
+    elif source == "config":
+        path = tmp_path / "huge.json"
+        path.write_text(f'{{"{key}": {value}}}')
+        args = ("--config", str(path))
+    else:  # a JSON list axis, so a complex pair stays one value
+        args = ("--sweep", f"{key}=[1e7, {value}]")
+    command = "sweep" if source == "sweep" else "protocol"
+    assert run_cli(command, "--preset", "rb85-87", "--runs", "10000000", *args) == 2
+    # the JSON spelling of each value is also its Python repr
+    assert capsys.readouterr().err == f"error: {key}: cannot interpret value {value} as {kind}\n"
+
+
+def test_integer_past_the_digit_limit_exits_2(tmp_path, capsys):
+    # Python refuses to parse an integer of more than 4300 digits (a ValueError
+    # that is not a JSONDecodeError), which used to end in a traceback.
+    digits = "1" * 5000
+    assert run_cli("protocol", "--preset", "rb85-87", "--set", f"N_I={digits}") == 2
+    assert capsys.readouterr().err == f"error: N_I: cannot interpret value {digits!r} as float\n"
+    assert run_cli("sweep", "--preset", "rb85-87", "--sweep", f"N_I=1e8,{digits}") == 2
+    assert capsys.readouterr().err == f"error: N_I: cannot interpret value {digits!r} as float\n"
+    path = tmp_path / "digits.json"
+    path.write_text(f'{{"N_I": {digits}}}')
+    assert run_cli("protocol", "--preset", "rb85-87", "--config", str(path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config file {path} is not valid JSON: Exceeds the limit")
+
+
+def test_config_file_not_utf8_exits_2(tmp_path, capsys):
+    # used to end in a UnicodeDecodeError traceback and exit 1
+    path = tmp_path / "f.json"
+    path.write_bytes(b'{"eta": 0.5\xff}')
+    assert run_cli("herald", "--preset", "rb85-87", "--config", str(path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config file {path} is not valid JSON: 'utf-8' codec")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("seed", [str(2**64), str(2**64 + 5), "-1"])

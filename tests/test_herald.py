@@ -71,12 +71,8 @@ def brute_force_false_fraction(psi, det):
 
 
 def test_detector_validation():
-    with pytest.raises(ValueError):
-        DetectorModel(eta=1.5, dark_rate=0.0, gate=1e-6)
-    with pytest.raises(ValueError):
-        DetectorModel(eta=0.5, dark_rate=-1.0, gate=1e-6)
-    with pytest.raises(ValueError):
-        DetectorModel(eta=0.5, dark_rate=0.0, gate=0.0)
+    # eta, dark_rate_hz and gate_s are checked by the config schema
+    # (test_config_cli.test_out_of_range_override_rejected)
     det = DetectorModel(eta=0.5, dark_rate=400.0, gate=1e-6)
     assert det.p_dark == pytest.approx(1.0 - math.exp(-4e-4))
     assert 0.0 <= det.p_dark < 1.0

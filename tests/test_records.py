@@ -1,7 +1,9 @@
-"""fmesim's records: every one is immutable, and the four that validate
-(SystemParams, DetectorModel, ReadParams, FmeQubitState) reject each bad
-field on keyword construction with their own message, as write_state and
-ProtocolEngine reject a bad engine name, cutoff or retry budget."""
+"""fmesim's records: every one is immutable.  The one that validates,
+FmeQubitState, guards a computed invariant and rejects each bad field on
+keyword construction with its own message, as write_state and ProtocolEngine
+reject a bad engine name, cutoff or retry budget.  The configured values that
+SystemParams, DetectorModel and ReadParams carry are checked once, by the
+config schema (test_config_cli.test_out_of_range_override_rejected)."""
 
 import pytest
 
@@ -63,16 +65,6 @@ ENGINE = dict(system=wd.SystemParams(**SYSTEM), detector=DetectorModel(**DETECTO
 
 
 REJECTIONS = [
-    (wd.SystemParams, SYSTEM, {"delta": 0.0},
-     "delta must be nonzero (adiabatic elimination is singular)"),
-    (wd.SystemParams, SYSTEM, {"N_I": 0.5}, "atom numbers must be >= 1"),
-    (wd.SystemParams, SYSTEM, {"N_II": 0.5}, "atom numbers must be >= 1"),
-    (wd.SystemParams, SYSTEM, {"tau_write": 0.0}, "tau_write must be > 0"),
-    (DetectorModel, DETECTOR, {"eta": 1.5}, "eta must be in [0, 1], got 1.5"),
-    (DetectorModel, DETECTOR, {"dark_rate": -1.0}, "dark_rate must be >= 0"),
-    (DetectorModel, DETECTOR, {"gate": 0.0}, "gate must be > 0"),
-    (ReadParams, READ, {"efficiency_I": 1.5}, "efficiency_I must be in [0, 1], got 1.5"),
-    (ReadParams, READ, {"efficiency_II": -0.5}, "efficiency_II must be in [0, 1], got -0.5"),
     (FmeQubitState, QUBIT, {"retrieval_efficiency": 1.5},
      "retrieval_efficiency must be in [0, 1]"),
     (FmeQubitState, QUBIT, {"c2": 0.6}, "|c1|^2 + |c2|^2 = 0.72, expected 1"),
