@@ -13,6 +13,7 @@ import argparse
 import csv
 import errno
 import io
+import itertools
 import json
 import math
 import os
@@ -24,7 +25,7 @@ from . import config as cfg_mod
 from .config import SEED_LIMIT, ConfigError, ResolvedConfig
 
 if TYPE_CHECKING:
-    from .protocol import ProtocolEngine, ProtocolStats
+    from .protocol import ProtocolEngine
 
 def _complex_pair(z: complex) -> list[float]:
     z = complex(z)
@@ -95,40 +96,6 @@ def _format_cell(value) -> str:
     if isinstance(value, list):
         return json.dumps(value)
     return str(value)
-
-
-def _emit_rows_csv(
-    out_path: str | None, command: str, cfg: ResolvedConfig, seed: int,
-    rows: list[tuple[ResolvedConfig, ProtocolStats]],
-) -> None:
-    buf = io.StringIO()
-    meta = _metadata(command, cfg, seed)
-    buf.write(f"# fmesim {command}\n")
-    buf.write(f"# seed: {seed}\n")
-    buf.write("# config: " + json.dumps(meta["config"], sort_keys=True) + "\n")
-    buf.write("# provenance: " + json.dumps(meta["provenance"], sort_keys=True) + "\n")
-    config_keys = sorted(cfg.values)
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["row"] + config_keys + list(rows[0][1]._fields))
-    for i, (row_cfg, stats) in enumerate(rows):
-        row_values = row_cfg.serializable_values()
-        cells = [str(i)]
-        cells += [_format_cell(row_values[k]) for k in config_keys]
-        cells += [_format_cell(v) for v in stats]
-        writer.writerow(cells)
-    _write_text(out_path, buf.getvalue())
-
-
-def _emit_rows_json(
-    out_path: str | None, command: str, cfg: ResolvedConfig, seed: int,
-    rows: list[tuple[ResolvedConfig, ProtocolStats]],
-) -> None:
-    payload = {"metadata": _metadata(command, cfg, seed), "results": []}
-    for i, (row_cfg, stats) in enumerate(rows):
-        entry = {"row": i, "config": row_cfg.serializable_values()}
-        entry.update({k: _json_safe(v) for k, v in stats._asdict().items()})
-        payload["results"].append(entry)
-    _emit_json(out_path, payload)
 
 
 # ---------------------------------------------------------------------------
@@ -284,28 +251,54 @@ def _progress(label: str):
     return write
 
 
-def _run_rows(args, command: str, cfg: ResolvedConfig, row_cfgs, labels) -> list[ProtocolStats]:
-    """Monte Carlo statistics of each row configuration (row i keys the random
-    streams), written as one csv or json table; returns the stats rows.  Every
-    row's engine is built before the first run is drawn, so a rejection in
-    any row exits before any Monte Carlo."""
-    from .protocol import aggregate, run_protocol
+def _run_rows(args, command: str, cfg: ResolvedConfig, points) -> int:
+    """Monte Carlo statistics at each grid point (a dict of key -> raw value
+    overrides of cfg; row i keys the random streams), written as one csv or
+    json table; returns how many rows had no success.  Every point is
+    resolved and every row's engine built before the first run is drawn, so
+    a rejection in any row exits before any Monte Carlo.  Each row is then
+    run and formatted at once, and the table is written once, after the
+    last row, so a failed run writes nothing."""
+    row_cfgs = [cfg_mod.with_overrides(cfg, point) for point in points]
+    from .protocol import ProtocolStats, aggregate, run_protocol
 
     engines = [_engine(row_cfg) for row_cfg in row_cfgs]
-    rows = []
-    for i, (row_cfg, engine, label) in enumerate(zip(row_cfgs, engines, labels)):
+    meta = _metadata(command, cfg, args.seed)
+    buf, tail = io.StringIO(), ""
+    if args.format == "json":
+        table = json.dumps({"metadata": meta, "results": [0]}, indent=2) + "\n"
+        head, tail = table.rsplit("0", 1)  # the framing around a placeholder entry
+        buf.write(head)
+    else:
+        buf.write(f"# fmesim {command}\n# seed: {args.seed}\n")
+        for name in ("config", "provenance"):
+            buf.write(f"# {name}: {json.dumps(meta[name], sort_keys=True)}\n")
+        config_keys = sorted(cfg.values)
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["row", *config_keys, *ProtocolStats._fields])
+    failed = 0
+    for i, (row_cfg, engine) in enumerate(zip(row_cfgs, engines)):
+        label = f"sweep row {i + 1}/{len(engines)}" if command == "sweep" else command
         tally = run_protocol(engine, args.seed, row_cfg.values["runs"], row=i,
                              progress=_progress(label))
-        rows.append((row_cfg, aggregate(tally, engine)))
-    emit = _emit_rows_json if args.format == "json" else _emit_rows_csv
-    emit(args.out, command, cfg, args.seed, rows)
-    return [stats for _, stats in rows]
+        stats = aggregate(tally, engine)
+        failed += stats.n_success == 0
+        values = row_cfg.serializable_values()
+        if args.format == "json":
+            entry = {"row": i, "config": values}
+            entry.update((k, _json_safe(v)) for k, v in zip(stats._fields, stats))
+            text = json.dumps(entry, indent=2).replace("\n", "\n    ")  # nested in results
+            buf.write(f",\n    {text}" if i else text)
+        else:
+            writer.writerow([i, *(_format_cell(values[k]) for k in config_keys),
+                             *map(_format_cell, stats)])
+    buf.write(tail)
+    _write_text(args.out, buf.getvalue())
+    return failed
 
 
 def cmd_protocol(args) -> int:
-    cfg = _load(args)
-    (stats,) = _run_rows(args, "protocol", cfg, [cfg], ["protocol"])
-    return 3 if stats.n_success == 0 else 0
+    return 3 if _run_rows(args, "protocol", _load(args), [{}]) else 0
 
 
 def _parse_sweep_axis(text: str) -> tuple[str, list]:
@@ -317,7 +310,7 @@ def _parse_sweep_axis(text: str) -> tuple[str, list]:
     if raw.startswith("["):
         try:
             values = json.loads(raw)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ConfigError(f"--sweep {key}: invalid JSON list: {exc}") from exc
         if not isinstance(values, list) or not values:
             raise ConfigError(f"--sweep {key}: expected a nonempty JSON list")
@@ -329,12 +322,14 @@ def _parse_sweep_axis(text: str) -> tuple[str, list]:
         for part in parts:
             try:
                 values.append(json.loads(part))
-            except ValueError:
+            except (ValueError, RecursionError):
                 values.append(part)
     return key, values
 
 
 def cmd_sweep(args) -> int:
+    """One output row per point of the grid the --sweep axes span, first axis
+    slowest; the axes and the grid size are checked before any point resolves."""
     cfg = _load(args)
     axes = [_parse_sweep_axis(text) for text in args.sweep]
     if not axes:
@@ -347,13 +342,9 @@ def cmd_sweep(args) -> int:
     n_points = math.prod(len(values) for _, values in axes)
     if n_points > cfg_mod.ROW_LIMIT:  # rows key the random streams
         raise ConfigError(f"--sweep grid has {n_points} points, more than 2**31 rows")
-    points: list[dict] = [{}]
-    for key, values in axes:
-        points = [dict(p, **{key: v}) for p in points for v in values]
-    # Every row is validated before the first one runs.
-    row_cfgs = [cfg_mod.with_overrides(cfg, point) for point in points]
-    labels = [f"sweep row {i + 1}/{len(points)}" for i in range(len(points))]
-    _run_rows(args, "sweep", cfg, row_cfgs, labels)
+    keys = [key for key, _ in axes]
+    points = itertools.product(*(values for _, values in axes))  # first axis slowest
+    _run_rows(args, "sweep", cfg, (dict(zip(keys, combo)) for combo in points))
     return 0
 
 

@@ -280,7 +280,7 @@ def parse_set_override(text: str) -> tuple[str, object]:
     raw = raw.strip()
     try:
         value = json.loads(raw)
-    except ValueError:  # not JSON, or an integer past the int-string digit limit
+    except (ValueError, RecursionError):  # not JSON, past the int digit limit, or too deep
         value = raw
     return key, value
 
@@ -320,7 +320,7 @@ def load_config(
                 data = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-        except ValueError as exc:  # also bytes that are not UTF-8
+        except (ValueError, RecursionError) as exc:  # also not UTF-8, or nested too deep
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config file must contain a JSON object")

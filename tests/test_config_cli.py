@@ -357,6 +357,36 @@ def test_protocol_json_format(tmp_path):
     assert 0.0 <= row["p_click"] <= 1.0
 
 
+JSON_TABLES = {
+    "protocol": ("protocol",),
+    "sweep": ("sweep", "--sweep", "omega_rabi_write_I=[[1e7,0],[2e7,1e6]]",
+              "--sweep", "eta=0,0.6", "--sweep", "engine=perturbative,exact"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(JSON_TABLES))
+def test_json_table_equals_one_indented_dump(command, tmp_path):
+    # the table is written entry by entry around the dumped framing, so its
+    # bytes must equal one json.dumps of the whole table, rows in grid order
+    out = tmp_path / "table.json"
+    args = ("--preset", "rb85-87", "--runs", "500", "--seed", "4", "--format", "json")
+    assert run_cli(*JSON_TABLES[command], *args, "--out", str(out)) == 0
+    text = out.read_text()
+    data = json.loads(text)
+    assert text == json.dumps(data, indent=2) + "\n"
+    results = data["results"]
+    assert [r["row"] for r in results] == list(range(len(results)))
+    names = ("omega_rabi_write_I", "eta", "engine")
+    grid = [tuple(r["config"][name] for name in names) for r in results]
+    if command == "protocol":
+        assert grid == [tuple(data["metadata"]["config"][name] for name in names)]
+        return
+    assert grid == [(drive, eta, engine) for drive in ([1e7, 0.0], [2e7, 1e6])
+                    for eta in (0.0, 0.6) for engine in ("perturbative", "exact")]
+    # eta = 0 detects no photon, so no true herald gives a concurrence
+    assert [r["mean_concurrence"] is None for r in results] == [eta == 0 for _, eta, _ in grid]
+
+
 def test_sweep_dark_rates(tmp_path):
     out = tmp_path / "sweep.csv"
     assert run_cli(
@@ -486,6 +516,31 @@ def test_config_file_not_utf8_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: config file {path} is not valid JSON: 'utf-8' codec")
     assert err.count("\n") == 1
+
+
+# Nested deeper than the recursion limit, json's decoder raises RecursionError,
+# which used to end in a traceback and exit 1.
+DEEP = "[" * 3000 + "]" * 3000
+
+
+def test_deeply_nested_config_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text('{"N_I": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    assert run_cli("herald", "--preset", "rb85-87", "--config", str(path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config file {path} is not valid JSON: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [
+    ("protocol", "--set", f"N_I={DEEP}"),
+    ("sweep", "--sweep", f"N_I={DEEP}"),
+    ("sweep", "--sweep", f"N_I=1,{DEEP}"),
+], ids=["set", "sweep-list", "sweep-value"])
+def test_deeply_nested_value_exits_2(command, capsys):
+    assert run_cli(*command, "--preset", "rb85-87", "--runs", "5") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(("error: N_I: ", "error: --sweep N_I: ")) and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("seed", [str(2**64), str(2**64 + 5), "-1"])
