@@ -256,13 +256,15 @@ def _run_rows(args, command: str, cfg: ResolvedConfig, points) -> int:
     overrides of cfg; row i keys the random streams), written as one csv or
     json table; returns how many rows had no success.  Every point is
     resolved and every row's engine built before the first run is drawn, so
-    a rejection in any row exits before any Monte Carlo.  Each row is then
+    a rejection in any row exits before any Monte Carlo, and the runs of all
+    rows together choose run_protocol's draw kernel.  Each row is then
     run and formatted at once, and the table is written once, after the
     last row, so a failed run writes nothing."""
     row_cfgs = [cfg_mod.with_overrides(cfg, point) for point in points]
     from .protocol import ProtocolStats, aggregate, run_protocol
 
     engines = [_engine(row_cfg) for row_cfg in row_cfgs]
+    total_runs = sum(row_cfg.values["runs"] for row_cfg in row_cfgs)  # picks the draw kernel
     meta = _metadata(command, cfg, args.seed)
     buf, tail = io.StringIO(), ""
     if args.format == "json":
@@ -280,7 +282,7 @@ def _run_rows(args, command: str, cfg: ResolvedConfig, points) -> int:
     for i, (row_cfg, engine) in enumerate(zip(row_cfgs, engines)):
         label = f"sweep row {i + 1}/{len(engines)}" if command == "sweep" else command
         tally = run_protocol(engine, args.seed, row_cfg.values["runs"], row=i,
-                             progress=_progress(label))
+                             progress=_progress(label), total_runs=total_runs)
         stats = aggregate(tally, engine)
         failed += stats.n_success == 0
         values = row_cfg.serializable_values()

@@ -220,6 +220,15 @@ def _finite(key: str, value: float) -> float:
     return value
 
 
+def _abridged(raw) -> str:
+    """The repr of a rejected value, cut as reprlib cuts it: long strings and
+    numbers lose their middle, long lists their tail and deep nesting its
+    inner levels, so the error stays one short line."""
+    import reprlib
+
+    return reprlib.repr(raw)
+
+
 def _coerce(key: str, raw) -> object:
     spec = SCHEMA[key]
     try:
@@ -246,11 +255,13 @@ def _coerce(key: str, raw) -> object:
         if spec.kind == "choice":
             if raw not in spec.choices:
                 raise ConfigError(
-                    f"{key} must be one of {spec.choices}, got {raw!r}"
+                    f"{key} must be one of {spec.choices}, got {_abridged(raw)}"
                 )
             return raw
     except (TypeError, ValueError, OverflowError):  # OverflowError: an int beyond float range
-        raise ConfigError(f"{key}: cannot interpret value {raw!r} as {spec.kind}") from None
+        raise ConfigError(
+            f"{key}: cannot interpret value {_abridged(raw)} as {spec.kind}"
+        ) from None
     raise ConfigError(f"{key}: unhandled kind {spec.kind}")
 
 

@@ -19,8 +19,11 @@ trials, and sums of T and T^2 over successful runs), so memory does not
 grow with the run count, and aggregate computes one output row from that
 tally, the per-branch false-herald flags and efficiencies, the qubit's
 concurrence and fidelity, and the engine's analytic click probability and
-false fraction.  Only the draw and the tally use numpy, which
-loads with the first run; the engine and aggregate are standard library.
+false fraction.  The engine and aggregate are standard library.  Two
+kernels draw and tally a chunk, to the same RunTally: a standard-library
+one, for invocations of fewer than _NUMPY_RUNS runs in all, which then never
+import numpy, and the numpy one (_run_batch) above that, where importing
+numpy costs less than the standard-library draw.
 
 The ensemble reset is perfect, so trials are independent and a run's trials
 to its first click are Geometric(p_click): each run draws them with one
@@ -39,6 +42,8 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
+from operator import add, mul, sub, truediv
 from typing import NamedTuple
 
 from . import herald as herald_mod
@@ -54,6 +59,12 @@ from .write_dynamics import SystemParams
 # while in-process run_protocol over 2e6 runs took 4-17% longer; 2048 and
 # 16384 were slower than both (BENCH_16.json).
 _RUN_CHUNK = 4096
+
+# Invocations of at least this many runs in all draw them with numpy, and
+# smaller ones with the standard library: importing numpy costs about 80 ms
+# and 14 MB, which the standard-library draw (about 0.64 us per run against
+# numpy's 0.04 us) overtakes near 10^5 runs (README).
+_NUMPY_RUNS = 1 << 16
 
 
 class ProtocolStats(NamedTuple):
@@ -111,14 +122,16 @@ class ProtocolEngine:
         self.qubit: FmeQubitState = retrieval_mod.retrieve_fme(self.spin, read)
 
 
-def _run_batch(engine: ProtocolEngine, seed: int, row: int, run_lo: int, run_hi: int):
+def _run_batch(engine: ProtocolEngine, seed: int, row: int, run_lo: int, run_hi: int,
+               cdf=None):
     """Repeat-until-success for the runs run_lo .. run_hi - 1.
 
     Returns two numpy arrays: trials_used (int64) and branch (int16, -1 for
     no click within max_trials).  A run's trials to its first click, T, come
     from its first uniform u by inverting P(T > t) = (1 - p_click)^t; a run
     with T above max_trials has no success.  Its second uniform picks the
-    branch from the branch CDF.
+    branch from the branch CDF, cdf (engine.branch_cdf as an array, which
+    the caller converts once; converted here if not given).
     """
     import numpy as np
 
@@ -137,7 +150,8 @@ def _run_batch(engine: ProtocolEngine, seed: int, row: int, run_lo: int, run_hi:
         t = np.ones(run_hi - run_lo)
     hit = t <= max_trials
     trials_used[hit] = t[hit]
-    picked = np.searchsorted(engine.branch_cdf, u[:, 1][hit], side="right")
+    cdf = np.asarray(engine.branch_cdf) if cdf is None else cdf
+    picked = np.searchsorted(cdf, u[:, 1][hit], side="right")
     branch[hit] = np.minimum(picked, len(engine.branches) - 1)
     return trials_used, branch
 
@@ -153,30 +167,95 @@ class RunTally(NamedTuple):
     trials_sq_sum: int
 
 
+def _numpy_kernel(engine: ProtocolEngine):
+    """The tally of runs lo .. hi - 1 from _run_batch's arrays, as a function
+    of (seed, row, lo, hi), with the branch CDF converted to an array once."""
+    import numpy as np
+
+    cdf = np.asarray(engine.branch_cdf)
+    size = len(engine.branches) + 1
+
+    def tally(seed: int, row: int, lo: int, hi: int) -> RunTally:
+        trials_used, branch = _run_batch(engine, seed, row, lo, hi, cdf)
+        won = trials_used[branch >= 0]
+        # T <= 2^32, so T^2 overflows int64: square T = t1 2^16 + t0 by parts
+        t1, t0 = won >> 16, won & 0xFFFF
+        return RunTally(tuple(np.bincount(branch + 1, minlength=size).tolist()),
+                        int(trials_used.sum()), int(won.sum()),
+                        (int(t1 @ t1) << 32) + (int(t1 @ t0) << 17) + int(t0 @ t0))
+
+    return tally
+
+
+def _stdlib_kernel(engine: ProtocolEngine):
+    """The numpy kernel's tally, from the words of rng.run_words with math and
+    C-level map, sum and sorted.  A word k is the uniform u = k 2^-53, so T =
+    floor(log1p(-u) / log1p(-p)) + 1 as in _run_batch, and T <= max_trials
+    exactly when the quotient is below max_trials.  The branch is the number
+    of CDF entries at or below u, clipped to the last branch; u >= cdf_j
+    exactly when k >= ceil(cdf_j 2^53), since scaling by 2^53 is exact, so
+    each branch counts the sorted words between two integer thresholds.
+    Python ints do not overflow, so T^2 needs no split.  math.log1p and
+    numpy's log1p can differ in the last bit (numpy 2.4 on an AVX-512 CPU:
+    about 7% of uniforms), which moves T only if the quotient lies within
+    an ulp of an integer."""
+    from .rng import run_words
+
+    max_trials, p = engine.max_trials, engine.p_click
+    n_branches = len(engine.branches)
+    # the last entry is dropped: a word at or above it is clipped to the last branch
+    thresholds = [math.ceil(c * 2.0**53) for c in engine.branch_cdf[:-1]]
+    log_q = math.log1p(-p) if p < 1.0 else math.nan
+    below_budget = float(max_trials).__gt__
+
+    def tally(seed: int, row: int, lo: int, hi: int) -> RunTally:
+        n = hi - lo
+        if p == 0.0:  # never clicks
+            return RunTally((n,) + (0,) * n_branches, n * max_trials, 0, 0)
+        k_trials, k_branch = run_words(seed, row, lo, hi)
+        if p < 1.0:
+            u = map(mul, k_trials, itertools.repeat(-2.0**-53))  # -u, exactly
+            quotients = list(map(truediv, map(math.log1p, u), itertools.repeat(log_q)))
+            hit = list(map(below_budget, quotients))
+            trials = list(map((1).__add__, map(math.floor, itertools.compress(quotients, hit))))
+            k_branch = itertools.compress(k_branch, hit)
+        else:  # clicks on the first trial
+            trials = [1] * n
+        k_branch = sorted(k_branch)
+        edges = [0, *(bisect_left(k_branch, t) for t in thresholds), len(k_branch)]
+        trials_sum = sum(trials)
+        return RunTally((n - len(trials), *map(sub, edges[1:], edges[:-1])),
+                        trials_sum + (n - len(trials)) * max_trials, trials_sum,
+                        sum(map(mul, trials, trials)))
+
+    return tally
+
+
 def run_protocol(engine: ProtocolEngine, seed: int, n_runs: int, row: int = 0,
-                 progress=None) -> RunTally:
+                 progress=None, total_runs: int | None = None) -> RunTally:
     """The tally of all runs for one configuration, drawn serially and tallied
     one chunk of _RUN_CHUNK runs at a time; progress(runs_done, n_runs), if
-    given, is called after each chunk (reporting only)."""
-    import numpy as np  # loads with the first run drawn; the engine does not use it
+    given, is called after each chunk (reporting only).
 
+    total_runs is the run count of the whole invocation (n_runs if not
+    given): below _NUMPY_RUNS the standard-library kernel draws, from there
+    on numpy's.  Both give the same tally."""
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
-    counts = np.zeros(len(engine.branches) + 1, dtype=np.int64)
+    total_runs = n_runs if total_runs is None else total_runs
+    tally_runs = (_numpy_kernel if total_runs >= _NUMPY_RUNS else _stdlib_kernel)(engine)
+    counts = [0] * (len(engine.branches) + 1)
     n_trials = trials_sum = trials_sq_sum = 0
     for lo in range(0, n_runs, _RUN_CHUNK):
         hi = min(lo + _RUN_CHUNK, n_runs)
-        trials_used, branch = _run_batch(engine, seed, row, lo, hi)
-        won = trials_used[branch >= 0]
-        counts += np.bincount(branch + 1, minlength=counts.size)
-        n_trials += int(trials_used.sum())
-        trials_sum += int(won.sum())
-        # T <= 2^32, so T^2 overflows int64: square T = t1 2^16 + t0 by parts
-        t1, t0 = won >> 16, won & 0xFFFF
-        trials_sq_sum += (int(t1 @ t1) << 32) + (int(t1 @ t0) << 17) + int(t0 @ t0)
+        part = tally_runs(seed, row, lo, hi)
+        counts = list(map(add, counts, part.counts))
+        n_trials += part.n_trials
+        trials_sum += part.trials_sum
+        trials_sq_sum += part.trials_sq_sum
         if progress is not None:
             progress(hi, n_runs)
-    return RunTally(tuple(counts.tolist()), n_trials, trials_sum, trials_sq_sum)
+    return RunTally(tuple(counts), n_trials, trials_sum, trials_sq_sum)
 
 
 def _weighted_mean(counts: tuple[int, ...], values: tuple[float, ...]) -> float:

@@ -9,13 +9,24 @@ With row < 2**31 and r < 2**32 the index is one-to-one; GAMMA is odd and mix
 is a bijection, so under one seed no two words alias.  Two seeds read
 shifted windows of one 2**64-long sequence, mix(GAMMA * j), which overlap
 only if the shift lands inside the used index range.
+
+Two generators compute the same words: run_uniforms with numpy uint64
+arithmetic, for large invocations, and run_words with the standard library,
+which packs every word of a chunk into one 128-bit lane of a Python int, so
+that each xor-shift and multiply is one big-int operation over all lanes.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import sys
+from array import array
+from functools import lru_cache
+from typing import TYPE_CHECKING
 
 from .config import COUNTER_LIMIT, ROW_LIMIT, SEED_LIMIT
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -29,22 +40,32 @@ def _mix(z: int) -> int:
     return z ^ z >> 31
 
 
-def run_uniforms(seed: int, row: int, runs: np.ndarray) -> np.ndarray:
-    """Two 53-bit uniforms per run; shape (len(runs), 2).  Column 0 draws the
-    run's trials to its first click, column 1 its branch.  Each column is
-    contiguous (the transpose of one row per word), so every numpy call runs
-    over whole columns."""
+def _start(seed: int, row: int) -> int:
+    """key + GAMMA * i mod 2**64 at run 0, word 0 of row."""
     seed, row = int(seed), int(row)
     if not 0 <= seed < SEED_LIMIT:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     if not 0 <= row < ROW_LIMIT:
         raise ValueError(f"row must be in [0, 2**31), got {row}")
+    return _mix(seed) + _GAMMA * (row << 33) & _MASK
+
+
+_RUN_ERROR = "run indices must lie in [0, 2**32)"
+
+
+def run_uniforms(seed: int, row: int, runs: np.ndarray) -> np.ndarray:
+    """Two 53-bit uniforms per run; shape (len(runs), 2).  Column 0 draws the
+    run's trials to its first click, column 1 its branch.  Each column is
+    contiguous (the transpose of one row per word), so every numpy call runs
+    over whole columns."""
+    import numpy as np
+
+    start = _start(seed, row)
     runs = np.asarray(runs)
     if runs.size and not 0 <= int(runs.min()) <= int(runs.max()) < COUNTER_LIMIT:
-        raise ValueError("run indices must lie in [0, 2**32)")
+        raise ValueError(_RUN_ERROR)
     runs = runs.astype(np.uint64, copy=False)
-    start = _mix(seed) + _GAMMA * (row << 33)  # key + GAMMA * i at run 0
-    offset = np.array([[start & _MASK], [start + _GAMMA & _MASK]], dtype=np.uint64)
+    offset = np.array([[start], [start + _GAMMA & _MASK]], dtype=np.uint64)
     z = runs * np.uint64(2 * _GAMMA & _MASK) + offset  # uint64 wraps mod 2**64
     z ^= z >> np.uint64(30)
     z *= np.uint64(_M1)
@@ -53,3 +74,38 @@ def run_uniforms(seed: int, row: int, runs: np.ndarray) -> np.ndarray:
     z ^= z >> np.uint64(31)
     z >>= np.uint64(11)
     return (z * 2.0**-53).T
+
+
+@lru_cache(maxsize=4)  # a whole chunk and the last, shorter one
+def _lanes(n: int) -> tuple[int, int, int]:
+    """For n 128-bit lanes: 1 in each lane, 2**64 - 1 in each lane, and
+    GAMMA * k mod 2**64 in lane k."""
+    ones = int.from_bytes((b"\1" + bytes(15)) * n, "little")
+    mask = ones * _MASK
+    ramp = array("Q", bytes(16 * n))  # the low half of each lane holds k
+    ramp[::2] = array("Q", range(n))
+    return ones, mask, int.from_bytes(ramp, sys.byteorder) * _GAMMA & mask
+
+
+def run_words(seed: int, row: int, lo: int, hi: int) -> tuple[list[int], list[int]]:
+    """The 53-bit words (z >> 11, the numerators of run_uniforms over 2**53)
+    of runs lo .. hi - 1: one list per word, as run_uniforms' columns.
+
+    Word w of run lo + j sits in lane 2 j + w of one Python int.  A lane
+    holds a 64-bit value in its low half, so a product by a 64-bit constant
+    fits in the lane, and the lane mask is applied after every xor-shift
+    (which moves the next lane's low bits into the high half) and every
+    multiply, which leaves each lane its value mod 2**64."""
+    start = _start(seed, row)
+    if not 0 <= lo <= hi <= COUNTER_LIMIT:
+        raise ValueError(_RUN_ERROR)
+    n = 2 * (hi - lo)
+    ones, mask, ramp = _lanes(n)
+    z = ramp + (start + _GAMMA * 2 * lo & _MASK) * ones & mask
+    z = (z ^ z >> 30) & mask
+    z = z * _M1 & mask
+    z = (z ^ z >> 27) & mask
+    z = z * _M2 & mask
+    z = (z ^ z >> 31) & mask
+    halves = memoryview((z >> 11).to_bytes(16 * n, sys.byteorder)).cast("Q")
+    return halves[0::4].tolist(), halves[2::4].tolist()

@@ -1,4 +1,5 @@
-"""Check that fmesim's set-up path and state commands run without numpy.
+"""Check that fmesim's set-up path, state commands and small Monte Carlo
+invocations run without numpy.
 
 Every case runs in a fresh interpreter in which numpy cannot be imported
 (sys.modules["numpy"] = None), so any numpy import on the path fails with
@@ -7,10 +8,13 @@ configuration of each benchmark workload in bench/spec.json, --help,
 preset-list and the config rejections that exit 2; each set-up case fails if
 it loaded a physics module.  The state commands write-sim, herald and
 retrieve build the write engine, which is standard-library only, so they run
-at both engines and at the largest cutoff.  numpy loads only when the first
-Monte Carlo run is drawn, which the control case (protocol) checks.  Every
-case also fails if it loaded dataclasses or inspect: fmesim's records are
-NamedTuples, so neither path needs them.
+at both engines and at the largest cutoff.  Monte Carlo invocations of fewer
+than 2**16 runs in all draw them with the standard library, so protocol
+--runs 300 and 65535, the exact golden sweep and the exact-ladder workload
+run too; the control cases, 2**16 runs in one protocol row and over two
+sweep rows, must halt on the numpy import.  Every case also fails if it
+loaded dataclasses or inspect: fmesim's records are NamedTuples, so neither
+path needs them.
 
 Run it with the fmesim to check importable, e.g. from the repository root:
 
@@ -67,9 +71,21 @@ def cases():
         for engine in ("perturbative", "exact"):
             argv = [command, "--preset", "rb85-87", "--set", f"engine={engine}", "--set", "cutoff=32"]
             yield f"{command} {engine} cutoff=32", CALL_MAIN + check(HELPERS), argv, 0, ""
-    # Control: drawing runs needs numpy, so the block is in force.
-    protocol = ["protocol", "--preset", "rb85-87", "--runs", "300"]
-    yield "control: protocol loads numpy", MAIN, protocol, 1, "import of numpy halted"
+    # Invocations of fewer than 2**16 runs in all draw them without numpy.
+    protocol = ["protocol", "--preset", "rb85-87", "--runs"]
+    exact_golden = ["sweep", "--preset", "rb85-87", "--set", "engine=exact", "--runs", "300",
+                    "--sweep", "cutoff=2,3", "--seed", "1"]
+    runs = CALL_MAIN + check(HELPERS)
+    yield "protocol --runs 300", runs, protocol + ["300"], 0, ""
+    yield "exact golden sweep", runs, exact_golden, 0, ""
+    yield "exact-ladder workload", runs, workloads["exact-ladder"]["argv"], 0, ""
+    yield "protocol --runs 65535", runs, protocol + ["65535"], 0, ""
+    # Control: from 2**16 runs, in one row or over the rows of a sweep, the
+    # draw imports numpy, so the block is in force.
+    halted = "import of numpy halted"
+    yield "control: protocol --runs 65536 loads numpy", MAIN, protocol + ["65536"], 1, halted
+    two_rows = ["sweep", "--preset", "rb85-87", "--runs", "32768", "--sweep", "eta=0.5,0.6"]
+    yield "control: 2 rows x 32768 runs load numpy", MAIN, two_rows, 1, halted
 
 
 def main() -> int:

@@ -489,18 +489,47 @@ def test_integer_beyond_float_range_exits_2(key, value, kind, source, tmp_path, 
         args = ("--sweep", f"{key}=[1e7, {value}]")
     command = "sweep" if source == "sweep" else "protocol"
     assert run_cli(command, "--preset", "rb85-87", "--runs", "10000000", *args) == 2
-    # the JSON spelling of each value is also its Python repr
-    assert capsys.readouterr().err == f"error: {key}: cannot interpret value {value} as {kind}\n"
+    # the value's repr, with the middle of the 401-digit integer elided
+    shown = value.replace(HUGE, "1" + "0" * 17 + "..." + "0" * 19)
+    assert capsys.readouterr().err == f"error: {key}: cannot interpret value {shown} as {kind}\n"
+
+
+@pytest.mark.parametrize("key, value, shown, message", [
+    ("N_I", "[" * 200 + "]" * 200, "[[[[[[[...]]]]]]]", "N_I: cannot interpret value {} as float"),
+    ("N_I", "x" * 5000, "'" + "x" * 12 + "..." + "x" * 13 + "'",
+     "N_I: cannot interpret value {} as float"),
+    ("engine", "[" + "0, " * 3000 + "0]", "[0, 0, 0, 0, 0, 0, ...]",
+     "engine must be one of ('perturbative', 'exact'), got {}"),
+    ("engine", "x" * 5000, "'" + "x" * 12 + "..." + "x" * 13 + "'",
+     "engine must be one of ('perturbative', 'exact'), got {}"),
+], ids=["nested", "long-string", "long-list-choice", "long-string-choice"])
+def test_rejected_value_is_abridged(key, value, shown, message, capsys):
+    # a rejected value used to be echoed whole, however long
+    assert run_cli("protocol", "--preset", "rb85-87", "--set", f"{key}={value}") == 2
+    assert capsys.readouterr().err == "error: " + message.format(shown) + "\n"
+
+
+def test_deeply_nested_value_is_abridged_on_the_command_line():
+    # 3,000 levels pass the JSON decoder's recursion limit, so the value stays
+    # the 6,000-character string, which was echoed whole in a 6,047-byte line
+    argv = ["protocol", "--preset", "rb85-87", "--set", "N_I=" + "[" * 3000 + "]" * 3000]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-m", "fmesim", *argv], capture_output=True,
+                         text=True, env=env, timeout=60)
+    assert out.returncode == 2
+    shown = "'" + "[" * 12 + "..." + "]" * 13 + "'"
+    assert out.stderr == f"error: N_I: cannot interpret value {shown} as float\n"
 
 
 def test_integer_past_the_digit_limit_exits_2(tmp_path, capsys):
     # Python refuses to parse an integer of more than 4300 digits (a ValueError
     # that is not a JSONDecodeError), which used to end in a traceback.
     digits = "1" * 5000
+    shown = "'" + "1" * 12 + "..." + "1" * 13 + "'"  # the string's repr, middle elided
     assert run_cli("protocol", "--preset", "rb85-87", "--set", f"N_I={digits}") == 2
-    assert capsys.readouterr().err == f"error: N_I: cannot interpret value {digits!r} as float\n"
+    assert capsys.readouterr().err == f"error: N_I: cannot interpret value {shown} as float\n"
     assert run_cli("sweep", "--preset", "rb85-87", "--sweep", f"N_I=1e8,{digits}") == 2
-    assert capsys.readouterr().err == f"error: N_I: cannot interpret value {digits!r} as float\n"
+    assert capsys.readouterr().err == f"error: N_I: cannot interpret value {shown} as float\n"
     path = tmp_path / "digits.json"
     path.write_text(f'{{"N_I": {digits}}}')
     assert run_cli("protocol", "--preset", "rb85-87", "--config", str(path)) == 2
@@ -589,15 +618,15 @@ def test_protocol_run_imports_no_dataclasses():
 
 
 def test_setup_path_imports_no_numpy():
-    # tests/setup_without_numpy.py runs each set-up and state-command case in a
-    # fresh interpreter with numpy blocked; CI runs the same script against the
-    # installed package
+    # tests/setup_without_numpy.py runs each set-up, state-command and
+    # small Monte Carlo case in a fresh interpreter with numpy blocked; CI runs
+    # the same script against the installed package
     script = os.path.join(os.path.dirname(__file__), "setup_without_numpy.py")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, script], capture_output=True, text=True,
                          env=env, timeout=300)
     assert out.returncode == 0, out.stdout + out.stderr
-    assert out.stdout.count("\nok ") == 16
+    assert out.stdout.count("\nok ") == 21
 
 
 def test_bad_sweep_value_exits_before_any_row(capsys):

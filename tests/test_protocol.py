@@ -116,11 +116,20 @@ def test_run_uniforms_match_reference_streams():
             assert u.shape == (edges.size, 2)
             for i, run in enumerate(edges.tolist()):
                 assert tuple(u[i]) == uniforms_reference(seed, row, run)
+                words = rng_mod.run_words(seed, row, run, run + 1)  # the standard-library words
+                assert words == tuple([word_reference(seed, row, run, w) >> 11] for w in (0, 1))
     # one call over more runs than two chunks, up to the last run index
     runs = np.arange(2**32 - 16384 - 5, 2**32)
     wide = rng_mod.run_uniforms(2**64 - 1, cfg_mod.ROW_LIMIT - 1, runs)
+    words = rng_mod.run_words(2**64 - 1, cfg_mod.ROW_LIMIT - 1, int(runs[0]), 2**32)
+    assert [len(w) for w in words] == [runs.size] * 2
     for i in (0, 4095, 4096, 8191, 8192, 16384 - 1, 16384, runs.size - 1):
         assert tuple(wide[i]) == uniforms_reference(2**64 - 1, cfg_mod.ROW_LIMIT - 1, int(runs[i]))
+        assert tuple(w[i] for w in words) == tuple(
+            word_reference(2**64 - 1, cfg_mod.ROW_LIMIT - 1, int(runs[i]), w) >> 11 for w in (0, 1))
+    # every word of that call, against the numpy generator's
+    assert [(w * 2.0**-53) for w in words[0]] == wide[:, 0].tolist()
+    assert [(w * 2.0**-53) for w in words[1]] == wide[:, 1].tolist()
 
 
 def test_counter_and_seed_widths_enforced():
@@ -130,6 +139,20 @@ def test_counter_and_seed_widths_enforced():
         rng_mod.run_uniforms(-1, 0, [0])
     with pytest.raises(ValueError, match="run"):
         rng_mod.run_uniforms(1, 0, [2**32])
+    with pytest.raises(ValueError, match="seed"):
+        rng_mod.run_words(2**64, 0, 0, 1)
+    with pytest.raises(ValueError, match="seed"):
+        rng_mod.run_words(-1, 0, 0, 1)
+    with pytest.raises(ValueError, match="run"):
+        rng_mod.run_words(1, 0, 2**32, 2**32 + 1)
+    with pytest.raises(ValueError, match="run"):
+        rng_mod.run_words(1, 0, 2**32 - 1, 2**32 + 1)
+    for row in (-1, cfg_mod.ROW_LIMIT):
+        with pytest.raises(ValueError, match="row"):
+            rng_mod.run_words(1, row, 0, 1)
+    with pytest.raises(ValueError, match="run"):
+        rng_mod.run_words(1, 0, -1, 1)
+    assert [len(w) for w in rng_mod.run_words(1, 0, 2**32 - 1, 2**32)] == [1, 1]  # the last run
 
 
 def test_uniform_moments_sane():
@@ -293,6 +316,86 @@ def test_progress_reports_each_chunk():
     assert seen == [(pr._RUN_CHUNK, pr._RUN_CHUNK + 1), (pr._RUN_CHUNK + 1, pr._RUN_CHUNK + 1)]
 
 
+def kernel_tallies(engine, seed, n_runs, row=0):
+    """run_protocol's tally from the standard-library kernel, as an invocation
+    of fewer than _NUMPY_RUNS runs in all picks it, and from the numpy kernel,
+    as one of _NUMPY_RUNS runs picks it."""
+    return (pr.run_protocol(engine, seed, n_runs, row, total_runs=min(n_runs, pr._NUMPY_RUNS - 1)),
+            pr.run_protocol(engine, seed, n_runs, row, total_runs=pr._NUMPY_RUNS))
+
+
+PRESET_ENGINE = cfg_mod.build_setup(cfg_mod.load_config(preset="rb85-87"))
+
+
+KERNEL_CASES = [
+    ("preset", PRESET_ENGINE),
+    ("exact cutoff 10", cfg_mod.build_setup(cfg_mod.load_config(
+        preset="rb85-87", overrides=["engine=exact", "cutoff=10"]))),
+    ("p = 0", make_engine(eta=0.0, dark=0.0, max_trials=40)),
+    ("p = 1", cfg_mod.build_setup(cfg_mod.load_config(
+        preset="rb85-87", overrides=["dark_rate_hz=1e12"]))),
+    ("max_trials 1", make_engine(p=0.1, eta=0.1, dark=0.0, max_trials=1)),  # p_click 0.002
+    ("max_trials 50", make_engine(p=0.1, eta=0.1, dark=0.0, max_trials=50)),
+    ("largest budget", make_engine(p=1.5e-5, eta=0.5, dark=0.0, max_trials=2**32)),
+]
+
+
+@pytest.mark.parametrize("label, engine", [
+    pytest.param(label, engine, id=label.replace(" ", "")) for label, engine in KERNEL_CASES])
+@pytest.mark.parametrize("n_runs", [1, 4095, 4096, 4097, 8193])
+def test_kernels_give_equal_tallies(label, engine, n_runs):
+    if label == "p = 0":
+        assert engine.p_click == 0.0
+    elif label == "p = 1":
+        assert engine.p_click == 1.0
+    for seed in (0, 1, 2**64 - 1):
+        for row in (0, cfg_mod.ROW_LIMIT - 1):
+            stdlib, numpy_ = kernel_tallies(engine, seed, n_runs, row)
+            assert stdlib == numpy_, (seed, row)
+            assert sum(stdlib.counts) == n_runs
+    if label.startswith("max_trials"):  # the budget cuts some runs, not all
+        stdlib, _ = kernel_tallies(engine, 1, 8193)
+        assert 0 < stdlib.counts[0] < 8193
+
+
+def test_kernels_agree_on_a_branch_edge():
+    # A uniform lands on a given CDF entry with probability 2^-53 per run, so
+    # the entries are placed on drawn words instead: a word equal to an entry
+    # takes the next branch, and entries below 1/2 need not be multiples of
+    # 2^-53, so the words' integer thresholds round up.
+    _, words = rng_mod.run_words(3, 0, 0, 64)
+    k = next(w for w in words if w < 2**52)
+    for edge in (k * 2.0**-53, (k + 0.5) * 2.0**-53, (k - 0.5) * 2.0**-53):
+        engine = SimpleNamespace(max_trials=10, p_click=1.0, branches=[None, None],
+                                 branch_cdf=(edge, 1.0))
+        stdlib, numpy_ = kernel_tallies(engine, 3, 64)
+        assert stdlib == numpy_
+        assert stdlib.counts == (0, sum(w * 2.0**-53 < edge for w in words),
+                                 sum(w * 2.0**-53 >= edge for w in words))
+
+
+def test_kernels_give_equal_tallies_over_a_million_runs():
+    stdlib, numpy_ = kernel_tallies(PRESET_ENGINE, 20111105, 10**6 + 3)
+    assert stdlib == numpy_
+    assert sum(stdlib.counts) == 10**6 + 3 and all(stdlib.counts[1:5])
+
+
+def test_small_invocations_draw_without_the_numpy_kernel(monkeypatch):
+    engine = make_engine()
+    expected = pr.run_protocol(engine, 4, 300)
+
+    def refuse(*args):
+        raise AssertionError("numpy kernel called")
+
+    monkeypatch.setattr(pr, "_run_batch", refuse)
+    assert pr.run_protocol(engine, 4, 300) == expected
+    assert pr.run_protocol(engine, 4, 300, total_runs=pr._NUMPY_RUNS - 1) == expected
+    with pytest.raises(AssertionError, match="numpy kernel"):
+        pr.run_protocol(engine, 4, 300, total_runs=pr._NUMPY_RUNS)
+    with pytest.raises(AssertionError, match="numpy kernel"):
+        pr.run_protocol(engine, 4, pr._NUMPY_RUNS)
+
+
 def test_trials_to_success_geometric_mean():
     engine = make_engine()
     tally = pr.run_protocol(engine, seed=21, n_runs=20_000)
@@ -354,15 +457,16 @@ def reference_tally(trials_used, branch, n_branches):
 @pytest.fixture
 def tally(monkeypatch):
     """tally(trials_used, branch, branches): run_protocol's tally of the given
-    per-run arrays, fed to it chunk by chunk in place of the random draws."""
+    per-run arrays, fed to its numpy kernel chunk by chunk in place of the
+    random draws."""
 
     def streamed(trials_used, branch, branches):
         trials_used = np.asarray(trials_used, dtype=np.int64)
         branch = np.asarray(branch, dtype=np.int16)
-        monkeypatch.setattr(pr, "_run_batch",
-                            lambda engine, seed, row, lo, hi: (trials_used[lo:hi], branch[lo:hi]))
-        engine = SimpleNamespace(branches=branches)
-        result = pr.run_protocol(engine, 0, len(branch))
+        monkeypatch.setattr(pr, "_run_batch", lambda engine, seed, row, lo, hi, cdf:
+                            (trials_used[lo:hi], branch[lo:hi]))
+        engine = SimpleNamespace(branches=branches, branch_cdf=())
+        result = pr.run_protocol(engine, 0, len(branch), total_runs=pr._NUMPY_RUNS)
         assert result == reference_tally(trials_used, branch, len(branches))
         return result
 
