@@ -21,9 +21,9 @@ tally, the per-branch false-herald flags and efficiencies, the qubit's
 concurrence and fidelity, and the engine's analytic click probability and
 false fraction.  The engine and aggregate are standard library.  Two
 kernels draw and tally a chunk, to the same RunTally: a standard-library
-one, for invocations of fewer than _NUMPY_RUNS runs in all, which then never
-import numpy, and the numpy one (_run_batch) above that, where importing
-numpy costs less than the standard-library draw.
+one, for invocations of fewer than _NUMPY_RUNS = 2^17 runs in all, which
+then never import numpy, and the numpy one (_run_batch) from there on, where
+importing numpy costs less than the standard-library draw.
 
 The ensemble reset is perfect, so trials are independent and a run's trials
 to its first click are Geometric(p_click): each run draws them with one
@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left
 from operator import add, mul, sub, truediv
 from typing import NamedTuple
 
@@ -62,9 +61,9 @@ _RUN_CHUNK = 4096
 
 # Invocations of at least this many runs in all draw them with numpy, and
 # smaller ones with the standard library: importing numpy costs about 80 ms
-# and 14 MB, which the standard-library draw (about 0.64 us per run against
-# numpy's 0.04 us) overtakes near 10^5 runs (README).
-_NUMPY_RUNS = 1 << 16
+# and 14 MB, which the standard-library draw (about 0.7 us per run against
+# numpy's 0.07 us) overtakes between 131,071 and 200,000 runs (README).
+_NUMPY_RUNS = 1 << 17
 
 
 class ProtocolStats(NamedTuple):
@@ -189,22 +188,37 @@ def _numpy_kernel(engine: ProtocolEngine):
 
 def _stdlib_kernel(engine: ProtocolEngine):
     """The numpy kernel's tally, from the words of rng.run_words with math and
-    C-level map, sum and sorted.  A word k is the uniform u = k 2^-53, so T =
-    floor(log1p(-u) / log1p(-p)) + 1 as in _run_batch, and T <= max_trials
-    exactly when the quotient is below max_trials.  The branch is the number
-    of CDF entries at or below u, clipped to the last branch; u >= cdf_j
-    exactly when k >= ceil(cdf_j 2^53), since scaling by 2^53 is exact, so
-    each branch counts the sorted words between two integer thresholds.
-    Python ints do not overflow, so T^2 needs no split.  math.log1p and
-    numpy's log1p can differ in the last bit (numpy 2.4 on an AVX-512 CPU:
-    about 7% of uniforms), which moves T only if the quotient lies within
-    an ulp of an integer."""
+    C-level map, sum and bytes methods.  A word y = k 2^11 gives the uniform
+    u = y 2^-64 = k 2^-53 exactly, so T = floor(log1p(-u) / log1p(-p)) + 1 as
+    in _run_batch, and T <= max_trials exactly when the quotient is below
+    max_trials.  The quotient is >= 0, so truncation gives its floor f, and
+    the sums over the successful runs are sum T = sum f + n and
+    sum T^2 = sum f^2 + 2 sum f + n in Python ints, which do not overflow.
+    math.log1p and numpy's log1p can differ in the last bit (numpy 2.4 on an
+    AVX-512 CPU: about 7% of uniforms), which moves T only if the quotient
+    lies within an ulp of an integer.
+
+    The branch is the number of CDF entries at or below u, clipped to the
+    last branch; u >= cdf_j exactly when k >= t_j = ceil(cdf_j 2^53), since
+    scaling by 2^53 is exact, so each branch counts the successful runs'
+    words between two integer thresholds.  The words at or above t_j are
+    counted without a sort: those whose top byte (k >> 45) is above t_j's,
+    by deleting the lower bytes from a bytes object of the words' top bytes,
+    plus those that share t_j's top byte and are >= t_j, compared one by one
+    (16 words per threshold in a chunk of 4096 runs, on average)."""
     from .rng import run_words
 
     max_trials, p = engine.max_trials, engine.p_click
     n_branches = len(engine.branches)
-    # the last entry is dropped: a word at or above it is clipped to the last branch
-    thresholds = [math.ceil(c * 2.0**53) for c in engine.branch_cdf[:-1]]
+    # (threshold as a word, its top byte, the bytes 0 .. that top byte); the
+    # last CDF entry is dropped: a word at or above it is clipped to the last
+    # branch.  A threshold at or above 2^53, which no word reaches, takes the
+    # top byte 255 and deletes every byte.
+    thresholds = []
+    for c in engine.branch_cdf[:-1]:
+        t = math.ceil(c * 2.0**53)
+        top = min(t >> 45, 255)
+        thresholds.append((t << 11, top, bytes(range(top + 1))))
     log_q = math.log1p(-p) if p < 1.0 else math.nan
     below_budget = float(max_trials).__gt__
 
@@ -212,21 +226,34 @@ def _stdlib_kernel(engine: ProtocolEngine):
         n = hi - lo
         if p == 0.0:  # never clicks
             return RunTally((n,) + (0,) * n_branches, n * max_trials, 0, 0)
-        k_trials, k_branch = run_words(seed, row, lo, hi)
+        lanes = run_words(seed, row, lo, hi)
+        words = memoryview(lanes).cast("Q")  # word w of run j is item 4 j + 2 w
+        branch_words, tops = words[2::4], lanes[23::32]  # tops: each word's top byte
         if p < 1.0:
-            u = map(mul, k_trials, itertools.repeat(-2.0**-53))  # -u, exactly
+            u = map(mul, itertools.repeat(-2.0**-64), words[0::4].tolist())  # -u, exactly
             quotients = list(map(truediv, map(math.log1p, u), itertools.repeat(log_q)))
-            hit = list(map(below_budget, quotients))
-            trials = list(map((1).__add__, map(math.floor, itertools.compress(quotients, hit))))
-            k_branch = itertools.compress(k_branch, hit)
-        else:  # clicks on the first trial
-            trials = [1] * n
-        k_branch = sorted(k_branch)
-        edges = [0, *(bisect_left(k_branch, t) for t in thresholds), len(k_branch)]
-        trials_sum = sum(trials)
-        return RunTally((n - len(trials), *map(sub, edges[1:], edges[:-1])),
-                        trials_sum + (n - len(trials)) * max_trials, trials_sum,
-                        sum(map(mul, trials, trials)))
+            if max(quotients) >= max_trials:  # keep the runs that click in time
+                hit = list(map(below_budget, quotients))
+                quotients = itertools.compress(quotients, hit)
+                branch_words = list(itertools.compress(branch_words, hit))
+                tops = bytes(itertools.compress(tops, hit))
+        else:  # clicks on the first trial: f = 0 for every run
+            quotients = []
+        floors = list(map(math.trunc, quotients))
+        n_hit = len(tops)
+        below = []
+        for word, top, lower in thresholds:
+            above = len(tops.translate(None, lower))
+            i = tops.find(top)
+            while i >= 0:
+                above += branch_words[i] >= word
+                i = tops.find(top, i + 1)
+            below.append(n_hit - above)
+        f_sum = sum(floors)
+        trials_sum = f_sum + n_hit
+        return RunTally((n - n_hit, *map(sub, [*below, n_hit], [0, *below])),
+                        trials_sum + (n - n_hit) * max_trials, trials_sum,
+                        sum(map(mul, floors, floors)) + 2 * f_sum + n_hit)
 
     return tally
 

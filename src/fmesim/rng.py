@@ -77,35 +77,38 @@ def run_uniforms(seed: int, row: int, runs: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=4)  # a whole chunk and the last, shorter one
-def _lanes(n: int) -> tuple[int, int, int]:
-    """For n 128-bit lanes: 1 in each lane, 2**64 - 1 in each lane, and
-    GAMMA * k mod 2**64 in lane k."""
+def _lanes(n: int) -> tuple[int, int, int, int]:
+    """For n 128-bit lanes: 1 in each lane, 2**64 - 1 in each lane, the same
+    with the low 11 bits cleared, and GAMMA * k mod 2**64 in lane k."""
     ones = int.from_bytes((b"\1" + bytes(15)) * n, "little")
     mask = ones * _MASK
     ramp = array("Q", bytes(16 * n))  # the low half of each lane holds k
     ramp[::2] = array("Q", range(n))
-    return ones, mask, int.from_bytes(ramp, sys.byteorder) * _GAMMA & mask
+    return ones, mask, mask - ones * 0x7FF, int.from_bytes(ramp, sys.byteorder) * _GAMMA & mask
 
 
-def run_words(seed: int, row: int, lo: int, hi: int) -> tuple[list[int], list[int]]:
-    """The 53-bit words (z >> 11, the numerators of run_uniforms over 2**53)
-    of runs lo .. hi - 1: one list per word, as run_uniforms' columns.
+def run_words(seed: int, row: int, lo: int, hi: int) -> bytes:
+    """The words of runs lo .. hi - 1 as 2 (hi - lo) little-endian 128-bit
+    lanes: word w of run lo + j fills the low 8 bytes of lane 2 j + w, and
+    its high 8 bytes are 0.  A word holds the 53-bit numerator k = z >> 11 of
+    run_uniforms (u = k 2**-53) as k 2**11, z with its low 11 bits cleared:
+    its top byte (byte 7 of the lane) is k >> 45, and it converts to a float
+    exactly, so that word 2**-64 = u.
 
-    Word w of run lo + j sits in lane 2 j + w of one Python int.  A lane
-    holds a 64-bit value in its low half, so a product by a 64-bit constant
-    fits in the lane, and the lane mask is applied after every xor-shift
-    (which moves the next lane's low bits into the high half) and every
-    multiply, which leaves each lane its value mod 2**64."""
+    The lanes sit in one Python int.  A lane holds a 64-bit value in its low
+    half, so a product by a 64-bit constant fits in the lane, and the lane
+    mask is applied after every xor-shift (which moves the next lane's low
+    bits into the high half) and every multiply, which leaves each lane its
+    value mod 2**64."""
     start = _start(seed, row)
     if not 0 <= lo <= hi <= COUNTER_LIMIT:
         raise ValueError(_RUN_ERROR)
     n = 2 * (hi - lo)
-    ones, mask, ramp = _lanes(n)
+    ones, mask, top53, ramp = _lanes(n)
     z = ramp + (start + _GAMMA * 2 * lo & _MASK) * ones & mask
     z = (z ^ z >> 30) & mask
     z = z * _M1 & mask
     z = (z ^ z >> 27) & mask
     z = z * _M2 & mask
-    z = (z ^ z >> 31) & mask
-    halves = memoryview((z >> 11).to_bytes(16 * n, sys.byteorder)).cast("Q")
-    return halves[0::4].tolist(), halves[2::4].tolist()
+    z = (z ^ z >> 31) & top53
+    return z.to_bytes(16 * n, "little")

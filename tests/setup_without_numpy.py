@@ -9,10 +9,10 @@ preset-list and the config rejections that exit 2; each set-up case fails if
 it loaded a physics module.  The state commands write-sim, herald and
 retrieve build the write engine, which is standard-library only, so they run
 at both engines and at the largest cutoff.  Monte Carlo invocations of fewer
-than 2**16 runs in all draw them with the standard library, so protocol
---runs 300 and 65535, the exact golden sweep and the exact-ladder workload
-run too; the control cases, 2**16 runs in one protocol row and over two
-sweep rows, must halt on the numpy import.  Every case also fails if it
+than 2**17 runs in all draw them with the standard library, so protocol
+--runs 300, 65535 and 131071, the exact golden sweep and the three benchmark
+workloads run too; the control cases, 2**17 runs in one protocol row and
+over two sweep rows, must halt on the numpy import.  Every case also fails if it
 loaded dataclasses or inspect: fmesim's records are NamedTuples, so neither
 path needs them.
 
@@ -71,21 +71,23 @@ def cases():
         for engine in ("perturbative", "exact"):
             argv = [command, "--preset", "rb85-87", "--set", f"engine={engine}", "--set", "cutoff=32"]
             yield f"{command} {engine} cutoff=32", CALL_MAIN + check(HELPERS), argv, 0, ""
-    # Invocations of fewer than 2**16 runs in all draw them without numpy.
+    # Invocations of fewer than 2**17 runs in all draw them without numpy.
     protocol = ["protocol", "--preset", "rb85-87", "--runs"]
     exact_golden = ["sweep", "--preset", "rb85-87", "--set", "engine=exact", "--runs", "300",
                     "--sweep", "cutoff=2,3", "--seed", "1"]
     runs = CALL_MAIN + check(HELPERS)
     yield "protocol --runs 300", runs, protocol + ["300"], 0, ""
     yield "exact golden sweep", runs, exact_golden, 0, ""
-    yield "exact-ladder workload", runs, workloads["exact-ladder"]["argv"], 0, ""
+    for name, workload in workloads.items():
+        yield f"{name} workload", runs, workload["argv"], 0, ""
     yield "protocol --runs 65535", runs, protocol + ["65535"], 0, ""
-    # Control: from 2**16 runs, in one row or over the rows of a sweep, the
+    yield "protocol --runs 131071", runs, protocol + ["131071"], 0, ""
+    # Control: from 2**17 runs, in one row or over the rows of a sweep, the
     # draw imports numpy, so the block is in force.
     halted = "import of numpy halted"
-    yield "control: protocol --runs 65536 loads numpy", MAIN, protocol + ["65536"], 1, halted
-    two_rows = ["sweep", "--preset", "rb85-87", "--runs", "32768", "--sweep", "eta=0.5,0.6"]
-    yield "control: 2 rows x 32768 runs load numpy", MAIN, two_rows, 1, halted
+    yield "control: protocol --runs 131072 loads numpy", MAIN, protocol + ["131072"], 1, halted
+    two_rows = ["sweep", "--preset", "rb85-87", "--runs", "65536", "--sweep", "eta=0.5,0.6"]
+    yield "control: 2 rows x 65536 runs load numpy", MAIN, two_rows, 1, halted
 
 
 def main() -> int:

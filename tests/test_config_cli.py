@@ -626,7 +626,7 @@ def test_setup_path_imports_no_numpy():
     out = subprocess.run([sys.executable, script], capture_output=True, text=True,
                          env=env, timeout=300)
     assert out.returncode == 0, out.stdout + out.stderr
-    assert out.stdout.count("\nok ") == 21
+    assert out.stdout.count("\nok ") == 24
 
 
 def test_bad_sweep_value_exits_before_any_row(capsys):

@@ -63,15 +63,29 @@ squeezed vacuum, with its weight above the cutoff as two tail branches.
 The random draws and the integer columns kept their bytes; p_click_analytic
 and false_herald_analytic lost their dependence on the cutoff (cutoffs 2 and
 3 now agree to one ulp), and with them the photon yield of cutoff 2 moved.
+
+The last two pin one protocol row on each side of protocol._NUMPY_RUNS:
+
+    fmesim protocol --preset rb85-87 --runs 100000 --seed 1
+    fmesim protocol --preset rb85-87 --runs 131072 --seed 1
+
+Both were taken when invocations of at least 2^16 runs drew with the numpy
+kernel.  The first, the rb-protocol benchmark workload, now draws with the
+standard-library kernel, to the same bytes; the second, at 2^17 runs, is
+drawn by the numpy kernel and pins that path.
 """
 
 import hashlib
+
+import pytest
 
 from fmesim import protocol as pr
 from fmesim.cli import main
 
 GOLDEN_PROTOCOL_SHA256 = "a3cd478aee17f7a713f6f4e99ed2ba5b1d1b4c614c86ce6936188a2ec7cabd27"
 GOLDEN_EXACT_SWEEP_SHA256 = "e99b988aee13bf7cf228179c4d2014863dd721f2822466ad04511b17866d88f1"
+GOLDEN_STDLIB_KERNEL_SHA256 = "8901b5df948e09108dcf670f163ad681c5d5ba5c50ad5443bf98a58131be23a6"
+GOLDEN_NUMPY_KERNEL_SHA256 = "9c3fde52db465287660e2e3f167b9bef807e16534d9ced7565660265b8836f53"
 
 
 def test_golden_protocol_bytes(tmp_path):
@@ -89,6 +103,21 @@ def test_golden_exact_sweep_bytes(tmp_path):
     ]
     assert main(args + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_EXACT_SWEEP_SHA256
+
+
+@pytest.mark.parametrize("runs, refused, sha256", [
+    pytest.param(100_000, "_numpy_kernel", GOLDEN_STDLIB_KERNEL_SHA256, id="stdlib-100000"),
+    pytest.param(2**17, "_stdlib_kernel", GOLDEN_NUMPY_KERNEL_SHA256, id="numpy-131072"),
+])
+def test_golden_kernel_bytes(tmp_path, monkeypatch, runs, refused, sha256):
+    def refuse(engine):
+        raise AssertionError(f"{refused} called")
+
+    monkeypatch.setattr(pr, refused, refuse)  # each hash is drawn by one kernel
+    out = tmp_path / "golden.csv"
+    args = ["protocol", "--preset", "rb85-87", "--runs", str(runs), "--seed", "1"]
+    assert main(args + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
 def test_sweep_two_workers_match_one(tmp_path):

@@ -4,6 +4,7 @@ aggregate statistics against exact rational arithmetic."""
 
 import bisect
 import math
+import struct
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -75,6 +76,16 @@ def word_reference(seed, row, run, word):
     return splitmix64_mix((splitmix64_mix(seed) + GAMMA * index) & MASK64)
 
 
+def words53(seed, row, lo, hi):
+    """The 53-bit words (z >> 11) of rng.run_words' lanes for runs lo .. hi - 1,
+    one list per word; each lane's high half and the low 11 bits of each word
+    must be 0."""
+    lanes = memoryview(rng_mod.run_words(seed, row, lo, hi)).cast("Q")
+    assert len(lanes) == 4 * (hi - lo) and not any(lanes[1::2])
+    assert not any(w & 0x7FF for w in lanes)
+    return [w >> 11 for w in lanes[0::4]], [w >> 11 for w in lanes[2::4]]
+
+
 def uniforms_reference(seed, row, run):
     """(trials, branch) uniforms of one run from the pure-Python words."""
     return tuple((word_reference(seed, row, run, w) >> 11) * 2.0**-53 for w in (0, 1))
@@ -116,12 +127,12 @@ def test_run_uniforms_match_reference_streams():
             assert u.shape == (edges.size, 2)
             for i, run in enumerate(edges.tolist()):
                 assert tuple(u[i]) == uniforms_reference(seed, row, run)
-                words = rng_mod.run_words(seed, row, run, run + 1)  # the standard-library words
+                words = words53(seed, row, run, run + 1)  # the standard-library words
                 assert words == tuple([word_reference(seed, row, run, w) >> 11] for w in (0, 1))
     # one call over more runs than two chunks, up to the last run index
     runs = np.arange(2**32 - 16384 - 5, 2**32)
     wide = rng_mod.run_uniforms(2**64 - 1, cfg_mod.ROW_LIMIT - 1, runs)
-    words = rng_mod.run_words(2**64 - 1, cfg_mod.ROW_LIMIT - 1, int(runs[0]), 2**32)
+    words = words53(2**64 - 1, cfg_mod.ROW_LIMIT - 1, int(runs[0]), 2**32)
     assert [len(w) for w in words] == [runs.size] * 2
     for i in (0, 4095, 4096, 8191, 8192, 16384 - 1, 16384, runs.size - 1):
         assert tuple(wide[i]) == uniforms_reference(2**64 - 1, cfg_mod.ROW_LIMIT - 1, int(runs[i]))
@@ -152,7 +163,7 @@ def test_counter_and_seed_widths_enforced():
             rng_mod.run_words(1, row, 0, 1)
     with pytest.raises(ValueError, match="run"):
         rng_mod.run_words(1, 0, -1, 1)
-    assert [len(w) for w in rng_mod.run_words(1, 0, 2**32 - 1, 2**32)] == [1, 1]  # the last run
+    assert len(rng_mod.run_words(1, 0, 2**32 - 1, 2**32)) == 32  # the last run: two 16-byte lanes
 
 
 def test_uniform_moments_sane():
@@ -325,12 +336,13 @@ def kernel_tallies(engine, seed, n_runs, row=0):
 
 
 PRESET_ENGINE = cfg_mod.build_setup(cfg_mod.load_config(preset="rb85-87"))
+EXACT_ENGINE = cfg_mod.build_setup(cfg_mod.load_config(
+    preset="rb85-87", overrides=["engine=exact", "cutoff=10"]))
 
 
 KERNEL_CASES = [
     ("preset", PRESET_ENGINE),
-    ("exact cutoff 10", cfg_mod.build_setup(cfg_mod.load_config(
-        preset="rb85-87", overrides=["engine=exact", "cutoff=10"]))),
+    ("exact cutoff 10", EXACT_ENGINE),
     ("p = 0", make_engine(eta=0.0, dark=0.0, max_trials=40)),
     ("p = 1", cfg_mod.build_setup(cfg_mod.load_config(
         preset="rb85-87", overrides=["dark_rate_hz=1e12"]))),
@@ -363,7 +375,7 @@ def test_kernels_agree_on_a_branch_edge():
     # the entries are placed on drawn words instead: a word equal to an entry
     # takes the next branch, and entries below 1/2 need not be multiples of
     # 2^-53, so the words' integer thresholds round up.
-    _, words = rng_mod.run_words(3, 0, 0, 64)
+    _, words = words53(3, 0, 0, 64)
     k = next(w for w in words if w < 2**52)
     for edge in (k * 2.0**-53, (k + 0.5) * 2.0**-53, (k - 0.5) * 2.0**-53):
         engine = SimpleNamespace(max_trials=10, p_click=1.0, branches=[None, None],
@@ -372,6 +384,105 @@ def test_kernels_agree_on_a_branch_edge():
         assert stdlib == numpy_
         assert stdlib.counts == (0, sum(w * 2.0**-53 < edge for w in words),
                                  sum(w * 2.0**-53 >= edge for w in words))
+
+
+BUCKET = 2**45  # the words sharing a top byte: k >> 45, k < 2^53
+
+
+def word_tally(engine, trials, branches):
+    """RunTally of runs given by their 53-bit words, run by run in floats:
+    T = floor(log1p(-u1) / log1p(-p)) + 1, and the branch the number of CDF
+    entries at or below u2, clipped to the last branch (np.searchsorted with
+    side="right", as in _run_batch)."""
+    p, max_trials = engine.p_click, engine.max_trials
+    counts = [0] * (len(engine.branches) + 1)
+    n_trials = trials_sum = trials_sq_sum = 0
+    for k1, k2 in zip(trials, branches):
+        t = math.floor(math.log1p(-k1 * 2.0**-53) / math.log1p(-p)) + 1 if p < 1.0 else 1
+        if t > max_trials:
+            counts[0] += 1
+            n_trials += max_trials
+            continue
+        b = min(bisect.bisect_right(engine.branch_cdf, k2 * 2.0**-53), len(engine.branches) - 1)
+        counts[1 + b] += 1
+        n_trials, trials_sum, trials_sq_sum = n_trials + t, trials_sum + t, trials_sq_sum + t * t
+    return pr.RunTally(tuple(counts), n_trials, trials_sum, trials_sq_sum)
+
+
+def edge_words(thresholds):
+    """Words next to each threshold t (t - 1, t, t + 1) and on the edges of
+    its top-byte bucket and of the neighbouring buckets, below 2^53."""
+    words = set()
+    for t in thresholds:
+        b = t >> 45
+        for edge in ((b - 1) * BUCKET, b * BUCKET, (b + 1) * BUCKET, (b + 2) * BUCKET):
+            words.update((edge - 1, edge))
+        words.update((t - 1, t, t + 1))
+    return sorted(w for w in words if 0 <= w < 2**53)
+
+
+# Trial words whose runs click within max_trials = 50 at p = 0.01 (u < 0.39)
+# and whose runs do not (u > 0.40).
+HIT_WORDS = [0, 1, 2**52 // 3, 2**53 // 3]
+MISS_WORDS = [2**53 - 1, 2**53 - 2**40, 2**52 + 2**51]
+
+
+def check_chunks(monkeypatch, cdf):
+    """The standard-library kernel's tally of three chunks that hold the
+    edge words of the CDF's thresholds as branch words, against word_tally:
+    in the first chunk every run clicks within max_trials, in the second
+    some runs do not, whose words the kernel leaves out of the branch count,
+    and in the third none does."""
+    thresholds = [math.ceil(c * 2.0**53) for c in cdf[:-1]]
+    branches = edge_words(thresholds)
+    n = len(branches)
+    chunks = [[words[i % len(words)] for i in range(n)]
+              for words in (HIT_WORDS, HIT_WORDS + MISS_WORDS, MISS_WORDS)]
+    lanes = b"".join(struct.pack("<4Q", k1 << 11, 0, k2 << 11, 0)
+                     for trials in chunks for k1, k2 in zip(trials, branches))
+    monkeypatch.setattr(rng_mod, "run_words", lambda seed, row, lo, hi: lanes[32 * lo:32 * hi])
+    engine = SimpleNamespace(max_trials=50, p_click=0.01, branches=[None] * len(cdf),
+                             branch_cdf=tuple(cdf))
+    tally = pr._stdlib_kernel(engine)
+    for i, trials in enumerate(chunks):
+        expected = word_tally(engine, trials, branches)
+        assert tally(0, 0, i * n, (i + 1) * n) == expected, i
+        assert [expected.counts[0] == 0, 0 < expected.counts[0] < n, expected.counts[0] == n][i]
+        if i == 0:  # a branch between two distinct thresholds holds words
+            edges = zip([0, *thresholds], [*thresholds, 2**53])
+            assert all(c for c, (lo, hi) in zip(expected.counts[1:], edges) if lo < hi)
+
+
+@pytest.mark.parametrize("bucket", [0, 1, 100, 127, 128, 254, 255])
+def test_stdlib_kernel_counts_words_on_bucket_edges(monkeypatch, bucket):
+    # Thresholds at a bucket's first word, inside it (one that is a multiple
+    # of 2^-53 and, below 1/2, one halfway between two words) and at the next
+    # bucket's first word; words on every edge of those buckets and next to
+    # every threshold, so an off-by-one bucket or threshold moves a count.
+    lo = bucket * BUCKET
+    entries = [lo * 2.0**-53, (lo + 12345) * 2.0**-53, (lo + BUCKET // 2 - 0.5) * 2.0**-53,
+               (lo + BUCKET) * 2.0**-53, 1.0]
+    check_chunks(monkeypatch, sorted({c for c in entries if 0.0 < c <= 1.0}))
+
+
+def test_stdlib_kernel_counts_words_at_the_exact_engine_thresholds(monkeypatch):
+    # The 23 branches of the exact engine at cutoff 10: nine thresholds share
+    # the top byte 246 and six share 255, and seven CDF entries are 1.0, a
+    # threshold of 2^53 that no word reaches.
+    cdf = EXACT_ENGINE.branch_cdf
+    assert len(cdf) == 23
+    thresholds = [math.ceil(c * 2.0**53) for c in cdf[:-1]]
+    assert 2**53 in thresholds and len({t >> 45 for t in thresholds}) < len(thresholds)
+    check_chunks(monkeypatch, cdf)
+
+
+@pytest.mark.parametrize("engine", [pytest.param(PRESET_ENGINE, id="preset"),
+                                    pytest.param(EXACT_ENGINE, id="exactcutoff10")])
+@pytest.mark.parametrize("n_runs", [2**17 - 1, 2**17])
+def test_kernels_give_equal_tallies_at_the_numpy_threshold(engine, n_runs):
+    stdlib, numpy_ = kernel_tallies(engine, 20111105, n_runs, row=7)
+    assert stdlib == numpy_
+    assert sum(stdlib.counts) == n_runs
 
 
 def test_kernels_give_equal_tallies_over_a_million_runs():
