@@ -19,23 +19,24 @@ trials, and sums of T and T^2 over successful runs), so memory does not
 grow with the run count, and aggregate computes one output row from that
 tally, the per-branch false-herald flags and efficiencies, the qubit's
 concurrence and fidelity, and the engine's analytic click probability and
-false fraction.  The engine and aggregate are standard library.  Two
-kernels draw and tally a chunk, to the same RunTally: a standard-library
-one, for invocations of fewer than _NUMPY_RUNS = 2^17 runs in all, which
-then never import numpy, and the numpy one (_run_batch) from there on, where
-importing numpy costs less than the standard-library draw.
+false fraction.  The engine and aggregate are standard library.
 
 The ensemble reset is perfect, so trials are independent and a run's trials
-to its first click are Geometric(p_click): each run draws them with one
-uniform, and its branch with a second, from the two words of a SplitMix64
-counter hash of (master seed, sweep row, run index) (fmesim.rng).  A run's
-draws depend on nothing else, so any partitioning of runs into batches
-produces the same tally; a batch of one run is the single-run path.  The
-write engine is selectable (write_dynamics.write_state): "exact" is the
-closed-form, untruncated evolution of the pair-creation Hamiltonian, whose
-statistics do not depend on the cutoff, and "perturbative" its Taylor
-polynomial, with double excitations when the cutoff allows, so multi-photon
-false heralds are represented.
+to its first click are Geometric(p_click).  Each run draws two 53-bit words
+k1 and k2 (u = k 2^-53) from a SplitMix64 counter hash of (master seed,
+sweep row, run index) (fmesim.rng), and the engine holds the one rule that
+maps them to its result: T = floor(math.log1p(-u1) / log_q) + 1, no success
+when T > max_trials, and the branch is the number of thresholds at or below
+k2.  Two kernels apply it to a chunk, to the same RunTally: a
+standard-library one, for invocations of fewer than _NUMPY_RUNS = 2^17 runs
+in all, which then never import numpy, and the numpy one (_run_batch) from
+there on.  A run's draws depend on nothing else, so any partitioning of
+runs into batches produces the same tally; a batch of one run is the
+single-run path.  The write engine is selectable (write_dynamics.write_state):
+"exact" is the closed-form, untruncated evolution of the pair-creation
+Hamiltonian, whose statistics do not depend on the cutoff, and
+"perturbative" its Taylor polynomial, with double excitations when the
+cutoff allows, so multi-photon false heralds are represented.
 """
 
 from __future__ import annotations
@@ -98,7 +99,11 @@ class ProtocolEngine:
     selection) and its result to (trials used, branch).
 
     p_click is the branch sum capped at 1, which rounding can exceed when
-    the detector is certain to click.
+    the detector is certain to click; log_q = log1p(-p_click), -inf at
+    p_click = 1, where every run clicks on its first trial.  thresholds are
+    ceil(cdf_j 2^53) for every branch but the last: u = k 2^-53 >= cdf_j
+    exactly when k >= ceil(cdf_j 2^53), and a word at or above the last
+    threshold takes the last branch.
     """
 
     def __init__(self, system: SystemParams, detector: DetectorModel, read: ReadParams,
@@ -112,47 +117,44 @@ class ProtocolEngine:
         # fsum, not sum: the builtin is compensated from Python 3.12 on, so its
         # last bit would depend on the interpreter
         total = math.fsum(b.probability for b in self.branches)
-        self.p_click = min(total, 1.0)
+        self.p_click = p = min(total, 1.0)
+        self.log_q = math.log1p(-p) if p < 1.0 else -math.inf
         # every listed branch has a positive weight, so total > 0 unless there are none
-        self.branch_cdf = tuple(itertools.accumulate(b.probability / total for b in self.branches))
+        cdf = itertools.accumulate(b.probability / total for b in self.branches)
+        self.thresholds = tuple(math.ceil(c * 2.0**53) for c in cdf)[:-1]
         false = math.fsum(b.probability for b in self.branches if b.false_herald)
         self.false_fraction = false / total if total > 0.0 else 0.0
         self.spin = herald_mod.heralded_spin(self.write_state)
         self.qubit: FmeQubitState = retrieval_mod.retrieve_fme(self.spin, read)
 
 
-def _run_batch(engine: ProtocolEngine, seed: int, row: int, run_lo: int, run_hi: int,
-               cdf=None):
-    """Repeat-until-success for the runs run_lo .. run_hi - 1.
+def _run_batch(engine: ProtocolEngine, seed: int, row: int, run_lo: int, run_hi: int):
+    """Repeat-until-success for the runs run_lo .. run_hi - 1, by the engine's
+    rule (module docstring).  Returns two numpy arrays: trials_used (int64)
+    and branch (int16, -1 for no click within max_trials).
 
-    Returns two numpy arrays: trials_used (int64) and branch (int16, -1 for
-    no click within max_trials).  A run's trials to its first click, T, come
-    from its first uniform u by inverting P(T > t) = (1 - p_click)^t; a run
-    with T above max_trials has no success.  Its second uniform picks the
-    branch from the branch CDF, cdf (engine.branch_cdf as an array, which
-    the caller converts once; converted here if not given).
+    numpy's log1p can differ from math.log1p in the last bit, which moves T
+    only if the quotient lies within a few ulp of an integer, so quotients
+    within max_trials 2^-40 of an integer in [1, max_trials] are taken again
+    with math.log1p.  u = k 2^-53 is compared with thresholds 2^-53, exactly.
     """
     import numpy as np
 
     from .rng import run_uniforms
 
-    max_trials = engine.max_trials
-    p = engine.p_click
-    trials_used = np.full(run_hi - run_lo, max_trials, dtype=np.int64)
-    branch = np.full(run_hi - run_lo, -1, dtype=np.int16)
-    if p == 0.0:  # never clicks
-        return trials_used, branch
+    max_trials, log_q = engine.max_trials, engine.log_q
     u = run_uniforms(seed, row, np.arange(run_lo, run_hi, dtype=np.uint64))
-    if p < 1.0:
-        t = np.floor(np.log1p(-u[:, 0]) / math.log1p(-p)) + 1.0
-    else:  # clicks on the first trial
-        t = np.ones(run_hi - run_lo)
-    hit = t <= max_trials
-    trials_used[hit] = t[hit]
-    cdf = np.asarray(engine.branch_cdf) if cdf is None else cdf
-    picked = np.searchsorted(cdf, u[:, 1][hit], side="right")
-    branch[hit] = np.minimum(picked, len(engine.branches) - 1)
-    return trials_used, branch
+    # p_click = 0: log_q = -0.0 makes every quotient +inf (NaN at u = 0), no click
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = np.log1p(-u[:, 0]) / log_q
+        near = np.abs(q - np.rint(q)) <= max_trials * 2.0**-40
+    if near.any():  # the integer is in [1, max_trials] when q is in [0.5, max_trials + 0.5)
+        near = np.flatnonzero(near & (q >= 0.5) & (q < max_trials + 0.5))
+        q[near] = [math.log1p(-x) / log_q for x in u[near, 0].tolist()]
+    trials_used = np.fmin(np.floor(q) + 1.0, max_trials)  # fmin takes max_trials over NaN
+    thresholds = np.array(engine.thresholds, dtype=float) * 2.0**-53
+    branch = np.where(q < max_trials, np.searchsorted(thresholds, u[:, 1], side="right"), -1)
+    return trials_used.astype(np.int64), branch.astype(np.int16)
 
 
 class RunTally(NamedTuple):
@@ -168,14 +170,13 @@ class RunTally(NamedTuple):
 
 def _numpy_kernel(engine: ProtocolEngine):
     """The tally of runs lo .. hi - 1 from _run_batch's arrays, as a function
-    of (seed, row, lo, hi), with the branch CDF converted to an array once."""
+    of (seed, row, lo, hi)."""
     import numpy as np
 
-    cdf = np.asarray(engine.branch_cdf)
     size = len(engine.branches) + 1
 
     def tally(seed: int, row: int, lo: int, hi: int) -> RunTally:
-        trials_used, branch = _run_batch(engine, seed, row, lo, hi, cdf)
+        trials_used, branch = _run_batch(engine, seed, row, lo, hi)
         won = trials_used[branch >= 0]
         # T <= 2^32, so T^2 overflows int64: square T = t1 2^16 + t0 by parts
         t1, t0 = won >> 16, won & 0xFFFF
@@ -188,57 +189,43 @@ def _numpy_kernel(engine: ProtocolEngine):
 
 def _stdlib_kernel(engine: ProtocolEngine):
     """The numpy kernel's tally, from the words of rng.run_words with math and
-    C-level map, sum and bytes methods.  A word y = k 2^11 gives the uniform
-    u = y 2^-64 = k 2^-53 exactly, so T = floor(log1p(-u) / log1p(-p)) + 1 as
-    in _run_batch, and T <= max_trials exactly when the quotient is below
-    max_trials.  The quotient is >= 0, so truncation gives its floor f, and
-    the sums over the successful runs are sum T = sum f + n and
-    sum T^2 = sum f^2 + 2 sum f + n in Python ints, which do not overflow.
-    math.log1p and numpy's log1p can differ in the last bit (numpy 2.4 on an
-    AVX-512 CPU: about 7% of uniforms), which moves T only if the quotient
-    lies within an ulp of an integer.
+    C-level map, sum and bytes methods.  A word y = k 2^11 is the uniform
+    u = y 2^-64 exactly, so its quotient math.log1p(-u) / log_q is the one
+    that defines T, and T <= max_trials exactly when it is below max_trials.
+    The quotient is >= 0, so truncation gives its floor f, and the sums over
+    the successful runs are sum T = sum f + n and sum T^2 = sum f^2 +
+    2 sum f + n in Python ints, which do not overflow.
 
-    The branch is the number of CDF entries at or below u, clipped to the
-    last branch; u >= cdf_j exactly when k >= t_j = ceil(cdf_j 2^53), since
-    scaling by 2^53 is exact, so each branch counts the successful runs'
-    words between two integer thresholds.  The words at or above t_j are
-    counted without a sort: those whose top byte (k >> 45) is above t_j's,
-    by deleting the lower bytes from a bytes object of the words' top bytes,
-    plus those that share t_j's top byte and are >= t_j, compared one by one
-    (16 words per threshold in a chunk of 4096 runs, on average)."""
+    A branch counts the successful runs' words between two thresholds.  The
+    words at or above a threshold t are counted without a sort: those whose
+    top byte (k >> 45) is above t's, by deleting the lower bytes from a bytes
+    object of the words' top bytes, plus those that share t's top byte and
+    are >= t 2^11, compared one by one (16 words per threshold in a chunk of
+    4096 runs, on average)."""
     from .rng import run_words
 
-    max_trials, p = engine.max_trials, engine.p_click
-    n_branches = len(engine.branches)
-    # (threshold as a word, its top byte, the bytes 0 .. that top byte); the
-    # last CDF entry is dropped: a word at or above it is clipped to the last
-    # branch.  A threshold at or above 2^53, which no word reaches, takes the
-    # top byte 255 and deletes every byte.
+    max_trials, log_q = engine.max_trials, engine.log_q
+    # (threshold as a word, its top byte, the bytes 0 .. that top byte); a
+    # threshold at or above 2^53, which no word reaches, takes the top byte
+    # 255 and deletes every byte.
     thresholds = []
-    for c in engine.branch_cdf[:-1]:
-        t = math.ceil(c * 2.0**53)
+    for t in engine.thresholds:
         top = min(t >> 45, 255)
         thresholds.append((t << 11, top, bytes(range(top + 1))))
-    log_q = math.log1p(-p) if p < 1.0 else math.nan
     below_budget = float(max_trials).__gt__
 
     def tally(seed: int, row: int, lo: int, hi: int) -> RunTally:
         n = hi - lo
-        if p == 0.0:  # never clicks
-            return RunTally((n,) + (0,) * n_branches, n * max_trials, 0, 0)
         lanes = run_words(seed, row, lo, hi)
         words = memoryview(lanes).cast("Q")  # word w of run j is item 4 j + 2 w
         branch_words, tops = words[2::4], lanes[23::32]  # tops: each word's top byte
-        if p < 1.0:
-            u = map(mul, itertools.repeat(-2.0**-64), words[0::4].tolist())  # -u, exactly
-            quotients = list(map(truediv, map(math.log1p, u), itertools.repeat(log_q)))
-            if max(quotients) >= max_trials:  # keep the runs that click in time
-                hit = list(map(below_budget, quotients))
-                quotients = itertools.compress(quotients, hit)
-                branch_words = list(itertools.compress(branch_words, hit))
-                tops = bytes(itertools.compress(tops, hit))
-        else:  # clicks on the first trial: f = 0 for every run
-            quotients = []
+        u = map(mul, itertools.repeat(-2.0**-64), words[0::4].tolist())  # -u, exactly
+        quotients = list(map(truediv, map(math.log1p, u), itertools.repeat(log_q)))
+        if max(quotients) >= max_trials:  # keep the runs that click in time
+            hit = list(map(below_budget, quotients))
+            quotients = itertools.compress(quotients, hit)
+            branch_words = list(itertools.compress(branch_words, hit))
+            tops = bytes(itertools.compress(tops, hit))
         floors = list(map(math.trunc, quotients))
         n_hit = len(tops)
         below = []
@@ -270,7 +257,10 @@ def run_protocol(engine: ProtocolEngine, seed: int, n_runs: int, row: int = 0,
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
     total_runs = n_runs if total_runs is None else total_runs
-    tally_runs = (_numpy_kernel if total_runs >= _NUMPY_RUNS else _stdlib_kernel)(engine)
+    kernel = _numpy_kernel if total_runs >= _NUMPY_RUNS else _stdlib_kernel
+    # p_click = 0 (log_q = -0.0) only when there is no branch: no run clicks
+    tally_runs = kernel(engine) if engine.p_click else (
+        lambda seed, row, lo, hi: RunTally((hi - lo,), (hi - lo) * engine.max_trials, 0, 0))
     counts = [0] * (len(engine.branches) + 1)
     n_trials = trials_sum = trials_sq_sum = 0
     for lo in range(0, n_runs, _RUN_CHUNK):

@@ -404,6 +404,34 @@ def test_sweep_dark_rates(tmp_path):
     assert analytic[0] > analytic[1] > analytic[2]
 
 
+def test_sweep_row_on_the_numpy_kernel_equals_protocol_on_the_standard_library(tmp_path,
+                                                                             monkeypatch):
+    # Two sweep rows of 65,536 runs hold 2^17 runs in all, so cli._run_rows
+    # has the numpy kernel draw row 0; protocol draws the same runs (row 0,
+    # same seed) with the standard-library kernel.  The statistics agree.
+    drawn = []
+
+    def spy(name):
+        kernel = getattr(pr, name)
+        return lambda engine: drawn.append(name) or kernel(engine)
+
+    for name in ("_numpy_kernel", "_stdlib_kernel"):
+        monkeypatch.setattr(pr, name, spy(name))
+    rows, kernels = {}, {}
+    for command, axes in (("sweep", ["--sweep", "eta=0.6,0.5"]), ("protocol", [])):
+        drawn.clear()
+        out = tmp_path / f"{command}.json"
+        assert run_cli(command, "--preset", "rb85-87", "--seed", "7", "--runs", "65536",
+                       "--format", "json", *axes, "--out", str(out)) == 0
+        rows[command] = json.loads(out.read_text())["results"][0]
+        kernels[command] = set(drawn)
+    assert kernels == {"sweep": {"_numpy_kernel"}, "protocol": {"_stdlib_kernel"}}
+    assert rows["sweep"]["config"] == rows["protocol"]["config"]  # eta = 0.6 in both
+    stats = pr.ProtocolStats._fields
+    assert {k: rows["sweep"][k] for k in stats} == {k: rows["protocol"][k] for k in stats}
+    assert rows["protocol"]["n_runs"] == 65536 and 0 < rows["protocol"]["n_success"]
+
+
 def test_bad_config_exits_2(capsys):
     assert run_cli("protocol", "--preset", "rb85-87", "--set", "eta=2.0") == 2
     assert "eta" in capsys.readouterr().err

@@ -9,7 +9,9 @@ product in the mean occupation and np.cumsum for the branch CDF.  numpy's
 vectorised cosh, pow and norm do not round as libm and a sequential sum do,
 so the two may differ in the last bits; every field must agree to within
 4 ulp and in type (a float printed as 0 is not 0.0), and every branch label
-exactly.
+exactly.  The engine's branch thresholds ceil(cdf_j 2^53), scaled by 2^-53,
+must agree with the reference CDF to within 4 ulp plus the 2^-53 that the
+ceiling adds.
 """
 
 import math
@@ -23,9 +25,9 @@ from fmesim import write_dynamics as wd
 MAX_ULP = 4
 
 
-def agree(a: float, b: float) -> bool:
-    """Equal, or within MAX_ULP spacings of the larger magnitude."""
-    return a == b or abs(a - b) <= MAX_ULP * np.spacing(max(abs(a), abs(b)))
+def agree(a: float, b: float, slack: float = 0.0) -> bool:
+    """Equal, or within MAX_ULP spacings of the larger magnitude plus slack."""
+    return a == b or abs(a - b) <= MAX_ULP * np.spacing(max(abs(a), abs(b))) + slack
 
 
 def reference_chain(rates, engine, cutoff):
@@ -73,7 +75,7 @@ def reference_engine(cfg):
         "tail_ratio": lam,
         "mean_occupation": mean_occupation,
         "branches": branches,
-        "branch_cdf": cdf.tolist(),
+        "thresholds": cdf[:-1].tolist(),
         "p_click": min(total, 1.0),
         "false_fraction": false / total if total > 0.0 else 0.0,
     }
@@ -86,7 +88,7 @@ def engine_fields(engine):
         "tail_ratio": state.tail_ratio,
         "mean_occupation": state.mean_occupation(),
         "branches": [(b.kind, b.n_photons, b.probability) for b in engine.branches],
-        "branch_cdf": list(engine.branch_cdf),
+        "thresholds": [t * 2.0**-53 for t in engine.thresholds],
         "p_click": engine.p_click,
         "false_fraction": engine.false_fraction,
     }
@@ -102,9 +104,9 @@ def floats(name, value):
     elif name == "branches":
         for kind, n, w in value:
             yield f"branch {kind} {n}", w
-    elif name == "branch_cdf":
+    elif name == "thresholds":
         for i, x in enumerate(value):
-            yield f"branch_cdf[{i}]", x
+            yield f"thresholds[{i}]", x
     else:
         yield name, value
 
@@ -129,8 +131,9 @@ def assert_agree(cfg):
     for name in want:
         new, ref = list(floats(name, got[name])), list(floats(name, want[name]))
         assert [label for label, _ in new] == [label for label, _ in ref], name
+        slack = 2.0**-53 if name == "thresholds" else 0.0
         for (label, a), (_, b) in zip(new, ref):
-            assert type(a) is type(b) and agree(a, b), (label, a, b)
+            assert type(a) is type(b) and agree(a, b, slack), (label, a, b)
     return engine
 
 

@@ -3,6 +3,7 @@ brute-force POVM oracles and the grid collapse of the three-mode Fock
 oracle, and the conditional states against a dense density-matrix
 computation."""
 
+import bisect
 import math
 import warnings
 
@@ -18,7 +19,7 @@ from fmesim import retrieval as rt
 from fmesim import write_dynamics as wd
 from fmesim.herald import DetectorModel
 from fmesim.retrieval import ReadParams
-from test_protocol import branch_yield
+from test_protocol import branch_cdf, branch_yield
 
 
 def fixture_state(p_i=0.1, p_ii=0.1, cutoff=2, order=1):
@@ -259,11 +260,17 @@ def test_click_probability_equals_branch_sum():
 
 
 def test_branch_selector_walks_cdf():
+    # the midpoint of each branch's share of the CDF, as a uniform and as the
+    # 53-bit word below it, picks that branch from the CDF and from the
+    # engine's thresholds ceil(cdf_j 2^53)
     engine = fixture_engine(0.1, 0.1, FIXTURE_DETECTOR, cutoff=2)
+    cdf = branch_cdf(engine.branches)
+    assert engine.thresholds == tuple(math.ceil(c * 2.0**53) for c in cdf[:-1])
     acc = 0.0
     for i, branch in enumerate(engine.branches):
         mid = acc + branch.probability / engine.p_click / 2.0
-        assert np.searchsorted(engine.branch_cdf, mid, side="right") == i
+        assert np.searchsorted(cdf, mid, side="right") == i
+        assert bisect.bisect_right(engine.thresholds, math.floor(mid * 2.0**53)) == i
         acc += branch.probability / engine.p_click
 
 

@@ -3,6 +3,7 @@ the batched run loop against a per-run loop, chunking independence, and
 aggregate statistics against exact rational arithmetic."""
 
 import bisect
+import itertools
 import math
 import struct
 from fractions import Fraction
@@ -45,6 +46,23 @@ def table(branches, qubit):
     branch table and its qubit (the analytic numbers are not tested here)."""
     return SimpleNamespace(branches=branches, qubit=qubit, p_click=math.nan,
                            false_fraction=math.nan)
+
+
+def branch_cdf(branches):
+    """The CDF of the click branches, derived here from their weights as
+    ProtocolEngine sums them (fsum), so it checks the engine's thresholds."""
+    total = math.fsum(b.probability for b in branches)
+    return list(itertools.accumulate(b.probability / total for b in branches))
+
+
+def fake_engine(branches, p_click, max_trials):
+    """An engine stand-in holding what the kernels read: the thresholds
+    ceil(cdf_j 2^53) of every branch but the last and log_q = log1p(-p_click),
+    -inf at p_click = 1."""
+    return SimpleNamespace(
+        branches=branches, p_click=p_click, max_trials=max_trials,
+        thresholds=tuple(math.ceil(c * 2.0**53) for c in branch_cdf(branches)[:-1]),
+        log_q=math.log1p(-p_click) if p_click < 1.0 else -math.inf)
 
 
 def branch_yield(branches, qubit, i):
@@ -213,7 +231,7 @@ def per_run_oracle(engine, seed, row, n_runs):
     second."""
     max_trials = engine.max_trials
     p = engine.p_click
-    cdf = list(engine.branch_cdf)
+    cdf = branch_cdf(engine.branches)
     trials_used, branch = [], []
     for run in range(n_runs):
         u_trials, u_branch = uniforms_reference(seed, row, run)
@@ -378,12 +396,91 @@ def test_kernels_agree_on_a_branch_edge():
     _, words = words53(3, 0, 0, 64)
     k = next(w for w in words if w < 2**52)
     for edge in (k * 2.0**-53, (k + 0.5) * 2.0**-53, (k - 0.5) * 2.0**-53):
-        engine = SimpleNamespace(max_trials=10, p_click=1.0, branches=[None, None],
-                                 branch_cdf=(edge, 1.0))
+        branches = [HeraldBranch("photon", 1, edge), HeraldBranch("photon", 1, 1.0 - edge)]
+        assert branch_cdf(branches) == [edge, 1.0]
+        engine = fake_engine(branches, 1.0, 10)
         stdlib, numpy_ = kernel_tallies(engine, 3, 64)
         assert stdlib == numpy_
         assert stdlib.counts == (0, sum(w * 2.0**-53 < edge for w in words),
                                  sum(w * 2.0**-53 >= edge for w in words))
+
+
+def feed_words(monkeypatch, first, second):
+    """Make run r of every seed and row draw the 53-bit words first[r] and
+    second[r], in rng.run_uniforms (the numpy kernel's draw) and in
+    rng.run_words (the standard-library kernel's)."""
+    lanes = b"".join(struct.pack("<4Q", k1 << 11, 0, k2 << 11, 0) for k1, k2 in zip(first, second))
+    uniforms = np.array([first, second], dtype=float).T * 2.0**-53
+    monkeypatch.setattr(rng_mod, "run_words", lambda seed, row, lo, hi: lanes[32 * lo:32 * hi])
+    monkeypatch.setattr(rng_mod, "run_uniforms",
+                        lambda seed, row, runs: uniforms[np.asarray(runs, dtype=np.intp)])
+
+
+def near_integer_words(p, max_trials):
+    """First words k = round(2^53 (1 - (1 - p)^t)) + d for d in -2 .. 2, whose
+    quotients log1p(-k 2^-53) / log1p(-p) lie next to t, for t in 1, 2, 17,
+    max_trials - 1, max_trials and max_trials + 1.  (1 - p)^t is taken as
+    exp(t log1p(-p)): rounding 1 - p first would move k by up to
+    t (1 - p)^t / 2, past the five words."""
+    ts = (1, 2, 17, max_trials - 1, max_trials, max_trials + 1)
+    return {t: [round(-2.0**53 * math.expm1(t * math.log1p(-p))) + d for d in range(-2, 3)]
+            for t in ts}
+
+
+# Two branches, so that each run's second word picks one of them.
+TWO_BRANCHES = [HeraldBranch("photon", 1, 0.25), HeraldBranch("dark", 0, 0.75)]
+
+
+@pytest.mark.parametrize("p, max_trials", [
+    (0.01, 50), (0.3, 20), (0.5, 20), (PRESET_ENGINE.p_click, 100), (1e-4, 3000)])
+def test_kernels_take_trials_from_math_log1p_next_to_an_integer(monkeypatch, p, max_trials):
+    # T = floor(math.log1p(-u) / math.log1p(-p)) + 1 for every run, from
+    # either kernel, at first words whose quotients straddle each t,
+    # max_trials included, one run per tally
+    words = near_integer_words(p, max_trials)
+    first = [k for ks in words.values() for k in ks]
+    second = [k * 7919 % 2**53 for k in first]
+    assert all(0 < k < 2**53 for k in first)
+    feed_words(monkeypatch, first, second)
+    engine = fake_engine(TWO_BRANCHES, p, max_trials)
+    kernels = {"stdlib": pr._stdlib_kernel(engine), "numpy": pr._numpy_kernel(engine)}
+    for t, ks in words.items():  # the words straddle t
+        trials = {math.floor(math.log1p(-k * 2.0**-53) / math.log1p(-p)) + 1 for k in ks}
+        assert trials == {t, t + 1}, t
+    for run, (k1, k2) in enumerate(zip(first, second)):
+        t = math.floor(math.log1p(-k1 * 2.0**-53) / math.log1p(-p)) + 1
+        expected = word_tally(engine, [k1], [k2])
+        assert expected.counts[0] == (t > max_trials)
+        assert expected.trials_sum == (t if t <= max_trials else 0)
+        for name, tally in kernels.items():
+            assert tally(0, 0, run, run + 1) == expected, (name, t, k1)
+
+
+@pytest.mark.parametrize("direction", [math.inf, -math.inf])
+def test_numpy_kernel_does_not_depend_on_the_last_bit_of_log1p(monkeypatch, direction):
+    # np.log1p one ulp off changes no T: a quotient that the nudge moves
+    # across an integer lies within max_trials 2^-40 of it, where _run_batch
+    # takes math.log1p instead
+    p, max_trials = PRESET_ENGINE.p_click, 100
+    first = [k for ks in near_integer_words(p, max_trials).values() for k in ks]
+    second = [k * 7919 % 2**53 for k in first]
+    feed_words(monkeypatch, first, second)
+    engine = fake_engine(TWO_BRANCHES, p, max_trials)
+    stdlib = pr._stdlib_kernel(engine)
+    log1p = np.log1p
+
+    def nudged(x):
+        return np.nextafter(log1p(x), direction)
+
+    u = np.array(first) * 2.0**-53
+    moved = np.floor(nudged(-u) / engine.log_q) != [math.floor(math.log1p(-x) / engine.log_q)
+                                                   for x in u.tolist()]
+    assert moved.any()  # the nudge moves a quotient across an integer
+    monkeypatch.setattr(np, "log1p", nudged)
+    numpy_ = pr._numpy_kernel(engine)
+    assert numpy_(0, 0, 0, len(first)) == stdlib(0, 0, 0, len(first))
+    for run in range(len(first)):
+        assert numpy_(0, 0, run, run + 1) == stdlib(0, 0, run, run + 1), run
 
 
 BUCKET = 2**45  # the words sharing a top byte: k >> 45, k < 2^53
@@ -395,6 +492,7 @@ def word_tally(engine, trials, branches):
     entries at or below u2, clipped to the last branch (np.searchsorted with
     side="right", as in _run_batch)."""
     p, max_trials = engine.p_click, engine.max_trials
+    cdf = branch_cdf(engine.branches)
     counts = [0] * (len(engine.branches) + 1)
     n_trials = trials_sum = trials_sq_sum = 0
     for k1, k2 in zip(trials, branches):
@@ -403,7 +501,7 @@ def word_tally(engine, trials, branches):
             counts[0] += 1
             n_trials += max_trials
             continue
-        b = min(bisect.bisect_right(engine.branch_cdf, k2 * 2.0**-53), len(engine.branches) - 1)
+        b = min(bisect.bisect_right(cdf, k2 * 2.0**-53), len(engine.branches) - 1)
         counts[1 + b] += 1
         n_trials, trials_sum, trials_sq_sum = n_trials + t, trials_sum + t, trials_sq_sum + t * t
     return pr.RunTally(tuple(counts), n_trials, trials_sum, trials_sq_sum)
@@ -427,13 +525,14 @@ HIT_WORDS = [0, 1, 2**52 // 3, 2**53 // 3]
 MISS_WORDS = [2**53 - 1, 2**53 - 2**40, 2**52 + 2**51]
 
 
-def check_chunks(monkeypatch, cdf):
+def check_chunks(monkeypatch, click_branches):
     """The standard-library kernel's tally of three chunks that hold the
-    edge words of the CDF's thresholds as branch words, against word_tally:
-    in the first chunk every run clicks within max_trials, in the second
-    some runs do not, whose words the kernel leaves out of the branch count,
-    and in the third none does."""
-    thresholds = [math.ceil(c * 2.0**53) for c in cdf[:-1]]
+    edge words of the branches' thresholds as branch words, against
+    word_tally: in the first chunk every run clicks within max_trials, in the
+    second some runs do not, whose words the kernel leaves out of the branch
+    count, and in the third none does."""
+    engine = fake_engine(click_branches, 0.01, 50)
+    thresholds = engine.thresholds
     branches = edge_words(thresholds)
     n = len(branches)
     chunks = [[words[i % len(words)] for i in range(n)]
@@ -441,8 +540,6 @@ def check_chunks(monkeypatch, cdf):
     lanes = b"".join(struct.pack("<4Q", k1 << 11, 0, k2 << 11, 0)
                      for trials in chunks for k1, k2 in zip(trials, branches))
     monkeypatch.setattr(rng_mod, "run_words", lambda seed, row, lo, hi: lanes[32 * lo:32 * hi])
-    engine = SimpleNamespace(max_trials=50, p_click=0.01, branches=[None] * len(cdf),
-                             branch_cdf=tuple(cdf))
     tally = pr._stdlib_kernel(engine)
     for i, trials in enumerate(chunks):
         expected = word_tally(engine, trials, branches)
@@ -462,18 +559,22 @@ def test_stdlib_kernel_counts_words_on_bucket_edges(monkeypatch, bucket):
     lo = bucket * BUCKET
     entries = [lo * 2.0**-53, (lo + 12345) * 2.0**-53, (lo + BUCKET // 2 - 0.5) * 2.0**-53,
                (lo + BUCKET) * 2.0**-53, 1.0]
-    check_chunks(monkeypatch, sorted({c for c in entries if 0.0 < c <= 1.0}))
+    cdf = sorted({c for c in entries if 0.0 < c <= 1.0})
+    branches = [HeraldBranch("photon", 1, b - a) for a, b in zip([0.0, *cdf], cdf)]
+    assert branch_cdf(branches) == cdf  # the weights' CDF is the entries, exactly
+    check_chunks(monkeypatch, branches)
 
 
 def test_stdlib_kernel_counts_words_at_the_exact_engine_thresholds(monkeypatch):
     # The 23 branches of the exact engine at cutoff 10: nine thresholds share
     # the top byte 246 and six share 255, and seven CDF entries are 1.0, a
     # threshold of 2^53 that no word reaches.
-    cdf = EXACT_ENGINE.branch_cdf
+    cdf = branch_cdf(EXACT_ENGINE.branches)
     assert len(cdf) == 23
-    thresholds = [math.ceil(c * 2.0**53) for c in cdf[:-1]]
+    thresholds = EXACT_ENGINE.thresholds
+    assert thresholds == tuple(math.ceil(c * 2.0**53) for c in cdf[:-1])
     assert 2**53 in thresholds and len({t >> 45 for t in thresholds}) < len(thresholds)
-    check_chunks(monkeypatch, cdf)
+    check_chunks(monkeypatch, EXACT_ENGINE.branches)
 
 
 @pytest.mark.parametrize("engine", [pytest.param(PRESET_ENGINE, id="preset"),
@@ -574,9 +675,9 @@ def tally(monkeypatch):
     def streamed(trials_used, branch, branches):
         trials_used = np.asarray(trials_used, dtype=np.int64)
         branch = np.asarray(branch, dtype=np.int16)
-        monkeypatch.setattr(pr, "_run_batch", lambda engine, seed, row, lo, hi, cdf:
+        monkeypatch.setattr(pr, "_run_batch", lambda engine, seed, row, lo, hi:
                             (trials_used[lo:hi], branch[lo:hi]))
-        engine = SimpleNamespace(branches=branches, branch_cdf=())
+        engine = fake_engine(branches, 0.5, int(trials_used.max()))
         result = pr.run_protocol(engine, 0, len(branch), total_runs=pr._NUMPY_RUNS)
         assert result == reference_tally(trials_used, branch, len(branches))
         return result
