@@ -256,15 +256,19 @@ def _run_rows(args, command: str, cfg: ResolvedConfig, points) -> int:
     overrides of cfg; row i keys the random streams), written as one csv or
     json table; returns how many rows had no success.  Every point is
     resolved and every row's engine built before the first run is drawn, so
-    a rejection in any row exits before any Monte Carlo, and the runs of all
-    rows together choose run_protocol's draw kernel.  Each row is then
-    run and formatted at once, and the table is written once, after the
-    last row, so a failed run writes nothing."""
+    a rejection in any row exits before any Monte Carlo.  protocol.run_rows
+    draws all rows at once: their runs in all choose the draw kernel and,
+    below 2^17 runs, the number of processes drawing.  Each row is
+    formatted as its tally arrives (in one process, as it is drawn), and the
+    table is written once, after the last row, so a failed run writes
+    nothing."""
     row_cfgs = [cfg_mod.with_overrides(cfg, point) for point in points]
-    from .protocol import ProtocolStats, aggregate, run_protocol
+    from .protocol import ProtocolStats, aggregate, run_rows
 
     engines = [_engine(row_cfg) for row_cfg in row_cfgs]
-    total_runs = sum(row_cfg.values["runs"] for row_cfg in row_cfgs)  # picks the draw kernel
+    tallies = run_rows(engines, args.seed, [row_cfg.values["runs"] for row_cfg in row_cfgs],
+                       lambda i: _progress(f"sweep row {i + 1}/{len(engines)}"
+                                           if command == "sweep" else command))
     meta = _metadata(command, cfg, args.seed)
     buf, tail = io.StringIO(), ""
     if args.format == "json":
@@ -279,10 +283,7 @@ def _run_rows(args, command: str, cfg: ResolvedConfig, points) -> int:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["row", *config_keys, *ProtocolStats._fields])
     failed = 0
-    for i, (row_cfg, engine) in enumerate(zip(row_cfgs, engines)):
-        label = f"sweep row {i + 1}/{len(engines)}" if command == "sweep" else command
-        tally = run_protocol(engine, args.seed, row_cfg.values["runs"], row=i,
-                             progress=_progress(label), total_runs=total_runs)
+    for i, (row_cfg, engine, tally) in enumerate(zip(row_cfgs, engines, tallies)):
         stats = aggregate(tally, engine)
         failed += stats.n_success == 0
         values = row_cfg.serializable_values()
@@ -382,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--runs", type=int, default=None, help="Monte Carlo run count")
     mc.add_argument(
         "--workers", type=int, default=1,
-        help="ignored: runs are drawn serially (kept for scripts that pass it; must be >= 1)",
+        help="ignored: the process count follows the run count and the CPUs available",
     )
     mc.add_argument(
         "--format", choices=("csv", "json"), default="csv", help="output format"

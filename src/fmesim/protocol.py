@@ -32,7 +32,10 @@ standard-library one, for invocations of fewer than _NUMPY_RUNS = 2^17 runs
 in all, which then never import numpy, and the numpy one (_run_batch) from
 there on.  A run's draws depend on nothing else, so any partitioning of
 runs into batches produces the same tally; a batch of one run is the
-single-run path.  The write engine is selectable (write_dynamics.write_state):
+single-run path.  run_rows draws every row of an invocation: below
+_NUMPY_RUNS it splits the rows' chunks across one forked process per 2^15
+runs, at most one per CPU, and adds the parts' tallies; from there on one
+process draws them with numpy.  The write engine is selectable (write_dynamics.write_state):
 "exact" is the closed-form, untruncated evolution of the pair-creation
 Hamiltonian, whose statistics do not depend on the cutoff, and
 "perturbative" its Taylor polynomial, with double excitations when the
@@ -41,9 +44,12 @@ cutoff allows, so multi-photon false heralds are represented.
 
 from __future__ import annotations
 
+import gc
 import itertools
+import marshal
 import math
-from operator import add, mul, sub, truediv
+import os
+from operator import itemgetter, mul, sub, truediv
 from typing import NamedTuple
 
 from . import herald as herald_mod
@@ -65,6 +71,11 @@ _RUN_CHUNK = 4096
 # and 14 MB, which the standard-library draw (about 0.7 us per run against
 # numpy's 0.07 us) overtakes between 131,071 and 200,000 runs (README).
 _NUMPY_RUNS = 1 << 17
+
+# Runs per drawing process below _NUMPY_RUNS: 10^5 runs split in two took
+# 15-17 ms in process against 27-29 ms in one, so a child costs about 2 ms of
+# wall time, which a part of 2^15 runs (about 9 ms to draw) repays.
+_FORK_RUNS = 1 << 15
 
 
 class ProtocolStats(NamedTuple):
@@ -245,11 +256,19 @@ def _stdlib_kernel(engine: ProtocolEngine):
     return tally
 
 
+def _sum(tallies) -> RunTally:
+    """The tally of the runs of all the given tallies, which may be plain tuples."""
+    counts, n_trials, trials_sum, trials_sq_sum = zip(*tallies)
+    return RunTally(tuple(map(sum, zip(*counts))), sum(n_trials), sum(trials_sum),
+                    sum(trials_sq_sum))
+
+
 def run_protocol(engine: ProtocolEngine, seed: int, n_runs: int, row: int = 0,
-                 progress=None, total_runs: int | None = None) -> RunTally:
-    """The tally of all runs for one configuration, drawn serially and tallied
-    one chunk of _RUN_CHUNK runs at a time; progress(runs_done, n_runs), if
-    given, is called after each chunk (reporting only).
+                 progress=None, total_runs: int | None = None, first: int = 0) -> RunTally:
+    """The tally of runs first .. n_runs - 1 of one configuration, drawn
+    serially and tallied one chunk of _RUN_CHUNK runs at a time;
+    progress(runs_done, n_runs), if given, is called after each chunk
+    (reporting only).
 
     total_runs is the run count of the whole invocation (n_runs if not
     given): below _NUMPY_RUNS the standard-library kernel draws, from there
@@ -261,18 +280,128 @@ def run_protocol(engine: ProtocolEngine, seed: int, n_runs: int, row: int = 0,
     # p_click = 0 (log_q = -0.0) only when there is no branch: no run clicks
     tally_runs = kernel(engine) if engine.p_click else (
         lambda seed, row, lo, hi: RunTally((hi - lo,), (hi - lo) * engine.max_trials, 0, 0))
-    counts = [0] * (len(engine.branches) + 1)
-    n_trials = trials_sum = trials_sq_sum = 0
-    for lo in range(0, n_runs, _RUN_CHUNK):
+    tally = RunTally((0,) * (len(engine.branches) + 1), 0, 0, 0)
+    for lo in range(first, n_runs, _RUN_CHUNK):
         hi = min(lo + _RUN_CHUNK, n_runs)
-        part = tally_runs(seed, row, lo, hi)
-        counts = list(map(add, counts, part.counts))
-        n_trials += part.n_trials
-        trials_sum += part.trials_sum
-        trials_sq_sum += part.trials_sq_sum
+        tally = _sum((tally, tally_runs(seed, row, lo, hi)))
         if progress is not None:
             progress(hi, n_runs)
-    return RunTally(tuple(counts), n_trials, trials_sum, trials_sq_sum)
+    return tally
+
+
+def _process_count(total_runs: int) -> int:
+    """How many processes draw an invocation of total_runs runs: one per
+    _FORK_RUNS runs, at most one per CPU this process may run on, while the
+    standard-library kernel draws; one from _NUMPY_RUNS runs on, and where
+    the CPU set cannot be read."""
+    if total_runs >= _NUMPY_RUNS or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), total_runs // _FORK_RUNS))
+
+
+def _part(runs: list[int], start: int, stop: int):
+    """(row, lo, hi) for each row's runs lo .. hi - 1 among chunks start ..
+    stop - 1, the rows' chunks of _RUN_CHUNK runs counted in row order."""
+    first = 0  # the row's first chunk
+    for row, n_runs in enumerate(runs):
+        end = first - (-n_runs // _RUN_CHUNK)
+        lo, hi = max(start, first), min(stop, end)
+        if lo < hi:
+            yield row, (lo - first) * _RUN_CHUNK, min((hi - first) * _RUN_CHUNK, n_runs)
+        first = end
+
+
+def _send(write_fd: int, partials) -> None:
+    """In a forked child: write the (row, tally) pairs of partials, as plain
+    ints, or the exception drawing them raised, to write_fd, then exit."""
+    try:
+        try:
+            # tuple(t): marshal takes no NamedTuple
+            message = marshal.dumps(([(row, tuple(t)) for row, t in partials], None))
+        except BaseException as exc:
+            import pickle
+
+            message = marshal.dumps((None, pickle.dumps(exc)))
+        with open(write_fd, "wb") as out:
+            out.write(message)
+    finally:
+        os._exit(0)
+
+
+def _draw_forked(draw, n: int) -> list:
+    """The (row, tally) pairs of draw(k) for parts k = 0 .. n - 1, in part
+    order: part 0 drawn here and each other part by a forked child, which
+    sends them back over a pipe.  A child's exception is raised here, and
+    the part of a child that ended without sending anything is drawn here;
+    on any exception here the children are killed.  Every child is reaped
+    before this returns or raises."""
+    gc.freeze()  # the children's collections then skip, and leave shared, the inherited objects
+    children = []
+    try:
+        for k in range(1, n):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if not pid:
+                _send(write_fd, draw(k))
+            children.append((pid, read_fd))
+            os.close(write_fd)
+        partials = list(draw(0))
+        for k, (_, read_fd) in enumerate(children, 1):
+            with open(read_fd, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            if not data:  # the child was killed before it sent anything
+                partials += draw(k)
+                continue
+            result, error = marshal.loads(data)
+            if error is not None:
+                import pickle
+
+                raise pickle.loads(error)
+            partials += result
+        return partials
+    except BaseException:
+        import signal
+
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, read_fd in children:
+            os.close(read_fd)
+            os.waitpid(pid, 0)
+        gc.unfreeze()
+
+
+def run_rows(engines: list[ProtocolEngine], seed: int, runs: list[int], progress=None):
+    """Yield the tally of each row i, runs[i] runs of engines[i] keyed by
+    row i, in row order.
+
+    The rows' chunks of _RUN_CHUNK runs, counted in row order, are cut into
+    _process_count(sum(runs)) contiguous parts of near-equal size.  With one
+    part each row is drawn by run_protocol when it is asked for, and
+    progress(i), if given, makes the callback of row i's chunks.  With more,
+    a forked child draws each part but the first, which this process draws,
+    and each row's partial tallies are added; progress(i) is then called
+    once per row, at done == runs[i].  A run's draws depend only on (seed,
+    row, run), so the tallies do not depend on the process count."""
+    total = sum(runs)
+    n = _process_count(total)
+    n_chunks = sum(-(-n_runs // _RUN_CHUNK) for n_runs in runs)
+    bounds = [k * n_chunks // n for k in range(n + 1)]
+
+    def draw(k: int, progress=None):
+        for row, lo, hi in _part(runs, bounds[k], bounds[k + 1]):
+            yield row, run_protocol(engines[row], seed, hi, row, progress and progress(row),
+                                    total, first=lo)
+
+    if n == 1:
+        for _, tally in draw(0, progress):
+            yield tally
+        return
+    for row, partials in itertools.groupby(_draw_forked(draw, n), itemgetter(0)):
+        if progress is not None:
+            progress(row)(runs[row], runs[row])
+        yield _sum(tally for _, tally in partials)
 
 
 def _weighted_mean(counts: tuple[int, ...], values: tuple[float, ...]) -> float:
