@@ -321,12 +321,7 @@ def _parse_sweep_axis(text: str) -> tuple[str, list]:
         parts = [p for p in raw.split(",") if p != ""]
         if not parts:
             raise ConfigError(f"--sweep {key}: no values given")
-        values = []
-        for part in parts:
-            try:
-                values.append(json.loads(part))
-            except (ValueError, RecursionError):
-                values.append(part)
+        values = [cfg_mod.parse_value(part) for part in parts]
     return key, values
 
 

@@ -282,18 +282,20 @@ def _assign(values: dict, provenance: dict, key: str, raw) -> None:
     provenance[key] = "user"
 
 
+def parse_value(text: str) -> object:
+    """A command-line value: text as JSON when it parses, else text itself."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError):  # not JSON, past the int digit limit, or too deep
+        return text
+
+
 def parse_set_override(text: str) -> tuple[str, object]:
-    """Parse one --set KEY=VALUE override; VALUE is JSON when possible."""
+    """Parse one --set KEY=VALUE override; VALUE as parse_value reads it."""
     if "=" not in text:
         raise ConfigError(f"--set expects KEY=VALUE, got {text!r}")
     key, raw = text.split("=", 1)
-    key = key.strip()
-    raw = raw.strip()
-    try:
-        value = json.loads(raw)
-    except (ValueError, RecursionError):  # not JSON, past the int digit limit, or too deep
-        value = raw
-    return key, value
+    return key.strip(), parse_value(raw.strip())
 
 
 def load_config(

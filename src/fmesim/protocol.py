@@ -17,9 +17,10 @@ max_trials passed without a click).
 run_protocol tallies each chunk of runs as it is drawn (runs per outcome,
 trials, and sums of T and T^2 over successful runs), so memory does not
 grow with the run count, and aggregate computes one output row from that
-tally, the per-branch false-herald flags and efficiencies, the qubit's
-concurrence and fidelity, and the engine's analytic click probability and
-false fraction.  The engine and aggregate are standard library.
+tally, the per-branch false-herald flags and photon numbers, the qubit's
+concurrence, fidelity and retrieval efficiency, and the engine's analytic
+click probability and false fraction.  The engine and aggregate are
+standard library.
 
 The ensemble reset is perfect, so trials are independent and a run's trials
 to its first click are Geometric(p_click).  Each run draws two 53-bit words
@@ -31,11 +32,11 @@ k2.  Two kernels apply it to a chunk, to the same RunTally: a
 standard-library one, for invocations of fewer than _NUMPY_RUNS = 2^17 runs
 in all, which then never import numpy, and the numpy one (_run_batch) from
 there on.  A run's draws depend on nothing else, so any partitioning of
-runs into batches produces the same tally; a batch of one run is the
-single-run path.  run_rows draws every row of an invocation: below
-_NUMPY_RUNS it splits the rows' chunks across one forked process per 2^15
-runs, at most one per CPU, and adds the parts' tallies; from there on one
-process draws them with numpy.  The write engine is selectable (write_dynamics.write_state):
+runs into batches produces the same tally.  run_rows draws every row of an
+invocation: below _NUMPY_RUNS it splits the rows' chunks across one forked
+process per 2^15 runs, at most one per CPU, and adds the parts' tallies;
+from there on one process draws them with numpy.  The write engine is
+selectable (write_dynamics.write_state):
 "exact" is the closed-form, untruncated evolution of the pair-creation
 Hamiltonian, whose statistics do not depend on the cutoff, and
 "perturbative" its Taylor polynomial, with double excitations when the
@@ -81,7 +82,9 @@ _FORK_RUNS = 1 << 15
 class ProtocolStats(NamedTuple):
     """One output row: aggregates over completed runs, with the engine's
     analytic click probability and false-herald fraction beside their
-    estimates; uncertainties are 1-sigma standard errors from the run count."""
+    estimates; uncertainties are 1-sigma standard errors from the run count.
+    The mean concurrence and fidelity are the one retrieved qubit's, so they
+    have no standard error."""
 
     n_runs: int
     n_trials: int
@@ -94,9 +97,7 @@ class ProtocolStats(NamedTuple):
     false_herald_fraction: float
     false_herald_analytic: float
     mean_concurrence: float
-    concurrence_stderr: float
     mean_fidelity_bell: float
-    fidelity_stderr: float
     photon_yield: float
 
 
@@ -404,23 +405,15 @@ def run_rows(engines: list[ProtocolEngine], seed: int, runs: list[int], progress
         yield _sum(tally for _, tally in partials)
 
 
-def _weighted_mean(counts: tuple[int, ...], values: tuple[float, ...]) -> float:
-    """Mean of values[b] taken counts[b] times each, summed as deviations
-    about the most frequent value (shifted data: Chan, Golub & LeVeque,
-    Am. Stat. 37, 242 (1983)); exact when all counted values agree."""
-    ref = values[counts.index(max(counts))]
-    shift = math.fsum(c * (v - ref) for c, v in zip(counts, values) if c)
-    return ref + shift / sum(counts)
-
-
 def aggregate(tally: RunTally, engine: ProtocolEngine) -> ProtocolStats:
     """Unbiased sample means and standard errors of the runs tallied over the
     engine's click branches, beside its analytic p_click and false fraction.
 
     Every true herald retrieves the one output qubit, so the mean
-    concurrence and fidelity are the qubit's and their standard errors are
-    exactly 0.0 whenever a true herald was drawn (NaN otherwise); the
-    retrieval efficiency is the qubit's on n = 1 branches and 0 elsewhere.
+    concurrence and fidelity are the qubit's whenever a true herald was
+    drawn (NaN otherwise), and the photon yield is the qubit's retrieval
+    efficiency times the fraction of successes that clicked on an n = 1
+    branch: every other branch retrieves no photon.
     """
     n_runs = sum(tally.counts)
     if not n_runs:
@@ -431,7 +424,7 @@ def aggregate(tally: RunTally, engine: ProtocolEngine) -> ProtocolStats:
     p_click = n_success / tally.n_trials  # one click ends each successful run
     p_click_stderr = math.sqrt(p_click * (1.0 - p_click) / tally.n_trials)
     mean_trials = mean_trials_stderr = false_fraction = photon_yield = math.nan
-    mean_conc = conc_stderr = mean_fid = fid_stderr = math.nan
+    mean_conc = mean_fid = math.nan
 
     if n_success:
         n, s1, s2 = n_success, tally.trials_sum, tally.trials_sq_sum
@@ -439,14 +432,13 @@ def aggregate(tally: RunTally, engine: ProtocolEngine) -> ProtocolStats:
         # stderr^2 = var / n, and n (n - 1) var = n s2 - s1^2 exactly in ints
         mean_trials_stderr = math.sqrt((n * s2 - s1 * s1) / (n * n * max(n - 1, 1)))
         false_fraction = sum(h for h, b in zip(hits, branches) if b.false_herald) / n_success
-        efficiency = tuple(qubit.retrieval_efficiency if b.n_photons == 1 else 0.0
-                           for b in branches)
-        photon_yield = _weighted_mean(hits, efficiency)
+        one_pair_hits = sum(h for h, b in zip(hits, branches) if b.n_photons == 1)
+        # the ratio first: the efficiency itself when every success is a one-pair click
+        photon_yield = qubit.retrieval_efficiency * (one_pair_hits / n_success)
 
     if any(h for h, b in zip(hits, branches) if not b.false_herald):
         mean_conc = retrieval_mod.concurrence(qubit)  # raises on a no-photon record
         mean_fid = retrieval_mod.fidelity_to_bell(qubit)
-        conc_stderr = fid_stderr = 0.0
 
     return ProtocolStats(
         n_runs=n_runs,
@@ -460,8 +452,6 @@ def aggregate(tally: RunTally, engine: ProtocolEngine) -> ProtocolStats:
         false_herald_fraction=false_fraction,
         false_herald_analytic=engine.false_fraction,
         mean_concurrence=mean_conc,
-        concurrence_stderr=conc_stderr,
         mean_fidelity_bell=mean_fid,
-        fidelity_stderr=fid_stderr,
         photon_yield=photon_yield,
     )

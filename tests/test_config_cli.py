@@ -357,6 +357,29 @@ def test_protocol_json_format(tmp_path):
     assert 0.0 <= row["p_click"] <= 1.0
 
 
+# The output contract: every protocol/sweep row holds these statistics, in
+# this order, after its row index and configuration.
+STAT_NAMES = [
+    "n_runs", "n_trials", "n_success",
+    "p_click", "p_click_stderr", "p_click_analytic",
+    "mean_trials", "mean_trials_stderr",
+    "false_herald_fraction", "false_herald_analytic",
+    "mean_concurrence", "mean_fidelity_bell", "photon_yield",
+]
+
+
+def test_output_columns_are_named(tmp_path):
+    args = ("protocol", "--preset", "rb85-87", "--runs", "50", "--seed", "1")
+    csv_out, json_out = tmp_path / "stats.csv", tmp_path / "stats.json"
+    assert run_cli(*args, "--out", str(csv_out)) == 0
+    header = next(l for l in csv_out.read_text().splitlines() if not l.startswith("#"))
+    assert header.split(",") == ["row", *sorted(cfg_mod.SCHEMA), *STAT_NAMES]
+    assert run_cli(*args, "--format", "json", "--out", str(json_out)) == 0
+    (row,) = json.loads(json_out.read_text())["results"]
+    assert list(row) == ["row", "config", *STAT_NAMES]
+    assert sorted(row["config"]) == sorted(cfg_mod.SCHEMA)
+
+
 JSON_TABLES = {
     "protocol": ("protocol",),
     "sweep": ("sweep", "--sweep", "omega_rabi_write_I=[[1e7,0],[2e7,1e6]]",
@@ -598,6 +621,22 @@ def test_deeply_nested_value_exits_2(command, capsys):
     assert run_cli(*command, "--preset", "rb85-87", "--runs", "5") == 2
     err = capsys.readouterr().err
     assert err.startswith(("error: N_I: ", "error: --sweep N_I: ")) and err.count("\n") == 1
+
+
+# 10^5 levels of objects, with no comma to split a --sweep axis on
+DEEP_OBJECT = '{"a": ' * 100_000 + "1" + "}" * 100_000
+
+
+@pytest.mark.parametrize("text, value", [
+    ("2.5e7", 2.5e7),
+    ("perturbative", "perturbative"),
+    ("1" * 5000, "1" * 5000),
+    (DEEP_OBJECT, DEEP_OBJECT),
+], ids=["number", "bare-string", "past-digit-limit", "nested-1e5"])
+def test_set_and_sweep_read_a_value_alike(text, value):
+    # JSON when it parses, else the text, by config.parse_value either way
+    assert cfg_mod.parse_set_override(f"N_I={text}") == ("N_I", value)
+    assert cli._parse_sweep_axis(f"N_I={text}") == ("N_I", [value])
 
 
 @pytest.mark.parametrize("seed", [str(2**64), str(2**64 + 5), "-1"])

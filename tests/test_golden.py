@@ -73,6 +73,17 @@ Both were taken when invocations of at least 2^16 runs drew with the numpy
 kernel.  The first, the rb-protocol benchmark workload, now draws with the
 standard-library kernel, to the same bytes; the second, at 2^17 runs, is
 drawn by the numpy kernel and pins that path.
+
+All four were taken again when the columns concurrence_stderr and
+fidelity_stderr left the output: they read 0.0 whenever a true herald was
+drawn and NaN otherwise, which a NaN mean_concurrence already says.  With
+them photon_yield moved from a weighted mean of per-branch efficiencies to
+the qubit's efficiency times the fraction of successes that clicked on a
+one-pair branch.  Each output lost the two CSV columns, and every other
+byte, photon_yield included, stayed the same in all four.  Elsewhere
+photon_yield moved by one ulp, to the nearest double of the exact ratio:
+0.9410000000000001 -> 0.941 in the first command at seed 20111105 and in
+the cutoff-10 row of the five-cutoff exact sweep at seed 1.
 """
 
 import hashlib
@@ -82,10 +93,10 @@ import pytest
 from fmesim import protocol as pr
 from fmesim.cli import main
 
-GOLDEN_PROTOCOL_SHA256 = "a3cd478aee17f7a713f6f4e99ed2ba5b1d1b4c614c86ce6936188a2ec7cabd27"
-GOLDEN_EXACT_SWEEP_SHA256 = "e99b988aee13bf7cf228179c4d2014863dd721f2822466ad04511b17866d88f1"
-GOLDEN_STDLIB_KERNEL_SHA256 = "8901b5df948e09108dcf670f163ad681c5d5ba5c50ad5443bf98a58131be23a6"
-GOLDEN_NUMPY_KERNEL_SHA256 = "9c3fde52db465287660e2e3f167b9bef807e16534d9ced7565660265b8836f53"
+GOLDEN_PROTOCOL_SHA256 = "154846135bab244a549621962573eb8b34c53c7b54c736d066aa728b36d4df61"
+GOLDEN_EXACT_SWEEP_SHA256 = "84712b76000b7cb2eb6180f28e19bed7a6772957a208dc43e7ed3dbaaf47298d"
+GOLDEN_STDLIB_KERNEL_SHA256 = "d3c9bdf8b9f42833b5dc9661be19f2fbb857956c98ccea01396f1a01785daff5"
+GOLDEN_NUMPY_KERNEL_SHA256 = "9920950f78b33c979c8a1d9c233ee354a9dc4219500966c884ef2216da497918"
 
 
 def test_golden_protocol_bytes(tmp_path):

@@ -11,6 +11,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fmesim import config as cfg_mod
 from fmesim import protocol as pr
@@ -630,6 +632,29 @@ def test_no_success_fraction_matches_geometric_tail():
     assert abs(failures / n_runs - tail) <= 3.0 * sigma
 
 
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    p=st.floats(0.02, 0.25), p_ii=st.floats(0.0, 0.25), eta=st.floats(0.05, 1.0),
+    dark=st.floats(0.0, 1e5), max_trials=st.integers(1, 10_000),
+    engine=st.sampled_from(cfg_mod.ENGINES), seed=st.integers(0, 2**64 - 1),
+)
+def test_repeat_until_success_estimates_match_the_engine(p, p_ii, eta, dark, max_trials,
+                                                         engine, seed):
+    # the Monte Carlo check of the repeat-until-success statistics: each
+    # estimate lies within 5 standard errors of the engine's analytic value
+    table = make_engine(p=p, p_ii=p_ii, eta=eta, dark=dark, max_trials=max_trials,
+                        engine=engine)
+    run_success = -math.expm1(max_trials * math.log1p(-table.p_click))
+    n_runs = min(2**15, math.ceil(2000 / run_success))
+    assume(n_runs * run_success >= 500)  # enough successes for the normal tails
+    stats = pr.aggregate(pr.run_protocol(table, seed, n_runs), table)
+    assert abs(stats.p_click - stats.p_click_analytic) <= 5 * stats.p_click_stderr
+    f = stats.false_herald_analytic
+    if stats.n_success:
+        bound = 5 * math.sqrt(f * (1 - f) / stats.n_success)
+        assert abs(stats.false_herald_fraction - f) <= bound
+
+
 def test_no_success_within_budget_is_explicit():
     engine = make_engine(eta=0.0, dark=0.0, max_trials=5)
     tally = pr.run_protocol(engine, seed=9, n_runs=4)
@@ -701,7 +726,6 @@ def test_aggregate_all_maximal_entanglement(tally):
     stats = pr.aggregate(tally(np.full(10, 3), np.zeros(10), branches),
                          table(branches, _qubit(s, -s)))
     assert stats.mean_concurrence == pytest.approx(1.0)
-    assert stats.concurrence_stderr == 0.0
     assert stats.photon_yield == pytest.approx(1.0)
     assert stats.mean_trials == 3.0
 
@@ -743,12 +767,10 @@ def test_aggregate_matches_exact_oracle(tally):
     photon_yield, _ = exact_mean_stderr([efficiency[b] for _, b in won])
     assert stats.photon_yield == pytest.approx(float(photon_yield), rel=1e-15, abs=0)
     true = [b for _, b in won if not flags[b]]
-    for mean, stderr, value in (
-        (stats.mean_concurrence, stats.concurrence_stderr, concurrence(q)),
-        (stats.mean_fidelity_bell, stats.fidelity_stderr, fidelity_to_bell(q)),
-    ):
-        exact_mean, exact_stderr = exact_mean_stderr([value] * len(true))
-        assert (mean, stderr) == (float(exact_mean), exact_stderr) == (value, 0.0)
+    for mean, value in ((stats.mean_concurrence, concurrence(q)),
+                        (stats.mean_fidelity_bell, fidelity_to_bell(q))):
+        exact_mean, _ = exact_mean_stderr([value] * len(true))
+        assert mean == float(exact_mean) == value
 
 
 def test_aggregate_trial_sums_exact_at_max_trials(tally):
@@ -768,16 +790,36 @@ def test_aggregate_trial_sums_exact_at_max_trials(tally):
 
 
 def test_aggregate_exact_when_true_heralds_agree(tally):
-    # every true herald retrieves the one qubit: the means are its values and
-    # the standard errors 0.0, however often it was drawn among false heralds
+    # every true herald retrieves the one qubit: the means are its values,
+    # however often it was drawn among false heralds
     q = _qubit(math.cos(0.4), math.sin(0.4))
     branches = _branches(TRUE, ("dark", 0), ("photon", 2))
     branch = np.repeat([0, 1, 2, -1], [1234, 50, 777, 9])
     stats = pr.aggregate(tally(np.full(branch.size, 7), branch, branches), table(branches, q))
     assert stats.mean_concurrence == concurrence(q) == 2.0 * math.cos(0.4) * math.sin(0.4)
-    assert stats.concurrence_stderr == 0.0
     assert stats.mean_fidelity_bell == fidelity_to_bell(q)
-    assert stats.fidelity_stderr == 0.0
+
+
+def test_photon_yield_counts_the_one_pair_clicks(tally):
+    # efficiency x (one-pair hits / successes): the efficiency itself when
+    # every success clicked on an n = 1 branch, whatever the branch's kind
+    branches = _branches(TRUE, ("dark", 1), ("dark", 0), ("photon", 2))
+    q = _qubit(0.6, 0.8, 0.7)
+    only_one_pair = np.repeat([0, 1, -1], [123, 45, 6])
+    stats = pr.aggregate(tally(np.full(only_one_pair.size, 5), only_one_pair, branches),
+                         table(branches, q))
+    assert stats.photon_yield == 0.7
+    mixed = np.repeat([0, 1, 2, 3], [300, 11, 29, 7])
+    stats = pr.aggregate(tally(np.ones(mixed.size), mixed, branches), table(branches, q))
+    assert stats.photon_yield == 0.7 * (311 / 347)
+    none = np.repeat([2, 3, -1], [5, 8, 2])
+    stats = pr.aggregate(tally(np.full(none.size, 9), none, branches), table(branches, q))
+    assert stats.photon_yield == 0.0
+    assert math.isnan(stats.mean_concurrence) and math.isnan(stats.mean_fidelity_bell)
+    dark_one_pair = np.ones(10, dtype=int)  # a qubit that retrieves nothing yields 0
+    stats = pr.aggregate(tally(np.ones(10), dark_one_pair, branches),
+                         table(branches, _qubit(0.0, 0.0, 0.0)))
+    assert stats.photon_yield == 0.0
 
 
 def test_dark_one_pair_click_yields_the_qubit_outside_the_metrics(tally):
@@ -794,11 +836,11 @@ def test_dark_one_pair_click_yields_the_qubit_outside_the_metrics(tally):
     only_dark = pr.aggregate(tally(np.full(5, 2), np.array([dark] * 4 + [-1]), branches), engine)
     assert only_dark.photon_yield == q.retrieval_efficiency
     assert only_dark.false_herald_fraction == 1.0
-    assert math.isnan(only_dark.mean_concurrence) and math.isnan(only_dark.concurrence_stderr)
+    assert math.isnan(only_dark.mean_concurrence) and math.isnan(only_dark.mean_fidelity_bell)
     both = pr.aggregate(tally(np.ones(4), np.array([dark, true, dark, true]), branches), engine)
     assert both.photon_yield == q.retrieval_efficiency
-    assert (both.mean_concurrence, both.concurrence_stderr) == (concurrence(q), 0.0)
-    assert (both.mean_fidelity_bell, both.fidelity_stderr) == (fidelity_to_bell(q), 0.0)
+    assert both.mean_concurrence == concurrence(q)
+    assert both.mean_fidelity_bell == fidelity_to_bell(q)
 
 
 def test_aggregate_rejects_true_herald_without_photon(tally):
