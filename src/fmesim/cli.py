@@ -257,11 +257,9 @@ def _run_rows(args, command: str, cfg: ResolvedConfig, points) -> int:
     json table; returns how many rows had no success.  Every point is
     resolved and every row's engine built before the first run is drawn, so
     a rejection in any row exits before any Monte Carlo.  protocol.run_rows
-    draws all rows at once: their runs in all choose the draw kernel and,
-    below 2^17 runs, the number of processes drawing.  Each row is
-    formatted as its tally arrives (in one process, as it is drawn), and the
-    table is written once, after the last row, so a failed run writes
-    nothing."""
+    draws all rows by its one draw plan.  Each row is formatted as its tally
+    arrives (in one process, as it is drawn), and the table is written once,
+    after the last row, so a failed run writes nothing."""
     row_cfgs = [cfg_mod.with_overrides(cfg, point) for point in points]
     from .protocol import ProtocolStats, aggregate, run_rows
 

@@ -29,13 +29,14 @@ sweep row, run index) (fmesim.rng), and the engine holds the one rule that
 maps them to its result: T = floor(math.log1p(-u1) / log_q) + 1, no success
 when T > max_trials, and the branch is the number of thresholds at or below
 k2.  Two kernels apply it to a chunk, to the same RunTally: a
-standard-library one, for invocations of fewer than _NUMPY_RUNS = 2^17 runs
-in all, which then never import numpy, and the numpy one (_run_batch) from
-there on.  A run's draws depend on nothing else, so any partitioning of
-runs into batches produces the same tally.  run_rows draws every row of an
-invocation: below _NUMPY_RUNS it splits the rows' chunks across one forked
-process per 2^15 runs, at most one per CPU, and adds the parts' tallies;
-from there on one process draws them with numpy.  The write engine is
+standard-library one and the numpy one (_run_batch).  A run's draws depend
+on nothing else, so any partitioning of runs into batches produces the same
+tally.  run_rows holds an invocation's one draw plan, read from its runs in
+all: below _NUMPY_RUNS = 2^17 the standard-library kernel draws, so numpy is
+never imported, in one forked process per 2^15 runs, at most one per CPU,
+and the parts' tallies are added; from there on the numpy kernel draws in
+one process.  run_protocol draws one row's run range with the kernel it is
+given.  The write engine is
 selectable (write_dynamics.write_state):
 "exact" is the closed-form, untruncated evolution of the pair-creation
 Hamiltonian, whose statistics do not depend on the cutoff, and
@@ -155,7 +156,7 @@ def _run_batch(engine: ProtocolEngine, seed: int, row: int, run_lo: int, run_hi:
     from .rng import run_uniforms
 
     max_trials, log_q = engine.max_trials, engine.log_q
-    u = run_uniforms(seed, row, np.arange(run_lo, run_hi, dtype=np.uint64))
+    u = run_uniforms(seed, row, run_lo, run_hi)
     # p_click = 0: log_q = -0.0 makes every quotient +inf (NaN at u = 0), no click
     with np.errstate(divide="ignore", invalid="ignore"):
         q = np.log1p(-u[:, 0]) / log_q
@@ -264,38 +265,29 @@ def _sum(tallies) -> RunTally:
                     sum(trials_sq_sum))
 
 
-def run_protocol(engine: ProtocolEngine, seed: int, n_runs: int, row: int = 0,
-                 progress=None, total_runs: int | None = None, first: int = 0) -> RunTally:
-    """The tally of runs first .. n_runs - 1 of one configuration, drawn
-    serially and tallied one chunk of _RUN_CHUNK runs at a time;
-    progress(runs_done, n_runs), if given, is called after each chunk
-    (reporting only).
-
-    total_runs is the run count of the whole invocation (n_runs if not
-    given): below _NUMPY_RUNS the standard-library kernel draws, from there
-    on numpy's.  Both give the same tally."""
-    if n_runs < 1:
-        raise ValueError("n_runs must be >= 1")
-    total_runs = n_runs if total_runs is None else total_runs
-    kernel = _numpy_kernel if total_runs >= _NUMPY_RUNS else _stdlib_kernel
+def run_protocol(kernel, engine: ProtocolEngine, seed: int, row: int, lo: int, hi: int,
+                 report=None) -> RunTally:
+    """The tally of runs lo .. hi - 1 of row, drawn by kernel(engine)
+    (_stdlib_kernel or _numpy_kernel, which give the same tally) one chunk
+    of _RUN_CHUNK runs at a time; report(done, hi), if given, is called
+    after each chunk (reporting only)."""
     # p_click = 0 (log_q = -0.0) only when there is no branch: no run clicks
     tally_runs = kernel(engine) if engine.p_click else (
         lambda seed, row, lo, hi: RunTally((hi - lo,), (hi - lo) * engine.max_trials, 0, 0))
     tally = RunTally((0,) * (len(engine.branches) + 1), 0, 0, 0)
-    for lo in range(first, n_runs, _RUN_CHUNK):
-        hi = min(lo + _RUN_CHUNK, n_runs)
-        tally = _sum((tally, tally_runs(seed, row, lo, hi)))
-        if progress is not None:
-            progress(hi, n_runs)
+    for start in range(lo, hi, _RUN_CHUNK):
+        stop = min(start + _RUN_CHUNK, hi)
+        tally = _sum((tally, tally_runs(seed, row, start, stop)))
+        if report is not None:
+            report(stop, hi)
     return tally
 
 
 def _process_count(total_runs: int) -> int:
-    """How many processes draw an invocation of total_runs runs: one per
-    _FORK_RUNS runs, at most one per CPU this process may run on, while the
-    standard-library kernel draws; one from _NUMPY_RUNS runs on, and where
-    the CPU set cannot be read."""
-    if total_runs >= _NUMPY_RUNS or not hasattr(os, "sched_getaffinity"):
+    """How many processes the standard-library kernel draws an invocation of
+    total_runs runs with: one per _FORK_RUNS runs, at most one per CPU this
+    process may run on, and one where the CPU set cannot be read."""
+    if not hasattr(os, "sched_getaffinity"):
         return 1
     return max(1, min(len(os.sched_getaffinity(0)), total_runs // _FORK_RUNS))
 
@@ -377,23 +369,29 @@ def run_rows(engines: list[ProtocolEngine], seed: int, runs: list[int], progress
     """Yield the tally of each row i, runs[i] runs of engines[i] keyed by
     row i, in row order.
 
-    The rows' chunks of _RUN_CHUNK runs, counted in row order, are cut into
-    _process_count(sum(runs)) contiguous parts of near-equal size.  With one
-    part each row is drawn by run_protocol when it is asked for, and
-    progress(i), if given, makes the callback of row i's chunks.  With more,
-    a forked child draws each part but the first, which this process draws,
-    and each row's partial tallies are added; progress(i) is then called
-    once per row, at done == runs[i].  A run's draws depend only on (seed,
-    row, run), so the tallies do not depend on the process count."""
+    This is the invocation's one draw plan, from its runs in all: from
+    _NUMPY_RUNS on, _numpy_kernel draws in one process; below, _stdlib_kernel
+    draws in _process_count(sum(runs)) processes.  The rows' chunks of
+    _RUN_CHUNK runs, counted in row order, are cut into that many contiguous
+    parts of near-equal size.  With one part each row is drawn by
+    run_protocol when it is asked for, and progress(i), if given, makes the
+    callback of row i's chunks.  With more, a forked child draws each part
+    but the first, which this process draws, and each row's partial tallies
+    are added; progress(i) is then called once per row, at done == runs[i].
+    A run's draws depend only on (seed, row, run), so the tallies do not
+    depend on the kernel or the process count."""
     total = sum(runs)
-    n = _process_count(total)
+    if total >= _NUMPY_RUNS:
+        kernel, n = _numpy_kernel, 1
+    else:
+        kernel, n = _stdlib_kernel, _process_count(total)
     n_chunks = sum(-(-n_runs // _RUN_CHUNK) for n_runs in runs)
     bounds = [k * n_chunks // n for k in range(n + 1)]
 
     def draw(k: int, progress=None):
         for row, lo, hi in _part(runs, bounds[k], bounds[k + 1]):
-            yield row, run_protocol(engines[row], seed, hi, row, progress and progress(row),
-                                    total, first=lo)
+            yield row, run_protocol(kernel, engines[row], seed, row, lo, hi,
+                                    progress and progress(row))
 
     if n == 1:
         for _, tally in draw(0, progress):
@@ -422,11 +420,11 @@ def aggregate(tally: RunTally, engine: ProtocolEngine) -> ProtocolStats:
     hits = tally.counts[1:]
     n_success = n_runs - tally.counts[0]
     p_click = n_success / tally.n_trials  # one click ends each successful run
-    p_click_stderr = math.sqrt(p_click * (1.0 - p_click) / tally.n_trials)
-    mean_trials = mean_trials_stderr = false_fraction = photon_yield = math.nan
+    p_click_stderr = mean_trials = mean_trials_stderr = false_fraction = photon_yield = math.nan
     mean_conc = mean_fid = math.nan
 
-    if n_success:
+    if n_success:  # without one, the Wald form would read 0 beside an estimate of 0
+        p_click_stderr = math.sqrt(p_click * (1.0 - p_click) / tally.n_trials)
         n, s1, s2 = n_success, tally.trials_sum, tally.trials_sq_sum
         mean_trials = s1 / n  # Python int / int rounds once
         # stderr^2 = var / n, and n (n - 1) var = n s2 - s1^2 exactly in ints

@@ -10,8 +10,9 @@ is a bijection, so under one seed no two words alias.  Two seeds read
 shifted windows of one 2**64-long sequence, mix(GAMMA * j), which overlap
 only if the shift lands inside the used index range.
 
-Two generators compute the same words: run_uniforms with numpy uint64
-arithmetic, for large invocations, and run_words with the standard library,
+Two generators compute the same words of runs lo .. hi - 1 of a row, and
+check (seed, row, lo, hi) alike: run_uniforms with numpy uint64
+arithmetic, for the numpy kernel, and run_words with the standard library,
 which packs every word of a chunk into one 128-bit lane of a Python int, so
 that each xor-shift and multiply is one big-int operation over all lanes.
 """
@@ -40,32 +41,29 @@ def _mix(z: int) -> int:
     return z ^ z >> 31
 
 
-def _start(seed: int, row: int) -> int:
-    """key + GAMMA * i mod 2**64 at run 0, word 0 of row."""
+def _start(seed: int, row: int, lo: int, hi: int) -> int:
+    """key + GAMMA * i mod 2**64 at word 0 of run lo of row, once the seed,
+    the row and the runs lo .. hi - 1 are checked."""
     seed, row = int(seed), int(row)
     if not 0 <= seed < SEED_LIMIT:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     if not 0 <= row < ROW_LIMIT:
         raise ValueError(f"row must be in [0, 2**31), got {row}")
-    return _mix(seed) + _GAMMA * (row << 33) & _MASK
+    if not 0 <= lo <= hi <= COUNTER_LIMIT:
+        raise ValueError(f"runs lo .. hi - 1 must lie in [0, 2**32), got lo={lo}, hi={hi}")
+    return _mix(seed) + _GAMMA * ((row << 33) + 2 * lo) & _MASK
 
 
-_RUN_ERROR = "run indices must lie in [0, 2**32)"
-
-
-def run_uniforms(seed: int, row: int, runs: np.ndarray) -> np.ndarray:
-    """Two 53-bit uniforms per run; shape (len(runs), 2).  Column 0 draws the
-    run's trials to its first click, column 1 its branch.  Each column is
-    contiguous (the transpose of one row per word), so every numpy call runs
-    over whole columns."""
+def run_uniforms(seed: int, row: int, lo: int, hi: int) -> np.ndarray:
+    """Two 53-bit uniforms for each of the runs lo .. hi - 1; shape
+    (hi - lo, 2).  Column 0 draws the run's trials to its first click,
+    column 1 its branch.  Each column is contiguous (the transpose of one row
+    per word), so every numpy call runs over whole columns."""
     import numpy as np
 
-    start = _start(seed, row)
-    runs = np.asarray(runs)
-    if runs.size and not 0 <= int(runs.min()) <= int(runs.max()) < COUNTER_LIMIT:
-        raise ValueError(_RUN_ERROR)
-    runs = runs.astype(np.uint64, copy=False)
+    start = _start(seed, row, lo, hi)
     offset = np.array([[start], [start + _GAMMA & _MASK]], dtype=np.uint64)
+    runs = np.arange(hi - lo, dtype=np.uint64)
     z = runs * np.uint64(2 * _GAMMA & _MASK) + offset  # uint64 wraps mod 2**64
     z ^= z >> np.uint64(30)
     z *= np.uint64(_M1)
@@ -100,12 +98,10 @@ def run_words(seed: int, row: int, lo: int, hi: int) -> bytes:
     mask is applied after every xor-shift (which moves the next lane's low
     bits into the high half) and every multiply, which leaves each lane its
     value mod 2**64."""
-    start = _start(seed, row)
-    if not 0 <= lo <= hi <= COUNTER_LIMIT:
-        raise ValueError(_RUN_ERROR)
+    start = _start(seed, row, lo, hi)
     n = 2 * (hi - lo)
     ones, mask, top53, ramp = _lanes(n)
-    z = ramp + (start + _GAMMA * 2 * lo & _MASK) * ones & mask
+    z = ramp + start * ones & mask
     z = (z ^ z >> 30) & mask
     z = z * _M1 & mask
     z = (z ^ z >> 27) & mask

@@ -129,7 +129,7 @@ def test_criterion_4_herald_statistics():
     # Monte Carlo frequency over 1e6 independent trials
     n_trials = 1_000_000
     one_shot = protocol_engine(max_trials=1)
-    no_click = pr.run_protocol(one_shot, seed=42, n_runs=n_trials).counts[0]
+    no_click = next(pr.run_rows([one_shot], 42, [n_trials])).counts[0]
     p_hat = (n_trials - no_click) / n_trials
     sigma = math.sqrt(p_analytic * (1.0 - p_analytic) / n_trials)
     assert abs(p_hat - p_analytic) <= 3.0 * sigma

@@ -140,7 +140,7 @@ def test_projection_impossible_click_rejected():
     det = DetectorModel(eta=1.0, dark_rate=0.0, gate=1e-6)
     engine = fixture_engine(0.0, 0.0, det, cutoff=2)
     assert engine.branches == []
-    assert pr.run_protocol(engine, seed=1, n_runs=10).counts == (10,)
+    assert next(pr.run_rows([engine], 1, [10])).counts == (10,)
 
 
 def test_false_fraction_trivial_cases():

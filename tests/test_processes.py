@@ -1,11 +1,13 @@
 """Drawing an invocation's runs across forked processes.
 
-Below protocol._NUMPY_RUNS runs in all, protocol.run_rows cuts the rows'
-chunks into one part per 2^15 runs, at most one per CPU, and forks a child
-for every part but the first.  These tests patch the CPU count to 1, 2 and 3
-and check that the output bytes do not depend on it, that progress stays at
-most ten lines per row, that a failure in a child or in the parent exits as
-it would in one process, and that no child outlives the call.
+protocol.run_rows plans an invocation's draw from its runs in all: below
+protocol._NUMPY_RUNS it cuts the rows' chunks into one part per 2^15 runs,
+at most one per CPU (protocol._process_count), and forks a child for every
+part but the first; from there on one process draws with numpy.  These
+tests patch the CPU count to 1, 2 and 3 and check that the output bytes do
+not depend on it, that nothing forks from 2^17 runs on, that progress stays
+at most ten lines per row, that a failure in a child or in the parent exits
+as it would in one process, and that no child outlives the call.
 """
 
 import hashlib
@@ -13,7 +15,7 @@ import os
 import time
 
 import pytest
-from test_golden import GOLDEN_STDLIB_KERNEL_SHA256
+from test_golden import GOLDEN_NUMPY_KERNEL_SHA256, GOLDEN_STDLIB_KERNEL_SHA256
 
 from fmesim import protocol as pr
 from fmesim.cli import main
@@ -96,6 +98,17 @@ def test_output_does_not_depend_on_the_process_count(tmp_path, capsys, cpus, nam
         assert hashlib.sha256(blobs[0]).hexdigest() == GOLDEN_STDLIB_KERNEL_SHA256
 
 
+def test_no_fork_from_two_to_the_17_runs(tmp_path, cpus):
+    set_cpus, forks = cpus
+    set_cpus(3)
+    out = tmp_path / "out.csv"
+    argv = ["protocol", "--preset", "rb85-87", "--runs", str(2**17), "--seed", "1"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert forks == []
+    assert_no_child()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_NUMPY_KERNEL_SHA256
+
+
 def test_sweep_parts_fall_mid_row_and_after_partial_chunks():
     # the part boundaries that the sweep-3-rows case claims, from the chunk counts
     runs = CASES["sweep-3-rows"][1]
@@ -133,10 +146,7 @@ def test_process_count_rule(monkeypatch, n_cpus):
         n = pr._process_count(total)
         assert 1 <= n <= n_cpus
         assert n <= max(1, total // 2**15)
-        if total >= pr._NUMPY_RUNS:
-            assert n == 1
-        else:
-            assert n == max(1, min(n_cpus, total // 2**15))
+        assert n == max(1, min(n_cpus, total // 2**15))
 
 
 def test_one_process_without_sched_getaffinity(monkeypatch):

@@ -5,6 +5,7 @@ aggregate statistics against exact rational arithmetic."""
 import bisect
 import itertools
 import math
+import os
 import struct
 from fractions import Fraction
 from types import SimpleNamespace
@@ -39,8 +40,8 @@ def make_engine(p=0.1, eta=0.6, dark=400.0, max_trials=10_000, engine="perturbat
 def sweep_rows(engines, seed, n_runs):
     """ProtocolStats of each engine, with row i keying its random streams as
     in the CLI sweep."""
-    return [pr.aggregate(pr.run_protocol(engine, seed, n_runs, row=i), engine)
-            for i, engine in enumerate(engines)]
+    return [pr.aggregate(tally, engine)
+            for engine, tally in zip(engines, pr.run_rows(engines, seed, [n_runs] * len(engines)))]
 
 
 def table(branches, qubit):
@@ -121,18 +122,17 @@ def test_stream_of_seed_zero_is_the_published_splitmix64_sequence():
     assert splitmix64_mix(0) == 0
     assert [word_reference(0, 0, k // 2, k % 2) for k in range(1, 5)] == SPLITMIX64_SEED0
     words = [0, *SPLITMIX64_SEED0]  # index 0 reads mix(0) = 0
-    u = rng_mod.run_uniforms(0, 0, np.arange(3)).ravel()  # index order
+    u = rng_mod.run_uniforms(0, 0, 0, 3).ravel()  # index order
     assert u[:5].tolist() == [(w >> 11) * 2.0**-53 for w in words]
 
 
 def test_trial_uniforms_deterministic_and_distinct():
-    runs = np.arange(100)
-    u1 = rng_mod.run_uniforms(42, 0, runs)
-    u2 = rng_mod.run_uniforms(42, 0, runs)
+    u1 = rng_mod.run_uniforms(42, 0, 0, 100)
+    u2 = rng_mod.run_uniforms(42, 0, 0, 100)
     np.testing.assert_array_equal(u1, u2)
-    u3 = rng_mod.run_uniforms(43, 0, runs)
+    u3 = rng_mod.run_uniforms(43, 0, 0, 100)
     assert np.all(u1 != u3)
-    u4 = rng_mod.run_uniforms(42, 1, runs)
+    u4 = rng_mod.run_uniforms(42, 1, 0, 100)
     assert np.all(u1 != u4)
     assert np.all((u1 >= 0.0) & (u1 < 1.0))
 
@@ -140,24 +140,24 @@ def test_trial_uniforms_deterministic_and_distinct():
 def test_run_uniforms_match_reference_streams():
     # the chunk edges, the last run index, the last row and the last seed,
     # both words of each run
-    edges = np.array([0, 1, 4095, 4096, 8191, 8192, 2**32 - 1])
+    edges = [0, 1, 4095, 4096, 8191, 8192, 2**32 - 1]
     for seed in (0, 7, 2**63, 2**64 - 1):
         for row in (0, 1, 2, cfg_mod.ROW_LIMIT - 1):
-            u = rng_mod.run_uniforms(seed, row, edges)
-            assert u.shape == (edges.size, 2)
-            for i, run in enumerate(edges.tolist()):
-                assert tuple(u[i]) == uniforms_reference(seed, row, run)
+            for run in edges:
+                u = rng_mod.run_uniforms(seed, row, run, run + 1)
+                assert u.shape == (1, 2)
+                assert tuple(u[0]) == uniforms_reference(seed, row, run)
                 words = words53(seed, row, run, run + 1)  # the standard-library words
                 assert words == tuple([word_reference(seed, row, run, w) >> 11] for w in (0, 1))
     # one call over more runs than two chunks, up to the last run index
-    runs = np.arange(2**32 - 16384 - 5, 2**32)
-    wide = rng_mod.run_uniforms(2**64 - 1, cfg_mod.ROW_LIMIT - 1, runs)
-    words = words53(2**64 - 1, cfg_mod.ROW_LIMIT - 1, int(runs[0]), 2**32)
-    assert [len(w) for w in words] == [runs.size] * 2
-    for i in (0, 4095, 4096, 8191, 8192, 16384 - 1, 16384, runs.size - 1):
-        assert tuple(wide[i]) == uniforms_reference(2**64 - 1, cfg_mod.ROW_LIMIT - 1, int(runs[i]))
+    lo = 2**32 - 16384 - 5
+    wide = rng_mod.run_uniforms(2**64 - 1, cfg_mod.ROW_LIMIT - 1, lo, 2**32)
+    words = words53(2**64 - 1, cfg_mod.ROW_LIMIT - 1, lo, 2**32)
+    assert [len(w) for w in words] == [2**32 - lo] * 2
+    for i in (0, 4095, 4096, 8191, 8192, 16384 - 1, 16384, 2**32 - lo - 1):
+        assert tuple(wide[i]) == uniforms_reference(2**64 - 1, cfg_mod.ROW_LIMIT - 1, lo + i)
         assert tuple(w[i] for w in words) == tuple(
-            word_reference(2**64 - 1, cfg_mod.ROW_LIMIT - 1, int(runs[i]), w) >> 11 for w in (0, 1))
+            word_reference(2**64 - 1, cfg_mod.ROW_LIMIT - 1, lo + i, w) >> 11 for w in (0, 1))
     # every word of that call, against the numpy generator's
     assert [(w * 2.0**-53) for w in words[0]] == wide[:, 0].tolist()
     assert [(w * 2.0**-53) for w in words[1]] == wide[:, 1].tolist()
@@ -165,11 +165,11 @@ def test_run_uniforms_match_reference_streams():
 
 def test_counter_and_seed_widths_enforced():
     with pytest.raises(ValueError, match="seed"):
-        rng_mod.run_uniforms(2**64, 0, [0])
+        rng_mod.run_uniforms(2**64, 0, 0, 1)
     with pytest.raises(ValueError, match="seed"):
-        rng_mod.run_uniforms(-1, 0, [0])
+        rng_mod.run_uniforms(-1, 0, 0, 1)
     with pytest.raises(ValueError, match="run"):
-        rng_mod.run_uniforms(1, 0, [2**32])
+        rng_mod.run_uniforms(1, 0, 2**32, 2**32 + 1)
     with pytest.raises(ValueError, match="seed"):
         rng_mod.run_words(2**64, 0, 0, 1)
     with pytest.raises(ValueError, match="seed"):
@@ -187,19 +187,40 @@ def test_counter_and_seed_widths_enforced():
 
 
 def test_uniform_moments_sane():
-    u = rng_mod.run_uniforms(123, 0, np.arange(200_000)).ravel()
+    u = rng_mod.run_uniforms(123, 0, 0, 200_000).ravel()
     assert abs(u.mean() - 0.5) < 2e-3
     assert abs(u.var() - 1.0 / 12.0) < 2e-3
 
 
 def test_row_and_negative_run_enforced():
-    assert rng_mod.run_uniforms(1, cfg_mod.ROW_LIMIT - 1, [0]).shape == (1, 2)
+    assert rng_mod.run_uniforms(1, cfg_mod.ROW_LIMIT - 1, 0, 1).shape == (1, 2)
     for row in (-1, cfg_mod.ROW_LIMIT, 2**33):
         with pytest.raises(ValueError, match="row"):
-            rng_mod.run_uniforms(1, row, [0])
-    for runs in ([-1], np.array([5, -1]), [2**64]):
+            rng_mod.run_uniforms(1, row, 0, 1)
+    with pytest.raises(ValueError, match="run"):
+        rng_mod.run_uniforms(1, 0, -1, 1)
+
+
+def words_of_uniforms(seed, row, lo, hi):
+    """run_uniforms' 53-bit words for runs lo .. hi - 1, one list per word."""
+    u = rng_mod.run_uniforms(seed, row, lo, hi) * 2.0**53
+    return tuple(k.tolist() for k in u.astype(np.uint64).T)
+
+
+@pytest.mark.parametrize("words", [words_of_uniforms, words53],
+                         ids=["run_uniforms", "run_words"])
+def test_generators_share_one_run_range_contract(words):
+    # both generators check (seed, row, lo, hi) in rng._start alike
+    for lo, hi in ((5, 4), (-1, 1), (-3, -1), (0, 2**32 + 1), (2**32 - 1, 2**32 + 1)):
         with pytest.raises(ValueError, match="run"):
-            rng_mod.run_uniforms(1, 0, runs)
+            words(1, 0, lo, hi)
+    for lo in (0, 17, 2**32):
+        assert words(1, 0, lo, lo) == ([], [])
+    # two chunks and a part: u 2^53 of run_uniforms are run_words' words >> 11
+    lo, hi = 2**32 - 2 * pr._RUN_CHUNK - 7, 2**32
+    reference = tuple([word_reference(3, 9, run, w) >> 11 for run in range(lo, hi)]
+                      for w in (0, 1))
+    assert words(3, 9, lo, hi) == words53(3, 9, lo, hi) == reference
 
 
 def test_neighbouring_streams_uncorrelated():
@@ -207,15 +228,15 @@ def test_neighbouring_streams_uncorrelated():
     # neighbouring rows and under neighbouring seeds
     n = 200_000
     bound = 5.0 / math.sqrt(n)
-    base = rng_mod.run_uniforms(99, 4, np.arange(n + 1))
+    base = rng_mod.run_uniforms(99, 4, 0, n + 1)
     pairs = {
         "next run, word 0": (base[:-1, 0], base[1:, 0]),
         "next run, word 1": (base[:-1, 1], base[1:, 1]),
         "word 0 of the next run after word 1": (base[:-1, 1], base[1:, 0]),
         "the two words of a run": (base[:, 0], base[:, 1]),
     }
-    for label, other in (("next row", rng_mod.run_uniforms(99, 5, np.arange(n + 1))),
-                         ("next seed", rng_mod.run_uniforms(100, 4, np.arange(n + 1)))):
+    for label, other in (("next row", rng_mod.run_uniforms(99, 5, 0, n + 1)),
+                         ("next seed", rng_mod.run_uniforms(100, 4, 0, n + 1))):
         for w in (0, 1):
             pairs[f"{label}, word {w}"] = (base[:, w], other[:, w])
     for label, (a, b) in pairs.items():
@@ -292,13 +313,13 @@ def test_batch_matches_per_run_oracle(label, engine, n_runs):
 def test_blind_detector_never_clicks():
     engine = make_engine(eta=0.0, dark=0.0, max_trials=50)
     assert engine.p_click == 0.0
-    tally = pr.run_protocol(engine, seed=1, n_runs=3)
+    tally = next(pr.run_rows([engine], 1, [3]))
     assert tally == pr.RunTally((3,) + (0,) * len(engine.branches), 150, 0, 0)
 
 
 def test_dark_clicks_on_empty_write_are_false_heralds():
     engine = make_engine(p=0.0, eta=0.6, dark=5e4, max_trials=5_000)
-    tally = pr.run_protocol(engine, seed=3, n_runs=64)
+    tally = next(pr.run_rows([engine], 3, [64]))
     clicks = np.array(tally.counts[1:])
     assert tally.counts[0] == 0 and clicks.sum() == 64
     assert not clicks[~np.array([b.false_herald for b in engine.branches])].any()
@@ -334,7 +355,7 @@ def test_scalar_and_batch_paths_agree():
 def test_chunking_does_not_change_results():
     engine = make_engine(max_trials=2_000)
     n_runs = pr._RUN_CHUNK + 300  # two chunks
-    chunked = pr.run_protocol(engine, seed=5, n_runs=n_runs)
+    chunked = pr.run_protocol(pr._stdlib_kernel, engine, seed=5, row=0, lo=0, hi=n_runs)
     whole = reference_tally(*pr._run_batch(engine, 5, 0, 0, n_runs), len(engine.branches))
     assert chunked == whole
     assert sum(whole.counts) == n_runs
@@ -343,16 +364,16 @@ def test_chunking_does_not_change_results():
 def test_progress_reports_each_chunk():
     engine = make_engine()
     seen = []
-    pr.run_protocol(engine, 2, pr._RUN_CHUNK + 1, progress=lambda d, t: seen.append((d, t)))
+    pr.run_protocol(pr._stdlib_kernel, engine, 2, 0, 0, pr._RUN_CHUNK + 1,
+                    report=lambda d, t: seen.append((d, t)))
     assert seen == [(pr._RUN_CHUNK, pr._RUN_CHUNK + 1), (pr._RUN_CHUNK + 1, pr._RUN_CHUNK + 1)]
 
 
 def kernel_tallies(engine, seed, n_runs, row=0):
-    """run_protocol's tally from the standard-library kernel, as an invocation
-    of fewer than _NUMPY_RUNS runs in all picks it, and from the numpy kernel,
-    as one of _NUMPY_RUNS runs picks it."""
-    return (pr.run_protocol(engine, seed, n_runs, row, total_runs=min(n_runs, pr._NUMPY_RUNS - 1)),
-            pr.run_protocol(engine, seed, n_runs, row, total_runs=pr._NUMPY_RUNS))
+    """run_protocol's tally of runs 0 .. n_runs - 1 of row from the
+    standard-library kernel and from the numpy kernel."""
+    return tuple(pr.run_protocol(kernel, engine, seed, row, 0, n_runs)
+                 for kernel in (pr._stdlib_kernel, pr._numpy_kernel))
 
 
 PRESET_ENGINE = cfg_mod.build_setup(cfg_mod.load_config(preset="rb85-87"))
@@ -415,7 +436,7 @@ def feed_words(monkeypatch, first, second):
     uniforms = np.array([first, second], dtype=float).T * 2.0**-53
     monkeypatch.setattr(rng_mod, "run_words", lambda seed, row, lo, hi: lanes[32 * lo:32 * hi])
     monkeypatch.setattr(rng_mod, "run_uniforms",
-                        lambda seed, row, runs: uniforms[np.asarray(runs, dtype=np.intp)])
+                        lambda seed, row, lo, hi: uniforms[lo:hi])
 
 
 def near_integer_words(p, max_trials):
@@ -595,24 +616,28 @@ def test_kernels_give_equal_tallies_over_a_million_runs():
 
 
 def test_small_invocations_draw_without_the_numpy_kernel(monkeypatch):
+    # the invocation's runs in all pick the kernel, not one row's: row 0's
+    # 300 runs draw with numpy beside a row that brings the total to 2^17
     engine = make_engine()
-    expected = pr.run_protocol(engine, 4, 300)
+    expected = pr.run_protocol(pr._numpy_kernel, engine, 4, 0, 0, 300)
 
     def refuse(*args):
         raise AssertionError("numpy kernel called")
 
     monkeypatch.setattr(pr, "_run_batch", refuse)
-    assert pr.run_protocol(engine, 4, 300) == expected
-    assert pr.run_protocol(engine, 4, 300, total_runs=pr._NUMPY_RUNS - 1) == expected
+    # one CPU: one process draws, and only the rows asked for
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert next(pr.run_rows([engine], 4, [300])) == expected
+    assert next(pr.run_rows([engine] * 2, 4, [300, pr._NUMPY_RUNS - 301])) == expected
     with pytest.raises(AssertionError, match="numpy kernel"):
-        pr.run_protocol(engine, 4, 300, total_runs=pr._NUMPY_RUNS)
+        next(pr.run_rows([engine] * 2, 4, [300, pr._NUMPY_RUNS - 300]))
     with pytest.raises(AssertionError, match="numpy kernel"):
-        pr.run_protocol(engine, 4, pr._NUMPY_RUNS)
+        next(pr.run_rows([engine], 4, [pr._NUMPY_RUNS]))
 
 
 def test_trials_to_success_geometric_mean():
     engine = make_engine()
-    tally = pr.run_protocol(engine, seed=21, n_runs=20_000)
+    tally = next(pr.run_rows([engine], 21, [20_000]))
     stats = pr.aggregate(tally, engine)
     expected_mean = 1.0 / engine.p_click
     assert stats.mean_trials == pytest.approx(
@@ -626,7 +651,7 @@ def test_trials_to_success_geometric_mean():
 def test_no_success_fraction_matches_geometric_tail():
     engine = make_engine(max_trials=60)
     n_runs = 20_000
-    failures = pr.run_protocol(engine, seed=19, n_runs=n_runs).counts[0]
+    failures = next(pr.run_rows([engine], 19, [n_runs])).counts[0]
     tail = (1.0 - engine.p_click) ** 60
     sigma = math.sqrt(tail * (1.0 - tail) / n_runs)
     assert abs(failures / n_runs - tail) <= 3.0 * sigma
@@ -647,7 +672,7 @@ def test_repeat_until_success_estimates_match_the_engine(p, p_ii, eta, dark, max
     run_success = -math.expm1(max_trials * math.log1p(-table.p_click))
     n_runs = min(2**15, math.ceil(2000 / run_success))
     assume(n_runs * run_success >= 500)  # enough successes for the normal tails
-    stats = pr.aggregate(pr.run_protocol(table, seed, n_runs), table)
+    stats = pr.aggregate(next(pr.run_rows([table], seed, [n_runs])), table)
     assert abs(stats.p_click - stats.p_click_analytic) <= 5 * stats.p_click_stderr
     f = stats.false_herald_analytic
     if stats.n_success:
@@ -657,11 +682,18 @@ def test_repeat_until_success_estimates_match_the_engine(p, p_ii, eta, dark, max
 
 def test_no_success_within_budget_is_explicit():
     engine = make_engine(eta=0.0, dark=0.0, max_trials=5)
-    tally = pr.run_protocol(engine, seed=9, n_runs=4)
+    tally = next(pr.run_rows([engine], 9, [4]))
     assert tally.counts[0] == 4 and tally.n_trials == 20
     stats = pr.aggregate(tally, engine)
     assert stats.n_success == 0
     assert math.isnan(stats.mean_trials)
+    assert stats.p_click == 0.0 and math.isnan(stats.p_click_stderr)
+    # a click could have been drawn, but none was: p_click 0 is no exact estimate
+    rare = cfg_mod.build_setup(cfg_mod.load_config(
+        preset="rb85-87", overrides=["eta=0.01", "max_trials=2"]))
+    stats = pr.aggregate(next(pr.run_rows([rare], 1, [20])), rare)
+    assert stats.p_click_analytic > 0.0 and stats.n_success == 0
+    assert stats.p_click == 0.0 and math.isnan(stats.p_click_stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -703,7 +735,7 @@ def tally(monkeypatch):
         monkeypatch.setattr(pr, "_run_batch", lambda engine, seed, row, lo, hi:
                             (trials_used[lo:hi], branch[lo:hi]))
         engine = fake_engine(branches, 0.5, int(trials_used.max()))
-        result = pr.run_protocol(engine, 0, len(branch), total_runs=pr._NUMPY_RUNS)
+        result = pr.run_protocol(pr._numpy_kernel, engine, 0, 0, 0, len(branch))
         assert result == reference_tally(trials_used, branch, len(branches))
         return result
 

@@ -34,7 +34,7 @@ RECORD_FIELDS = [
 def records():
     cfg = cfg_mod.load_config(preset="rb85-87")
     engine = cfg_mod.build_setup(cfg)
-    tally = pr.run_protocol(engine, 1, 100)
+    tally = next(pr.run_rows([engine], 1, [100]))
     found = [
         cfg_mod.SCHEMA["eta"], cfg_mod.RB85_87, cfg, cfg_mod.build_system_params(cfg),
         engine.rates, engine.write_state, engine.detector, engine.branches[0], engine.read,
