@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Subcommands: write-sim, herald, retrieve, protocol, sweep, preset-list.
-Exit codes: 0 ok, 2 config or usage error, 3 no success within max_trials,
-4 numeric failure.  Every output file embeds the resolved configuration,
-its provenance tags, and the master seed, so rerunning from the embedded
-config reproduces the output byte for byte.
+Exit codes: 0 ok, 2 config or usage error (a stdout that cannot be written
+included), 3 no success within max_trials, 4 numeric failure.  Every output
+file embeds the resolved configuration, its provenance tags, and the master
+seed, so rerunning from the embedded config reproduces the output byte for
+byte.  main returns the exit code; run, the entry point, ends the process
+with os._exit after one checked flush.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import math
 import os
 import stat
 import sys
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 from . import config as cfg_mod
 from .config import SEED_LIMIT, ConfigError, ResolvedConfig
@@ -45,9 +47,13 @@ def _metadata(command: str, cfg: ResolvedConfig, seed: int) -> dict:
 
 def _write_text(out_path: str | None, text: str) -> None:
     if out_path is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        try:
+            sys.stdout.write(text)
+            if not text.endswith("\n"):
+                sys.stdout.write("\n")
+            sys.stdout.flush()
+        except OSError as exc:
+            raise _stdout_error(exc) from exc
         return
     try:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
@@ -58,6 +64,10 @@ def _write_text(out_path: str | None, text: str) -> None:
 
 def _out_error(out_path: str, exc: OSError) -> ConfigError:
     return ConfigError(f"cannot write --out {out_path}: {exc.strerror or exc}")
+
+
+def _stdout_error(exc: OSError) -> ConfigError:
+    return ConfigError(f"cannot write stdout: {exc.strerror or exc}")
 
 
 def _check_out(out_path: str) -> None:
@@ -431,5 +441,27 @@ def main(argv=None) -> int:
         return 4
 
 
+def run(argv=None) -> NoReturn:
+    """Run main(argv) and end the process with its exit code by os._exit,
+    which skips interpreter finalization; stdout and stderr are flushed
+    first, and a failed stdout flush exits 2.  main has reaped every forked
+    drawing process by then.  argparse's SystemExit and any uncaught
+    exception leave by the interpreter's normal exit."""
+    code = main(argv)
+    if sys.stdout is not None:
+        try:
+            sys.stdout.flush()
+        except OSError as exc:
+            if not code:  # else main reported the failed write, whose bytes fail again here
+                print(f"error: {_stdout_error(exc)}", file=sys.stderr)
+                code = 2
+    if sys.stderr is not None:
+        try:
+            sys.stderr.flush()
+        except OSError:
+            pass  # there is nowhere left to report it, as at the interpreter's own exit
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -56,6 +56,7 @@ from typing import NamedTuple
 
 from . import herald as herald_mod
 from . import retrieval as retrieval_mod
+from . import rng as rng_mod
 from . import write_dynamics as wd
 from .herald import DetectorModel, HeraldBranch
 from .retrieval import FmeQubitState, ReadParams
@@ -153,10 +154,8 @@ def _run_batch(engine: ProtocolEngine, seed: int, row: int, run_lo: int, run_hi:
     """
     import numpy as np
 
-    from .rng import run_uniforms
-
     max_trials, log_q = engine.max_trials, engine.log_q
-    u = run_uniforms(seed, row, run_lo, run_hi)
+    u = rng_mod.run_uniforms(seed, row, run_lo, run_hi)
     # p_click = 0: log_q = -0.0 makes every quotient +inf (NaN at u = 0), no click
     with np.errstate(divide="ignore", invalid="ignore"):
         q = np.log1p(-u[:, 0]) / log_q
@@ -215,8 +214,6 @@ def _stdlib_kernel(engine: ProtocolEngine):
     object of the words' top bytes, plus those that share t's top byte and
     are >= t 2^11, compared one by one (16 words per threshold in a chunk of
     4096 runs, on average)."""
-    from .rng import run_words
-
     max_trials, log_q = engine.max_trials, engine.log_q
     # (threshold as a word, its top byte, the bytes 0 .. that top byte); a
     # threshold at or above 2^53, which no word reaches, takes the top byte
@@ -229,7 +226,7 @@ def _stdlib_kernel(engine: ProtocolEngine):
 
     def tally(seed: int, row: int, lo: int, hi: int) -> RunTally:
         n = hi - lo
-        lanes = run_words(seed, row, lo, hi)
+        lanes = rng_mod.run_words(seed, row, lo, hi)
         words = memoryview(lanes).cast("Q")  # word w of run j is item 4 j + 2 w
         branch_words, tops = words[2::4], lanes[23::32]  # tops: each word's top byte
         u = map(mul, itertools.repeat(-2.0**-64), words[0::4].tolist())  # -u, exactly

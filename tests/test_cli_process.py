@@ -1,0 +1,259 @@
+"""The CLI as a process: python -m fmesim ends through cli.run, which flushes
+stdout and stderr once and leaves by os._exit, skipping the interpreter's
+finalization.
+
+Each invocation runs as the leader of a new session, with PYTHONUNBUFFERED
+removed from its environment unless a test sets it, and every test checks that no process of that
+session outlived it.  The tests check that the output bytes and exit codes
+are those of main in process, that a stdout that cannot be written exits 2
+with one error line in both buffering modes, and the resource bounds that
+the CI workflow checks on the installed script:
+
+- "Peak memory does not grow with --runs" (test_peak_memory_does_not_grow_with_runs),
+- "Peak memory per sweep row" (test_peak_memory_per_sweep_row),
+- the taskset -c 0 run of "Output does not depend on the CPUs, and no
+  drawing process outlives the CLI" (test_output_does_not_depend_on_real_cpu_pinning).
+
+Peak memory is wait4's ru_maxrss of the CLI and the children it reaped,
+taken in a small launcher process.
+"""
+
+import errno
+import hashlib
+import io
+import json
+import os
+import signal
+import subprocess
+import sys
+from typing import NamedTuple
+
+import pytest
+from test_golden import GOLDEN_STDLIB_KERNEL_SHA256
+from test_processes import assert_no_child
+
+from fmesim import cli
+
+SPEC = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "spec.json")
+with open(SPEC, encoding="utf-8") as fh:
+    WORKLOADS = {name: w["argv"] for name, w in json.load(fh)["workloads"].items()}
+
+ENV = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+ENV["PYTHONPATH"] = os.pathsep.join(sys.path)
+TIMEOUT_S = 120.0
+
+
+class Finished(NamedTuple):
+    code: int
+    stdout: bytes
+    stderr: str
+
+
+def assert_session_ended(pid: int) -> None:
+    """No process of the session that pid led is left, and this process has
+    no unreaped child."""
+    with pytest.raises(ProcessLookupError):
+        os.killpg(pid, 0)
+    assert_no_child()
+
+
+def spawn(cmd, tmp_path, stdout=None, env=ENV, preexec_fn=None) -> Finished:
+    """Run cmd as the leader of a new session, with stdout to a file in
+    tmp_path or to the given file descriptor, and stderr to a file; killed
+    with its session after TIMEOUT_S."""
+    out_path = tmp_path / "stdout"
+    with open(out_path, "wb") as out, open(tmp_path / "stderr", "w+b") as err:
+        proc = subprocess.Popen(cmd, stdout=out if stdout is None else stdout, stderr=err,
+                                env=env, start_new_session=True, preexec_fn=preexec_fn)
+        try:
+            proc.wait(TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+            raise
+        err.seek(0)
+        stderr = err.read().decode()
+    assert_session_ended(proc.pid)
+    return Finished(proc.returncode, out_path.read_bytes(), stderr)
+
+
+def fmesim(argv, tmp_path, **spawn_args) -> Finished:
+    return spawn([sys.executable, "-m", "fmesim", *argv], tmp_path, **spawn_args)
+
+
+# Linux records at exec the peak resident set of the process that forked, so
+# wait4's ru_maxrss of a child of this test process counts this process's own
+# peak.  A small launcher spawns the CLI instead, as the CI steps do, and
+# prints its exit code and ru_maxrss in KiB as the last line of stderr.
+MEASURE = """\
+import os, subprocess, sys
+child = subprocess.Popen([sys.executable, "-m", "fmesim", *sys.argv[1:]])
+_, status, usage = os.wait4(child.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, file=sys.stderr)
+"""
+
+
+def peak_rss_mb(argv, tmp_path) -> tuple[Finished, float]:
+    """The CLI's run and the peak resident set in MB of it and its reaped
+    children."""
+    res = spawn([sys.executable, "-c", MEASURE, *argv], tmp_path)
+    assert res.code == 0, res.stderr
+    *lines, last = res.stderr.splitlines()
+    code, kib = map(int, last.split())
+    return Finished(code, res.stdout, "\n".join(lines)), kib / 1024
+
+
+def progress_lines(stderr: str) -> list[str]:
+    return [line for line in stderr.splitlines() if line.endswith(" runs")]
+
+
+def other_lines(stderr: str) -> list[str]:
+    return [line for line in stderr.splitlines() if not line.endswith(" runs")]
+
+
+@pytest.fixture(params=["buffered", "unbuffered"])
+def buffering_env(request):
+    return ENV if request.param == "buffered" else {**ENV, "PYTHONUNBUFFERED": "1"}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_full_stdout_exits_2_with_one_error_line(tmp_path, buffering_env):
+    fd = os.open("/dev/full", os.O_WRONLY)
+    try:
+        res = fmesim(["protocol", "--preset", "rb85-87", "--runs", "10"], tmp_path,
+                     stdout=fd, env=buffering_env)
+    finally:
+        os.close(fd)
+    assert res.code == 2
+    assert other_lines(res.stderr) == [f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}"]
+    assert progress_lines(res.stderr) == ["protocol: 10/10 runs"]
+
+
+def test_closed_stdout_pipe_exits_2_with_one_error_line(tmp_path, buffering_env):
+    read_fd, write_fd = os.pipe()
+    os.close(read_fd)
+    try:
+        res = fmesim(["herald", "--preset", "rb85-87"], tmp_path, stdout=write_fd,
+                     env=buffering_env)
+    finally:
+        os.close(write_fd)
+    assert res.code == 2
+    assert res.stderr == f"error: cannot write stdout: {os.strerror(errno.EPIPE)}\n"
+
+
+class FullStdout(io.StringIO):
+    def flush(self):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_main_flushes_stdout_and_reports_a_failure(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", FullStdout())
+    assert cli.main(["herald", "--preset", "rb85-87"]) == 2
+    assert capsys.readouterr().err == f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
+
+
+@pytest.mark.parametrize("code", [0, 2])
+def test_run_reports_a_failed_final_flush_once(monkeypatch, capsys, code):
+    # a failed flush after main succeeded exits 2; after main failed, main has
+    # reported it already (a failed write leaves its bytes to fail again)
+    exits = []
+
+    def fake_exit(status):
+        exits.append(status)
+        raise SystemExit
+
+    monkeypatch.setattr(cli, "main", lambda argv=None: code)
+    monkeypatch.setattr(sys, "stdout", FullStdout())
+    monkeypatch.setattr(os, "_exit", fake_exit)
+    with pytest.raises(SystemExit):
+        cli.run([])
+    assert exits == [2]
+    message = f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
+    assert capsys.readouterr().err == (message if code == 0 else "")
+
+
+@pytest.mark.parametrize("fd", [1, 2], ids=["stdout", "stderr"])
+def test_closed_standard_stream_with_out_exits_0(tmp_path, fd):
+    # sys.stdout or sys.stderr is None in a process started without its descriptor
+    out = tmp_path / "herald.json"
+    res = fmesim(["herald", "--preset", "rb85-87", "--out", str(out)], tmp_path,
+                 preexec_fn=lambda: os.close(fd))
+    assert res.code == 0 and res.stdout == b"" and res.stderr == ""
+    assert json.loads(out.read_text())["metadata"]["command"] == "herald"
+
+
+def test_rb_protocol_golden_bytes_from_forked_draw(tmp_path):
+    # 10^5 runs draw in up to three processes; pinned to two CPUs, a child draws half
+    cpus, pin = {0}, None
+    if hasattr(os, "sched_setaffinity"):
+        cpus = set(sorted(os.sched_getaffinity(0))[:2])
+        pin = lambda: os.sched_setaffinity(0, cpus)  # noqa: E731
+    res = fmesim([*WORKLOADS["rb-protocol"], "--seed", "1"], tmp_path, preexec_fn=pin)
+    assert res.code == 0 and other_lines(res.stderr) == []
+    assert hashlib.sha256(res.stdout).hexdigest() == GOLDEN_STDLIB_KERNEL_SHA256
+    if len(cpus) == 2:  # a forked draw reports each row once, at its end
+        assert progress_lines(res.stderr) == ["protocol: 100000/100000 runs"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_output_larger_than_a_pipe_buffer(tmp_path, fmt):
+    etas = ",".join(str(i / 300) for i in range(1, 301))
+    argv = ["sweep", "--preset", "rb85-87", "--runs", "1", "--seed", "1", "--format", fmt,
+            "--sweep", f"eta={etas}"]
+    in_process = tmp_path / "in-process.out"
+    assert cli.main(argv + ["--out", str(in_process)]) == 0
+    expected = in_process.read_bytes()
+    assert len(expected) > 64 * 1024
+    with subprocess.Popen([sys.executable, "-m", "fmesim", *argv], stdout=subprocess.PIPE,
+                          stderr=subprocess.DEVNULL, env=ENV, start_new_session=True) as proc:
+        piped, _ = proc.communicate(timeout=TIMEOUT_S)
+    assert_session_ended(proc.pid)
+    assert proc.returncode == 0 and piped == expected
+    out = tmp_path / "sweep.out"
+    res = fmesim(argv + ["--out", str(out)], tmp_path)
+    assert res.code == 0 and res.stdout == b"" and out.read_bytes() == expected
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["protocol", "--preset", "rb85-87", "--set", "eta=2.0"], 2, "error: eta"),
+    (["no-such-command"], 2, "invalid choice: 'no-such-command'"),
+    (["protocol", "--preset", "rb85-87", "--seed", "2", "--runs", "2", "--set", "eta=0.0",
+      "--set", "dark_rate_hz=0.0", "--set", "max_trials=5"], 3, ""),
+    (["protocol", "--preset", "rb85-87", "--runs", "50", "--set", "N_I=1e300"], 4,
+     "numeric failure"),
+], ids=["config", "usage", "no-success", "overflow"])
+def test_exit_codes_are_unchanged(tmp_path, argv, code, message):
+    res = fmesim(argv, tmp_path)
+    assert res.code == code
+    assert message in res.stderr and "Traceback" not in res.stderr
+
+
+def test_peak_memory_does_not_grow_with_runs(tmp_path):
+    argv = ["protocol", "--preset", "rb85-87", "--runs", "10000000", "--seed", "1"]
+    res, peak_mb = peak_rss_mb(argv, tmp_path)
+    assert res.code == 0
+    assert peak_mb <= 64
+
+
+def test_peak_memory_per_sweep_row(tmp_path):
+    etas = ",".join(str(i / 10000) for i in range(10000))
+    argv = ["sweep", "--preset", "rb85-87", "--runs", "1", "--format", "json", "--seed", "1",
+            "--sweep", f"eta={etas}"]
+    res, peak_mb = peak_rss_mb(argv, tmp_path)
+    assert res.code == 0 and json.loads(res.stdout)["results"][-1]["row"] == 9999
+    assert peak_mb <= 128
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+@pytest.mark.parametrize("name", ["rb-protocol", "drive-grid"])
+def test_output_does_not_depend_on_real_cpu_pinning(tmp_path, name):
+    cpu = min(os.sched_getaffinity(0))
+    argv = [*WORKLOADS[name], "--seed", "1"]
+    (tmp_path / "pinned").mkdir()
+    (tmp_path / "all").mkdir()
+    pinned = fmesim(argv, tmp_path / "pinned", preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
+    unpinned = fmesim(argv, tmp_path / "all")
+    assert pinned.code == unpinned.code == 0
+    assert pinned.stdout == unpinned.stdout
+    # one process reports up to ten lines per row; a forked draw one line per row
+    assert len(progress_lines(pinned.stderr)) >= len(progress_lines(unpinned.stderr))
