@@ -12,6 +12,7 @@ with os._exit after one checked flush.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import errno
 import io
@@ -46,20 +47,24 @@ def _metadata(command: str, cfg: ResolvedConfig, seed: int) -> dict:
 
 
 def _write_text(out_path: str | None, text: str) -> None:
-    if out_path is None:
-        try:
-            sys.stdout.write(text)
-            if not text.endswith("\n"):
-                sys.stdout.write("\n")
-            sys.stdout.flush()
-        except OSError as exc:
-            raise _stdout_error(exc) from exc
-        return
+    """Write text to stdout, or to out_path if given, 2^16 characters at a
+    time, so that no encoded copy of a whole large table is made."""
     try:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with (contextlib.nullcontext(sys.stdout) if out_path is None
+              else open(out_path, "w", encoding="utf-8", newline="")) as fh:
+            for start in range(0, len(text), 1 << 16):
+                fh.write(text[start:start + (1 << 16)])
+            fh.flush()
     except OSError as exc:
-        raise _out_error(out_path, exc) from exc
+        raise (_stdout_error(exc) if out_path is None else _out_error(out_path, exc)) from exc
+
+
+def _stderr_line(text: str) -> None:
+    """Print text as a line on stderr, if there is one (sys.stderr is None
+    without descriptor 2, where print writes to stdout) and it can be written."""
+    with contextlib.suppress(OSError):
+        if sys.stderr is not None:
+            print(text, file=sys.stderr)
 
 
 def _out_error(out_path: str, exc: OSError) -> ConfigError:
@@ -247,16 +252,17 @@ def cmd_retrieve(args) -> int:
     return 0
 
 
-def _progress(label: str):
-    """A progress callback that prints on stderr once per tenth of the runs
-    passed, so at most ten lines per row, the last at done == total."""
-    tenths = 0
+def _progress(command: str, runs: list[int]):
+    """The progress callback write(row, done) of rows of the given runs: it
+    prints on stderr once per tenth of a row's runs passed, so at most ten
+    lines per row, each once, the last at done == runs[row]."""
+    tenths = [0] * len(runs)
 
-    def write(done, total):
-        nonlocal tenths
-        if done * 10 // total > tenths:
-            tenths = done * 10 // total
-            print(f"{label}: {done}/{total} runs", file=sys.stderr)
+    def write(row, done):
+        if done * 10 // runs[row] > tenths[row]:
+            tenths[row] = done * 10 // runs[row]
+            label = f"sweep row {row + 1}/{len(runs)}" if command == "sweep" else command
+            _stderr_line(f"{label}: {done}/{runs[row]} runs")
 
     return write
 
@@ -274,9 +280,8 @@ def _run_rows(args, command: str, cfg: ResolvedConfig, points) -> int:
     from .protocol import ProtocolStats, aggregate, run_rows
 
     engines = [_engine(row_cfg) for row_cfg in row_cfgs]
-    tallies = run_rows(engines, args.seed, [row_cfg.values["runs"] for row_cfg in row_cfgs],
-                       lambda i: _progress(f"sweep row {i + 1}/{len(engines)}"
-                                           if command == "sweep" else command))
+    runs = [row_cfg.values["runs"] for row_cfg in row_cfgs]
+    tallies = run_rows(engines, args.seed, runs, _progress(command, runs))
     meta = _metadata(command, cfg, args.seed)
     buf, tail = io.StringIO(), ""
     if args.format == "json":
@@ -434,17 +439,18 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _stderr_line(f"error: {exc}")
         return 2
     except (FloatingPointError, ZeroDivisionError, OverflowError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
+        _stderr_line(f"numeric failure: {exc}")
         return 4
 
 
 def run(argv=None) -> NoReturn:
     """Run main(argv) and end the process with its exit code by os._exit,
-    which skips interpreter finalization; stdout and stderr are flushed
-    first, and a failed stdout flush exits 2.  main has reaped every forked
+    which skips interpreter finalization; stdout is flushed first, and a
+    failed flush exits 2.  stderr is line-buffered, and every write to it
+    ends a line, so it holds nothing to flush.  main has reaped every forked
     drawing process by then.  argparse's SystemExit and any uncaught
     exception leave by the interpreter's normal exit."""
     code = main(argv)
@@ -453,13 +459,8 @@ def run(argv=None) -> NoReturn:
             sys.stdout.flush()
         except OSError as exc:
             if not code:  # else main reported the failed write, whose bytes fail again here
-                print(f"error: {_stdout_error(exc)}", file=sys.stderr)
+                _stderr_line(f"error: {_stdout_error(exc)}")
                 code = 2
-    if sys.stderr is not None:
-        try:
-            sys.stderr.flush()
-        except OSError:
-            pass  # there is nowhere left to report it, as at the interpreter's own exit
     os._exit(code)
 
 

@@ -33,15 +33,11 @@ standard-library one and the numpy one (_run_batch).  A run's draws depend
 on nothing else, so any partitioning of runs into batches produces the same
 tally.  run_rows holds an invocation's one draw plan, read from its runs in
 all: below _NUMPY_RUNS = 2^17 the standard-library kernel draws, so numpy is
-never imported, in one forked process per 2^15 runs, at most one per CPU,
-and the parts' tallies are added; from there on the numpy kernel draws in
-one process.  run_protocol draws one row's run range with the kernel it is
-given.  The write engine is
-selectable (write_dynamics.write_state):
-"exact" is the closed-form, untruncated evolution of the pair-creation
-Hamiltonian, whose statistics do not depend on the cutoff, and
-"perturbative" its Taylor polynomial, with double excitations when the
-cutoff allows, so multi-photon false heralds are represented.
+never imported, and from there on the numpy kernel; either draws in one
+process per 2^15 runs, at most one per CPU, forked from this one, and the
+parts' tallies are added.  run_protocol draws one row's run range with the
+kernel it is given.  The write engine, "exact" or "perturbative", is chosen
+by write_dynamics.write_state, whose module docstring describes both.
 """
 
 from __future__ import annotations
@@ -70,12 +66,14 @@ from .write_dynamics import SystemParams
 _RUN_CHUNK = 4096
 
 # Invocations of at least this many runs in all draw them with numpy, and
-# smaller ones with the standard library: importing numpy costs about 80 ms
-# and 14 MB, which the standard-library draw (about 0.7 us per run against
-# numpy's 0.07 us) overtakes between 131,071 and 200,000 runs (README).
+# smaller ones with the standard library, which saves importing numpy (80 ms
+# and 14 MB).  Both forked on 2 CPUs, the standard library took 0.060 s to
+# numpy's 0.080 s at 131,071 runs, 0.079 to 0.081 s at 262,144 and 0.118 to
+# 0.085 s at 524,288; on one CPU the crossover is 2^17 (README), and moving
+# it would re-point the kernels' golden hashes.
 _NUMPY_RUNS = 1 << 17
 
-# Runs per drawing process below _NUMPY_RUNS: 10^5 runs split in two took
+# Runs per drawing process: 10^5 runs split in two took
 # 15-17 ms in process against 27-29 ms in one, so a child costs about 2 ms of
 # wall time, which a part of 2^15 runs (about 9 ms to draw) repays.
 _FORK_RUNS = 1 << 15
@@ -266,8 +264,8 @@ def run_protocol(kernel, engine: ProtocolEngine, seed: int, row: int, lo: int, h
                  report=None) -> RunTally:
     """The tally of runs lo .. hi - 1 of row, drawn by kernel(engine)
     (_stdlib_kernel or _numpy_kernel, which give the same tally) one chunk
-    of _RUN_CHUNK runs at a time; report(done, hi), if given, is called
-    after each chunk (reporting only)."""
+    of _RUN_CHUNK runs at a time; report(row, stop), if given, is called
+    after each chunk, with the run it stopped before (reporting only)."""
     # p_click = 0 (log_q = -0.0) only when there is no branch: no run clicks
     tally_runs = kernel(engine) if engine.p_click else (
         lambda seed, row, lo, hi: RunTally((hi - lo,), (hi - lo) * engine.max_trials, 0, 0))
@@ -276,17 +274,16 @@ def run_protocol(kernel, engine: ProtocolEngine, seed: int, row: int, lo: int, h
         stop = min(start + _RUN_CHUNK, hi)
         tally = _sum((tally, tally_runs(seed, row, start, stop)))
         if report is not None:
-            report(stop, hi)
+            report(row, stop)
     return tally
 
 
 def _process_count(total_runs: int) -> int:
-    """How many processes the standard-library kernel draws an invocation of
-    total_runs runs with: one per _FORK_RUNS runs, at most one per CPU this
-    process may run on, and one where the CPU set cannot be read."""
-    if not hasattr(os, "sched_getaffinity"):
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), total_runs // _FORK_RUNS))
+    """How many processes draw an invocation of total_runs runs, with either
+    kernel: one per _FORK_RUNS runs, at most one per CPU this process may
+    run on, and one where the CPU set cannot be read."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return max(1, min(cpus, total_runs // _FORK_RUNS))
 
 
 def _part(runs: list[int], start: int, stop: int):
@@ -318,13 +315,16 @@ def _send(write_fd: int, partials) -> None:
         os._exit(0)
 
 
-def _draw_forked(draw, n: int) -> list:
+def _draw_forked(draw, n: int):
     """The (row, tally) pairs of draw(k) for parts k = 0 .. n - 1, in part
-    order: part 0 drawn here and each other part by a forked child, which
-    sends them back over a pipe.  A child's exception is raised here, and
-    the part of a child that ended without sending anything is drawn here;
-    on any exception here the children are killed.  Every child is reaped
-    before this returns or raises."""
+    order: draw(0) itself if n == 1, else a list of part 0 drawn here and
+    each other part by a forked child, which sends them over a pipe.  A
+    child's exception is raised here, and the part of a child that ended
+    without sending anything is drawn here; on any exception here the
+    children are killed.  Every child is reaped before this returns or
+    raises."""
+    if n == 1:
+        return draw(0)
     gc.freeze()  # the children's collections then skip, and leave shared, the inherited objects
     children = []
     try:
@@ -366,37 +366,32 @@ def run_rows(engines: list[ProtocolEngine], seed: int, runs: list[int], progress
     """Yield the tally of each row i, runs[i] runs of engines[i] keyed by
     row i, in row order.
 
-    This is the invocation's one draw plan, from its runs in all: from
-    _NUMPY_RUNS on, _numpy_kernel draws in one process; below, _stdlib_kernel
-    draws in _process_count(sum(runs)) processes.  The rows' chunks of
-    _RUN_CHUNK runs, counted in row order, are cut into that many contiguous
-    parts of near-equal size.  With one part each row is drawn by
-    run_protocol when it is asked for, and progress(i), if given, makes the
-    callback of row i's chunks.  With more, a forked child draws each part
-    but the first, which this process draws, and each row's partial tallies
-    are added; progress(i) is then called once per row, at done == runs[i].
-    A run's draws depend only on (seed, row, run), so the tallies do not
-    depend on the kernel or the process count."""
+    This is the invocation's one draw plan, from its runs in all: the
+    kernel (_numpy_kernel from _NUMPY_RUNS on) and _process_count(sum(runs))
+    processes.  The rows' chunks of _RUN_CHUNK runs, in row order, are cut
+    into that many contiguous parts of near-equal size; this process draws
+    the first, a forked child each other (_draw_forked), and each row's
+    partial tallies are added.  progress(i, done), if given, is called after
+    each chunk of row i drawn here and once row i's tally is complete, at
+    done = runs[i].  A run's draws depend only on (seed, row, run), so the
+    tallies do not depend on the kernel or the process count."""
     total = sum(runs)
+    kernel = _stdlib_kernel
     if total >= _NUMPY_RUNS:
-        kernel, n = _numpy_kernel, 1
-    else:
-        kernel, n = _stdlib_kernel, _process_count(total)
+        import numpy  # noqa: F401  # once, before any fork, not in each child
+        kernel = _numpy_kernel
+    n = _process_count(total)
     n_chunks = sum(-(-n_runs // _RUN_CHUNK) for n_runs in runs)
     bounds = [k * n_chunks // n for k in range(n + 1)]
 
-    def draw(k: int, progress=None):
+    def draw(k: int):  # part 0 reports, and each of its rows starts at run 0
         for row, lo, hi in _part(runs, bounds[k], bounds[k + 1]):
             yield row, run_protocol(kernel, engines[row], seed, row, lo, hi,
-                                    progress and progress(row))
+                                    None if k else progress)
 
-    if n == 1:
-        for _, tally in draw(0, progress):
-            yield tally
-        return
     for row, partials in itertools.groupby(_draw_forked(draw, n), itemgetter(0)):
         if progress is not None:
-            progress(row)(runs[row], runs[row])
+            progress(row, runs[row])
         yield _sum(tally for _, tally in partials)
 
 
@@ -420,12 +415,13 @@ def aggregate(tally: RunTally, engine: ProtocolEngine) -> ProtocolStats:
     p_click_stderr = mean_trials = mean_trials_stderr = false_fraction = photon_yield = math.nan
     mean_conc = mean_fid = math.nan
 
-    if n_success:  # without one, the Wald form would read 0 beside an estimate of 0
+    if 0.0 < p_click < 1.0:  # at p_click 0 or 1 the Wald form would read 0
         p_click_stderr = math.sqrt(p_click * (1.0 - p_click) / tally.n_trials)
+    if n_success:
         n, s1, s2 = n_success, tally.trials_sum, tally.trials_sq_sum
         mean_trials = s1 / n  # Python int / int rounds once
-        # stderr^2 = var / n, and n (n - 1) var = n s2 - s1^2 exactly in ints
-        mean_trials_stderr = math.sqrt((n * s2 - s1 * s1) / (n * n * max(n - 1, 1)))
+        if n > 1:  # stderr^2 = var / n, and n (n - 1) var = n s2 - s1^2 exactly in ints
+            mean_trials_stderr = math.sqrt((n * s2 - s1 * s1) / (n * n * (n - 1)))
         false_fraction = sum(h for h, b in zip(hits, branches) if b.false_herald) / n_success
         one_pair_hits = sum(h for h, b in zip(hits, branches) if b.n_photons == 1)
         # the ratio first: the efficiency itself when every success is a one-pair click

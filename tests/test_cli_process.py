@@ -1,12 +1,13 @@
 """The CLI as a process: python -m fmesim ends through cli.run, which flushes
-stdout and stderr once and leaves by os._exit, skipping the interpreter's
-finalization.
+stdout once and leaves by os._exit, skipping the interpreter's finalization.
 
 Each invocation runs as the leader of a new session, with PYTHONUNBUFFERED
 removed from its environment unless a test sets it, and every test checks that no process of that
 session outlived it.  The tests check that the output bytes and exit codes
 are those of main in process, that a stdout that cannot be written exits 2
-with one error line in both buffering modes, and the resource bounds that
+with one error line in both buffering modes, that a stderr that is closed or
+cannot be written changes neither stdout nor the exit code, that a forked
+numpy draw imports numpy once, and the resource bounds that
 the CI workflow checks on the installed script:
 
 - "Peak memory does not grow with --runs" (test_peak_memory_does_not_grow_with_runs),
@@ -191,8 +192,53 @@ def test_rb_protocol_golden_bytes_from_forked_draw(tmp_path):
     res = fmesim([*WORKLOADS["rb-protocol"], "--seed", "1"], tmp_path, preexec_fn=pin)
     assert res.code == 0 and other_lines(res.stderr) == []
     assert hashlib.sha256(res.stdout).hexdigest() == GOLDEN_STDLIB_KERNEL_SHA256
-    if len(cpus) == 2:  # a forked draw reports each row once, at its end
-        assert progress_lines(res.stderr) == ["protocol: 100000/100000 runs"]
+    if len(cpus) == 2:  # the parent reports only the chunks it draws, then the row's end
+        assert progress_lines(res.stderr) == [f"protocol: {done}/100000 runs"
+                                              for done in (12288, 20480, 32768, 40960, 100000)]
+
+
+NUMPY_ARGV = ["protocol", "--preset", "rb85-87", "--runs", str(2**17), "--seed", "1"]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs two CPUs")
+def test_forked_numpy_draw_imports_numpy_once(tmp_path):
+    # 2^17 runs on two CPUs draw with numpy in two processes; -X importtime
+    # prints a line for numpy in every process that imports it
+    cpus = set(sorted(os.sched_getaffinity(0))[:2])
+    res = spawn([sys.executable, "-X", "importtime", "-m", "fmesim", *NUMPY_ARGV], tmp_path,
+                preexec_fn=lambda: os.sched_setaffinity(0, cpus))
+    assert res.code == 0
+    assert len([line for line in res.stderr.splitlines() if line.endswith("| numpy")]) == 1
+    # the parent drew half of the runs: it reports only its own chunks, then the row's end
+    assert progress_lines(res.stderr)[-2:] == ["protocol: 65536/131072 runs",
+                                               "protocol: 131072/131072 runs"]
+
+
+NORMAL_ARGV = ["protocol", "--preset", "rb85-87", "--runs", "10", "--seed", "1"]
+
+
+@pytest.mark.parametrize("argv, code", [(NORMAL_ARGV, 0), ([*NORMAL_ARGV, "--set", "eta=2"], 2)],
+                         ids=["ok", "config-error"])
+def test_closed_stderr_leaves_stdout_and_exit_code(tmp_path, argv, code):
+    # without descriptor 2, sys.stderr is None, and print would write to stdout
+    (tmp_path / "normal").mkdir()
+    normal = fmesim(NORMAL_ARGV, tmp_path / "normal")
+    res = fmesim(argv, tmp_path, preexec_fn=lambda: os.close(2))
+    assert res.code == code
+    assert res.stdout == (normal.stdout if code == 0 else b"")
+
+
+def test_unwritable_stderr_leaves_stdout_and_exit_code(tmp_path):
+    (tmp_path / "normal").mkdir()
+    normal = fmesim(NORMAL_ARGV, tmp_path / "normal")
+
+    def read_only_stderr():
+        os.dup2(os.open(os.devnull, os.O_RDONLY), 2)
+
+    res = fmesim(NORMAL_ARGV, tmp_path, preexec_fn=read_only_stderr)
+    assert normal.code == res.code == 0 and progress_lines(normal.stderr) != []
+    assert res.stdout == normal.stdout
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -212,6 +258,31 @@ def test_output_larger_than_a_pipe_buffer(tmp_path, fmt):
     out = tmp_path / "sweep.out"
     res = fmesim(argv + ["--out", str(out)], tmp_path)
     assert res.code == 0 and res.stdout == b"" and out.read_bytes() == expected
+
+
+class RecordingStdout(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+def test_output_is_written_in_slices(tmp_path, monkeypatch):
+    # encoding a whole large table at once made a transient copy of it, which
+    # moved a 9,000-row sweep's peak RSS by 10 MB with a few bytes of output
+    etas = ",".join(str(i / 1000) for i in range(1, 1001))
+    argv = ["sweep", "--preset", "rb85-87", "--runs", "1", "--seed", "1", "--format", "json",
+            "--sweep", f"eta={etas}"]
+    out = tmp_path / "sweep.json"
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    stdout = RecordingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert cli.main(argv) == 0
+    assert stdout.getvalue().encode() == out.read_bytes()
+    assert len(stdout.sizes) > 2 and max(stdout.sizes) <= 2**16
 
 
 @pytest.mark.parametrize("argv, code, message", [
@@ -245,15 +316,17 @@ def test_peak_memory_per_sweep_row(tmp_path):
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
-@pytest.mark.parametrize("name", ["rb-protocol", "drive-grid"])
-def test_output_does_not_depend_on_real_cpu_pinning(tmp_path, name):
+@pytest.mark.parametrize("argv", [[*WORKLOADS["rb-protocol"], "--seed", "1"],
+                                  [*WORKLOADS["drive-grid"], "--seed", "1"], NUMPY_ARGV],
+                         ids=["rb-protocol", "drive-grid", "protocol-131072"])
+def test_output_does_not_depend_on_real_cpu_pinning(tmp_path, argv):
     cpu = min(os.sched_getaffinity(0))
-    argv = [*WORKLOADS[name], "--seed", "1"]
     (tmp_path / "pinned").mkdir()
     (tmp_path / "all").mkdir()
     pinned = fmesim(argv, tmp_path / "pinned", preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
     unpinned = fmesim(argv, tmp_path / "all")
     assert pinned.code == unpinned.code == 0
     assert pinned.stdout == unpinned.stdout
-    # one process reports up to ten lines per row; a forked draw one line per row
+    # one process reports up to ten lines per row; a forked draw only the
+    # parent's share of them and each row's end
     assert len(progress_lines(pinned.stderr)) >= len(progress_lines(unpinned.stderr))

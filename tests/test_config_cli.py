@@ -1021,9 +1021,9 @@ def test_progress_prints_at_most_once_per_tenth(capsys):
     n_runs = 10_000_000
     chunk_ends = [*range(pr._RUN_CHUNK, n_runs, pr._RUN_CHUNK), n_runs]
     assert len(chunk_ends) == math.ceil(n_runs / pr._RUN_CHUNK)
-    progress = cli._progress("protocol")
+    progress = cli._progress("protocol", [n_runs])
     for done in chunk_ends:
-        progress(done, n_runs)
+        progress(0, done)
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) <= 11
     assert lines[-1] == "protocol: 10000000/10000000 runs"

@@ -1,13 +1,14 @@
 """Drawing an invocation's runs across forked processes.
 
-protocol.run_rows plans an invocation's draw from its runs in all: below
-protocol._NUMPY_RUNS it cuts the rows' chunks into one part per 2^15 runs,
-at most one per CPU (protocol._process_count), and forks a child for every
-part but the first; from there on one process draws with numpy.  These
-tests patch the CPU count to 1, 2 and 3 and check that the output bytes do
-not depend on it, that nothing forks from 2^17 runs on, that progress stays
-at most ten lines per row, that a failure in a child or in the parent exits
-as it would in one process, and that no child outlives the call.
+protocol.run_rows plans an invocation's draw from its runs in all: the kernel
+(the standard library below protocol._NUMPY_RUNS, numpy from there on) and,
+for either kernel, one part of the rows' chunks per 2^15 runs, at most one
+per CPU (protocol._process_count), with a forked child for every part but
+the first.  These tests patch the CPU count to 1, 2 and 3 and check that the
+output bytes do not depend on it, with either kernel; that progress stays at
+most ten lines per row, each line once, and in one process the lines it has
+always printed; that a failure in a child or in the parent exits as it
+would in one process; and that no child outlives the call.
 """
 
 import hashlib
@@ -60,7 +61,18 @@ def progress_lines(err: str) -> dict:
     return rows
 
 
-# (argv, rows' runs, exit code); every case holds fewer than 2^17 runs in all
+def one_process_lines(runs: list[int]) -> list[list[tuple[int, int]]]:
+    """Each row's progress lines drawn in one process: a line at each chunk
+    end that passes another tenth of the row's runs."""
+    rows = []
+    for n in runs:
+        ends = [min(stop, n) for stop in range(pr._RUN_CHUNK, n + pr._RUN_CHUNK, pr._RUN_CHUNK)]
+        tenths = [0, *(done * 10 // n for done in ends)]
+        rows.append([(done, n) for done, a, b in zip(ends, tenths, tenths[1:]) if b > a])
+    return rows
+
+
+# (argv, rows' runs, exit code); the numpy cases hold 2^17 runs or more in all
 CASES = {
     "golden-100000": (["protocol", "--preset", "rb85-87", "--runs", "100000", "--seed", "1"],
                       [100_000], 0),
@@ -75,7 +87,14 @@ CASES = {
                             "--set", "eta=0", "--set", "dark_rate_hz=0"], [100_000], 3),
     "runs-2^17-1": (["protocol", "--preset", "rb85-87", "--runs", str(2**17 - 1), "--seed", "1"],
                     [2**17 - 1], 0),
+    "numpy-2^17": (["protocol", "--preset", "rb85-87", "--runs", str(2**17), "--seed", "1"],
+                   [2**17], 0),
+    # 16 chunks per row, the last of each partial: at 2 CPUs part 1 starts
+    # in row 1, at 3 CPUs parts start at rows 1 and 2
+    "numpy-sweep-3-rows": (["sweep", "--preset", "rb85-87", "--runs", "65535", "--seed", "7",
+                            "--sweep", "eta=0.3,0.6,0.9"], [65_535] * 3, 0),
 }
+GOLDEN = {"golden-100000": GOLDEN_STDLIB_KERNEL_SHA256, "numpy-2^17": GOLDEN_NUMPY_KERNEL_SHA256}
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -90,27 +109,20 @@ def test_output_does_not_depend_on_the_process_count(tmp_path, capsys, cpus, nam
         assert len(forks) == min(n_cpus, sum(runs) // 2**15) - 1
         assert_no_child()
         blobs.append(out.read_bytes())
-        rows = progress_lines(capsys.readouterr().err)
-        assert [lines[-1] for lines in rows.values()] == [(n, n) for n in runs]
-        assert max(map(len, rows.values())) <= 10
+        rows = [*progress_lines(capsys.readouterr().err).values()]
+        assert len(rows) == len(runs)
+        for lines, n in zip(rows, runs):
+            assert len(lines) <= 10 and len(set(lines)) == len(lines)
+            assert lines[-1] == (n, n) and {total for _, total in lines} == {n}
+        if n_cpus == 1:
+            assert rows == one_process_lines(runs)
     assert blobs[1:] == blobs[:-1]
-    if name == "golden-100000":
-        assert hashlib.sha256(blobs[0]).hexdigest() == GOLDEN_STDLIB_KERNEL_SHA256
-
-
-def test_no_fork_from_two_to_the_17_runs(tmp_path, cpus):
-    set_cpus, forks = cpus
-    set_cpus(3)
-    out = tmp_path / "out.csv"
-    argv = ["protocol", "--preset", "rb85-87", "--runs", str(2**17), "--seed", "1"]
-    assert main(argv + ["--out", str(out)]) == 0
-    assert forks == []
-    assert_no_child()
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_NUMPY_KERNEL_SHA256
+    if name in GOLDEN:
+        assert hashlib.sha256(blobs[0]).hexdigest() == GOLDEN[name]
 
 
 def test_sweep_parts_fall_mid_row_and_after_partial_chunks():
-    # the part boundaries that the sweep-3-rows case claims, from the chunk counts
+    # the part boundaries that the sweep-3-rows cases claim, from the chunk counts
     runs = CASES["sweep-3-rows"][1]
     assert [-(-n // pr._RUN_CHUNK) for n in runs] == [13, 5, 10]
     assert [n % pr._RUN_CHUNK for n in runs] == [848, 3616, 3136]
@@ -119,6 +131,11 @@ def test_sweep_parts_fall_mid_row_and_after_partial_chunks():
     assert [*pr._part(runs, 0, 9)] == [(0, 0, 36_864)]
     assert [*pr._part(runs, 9, 18)] == [(0, 36_864, 50_000), (1, 0, 20_000)]
     assert [*pr._part(runs, 18, 28)] == [(2, 0, 40_000)]
+    runs = CASES["numpy-sweep-3-rows"][1]
+    assert sum(runs) >= pr._NUMPY_RUNS and [n % pr._RUN_CHUNK for n in runs] == [4095] * 3
+    assert [*pr._part(runs, 0, 24)] == [(0, 0, 65_535), (1, 0, 32_768)]
+    assert [*pr._part(runs, 24, 48)] == [(1, 32_768, 65_535), (2, 0, 65_535)]
+    assert [*pr._part(runs, 16, 32)] == [(1, 0, 65_535)]
 
 
 @pytest.mark.parametrize("runs", [[1], [4096], [4097], [50_000, 20_000, 40_000],

@@ -4,6 +4,7 @@ aggregate statistics against exact rational arithmetic."""
 
 import bisect
 import itertools
+import json
 import math
 import os
 import struct
@@ -19,6 +20,7 @@ from fmesim import config as cfg_mod
 from fmesim import protocol as pr
 from fmesim import rng as rng_mod
 from fmesim import write_dynamics as wd
+from fmesim.cli import main
 from fmesim.herald import DetectorModel, HeraldBranch
 from fmesim.retrieval import FmeQubitState, ReadParams, concurrence, fidelity_to_bell
 
@@ -364,9 +366,9 @@ def test_chunking_does_not_change_results():
 def test_progress_reports_each_chunk():
     engine = make_engine()
     seen = []
-    pr.run_protocol(pr._stdlib_kernel, engine, 2, 0, 0, pr._RUN_CHUNK + 1,
-                    report=lambda d, t: seen.append((d, t)))
-    assert seen == [(pr._RUN_CHUNK, pr._RUN_CHUNK + 1), (pr._RUN_CHUNK + 1, pr._RUN_CHUNK + 1)]
+    pr.run_protocol(pr._stdlib_kernel, engine, 2, 3, 0, pr._RUN_CHUNK + 1,
+                    report=lambda row, done: seen.append((row, done)))
+    assert seen == [(3, pr._RUN_CHUNK), (3, pr._RUN_CHUNK + 1)]
 
 
 def kernel_tallies(engine, seed, n_runs, row=0):
@@ -694,6 +696,24 @@ def test_no_success_within_budget_is_explicit():
     stats = pr.aggregate(next(pr.run_rows([rare], 1, [20])), rare)
     assert stats.p_click_analytic > 0.0 and stats.n_success == 0
     assert stats.p_click == 0.0 and math.isnan(stats.p_click_stderr)
+
+
+@pytest.mark.filterwarnings("ignore:excitation amplitude:UserWarning")
+@pytest.mark.parametrize("sets", [[], ["--set", "eta=1", "--set", "tau_write=4e-5"]],
+                         ids=["one-success", "every-trial-clicked"])
+def test_no_stderr_from_a_sample_that_cannot_give_one(tmp_path, sets):
+    # one run: one success, whose trials give no variance, and with a click
+    # almost certain, p_click 1 from one trial, where the Wald form reads 0
+    out = tmp_path / "row.json"
+    argv = ["protocol", "--preset", "rb85-87", "--runs", "1", "--seed", "1", "--format", "json"]
+    assert main([*argv, *sets, "--out", str(out)]) == 0
+    (row,) = json.loads(out.read_text())["results"]
+    assert row["n_success"] == 1 and row["mean_trials_stderr"] is None
+    if sets:
+        assert row["p_click"] == 1.0 and row["p_click_stderr"] is None
+        assert row["p_click_analytic"] == pytest.approx(0.99465, abs=5e-6)
+    else:
+        assert 0.0 < row["p_click"] < 1.0 and row["p_click_stderr"] > 0.0
 
 
 # ---------------------------------------------------------------------------
