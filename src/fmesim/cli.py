@@ -48,8 +48,12 @@ def _metadata(command: str, cfg: ResolvedConfig, seed: int) -> dict:
 
 def _write_text(out_path: str | None, text: str) -> None:
     """Write text to stdout, or to out_path if given, 2^16 characters at a
-    time, so that no encoded copy of a whole large table is made."""
+    time, so that no encoded copy of a whole large table is made.  Without
+    descriptor 1, sys.stdout is None, and writing to it fails as on a closed
+    descriptor."""
     try:
+        if out_path is None and sys.stdout is None:
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         with (contextlib.nullcontext(sys.stdout) if out_path is None
               else open(out_path, "w", encoding="utf-8", newline="")) as fh:
             for start in range(0, len(text), 1 << 16):

@@ -29,7 +29,11 @@ sweep row, run index) (fmesim.rng), and the engine holds the one rule that
 maps them to its result: T = floor(math.log1p(-u1) / log_q) + 1, no success
 when T > max_trials, and the branch is the number of thresholds at or below
 k2.  Two kernels apply it to a chunk, to the same RunTally: a
-standard-library one and the numpy one (_run_batch).  A run's draws depend
+standard-library one and the numpy one (_run_batch).  For a row's part of
+at least _FORK_RUNS runs, the standard-library kernel looks T up in a trial
+table keyed by the top 16 bits of k1 (_trial_table), and takes the
+quotient only for the runs of buckets where the table cannot tell T by
+construction.  A run's draws depend
 on nothing else, so any partitioning of runs into batches produces the same
 tally.  run_rows holds an invocation's one draw plan, read from its runs in
 all: below _NUMPY_RUNS = 2^17 the standard-library kernel draws, so numpy is
@@ -178,9 +182,9 @@ class RunTally(NamedTuple):
     trials_sq_sum: int
 
 
-def _numpy_kernel(engine: ProtocolEngine):
+def _numpy_kernel(engine: ProtocolEngine, runs: int):
     """The tally of runs lo .. hi - 1 from _run_batch's arrays, as a function
-    of (seed, row, lo, hi)."""
+    of (seed, row, lo, hi); the part's size runs does not change its code."""
     import numpy as np
 
     size = len(engine.branches) + 1
@@ -197,14 +201,73 @@ def _numpy_kernel(engine: ProtocolEngine):
     return tally
 
 
-def _stdlib_kernel(engine: ProtocolEngine):
+# Trial-table entries besides a packed T: a bucket whose runs take T from
+# their own quotient, and one in which every run misses max_trials.
+_PER_RUN, _MISS = -1, 0
+
+
+def _trial_table(engine: ProtocolEngine, runs: int, shift: int):
+    """The standard-library kernel's trial table for a part of runs runs of
+    one row, or None where it would not pay.
+
+    Entry b covers the 2^37 words whose top 16 bits (k >> 37) are b.  The
+    real quotient ln(1 - u) / log_q of a word lies within max_trials 2^-40
+    of an integer t only in t's window, u from -expm1((t - tol) log_q) to
+    -expm1((t + tol) log_q), widened by 2^-50 (8 words, far more than the
+    rounding of expm1 and of its argument); there math.log1p's few-ulp
+    error could move floor, and nowhere else.  So entry
+    b is (T^2 << shift) + T where every word of the bucket has the same T,
+    _MISS beyond the max_trials window and _PER_RUN where b meets a window.
+    Building stops once consecutive windows are at most one bucket apart;
+    every bucket from there to the max_trials window is _PER_RUN.
+
+    Each T costs about 1.2 microseconds to build and the table saves about
+    0.1 microsecond per run (Python 3.11 on a shared 2-CPU machine), so the
+    table is built with at most runs // 16 of them.  A _PER_RUN bucket's run
+    costs more than one of the quotient path, so the table is also left out
+    where more than 2^14 buckets are _PER_RUN."""
+    max_trials, log_q = engine.max_trials, engine.log_q
+    tol = max_trials * 2.0**-40
+
+    def bucket(x: float, widen: float) -> int:  # of u = -expm1(x log_q) + widen
+        return min(max(math.floor((widen - math.expm1(x * log_q)) * 2.0**16), 0), 0xFFFF)
+
+    table = []  # entries 0 .. len(table) - 1, built in order
+    per_run = 0
+    for t in range(1, max_trials + 1):
+        first = bucket(t - tol, -2.0**-50)
+        if first - len(table) <= 1:
+            break
+        if t > runs // 16:
+            return None
+        table += itertools.repeat(t * t << shift | t, first - len(table))
+        end = bucket(t + tol, 2.0**-50) + 1
+        per_run += end - first
+        table += itertools.repeat(_PER_RUN, end - first)
+    miss = bucket(max_trials + tol, 2.0**-50) + 1
+    if per_run + miss - len(table) > 2**14:
+        return None
+    table += itertools.repeat(_PER_RUN, miss - len(table))
+    table += itertools.repeat(_MISS, 2**16 - miss)
+    return table
+
+
+def _stdlib_kernel(engine: ProtocolEngine, runs: int):
     """The numpy kernel's tally, from the words of rng.run_words with math and
-    C-level map, sum and bytes methods.  A word y = k 2^11 is the uniform
-    u = y 2^-64 exactly, so its quotient math.log1p(-u) / log_q is the one
-    that defines T, and T <= max_trials exactly when it is below max_trials.
-    The quotient is >= 0, so truncation gives its floor f, and the sums over
-    the successful runs are sum T = sum f + n and sum T^2 = sum f^2 +
-    2 sum f + n in Python ints, which do not overflow.
+    C-level map, sum and bytes methods, for a part of runs runs of one row,
+    one chunk of at most _RUN_CHUNK runs at a time.  A word y = k 2^11 is the
+    uniform u = y 2^-64 exactly, so its quotient math.log1p(-u) / log_q is the
+    one that defines T, and T <= max_trials exactly when it is below
+    max_trials.
+
+    A part of at least _FORK_RUNS runs looks each run's T up in a trial
+    table (_trial_table) by the top 16 bits of its first word, and only the
+    runs of _PER_RUN buckets take their quotient; a smaller part, or one
+    whose table would not pay, takes every run's quotient.  The quotient is
+    >= 0, so truncation gives its floor.  Sums over the successful runs are
+    Python ints, which do not overflow: a table entry packs T^2 << shift
+    with T, and the sum of T over a chunk is below 2^shift, so one sum
+    gives both.
 
     A branch counts the successful runs' words between two thresholds.  The
     words at or above a threshold t are counted without a sort: those whose
@@ -221,20 +284,39 @@ def _stdlib_kernel(engine: ProtocolEngine):
         top = min(t >> 45, 255)
         thresholds.append((t << 11, top, bytes(range(top + 1))))
     below_budget = float(max_trials).__gt__
+    shift = (_RUN_CHUNK * max_trials).bit_length()
+    table = _trial_table(engine, runs, shift) if runs >= _FORK_RUNS else None
 
     def tally(seed: int, row: int, lo: int, hi: int) -> RunTally:
         n = hi - lo
         lanes = rng_mod.run_words(seed, row, lo, hi)
         words = memoryview(lanes).cast("Q")  # word w of run j is item 4 j + 2 w
-        branch_words, tops = words[2::4], lanes[23::32]  # tops: each word's top byte
-        u = map(mul, itertools.repeat(-2.0**-64), words[0::4].tolist())  # -u, exactly
-        quotients = list(map(truediv, map(math.log1p, u), itertools.repeat(log_q)))
-        if max(quotients) >= max_trials:  # keep the runs that click in time
-            hit = list(map(below_budget, quotients))
-            quotients = itertools.compress(quotients, hit)
+        first, branch_words, tops = words[0::4], words[2::4], lanes[23::32]  # tops: top bytes
+        hit = None  # each run's flag, true if it clicked in time, unless every run did
+        if table is None:
+            u = map(mul, itertools.repeat(-2.0**-64), first.tolist())  # -u, exactly
+            quotients = list(map(truediv, map(math.log1p, u), itertools.repeat(log_q)))
+            if max(quotients) >= max_trials:  # keep the runs that click in time
+                hit = list(map(below_budget, quotients))
+                quotients = itertools.compress(quotients, hit)
+            floors = list(map(math.trunc, quotients))  # T - 1
+            trials_sum = sum(floors) + len(floors)
+            trials_sq_sum = sum(map(mul, floors, floors)) + 2 * trials_sum - len(floors)
+        else:
+            packed = list(map(table.__getitem__, memoryview(lanes).cast("H")[3::16]))
+            i = 0
+            for _ in range(packed.count(_PER_RUN)):
+                i = packed.index(_PER_RUN, i)
+                q = math.log1p(-2.0**-64 * first[i]) / log_q
+                t = math.trunc(q) + 1
+                packed[i] = t * t << shift | t if q < max_trials else _MISS
+            total = sum(packed)
+            trials_sum, trials_sq_sum = total & (1 << shift) - 1, total >> shift
+            if _MISS in packed:
+                hit = packed
+        if hit is not None:
             branch_words = list(itertools.compress(branch_words, hit))
             tops = bytes(itertools.compress(tops, hit))
-        floors = list(map(math.trunc, quotients))
         n_hit = len(tops)
         below = []
         for word, top, lower in thresholds:
@@ -244,11 +326,8 @@ def _stdlib_kernel(engine: ProtocolEngine):
                 above += branch_words[i] >= word
                 i = tops.find(top, i + 1)
             below.append(n_hit - above)
-        f_sum = sum(floors)
-        trials_sum = f_sum + n_hit
         return RunTally((n - n_hit, *map(sub, [*below, n_hit], [0, *below])),
-                        trials_sum + (n - n_hit) * max_trials, trials_sum,
-                        sum(map(mul, floors, floors)) + 2 * f_sum + n_hit)
+                        trials_sum + (n - n_hit) * max_trials, trials_sum, trials_sq_sum)
 
     return tally
 
@@ -262,12 +341,12 @@ def _sum(tallies) -> RunTally:
 
 def run_protocol(kernel, engine: ProtocolEngine, seed: int, row: int, lo: int, hi: int,
                  report=None) -> RunTally:
-    """The tally of runs lo .. hi - 1 of row, drawn by kernel(engine)
+    """The tally of runs lo .. hi - 1 of row, drawn by kernel(engine, hi - lo)
     (_stdlib_kernel or _numpy_kernel, which give the same tally) one chunk
     of _RUN_CHUNK runs at a time; report(row, stop), if given, is called
     after each chunk, with the run it stopped before (reporting only)."""
     # p_click = 0 (log_q = -0.0) only when there is no branch: no run clicks
-    tally_runs = kernel(engine) if engine.p_click else (
+    tally_runs = kernel(engine, hi - lo) if engine.p_click else (
         lambda seed, row, lo, hi: RunTally((hi - lo,), (hi - lo) * engine.max_trials, 0, 0))
     tally = RunTally((0,) * (len(engine.branches) + 1), 0, 0, 0)
     for start in range(lo, hi, _RUN_CHUNK):

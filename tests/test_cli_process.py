@@ -5,7 +5,8 @@ Each invocation runs as the leader of a new session, with PYTHONUNBUFFERED
 removed from its environment unless a test sets it, and every test checks that no process of that
 session outlived it.  The tests check that the output bytes and exit codes
 are those of main in process, that a stdout that cannot be written exits 2
-with one error line in both buffering modes, that a stderr that is closed or
+with one error line in both buffering modes, as does a process started
+without descriptor 1, that a stderr that is closed or
 cannot be written changes neither stdout nor the exit code, that a forked
 numpy draw imports numpy once, and the resource bounds that
 the CI workflow checks on the installed script:
@@ -140,6 +141,18 @@ def test_closed_stdout_pipe_exits_2_with_one_error_line(tmp_path, buffering_env)
         os.close(write_fd)
     assert res.code == 2
     assert res.stderr == f"error: cannot write stdout: {os.strerror(errno.EPIPE)}\n"
+
+
+@pytest.mark.parametrize("argv, progress", [
+    (["herald", "--preset", "rb85-87"], []),
+    (["protocol", "--preset", "rb85-87", "--runs", "10"], ["protocol: 10/10 runs"]),
+], ids=["herald", "protocol"])
+def test_stdout_without_descriptor_exits_2_with_one_error_line(tmp_path, argv, progress):
+    # sys.stdout is None in a process started without descriptor 1
+    res = fmesim(argv, tmp_path, preexec_fn=lambda: os.close(1))
+    assert res.code == 2 and res.stdout == b""
+    assert other_lines(res.stderr) == [f"error: cannot write stdout: {os.strerror(errno.EBADF)}"]
+    assert progress_lines(res.stderr) == progress
 
 
 class FullStdout(io.StringIO):

@@ -436,7 +436,7 @@ def test_sweep_row_on_the_numpy_kernel_equals_protocol_on_the_standard_library(t
 
     def spy(name):
         kernel = getattr(pr, name)
-        return lambda engine: drawn.append(name) or kernel(engine)
+        return lambda engine, runs: drawn.append(name) or kernel(engine, runs)
 
     for name in ("_numpy_kernel", "_stdlib_kernel"):
         monkeypatch.setattr(pr, name, spy(name))

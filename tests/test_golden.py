@@ -121,7 +121,7 @@ def test_golden_exact_sweep_bytes(tmp_path):
     pytest.param(2**17, "_stdlib_kernel", GOLDEN_NUMPY_KERNEL_SHA256, id="numpy-131072"),
 ])
 def test_golden_kernel_bytes(tmp_path, monkeypatch, runs, refused, sha256):
-    def refuse(engine):
+    def refuse(engine, runs):
         raise AssertionError(f"{refused} called")
 
     monkeypatch.setattr(pr, refused, refuse)  # each hash is drawn by one kernel

@@ -5,7 +5,9 @@ protocol.run_rows plans an invocation's draw from its runs in all: the kernel
 for either kernel, one part of the rows' chunks per 2^15 runs, at most one
 per CPU (protocol._process_count), with a forked child for every part but
 the first.  These tests patch the CPU count to 1, 2 and 3 and check that the
-output bytes do not depend on it, with either kernel; that progress stays at
+output bytes do not depend on it, with either kernel, and with a row split
+between a part that looks trial counts up in the standard-library kernel's
+table and a part too small to build it; that progress stays at
 most ten lines per row, each line once, and in one process the lines it has
 always printed; that a failure in a child or in the parent exits as it
 would in one process; and that no child outlives the call.
@@ -85,6 +87,10 @@ CASES = {
                        "--set", "dark_rate_hz=0", "--sweep", "eta=0,0.5"], [60_000, 60_000], 0),
     "p_click-0-protocol": (["protocol", "--preset", "rb85-87", "--runs", "100000", "--seed", "2",
                             "--set", "eta=0", "--set", "dark_rate_hz=0"], [100_000], 3),
+    # at 3 CPUs each row is drawn in a part of at least 2^15 runs, which looks
+    # T up in the trial table, and in a smaller one, which takes every quotient
+    "table-split-2x50000": (["sweep", "--preset", "rb85-87", "--runs", "50000", "--seed", "3",
+                             "--sweep", "eta=0.4,0.8"], [50_000] * 2, 0),
     "runs-2^17-1": (["protocol", "--preset", "rb85-87", "--runs", str(2**17 - 1), "--seed", "1"],
                     [2**17 - 1], 0),
     "numpy-2^17": (["protocol", "--preset", "rb85-87", "--runs", str(2**17), "--seed", "1"],
@@ -136,6 +142,13 @@ def test_sweep_parts_fall_mid_row_and_after_partial_chunks():
     assert [*pr._part(runs, 0, 24)] == [(0, 0, 65_535), (1, 0, 32_768)]
     assert [*pr._part(runs, 24, 48)] == [(1, 32_768, 65_535), (2, 0, 65_535)]
     assert [*pr._part(runs, 16, 32)] == [(1, 0, 65_535)]
+    # at 3 CPUs the table-split case's 26 chunks are cut at 8 and 17: each
+    # row is one part of at least 2^15 runs and one smaller part
+    runs = CASES["table-split-2x50000"][1]
+    assert [*pr._part(runs, 0, 8)] == [(0, 0, 32_768)]
+    assert [*pr._part(runs, 8, 17)] == [(0, 32_768, 50_000), (1, 0, 16_384)]
+    assert [*pr._part(runs, 17, 26)] == [(1, 16_384, 50_000)]
+    assert 50_000 - 32_768 < pr._FORK_RUNS <= 32_768 and 16_384 < pr._FORK_RUNS <= 33_616
 
 
 @pytest.mark.parametrize("runs", [[1], [4096], [4097], [50_000, 20_000, 40_000],
@@ -185,8 +198,8 @@ def failing_kernel(monkeypatch, in_parent, in_child):
     parent = os.getpid()
     kernel = pr._stdlib_kernel
 
-    def patched(engine):
-        tally = kernel(engine)
+    def patched(engine, runs):
+        tally = kernel(engine, runs)
 
         def checked(seed, row, lo, hi):
             (in_parent if os.getpid() == parent else in_child)()

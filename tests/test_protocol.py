@@ -371,11 +371,29 @@ def test_progress_reports_each_chunk():
     assert seen == [(3, pr._RUN_CHUNK), (3, pr._RUN_CHUNK + 1)]
 
 
+# A part size that forces the standard-library kernel's trial table on
+# wherever it can be built, whatever the runs drawn.
+FORCE_TABLE = cfg_mod.COUNTER_LIMIT
+
+
+def table_kernel(engine, runs):
+    """The standard-library kernel with its trial table forced on."""
+    return pr._stdlib_kernel(engine, FORCE_TABLE)
+
+
+def trial_table(engine):
+    """The forced trial table of the engine and its packing shift, as the
+    standard-library kernel builds them."""
+    shift = (pr._RUN_CHUNK * engine.max_trials).bit_length()
+    return pr._trial_table(engine, FORCE_TABLE, shift), shift
+
+
 def kernel_tallies(engine, seed, n_runs, row=0):
     """run_protocol's tally of runs 0 .. n_runs - 1 of row from the
-    standard-library kernel and from the numpy kernel."""
+    standard-library kernel, from it with its trial table forced on and from
+    the numpy kernel."""
     return tuple(pr.run_protocol(kernel, engine, seed, row, 0, n_runs)
-                 for kernel in (pr._stdlib_kernel, pr._numpy_kernel))
+                 for kernel in (pr._stdlib_kernel, table_kernel, pr._numpy_kernel))
 
 
 PRESET_ENGINE = cfg_mod.build_setup(cfg_mod.load_config(preset="rb85-87"))
@@ -405,11 +423,11 @@ def test_kernels_give_equal_tallies(label, engine, n_runs):
         assert engine.p_click == 1.0
     for seed in (0, 1, 2**64 - 1):
         for row in (0, cfg_mod.ROW_LIMIT - 1):
-            stdlib, numpy_ = kernel_tallies(engine, seed, n_runs, row)
-            assert stdlib == numpy_, (seed, row)
+            stdlib, table, numpy_ = kernel_tallies(engine, seed, n_runs, row)
+            assert stdlib == table == numpy_, (seed, row)
             assert sum(stdlib.counts) == n_runs
     if label.startswith("max_trials"):  # the budget cuts some runs, not all
-        stdlib, _ = kernel_tallies(engine, 1, 8193)
+        stdlib, _, _ = kernel_tallies(engine, 1, 8193)
         assert 0 < stdlib.counts[0] < 8193
 
 
@@ -424,8 +442,8 @@ def test_kernels_agree_on_a_branch_edge():
         branches = [HeraldBranch("photon", 1, edge), HeraldBranch("photon", 1, 1.0 - edge)]
         assert branch_cdf(branches) == [edge, 1.0]
         engine = fake_engine(branches, 1.0, 10)
-        stdlib, numpy_ = kernel_tallies(engine, 3, 64)
-        assert stdlib == numpy_
+        stdlib, table, numpy_ = kernel_tallies(engine, 3, 64)
+        assert stdlib == table == numpy_
         assert stdlib.counts == (0, sum(w * 2.0**-53 < edge for w in words),
                                  sum(w * 2.0**-53 >= edge for w in words))
 
@@ -468,10 +486,15 @@ def test_kernels_take_trials_from_math_log1p_next_to_an_integer(monkeypatch, p, 
     assert all(0 < k < 2**53 for k in first)
     feed_words(monkeypatch, first, second)
     engine = fake_engine(TWO_BRANCHES, p, max_trials)
-    kernels = {"stdlib": pr._stdlib_kernel(engine), "numpy": pr._numpy_kernel(engine)}
+    kernels = {"stdlib": pr._stdlib_kernel(engine, 1), "table": table_kernel(engine, 1),
+               "numpy": pr._numpy_kernel(engine, 1)}
+    table, _ = trial_table(engine)
     for t, ks in words.items():  # the words straddle t
         trials = {math.floor(math.log1p(-k * 2.0**-53) / math.log1p(-p)) + 1 for k in ks}
         assert trials == {t, t + 1}, t
+        # within max_trials the table path takes them from their own quotient
+        entries = {table[k >> 37] for k in ks}
+        assert entries == {pr._PER_RUN} if t <= max_trials else entries <= {pr._PER_RUN, pr._MISS}
     for run, (k1, k2) in enumerate(zip(first, second)):
         t = math.floor(math.log1p(-k1 * 2.0**-53) / math.log1p(-p)) + 1
         expected = word_tally(engine, [k1], [k2])
@@ -491,7 +514,7 @@ def test_numpy_kernel_does_not_depend_on_the_last_bit_of_log1p(monkeypatch, dire
     second = [k * 7919 % 2**53 for k in first]
     feed_words(monkeypatch, first, second)
     engine = fake_engine(TWO_BRANCHES, p, max_trials)
-    stdlib = pr._stdlib_kernel(engine)
+    stdlib = pr._stdlib_kernel(engine, len(first))
     log1p = np.log1p
 
     def nudged(x):
@@ -502,10 +525,87 @@ def test_numpy_kernel_does_not_depend_on_the_last_bit_of_log1p(monkeypatch, dire
                                                    for x in u.tolist()]
     assert moved.any()  # the nudge moves a quotient across an integer
     monkeypatch.setattr(np, "log1p", nudged)
-    numpy_ = pr._numpy_kernel(engine)
+    numpy_ = pr._numpy_kernel(engine, len(first))
     assert numpy_(0, 0, 0, len(first)) == stdlib(0, 0, 0, len(first))
     for run in range(len(first)):
         assert numpy_(0, 0, run, run + 1) == stdlib(0, 0, run, run + 1), run
+
+
+def drive_grid_engines():
+    """The eight rows of the drive-grid benchmark workload, p_click 0.00125 .. 0.105."""
+    return {f"eta {eta} drives {a:g} {b:g}": cfg_mod.build_setup(cfg_mod.load_config(
+        preset="rb85-87", overrides=[f"eta={eta}", f"omega_rabi_write_I={a}",
+                                     f"omega_rabi_write_II={b}"]))
+        for eta, a, b in itertools.product((0.2, 0.9), (5e6, 2.5e7), (5e6, 2.5e7))}
+
+
+# A word whose quotient is 1 lies 1000 words above the first word of bucket
+# 655, so the window of quotients within max_trials 2^-40 = 100 2^-40 of 1
+# (about 8,000 words to each side here) reaches into bucket 654.
+STRADDLE_P = (655 * 2**37 + 1000) * 2.0**-53
+
+TABLE_CASES = {
+    **{label: engine for label, engine in KERNEL_CASES if label != "p = 0"},  # p = 0 draws nothing
+    **drive_grid_engines(),
+    "eta 1e-9": cfg_mod.build_setup(cfg_mod.load_config(preset="rb85-87", overrides=["eta=1e-9"])),
+    "window across a bucket edge": fake_engine(TWO_BRANCHES, STRADDLE_P, 100),
+}
+
+
+@pytest.mark.parametrize("label", TABLE_CASES)
+def test_trial_table_entries_hold_at_both_edges_of_their_bucket(label):
+    # Bucket b holds the words b 2^37 .. (b + 1) 2^37 - 1.  An entry T holds
+    # for both edges, and the quotients between them stay clear of every
+    # window of quotients within tol of an integer in [1, max_trials]; a miss
+    # lies past the max_trials window; a per-run bucket meets a window or
+    # lies where the windows are at most a bucket apart, before the max_trials one.
+    engine = TABLE_CASES[label]
+    table, shift = trial_table(engine)
+    if label == "largest budget":  # p_click 2.25e-10: almost every bucket would be per run
+        assert table is None
+        return
+    assert len(table) == 2**16
+    max_trials, tol = engine.max_trials, engine.max_trials * 2.0**-40
+    buckets = np.arange(2**16, dtype=np.int64)
+    with np.errstate(divide="ignore"):  # log_q = -inf at p_click = 1
+        q_lo, q_hi = (np.log1p(-(k * 2.0**-53)) / engine.log_q
+                      for k in (buckets << 37, (buckets + 1 << 37) - 1))
+    integer = np.maximum(np.ceil(q_lo - tol), 1)
+    meets = (integer <= q_hi + tol) & (integer <= max_trials)
+    entries = np.array(table)
+    per_run, miss = entries == pr._PER_RUN, entries == pr._MISS
+    packed = ~per_run & ~miss
+    t = entries[packed] & (1 << shift) - 1
+    assert np.array_equal(entries[packed] >> shift, t * t) and t.max() <= max_trials
+    assert not meets[packed].any()
+    assert np.array_equal(np.floor(q_lo[packed]) + 1, t)
+    assert np.array_equal(np.floor(q_hi[packed]) + 1, t)
+    assert (q_lo[miss] >= max_trials + tol).all()
+    last_t = np.flatnonzero(packed)[-1]
+    stretch = np.flatnonzero(per_run & ~meets)  # from the stop to the max_trials window
+    assert (stretch > last_t).all() and not miss[last_t:stretch.max(initial=last_t)].any()
+    assert np.count_nonzero(per_run) <= 2**14
+    if label == "window across a bucket edge":
+        assert meets[654] and per_run[654] and np.floor(q_hi[654]) == 0
+
+
+def test_trial_table_caps_its_transitions_by_the_part():
+    # each T costs a build step: a part of runs runs builds at most runs // 16
+    _, shift = trial_table(PRESET_ENGINE)
+    table = pr._trial_table(PRESET_ENGINE, FORCE_TABLE, shift)
+    transitions = max(e & (1 << shift) - 1 for e in table if e > 0)
+    assert 500 < transitions < 2**15 // 16
+    assert pr._trial_table(PRESET_ENGINE, 16 * transitions, shift) == table
+    assert pr._trial_table(PRESET_ENGINE, 16 * transitions - 1, shift) is None
+
+
+def test_only_parts_of_fork_runs_build_a_trial_table(monkeypatch):
+    built = []
+    monkeypatch.setattr(pr, "_trial_table", lambda engine, runs, shift: built.append(runs))
+    pr._stdlib_kernel(PRESET_ENGINE, pr._FORK_RUNS - 1)
+    assert built == []
+    pr._stdlib_kernel(PRESET_ENGINE, pr._FORK_RUNS)
+    assert built == [pr._FORK_RUNS]
 
 
 BUCKET = 2**45  # the words sharing a top byte: k >> 45, k < 2^53
@@ -565,10 +665,12 @@ def check_chunks(monkeypatch, click_branches):
     lanes = b"".join(struct.pack("<4Q", k1 << 11, 0, k2 << 11, 0)
                      for trials in chunks for k1, k2 in zip(trials, branches))
     monkeypatch.setattr(rng_mod, "run_words", lambda seed, row, lo, hi: lanes[32 * lo:32 * hi])
-    tally = pr._stdlib_kernel(engine)
+    tallies = (pr._stdlib_kernel(engine, n), table_kernel(engine, n))
+    assert trial_table(engine)[0] is not None
     for i, trials in enumerate(chunks):
         expected = word_tally(engine, trials, branches)
-        assert tally(0, 0, i * n, (i + 1) * n) == expected, i
+        for tally in tallies:
+            assert tally(0, 0, i * n, (i + 1) * n) == expected, i
         assert [expected.counts[0] == 0, 0 < expected.counts[0] < n, expected.counts[0] == n][i]
         if i == 0:  # a branch between two distinct thresholds holds words
             edges = zip([0, *thresholds], [*thresholds, 2**53])
@@ -606,14 +708,14 @@ def test_stdlib_kernel_counts_words_at_the_exact_engine_thresholds(monkeypatch):
                                     pytest.param(EXACT_ENGINE, id="exactcutoff10")])
 @pytest.mark.parametrize("n_runs", [2**17 - 1, 2**17])
 def test_kernels_give_equal_tallies_at_the_numpy_threshold(engine, n_runs):
-    stdlib, numpy_ = kernel_tallies(engine, 20111105, n_runs, row=7)
-    assert stdlib == numpy_
+    stdlib, table, numpy_ = kernel_tallies(engine, 20111105, n_runs, row=7)
+    assert stdlib == table == numpy_
     assert sum(stdlib.counts) == n_runs
 
 
 def test_kernels_give_equal_tallies_over_a_million_runs():
-    stdlib, numpy_ = kernel_tallies(PRESET_ENGINE, 20111105, 10**6 + 3)
-    assert stdlib == numpy_
+    stdlib, table, numpy_ = kernel_tallies(PRESET_ENGINE, 20111105, 10**6 + 3)
+    assert stdlib == table == numpy_
     assert sum(stdlib.counts) == 10**6 + 3 and all(stdlib.counts[1:5])
 
 
