@@ -368,8 +368,13 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):  # argparse's ignores a failed write, and without
+        _write_text(None, self.format_help())  # stdout prints on stderr; fail as output does
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fmesim",
         description=(
             "Simulator of a heralded frequency-multiplexed entangled "
@@ -438,9 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)  # -h may raise the ConfigError of _write_text
         return args.func(args)
     except ConfigError as exc:
         _stderr_line(f"error: {exc}")

@@ -37,11 +37,12 @@ construction.  A run's draws depend
 on nothing else, so any partitioning of runs into batches produces the same
 tally.  run_rows holds an invocation's one draw plan, read from its runs in
 all: below _NUMPY_RUNS = 2^17 the standard-library kernel draws, so numpy is
-never imported, and from there on the numpy kernel; either draws in one
-process per 2^15 runs, at most one per CPU, forked from this one, and the
-parts' tallies are added.  run_protocol draws one row's run range with the
-kernel it is given.  The write engine, "exact" or "perturbative", is chosen
-by write_dynamics.write_state, whose module docstring describes both.
+never imported, and from there on the numpy kernel, each in chunks of its
+own size; either draws in one process per 2^15 runs, at most one per CPU,
+forked from this one, and the parts' tallies are added.  run_protocol draws
+one row's run range with the kernel and the chunk it is given.  The write
+engine, "exact" or "perturbative", is chosen by write_dynamics.write_state,
+whose module docstring describes both.
 """
 
 from __future__ import annotations
@@ -62,12 +63,15 @@ from .herald import DetectorModel, HeraldBranch
 from .retrieval import FmeQubitState, ReadParams
 from .write_dynamics import SystemParams
 
-# Runs per batch: every per-chunk array is at most 64 KB (4096 runs x 2 words
-# x 8 B).  Against 8192 with the same code, rb-protocol peaked 0.14 MB lower
-# at the held-out seed (0.01 MB at seed 1) and drive-grid 0.02-0.05 MB lower,
-# while in-process run_protocol over 2e6 runs took 4-17% longer; 2048 and
-# 16384 were slower than both (BENCH_16.json).
-_RUN_CHUNK = 4096
+# Runs per chunk, picked with the kernel by run_rows.  The standard-library
+# kernel's chunk is one Python int of 128-bit lanes and its bytes, 32 B per
+# run: at 2048 runs each stays below glibc malloc's 128 KiB mmap threshold,
+# where at 4096 every chunk faulted fresh pages into the short-lived CLI
+# (rb-protocol: 4,130 minor faults against 7,738, BENCH_34.json).  The numpy
+# kernel's arrays are 64 KB at 4096 runs; at 2048 it took 21% more CPU over
+# 10^7 runs, and 8192 peaked higher (BENCH_16.json).
+_STDLIB_CHUNK = 2048
+_NUMPY_CHUNK = 4096
 
 # Invocations of at least this many runs in all draw them with numpy, and
 # smaller ones with the standard library, which saves importing numpy (80 ms
@@ -182,9 +186,10 @@ class RunTally(NamedTuple):
     trials_sq_sum: int
 
 
-def _numpy_kernel(engine: ProtocolEngine, runs: int):
+def _numpy_kernel(engine: ProtocolEngine, runs: int, chunk: int):
     """The tally of runs lo .. hi - 1 from _run_batch's arrays, as a function
-    of (seed, row, lo, hi); the part's size runs does not change its code."""
+    of (seed, row, lo, hi); neither the part's size runs nor the chunk
+    changes its code."""
     import numpy as np
 
     size = len(engine.branches) + 1
@@ -252,13 +257,13 @@ def _trial_table(engine: ProtocolEngine, runs: int, shift: int):
     return table
 
 
-def _stdlib_kernel(engine: ProtocolEngine, runs: int):
+def _stdlib_kernel(engine: ProtocolEngine, runs: int, chunk: int):
     """The numpy kernel's tally, from the words of rng.run_words with math and
     C-level map, sum and bytes methods, for a part of runs runs of one row,
-    one chunk of at most _RUN_CHUNK runs at a time.  A word y = k 2^11 is the
-    uniform u = y 2^-64 exactly, so its quotient math.log1p(-u) / log_q is the
-    one that defines T, and T <= max_trials exactly when it is below
-    max_trials.
+    one chunk of at most chunk runs (_STDLIB_CHUNK from run_rows) at a time.
+    A word y = k 2^11 is the uniform u = y 2^-64 exactly, so its quotient
+    math.log1p(-u) / log_q is the one that defines T, and T <= max_trials
+    exactly when it is below max_trials.
 
     A part of at least _FORK_RUNS runs looks each run's T up in a trial
     table (_trial_table) by the top 16 bits of its first word, and only the
@@ -273,8 +278,8 @@ def _stdlib_kernel(engine: ProtocolEngine, runs: int):
     words at or above a threshold t are counted without a sort: those whose
     top byte (k >> 45) is above t's, by deleting the lower bytes from a bytes
     object of the words' top bytes, plus those that share t's top byte and
-    are >= t 2^11, compared one by one (16 words per threshold in a chunk of
-    4096 runs, on average)."""
+    are >= t 2^11, compared one by one (8 words per threshold in a chunk of
+    2048 runs, on average)."""
     max_trials, log_q = engine.max_trials, engine.log_q
     # (threshold as a word, its top byte, the bytes 0 .. that top byte); a
     # threshold at or above 2^53, which no word reaches, takes the top byte
@@ -284,7 +289,7 @@ def _stdlib_kernel(engine: ProtocolEngine, runs: int):
         top = min(t >> 45, 255)
         thresholds.append((t << 11, top, bytes(range(top + 1))))
     below_budget = float(max_trials).__gt__
-    shift = (_RUN_CHUNK * max_trials).bit_length()
+    shift = (chunk * max_trials).bit_length()
     table = _trial_table(engine, runs, shift) if runs >= _FORK_RUNS else None
 
     def tally(seed: int, row: int, lo: int, hi: int) -> RunTally:
@@ -340,17 +345,17 @@ def _sum(tallies) -> RunTally:
 
 
 def run_protocol(kernel, engine: ProtocolEngine, seed: int, row: int, lo: int, hi: int,
-                 report=None) -> RunTally:
-    """The tally of runs lo .. hi - 1 of row, drawn by kernel(engine, hi - lo)
-    (_stdlib_kernel or _numpy_kernel, which give the same tally) one chunk
-    of _RUN_CHUNK runs at a time; report(row, stop), if given, is called
+                 chunk: int, report=None) -> RunTally:
+    """The tally of runs lo .. hi - 1 of row, drawn by kernel(engine, hi - lo,
+    chunk) (_stdlib_kernel or _numpy_kernel, which give the same tally) one
+    chunk of chunk runs at a time; report(row, stop), if given, is called
     after each chunk, with the run it stopped before (reporting only)."""
     # p_click = 0 (log_q = -0.0) only when there is no branch: no run clicks
-    tally_runs = kernel(engine, hi - lo) if engine.p_click else (
+    tally_runs = kernel(engine, hi - lo, chunk) if engine.p_click else (
         lambda seed, row, lo, hi: RunTally((hi - lo,), (hi - lo) * engine.max_trials, 0, 0))
     tally = RunTally((0,) * (len(engine.branches) + 1), 0, 0, 0)
-    for start in range(lo, hi, _RUN_CHUNK):
-        stop = min(start + _RUN_CHUNK, hi)
+    for start in range(lo, hi, chunk):
+        stop = min(start + chunk, hi)
         tally = _sum((tally, tally_runs(seed, row, start, stop)))
         if report is not None:
             report(row, stop)
@@ -365,15 +370,15 @@ def _process_count(total_runs: int) -> int:
     return max(1, min(cpus, total_runs // _FORK_RUNS))
 
 
-def _part(runs: list[int], start: int, stop: int):
+def _part(runs: list[int], chunk: int, start: int, stop: int):
     """(row, lo, hi) for each row's runs lo .. hi - 1 among chunks start ..
-    stop - 1, the rows' chunks of _RUN_CHUNK runs counted in row order."""
+    stop - 1, the rows' chunks of chunk runs counted in row order."""
     first = 0  # the row's first chunk
     for row, n_runs in enumerate(runs):
-        end = first - (-n_runs // _RUN_CHUNK)
+        end = first - (-n_runs // chunk)
         lo, hi = max(start, first), min(stop, end)
         if lo < hi:
-            yield row, (lo - first) * _RUN_CHUNK, min((hi - first) * _RUN_CHUNK, n_runs)
+            yield row, (lo - first) * chunk, min((hi - first) * chunk, n_runs)
         first = end
 
 
@@ -446,26 +451,28 @@ def run_rows(engines: list[ProtocolEngine], seed: int, runs: list[int], progress
     row i, in row order.
 
     This is the invocation's one draw plan, from its runs in all: the
-    kernel (_numpy_kernel from _NUMPY_RUNS on) and _process_count(sum(runs))
-    processes.  The rows' chunks of _RUN_CHUNK runs, in row order, are cut
-    into that many contiguous parts of near-equal size; this process draws
-    the first, a forked child each other (_draw_forked), and each row's
-    partial tallies are added.  progress(i, done), if given, is called after
-    each chunk of row i drawn here and once row i's tally is complete, at
-    done = runs[i].  A run's draws depend only on (seed, row, run), so the
-    tallies do not depend on the kernel or the process count."""
+    kernel and its chunk (_stdlib_kernel in chunks of _STDLIB_CHUNK runs,
+    _numpy_kernel in chunks of _NUMPY_CHUNK from _NUMPY_RUNS on) and
+    _process_count(sum(runs)) processes.  The rows' chunks, in row order,
+    are cut into that many contiguous parts of near-equal size; this
+    process draws the first, a forked child each other (_draw_forked), and
+    each row's partial tallies are added.  progress(i, done), if given, is
+    called after each chunk of row i drawn here and once row i's tally is
+    complete, at done = runs[i].  A run's draws depend only on (seed, row,
+    run), so the tallies do not depend on the kernel, the chunk or the
+    process count."""
     total = sum(runs)
-    kernel = _stdlib_kernel
+    kernel, chunk = _stdlib_kernel, _STDLIB_CHUNK
     if total >= _NUMPY_RUNS:
         import numpy  # noqa: F401  # once, before any fork, not in each child
-        kernel = _numpy_kernel
+        kernel, chunk = _numpy_kernel, _NUMPY_CHUNK
     n = _process_count(total)
-    n_chunks = sum(-(-n_runs // _RUN_CHUNK) for n_runs in runs)
+    n_chunks = sum(-(-n_runs // chunk) for n_runs in runs)
     bounds = [k * n_chunks // n for k in range(n + 1)]
 
     def draw(k: int):  # part 0 reports, and each of its rows starts at run 0
-        for row, lo, hi in _part(runs, bounds[k], bounds[k + 1]):
-            yield row, run_protocol(kernel, engines[row], seed, row, lo, hi,
+        for row, lo, hi in _part(runs, chunk, bounds[k], bounds[k + 1]):
+            yield row, run_protocol(kernel, engines[row], seed, row, lo, hi, chunk,
                                     None if k else progress)
 
     for row, partials in itertools.groupby(_draw_forked(draw, n), itemgetter(0)):

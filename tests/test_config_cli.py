@@ -436,7 +436,7 @@ def test_sweep_row_on_the_numpy_kernel_equals_protocol_on_the_standard_library(t
 
     def spy(name):
         kernel = getattr(pr, name)
-        return lambda engine, runs: drawn.append(name) or kernel(engine, runs)
+        return lambda engine, runs, chunk: drawn.append(name) or kernel(engine, runs, chunk)
 
     for name in ("_numpy_kernel", "_stdlib_kernel"):
         monkeypatch.setattr(pr, name, spy(name))
@@ -1018,9 +1018,9 @@ def test_sweep_argv_exits_cleanly(runs, axes):
 
 
 def test_progress_prints_at_most_once_per_tenth(capsys):
-    n_runs = 10_000_000
-    chunk_ends = [*range(pr._RUN_CHUNK, n_runs, pr._RUN_CHUNK), n_runs]
-    assert len(chunk_ends) == math.ceil(n_runs / pr._RUN_CHUNK)
+    n_runs = 10_000_000  # drawn by the numpy kernel
+    chunk_ends = [*range(pr._NUMPY_CHUNK, n_runs, pr._NUMPY_CHUNK), n_runs]
+    assert len(chunk_ends) == math.ceil(n_runs / pr._NUMPY_CHUNK)
     progress = cli._progress("protocol", [n_runs])
     for done in chunk_ends:
         progress(0, done)

@@ -121,7 +121,7 @@ def test_golden_exact_sweep_bytes(tmp_path):
     pytest.param(2**17, "_stdlib_kernel", GOLDEN_NUMPY_KERNEL_SHA256, id="numpy-131072"),
 ])
 def test_golden_kernel_bytes(tmp_path, monkeypatch, runs, refused, sha256):
-    def refuse(engine, runs):
+    def refuse(engine, runs, chunk):
         raise AssertionError(f"{refused} called")
 
     monkeypatch.setattr(pr, refused, refuse)  # each hash is drawn by one kernel
@@ -146,14 +146,15 @@ def test_sweep_two_workers_match_one(tmp_path):
 
 
 def test_output_does_not_depend_on_chunk_size(tmp_path, monkeypatch):
-    # 20000 runs per row: five chunks of 4096 or three of 8192
+    # 20000 runs per row, drawn by the standard-library kernel: ten chunks of
+    # 2048, five of 4096 or three of 8192
     args = [
         "sweep", "--preset", "rb85-87", "--format", "json", "--runs", "20000",
         "--seed", "4", "--sweep", "eta=0.5,0.9",
     ]
     blobs = []
-    for chunk in (4096, 8192):
-        monkeypatch.setattr(pr, "_RUN_CHUNK", chunk)
+    for chunk in (2048, 4096, 8192):
+        monkeypatch.setattr(pr, "_STDLIB_CHUNK", chunk)
         out = tmp_path / f"chunk{chunk}.json"
         assert main(args + ["--out", str(out)]) == 0
         blobs.append(out.read_bytes())

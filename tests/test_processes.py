@@ -63,12 +63,19 @@ def progress_lines(err: str) -> dict:
     return rows
 
 
+def chunk_of(runs: list[int]) -> int:
+    """The chunk run_rows draws the rows of the given runs in: the numpy
+    kernel's from protocol._NUMPY_RUNS runs in all on, else the standard
+    library's."""
+    return pr._NUMPY_CHUNK if sum(runs) >= pr._NUMPY_RUNS else pr._STDLIB_CHUNK
+
+
 def one_process_lines(runs: list[int]) -> list[list[tuple[int, int]]]:
     """Each row's progress lines drawn in one process: a line at each chunk
     end that passes another tenth of the row's runs."""
-    rows = []
+    rows, chunk = [], chunk_of(runs)
     for n in runs:
-        ends = [min(stop, n) for stop in range(pr._RUN_CHUNK, n + pr._RUN_CHUNK, pr._RUN_CHUNK)]
+        ends = [min(stop, n) for stop in range(chunk, n + chunk, chunk)]
         tenths = [0, *(done * 10 // n for done in ends)]
         rows.append([(done, n) for done, a, b in zip(ends, tenths, tenths[1:]) if b > a])
     return rows
@@ -78,8 +85,8 @@ def one_process_lines(runs: list[int]) -> list[list[tuple[int, int]]]:
 CASES = {
     "golden-100000": (["protocol", "--preset", "rb85-87", "--runs", "100000", "--seed", "1"],
                       [100_000], 0),
-    # 13, 5 and 10 chunks, the last of each partial: at 2 CPUs part 1 starts
-    # in row 1, at 3 CPUs parts start in row 0 and at row 2, after row 0's
+    # 25, 10 and 20 chunks, the last of each partial: at 2 CPUs part 1 starts
+    # in row 1, at 3 CPUs parts start in row 0 and in row 2, after row 0's
     # and row 1's partial last chunks
     "sweep-3-rows": (["sweep", "--preset", "rb85-87", "--format", "json", "--seed", "5",
                       "--sweep", "runs=50000,20000,40000"], [50_000, 20_000, 40_000], 0),
@@ -130,37 +137,44 @@ def test_output_does_not_depend_on_the_process_count(tmp_path, capsys, cpus, nam
 def test_sweep_parts_fall_mid_row_and_after_partial_chunks():
     # the part boundaries that the sweep-3-rows cases claim, from the chunk counts
     runs = CASES["sweep-3-rows"][1]
-    assert [-(-n // pr._RUN_CHUNK) for n in runs] == [13, 5, 10]
-    assert [n % pr._RUN_CHUNK for n in runs] == [848, 3616, 3136]
-    assert [*pr._part(runs, 0, 14)] == [(0, 0, 50_000), (1, 0, 4096)]
-    assert [*pr._part(runs, 14, 28)] == [(1, 4096, 20_000), (2, 0, 40_000)]
-    assert [*pr._part(runs, 0, 9)] == [(0, 0, 36_864)]
-    assert [*pr._part(runs, 9, 18)] == [(0, 36_864, 50_000), (1, 0, 20_000)]
-    assert [*pr._part(runs, 18, 28)] == [(2, 0, 40_000)]
+    chunk = chunk_of(runs)
+    assert chunk == pr._STDLIB_CHUNK == 2048
+    assert [-(-n // chunk) for n in runs] == [25, 10, 20]
+    assert [n % chunk for n in runs] == [848, 1568, 1088]
+    assert [*pr._part(runs, chunk, 0, 27)] == [(0, 0, 50_000), (1, 0, 4096)]
+    assert [*pr._part(runs, chunk, 27, 55)] == [(1, 4096, 20_000), (2, 0, 40_000)]
+    assert [*pr._part(runs, chunk, 0, 18)] == [(0, 0, 36_864)]
+    assert [*pr._part(runs, chunk, 18, 36)] == [
+        (0, 36_864, 50_000), (1, 0, 20_000), (2, 0, 2048)]
+    assert [*pr._part(runs, chunk, 36, 55)] == [(2, 2048, 40_000)]
     runs = CASES["numpy-sweep-3-rows"][1]
-    assert sum(runs) >= pr._NUMPY_RUNS and [n % pr._RUN_CHUNK for n in runs] == [4095] * 3
-    assert [*pr._part(runs, 0, 24)] == [(0, 0, 65_535), (1, 0, 32_768)]
-    assert [*pr._part(runs, 24, 48)] == [(1, 32_768, 65_535), (2, 0, 65_535)]
-    assert [*pr._part(runs, 16, 32)] == [(1, 0, 65_535)]
-    # at 3 CPUs the table-split case's 26 chunks are cut at 8 and 17: each
+    chunk = chunk_of(runs)
+    assert chunk == pr._NUMPY_CHUNK == 4096 and [n % chunk for n in runs] == [4095] * 3
+    assert [*pr._part(runs, chunk, 0, 24)] == [(0, 0, 65_535), (1, 0, 32_768)]
+    assert [*pr._part(runs, chunk, 24, 48)] == [(1, 32_768, 65_535), (2, 0, 65_535)]
+    assert [*pr._part(runs, chunk, 16, 32)] == [(1, 0, 65_535)]
+    # at 3 CPUs the table-split case's 50 chunks are cut at 16 and 33: each
     # row is one part of at least 2^15 runs and one smaller part
     runs = CASES["table-split-2x50000"][1]
-    assert [*pr._part(runs, 0, 8)] == [(0, 0, 32_768)]
-    assert [*pr._part(runs, 8, 17)] == [(0, 32_768, 50_000), (1, 0, 16_384)]
-    assert [*pr._part(runs, 17, 26)] == [(1, 16_384, 50_000)]
+    chunk = chunk_of(runs)
+    assert chunk == pr._STDLIB_CHUNK and [n % chunk for n in runs] == [848] * 2
+    assert [*pr._part(runs, chunk, 0, 16)] == [(0, 0, 32_768)]
+    assert [*pr._part(runs, chunk, 16, 33)] == [(0, 32_768, 50_000), (1, 0, 16_384)]
+    assert [*pr._part(runs, chunk, 33, 50)] == [(1, 16_384, 50_000)]
     assert 50_000 - 32_768 < pr._FORK_RUNS <= 32_768 and 16_384 < pr._FORK_RUNS <= 33_616
 
 
-@pytest.mark.parametrize("runs", [[1], [4096], [4097], [50_000, 20_000, 40_000],
+@pytest.mark.parametrize("runs", [[1], [2048], [2049], [4096], [4097], [50_000, 20_000, 40_000],
                                   [1, 4096, 1, 8193, 3, 100_000], [7] * 40])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
-def test_parts_cover_every_run_once_in_order(runs, n):
-    n_chunks = sum(-(-r // pr._RUN_CHUNK) for r in runs)
+@pytest.mark.parametrize("chunk", [pr._STDLIB_CHUNK, pr._NUMPY_CHUNK])
+def test_parts_cover_every_run_once_in_order(runs, n, chunk):
+    n_chunks = sum(-(-r // chunk) for r in runs)
     bounds = [k * n_chunks // n for k in range(n + 1)]
-    segments = [seg for k in range(n) for seg in pr._part(runs, bounds[k], bounds[k + 1])]
+    segments = [seg for k in range(n) for seg in pr._part(runs, chunk, bounds[k], bounds[k + 1])]
     covered = {}
     for row, lo, hi in segments:
-        assert lo % pr._RUN_CHUNK == 0 and lo < hi <= runs[row]
+        assert lo % chunk == 0 and lo < hi <= runs[row]
         assert covered.setdefault(row, 0) == lo  # contiguous, in order
         covered[row] = hi
     assert covered == dict(enumerate(runs))
@@ -198,8 +212,8 @@ def failing_kernel(monkeypatch, in_parent, in_child):
     parent = os.getpid()
     kernel = pr._stdlib_kernel
 
-    def patched(engine, runs):
-        tally = kernel(engine, runs)
+    def patched(engine, runs, chunk):
+        tally = kernel(engine, runs, chunk)
 
         def checked(seed, row, lo, hi):
             (in_parent if os.getpid() == parent else in_child)()

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import struct
+import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -142,7 +143,7 @@ def test_trial_uniforms_deterministic_and_distinct():
 def test_run_uniforms_match_reference_streams():
     # the chunk edges, the last run index, the last row and the last seed,
     # both words of each run
-    edges = [0, 1, 4095, 4096, 8191, 8192, 2**32 - 1]
+    edges = [0, 1, 2047, 2048, 4095, 4096, 8191, 8192, 2**32 - 1]
     for seed in (0, 7, 2**63, 2**64 - 1):
         for row in (0, 1, 2, cfg_mod.ROW_LIMIT - 1):
             for run in edges:
@@ -188,6 +189,19 @@ def test_counter_and_seed_widths_enforced():
     assert len(rng_mod.run_words(1, 0, 2**32 - 1, 2**32)) == 32  # the last run: two 16-byte lanes
 
 
+def test_stdlib_chunk_stays_below_the_mmap_threshold():
+    # glibc malloc serves a block of 128 KiB or more by mmap, which a
+    # short-lived process faults in afresh for every chunk: each int of a
+    # chunk's lanes, the largest product run_words takes (the lane mask times
+    # a multiplier, before masking) and the chunk's bytes stay below that
+    chunk = pr._STDLIB_CHUNK
+    lanes = rng_mod._lanes(2 * chunk)
+    words = rng_mod.run_words(2**64 - 1, cfg_mod.ROW_LIMIT - 1, 0, chunk)
+    sizes = [*map(sys.getsizeof, lanes), sys.getsizeof(lanes[1] * rng_mod._M1),
+             sys.getsizeof(words)]
+    assert len(words) == 32 * chunk and max(sizes) < 128 * 1024, sizes
+
+
 def test_uniform_moments_sane():
     u = rng_mod.run_uniforms(123, 0, 0, 200_000).ravel()
     assert abs(u.mean() - 0.5) < 2e-3
@@ -218,8 +232,9 @@ def test_generators_share_one_run_range_contract(words):
             words(1, 0, lo, hi)
     for lo in (0, 17, 2**32):
         assert words(1, 0, lo, lo) == ([], [])
-    # two chunks and a part: u 2^53 of run_uniforms are run_words' words >> 11
-    lo, hi = 2**32 - 2 * pr._RUN_CHUNK - 7, 2**32
+    # two chunks of either kernel and a part: u 2^53 of run_uniforms are
+    # run_words' words >> 11
+    lo, hi = 2**32 - 2 * pr._NUMPY_CHUNK - 7, 2**32
     reference = tuple([word_reference(3, 9, run, w) >> 11 for run in range(lo, hi)]
                       for w in (0, 1))
     assert words(3, 9, lo, hi) == words53(3, 9, lo, hi) == reference
@@ -356,8 +371,9 @@ def test_scalar_and_batch_paths_agree():
 
 def test_chunking_does_not_change_results():
     engine = make_engine(max_trials=2_000)
-    n_runs = pr._RUN_CHUNK + 300  # two chunks
-    chunked = pr.run_protocol(pr._stdlib_kernel, engine, seed=5, row=0, lo=0, hi=n_runs)
+    n_runs = pr._STDLIB_CHUNK + 300  # two chunks
+    chunked = pr.run_protocol(pr._stdlib_kernel, engine, seed=5, row=0, lo=0, hi=n_runs,
+                              chunk=pr._STDLIB_CHUNK)
     whole = reference_tally(*pr._run_batch(engine, 5, 0, 0, n_runs), len(engine.branches))
     assert chunked == whole
     assert sum(whole.counts) == n_runs
@@ -366,9 +382,10 @@ def test_chunking_does_not_change_results():
 def test_progress_reports_each_chunk():
     engine = make_engine()
     seen = []
-    pr.run_protocol(pr._stdlib_kernel, engine, 2, 3, 0, pr._RUN_CHUNK + 1,
+    chunk = pr._STDLIB_CHUNK
+    pr.run_protocol(pr._stdlib_kernel, engine, 2, 3, 0, chunk + 1, chunk,
                     report=lambda row, done: seen.append((row, done)))
-    assert seen == [(3, pr._RUN_CHUNK), (3, pr._RUN_CHUNK + 1)]
+    assert seen == [(3, chunk), (3, chunk + 1)]
 
 
 # A part size that forces the standard-library kernel's trial table on
@@ -376,24 +393,26 @@ def test_progress_reports_each_chunk():
 FORCE_TABLE = cfg_mod.COUNTER_LIMIT
 
 
-def table_kernel(engine, runs):
+def table_kernel(engine, runs, chunk):
     """The standard-library kernel with its trial table forced on."""
-    return pr._stdlib_kernel(engine, FORCE_TABLE)
+    return pr._stdlib_kernel(engine, FORCE_TABLE, chunk)
 
 
 def trial_table(engine):
     """The forced trial table of the engine and its packing shift, as the
     standard-library kernel builds them."""
-    shift = (pr._RUN_CHUNK * engine.max_trials).bit_length()
+    shift = (pr._STDLIB_CHUNK * engine.max_trials).bit_length()
     return pr._trial_table(engine, FORCE_TABLE, shift), shift
 
 
 def kernel_tallies(engine, seed, n_runs, row=0):
     """run_protocol's tally of runs 0 .. n_runs - 1 of row from the
     standard-library kernel, from it with its trial table forced on and from
-    the numpy kernel."""
-    return tuple(pr.run_protocol(kernel, engine, seed, row, 0, n_runs)
-                 for kernel in (pr._stdlib_kernel, table_kernel, pr._numpy_kernel))
+    the numpy kernel, each in the chunks run_rows gives it."""
+    return tuple(pr.run_protocol(kernel, engine, seed, row, 0, n_runs, chunk)
+                 for kernel, chunk in ((pr._stdlib_kernel, pr._STDLIB_CHUNK),
+                                       (table_kernel, pr._STDLIB_CHUNK),
+                                       (pr._numpy_kernel, pr._NUMPY_CHUNK)))
 
 
 PRESET_ENGINE = cfg_mod.build_setup(cfg_mod.load_config(preset="rb85-87"))
@@ -415,7 +434,7 @@ KERNEL_CASES = [
 
 @pytest.mark.parametrize("label, engine", [
     pytest.param(label, engine, id=label.replace(" ", "")) for label, engine in KERNEL_CASES])
-@pytest.mark.parametrize("n_runs", [1, 4095, 4096, 4097, 8193])
+@pytest.mark.parametrize("n_runs", [1, 2047, 2048, 2049, 4095, 4096, 4097, 8193])
 def test_kernels_give_equal_tallies(label, engine, n_runs):
     if label == "p = 0":
         assert engine.p_click == 0.0
@@ -486,8 +505,9 @@ def test_kernels_take_trials_from_math_log1p_next_to_an_integer(monkeypatch, p, 
     assert all(0 < k < 2**53 for k in first)
     feed_words(monkeypatch, first, second)
     engine = fake_engine(TWO_BRANCHES, p, max_trials)
-    kernels = {"stdlib": pr._stdlib_kernel(engine, 1), "table": table_kernel(engine, 1),
-               "numpy": pr._numpy_kernel(engine, 1)}
+    kernels = {"stdlib": pr._stdlib_kernel(engine, 1, pr._STDLIB_CHUNK),
+               "table": table_kernel(engine, 1, pr._STDLIB_CHUNK),
+               "numpy": pr._numpy_kernel(engine, 1, pr._NUMPY_CHUNK)}
     table, _ = trial_table(engine)
     for t, ks in words.items():  # the words straddle t
         trials = {math.floor(math.log1p(-k * 2.0**-53) / math.log1p(-p)) + 1 for k in ks}
@@ -514,7 +534,7 @@ def test_numpy_kernel_does_not_depend_on_the_last_bit_of_log1p(monkeypatch, dire
     second = [k * 7919 % 2**53 for k in first]
     feed_words(monkeypatch, first, second)
     engine = fake_engine(TWO_BRANCHES, p, max_trials)
-    stdlib = pr._stdlib_kernel(engine, len(first))
+    stdlib = pr._stdlib_kernel(engine, len(first), pr._STDLIB_CHUNK)
     log1p = np.log1p
 
     def nudged(x):
@@ -525,7 +545,7 @@ def test_numpy_kernel_does_not_depend_on_the_last_bit_of_log1p(monkeypatch, dire
                                                    for x in u.tolist()]
     assert moved.any()  # the nudge moves a quotient across an integer
     monkeypatch.setattr(np, "log1p", nudged)
-    numpy_ = pr._numpy_kernel(engine, len(first))
+    numpy_ = pr._numpy_kernel(engine, len(first), pr._NUMPY_CHUNK)
     assert numpy_(0, 0, 0, len(first)) == stdlib(0, 0, 0, len(first))
     for run in range(len(first)):
         assert numpy_(0, 0, run, run + 1) == stdlib(0, 0, run, run + 1), run
@@ -602,9 +622,9 @@ def test_trial_table_caps_its_transitions_by_the_part():
 def test_only_parts_of_fork_runs_build_a_trial_table(monkeypatch):
     built = []
     monkeypatch.setattr(pr, "_trial_table", lambda engine, runs, shift: built.append(runs))
-    pr._stdlib_kernel(PRESET_ENGINE, pr._FORK_RUNS - 1)
+    pr._stdlib_kernel(PRESET_ENGINE, pr._FORK_RUNS - 1, pr._STDLIB_CHUNK)
     assert built == []
-    pr._stdlib_kernel(PRESET_ENGINE, pr._FORK_RUNS)
+    pr._stdlib_kernel(PRESET_ENGINE, pr._FORK_RUNS, pr._STDLIB_CHUNK)
     assert built == [pr._FORK_RUNS]
 
 
@@ -665,7 +685,8 @@ def check_chunks(monkeypatch, click_branches):
     lanes = b"".join(struct.pack("<4Q", k1 << 11, 0, k2 << 11, 0)
                      for trials in chunks for k1, k2 in zip(trials, branches))
     monkeypatch.setattr(rng_mod, "run_words", lambda seed, row, lo, hi: lanes[32 * lo:32 * hi])
-    tallies = (pr._stdlib_kernel(engine, n), table_kernel(engine, n))
+    tallies = (pr._stdlib_kernel(engine, n, pr._STDLIB_CHUNK),
+               table_kernel(engine, n, pr._STDLIB_CHUNK))
     assert trial_table(engine)[0] is not None
     for i, trials in enumerate(chunks):
         expected = word_tally(engine, trials, branches)
@@ -723,7 +744,7 @@ def test_small_invocations_draw_without_the_numpy_kernel(monkeypatch):
     # the invocation's runs in all pick the kernel, not one row's: row 0's
     # 300 runs draw with numpy beside a row that brings the total to 2^17
     engine = make_engine()
-    expected = pr.run_protocol(pr._numpy_kernel, engine, 4, 0, 0, 300)
+    expected = pr.run_protocol(pr._numpy_kernel, engine, 4, 0, 0, 300, pr._NUMPY_CHUNK)
 
     def refuse(*args):
         raise AssertionError("numpy kernel called")
@@ -857,7 +878,7 @@ def tally(monkeypatch):
         monkeypatch.setattr(pr, "_run_batch", lambda engine, seed, row, lo, hi:
                             (trials_used[lo:hi], branch[lo:hi]))
         engine = fake_engine(branches, 0.5, int(trials_used.max()))
-        result = pr.run_protocol(pr._numpy_kernel, engine, 0, 0, 0, len(branch))
+        result = pr.run_protocol(pr._numpy_kernel, engine, 0, 0, 0, len(branch), pr._NUMPY_CHUNK)
         assert result == reference_tally(trials_used, branch, len(branches))
         return result
 
@@ -931,7 +952,7 @@ def test_aggregate_trial_sums_exact_at_max_trials(tally):
     # T within a few units of max_trials = 2^32, where T^2 overflows int64;
     # more runs than one chunk
     rs = np.random.default_rng(5)
-    n_runs = pr._RUN_CHUNK + 3001
+    n_runs = pr._NUMPY_CHUNK + 3001
     trials_used = 2**32 - rs.integers(0, 8, n_runs)
     branch = np.where(rs.uniform(size=n_runs) < 0.1, -1, 0)
     trials_used[branch < 0] = 2**32
