@@ -22,6 +22,7 @@ import math
 import os
 import stat
 import sys
+import warnings
 from typing import TYPE_CHECKING, NoReturn
 
 from . import config as cfg_mod
@@ -164,8 +165,16 @@ def _load(args) -> ResolvedConfig:
     return cfg
 
 
-def _engine(cfg: ResolvedConfig) -> ProtocolEngine:
-    engine = cfg_mod.build_setup(cfg)
+def _engine(cfg: ResolvedConfig, label: str) -> ProtocolEngine:
+    """The engine of cfg; each warning its build raises prints on stderr as
+    one line, warning: <label>: <message>."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            engine = cfg_mod.build_setup(cfg)
+        finally:
+            for w in caught:
+                _stderr_line(f"warning: {label}: {w.message}")
     if _single_photon(engine) and not engine.qubit.has_photon:
         raise ConfigError(
             "a true herald retrieves no photon: retrieval_efficiency_I and "
@@ -181,7 +190,7 @@ def _single_photon(engine: ProtocolEngine) -> bool:
 
 def cmd_write_sim(args) -> int:
     cfg = _load(args)
-    engine = _engine(cfg)
+    engine = _engine(cfg, args.command)
     rates = engine.rates
     state = engine.write_state
     n_mean = state.mean_occupation()  # printed null when infinite
@@ -213,7 +222,7 @@ def cmd_write_sim(args) -> int:
 
 def cmd_herald(args) -> int:
     cfg = _load(args)
-    engine = _engine(cfg)
+    engine = _engine(cfg, args.command)
     det = engine.detector
     conditional = None
     if _single_photon(engine):  # the heralded spin state, with the photon absorbed
@@ -238,7 +247,7 @@ def cmd_retrieve(args) -> int:
     from . import retrieval
 
     cfg = _load(args)
-    engine = _engine(cfg)
+    engine = _engine(cfg, args.command)
     if not _single_photon(engine):
         raise ConfigError("the write state has no single-photon herald branch")
     qubit, splitting = engine.qubit, cfg.values["delta_omega_read"]
@@ -256,6 +265,11 @@ def cmd_retrieve(args) -> int:
     return 0
 
 
+def _row_label(command: str, row: int, rows: int) -> str:
+    """How stderr names a row of command's table in progress and warnings."""
+    return f"sweep row {row + 1}/{rows}" if command == "sweep" else command
+
+
 def _progress(command: str, runs: list[int]):
     """The progress callback write(row, done) of rows of the given runs: it
     prints on stderr once per tenth of a row's runs passed, so at most ten
@@ -265,8 +279,7 @@ def _progress(command: str, runs: list[int]):
     def write(row, done):
         if done * 10 // runs[row] > tenths[row]:
             tenths[row] = done * 10 // runs[row]
-            label = f"sweep row {row + 1}/{len(runs)}" if command == "sweep" else command
-            _stderr_line(f"{label}: {done}/{runs[row]} runs")
+            _stderr_line(f"{_row_label(command, row, len(runs))}: {done}/{runs[row]} runs")
 
     return write
 
@@ -283,7 +296,8 @@ def _run_rows(args, command: str, cfg: ResolvedConfig, points) -> int:
     row_cfgs = [cfg_mod.with_overrides(cfg, point) for point in points]
     from .protocol import ProtocolStats, aggregate, run_rows
 
-    engines = [_engine(row_cfg) for row_cfg in row_cfgs]
+    engines = [_engine(row_cfg, _row_label(command, i, len(row_cfgs)))
+               for i, row_cfg in enumerate(row_cfgs)]
     runs = [row_cfg.values["runs"] for row_cfg in row_cfgs]
     tallies = run_rows(engines, args.seed, runs, _progress(command, runs))
     meta = _metadata(command, cfg, args.seed)
@@ -394,7 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="override one configuration key (repeatable)",
     )
     common.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    common.add_argument("--out", metavar="PATH", help="output file (default stdout)")
+    out = {"metavar": "PATH", "help": "output file (default stdout)"}
+    common.add_argument("--out", **out)
 
     mc = argparse.ArgumentParser(add_help=False)
     mc.add_argument("--runs", type=int, default=None, help="Monte Carlo run count")
@@ -435,9 +450,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_p.set_defaults(func=cmd_sweep)
     preset_p = sub.add_parser(
-        "preset-list", parents=[common],
-        help="list presets and defaults with provenance flags",
+        "preset-list", help="list presets and defaults with provenance flags",
     )
+    preset_p.add_argument("--out", **out)
     preset_p.set_defaults(func=cmd_preset_list)
     return parser
 

@@ -8,13 +8,15 @@ are those of main in process, that a stdout that cannot be written exits 2
 with one error line in both buffering modes, as does a process started
 without descriptor 1, and so does -h/--help, that a stderr that is closed or
 cannot be written changes neither stdout nor the exit code, that a forked
-numpy draw imports numpy once, and the resource bounds that
-the CI workflow checks on the installed script:
+numpy draw imports numpy once, that an oversized sweep grid exits at once,
+and the bounds that only a whole process shows:
 
-- "Peak memory does not grow with --runs" (test_peak_memory_does_not_grow_with_runs),
-- "Peak memory per sweep row" (test_peak_memory_per_sweep_row),
-- the taskset -c 0 run of "Output does not depend on the CPUs, and no
-  drawing process outlives the CLI" (test_output_does_not_depend_on_real_cpu_pinning).
+- peak memory at 10^7 runs stays at most 64 MB
+  (test_peak_memory_does_not_grow_with_runs),
+- peak memory of 10,000 sweep rows stays at most 128 MB
+  (test_peak_memory_per_sweep_row),
+- the output bytes under a real one-CPU affinity equal those on every CPU
+  (test_output_does_not_depend_on_real_cpu_pinning).
 
 Peak memory is wait4's ru_maxrss of the CLI and the children it reaped,
 taken in a small launcher process.
@@ -85,8 +87,8 @@ def fmesim(argv, tmp_path, **spawn_args) -> Finished:
 
 # Linux records at exec the peak resident set of the process that forked, so
 # wait4's ru_maxrss of a child of this test process counts this process's own
-# peak.  A small launcher spawns the CLI instead, as the CI steps do, and
-# prints its exit code and ru_maxrss in KiB as the last line of stderr.
+# peak.  A small launcher spawns the CLI instead, and prints its exit code
+# and ru_maxrss in KiB as the last line of stderr.
 MEASURE = """\
 import os, subprocess, sys
 child = subprocess.Popen([sys.executable, "-m", "fmesim", *sys.argv[1:]])
@@ -318,6 +320,13 @@ def test_output_is_written_in_slices(tmp_path, monkeypatch):
     assert len(stdout.sizes) > 2 and max(stdout.sizes) <= 2**16
 
 
+# 4 axes x 300 values make 8.1e9 rows, beyond the 2^31 rows that key the
+# random streams: the size is checked before the grid is expanded, so this
+# exits at once instead of building billions of rows
+OVERSIZED_GRID = [arg for key in ("eta", "dark_rate_hz", "gate_s", "g_I")
+                  for arg in ("--sweep", key + "=" + ",".join(map(str, range(1, 301))))]
+
+
 @pytest.mark.parametrize("argv, code, message", [
     (["protocol", "--preset", "rb85-87", "--set", "eta=2.0"], 2, "error: eta"),
     (["no-such-command"], 2, "invalid choice: 'no-such-command'"),
@@ -325,11 +334,13 @@ def test_output_is_written_in_slices(tmp_path, monkeypatch):
       "--set", "dark_rate_hz=0.0", "--set", "max_trials=5"], 3, ""),
     (["protocol", "--preset", "rb85-87", "--runs", "50", "--set", "N_I=1e300"], 4,
      "numeric failure"),
-], ids=["config", "usage", "no-success", "overflow"])
+    (["sweep", "--preset", "rb85-87", "--runs", "10", *OVERSIZED_GRID], 2, "--sweep"),
+], ids=["config", "usage", "no-success", "overflow", "oversized-grid"])
 def test_exit_codes_are_unchanged(tmp_path, argv, code, message):
     res = fmesim(argv, tmp_path)
     assert res.code == code
     assert message in res.stderr and "Traceback" not in res.stderr
+    assert "sweep row" not in res.stderr
 
 
 def test_peak_memory_does_not_grow_with_runs(tmp_path):

@@ -244,29 +244,43 @@ def test_herald_output(tmp_path):
     assert spin_i == pytest.approx(-spin_ii, abs=1e-15)  # balanced drive: the singlet
 
 
-def test_write_sim_warns_once_on_weak_drive(tmp_path):
+def test_write_sim_warns_once_on_weak_drive(tmp_path, capsys):
+    # a regime warning prints as one line on stderr, named by the command
     out = tmp_path / "write.json"
-    with pytest.warns(UserWarning) as record:
-        assert run_cli(
-            "write-sim", "--preset", "rb85-87", "--set", "tau_write=1e-3", "--out", str(out)
-        ) == 0
-    assert [str(w.message) for w in record if "weak-drive" in str(w.message)] == [
-        "excitation amplitude P = 23 is outside the weak-drive regime (P << 1); "
-        "perturbative results are unreliable"
+    assert run_cli(
+        "write-sim", "--preset", "rb85-87", "--set", "tau_write=1e-3", "--out", str(out)
+    ) == 0
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "weak-drive" in line] == [
+        "warning: write-sim: excitation amplitude P = 23 is outside the weak-drive regime "
+        "(P << 1); perturbative results are unreliable"
     ]
 
 
-def test_exact_engine_does_not_warn_on_strong_drive(tmp_path):
+def test_sweep_warnings_name_their_row(capsys):
+    # both rows leave the adiabatic and the weak-drive regime: each row's
+    # warnings print once, named as its progress lines are
+    assert run_cli("sweep", "--preset", "rb85-87", "--runs", "2", "--sweep", "delta=1e9,-1e9",
+                   "--set", "omega_rabi_write_I=1e9", "--out", os.devnull) == 0
+    warned = [line for line in capsys.readouterr().err.splitlines()
+              if not line.endswith(" runs")]
+    assert warned == [
+        f"warning: sweep row {row}/2: {message}" for row in (1, 2) for message in (
+            "|Omega_W|/|Delta| = 1 exceeds 0.3; the adiabatic elimination is unreliable here",
+            "excitation amplitude P = 12.6 is outside the weak-drive regime (P << 1); "
+            "perturbative results are unreliable")]
+
+
+def test_exact_engine_does_not_warn_on_strong_drive(tmp_path, capsys):
     # P = 2.3: the closed form is exact at any P, so only the perturbative
     # route warns
     out = tmp_path / "write.json"
-    with warnings.catch_warnings(record=True) as record:
-        warnings.simplefilter("always")
-        assert run_cli(
-            "write-sim", "--preset", "rb85-87", "--set", "engine=exact",
-            "--set", "tau_write=1e-4", "--out", str(out),
-        ) == 0
-    assert [str(w.message) for w in record if "weak-drive" in str(w.message)] == []
+    assert run_cli(
+        "write-sim", "--preset", "rb85-87", "--set", "engine=exact",
+        "--set", "tau_write=1e-4", "--out", str(out),
+    ) == 0
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "weak-drive" in line] == []
 
 
 @pytest.mark.parametrize("cutoff", [1, 2, 32])
@@ -368,8 +382,18 @@ STAT_NAMES = [
 ]
 
 
-def test_output_columns_are_named(tmp_path):
-    args = ("protocol", "--preset", "rb85-87", "--runs", "50", "--seed", "1")
+@pytest.mark.parametrize("sets", [
+    [],
+    ["omega_rabi_write_I=2e7", "retrieval_efficiency_I=0.5", "read_phase=1.0",
+     "dark_rate_hz=1e5"],
+    ["engine=exact", "cutoff=32"],
+], ids=["preset", "unbalanced-dark-rotated", "exact-cutoff-32"])
+def test_output_columns_are_named(tmp_path, sets):
+    # Every true herald retrieves the one output qubit, so the row's mean
+    # concurrence and fidelity are what retrieve prints, exactly, and carry
+    # no standard error column.
+    sets = [arg for text in sets for arg in ("--set", text)]
+    args = ("protocol", "--preset", "rb85-87", *sets, "--runs", "50", "--seed", "1")
     csv_out, json_out = tmp_path / "stats.csv", tmp_path / "stats.json"
     assert run_cli(*args, "--out", str(csv_out)) == 0
     header = next(l for l in csv_out.read_text().splitlines() if not l.startswith("#"))
@@ -378,6 +402,11 @@ def test_output_columns_are_named(tmp_path):
     (row,) = json.loads(json_out.read_text())["results"]
     assert list(row) == ["row", "config", *STAT_NAMES]
     assert sorted(row["config"]) == sorted(cfg_mod.SCHEMA)
+    qubit_out = tmp_path / "qubit.json"
+    assert run_cli("retrieve", "--preset", "rb85-87", *sets, "--out", str(qubit_out)) == 0
+    qubit = json.loads(qubit_out.read_text())
+    assert (row["mean_concurrence"], row["mean_fidelity_bell"]) == (
+        qubit["concurrence"], qubit["fidelity_bell"])
 
 
 JSON_TABLES = {
@@ -427,11 +456,19 @@ def test_sweep_dark_rates(tmp_path):
     assert analytic[0] > analytic[1] > analytic[2]
 
 
-def test_sweep_row_on_the_numpy_kernel_equals_protocol_on_the_standard_library(tmp_path,
-                                                                             monkeypatch):
+@pytest.mark.parametrize("runs, numpy_argv, stdlib_argv", [
     # Two sweep rows of 65,536 runs hold 2^17 runs in all, so cli._run_rows
     # has the numpy kernel draw row 0; protocol draws the same runs (row 0,
-    # same seed) with the standard-library kernel.  The statistics agree.
+    # same seed, eta = 0.6 in both) with the standard-library kernel.
+    (65536, ["sweep", "--sweep", "eta=0.6,0.5"], ["protocol"]),
+    # Two sweep rows of 65,535 runs draw with the standard-library kernel; a
+    # third row takes the invocation past 2^17 runs, so all three draw with numpy.
+    (65535, ["sweep", "--sweep", "eta=0.3,0.6,0.9"], ["sweep", "--sweep", "eta=0.3,0.6"]),
+], ids=["sweep-row-vs-protocol", "three-rows-vs-two"])
+def test_sweep_row_on_the_numpy_kernel_equals_protocol_on_the_standard_library(
+        tmp_path, monkeypatch, runs, numpy_argv, stdlib_argv):
+    # The rows the standard-library kernel draws are those of the numpy
+    # kernel, to the byte.
     drawn = []
 
     def spy(name):
@@ -440,19 +477,19 @@ def test_sweep_row_on_the_numpy_kernel_equals_protocol_on_the_standard_library(t
 
     for name in ("_numpy_kernel", "_stdlib_kernel"):
         monkeypatch.setattr(pr, name, spy(name))
-    rows, kernels = {}, {}
-    for command, axes in (("sweep", ["--sweep", "eta=0.6,0.5"]), ("protocol", [])):
+    results, kernels = [], []
+    for argv in (numpy_argv, stdlib_argv):
         drawn.clear()
-        out = tmp_path / f"{command}.json"
-        assert run_cli(command, "--preset", "rb85-87", "--seed", "7", "--runs", "65536",
-                       "--format", "json", *axes, "--out", str(out)) == 0
-        rows[command] = json.loads(out.read_text())["results"][0]
-        kernels[command] = set(drawn)
-    assert kernels == {"sweep": {"_numpy_kernel"}, "protocol": {"_stdlib_kernel"}}
-    assert rows["sweep"]["config"] == rows["protocol"]["config"]  # eta = 0.6 in both
-    stats = pr.ProtocolStats._fields
-    assert {k: rows["sweep"][k] for k in stats} == {k: rows["protocol"][k] for k in stats}
-    assert rows["protocol"]["n_runs"] == 65536 and 0 < rows["protocol"]["n_success"]
+        out = tmp_path / "table.json"
+        assert run_cli(*argv, "--preset", "rb85-87", "--seed", "7", "--runs", str(runs),
+                       "--format", "json", "--out", str(out)) == 0
+        results.append(json.loads(out.read_text())["results"])
+        kernels.append(set(drawn))
+    assert kernels == [{"_numpy_kernel"}, {"_stdlib_kernel"}]
+    numpy_rows, stdlib_rows = results
+    assert numpy_rows[:len(stdlib_rows)] == stdlib_rows
+    assert [row["n_runs"] for row in stdlib_rows] == [runs] * len(stdlib_rows)
+    assert all(0 < row["n_success"] for row in stdlib_rows)
 
 
 def test_bad_config_exits_2(capsys):
@@ -460,10 +497,17 @@ def test_bad_config_exits_2(capsys):
     assert "eta" in capsys.readouterr().err
 
 
-def test_usage_error_exits_2():
+# preset-list reads no configuration and draws nothing: it takes only --out
+@pytest.mark.parametrize("argv", [
+    ["no-such-command"], ["preset-list", "--set", "bogus=1"], ["preset-list", "--preset", "nope"],
+    ["preset-list", "--config", "/nonexistent.json"], ["preset-list", "--seed", "-5"],
+], ids=" ".join)
+def test_usage_error_exits_2(argv, capsys):
     with pytest.raises(SystemExit) as err:
-        run_cli("no-such-command")
+        run_cli(*argv)
     assert err.value.code == 2
+    named = argv[1] if argv[0] == "preset-list" else argv[0]
+    assert named in capsys.readouterr().err
 
 
 def test_no_success_exits_3(tmp_path):
@@ -750,7 +794,8 @@ def test_sweep_repeated_key_exits_2(capsys):
 
 def test_sweep_grid_beyond_row_limit_exits_2(monkeypatch, capsys):
     # rows key the random streams, so a grid may not exceed ROW_LIMIT rows;
-    # the check runs before the grid is expanded (CI runs the 2**31 case)
+    # the check runs before the grid is expanded (test_cli_process.py runs an
+    # unpatched grid of 8.1e9 rows)
     monkeypatch.setattr(cfg_mod, "ROW_LIMIT", 4)
     args = ("sweep", "--preset", "rb85-87", "--runs", "10", "--out", os.devnull)
     assert run_cli(*args, "--sweep", "eta=0.5,0.6", "--sweep", "gate_s=1e-6,2e-6") == 0

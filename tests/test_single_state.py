@@ -117,5 +117,5 @@ def test_single_state_output_size_is_linear_in_cutoff(engine):
     write, herald = run(["write-sim", *argv]), run(["herald", *argv])
     assert len(write["write_state"]["chain"]) == 33
     assert len(herald["conditional_state_single_photon"]) == 2
-    for data in (write, herald):
+    for data in (write, herald, run(["retrieve", *argv])):
         assert len(json.dumps(data, indent=2)) < 16 * 1024
