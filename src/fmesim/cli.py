@@ -249,7 +249,8 @@ def cmd_retrieve(args) -> int:
     cfg = _load(args)
     engine = _engine(cfg, args.command)
     if not _single_photon(engine):
-        raise ConfigError("the write state has no single-photon herald branch")
+        raise ConfigError("the click branch table has no detected single photon: "
+                          "eta or the write drive is zero")
     qubit, splitting = engine.qubit, cfg.values["delta_omega_read"]
     payload = {
         "c1": _complex_pair(qubit.c1),

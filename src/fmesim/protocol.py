@@ -386,31 +386,16 @@ def _part(runs: list[int], chunk: int, start: int, stop: int):
         first = end
 
 
-def _send(write_fd: int, partials) -> None:
-    """In a forked child: write the (row, tally) pairs of partials, as plain
-    ints, or the exception drawing them raised, to write_fd, then exit."""
-    try:
-        try:
-            # tuple(t): marshal takes no NamedTuple
-            message = marshal.dumps(([(row, tuple(t)) for row, t in partials], None))
-        except BaseException as exc:
-            import pickle
-
-            message = marshal.dumps((None, pickle.dumps(exc)))
-        with open(write_fd, "wb") as out:
-            out.write(message)
-    finally:
-        os._exit(0)
-
-
 def _draw_forked(draw, n: int):
     """The (row, tally) pairs of draw(k) for parts k = 0 .. n - 1, in part
     order: draw(0) itself if n == 1, else a list of part 0 drawn here and
-    each other part by a forked child, which sends them over a pipe.  A
-    child's exception is raised here, and the part of a child that ended
-    without sending anything is drawn here; on any exception here the
-    children are killed.  Every child is reaped before this returns or
-    raises."""
+    each other part by a forked child.  A child sends its pairs, as plain
+    ints, over a pipe or sends nothing, and this process draws every part
+    whose whole message it did not receive, whether the child raised, was
+    signalled or was killed; so an error that this process would meet
+    drawing a part is raised here.
+    On any exception here the children are killed.  Every child is reaped
+    before this returns or raises."""
     if n == 1:
         return draw(0)
     gc.freeze()  # the children's collections then skip, and leave shared, the inherited objects
@@ -420,22 +405,22 @@ def _draw_forked(draw, n: int):
             read_fd, write_fd = os.pipe()
             pid = os.fork()
             if not pid:
-                _send(write_fd, draw(k))
+                try:  # tuple(t): marshal takes no NamedTuple
+                    message = marshal.dumps([(row, tuple(t)) for row, t in draw(k)])
+                    with open(write_fd, "wb") as out:
+                        out.write(message)
+                finally:
+                    os._exit(0)
             children.append((pid, read_fd))
             os.close(write_fd)
         partials = list(draw(0))
         for k, (_, read_fd) in enumerate(children, 1):
             with open(read_fd, "rb", closefd=False) as pipe:
                 data = pipe.read()
-            if not data:  # the child was killed before it sent anything
+            try:  # a child that sent nothing, or was killed mid-message, sent no tallies
+                partials += marshal.loads(data)
+            except EOFError:
                 partials += draw(k)
-                continue
-            result, error = marshal.loads(data)
-            if error is not None:
-                import pickle
-
-                raise pickle.loads(error)
-            partials += result
         return partials
     except BaseException:
         import signal
@@ -460,11 +445,13 @@ def run_rows(engines: list[ProtocolEngine], seed: int, runs: list[int], progress
     _process_count(sum(runs)) processes.  The rows' chunks, in row order,
     are cut into that many contiguous parts of near-equal size; this
     process draws the first, a forked child each other (_draw_forked), and
-    each row's partial tallies are added.  progress(i, done), if given, is
-    called after each chunk of row i drawn here and once row i's tally is
-    complete, at done = runs[i].  A run's draws depend only on (seed, row,
-    run), so the tallies do not depend on the kernel, the chunk or the
-    process count."""
+    each row's partial tallies are added.  A child checks after each chunk
+    that the process that forked it is still its parent, and exits at once
+    if not, so a killed CLI leaves no child drawing.  progress(i, done), if
+    given, is called after each chunk of row i in the first part and once
+    row i's tally is complete, at done = runs[i].  A run's draws depend only
+    on (seed, row, run), so the tallies do not depend on the kernel, the
+    chunk or the process count."""
     total = sum(runs)
     kernel, chunk = _stdlib_kernel, _STDLIB_CHUNK
     if total >= _NUMPY_RUNS:
@@ -473,11 +460,16 @@ def run_rows(engines: list[ProtocolEngine], seed: int, runs: list[int], progress
     n = _process_count(total)
     n_chunks = sum(-(-n_runs // chunk) for n_runs in runs)
     bounds = [k * n_chunks // n for k in range(n + 1)]
+    parent = os.getpid()
+
+    def orphaned(row: int, stop: int) -> None:  # a child whose parent is gone stops
+        if os.getpid() != parent and os.getppid() != parent:
+            os._exit(0)
 
     def draw(k: int):  # part 0 reports, and each of its rows starts at run 0
         for row, lo, hi in _part(runs, chunk, bounds[k], bounds[k + 1]):
             yield row, run_protocol(kernel, engines[row], seed, row, lo, hi, chunk,
-                                    None if k else progress)
+                                    orphaned if k else progress)
 
     for row, partials in itertools.groupby(_draw_forked(draw, n), itemgetter(0)):
         if progress is not None:

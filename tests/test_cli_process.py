@@ -8,8 +8,9 @@ are those of main in process, that a stdout that cannot be written exits 2
 with one error line in both buffering modes, as does a process started
 without descriptor 1, and so does -h/--help, that a stderr that is closed or
 cannot be written changes neither stdout nor the exit code, that a forked
-numpy draw imports numpy once, that an oversized sweep grid exits at once,
-and the bounds that only a whole process shows:
+numpy draw imports numpy once, that a CLI killed during a forked draw leaves
+no process of its session within seconds, that an oversized sweep grid
+exits at once, and the bounds that only a whole process shows:
 
 - peak memory at 10^7 runs stays at most 64 MB
   (test_peak_memory_does_not_grow_with_runs),
@@ -30,6 +31,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from typing import NamedTuple
 
 import pytest
@@ -250,6 +252,49 @@ def test_forked_numpy_draw_imports_numpy_once(tmp_path):
                                                "protocol: 131072/131072 runs"]
 
 
+# two CPUs split 25 chunks of row 0 and 244,141 of row 1 in two parts: the
+# parent prints row 0's lines once its child is forked, and the child then
+# draws about 5 10^8 runs, for several seconds
+LONG_ARGV = ["sweep", "--preset", "rb85-87", "--sweep", "runs=100000,1000000000"]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs two CPUs: on one the draw forks no child")
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGKILL], ids=["SIGTERM", "SIGKILL"])
+def test_signalled_cli_leaves_no_drawing_child(tmp_path, signum):
+    cpus = set(sorted(os.sched_getaffinity(0))[:2])
+    stderr = tmp_path / "stderr"
+    with open(stderr, "wb") as err:
+        proc = subprocess.Popen([sys.executable, "-m", "fmesim", *LONG_ARGV],
+                                stdout=subprocess.DEVNULL, stderr=err, env=ENV,
+                                start_new_session=True,
+                                preexec_fn=lambda: os.sched_setaffinity(0, cpus))
+    try:
+        deadline = time.monotonic() + TIMEOUT_S
+        while b" runs\n" not in stderr.read_bytes():
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        os.kill(proc.pid, signum)  # the CLI's pid alone, not its session
+        assert proc.wait(TIMEOUT_S) == -signum
+        # the orphaned child stops at its next chunk, and its session's
+        # reaper collects it
+        deadline = time.monotonic() + 5.0
+        while True:
+            try:
+                os.killpg(proc.pid, 0)
+            except ProcessLookupError:
+                break
+            assert time.monotonic() < deadline, "a process of the CLI's session is left"
+            time.sleep(0.01)
+        assert_session_ended(proc.pid)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
+
+
 NORMAL_ARGV = ["protocol", "--preset", "rb85-87", "--runs", "10", "--seed", "1"]
 
 
@@ -326,6 +371,9 @@ def test_output_is_written_in_slices(tmp_path, monkeypatch):
 OVERSIZED_GRID = [arg for key in ("eta", "dark_rate_hz", "gate_s", "g_I")
                   for arg in ("--sweep", key + "=" + ",".join(map(str, range(1, 301))))]
 
+NO_SINGLE_PHOTON = ("error: the click branch table has no detected single photon: "
+                    "eta or the write drive is zero")
+
 
 @pytest.mark.parametrize("argv, code, message", [
     (["protocol", "--preset", "rb85-87", "--set", "eta=2.0"], 2, "error: eta"),
@@ -335,7 +383,11 @@ OVERSIZED_GRID = [arg for key in ("eta", "dark_rate_hz", "gate_s", "g_I")
     (["protocol", "--preset", "rb85-87", "--runs", "50", "--set", "N_I=1e300"], 4,
      "numeric failure"),
     (["sweep", "--preset", "rb85-87", "--runs", "10", *OVERSIZED_GRID], 2, "--sweep"),
-], ids=["config", "usage", "no-success", "overflow", "oversized-grid"])
+    (["retrieve", "--preset", "rb85-87", "--set", "eta=0"], 2, NO_SINGLE_PHOTON),
+    (["retrieve", "--preset", "rb85-87", "--set", "omega_rabi_write_I=0",
+      "--set", "omega_rabi_write_II=0"], 2, NO_SINGLE_PHOTON),
+], ids=["config", "usage", "no-success", "overflow", "oversized-grid", "retrieve-eta-0",
+        "retrieve-no-write-drive"])
 def test_exit_codes_are_unchanged(tmp_path, argv, code, message):
     res = fmesim(argv, tmp_path)
     assert res.code == code

@@ -7,14 +7,23 @@ per CPU (protocol._process_count), with a forked child for every part but
 the first.  These tests patch the CPU count to 1, 2 and 3 and check that the
 output bytes do not depend on it, with either kernel, and with a row split
 between a part that looks trial counts up in the standard-library kernel's
-table and a part too small to build it; that progress stays at
-most ten lines per row, each line once, and in one process the lines it has
-always printed; that a failure in a child or in the parent exits as it
-would in one process; and that no child outlives the call.
+table and a part too small to build it; that this process draws only the
+first part when every child succeeds; that progress stays at most ten lines
+per row, each line once, and in one process the lines it has always
+printed; and that no child outlives the call.
+
+A child sends its tallies or nothing, and the parent draws every part it did
+not receive, whether the child raised, was signalled or was killed; part of
+a message counts as nothing.  So a failure that one process would meet
+exits as it would there, because the parent meets it drawing the child's
+part, and a failure that only a child meets costs time but changes no byte.
+A failure in the parent kills the children.
 """
 
 import hashlib
+import marshal
 import os
+import signal
 import time
 
 import pytest
@@ -35,9 +44,14 @@ def assert_no_child():
 @pytest.fixture
 def cpus(monkeypatch):
     """set_cpus(n) makes os.sched_getaffinity report n CPUs and clears
-    forks, the pids that os.fork has returned to this process since."""
+    forks, the pids that os.fork has returned to this process since.
+    os._exit fails the test in this process and exits a forked child."""
     forks = []
-    fork = os.fork
+    fork, exit_, test_pid = os.fork, os._exit, os.getpid()
+
+    def child_exit(status):
+        assert os.getpid() != test_pid, "os._exit in the test process"
+        exit_(status)
 
     def counted_fork():
         pid = fork()
@@ -50,6 +64,7 @@ def cpus(monkeypatch):
         forks.clear()
 
     monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(os, "_exit", child_exit)
     return set_cpus, forks
 
 
@@ -111,16 +126,29 @@ GOLDEN = {"golden-100000": GOLDEN_STDLIB_KERNEL_SHA256, "numpy-2^17": GOLDEN_NUM
 
 
 @pytest.mark.parametrize("name", CASES)
-def test_output_does_not_depend_on_the_process_count(tmp_path, capsys, cpus, name):
+def test_output_does_not_depend_on_the_process_count(tmp_path, capsys, cpus, monkeypatch, name):
     argv, runs, code = CASES[name]
     set_cpus, forks = cpus
+    pid, run_protocol, drawn = os.getpid(), pr.run_protocol, []
+
+    def recorded(kernel, engine, seed, row, lo, hi, *args):  # (row, lo, hi) drawn here
+        if os.getpid() == pid:
+            drawn.append((row, lo, hi))
+        return run_protocol(kernel, engine, seed, row, lo, hi, *args)
+
+    monkeypatch.setattr(pr, "run_protocol", recorded)
+    chunk = chunk_of(runs)
+    n_chunks = sum(-(-n // chunk) for n in runs)
     blobs = []
     for n_cpus in CPU_COUNTS:
         set_cpus(n_cpus)
+        drawn.clear()
         out = tmp_path / f"cpus{n_cpus}.out"
         assert main(argv + ["--out", str(out)]) == code
         assert len(forks) == min(n_cpus, sum(runs) // 2**15) - 1
         assert_no_child()
+        # every child sent its part: this process drew part 0 and nothing else
+        assert drawn == [*pr._part(runs, chunk, 0, n_chunks // (len(forks) + 1))]
         blobs.append(out.read_bytes())
         rows = [*progress_lines(capsys.readouterr().err).values()]
         assert len(rows) == len(runs)
@@ -206,9 +234,10 @@ def test_rejection_exits_2_before_any_fork(cpus):
     assert_no_child()
 
 
-def failing_kernel(monkeypatch, in_parent, in_child):
-    """Patch the standard-library kernel so that drawing a chunk calls
-    in_parent() in this process and in_child() in a forked child."""
+def failing_kernel(monkeypatch, in_parent, in_child, runs_from=0):
+    """Patch the standard-library kernel so that drawing a chunk that starts
+    at run runs_from or later calls in_parent() in this process and
+    in_child() in a forked child."""
     parent = os.getpid()
     kernel = pr._stdlib_kernel
 
@@ -216,7 +245,8 @@ def failing_kernel(monkeypatch, in_parent, in_child):
         tally = kernel(engine, runs, chunk)
 
         def checked(seed, row, lo, hi):
-            (in_parent if os.getpid() == parent else in_child)()
+            if lo >= runs_from:
+                (in_parent if os.getpid() == parent else in_child)()
             return tally(seed, row, lo, hi)
 
         return checked
@@ -227,19 +257,35 @@ def failing_kernel(monkeypatch, in_parent, in_child):
 ARGV = ["protocol", "--preset", "rb85-87", "--runs", "100000", "--seed", "1"]
 
 
-def test_child_floating_point_error_exits_4(tmp_path, capsys, cpus, monkeypatch):
+def overflow():
+    raise FloatingPointError("overflow in a child's runs")
+
+
+def test_floating_point_error_in_a_childs_runs_exits_4(tmp_path, capsys, cpus, monkeypatch):
+    # at 3 CPUs the 49 chunks are cut at 16 and 32, so the children's parts
+    # start at run 2^15: each child meets the error and sends nothing, and
+    # this process meets it again drawing part 1
     set_cpus, forks = cpus
     set_cpus(3)
-
-    def fail():
-        raise FloatingPointError("overflow in the child")
-
-    failing_kernel(monkeypatch, lambda: None, fail)
+    failing_kernel(monkeypatch, overflow, overflow, runs_from=2**15)
     out = tmp_path / "out.csv"
     assert main(ARGV + ["--out", str(out)]) == 4
     assert len(forks) == 2
-    assert "numeric failure: overflow in the child" in capsys.readouterr().err
+    assert "numeric failure: overflow in a child's runs" in capsys.readouterr().err
     assert not out.exists()
+    assert_no_child()
+
+
+@pytest.mark.parametrize("error", [overflow, lambda: os.kill(os.getpid(), signal.SIGINT)],
+                         ids=["FloatingPointError", "SIGINT"])
+def test_failure_only_in_a_child_changes_no_byte(tmp_path, cpus, monkeypatch, error):
+    set_cpus, forks = cpus
+    set_cpus(3)
+    out = tmp_path / "out.csv"
+    failing_kernel(monkeypatch, lambda: None, error)
+    assert main(ARGV + ["--out", str(out)]) == 0
+    assert len(forks) == 2
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_STDLIB_KERNEL_SHA256
     assert_no_child()
 
 
@@ -248,6 +294,28 @@ def test_part_of_a_killed_child_is_drawn_by_the_parent(tmp_path, cpus, monkeypat
     set_cpus(3)
     out = tmp_path / "out.csv"
     failing_kernel(monkeypatch, lambda: None, lambda: os._exit(1))
+    assert main(ARGV + ["--out", str(out)]) == 0
+    assert len(forks) == 2
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_STDLIB_KERNEL_SHA256
+    assert_no_child()
+
+
+def test_part_of_a_child_cut_off_mid_message_is_drawn_by_the_parent(tmp_path, cpus, monkeypatch):
+    # a child killed while it writes a message larger than a pipe buffer
+    # leaves the first part of it in the pipe
+    set_cpus, forks = cpus
+    set_cpus(3)
+
+    class CutMarshal:
+        loads = staticmethod(marshal.loads)
+
+        @staticmethod
+        def dumps(value):
+            message = marshal.dumps(value)
+            return message[:len(message) // 2]
+
+    monkeypatch.setattr(pr, "marshal", CutMarshal)
+    out = tmp_path / "out.csv"
     assert main(ARGV + ["--out", str(out)]) == 0
     assert len(forks) == 2
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_STDLIB_KERNEL_SHA256
