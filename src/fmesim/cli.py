@@ -175,17 +175,12 @@ def _engine(cfg: ResolvedConfig, label: str) -> ProtocolEngine:
         finally:
             for w in caught:
                 _stderr_line(f"warning: {label}: {w.message}")
-    if _single_photon(engine) and not engine.qubit.has_photon:
+    if engine.true_herald and not engine.qubit.has_photon:
         raise ConfigError(
             "a true herald retrieves no photon: retrieval_efficiency_I and "
             "retrieval_efficiency_II are 0 on every species the write drive excites"
         )
     return engine
-
-
-def _single_photon(engine: ProtocolEngine) -> bool:
-    """Whether the click branches include the true herald, a detected single photon."""
-    return any(b.kind == "photon" and b.n_photons == 1 for b in engine.branches)
 
 
 def cmd_write_sim(args) -> int:
@@ -225,7 +220,7 @@ def cmd_herald(args) -> int:
     engine = _engine(cfg, args.command)
     det = engine.detector
     conditional = None
-    if _single_photon(engine):  # the heralded spin state, with the photon absorbed
+    if engine.true_herald:  # the heralded spin state, with the photon absorbed
         spin_i, spin_ii = engine.spin
         conditional = {"spin_I": _complex_pair(spin_i), "spin_II": _complex_pair(spin_ii)}
     payload = {
@@ -248,7 +243,7 @@ def cmd_retrieve(args) -> int:
 
     cfg = _load(args)
     engine = _engine(cfg, args.command)
-    if not _single_photon(engine):
+    if not engine.true_herald:
         raise ConfigError("the click branch table has no detected single photon: "
                           "eta or the write drive is zero")
     qubit, splitting = engine.qubit, cfg.values["delta_omega_read"]

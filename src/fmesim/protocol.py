@@ -14,13 +14,13 @@ one output qubit: every branch with n = 1 leaves the same heralded spin
 state, and no other branch holds a single excitation.  A run then reduces
 to two numbers: the trials it used and the branch it clicked on (-1 when
 max_trials passed without a click).
-run_protocol tallies each chunk of runs as it is drawn (runs per outcome,
-trials, and sums of T and T^2 over successful runs), so memory does not
-grow with the run count, and aggregate computes one output row from that
-tally, the per-branch false-herald flags and photon numbers, the qubit's
-concurrence, fidelity and retrieval efficiency, and the engine's analytic
-click probability and false fraction.  The engine and aggregate are
-standard library.
+run_protocol tallies each chunk of runs as it is drawn (runs per outcome
+and sums of T and T^2 over successful runs), so memory does not grow with
+the run count, and aggregate computes one output row from that tally, the
+trials drawn (a run without a click used max_trials), the per-branch
+false-herald flags and photon numbers, the qubit's concurrence, fidelity
+and retrieval efficiency, and the engine's analytic click probability and
+false fraction.  The engine and aggregate are standard library.
 
 The ensemble reset is perfect, so trials are independent and a run's trials
 to its first click are Geometric(p_click).  Each run draws two 53-bit words
@@ -47,7 +47,6 @@ whose module docstring describes both.
 
 from __future__ import annotations
 
-import gc
 import itertools
 import marshal
 import math
@@ -74,11 +73,12 @@ _STDLIB_CHUNK = 2048
 _NUMPY_CHUNK = 4096
 
 # Invocations of at least this many runs in all draw them with numpy, and
-# smaller ones with the standard library, which saves importing numpy (80 ms
-# and 14 MB).  Both forked on 2 CPUs, the standard library took 0.060 s to
-# numpy's 0.080 s at 131,071 runs, 0.079 to 0.081 s at 262,144 and 0.118 to
-# 0.085 s at 524,288; on one CPU the crossover is 2^17 (README), and moving
-# it would re-point the kernels' golden hashes.
+# smaller ones with the standard library, which saves importing numpy (18.3
+# against 29.6 MB peak).  Both forked on 2 CPUs, the standard library took
+# 0.159 s to numpy's 0.195 s at 2^17 runs, 0.208 to 0.216 s at 2^18, 0.217
+# to 0.208 s at 2^19 and 0.320 to 0.228 s at 2^20 (medians of 12 pairs,
+# README); they meet near 2^18, but moving the threshold would re-point the
+# numpy kernel's golden hash.
 _NUMPY_RUNS = 1 << 17
 
 # Runs per drawing process: 10^5 runs split in two took
@@ -123,7 +123,9 @@ class ProtocolEngine:
     p_click = 1, where every run clicks on its first trial.  thresholds are
     ceil(cdf_j 2^53) for every branch but the last: u = k 2^-53 >= cdf_j
     exactly when k >= ceil(cdf_j 2^53), and a word at or above the last
-    threshold takes the last branch.
+    threshold takes the last branch.  true_herald says whether any click
+    branch is a true herald, a click that is not a false herald: a detected
+    single photon, the one click that heralds the spin pair.
     """
 
     def __init__(self, system: SystemParams, detector: DetectorModel, read: ReadParams,
@@ -144,6 +146,7 @@ class ProtocolEngine:
         self.thresholds = tuple(math.ceil(c * 2.0**53) for c in cdf)[:-1]
         false = math.fsum(b.probability for b in self.branches if b.false_herald)
         self.false_fraction = false / total if total > 0.0 else 0.0
+        self.true_herald = not all(b.false_herald for b in self.branches)
         self.spin = herald_mod.heralded_spin(self.write_state)
         self.qubit: FmeQubitState = retrieval_mod.retrieve_fme(self.spin, read)
 
@@ -177,11 +180,11 @@ def _run_batch(engine: ProtocolEngine, seed: int, row: int, run_lo: int, run_hi:
 
 class RunTally(NamedTuple):
     """The counts every statistic depends on: counts[0] runs without a click
-    within max_trials and counts[1 + b] runs that clicked on branch b, every
-    trial drawn, and the exact sums of T and T^2 over the successful runs."""
+    within max_trials and counts[1 + b] runs that clicked on branch b, and
+    the exact sums of T and T^2 over the successful runs.  Each run without
+    a click used max_trials trials, so aggregate derives the trials drawn."""
 
     counts: tuple[int, ...]
-    n_trials: int
     trials_sum: int
     trials_sq_sum: int
 
@@ -199,8 +202,7 @@ def _numpy_kernel(engine: ProtocolEngine, runs: int, chunk: int):
         won = trials_used[branch >= 0]
         # T <= 2^32, so T^2 overflows int64: square T = t1 2^16 + t0 by parts
         t1, t0 = won >> 16, won & 0xFFFF
-        return RunTally(tuple(np.bincount(branch + 1, minlength=size).tolist()),
-                        int(trials_used.sum()), int(won.sum()),
+        return RunTally(tuple(np.bincount(branch + 1, minlength=size).tolist()), int(won.sum()),
                         (int(t1 @ t1) << 32) + (int(t1 @ t0) << 17) + int(t0 @ t0))
 
     return tally
@@ -228,9 +230,14 @@ def _trial_table(engine: ProtocolEngine, runs: int, shift: int):
 
     Each T costs about 1.2 microseconds to build and the table saves about
     0.1 microsecond per run (Python 3.11 on a shared 2-CPU machine), so the
-    table is built with at most runs // 16 of them.  A _PER_RUN bucket's run
-    costs more than one of the quotient path, so the table is also left out
-    where more than 2^14 buckets are _PER_RUN."""
+    table is built with at most runs // 16 of them, and for no part of fewer
+    than _FORK_RUNS runs: building it for every part kept the bytes but took
+    exact-ladder (10^4 runs) from 41.97 to 43.72 ms wall (median of 12
+    pairs, same machine).  A _PER_RUN bucket's run costs more than one of
+    the quotient path, so the table is also left out where more than 2^14
+    buckets are _PER_RUN."""
+    if runs < _FORK_RUNS:
+        return None
     max_trials, log_q = engine.max_trials, engine.log_q
     tol = max_trials * 2.0**-40
 
@@ -265,14 +272,13 @@ def _stdlib_kernel(engine: ProtocolEngine, runs: int, chunk: int):
     math.log1p(-u) / log_q is the one that defines T, and T <= max_trials
     exactly when it is below max_trials.
 
-    A part of at least _FORK_RUNS runs looks each run's T up in a trial
-    table (_trial_table) by the top 16 bits of its first word, and only the
-    runs of _PER_RUN buckets take their quotient; a smaller part, or one
-    whose table would not pay, takes every run's quotient.  The quotient is
-    >= 0, so truncation gives its floor.  Sums over the successful runs are
-    Python ints, which do not overflow: a table entry packs T^2 << shift
-    with T, and the sum of T over a chunk is below 2^shift, so one sum
-    gives both.
+    A part whose trial table pays (_trial_table) looks each run's T up in
+    it by the top 16 bits of its first word, and only the runs of _PER_RUN
+    buckets take their quotient; any other part takes every run's
+    quotient.  The quotient is >= 0, so truncation gives its floor.  Sums
+    over the successful runs are Python ints, which do not overflow: a table
+    entry packs T^2 << shift with T, and the sum of T over a chunk is below
+    2^shift, so one sum gives both.
 
     A branch counts the successful runs' words between two thresholds.  The
     words at or above a threshold t are counted without a sort: those whose
@@ -290,11 +296,7 @@ def _stdlib_kernel(engine: ProtocolEngine, runs: int, chunk: int):
         thresholds.append((t << 11, top, bytes(range(top + 1))))
     below_budget = float(max_trials).__gt__
     shift = (chunk * max_trials).bit_length()
-    # _trial_table may build up to runs // 16 entries before it gives up, and
-    # below _FORK_RUNS that does not pay: building it for every part kept the
-    # bytes but took exact-ladder (10^4 runs) from 41.97 to 43.72 ms wall
-    # (median of 12 pairs, Python 3.11 on a shared 2-CPU machine)
-    table = _trial_table(engine, runs, shift) if runs >= _FORK_RUNS else None
+    table = _trial_table(engine, runs, shift)
 
     def tally(seed: int, row: int, lo: int, hi: int) -> RunTally:
         n = hi - lo
@@ -336,16 +338,15 @@ def _stdlib_kernel(engine: ProtocolEngine, runs: int, chunk: int):
                 i = tops.find(top, i + 1)
             below.append(n_hit - above)
         return RunTally((n - n_hit, *map(sub, [*below, n_hit], [0, *below])),
-                        trials_sum + (n - n_hit) * max_trials, trials_sum, trials_sq_sum)
+                        trials_sum, trials_sq_sum)
 
     return tally
 
 
 def _sum(tallies) -> RunTally:
     """The tally of the runs of all the given tallies, which may be plain tuples."""
-    counts, n_trials, trials_sum, trials_sq_sum = zip(*tallies)
-    return RunTally(tuple(map(sum, zip(*counts))), sum(n_trials), sum(trials_sum),
-                    sum(trials_sq_sum))
+    counts, trials_sum, trials_sq_sum = zip(*tallies)
+    return RunTally(tuple(map(sum, zip(*counts))), sum(trials_sum), sum(trials_sq_sum))
 
 
 def run_protocol(kernel, engine: ProtocolEngine, seed: int, row: int, lo: int, hi: int,
@@ -356,8 +357,8 @@ def run_protocol(kernel, engine: ProtocolEngine, seed: int, row: int, lo: int, h
     after each chunk, with the run it stopped before (reporting only)."""
     # p_click = 0 (log_q = -0.0) only when there is no branch: no run clicks
     tally_runs = kernel(engine, hi - lo, chunk) if engine.p_click else (
-        lambda seed, row, lo, hi: RunTally((hi - lo,), (hi - lo) * engine.max_trials, 0, 0))
-    tally = RunTally((0,) * (len(engine.branches) + 1), 0, 0, 0)
+        lambda seed, row, lo, hi: RunTally((hi - lo,), 0, 0))
+    tally = RunTally((0,) * (len(engine.branches) + 1), 0, 0)
     for start in range(lo, hi, chunk):
         stop = min(start + chunk, hi)
         tally = _sum((tally, tally_runs(seed, row, start, stop)))
@@ -398,7 +399,6 @@ def _draw_forked(draw, n: int):
     before this returns or raises."""
     if n == 1:
         return draw(0)
-    gc.freeze()  # the children's collections then skip, and leave shared, the inherited objects
     children = []
     try:
         for k in range(1, n):
@@ -432,7 +432,6 @@ def _draw_forked(draw, n: int):
         for pid, read_fd in children:
             os.close(read_fd)
             os.waitpid(pid, 0)
-        gc.unfreeze()
 
 
 def run_rows(engines: list[ProtocolEngine], seed: int, runs: list[int], progress=None):
@@ -493,12 +492,13 @@ def aggregate(tally: RunTally, engine: ProtocolEngine) -> ProtocolStats:
     branches, qubit = engine.branches, engine.qubit
     hits = tally.counts[1:]
     n_success = n_runs - tally.counts[0]
-    p_click = n_success / tally.n_trials  # one click ends each successful run
+    n_trials = tally.trials_sum + tally.counts[0] * engine.max_trials
+    p_click = n_success / n_trials  # one click ends each successful run
     p_click_stderr = mean_trials = mean_trials_stderr = false_fraction = photon_yield = math.nan
     mean_conc = mean_fid = math.nan
 
     if 0.0 < p_click < 1.0:  # at p_click 0 or 1 the Wald form would read 0
-        p_click_stderr = math.sqrt(p_click * (1.0 - p_click) / tally.n_trials)
+        p_click_stderr = math.sqrt(p_click * (1.0 - p_click) / n_trials)
     if n_success:
         n, s1, s2 = n_success, tally.trials_sum, tally.trials_sq_sum
         mean_trials = s1 / n  # Python int / int rounds once
@@ -515,7 +515,7 @@ def aggregate(tally: RunTally, engine: ProtocolEngine) -> ProtocolStats:
 
     return ProtocolStats(
         n_runs=n_runs,
-        n_trials=tally.n_trials,
+        n_trials=n_trials,
         n_success=n_success,
         p_click=p_click,
         p_click_stderr=p_click_stderr,

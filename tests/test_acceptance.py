@@ -7,6 +7,7 @@ under two minutes.
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -227,16 +228,29 @@ def test_criterion_7_rb_preset_fidelity(capsys):
                   "flagged [paper]")
 
 
-def test_criterion_8_determinism(tmp_path):
-    args = ["protocol", "--preset", "rb85-87", "--seed", "42", "--runs", "500"]
+def test_criterion_8_determinism(tmp_path, monkeypatch):
+    # the process count, patched to 1 (twice), 2 and 3, splits the 5 chunks
+    # of 10^4 runs across forked children; --workers is accepted and ignored
+    args = ["protocol", "--preset", "rb85-87", "--seed", "42", "--runs", "10000", "--workers", "1"]
+    fork, forks = os.fork, []
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
     blobs = []
-    for name, workers in (("one", "1"), ("one-again", "1"), ("four", "4")):
-        path = tmp_path / f"{name}.csv"
-        assert main(args + ["--workers", workers, "--out", str(path)]) == 0
+    for i, n in enumerate((1, 1, 2, 3)):
+        monkeypatch.setattr(pr, "_process_count", lambda total, n=n: n)
+        forks.clear()
+        path = tmp_path / f"{i}.csv"
+        assert main(args + ["--out", str(path)]) == 0
+        assert len(forks) == n - 1
         blobs.append(path.read_bytes())
-    assert blobs[0] == blobs[1]
-    assert blobs[0] == blobs[2]
-    report(8, "seed 42 output byte-identical for 1 and 4 workers")
+    assert blobs[0] == blobs[1] == blobs[2] == blobs[3]
+    report(8, "seed 42 output byte-identical drawn in 1, 2 and 3 processes")
 
 
 def test_criterion_9_hilbert_kernel_oracle():

@@ -118,9 +118,9 @@ def test_removed_key_exits_2(key, tmp_path, capsys):
     assert repr(key) in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["omega_out_I", "omega_out_II"])
+@pytest.mark.parametrize("key", REMOVED_KEYS)
 def test_removed_key_set_exits_2(key, capsys):
-    # the rails are -/+ delta_omega_read: no override may set them apart from it
+    # no override sets a removed key, nor the rails apart from -/+ delta_omega_read
     assert run_cli("protocol", "--preset", "rb85-87", "--runs", "5", "--set", f"{key}=1") == 2
     err = capsys.readouterr().err
     assert repr(key) in err and "runs" not in err

@@ -47,11 +47,13 @@ def sweep_rows(engines, seed, n_runs):
             for engine, tally in zip(engines, pr.run_rows(engines, seed, [n_runs] * len(engines)))]
 
 
-def table(branches, qubit):
+def table(branches, qubit, max_trials=math.nan):
     """An engine stand-in holding what aggregate reads of an engine: a
-    branch table and its qubit (the analytic numbers are not tested here)."""
-    return SimpleNamespace(branches=branches, qubit=qubit, p_click=math.nan,
-                           false_fraction=math.nan)
+    branch table, its qubit and max_trials (the analytic numbers are not
+    tested here, and n_trials and p_click read NaN unless max_trials is
+    given)."""
+    return SimpleNamespace(branches=branches, qubit=qubit, max_trials=max_trials,
+                           p_click=math.nan, false_fraction=math.nan)
 
 
 def branch_cdf(branches):
@@ -75,7 +77,7 @@ def branch_yield(branches, qubit, i):
     """The photon yield aggregate gives one run that clicked on branch i."""
     counts = [0] * (len(branches) + 1)
     counts[1 + i] = 1
-    return pr.aggregate(pr.RunTally(tuple(counts), 1, 1, 1), table(branches, qubit)).photon_yield
+    return pr.aggregate(pr.RunTally(tuple(counts), 1, 1), table(branches, qubit)).photon_yield
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +333,8 @@ def test_blind_detector_never_clicks():
     engine = make_engine(eta=0.0, dark=0.0, max_trials=50)
     assert engine.p_click == 0.0
     tally = next(pr.run_rows([engine], 1, [3]))
-    assert tally == pr.RunTally((3,) + (0,) * len(engine.branches), 150, 0, 0)
+    assert tally == pr.RunTally((3,) + (0,) * len(engine.branches), 0, 0)
+    assert pr.aggregate(tally, engine).n_trials == 150  # each run used max_trials
 
 
 def test_dark_clicks_on_empty_write_are_false_heralds():
@@ -609,23 +612,35 @@ def test_trial_table_entries_hold_at_both_edges_of_their_bucket(label):
         assert meets[654] and per_run[654] and np.floor(q_hi[654]) == 0
 
 
+def transitions(engine):
+    """The forced trial table of the engine, its packing shift and the
+    largest T it packs, one build step per T."""
+    table, shift = trial_table(engine)
+    return table, shift, max(e & (1 << shift) - 1 for e in table if e > 0)
+
+
 def test_trial_table_caps_its_transitions_by_the_part():
-    # each T costs a build step: a part of runs runs builds at most runs // 16
-    _, shift = trial_table(PRESET_ENGINE)
-    table = pr._trial_table(PRESET_ENGINE, FORCE_TABLE, shift)
-    transitions = max(e & (1 << shift) - 1 for e in table if e > 0)
-    assert 500 < transitions < 2**15 // 16
-    assert pr._trial_table(PRESET_ENGINE, 16 * transitions, shift) == table
-    assert pr._trial_table(PRESET_ENGINE, 16 * transitions - 1, shift) is None
+    # each T costs a build step: a part of runs runs builds at most runs //
+    # 16, here where that cap, not the part's size, refuses the table
+    engine = TABLE_CASES["eta 0.2 drives 5e+06 5e+06"]  # p_click 0.00125
+    table, shift, steps = transitions(engine)
+    assert 16 * steps - 1 >= pr._FORK_RUNS
+    assert pr._trial_table(engine, 16 * steps, shift) == table
+    assert pr._trial_table(engine, 16 * steps - 1, shift) is None
 
 
 def test_only_parts_of_fork_runs_build_a_trial_table(monkeypatch):
+    # at the preset the cap would allow a table below _FORK_RUNS runs, where
+    # it does not pay, and the standard-library kernel keeps no other gate
+    table, shift, steps = transitions(PRESET_ENGINE)
+    assert 500 < steps and 16 * steps <= pr._FORK_RUNS - 1
+    assert pr._trial_table(PRESET_ENGINE, pr._FORK_RUNS - 1, shift) is None
+    assert pr._trial_table(PRESET_ENGINE, pr._FORK_RUNS, shift) == table
     built = []
     monkeypatch.setattr(pr, "_trial_table", lambda engine, runs, shift: built.append(runs))
-    pr._stdlib_kernel(PRESET_ENGINE, pr._FORK_RUNS - 1, pr._STDLIB_CHUNK)
-    assert built == []
-    pr._stdlib_kernel(PRESET_ENGINE, pr._FORK_RUNS, pr._STDLIB_CHUNK)
-    assert built == [pr._FORK_RUNS]
+    for runs in (1, pr._FORK_RUNS - 1, pr._FORK_RUNS, FORCE_TABLE):
+        pr._stdlib_kernel(PRESET_ENGINE, runs, pr._STDLIB_CHUNK)
+    assert built == [1, pr._FORK_RUNS - 1, pr._FORK_RUNS, FORCE_TABLE]
 
 
 BUCKET = 2**45  # the words sharing a top byte: k >> 45, k < 2^53
@@ -639,17 +654,16 @@ def word_tally(engine, trials, branches):
     p, max_trials = engine.p_click, engine.max_trials
     cdf = branch_cdf(engine.branches)
     counts = [0] * (len(engine.branches) + 1)
-    n_trials = trials_sum = trials_sq_sum = 0
+    trials_sum = trials_sq_sum = 0
     for k1, k2 in zip(trials, branches):
         t = math.floor(math.log1p(-k1 * 2.0**-53) / math.log1p(-p)) + 1 if p < 1.0 else 1
         if t > max_trials:
             counts[0] += 1
-            n_trials += max_trials
             continue
         b = min(bisect.bisect_right(cdf, k2 * 2.0**-53), len(engine.branches) - 1)
         counts[1 + b] += 1
-        n_trials, trials_sum, trials_sq_sum = n_trials + t, trials_sum + t, trials_sq_sum + t * t
-    return pr.RunTally(tuple(counts), n_trials, trials_sum, trials_sq_sum)
+        trials_sum, trials_sq_sum = trials_sum + t, trials_sq_sum + t * t
+    return pr.RunTally(tuple(counts), trials_sum, trials_sq_sum)
 
 
 def edge_words(thresholds):
@@ -808,9 +822,9 @@ def test_repeat_until_success_estimates_match_the_engine(p, p_ii, eta, dark, max
 def test_no_success_within_budget_is_explicit():
     engine = make_engine(eta=0.0, dark=0.0, max_trials=5)
     tally = next(pr.run_rows([engine], 9, [4]))
-    assert tally.counts[0] == 4 and tally.n_trials == 20
+    assert tally.counts[0] == 4
     stats = pr.aggregate(tally, engine)
-    assert stats.n_success == 0
+    assert stats.n_success == 0 and stats.n_trials == 20
     assert math.isnan(stats.mean_trials)
     assert stats.p_click == 0.0 and math.isnan(stats.p_click_stderr)
     # a click could have been drawn, but none was: p_click 0 is no exact estimate
@@ -863,7 +877,7 @@ def reference_tally(trials_used, branch, n_branches):
     for _, b in runs:
         counts[b + 1] += 1
     won = [t for t, b in runs if b >= 0]
-    return pr.RunTally(tuple(counts), sum(t for t, _ in runs), sum(won), sum(t * t for t in won))
+    return pr.RunTally(tuple(counts), sum(won), sum(t * t for t in won))
 
 
 @pytest.fixture
@@ -916,7 +930,7 @@ def test_aggregate_half_false_heralds(tally):
 
 def test_aggregate_requires_runs():
     with pytest.raises(ValueError):
-        pr.aggregate(pr.RunTally((0,), 0, 0, 0), table([], _qubit(1.0, 0.0)))
+        pr.aggregate(pr.RunTally((0,), 0, 0), table([], _qubit(1.0, 0.0)))
 
 
 def test_aggregate_matches_exact_oracle(tally):
@@ -931,10 +945,10 @@ def test_aggregate_matches_exact_oracle(tally):
     trials_used = rs.integers(1, 400, 3001)
     trials_used[branch < 0] = 400
     run_tally = tally(trials_used, branch, branches)
-    stats = pr.aggregate(run_tally, table(branches, q))
+    stats = pr.aggregate(run_tally, table(branches, q, max_trials=400))
     won = [(int(t), int(b)) for t, b in zip(trials_used, branch) if b >= 0]
     assert run_tally.counts == tuple(int(np.count_nonzero(branch == b)) for b in range(-1, 5))
-    assert stats.n_success == len(won)
+    assert stats.n_success == len(won) and stats.n_trials == sum(trials_used.tolist())
     assert stats.false_herald_fraction == sum(flags[b] for _, b in won) / len(won)
     mean_t, stderr_t = exact_mean_stderr([t for t, _ in won])
     assert stats.mean_trials == float(mean_t)
@@ -957,7 +971,8 @@ def test_aggregate_trial_sums_exact_at_max_trials(tally):
     branch = np.where(rs.uniform(size=n_runs) < 0.1, -1, 0)
     trials_used[branch < 0] = 2**32
     branches = _branches(TRUE)
-    stats = pr.aggregate(tally(trials_used, branch, branches), table(branches, _qubit(0.6, 0.8)))
+    stats = pr.aggregate(tally(trials_used, branch, branches),
+                         table(branches, _qubit(0.6, 0.8), max_trials=2**32))
     assert stats.n_trials == sum(trials_used.tolist())
     mean, stderr = exact_mean_stderr(trials_used[branch >= 0].tolist())
     assert stats.mean_trials == float(mean)
