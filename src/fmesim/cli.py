@@ -4,9 +4,12 @@ Subcommands: write-sim, herald, retrieve, protocol, sweep, preset-list.
 Exit codes: 0 ok, 2 config or usage error (a stdout that cannot be written
 included), 3 no success within max_trials, 4 numeric failure.  Every output
 file embeds the resolved configuration, its provenance tags, and the master
-seed, so rerunning from the embedded config reproduces the output byte for
-byte.  main returns the exit code; run, the entry point, ends the process
-with os._exit after one checked flush.
+seed, so rerunning write-sim, herald, retrieve or protocol from the embedded
+config reproduces the output byte for byte.  A sweep row embeds its point's
+config but row i keys the random streams, and the axes are not embedded,
+so a sweep row is reproduced by rerunning its sweep with the same axes, not
+by a protocol run of its config.  main returns the exit code; run, the
+entry point, ends the process with os._exit after one checked flush.
 """
 
 from __future__ import annotations
@@ -167,20 +170,14 @@ def _load(args) -> ResolvedConfig:
 
 def _engine(cfg: ResolvedConfig, label: str) -> ProtocolEngine:
     """The engine of cfg; each warning its build raises prints on stderr as
-    one line, warning: <label>: <message>."""
+    one line, warning: <label>: <message>, also when the build rejects cfg."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            engine = cfg_mod.build_setup(cfg)
+            return cfg_mod.build_setup(cfg)
         finally:
             for w in caught:
                 _stderr_line(f"warning: {label}: {w.message}")
-    if engine.true_herald and not engine.qubit.has_photon:
-        raise ConfigError(
-            "a true herald retrieves no photon: retrieval_efficiency_I and "
-            "retrieval_efficiency_II are 0 on every species the write drive excites"
-        )
-    return engine
 
 
 def cmd_write_sim(args) -> int:
@@ -286,9 +283,9 @@ def _run_rows(args, command: str, cfg: ResolvedConfig, points) -> int:
     json table; returns how many rows had no success.  Every point is
     resolved and every row's engine built before the first run is drawn, so
     a rejection in any row exits before any Monte Carlo.  protocol.run_rows
-    draws all rows by its one draw plan.  Each row is formatted as its tally
-    arrives (in one process, as it is drawn), and the table is written once,
-    after the last row, so a failed run writes nothing."""
+    draws all rows by its one draw plan.  Each row is formatted once every
+    row is drawn, and the table is written once, after the last row, so a
+    failed run writes nothing."""
     row_cfgs = [cfg_mod.with_overrides(cfg, point) for point in points]
     from .protocol import ProtocolStats, aggregate, run_rows
 

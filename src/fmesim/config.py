@@ -3,14 +3,16 @@
 Configuration files are flat JSON objects (key -> number, string, or
 [re, im] pair for complex drive amplitudes).  All frequencies and rates are
 quoted in plain Hz and all times in seconds; the single Hz -> rad/s
-conversion by 2*pi happens in build_system_params and nowhere else.  Dark
+conversion by 2*pi happens in build_setup and nowhere else.  Dark
 counts are an event rate and the read half-splitting only labels the qubit's
 two rails (-/+ delta_omega_read), so neither is ever multiplied by 2*pi.
 
 This module imports only the standard library, so resolving and rejecting
-a configuration never loads numpy; each build_* function imports its
-physics type when it is called.  SCHEMA checks every configured value once;
-the records they fill check nothing again.  It owns the bounds the physics
+a configuration never loads numpy; build_setup imports the physics types
+when it is called.  SCHEMA checks every configured value once, and
+build_setup rejects the one combination that only the built engine shows;
+the records build_setup fills check nothing again, so this module owns
+every rejection of a configuration's values.  It owns the bounds the physics
 modules share: ENGINES, COUNTER_LIMIT, ROW_LIMIT and SEED_LIMIT.
 
 Every resolved value carries a provenance tag:
@@ -29,10 +31,7 @@ import math
 from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
-    from .herald import DetectorModel
     from .protocol import ProtocolEngine
-    from .retrieval import ReadParams
-    from .write_dynamics import SystemParams
 
 TWO_PI = 2.0 * math.pi
 
@@ -262,7 +261,6 @@ def _coerce(key: str, raw) -> object:
         raise ConfigError(
             f"{key}: cannot interpret value {_abridged(raw)} as {spec.kind}"
         ) from None
-    raise ConfigError(f"{key}: unhandled kind {spec.kind}")
 
 
 def _check(values: dict[str, object]) -> None:
@@ -358,11 +356,17 @@ def load_config(
 # ---------------------------------------------------------------------------
 
 
-def build_system_params(cfg: ResolvedConfig) -> SystemParams:
+def build_setup(cfg: ResolvedConfig) -> ProtocolEngine:
+    """The engine of cfg, from its SystemParams (in rad/s), DetectorModel and
+    ReadParams; raises ConfigError where a true herald retrieves no photon,
+    a combination of values that no one key's check can see."""
+    from .herald import DetectorModel
+    from .protocol import ProtocolEngine
+    from .retrieval import ReadParams
     from .write_dynamics import SystemParams
 
     v = cfg.values
-    return SystemParams(
+    system = SystemParams(
         g_I=TWO_PI * v["g_I"],
         g_II=TWO_PI * v["g_II"],
         N_I=v["N_I"],
@@ -372,32 +376,19 @@ def build_system_params(cfg: ResolvedConfig) -> SystemParams:
         delta=TWO_PI * v["delta"],
         tau_write=v["tau_write"],
     )
-
-
-def build_detector(cfg: ResolvedConfig) -> DetectorModel:
-    from .herald import DetectorModel
-
-    v = cfg.values
-    return DetectorModel(eta=v["eta"], dark_rate=v["dark_rate_hz"], gate=v["gate_s"])
-
-
-def build_read_params(cfg: ResolvedConfig) -> ReadParams:
-    from .retrieval import ReadParams
-
-    v = cfg.values
-    return ReadParams(
+    detector = DetectorModel(eta=v["eta"], dark_rate=v["dark_rate_hz"], gate=v["gate_s"])
+    read = ReadParams(
         efficiency_I=v["retrieval_efficiency_I"],
         efficiency_II=v["retrieval_efficiency_II"],
         phase_II=v["read_phase"],
     )
-
-
-def build_setup(cfg: ResolvedConfig) -> ProtocolEngine:
-    from .protocol import ProtocolEngine
-
-    v = cfg.values
-    return ProtocolEngine(build_system_params(cfg), build_detector(cfg), build_read_params(cfg),
-                          v["max_trials"], v["engine"], v["cutoff"])
+    engine = ProtocolEngine(system, detector, read, v["max_trials"], v["engine"], v["cutoff"])
+    if engine.true_herald and not engine.qubit.has_photon:
+        raise ConfigError(
+            "a true herald retrieves no photon: retrieval_efficiency_I and "
+            "retrieval_efficiency_II are 0 on every species the write drive excites"
+        )
+    return engine
 
 
 def with_overrides(cfg: ResolvedConfig, updates: dict[str, object]) -> ResolvedConfig:

@@ -112,6 +112,7 @@ class ProtocolStats(NamedTuple):
 class ProtocolEngine:
     """Trial-invariant write/herald/retrieve tables for one configuration.
 
+    Keeps the SystemParams, DetectorModel and ReadParams it was built from.
     Holds the write-stage pair state (chain amplitudes and bright spin mode)
     and from it the click probability, the closed-form click branch table,
     the heralded spin pair and the one output qubit retrieved from it, so a
@@ -129,10 +130,10 @@ class ProtocolEngine:
     """
 
     def __init__(self, system: SystemParams, detector: DetectorModel, read: ReadParams,
-                 max_trials: int, engine: str = "perturbative", cutoff: int = 2):
+                 max_trials: int, engine: str, cutoff: int):
         if max_trials < 1:
             raise ValueError("max_trials must be >= 1")
-        self.detector, self.read, self.max_trials = detector, read, max_trials
+        self.system, self.detector, self.read, self.max_trials = system, detector, read, max_trials
         self.rates = rates = wd.derive_rates(system)
         self.write_state = wd.write_state(rates, cutoff, engine)
         self.branches: list[HeraldBranch] = herald_mod.click_branches(self.write_state, detector)
@@ -388,17 +389,15 @@ def _part(runs: list[int], chunk: int, start: int, stop: int):
 
 
 def _draw_forked(draw, n: int):
-    """The (row, tally) pairs of draw(k) for parts k = 0 .. n - 1, in part
-    order: draw(0) itself if n == 1, else a list of part 0 drawn here and
-    each other part by a forked child.  A child sends its pairs, as plain
+    """A list of the (row, tally) pairs of draw(k) for parts k = 0 .. n - 1,
+    in part order: part 0 drawn here and each other part by a forked child,
+    so nothing is forked when n == 1.  A child sends its pairs, as plain
     ints, over a pipe or sends nothing, and this process draws every part
     whose whole message it did not receive, whether the child raised, was
     signalled or was killed; so an error that this process would meet
     drawing a part is raised here.
     On any exception here the children are killed.  Every child is reaped
     before this returns or raises."""
-    if n == 1:
-        return draw(0)
     children = []
     try:
         for k in range(1, n):
@@ -436,7 +435,7 @@ def _draw_forked(draw, n: int):
 
 def run_rows(engines: list[ProtocolEngine], seed: int, runs: list[int], progress=None):
     """Yield the tally of each row i, runs[i] runs of engines[i] keyed by
-    row i, in row order.
+    row i, in row order, once every part has been drawn.
 
     This is the invocation's one draw plan, from its runs in all: the
     kernel and its chunk (_stdlib_kernel in chunks of _STDLIB_CHUNK runs,

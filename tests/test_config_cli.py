@@ -27,7 +27,7 @@ TWO_PI = 2.0 * math.pi
 
 def test_preset_delta_converted_to_angular():
     cfg = cfg_mod.load_config(preset="rb85-87")
-    params = cfg_mod.build_system_params(cfg)
+    params = cfg_mod.build_setup(cfg).system
     assert params.delta == pytest.approx(TWO_PI * 1.368e9)
     assert cfg.provenance["delta"] == "paper"
 
@@ -96,7 +96,7 @@ def test_complex_drive_from_pair():
     cfg = cfg_mod.load_config(
         preset="rb85-87", overrides=["omega_rabi_write_I=[0.0, 1.0e7]"]
     )
-    params = cfg_mod.build_system_params(cfg)
+    params = cfg_mod.build_setup(cfg).system
     assert params.omega_W_I == pytest.approx(TWO_PI * 1.0e7j)
 
 
@@ -185,7 +185,7 @@ def test_config_file_and_override_precedence(tmp_path):
 
 def test_dark_rate_not_angular():
     cfg = cfg_mod.load_config(preset="rb85-87")
-    det = cfg_mod.build_detector(cfg)
+    det = cfg_mod.build_setup(cfg).detector
     assert det.dark_rate == 400.0
     assert det.p_dark == pytest.approx(1.0 - math.exp(-4.0e-4))
 
@@ -905,6 +905,15 @@ def test_true_herald_without_photon_exits_2(command, overrides, capsys):
     assert "retrieval_efficiency_I " in err and "retrieval_efficiency_II" in err
 
 
+@pytest.mark.parametrize("overrides", NO_PHOTON)
+def test_build_setup_rejects_true_herald_without_photon(overrides):
+    # the config module's own rejection, which every command above reports
+    cfg = cfg_mod.load_config(preset="rb85-87", overrides=list(overrides))
+    message = "a true herald retrieves no photon: retrieval_efficiency_I and retrieval_efficiency_II "
+    with pytest.raises(ConfigError, match=message):
+        cfg_mod.build_setup(cfg)
+
+
 @pytest.mark.parametrize(
     "overrides", [["N_I=1e300"], ["g_I=1e300"], ["omega_rabi_write_I=1e300"]]
 )
@@ -926,7 +935,7 @@ def test_saturated_exact_state_is_all_tail(eta, tmp_path):
     # N_I = 1e300 gives |chi| t ~ 1e145 and omega_rabi_write_I = 1e300 about
     # 1e292: the exact state has all its weight above the cutoff, so every
     # click is a false herald
-    p_dark = cfg_mod.build_detector(cfg_mod.load_config(preset="rb85-87")).p_dark
+    p_dark = cfg_mod.build_setup(cfg_mod.load_config(preset="rb85-87")).detector.p_dark
     for overflow in ("N_I=1e300", "omega_rabi_write_I=1e300"):
         sets = ("--set", overflow, "--set", "engine=exact", "--set", f"eta={eta}")
         out = tmp_path / "herald.json"

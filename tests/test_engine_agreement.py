@@ -48,15 +48,15 @@ def reference_chain(rates, engine, cutoff):
     return (-1j) ** n * th**n * sech, th * th
 
 
-def reference_engine(cfg):
-    """The fields of cfg's ProtocolEngine, computed with the numpy expressions."""
-    rates = wd.derive_rates(cfg_mod.build_system_params(cfg))
+def reference_engine(cfg, system, det):
+    """The fields of cfg's ProtocolEngine, computed with the numpy expressions
+    from the SystemParams and DetectorModel that config.build_setup made."""
+    rates = wd.derive_rates(system)
     chain, lam = reference_chain(rates, cfg.values["engine"], cfg.values["cutoff"])
     p_n, top = np.abs(chain) ** 2, chain.size
     with np.errstate(divide="ignore"):
         tail = lam**top * (top + lam / p_n[0]) if lam else 0.0
     mean_occupation = float(np.arange(top) @ p_n + tail)
-    det = cfg_mod.build_detector(cfg)
     miss = [(1.0 - det.eta) ** n for n in range(top + 1)]
     weights = [("photon", n, p_n[n] * (1.0 - miss[n])) for n in range(1, top)]
     if det.p_dark > 0.0:
@@ -127,7 +127,7 @@ GRID = [
 
 def assert_agree(cfg):
     engine = cfg_mod.build_setup(cfg)
-    got, want = engine_fields(engine), reference_engine(cfg)
+    got, want = engine_fields(engine), reference_engine(cfg, engine.system, engine.detector)
     for name in want:
         new, ref = list(floats(name, got[name])), list(floats(name, want[name]))
         assert [label for label, _ in new] == [label for label, _ in ref], name

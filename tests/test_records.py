@@ -36,7 +36,7 @@ def records():
     engine = cfg_mod.build_setup(cfg)
     tally = next(pr.run_rows([engine], 1, [100]))
     found = [
-        cfg_mod.SCHEMA["eta"], cfg_mod.RB85_87, cfg, cfg_mod.build_system_params(cfg),
+        cfg_mod.SCHEMA["eta"], cfg_mod.RB85_87, cfg, engine.system,
         engine.rates, engine.write_state, engine.detector, engine.branches[0], engine.read,
         engine.qubit, pr.aggregate(tally, engine), tally,
     ]
@@ -61,7 +61,7 @@ QUBIT = dict(c1=0.6, c2=0.8, retrieval_efficiency=1.0)
 
 WRITE = dict(rates=wd.derive_rates(wd.SystemParams(**SYSTEM)), cutoff=2, engine="perturbative")
 ENGINE = dict(system=wd.SystemParams(**SYSTEM), detector=DetectorModel(**DETECTOR),
-              read=ReadParams(**READ), max_trials=100)
+              read=ReadParams(**READ), max_trials=100, engine="perturbative", cutoff=2)
 
 
 REJECTIONS = [
