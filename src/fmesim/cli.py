@@ -39,11 +39,11 @@ def _complex_pair(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
-def _metadata(command: str, cfg: ResolvedConfig, seed: int) -> dict:
+def _metadata(args, cfg: ResolvedConfig) -> dict:
     return {
         "tool": "fmesim",
-        "command": command,
-        "seed": seed,
+        "command": args.command,
+        "seed": args.seed,
         "preset": cfg.preset,
         "config": cfg.serializable_values(),
         "provenance": {k: cfg.provenance[k] for k in sorted(cfg.provenance)},
@@ -109,10 +109,6 @@ def _json_safe(value):
     return value
 
 
-def _emit_json(out_path: str | None, payload: dict) -> None:
-    _write_text(out_path, json.dumps(payload, indent=2) + "\n")
-
-
 def _format_cell(value) -> str:
     if isinstance(value, float):
         return repr(value)
@@ -126,31 +122,23 @@ def _format_cell(value) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _key_line(key: str, value, tag: str) -> str:
+    """preset-list's line of one configuration key."""
+    spec = cfg_mod.SCHEMA[key]
+    unit = f" {spec.unit}" if spec.unit else ""
+    return f"  {key} = {_format_cell(value)}{unit} [{tag}]  {spec.description}"
+
+
 def cmd_preset_list(args) -> int:
     lines = []
-    for name in sorted(cfg_mod.PRESETS):
-        preset = cfg_mod.PRESETS[name]
+    for name, preset in sorted(cfg_mod.PRESETS.items()):
         lines.append(f"preset {name}")
-        lines.append(f"  {preset.description}")
-        for label in preset.level_labels:
-            lines.append(f"  {label}")
-        for key in sorted(preset.values):
-            spec = cfg_mod.SCHEMA[key]
-            value = preset.values[key]
-            unit = f" {spec.unit}" if spec.unit else ""
-            lines.append(
-                f"  {key} = {_format_cell(value)}{unit} [{preset.provenance(key)}]"
-                f"  {spec.description}"
-            )
+        lines += [f"  {text}" for text in (preset.description, *preset.level_labels)]
+        lines += [_key_line(key, value, preset.provenance(key))
+                  for key, value in sorted(preset.values.items())]
         lines.append("")
     lines.append("package defaults (apply when neither preset nor config sets a key)")
-    for key in sorted(cfg_mod.DEFAULTS):
-        spec = cfg_mod.SCHEMA[key]
-        unit = f" {spec.unit}" if spec.unit else ""
-        lines.append(
-            f"  {key} = {_format_cell(cfg_mod.DEFAULTS[key])}{unit} [default]"
-            f"  {spec.description}"
-        )
+    lines += [_key_line(key, value, "default") for key, value in sorted(cfg_mod.DEFAULTS.items())]
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 
@@ -180,14 +168,26 @@ def _engine(cfg: ResolvedConfig, label: str) -> ProtocolEngine:
                 _stderr_line(f"warning: {label}: {w.message}")
 
 
-def cmd_write_sim(args) -> int:
-    cfg = _load(args)
-    engine = _engine(cfg, args.command)
+def _stage(payload):
+    """The handler of a one-configuration command: it resolves the
+    configuration, builds its engine and prints payload(cfg, engine,
+    metadata) as JSON."""
+
+    def handler(args) -> int:
+        cfg = _load(args)
+        record = payload(cfg, _engine(cfg, args.command), _metadata(args, cfg))
+        _write_text(args.out, json.dumps(record, indent=2) + "\n")
+        return 0
+
+    return handler
+
+
+def _write_sim(cfg: ResolvedConfig, engine: ProtocolEngine, meta: dict) -> dict:
     rates = engine.rates
     state = engine.write_state
     n_mean = state.mean_occupation()  # printed null when infinite
-    payload = {
-        "metadata": _metadata("write-sim", cfg, args.seed),
+    return {
+        "metadata": meta,
         "engine": cfg.values["engine"],
         "derived_rates_rad_per_s": {
             "chi_I": _complex_pair(rates.chi_I),
@@ -208,22 +208,17 @@ def cmd_write_sim(args) -> int:
             "spin_II": _json_safe(n_mean * abs(state.u_II) ** 2),
         },
     }
-    _emit_json(args.out, payload)
-    return 0
 
 
-def cmd_herald(args) -> int:
-    cfg = _load(args)
-    engine = _engine(cfg, args.command)
-    det = engine.detector
+def _herald(cfg: ResolvedConfig, engine: ProtocolEngine, meta: dict) -> dict:
     conditional = None
     if engine.true_herald:  # the heralded spin state, with the photon absorbed
         spin_i, spin_ii = engine.spin
         conditional = {"spin_I": _complex_pair(spin_i), "spin_II": _complex_pair(spin_ii)}
-    payload = {
-        "metadata": _metadata("herald", cfg, args.seed),
+    return {
+        "metadata": meta,
         "p_click": engine.p_click,
-        "p_dark": det.p_dark,
+        "p_dark": engine.detector.p_dark,
         "false_herald_fraction": engine.false_fraction,
         "branches": [
             {"kind": b.kind, "n_photons": b.n_photons, "probability": b.probability}
@@ -231,20 +226,16 @@ def cmd_herald(args) -> int:
         ],
         "conditional_state_single_photon": conditional,
     }
-    _emit_json(args.out, payload)
-    return 0
 
 
-def cmd_retrieve(args) -> int:
+def _retrieve(cfg: ResolvedConfig, engine: ProtocolEngine, meta: dict) -> dict:
     from . import retrieval
 
-    cfg = _load(args)
-    engine = _engine(cfg, args.command)
     if not engine.true_herald:
         raise ConfigError("the click branch table has no detected single photon: "
                           "eta or the write drive is zero")
     qubit, splitting = engine.qubit, cfg.values["delta_omega_read"]
-    payload = {
+    return {
         "c1": _complex_pair(qubit.c1),
         "c2": _complex_pair(qubit.c2),
         "omega_I_hz": -splitting,
@@ -252,10 +243,8 @@ def cmd_retrieve(args) -> int:
         "concurrence": retrieval.concurrence(qubit),
         "fidelity_bell": retrieval.fidelity_to_bell(qubit),
         "retrieval_efficiency": qubit.retrieval_efficiency,
-        "metadata": _metadata("retrieve", cfg, args.seed),
+        "metadata": meta,
     }
-    _emit_json(args.out, payload)
-    return 0
 
 
 def _row_label(command: str, row: int, rows: int) -> str:
@@ -277,7 +266,7 @@ def _progress(command: str, runs: list[int]):
     return write
 
 
-def _run_rows(args, command: str, cfg: ResolvedConfig, points) -> int:
+def _run_rows(args, cfg: ResolvedConfig, points) -> int:
     """Monte Carlo statistics at each grid point (a dict of key -> raw value
     overrides of cfg; row i keys the random streams), written as one csv or
     json table; returns how many rows had no success.  Every point is
@@ -289,18 +278,18 @@ def _run_rows(args, command: str, cfg: ResolvedConfig, points) -> int:
     row_cfgs = [cfg_mod.with_overrides(cfg, point) for point in points]
     from .protocol import ProtocolStats, aggregate, run_rows
 
-    engines = [_engine(row_cfg, _row_label(command, i, len(row_cfgs)))
+    engines = [_engine(row_cfg, _row_label(args.command, i, len(row_cfgs)))
                for i, row_cfg in enumerate(row_cfgs)]
     runs = [row_cfg.values["runs"] for row_cfg in row_cfgs]
-    tallies = run_rows(engines, args.seed, runs, _progress(command, runs))
-    meta = _metadata(command, cfg, args.seed)
+    tallies = run_rows(engines, args.seed, runs, _progress(args.command, runs))
+    meta = _metadata(args, cfg)
     buf, tail = io.StringIO(), ""
     if args.format == "json":
         table = json.dumps({"metadata": meta, "results": [0]}, indent=2) + "\n"
         head, tail = table.rsplit("0", 1)  # the framing around a placeholder entry
         buf.write(head)
     else:
-        buf.write(f"# fmesim {command}\n# seed: {args.seed}\n")
+        buf.write(f"# fmesim {args.command}\n# seed: {args.seed}\n")
         for name in ("config", "provenance"):
             buf.write(f"# {name}: {json.dumps(meta[name], sort_keys=True)}\n")
         config_keys = sorted(cfg.values)
@@ -325,7 +314,7 @@ def _run_rows(args, command: str, cfg: ResolvedConfig, points) -> int:
 
 
 def cmd_protocol(args) -> int:
-    return 3 if _run_rows(args, "protocol", _load(args), [{}]) else 0
+    return 3 if _run_rows(args, _load(args), [{}]) else 0
 
 
 def _parse_sweep_axis(text: str) -> tuple[str, list]:
@@ -366,7 +355,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"--sweep grid has {n_points} points, more than 2**31 rows")
     keys = [key for key, _ in axes]
     points = itertools.product(*(values for _, values in axes))  # first axis slowest
-    _run_rows(args, "sweep", cfg, (dict(zip(keys, combo)) for combo in points))
+    _run_rows(args, cfg, (dict(zip(keys, combo)) for combo in points))
     return 0
 
 
@@ -380,6 +369,39 @@ class _Parser(argparse.ArgumentParser):
         _write_text(None, self.format_help())  # stdout prints on stderr; fail as output does
 
 
+_OUT = (("--out", {"metavar": "PATH", "help": "output file (default stdout)"}),)
+_CONFIG = (
+    ("--config", {"metavar": "PATH", "help": "JSON configuration file"}),
+    ("--preset", {"metavar": "NAME", "help": "named parameter preset"}),
+    ("--set", {"metavar": "KEY=VALUE", "action": "append", "default": [],
+               "help": "override one configuration key (repeatable)"}),
+    ("--seed", {"type": int, "default": 0, "help": "master seed (default 0)"}),
+)
+_MC = (
+    ("--runs", {"type": int, "default": None, "help": "Monte Carlo run count"}),
+    ("--workers", {"type": int, "default": 1, "help": "ignored: the process count "
+                   "follows the run count and the CPUs available"}),
+    ("--format", {"choices": ("csv", "json"), "default": "csv", "help": "output format"}),
+)
+_SWEEP = (("--sweep", {"metavar": "KEY=V1,V2,...", "action": "append", "default": [],
+                       "help": "sweep axis (repeatable; axes combine as a grid)"}),)
+
+# Each subcommand as --help lists it: name, help, option groups, handler.
+_COMMANDS = (
+    ("write-sim", "write-stage state, derived rates, occupations (JSON)",
+     (_CONFIG, _OUT), _stage(_write_sim)),
+    ("herald", "click probability, branch table, conditional state (JSON)",
+     (_CONFIG, _OUT), _stage(_herald)),
+    ("retrieve", "output frequency-qubit record for a true herald (JSON)",
+     (_CONFIG, _OUT), _stage(_retrieve)),
+    ("protocol", "repeat-until-success Monte Carlo statistics",
+     (_CONFIG, _OUT, _MC), cmd_protocol),
+    ("sweep", "Monte Carlo statistics over a parameter grid",
+     (_CONFIG, _OUT, _MC, _SWEEP), cmd_sweep),
+    ("preset-list", "list presets and defaults with provenance flags", (_OUT,), cmd_preset_list),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="fmesim",
@@ -389,64 +411,11 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH", help="JSON configuration file")
-    common.add_argument("--preset", metavar="NAME", help="named parameter preset")
-    common.add_argument(
-        "--set",
-        metavar="KEY=VALUE",
-        action="append",
-        default=[],
-        help="override one configuration key (repeatable)",
-    )
-    common.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    out = {"metavar": "PATH", "help": "output file (default stdout)"}
-    common.add_argument("--out", **out)
-
-    mc = argparse.ArgumentParser(add_help=False)
-    mc.add_argument("--runs", type=int, default=None, help="Monte Carlo run count")
-    mc.add_argument(
-        "--workers", type=int, default=1,
-        help="ignored: the process count follows the run count and the CPUs available",
-    )
-    mc.add_argument(
-        "--format", choices=("csv", "json"), default="csv", help="output format"
-    )
-
-    sub.add_parser(
-        "write-sim", parents=[common],
-        help="write-stage state, derived rates, occupations (JSON)",
-    ).set_defaults(func=cmd_write_sim)
-    sub.add_parser(
-        "herald", parents=[common],
-        help="click probability, branch table, conditional state (JSON)",
-    ).set_defaults(func=cmd_herald)
-    sub.add_parser(
-        "retrieve", parents=[common],
-        help="output frequency-qubit record for a true herald (JSON)",
-    ).set_defaults(func=cmd_retrieve)
-    sub.add_parser(
-        "protocol", parents=[common, mc],
-        help="repeat-until-success Monte Carlo statistics",
-    ).set_defaults(func=cmd_protocol)
-    sweep_p = sub.add_parser(
-        "sweep", parents=[common, mc],
-        help="Monte Carlo statistics over a parameter grid",
-    )
-    sweep_p.add_argument(
-        "--sweep",
-        metavar="KEY=V1,V2,...",
-        action="append",
-        default=[],
-        help="sweep axis (repeatable; axes combine as a grid)",
-    )
-    sweep_p.set_defaults(func=cmd_sweep)
-    preset_p = sub.add_parser(
-        "preset-list", help="list presets and defaults with provenance flags",
-    )
-    preset_p.add_argument("--out", **out)
-    preset_p.set_defaults(func=cmd_preset_list)
+    for name, text, groups, handler in _COMMANDS:
+        sub_parser = sub.add_parser(name, help=text)
+        for flag, options in itertools.chain(*groups):
+            sub_parser.add_argument(flag, **options)
+        sub_parser.set_defaults(func=handler)
     return parser
 
 

@@ -268,8 +268,7 @@ def _check(values: dict[str, object]) -> None:
     for key, value in values.items():
         spec = SCHEMA[key]
         if spec.validator is not None:
-            magnitude = abs(value) if isinstance(value, complex) else value
-            spec.validator(key, magnitude)
+            spec.validator(key, value)
 
 
 def _assign(values: dict, provenance: dict, key: str, raw) -> None:

@@ -96,8 +96,7 @@ def click_branches(state: PairState, det: DetectorModel) -> list[HeraldBranch]:
     p_n, top = [abs(c) ** 2 for c in state.chain], len(state.chain)
     miss = [(1.0 - det.eta) ** n for n in range(top + 1)]
     weights = [("photon", n, p_n[n] * (1.0 - miss[n])) for n in range(1, top)]
-    if det.p_dark > 0.0:
-        weights += [("dark", n, p_n[n] * miss[n] * det.p_dark) for n in range(top)]
+    weights += [("dark", n, p_n[n] * miss[n] * det.p_dark) for n in range(top)]
     # Above the cutoff N the chain continues as |c_n|^2 = s lam^n, where
     # s = |c_0|^2 = 1 - lam stays exact where lam rounds to 1: the tail
     # weighs lam^(N+1) and the detector misses it with probability s m / den,

@@ -83,7 +83,12 @@ _NUMPY_RUNS = 1 << 17
 
 # Runs per drawing process: 10^5 runs split in two took
 # 15-17 ms in process against 27-29 ms in one, so a child costs about 2 ms of
-# wall time, which a part of 2^15 runs (about 9 ms to draw) repays.
+# wall time, which a part of 2^15 runs (about 9 ms to draw) repays.  A fresh
+# CLI process costs more: forking protocol --runs 100000 on 2 CPUs, against
+# pinned to one, added about 1,050 minor faults (4,058 against 3,010) and
+# 3-10 ms of CPU, and moved wall time by -5 to +5 ms (medians of 20 and 30
+# pairs on a shared 2-CPU machine, where two equal forked pure-Python loops
+# took 0.9-2.4 times as long as one while it was loaded, 1.0-1.07 while not).
 _FORK_RUNS = 1 << 15
 
 

@@ -28,6 +28,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -155,6 +156,26 @@ def test_help_is_written_to_stdout_as_argparse_formats_it(tmp_path, buffering_en
         assert res.stdout.decode() == parser.format_help()
     else:
         assert res.stdout.decode().startswith("usage: fmesim protocol [-h]")
+
+
+CONFIG_OPTIONS = ("--config", "--preset", "--set", "--seed", "--out")
+MC_OPTIONS = (*CONFIG_OPTIONS, "--runs", "--workers", "--format")
+
+
+@pytest.mark.parametrize("command, options", [
+    ("write-sim", CONFIG_OPTIONS),
+    ("herald", CONFIG_OPTIONS),
+    ("retrieve", CONFIG_OPTIONS),
+    ("protocol", MC_OPTIONS),
+    ("sweep", (*MC_OPTIONS, "--sweep")),
+    ("preset-list", ("--out",)),
+])
+def test_each_subcommand_lists_its_options(tmp_path, command, options):
+    # the long options of each subcommand's -h, besides --help, and no other
+    res = fmesim([command, "-h"], tmp_path)
+    assert res.code == 0 and res.stderr == ""
+    listed = set(re.findall(r"--[a-z]+", res.stdout.decode())) - {"--help"}
+    assert listed == set(options)
 
 
 def test_closed_stdout_pipe_exits_2_with_one_error_line(tmp_path, buffering_env):
