@@ -272,9 +272,9 @@ def _run_rows(args, cfg: ResolvedConfig, points) -> int:
     json table; returns how many rows had no success.  Every point is
     resolved and every row's engine built before the first run is drawn, so
     a rejection in any row exits before any Monte Carlo.  protocol.run_rows
-    draws all rows by its one draw plan.  Each row is formatted once every
-    row is drawn, and the table is written once, after the last row, so a
-    failed run writes nothing."""
+    draws every row in this process by its one draw plan, and each row is
+    formatted as its tally is drawn; the table is written once, after the
+    last row, so a failed run writes nothing."""
     row_cfgs = [cfg_mod.with_overrides(cfg, point) for point in points]
     from .protocol import ProtocolStats, aggregate, run_rows
 
@@ -379,8 +379,8 @@ _CONFIG = (
 )
 _MC = (
     ("--runs", {"type": int, "default": None, "help": "Monte Carlo run count"}),
-    ("--workers", {"type": int, "default": 1, "help": "ignored: the process count "
-                   "follows the run count and the CPUs available"}),
+    ("--workers", {"type": int, "default": 1,
+                   "help": "ignored: every run is drawn in the CLI process"}),
     ("--format", {"choices": ("csv", "json"), "default": "csv", "help": "output format"}),
 )
 _SWEEP = (("--sweep", {"metavar": "KEY=V1,V2,...", "action": "append", "default": [],
@@ -435,9 +435,9 @@ def run(argv=None) -> NoReturn:
     """Run main(argv) and end the process with its exit code by os._exit,
     which skips interpreter finalization; stdout is flushed first, and a
     failed flush exits 2.  stderr is line-buffered, and every write to it
-    ends a line, so it holds nothing to flush.  main has reaped every forked
-    drawing process by then.  argparse's SystemExit and any uncaught
-    exception leave by the interpreter's normal exit."""
+    ends a line, so it holds nothing to flush.  Every run is drawn in this
+    process, so no child is left to reap.  argparse's SystemExit and any
+    uncaught exception leave by the interpreter's normal exit."""
     code = main(argv)
     if sys.stdout is not None:
         try:

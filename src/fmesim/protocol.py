@@ -29,8 +29,8 @@ sweep row, run index) (fmesim.rng), and the engine holds the one rule that
 maps them to its result: T = floor(math.log1p(-u1) / log_q) + 1, no success
 when T > max_trials, and the branch is the number of thresholds at or below
 k2.  Two kernels apply it to a chunk, to the same RunTally: a
-standard-library one and the numpy one (_run_batch).  For a row's part of
-at least _FORK_RUNS runs, the standard-library kernel looks T up in a trial
+standard-library one and the numpy one (_run_batch).  For a row of at
+least _TABLE_RUNS runs, the standard-library kernel looks T up in a trial
 table keyed by the top 16 bits of k1 (_trial_table), and takes the
 quotient only for the runs of buckets where the table cannot tell T by
 construction.  A run's draws depend
@@ -38,20 +38,17 @@ on nothing else, so any partitioning of runs into batches produces the same
 tally.  run_rows holds an invocation's one draw plan, read from its runs in
 all: below _NUMPY_RUNS = 2^17 the standard-library kernel draws, so numpy is
 never imported, and from there on the numpy kernel, each in chunks of its
-own size; either draws in one process per 2^15 runs, at most one per CPU,
-forked from this one, and the parts' tallies are added.  run_protocol draws
-one row's run range with the kernel and the chunk it is given.  The write
-engine, "exact" or "perturbative", is chosen by write_dynamics.write_state,
-whose module docstring describes both.
+own size.  Every run is drawn in this process, which forks nothing.
+run_protocol draws one row's runs with the kernel and the chunk it is
+given.  The write engine, "exact" or "perturbative", is chosen by
+write_dynamics.write_state, whose module docstring describes both.
 """
 
 from __future__ import annotations
 
 import itertools
-import marshal
 import math
-import os
-from operator import itemgetter, mul, sub, truediv
+from operator import mul, sub, truediv
 from typing import NamedTuple
 
 from . import herald as herald_mod
@@ -74,22 +71,16 @@ _NUMPY_CHUNK = 4096
 
 # Invocations of at least this many runs in all draw them with numpy, and
 # smaller ones with the standard library, which saves importing numpy (18.3
-# against 29.6 MB peak).  Both forked on 2 CPUs, the standard library took
-# 0.159 s to numpy's 0.195 s at 2^17 runs, 0.208 to 0.216 s at 2^18, 0.217
-# to 0.208 s at 2^19 and 0.320 to 0.228 s at 2^20 (medians of 12 pairs,
-# README); they meet near 2^18, but moving the threshold would re-point the
-# numpy kernel's golden hash.
+# against 29.6 MB peak).  In one process the standard library took 0.092 s
+# to numpy's 0.118 s at 2^17 runs, 0.123 to 0.127 s at 2^18, 0.171 to
+# 0.131 s at 2^19 and 0.317 to 0.187 s at 2^20 (medians of 10 alternating
+# pairs, README); they meet near 2^18, but moving the threshold would
+# re-point the numpy kernel's golden hash.
 _NUMPY_RUNS = 1 << 17
 
-# Runs per drawing process: 10^5 runs split in two took
-# 15-17 ms in process against 27-29 ms in one, so a child costs about 2 ms of
-# wall time, which a part of 2^15 runs (about 9 ms to draw) repays.  A fresh
-# CLI process costs more: forking protocol --runs 100000 on 2 CPUs, against
-# pinned to one, added about 1,050 minor faults (4,058 against 3,010) and
-# 3-10 ms of CPU, and moved wall time by -5 to +5 ms (medians of 20 and 30
-# pairs on a shared 2-CPU machine, where two equal forked pure-Python loops
-# took 0.9-2.4 times as long as one while it was loaded, 1.0-1.07 while not).
-_FORK_RUNS = 1 << 15
+# Rows of fewer runs take every quotient: the trial table does not repay its
+# build there (_trial_table).
+_TABLE_RUNS = 1 << 15
 
 
 class ProtocolStats(NamedTuple):
@@ -197,7 +188,7 @@ class RunTally(NamedTuple):
 
 def _numpy_kernel(engine: ProtocolEngine, runs: int, chunk: int):
     """The tally of runs lo .. hi - 1 from _run_batch's arrays, as a function
-    of (seed, row, lo, hi); neither the part's size runs nor the chunk
+    of (seed, row, lo, hi); neither the row's size runs nor the chunk
     changes its code."""
     import numpy as np
 
@@ -220,8 +211,8 @@ _PER_RUN, _MISS = -1, 0
 
 
 def _trial_table(engine: ProtocolEngine, runs: int, shift: int):
-    """The standard-library kernel's trial table for a part of runs runs of
-    one row, or None where it would not pay.
+    """The standard-library kernel's trial table for a row of runs runs, or
+    None where it would not pay.
 
     Entry b covers the 2^37 words whose top 16 bits (k >> 37) are b.  The
     real quotient ln(1 - u) / log_q of a word lies within max_trials 2^-40
@@ -236,13 +227,13 @@ def _trial_table(engine: ProtocolEngine, runs: int, shift: int):
 
     Each T costs about 1.2 microseconds to build and the table saves about
     0.1 microsecond per run (Python 3.11 on a shared 2-CPU machine), so the
-    table is built with at most runs // 16 of them, and for no part of fewer
-    than _FORK_RUNS runs: building it for every part kept the bytes but took
+    table is built with at most runs // 16 of them, and for no row of fewer
+    than _TABLE_RUNS runs: building it for every row kept the bytes but took
     exact-ladder (10^4 runs) from 41.97 to 43.72 ms wall (median of 12
     pairs, same machine).  A _PER_RUN bucket's run costs more than one of
     the quotient path, so the table is also left out where more than 2^14
     buckets are _PER_RUN."""
-    if runs < _FORK_RUNS:
+    if runs < _TABLE_RUNS:
         return None
     max_trials, log_q = engine.max_trials, engine.log_q
     tol = max_trials * 2.0**-40
@@ -272,15 +263,15 @@ def _trial_table(engine: ProtocolEngine, runs: int, shift: int):
 
 def _stdlib_kernel(engine: ProtocolEngine, runs: int, chunk: int):
     """The numpy kernel's tally, from the words of rng.run_words with math and
-    C-level map, sum and bytes methods, for a part of runs runs of one row,
-    one chunk of at most chunk runs (_STDLIB_CHUNK from run_rows) at a time.
+    C-level map, sum and bytes methods, for a row of runs runs, one chunk of
+    at most chunk runs (_STDLIB_CHUNK from run_rows) at a time.
     A word y = k 2^11 is the uniform u = y 2^-64 exactly, so its quotient
     math.log1p(-u) / log_q is the one that defines T, and T <= max_trials
     exactly when it is below max_trials.
 
-    A part whose trial table pays (_trial_table) looks each run's T up in
+    A row whose trial table pays (_trial_table) looks each run's T up in
     it by the top 16 bits of its first word, and only the runs of _PER_RUN
-    buckets take their quotient; any other part takes every run's
+    buckets take their quotient; any other row takes every run's
     quotient.  The quotient is >= 0, so truncation gives its floor.  Sums
     over the successful runs are Python ints, which do not overflow: a table
     entry packs T^2 << shift with T, and the sum of T over a chunk is below
@@ -350,134 +341,45 @@ def _stdlib_kernel(engine: ProtocolEngine, runs: int, chunk: int):
 
 
 def _sum(tallies) -> RunTally:
-    """The tally of the runs of all the given tallies, which may be plain tuples."""
+    """The tally of the runs of all the given tallies."""
     counts, trials_sum, trials_sq_sum = zip(*tallies)
     return RunTally(tuple(map(sum, zip(*counts))), sum(trials_sum), sum(trials_sq_sum))
 
 
-def run_protocol(kernel, engine: ProtocolEngine, seed: int, row: int, lo: int, hi: int,
-                 chunk: int, report=None) -> RunTally:
-    """The tally of runs lo .. hi - 1 of row, drawn by kernel(engine, hi - lo,
+def run_protocol(kernel, engine: ProtocolEngine, seed: int, row: int, runs: int, chunk: int,
+                 report=None) -> RunTally:
+    """The tally of runs 0 .. runs - 1 of row, drawn by kernel(engine, runs,
     chunk) (_stdlib_kernel or _numpy_kernel, which give the same tally) one
     chunk of chunk runs at a time; report(row, stop), if given, is called
     after each chunk, with the run it stopped before (reporting only)."""
     # p_click = 0 (log_q = -0.0) only when there is no branch: no run clicks
-    tally_runs = kernel(engine, hi - lo, chunk) if engine.p_click else (
+    tally_runs = kernel(engine, runs, chunk) if engine.p_click else (
         lambda seed, row, lo, hi: RunTally((hi - lo,), 0, 0))
     tally = RunTally((0,) * (len(engine.branches) + 1), 0, 0)
-    for start in range(lo, hi, chunk):
-        stop = min(start + chunk, hi)
+    for start in range(0, runs, chunk):
+        stop = min(start + chunk, runs)
         tally = _sum((tally, tally_runs(seed, row, start, stop)))
         if report is not None:
             report(row, stop)
     return tally
 
 
-def _process_count(total_runs: int) -> int:
-    """How many processes draw an invocation of total_runs runs, with either
-    kernel: one per _FORK_RUNS runs, at most one per CPU this process may
-    run on, and one where the CPU set cannot be read."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    return max(1, min(cpus, total_runs // _FORK_RUNS))
-
-
-def _part(runs: list[int], chunk: int, start: int, stop: int):
-    """(row, lo, hi) for each row's runs lo .. hi - 1 among chunks start ..
-    stop - 1, the rows' chunks of chunk runs counted in row order."""
-    first = 0  # the row's first chunk
-    for row, n_runs in enumerate(runs):
-        end = first - (-n_runs // chunk)
-        lo, hi = max(start, first), min(stop, end)
-        if lo < hi:
-            yield row, (lo - first) * chunk, min((hi - first) * chunk, n_runs)
-        first = end
-
-
-def _draw_forked(draw, n: int):
-    """A list of the (row, tally) pairs of draw(k) for parts k = 0 .. n - 1,
-    in part order: part 0 drawn here and each other part by a forked child,
-    so nothing is forked when n == 1.  A child sends its pairs, as plain
-    ints, over a pipe or sends nothing, and this process draws every part
-    whose whole message it did not receive, whether the child raised, was
-    signalled or was killed; so an error that this process would meet
-    drawing a part is raised here.
-    On any exception here the children are killed.  Every child is reaped
-    before this returns or raises."""
-    children = []
-    try:
-        for k in range(1, n):
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if not pid:
-                try:  # tuple(t): marshal takes no NamedTuple
-                    message = marshal.dumps([(row, tuple(t)) for row, t in draw(k)])
-                    with open(write_fd, "wb") as out:
-                        out.write(message)
-                finally:
-                    os._exit(0)
-            children.append((pid, read_fd))
-            os.close(write_fd)
-        partials = list(draw(0))
-        for k, (_, read_fd) in enumerate(children, 1):
-            with open(read_fd, "rb", closefd=False) as pipe:
-                data = pipe.read()
-            try:  # a child that sent nothing, or was killed mid-message, sent no tallies
-                partials += marshal.loads(data)
-            except EOFError:
-                partials += draw(k)
-        return partials
-    except BaseException:
-        import signal
-
-        for pid, _ in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for pid, read_fd in children:
-            os.close(read_fd)
-            os.waitpid(pid, 0)
-
-
 def run_rows(engines: list[ProtocolEngine], seed: int, runs: list[int], progress=None):
     """Yield the tally of each row i, runs[i] runs of engines[i] keyed by
-    row i, in row order, once every part has been drawn.
+    row i, in row order, as it is drawn.
 
     This is the invocation's one draw plan, from its runs in all: the
-    kernel and its chunk (_stdlib_kernel in chunks of _STDLIB_CHUNK runs,
-    _numpy_kernel in chunks of _NUMPY_CHUNK from _NUMPY_RUNS on) and
-    _process_count(sum(runs)) processes.  The rows' chunks, in row order,
-    are cut into that many contiguous parts of near-equal size; this
-    process draws the first, a forked child each other (_draw_forked), and
-    each row's partial tallies are added.  A child checks after each chunk
-    that the process that forked it is still its parent, and exits at once
-    if not, so a killed CLI leaves no child drawing.  progress(i, done), if
-    given, is called after each chunk of row i in the first part and once
-    row i's tally is complete, at done = runs[i].  A run's draws depend only
-    on (seed, row, run), so the tallies do not depend on the kernel, the
-    chunk or the process count."""
-    total = sum(runs)
+    kernel and its chunk, _stdlib_kernel in chunks of _STDLIB_CHUNK runs,
+    or _numpy_kernel in chunks of _NUMPY_CHUNK from _NUMPY_RUNS on.  Every
+    run is drawn in this process, which forks nothing.  progress(i, done),
+    if given, is called after each chunk of row i.  A run's draws depend
+    only on (seed, row, run), so the tallies do not depend on the kernel or
+    the chunk."""
     kernel, chunk = _stdlib_kernel, _STDLIB_CHUNK
-    if total >= _NUMPY_RUNS:
-        import numpy  # noqa: F401  # once, before any fork, not in each child
+    if sum(runs) >= _NUMPY_RUNS:
         kernel, chunk = _numpy_kernel, _NUMPY_CHUNK
-    n = _process_count(total)
-    n_chunks = sum(-(-n_runs // chunk) for n_runs in runs)
-    bounds = [k * n_chunks // n for k in range(n + 1)]
-    parent = os.getpid()
-
-    def orphaned(row: int, stop: int) -> None:  # a child whose parent is gone stops
-        if os.getpid() != parent and os.getppid() != parent:
-            os._exit(0)
-
-    def draw(k: int):  # part 0 reports, and each of its rows starts at run 0
-        for row, lo, hi in _part(runs, chunk, bounds[k], bounds[k + 1]):
-            yield row, run_protocol(kernel, engines[row], seed, row, lo, hi, chunk,
-                                    orphaned if k else progress)
-
-    for row, partials in itertools.groupby(_draw_forked(draw, n), itemgetter(0)):
-        if progress is not None:
-            progress(row, runs[row])
-        yield _sum(tally for _, tally in partials)
+    for row, n_runs in enumerate(runs):
+        yield run_protocol(kernel, engines[row], seed, row, n_runs, chunk, progress)
 
 
 def aggregate(tally: RunTally, engine: ProtocolEngine) -> ProtocolStats:

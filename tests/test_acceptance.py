@@ -7,7 +7,6 @@ under two minutes.
 
 import json
 import math
-import os
 
 import numpy as np
 import pytest
@@ -229,28 +228,18 @@ def test_criterion_7_rb_preset_fidelity(capsys):
 
 
 def test_criterion_8_determinism(tmp_path, monkeypatch):
-    # the process count, patched to 1 (twice), 2 and 3, splits the 5 chunks
-    # of 10^4 runs across forked children; --workers is accepted and ignored
+    # the standard-library chunk, patched to 2048 (twice), 1000 and 10^4,
+    # cuts the 10^4 runs into 5, 5, 10 and 1 chunks; --workers is accepted
+    # and ignored
     args = ["protocol", "--preset", "rb85-87", "--seed", "42", "--runs", "10000", "--workers", "1"]
-    fork, forks = os.fork, []
-
-    def counted_fork():
-        pid = fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counted_fork)
     blobs = []
-    for i, n in enumerate((1, 1, 2, 3)):
-        monkeypatch.setattr(pr, "_process_count", lambda total, n=n: n)
-        forks.clear()
+    for i, chunk in enumerate((2048, 2048, 1000, 10_000)):
+        monkeypatch.setattr(pr, "_STDLIB_CHUNK", chunk)
         path = tmp_path / f"{i}.csv"
         assert main(args + ["--out", str(path)]) == 0
-        assert len(forks) == n - 1
         blobs.append(path.read_bytes())
     assert blobs[0] == blobs[1] == blobs[2] == blobs[3]
-    report(8, "seed 42 output byte-identical drawn in 1, 2 and 3 processes")
+    report(8, "seed 42 output byte-identical drawn in chunks of 2048, 1000 and 10000 runs")
 
 
 def test_criterion_9_hilbert_kernel_oracle():

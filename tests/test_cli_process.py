@@ -7,10 +7,11 @@ session outlived it.  The tests check that the output bytes and exit codes
 are those of main in process, that a stdout that cannot be written exits 2
 with one error line in both buffering modes, as does a process started
 without descriptor 1, and so does -h/--help, that a stderr that is closed or
-cannot be written changes neither stdout nor the exit code, that a forked
-numpy draw imports numpy once, that a CLI killed during a forked draw leaves
-no process of its session within seconds, that an oversized sweep grid
-exits at once, and the bounds that only a whole process shows:
+cannot be written changes neither stdout nor the exit code, that the
+rb-protocol workload prints its golden bytes and one process's progress
+lines on two CPUs, that a CLI killed during its draw leaves no process of
+its session within seconds, that an oversized sweep grid exits at once,
+and the bounds that only a whole process shows:
 
 - peak memory at 10^7 runs stays at most 64 MB
   (test_peak_memory_does_not_grow_with_runs),
@@ -19,8 +20,8 @@ exits at once, and the bounds that only a whole process shows:
 - the output bytes under a real one-CPU affinity equal those on every CPU
   (test_output_does_not_depend_on_real_cpu_pinning).
 
-Peak memory is wait4's ru_maxrss of the CLI and the children it reaped,
-taken in a small launcher process.
+Peak memory is wait4's ru_maxrss of the CLI, taken in a small launcher
+process.
 """
 
 import errno
@@ -37,7 +38,7 @@ from typing import NamedTuple
 
 import pytest
 from test_golden import GOLDEN_STDLIB_KERNEL_SHA256
-from test_processes import assert_no_child
+from test_processes import assert_no_child, one_process_lines
 
 from fmesim import cli
 
@@ -101,8 +102,7 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, file=sys.stderr)
 
 
 def peak_rss_mb(argv, tmp_path) -> tuple[Finished, float]:
-    """The CLI's run and the peak resident set in MB of it and its reaped
-    children."""
+    """The CLI's run and its peak resident set in MB."""
     res = spawn([sys.executable, "-c", MEASURE, *argv], tmp_path)
     assert res.code == 0, res.stderr
     *lines, last = res.stderr.splitlines()
@@ -241,8 +241,9 @@ def test_closed_standard_stream_with_out_exits_0(tmp_path, fd):
     assert json.loads(out.read_text())["metadata"]["command"] == "herald"
 
 
-def test_rb_protocol_golden_bytes_from_forked_draw(tmp_path):
-    # 10^5 runs draw in up to three processes; pinned to two CPUs, a child draws half
+def test_rb_protocol_golden_bytes_on_two_cpus(tmp_path):
+    # 10^5 runs on two CPUs draw in the CLI process, which reports each
+    # tenth of the row's runs
     cpus, pin = {0}, None
     if hasattr(os, "sched_setaffinity"):
         cpus = set(sorted(os.sched_getaffinity(0))[:2])
@@ -250,46 +251,22 @@ def test_rb_protocol_golden_bytes_from_forked_draw(tmp_path):
     res = fmesim([*WORKLOADS["rb-protocol"], "--seed", "1"], tmp_path, preexec_fn=pin)
     assert res.code == 0 and other_lines(res.stderr) == []
     assert hashlib.sha256(res.stdout).hexdigest() == GOLDEN_STDLIB_KERNEL_SHA256
-    if len(cpus) == 2:  # the parent reports only the chunks it draws, then the row's end
-        assert progress_lines(res.stderr) == [f"protocol: {done}/100000 runs"
-                                              for done in (10240, 20480, 30720, 40960, 100000)]
+    assert progress_lines(res.stderr) == [f"protocol: {done}/{n} runs"
+                                          for done, n in one_process_lines([100_000])[0]]
 
 
-NUMPY_ARGV = ["protocol", "--preset", "rb85-87", "--runs", str(2**17), "--seed", "1"]
-
-
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
-                    reason="needs two CPUs")
-def test_forked_numpy_draw_imports_numpy_once(tmp_path):
-    # 2^17 runs on two CPUs draw with numpy in two processes; -X importtime
-    # prints a line for numpy in every process that imports it
-    cpus = set(sorted(os.sched_getaffinity(0))[:2])
-    res = spawn([sys.executable, "-X", "importtime", "-m", "fmesim", *NUMPY_ARGV], tmp_path,
-                preexec_fn=lambda: os.sched_setaffinity(0, cpus))
-    assert res.code == 0
-    assert len([line for line in res.stderr.splitlines() if line.endswith("| numpy")]) == 1
-    # the parent drew half of the runs: it reports only its own chunks, then the row's end
-    assert progress_lines(res.stderr)[-2:] == ["protocol: 65536/131072 runs",
-                                               "protocol: 131072/131072 runs"]
-
-
-# two CPUs split 25 chunks of row 0 and 244,141 of row 1 in two parts: the
-# parent prints row 0's lines once its child is forked, and the child then
-# draws about 5 10^8 runs, for several seconds
+# row 0's lines print within a second, and row 1's 10^9 runs then keep the
+# CLI drawing for tens of seconds
 LONG_ARGV = ["sweep", "--preset", "rb85-87", "--sweep", "runs=100000,1000000000"]
 
 
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
-                    reason="needs two CPUs: on one the draw forks no child")
 @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGKILL], ids=["SIGTERM", "SIGKILL"])
 def test_signalled_cli_leaves_no_drawing_child(tmp_path, signum):
-    cpus = set(sorted(os.sched_getaffinity(0))[:2])
     stderr = tmp_path / "stderr"
     with open(stderr, "wb") as err:
         proc = subprocess.Popen([sys.executable, "-m", "fmesim", *LONG_ARGV],
                                 stdout=subprocess.DEVNULL, stderr=err, env=ENV,
-                                start_new_session=True,
-                                preexec_fn=lambda: os.sched_setaffinity(0, cpus))
+                                start_new_session=True)
     try:
         deadline = time.monotonic() + TIMEOUT_S
         while b" runs\n" not in stderr.read_bytes():
@@ -297,8 +274,6 @@ def test_signalled_cli_leaves_no_drawing_child(tmp_path, signum):
             time.sleep(0.01)
         os.kill(proc.pid, signum)  # the CLI's pid alone, not its session
         assert proc.wait(TIMEOUT_S) == -signum
-        # the orphaned child stops at its next chunk, and its session's
-        # reaper collects it
         deadline = time.monotonic() + 5.0
         while True:
             try:
@@ -432,6 +407,9 @@ def test_peak_memory_per_sweep_row(tmp_path):
     assert peak_mb <= 128
 
 
+NUMPY_ARGV = ["protocol", "--preset", "rb85-87", "--runs", str(2**17), "--seed", "1"]
+
+
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
 @pytest.mark.parametrize("argv", [[*WORKLOADS["rb-protocol"], "--seed", "1"],
                                   [*WORKLOADS["drive-grid"], "--seed", "1"], NUMPY_ARGV],
@@ -444,6 +422,4 @@ def test_output_does_not_depend_on_real_cpu_pinning(tmp_path, argv):
     unpinned = fmesim(argv, tmp_path / "all")
     assert pinned.code == unpinned.code == 0
     assert pinned.stdout == unpinned.stdout
-    # one process reports up to ten lines per row; a forked draw only the
-    # parent's share of them and each row's end
-    assert len(progress_lines(pinned.stderr)) >= len(progress_lines(unpinned.stderr))
+    assert progress_lines(pinned.stderr) == progress_lines(unpinned.stderr)

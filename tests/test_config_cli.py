@@ -7,6 +7,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -1081,3 +1082,28 @@ def test_progress_prints_at_most_once_per_tenth(capsys):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) <= 11
     assert lines[-1] == "protocol: 10000000/10000000 runs"
+
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+def readme_commands() -> list[list[str]]:
+    """The argv of each fmesim line of README's command-line block, with its
+    backslash continuations joined and its comments dropped."""
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    block = text.split("## Command line\n\n```bash\n", 1)[1].split("\n```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("fmesim ")]
+
+
+def test_readme_command_lines_exit_0(tmp_path, capsys):
+    commands = readme_commands()
+    assert {argv[0] for argv in commands} == {name for name, *_ in cli._COMMANDS}
+    for argv in commands:
+        if "--out" in argv:
+            i = argv.index("--out") + 1
+            argv[i] = str(tmp_path / argv[i])
+        assert main(argv) == 0, (argv, capsys.readouterr().err)
+        if "--out" in argv:
+            assert os.path.getsize(argv[argv.index("--out") + 1]) > 0

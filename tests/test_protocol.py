@@ -6,7 +6,6 @@ import bisect
 import itertools
 import json
 import math
-import os
 import struct
 import sys
 from fractions import Fraction
@@ -375,7 +374,7 @@ def test_scalar_and_batch_paths_agree():
 def test_chunking_does_not_change_results():
     engine = make_engine(max_trials=2_000)
     n_runs = pr._STDLIB_CHUNK + 300  # two chunks
-    chunked = pr.run_protocol(pr._stdlib_kernel, engine, seed=5, row=0, lo=0, hi=n_runs,
+    chunked = pr.run_protocol(pr._stdlib_kernel, engine, seed=5, row=0, runs=n_runs,
                               chunk=pr._STDLIB_CHUNK)
     whole = reference_tally(*pr._run_batch(engine, 5, 0, 0, n_runs), len(engine.branches))
     assert chunked == whole
@@ -386,12 +385,12 @@ def test_progress_reports_each_chunk():
     engine = make_engine()
     seen = []
     chunk = pr._STDLIB_CHUNK
-    pr.run_protocol(pr._stdlib_kernel, engine, 2, 3, 0, chunk + 1, chunk,
+    pr.run_protocol(pr._stdlib_kernel, engine, 2, 3, chunk + 1, chunk,
                     report=lambda row, done: seen.append((row, done)))
     assert seen == [(3, chunk), (3, chunk + 1)]
 
 
-# A part size that forces the standard-library kernel's trial table on
+# A row size that forces the standard-library kernel's trial table on
 # wherever it can be built, whatever the runs drawn.
 FORCE_TABLE = cfg_mod.COUNTER_LIMIT
 
@@ -412,7 +411,7 @@ def kernel_tallies(engine, seed, n_runs, row=0):
     """run_protocol's tally of runs 0 .. n_runs - 1 of row from the
     standard-library kernel, from it with its trial table forced on and from
     the numpy kernel, each in the chunks run_rows gives it."""
-    return tuple(pr.run_protocol(kernel, engine, seed, row, 0, n_runs, chunk)
+    return tuple(pr.run_protocol(kernel, engine, seed, row, n_runs, chunk)
                  for kernel, chunk in ((pr._stdlib_kernel, pr._STDLIB_CHUNK),
                                        (table_kernel, pr._STDLIB_CHUNK),
                                        (pr._numpy_kernel, pr._NUMPY_CHUNK)))
@@ -619,28 +618,28 @@ def transitions(engine):
     return table, shift, max(e & (1 << shift) - 1 for e in table if e > 0)
 
 
-def test_trial_table_caps_its_transitions_by_the_part():
-    # each T costs a build step: a part of runs runs builds at most runs //
-    # 16, here where that cap, not the part's size, refuses the table
+def test_trial_table_caps_its_transitions_by_the_runs():
+    # each T costs a build step: a row of runs runs builds at most runs //
+    # 16, here where that cap, not the row's size, refuses the table
     engine = TABLE_CASES["eta 0.2 drives 5e+06 5e+06"]  # p_click 0.00125
     table, shift, steps = transitions(engine)
-    assert 16 * steps - 1 >= pr._FORK_RUNS
+    assert 16 * steps - 1 >= pr._TABLE_RUNS
     assert pr._trial_table(engine, 16 * steps, shift) == table
     assert pr._trial_table(engine, 16 * steps - 1, shift) is None
 
 
-def test_only_parts_of_fork_runs_build_a_trial_table(monkeypatch):
-    # at the preset the cap would allow a table below _FORK_RUNS runs, where
+def test_only_rows_of_table_runs_build_a_trial_table(monkeypatch):
+    # at the preset the cap would allow a table below _TABLE_RUNS runs, where
     # it does not pay, and the standard-library kernel keeps no other gate
     table, shift, steps = transitions(PRESET_ENGINE)
-    assert 500 < steps and 16 * steps <= pr._FORK_RUNS - 1
-    assert pr._trial_table(PRESET_ENGINE, pr._FORK_RUNS - 1, shift) is None
-    assert pr._trial_table(PRESET_ENGINE, pr._FORK_RUNS, shift) == table
+    assert 500 < steps and 16 * steps <= pr._TABLE_RUNS - 1
+    assert pr._trial_table(PRESET_ENGINE, pr._TABLE_RUNS - 1, shift) is None
+    assert pr._trial_table(PRESET_ENGINE, pr._TABLE_RUNS, shift) == table
     built = []
     monkeypatch.setattr(pr, "_trial_table", lambda engine, runs, shift: built.append(runs))
-    for runs in (1, pr._FORK_RUNS - 1, pr._FORK_RUNS, FORCE_TABLE):
+    for runs in (1, pr._TABLE_RUNS - 1, pr._TABLE_RUNS, FORCE_TABLE):
         pr._stdlib_kernel(PRESET_ENGINE, runs, pr._STDLIB_CHUNK)
-    assert built == [1, pr._FORK_RUNS - 1, pr._FORK_RUNS, FORCE_TABLE]
+    assert built == [1, pr._TABLE_RUNS - 1, pr._TABLE_RUNS, FORCE_TABLE]
 
 
 BUCKET = 2**45  # the words sharing a top byte: k >> 45, k < 2^53
@@ -758,14 +757,12 @@ def test_small_invocations_draw_without_the_numpy_kernel(monkeypatch):
     # the invocation's runs in all pick the kernel, not one row's: row 0's
     # 300 runs draw with numpy beside a row that brings the total to 2^17
     engine = make_engine()
-    expected = pr.run_protocol(pr._numpy_kernel, engine, 4, 0, 0, 300, pr._NUMPY_CHUNK)
+    expected = pr.run_protocol(pr._numpy_kernel, engine, 4, 0, 300, pr._NUMPY_CHUNK)
 
     def refuse(*args):
         raise AssertionError("numpy kernel called")
 
     monkeypatch.setattr(pr, "_run_batch", refuse)
-    # one CPU: one process draws, and only the rows asked for
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert next(pr.run_rows([engine], 4, [300])) == expected
     assert next(pr.run_rows([engine] * 2, 4, [300, pr._NUMPY_RUNS - 301])) == expected
     with pytest.raises(AssertionError, match="numpy kernel"):
@@ -892,7 +889,7 @@ def tally(monkeypatch):
         monkeypatch.setattr(pr, "_run_batch", lambda engine, seed, row, lo, hi:
                             (trials_used[lo:hi], branch[lo:hi]))
         engine = fake_engine(branches, 0.5, int(trials_used.max()))
-        result = pr.run_protocol(pr._numpy_kernel, engine, 0, 0, 0, len(branch), pr._NUMPY_CHUNK)
+        result = pr.run_protocol(pr._numpy_kernel, engine, 0, 0, len(branch), pr._NUMPY_CHUNK)
         assert result == reference_tally(trials_used, branch, len(branches))
         return result
 
