@@ -74,8 +74,9 @@ _NUMPY_CHUNK = 4096
 # against 29.6 MB peak).  In one process the standard library took 0.092 s
 # to numpy's 0.118 s at 2^17 runs, 0.123 to 0.127 s at 2^18, 0.171 to
 # 0.131 s at 2^19 and 0.317 to 0.187 s at 2^20 (medians of 10 alternating
-# pairs, README); they meet near 2^18, but moving the threshold would
-# re-point the numpy kernel's golden hash.
+# pairs, CHANGES.md, "Draw every run in the CLI process"); they meet near
+# 2^18, but moving the threshold would re-point the numpy kernel's golden
+# hash.
 _NUMPY_RUNS = 1 << 17
 
 # Rows of fewer runs take every quotient: the trial table does not repay its

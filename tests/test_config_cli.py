@@ -1087,12 +1087,15 @@ def test_progress_prints_at_most_once_per_tenth(capsys):
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
+def readme_text() -> str:
+    with open(README, encoding="utf-8") as fh:
+        return fh.read()
+
+
 def readme_commands() -> list[list[str]]:
     """The argv of each fmesim line of README's command-line block, with its
     backslash continuations joined and its comments dropped."""
-    with open(README, encoding="utf-8") as fh:
-        text = fh.read()
-    block = text.split("## Command line\n\n```bash\n", 1)[1].split("\n```", 1)[0]
+    block = readme_text().split("## Command line\n\n```bash\n", 1)[1].split("\n```", 1)[0]
     lines = block.replace("\\\n", " ").splitlines()
     return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("fmesim ")]
 
@@ -1107,3 +1110,48 @@ def test_readme_command_lines_exit_0(tmp_path, capsys):
         assert main(argv) == 0, (argv, capsys.readouterr().err)
         if "--out" in argv:
             assert os.path.getsize(argv[argv.index("--out") + 1]) > 0
+
+
+def readme_section(heading: str) -> str:
+    """The body of README's `## heading` section, or "" if it has none."""
+    parts = readme_text().split(f"\n## {heading}\n", 1)
+    return parts[1].split("\n## ", 1)[0] if len(parts) == 2 else ""
+
+
+def test_readme_names_every_column_key_and_exit_code():
+    text = readme_text()
+    names = [*pr.ProtocolStats._fields, *cfg_mod.SCHEMA]
+    assert [name for name in names if not re.search(rf"\b{name}\b", text)] == []
+    codes = re.findall(r"^- `(\d)`: ", readme_section("Exit codes"), re.MULTILINE)
+    assert codes == ["0", "2", "3", "4"]
+
+
+# A quoted measurement: a time, memory or size unit after a number, a decimal
+# number of seconds, or a summary statistic of repeated timings.
+MEASUREMENT = re.compile(
+    r"\d\s*(?:ns|µs|us|ms|KB|KiB|kB|MB|MiB|GB)\b|\d\.\d+\s*s(?:econds?)?\b|\b(?:median|quartile)s?\b",
+    re.IGNORECASE,
+)
+
+
+def test_readme_has_one_layout_row_per_module_and_quotes_no_measurement():
+    table = [line for line in readme_section("Library layout").splitlines() if line.startswith("|")]
+    rows = table[2:]  # after the header and its rule
+    named = [re.match(r"\| `fmesim\.(\w+)` \|", row) for row in rows]
+    modules = sorted(
+        name[:-3] for name in os.listdir(os.path.dirname(cli.__file__))
+        if name.endswith(".py") and name not in ("__init__.py", "__main__.py")
+    )
+    assert all(named) and sorted(m.group(1) for m in named) == modules, rows
+    assert [row for row in rows if len(row.replace("|", " ").split()) > 30] == []
+
+    assert MEASUREMENT.search("took 0.92 s") and MEASUREMENT.search("peaked at 29.7 MB")
+    assert not MEASUREMENT.search("delta = 1.368e9 Hz, tau_write = 4.0e-6, 1.368 GHz")
+    fenced = False
+    quoted = []
+    for line in readme_text().splitlines():
+        if line.startswith("```"):
+            fenced = not fenced
+        elif not fenced and MEASUREMENT.search(line):
+            quoted.append(line)
+    assert quoted == []
