@@ -2,14 +2,15 @@
 
 Subcommands: write-sim, herald, retrieve, protocol, sweep, preset-list.
 Exit codes: 0 ok, 2 config or usage error (a stdout that cannot be written
-included), 3 no success within max_trials, 4 numeric failure.  Every output
-file embeds the resolved configuration, its provenance tags, and the master
-seed, so rerunning write-sim, herald, retrieve or protocol from the embedded
-config reproduces the output byte for byte.  A sweep row embeds its point's
-config but row i keys the random streams, and the axes are not embedded,
-so a sweep row is reproduced by rerunning its sweep with the same axes, not
-by a protocol run of its config.  main returns the exit code; run, the
-entry point, ends the process with os._exit after one checked flush.
+included), 3 a protocol run with no success within max_trials (a sweep exits
+0), 4 numeric failure.  Every output file embeds the resolved configuration,
+its provenance tags, and the master seed, so rerunning write-sim, herald,
+retrieve or protocol from the embedded config reproduces the output byte for
+byte.  A sweep row embeds its point's config but row i keys the random
+streams, and the axes are not embedded, so a sweep row is reproduced by
+rerunning its sweep with the same axes, not by a protocol run of its config.
+main returns the exit code; run, the entry point, ends the process with
+os._exit after one checked flush.
 """
 
 from __future__ import annotations

@@ -29,19 +29,19 @@ sweep row, run index) (fmesim.rng), and the engine holds the one rule that
 maps them to its result: T = floor(math.log1p(-u1) / log_q) + 1, no success
 when T > max_trials, and the branch is the number of thresholds at or below
 k2.  Two kernels apply it to a chunk, to the same RunTally: a
-standard-library one and the numpy one (_run_batch).  For a row of at
-least _TABLE_RUNS runs, the standard-library kernel looks T up in a trial
-table keyed by the top 16 bits of k1 (_trial_table), and takes the
+standard-library one and the numpy one (_run_batch).  For a row whose
+runs repay the table's build (_trial_table), the standard-library kernel
+looks T up in a trial table keyed by the top 16 bits of k1, and takes the
 quotient only for the runs of buckets where the table cannot tell T by
-construction.  A run's draws depend
-on nothing else, so any partitioning of runs into batches produces the same
-tally.  run_rows holds an invocation's one draw plan, read from its runs in
-all: below _NUMPY_RUNS = 2^17 the standard-library kernel draws, so numpy is
-never imported, and from there on the numpy kernel, each in chunks of its
-own size.  Every run is drawn in this process, which forks nothing.
-run_protocol draws one row's runs with the kernel and the chunk it is
-given.  The write engine, "exact" or "perturbative", is chosen by
-write_dynamics.write_state, whose module docstring describes both.
+construction.  A run's draws depend on nothing else, so any partitioning
+of runs into batches produces the same tally.  run_rows holds an
+invocation's one draw plan, read from its runs in all: below _NUMPY_RUNS =
+2^17 the standard-library kernel draws, so numpy is never imported, and
+from there on the numpy kernel, each in chunks of its own size.  Every run
+is drawn in this process, which forks nothing.  run_protocol draws one
+row's runs with the kernel and the chunk it is given.  The write engine,
+"exact" or "perturbative", is chosen by write_dynamics.write_state, whose
+module docstring describes both.
 """
 
 from __future__ import annotations
@@ -79,9 +79,8 @@ _NUMPY_CHUNK = 4096
 # hash.
 _NUMPY_RUNS = 1 << 17
 
-# Rows of fewer runs take every quotient: the trial table does not repay its
-# build there (_trial_table).
-_TABLE_RUNS = 1 << 15
+# The trial table's fill of 2^16 entries, in builds of one T (_trial_table).
+_TABLE_FILL = 192
 
 
 class ProtocolStats(NamedTuple):
@@ -226,30 +225,30 @@ def _trial_table(engine: ProtocolEngine, runs: int, shift: int):
     Building stops once consecutive windows are at most one bucket apart;
     every bucket from there to the max_trials window is _PER_RUN.
 
-    Each T costs about 1.2 microseconds to build and the table saves about
-    0.1 microsecond per run (Python 3.11 on a shared 2-CPU machine), so the
-    table is built with at most runs // 16 of them, and for no row of fewer
-    than _TABLE_RUNS runs: building it for every row kept the bytes but took
-    exact-ladder (10^4 runs) from 41.97 to 43.72 ms wall (median of 12
-    pairs, same machine).  A _PER_RUN bucket's run costs more than one of
-    the quotient path, so the table is also left out where more than 2^14
-    buckets are _PER_RUN."""
-    if runs < _TABLE_RUNS:
-        return None
+    Each T costs about 1.7 microseconds to build, the fill of its 2^16
+    entries about 0.34 ms (_TABLE_FILL = 192 T), and the table saves about
+    0.15 microsecond per run (medians, CHANGES.md, "decides before it
+    builds"), so a row of runs runs pays for cap = runs // 16 - _TABLE_FILL
+    T.  Unless the windows are at most one bucket apart by T = cap + 1,
+    where the build then stops, it is refused before any build.  A _PER_RUN
+    bucket's run costs more than one of the quotient path, so the table is
+    also left out where more than 2^14 buckets are _PER_RUN."""
     max_trials, log_q = engine.max_trials, engine.log_q
     tol = max_trials * 2.0**-40
 
     def bucket(x: float, widen: float) -> int:  # of u = -expm1(x log_q) + widen
         return min(max(math.floor((widen - math.expm1(x * log_q)) * 2.0**16), 0), 0xFFFF)
 
+    cap = runs // 16 - _TABLE_FILL  # the loop's stop test at t = cap + 1, before it runs
+    if cap < 1 or cap < max_trials and (
+            bucket(cap + 1 - tol, -2.0**-50) - bucket(cap + tol, 2.0**-50) > 2):
+        return None
     table = []  # entries 0 .. len(table) - 1, built in order
     per_run = 0
     for t in range(1, max_trials + 1):
         first = bucket(t - tol, -2.0**-50)
         if first - len(table) <= 1:
             break
-        if t > runs // 16:
-            return None
         table += itertools.repeat(t * t << shift | t, first - len(table))
         end = bucket(t + tol, 2.0**-50) + 1
         per_run += end - first

@@ -370,6 +370,10 @@ OVERSIZED_GRID = [arg for key in ("eta", "dark_rate_hz", "gate_s", "g_I")
 NO_SINGLE_PHOTON = ("error: the click branch table has no detected single photon: "
                     "eta or the write drive is zero")
 
+# one trial per run at p_click 4e-4 (eta 1e-6) and 0.009 (eta 0.5): at seed 1
+# none of 20 runs clicks
+NO_CLICK = ["--preset", "rb85-87", "--runs", "20", "--set", "max_trials=1", "--seed", "1"]
+
 
 @pytest.mark.parametrize("argv, code, message", [
     (["protocol", "--preset", "rb85-87", "--set", "eta=2.0"], 2, "error: eta"),
@@ -382,13 +386,20 @@ NO_SINGLE_PHOTON = ("error: the click branch table has no detected single photon
     (["retrieve", "--preset", "rb85-87", "--set", "eta=0"], 2, NO_SINGLE_PHOTON),
     (["retrieve", "--preset", "rb85-87", "--set", "omega_rabi_write_I=0",
       "--set", "omega_rabi_write_II=0"], 2, NO_SINGLE_PHOTON),
+    (["protocol", *NO_CLICK, "--set", "eta=1e-6"], 3, "protocol: 20/20 runs"),
+    # a sweep reports its rows without a success and exits 0
+    (["sweep", *NO_CLICK, "--format", "json", "--sweep", "eta=1e-6,0.5"], 0,
+     "sweep row 2/2: 20/20 runs"),
 ], ids=["config", "usage", "no-success", "overflow", "oversized-grid", "retrieve-eta-0",
-        "retrieve-no-write-drive"])
+        "retrieve-no-write-drive", "protocol-no-click", "sweep-no-click"])
 def test_exit_codes_are_unchanged(tmp_path, argv, code, message):
     res = fmesim(argv, tmp_path)
     assert res.code == code
     assert message in res.stderr and "Traceback" not in res.stderr
-    assert "sweep row" not in res.stderr
+    if code:  # a rejected sweep draws no row
+        assert "sweep row" not in res.stderr
+    else:  # the sweep wrote both rows, neither with a success
+        assert [row["n_success"] for row in json.loads(res.stdout)["results"]] == [0, 0]
 
 
 def test_peak_memory_does_not_grow_with_runs(tmp_path):

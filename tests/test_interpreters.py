@@ -3,7 +3,8 @@
 The builtin sum is compensated from Python 3.12 on, so branch sums taken with
 it printed different last bits under 3.11 and 3.13.  write-sim (the
 write-state chain, the rates and the occupations), herald, retrieve (the
-qubit amplitudes) and protocol runs of fewer than 2^17 runs need no numpy, so
+qubit amplitudes) and protocol and sweep runs of fewer than 2^17 runs in all,
+whose trial tables are built from math.expm1, need no numpy, so
 each argv below runs from src under every other python3.N on PATH, bare
 interpreters included, and must print the bytes it prints under this one.
 An interpreter that is absent or cannot start is skipped, with the reason.
@@ -29,6 +30,7 @@ ARGVS = [
     *(["protocol", "--preset", "rb85-87", "--set", f"engine={engine}", "--runs", "20000",
        "--seed", "3"] for engine in ("perturbative", "exact")),
     [*WORKLOADS["rb-protocol"], "--seed", "1"],
+    [*WORKLOADS["drive-grid"], "--seed", "1"],  # trial tables in rows below 2^15 runs
 ]
 VERSIONS = [f"3.{minor}" for minor in range(10, 14) if minor != sys.version_info.minor]
 

@@ -73,7 +73,7 @@ CASES = {
                        "--set", "dark_rate_hz=0", "--sweep", "eta=0,0.5"], [60_000, 60_000], 0),
     "p_click-0-protocol": (["protocol", "--preset", "rb85-87", "--runs", "100000", "--seed", "2",
                             "--set", "eta=0", "--set", "dark_rate_hz=0"], [100_000], 3),
-    # rows of at least 2^15 runs, which look T up in the trial table
+    # rows that look T up in the trial table
     "table-2x50000": (["sweep", "--preset", "rb85-87", "--runs", "50000", "--seed", "3",
                        "--sweep", "eta=0.4,0.8"], [50_000] * 2, 0),
     "runs-2^17-1": (["protocol", "--preset", "rb85-87", "--runs", str(2**17 - 1), "--seed", "1"],

@@ -618,28 +618,38 @@ def transitions(engine):
     return table, shift, max(e & (1 << shift) - 1 for e in table if e > 0)
 
 
-def test_trial_table_caps_its_transitions_by_the_runs():
-    # each T costs a build step: a row of runs runs builds at most runs //
-    # 16, here where that cap, not the row's size, refuses the table
-    engine = TABLE_CASES["eta 0.2 drives 5e+06 5e+06"]  # p_click 0.00125
+@pytest.mark.parametrize("label", ["eta 0.2 drives 5e+06 5e+06", "preset"])
+def test_trial_table_caps_its_transitions_by_the_runs(label):
+    # each T costs a build step and the fill _TABLE_FILL more: a row of runs
+    # runs builds at most runs // 16 - _TABLE_FILL of them (p_click 0.00125
+    # and the preset's 0.0108)
+    engine = TABLE_CASES[label]
     table, shift, steps = transitions(engine)
-    assert 16 * steps - 1 >= pr._TABLE_RUNS
-    assert pr._trial_table(engine, 16 * steps, shift) == table
-    assert pr._trial_table(engine, 16 * steps - 1, shift) is None
+    assert 500 < steps < engine.max_trials
+    runs = 16 * (steps + pr._TABLE_FILL)
+    assert pr._trial_table(engine, runs, shift) == table
+    assert pr._trial_table(engine, runs - 1, shift) is None
 
 
-def test_only_rows_of_table_runs_build_a_trial_table(monkeypatch):
-    # at the preset the cap would allow a table below _TABLE_RUNS runs, where
-    # it does not pay, and the standard-library kernel keeps no other gate
-    table, shift, steps = transitions(PRESET_ENGINE)
-    assert 500 < steps and 16 * steps <= pr._TABLE_RUNS - 1
-    assert pr._trial_table(PRESET_ENGINE, pr._TABLE_RUNS - 1, shift) is None
-    assert pr._trial_table(PRESET_ENGINE, pr._TABLE_RUNS, shift) == table
+@pytest.mark.parametrize("label, runs", [("preset", 2000), ("eta 0.2 drives 5e+06 5e+06", 40000)])
+def test_trial_table_refuses_a_row_before_it_builds(monkeypatch, label, runs):
+    # a refused row pays for at most the two window edges at the cap, not
+    # for building T up to it (2,500 T, two expm1 calls each, in the second)
+    engine = TABLE_CASES[label]
+    _, shift = trial_table(engine)
+    expm1, calls = math.expm1, []
+    monkeypatch.setattr(math, "expm1", lambda x: calls.append(x) or expm1(x))
+    assert pr._trial_table(engine, runs, shift) is None
+    assert len(calls) <= 2
+
+
+def test_stdlib_kernel_asks_trial_table_for_every_row(monkeypatch):
+    # _trial_table alone decides whether a row pays for its table
     built = []
     monkeypatch.setattr(pr, "_trial_table", lambda engine, runs, shift: built.append(runs))
-    for runs in (1, pr._TABLE_RUNS - 1, pr._TABLE_RUNS, FORCE_TABLE):
+    for runs in (1, 2000, 40000, FORCE_TABLE):
         pr._stdlib_kernel(PRESET_ENGINE, runs, pr._STDLIB_CHUNK)
-    assert built == [1, pr._TABLE_RUNS - 1, pr._TABLE_RUNS, FORCE_TABLE]
+    assert built == [1, 2000, 40000, FORCE_TABLE]
 
 
 BUCKET = 2**45  # the words sharing a top byte: k >> 45, k < 2^53
