@@ -23,25 +23,25 @@ and retrieval efficiency, and the engine's analytic click probability and
 false fraction.  The engine and aggregate are standard library.
 
 The ensemble reset is perfect, so trials are independent and a run's trials
-to its first click are Geometric(p_click).  Each run draws two 53-bit words
-k1 and k2 (u = k 2^-53) from a SplitMix64 counter hash of (master seed,
-sweep row, run index) (fmesim.rng), and the engine holds the one rule that
-maps them to its result: T = floor(math.log1p(-u1) / log_q) + 1, no success
-when T > max_trials, and the branch is the number of thresholds at or below
-k2.  Two kernels apply it to a chunk, to the same RunTally: a
-standard-library one and the numpy one (_run_batch).  For a row whose
-runs repay the table's build (_trial_table), the standard-library kernel
-looks T up in a trial table keyed by the top 16 bits of k1, and takes the
-quotient only for the runs of buckets where the table cannot tell T by
-construction.  A run's draws depend on nothing else, so any partitioning
-of runs into batches produces the same tally.  run_rows holds an
-invocation's one draw plan, read from its runs in all: below _NUMPY_RUNS =
-2^17 the standard-library kernel draws, so numpy is never imported, and
-from there on the numpy kernel, each in chunks of its own size.  Every run
-is drawn in this process, which forks nothing.  run_protocol draws one
-row's runs with the kernel and the chunk it is given.  The write engine,
-"exact" or "perturbative", is chosen by write_dynamics.write_state, whose
-module docstring describes both.
+to its first click are Geometric(p_click).  Each run draws two words w1 and
+w2, 53-bit integers times 2^11 (u = w 2^-64), from a SplitMix64 counter hash
+of (master seed, sweep row, run index) (fmesim.rng), and the engine holds
+the one rule that maps them to its result: T = floor(math.log1p(-u1) /
+log_q) + 1, no success when T > max_trials, and the branch is the number of
+integer thresholds at or below w2 >> 11.  Two kernels apply it to a chunk of
+these words, to the same RunTally: a standard-library one and the numpy one
+(_run_batch).  For a row whose runs repay the table's build (_trial_table),
+the standard-library kernel looks T up in a trial table keyed by the top 16
+bits of w1, and takes the quotient only for the runs of buckets where the
+table cannot tell T by construction.  A run's draws depend on nothing else,
+so any partitioning of runs into batches produces the same tally.  run_rows
+holds an invocation's one draw plan, read from its runs in all: below
+_NUMPY_RUNS = 2^17 the standard-library kernel draws, so numpy is never
+imported, and from there on the numpy kernel, each in chunks of its own
+size.  Every run is drawn in this process, which forks nothing.
+run_protocol draws one row's runs with the kernel and the chunk it is
+given.  The write engine, "exact" or "perturbative", is chosen by
+write_dynamics.write_state, whose module docstring describes both.
 """
 
 from __future__ import annotations
@@ -70,13 +70,13 @@ _STDLIB_CHUNK = 2048
 _NUMPY_CHUNK = 4096
 
 # Invocations of at least this many runs in all draw them with numpy, and
-# smaller ones with the standard library, which saves importing numpy (18.3
-# against 29.6 MB peak).  In one process the standard library took 0.092 s
-# to numpy's 0.118 s at 2^17 runs, 0.123 to 0.127 s at 2^18, 0.171 to
-# 0.131 s at 2^19 and 0.317 to 0.187 s at 2^20 (medians of 10 alternating
-# pairs, CHANGES.md, "Draw every run in the CLI process"); they meet near
-# 2^18, but moving the threshold would re-point the numpy kernel's golden
-# hash.
+# smaller ones with the standard library, which saves importing numpy (15.9
+# against 29.7 MB peak).  In one process the standard library took 0.150 s
+# to numpy's 0.196 s at 2^17 runs, 0.166 to 0.188 s at 2^18, 0.209 to
+# 0.160 s at 2^19 and 0.547 to 0.274 s at 2^20 (medians of 10 alternating
+# pairs, numpy on integer words, CHANGES.md, "One word format"); they meet
+# between 2^18 and 2^19, but moving the threshold would re-point the numpy
+# kernel's golden hash.
 _NUMPY_RUNS = 1 << 17
 
 # The trial table's fill of 2^16 entries, in builds of one T (_trial_table).
@@ -112,14 +112,14 @@ class ProtocolEngine:
     Holds the write-stage pair state (chain amplitudes and bright spin mode)
     and from it the click probability, the closed-form click branch table,
     the heralded spin pair and the one output qubit retrieved from it, so a
-    run reduces to two uniforms (trials to the first click, branch
-    selection) and its result to (trials used, branch).
+    run reduces to two words (trials to the first click, branch selection)
+    and its result to (trials used, branch).
 
     p_click is the branch sum capped at 1, which rounding can exceed when
     the detector is certain to click; log_q = log1p(-p_click), -inf at
     p_click = 1, where every run clicks on its first trial.  thresholds are
-    ceil(cdf_j 2^53) for every branch but the last: u = k 2^-53 >= cdf_j
-    exactly when k >= ceil(cdf_j 2^53), and a word at or above the last
+    ceil(cdf_j 2^53) for every branch but the last: u = w 2^-64 >= cdf_j
+    exactly when w >> 11 >= ceil(cdf_j 2^53); a word at or above the last
     threshold takes the last branch.  true_herald says whether any click
     branch is a true herald, a click that is not a false herald: a detected
     single photon, the one click that heralds the spin pair.
@@ -153,25 +153,26 @@ def _run_batch(engine: ProtocolEngine, seed: int, row: int, run_lo: int, run_hi:
     rule (module docstring).  Returns two numpy arrays: trials_used (int64)
     and branch (int16, -1 for no click within max_trials).
 
-    numpy's log1p can differ from math.log1p in the last bit, which moves T
-    only if the quotient lies within a few ulp of an integer, so quotients
-    within max_trials 2^-40 of an integer in [1, max_trials] are taken again
-    with math.log1p.  u = k 2^-53 is compared with thresholds 2^-53, exactly.
+    u = w 2^-64 is (w >> 1) 2^-63 exactly, taken through an int64 view, which
+    converts to float faster than uint64.  numpy's log1p can differ from
+    math.log1p in the last bit, which moves T only if the quotient lies within
+    a few ulp of an integer, so quotients within max_trials 2^-40 of an
+    integer in [1, max_trials] are taken again as math.log1p(-2^-64 w) /
+    log_q.  The branch compares w >> 11 with the integer thresholds.
     """
     import numpy as np
 
     max_trials, log_q = engine.max_trials, engine.log_q
-    u = rng_mod.run_uniforms(seed, row, run_lo, run_hi)
-    # p_click = 0: log_q = -0.0 makes every quotient +inf (NaN at u = 0), no click
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = np.log1p(-u[:, 0]) / log_q
-        near = np.abs(q - np.rint(q)) <= max_trials * 2.0**-40
+    first, second = rng_mod.run_word_array(seed, row, run_lo, run_hi)
+    q = np.log1p((first >> np.uint64(1)).view(np.int64) * -2.0**-63) / log_q
+    near = np.abs(q - np.rint(q)) <= max_trials * 2.0**-40
     if near.any():  # the integer is in [1, max_trials] when q is in [0.5, max_trials + 0.5)
         near = np.flatnonzero(near & (q >= 0.5) & (q < max_trials + 0.5))
-        q[near] = [math.log1p(-x) / log_q for x in u[near, 0].tolist()]
-    trials_used = np.fmin(np.floor(q) + 1.0, max_trials)  # fmin takes max_trials over NaN
-    thresholds = np.array(engine.thresholds, dtype=float) * 2.0**-53
-    branch = np.where(q < max_trials, np.searchsorted(thresholds, u[:, 1], side="right"), -1)
+        q[near] = [math.log1p(-2.0**-64 * w) / log_q for w in first[near].tolist()]
+    trials_used = np.minimum(np.floor(q) + 1.0, max_trials)
+    k = (second >> np.uint64(11)).view(np.int64)
+    thresholds = np.array(engine.thresholds, dtype=np.int64)
+    branch = np.where(q < max_trials, np.searchsorted(thresholds, k, side="right"), -1)
     return trials_used.astype(np.int64), branch.astype(np.int16)
 
 
@@ -265,9 +266,9 @@ def _stdlib_kernel(engine: ProtocolEngine, runs: int, chunk: int):
     """The numpy kernel's tally, from the words of rng.run_words with math and
     C-level map, sum and bytes methods, for a row of runs runs, one chunk of
     at most chunk runs (_STDLIB_CHUNK from run_rows) at a time.
-    A word y = k 2^11 is the uniform u = y 2^-64 exactly, so its quotient
-    math.log1p(-u) / log_q is the one that defines T, and T <= max_trials
-    exactly when it is below max_trials.
+    A word w gives u = w 2^-64 exactly, so its quotient math.log1p(-u) /
+    log_q is the one that defines T, and T <= max_trials exactly when it is
+    below max_trials.
 
     A row whose trial table pays (_trial_table) looks each run's T up in
     it by the top 16 bits of its first word, and only the runs of _PER_RUN

@@ -10,11 +10,13 @@ is a bijection, so under one seed no two words alias.  Two seeds read
 shifted windows of one 2**64-long sequence, mix(GAMMA * j), which overlap
 only if the shift lands inside the used index range.
 
-Two generators compute the same words of runs lo .. hi - 1 of a row, and
-check (seed, row, lo, hi) alike: run_uniforms with numpy uint64
-arithmetic, for the numpy kernel, and run_words with the standard library,
-which packs every word of a chunk into one 128-bit lane of a Python int, so
-that each xor-shift and multiply is one big-int operation over all lanes.
+A word is the mixed z with its low 11 bits cleared, k 2**11 for k = z >> 11,
+so u = w 2**-64 is exact, a multiple of 2**-53 in [0, 1).  Two generators
+compute the same words of runs lo .. hi - 1 of a row, and check (seed, row,
+lo, hi) alike: run_word_array with numpy uint64 arithmetic, for the numpy
+kernel, and run_words with the standard library, which packs every word of a
+chunk into one 128-bit lane of a Python int, so that each xor-shift and
+multiply is one big-int operation over all lanes.
 """
 
 from __future__ import annotations
@@ -54,11 +56,10 @@ def _start(seed: int, row: int, lo: int, hi: int) -> int:
     return _mix(seed) + _GAMMA * ((row << 33) + 2 * lo) & _MASK
 
 
-def run_uniforms(seed: int, row: int, lo: int, hi: int) -> np.ndarray:
-    """Two 53-bit uniforms for each of the runs lo .. hi - 1; shape
-    (hi - lo, 2).  Column 0 draws the run's trials to its first click,
-    column 1 its branch.  Each column is contiguous (the transpose of one row
-    per word), so every numpy call runs over whole columns."""
+def run_word_array(seed: int, row: int, lo: int, hi: int) -> np.ndarray:
+    """The words of runs lo .. hi - 1 as uint64, shape (2, hi - lo): row w
+    holds word w of each run, row 0 drawing the run's trials to its first
+    click and row 1 its branch, so every numpy call runs over whole rows."""
     import numpy as np
 
     start = _start(seed, row, lo, hi)
@@ -70,8 +71,8 @@ def run_uniforms(seed: int, row: int, lo: int, hi: int) -> np.ndarray:
     z ^= z >> np.uint64(27)
     z *= np.uint64(_M2)
     z ^= z >> np.uint64(31)
-    z >>= np.uint64(11)
-    return (z * 2.0**-53).T
+    z &= np.uint64(_MASK ^ 0x7FF)
+    return z
 
 
 @lru_cache(maxsize=4)  # a whole chunk and the last, shorter one
@@ -88,10 +89,8 @@ def _lanes(n: int) -> tuple[int, int, int, int]:
 def run_words(seed: int, row: int, lo: int, hi: int) -> bytes:
     """The words of runs lo .. hi - 1 as 2 (hi - lo) little-endian 128-bit
     lanes: word w of run lo + j fills the low 8 bytes of lane 2 j + w, and
-    its high 8 bytes are 0.  A word holds the 53-bit numerator k = z >> 11 of
-    run_uniforms (u = k 2**-53) as k 2**11, z with its low 11 bits cleared:
-    its top byte (byte 7 of the lane) is k >> 45, and it converts to a float
-    exactly, so that word 2**-64 = u.
+    its high 8 bytes are 0.  Its words are run_word_array's, k 2**11, so the
+    top byte of a word (byte 7 of its lane) is k >> 45.
 
     The lanes sit in one Python int.  A lane holds a 64-bit value in its low
     half, so a product by a 64-bit constant fits in the lane, and the lane

@@ -6,7 +6,6 @@ import bisect
 import itertools
 import json
 import math
-import struct
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
@@ -84,6 +83,7 @@ def branch_yield(branches, qubit, i):
 # ---------------------------------------------------------------------------
 
 MASK64 = (1 << 64) - 1
+WORD_MASK = MASK64 ^ 0x7FF  # a generator's word: z with its low 11 bits cleared
 GAMMA = 0x9E3779B97F4A7C15
 
 
@@ -101,19 +101,31 @@ def word_reference(seed, row, run, word):
     return splitmix64_mix((splitmix64_mix(seed) + GAMMA * index) & MASK64)
 
 
-def words53(seed, row, lo, hi):
-    """The 53-bit words (z >> 11) of rng.run_words' lanes for runs lo .. hi - 1,
-    one list per word; each lane's high half and the low 11 bits of each word
-    must be 0."""
+def reference_words(seed, row, lo, hi):
+    """The words of runs lo .. hi - 1 from word_reference, with their low 11
+    bits cleared, one list per word."""
+    return tuple([word_reference(seed, row, run, w) & WORD_MASK for run in range(lo, hi)]
+                 for w in (0, 1))
+
+
+def array_words(seed, row, lo, hi):
+    """rng.run_word_array's words of runs lo .. hi - 1, one list per word; the
+    array must be uint64 of shape (2, hi - lo)."""
+    words = rng_mod.run_word_array(seed, row, lo, hi)
+    assert words.dtype == np.uint64 and words.shape == (2, hi - lo)
+    return tuple(words.tolist())
+
+
+def lane_words(seed, row, lo, hi):
+    """rng.run_words' words of runs lo .. hi - 1, one list per word; there
+    must be four 64-bit halves per run, and each lane's high half must be 0."""
     lanes = memoryview(rng_mod.run_words(seed, row, lo, hi)).cast("Q")
     assert len(lanes) == 4 * (hi - lo) and not any(lanes[1::2])
-    assert not any(w & 0x7FF for w in lanes)
-    return [w >> 11 for w in lanes[0::4]], [w >> 11 for w in lanes[2::4]]
+    return lanes[0::4].tolist(), lanes[2::4].tolist()
 
 
-def uniforms_reference(seed, row, run):
-    """(trials, branch) uniforms of one run from the pure-Python words."""
-    return tuple((word_reference(seed, row, run, w) >> 11) * 2.0**-53 for w in (0, 1))
+GENERATORS = [pytest.param(array_words, id="run_word_array"),
+              pytest.param(lane_words, id="run_words")]
 
 
 # The first outputs of SplitMix64 seeded with 0, from the reference C code
@@ -125,69 +137,33 @@ def test_stream_of_seed_zero_is_the_published_splitmix64_sequence():
     # mix(0) = 0, so seed 0 keys row 0 at 0 and index i reads mix(i GAMMA)
     assert splitmix64_mix(0) == 0
     assert [word_reference(0, 0, k // 2, k % 2) for k in range(1, 5)] == SPLITMIX64_SEED0
-    words = [0, *SPLITMIX64_SEED0]  # index 0 reads mix(0) = 0
-    u = rng_mod.run_uniforms(0, 0, 0, 3).ravel()  # index order
-    assert u[:5].tolist() == [(w >> 11) * 2.0**-53 for w in words]
+    words = [w & WORD_MASK for w in [0, *SPLITMIX64_SEED0]]  # index 0 reads mix(0) = 0
+    first, second = array_words(0, 0, 0, 3)
+    assert [w for pair in zip(first, second) for w in pair][:5] == words  # index order
+    assert lane_words(0, 0, 0, 3) == (first, second)
 
 
-def test_trial_uniforms_deterministic_and_distinct():
-    u1 = rng_mod.run_uniforms(42, 0, 0, 100)
-    u2 = rng_mod.run_uniforms(42, 0, 0, 100)
-    np.testing.assert_array_equal(u1, u2)
-    u3 = rng_mod.run_uniforms(43, 0, 0, 100)
-    assert np.all(u1 != u3)
-    u4 = rng_mod.run_uniforms(42, 1, 0, 100)
-    assert np.all(u1 != u4)
-    assert np.all((u1 >= 0.0) & (u1 < 1.0))
+def test_words_deterministic_and_distinct():
+    w1 = rng_mod.run_word_array(42, 0, 0, 100)
+    np.testing.assert_array_equal(w1, rng_mod.run_word_array(42, 0, 0, 100))
+    assert np.all(w1 != rng_mod.run_word_array(43, 0, 0, 100))
+    assert np.all(w1 != rng_mod.run_word_array(42, 1, 0, 100))
+    assert not np.any(w1 & np.uint64(0x7FF))
 
 
-def test_run_uniforms_match_reference_streams():
-    # the chunk edges, the last run index, the last row and the last seed,
-    # both words of each run
+@pytest.mark.parametrize("seed", [0, 7, 2**63, 2**64 - 1])
+def test_generators_give_equal_integer_words(seed):
+    # the chunk edges, the last run index and the last row, both words of
+    # each run
     edges = [0, 1, 2047, 2048, 4095, 4096, 8191, 8192, 2**32 - 1]
-    for seed in (0, 7, 2**63, 2**64 - 1):
-        for row in (0, 1, 2, cfg_mod.ROW_LIMIT - 1):
-            for run in edges:
-                u = rng_mod.run_uniforms(seed, row, run, run + 1)
-                assert u.shape == (1, 2)
-                assert tuple(u[0]) == uniforms_reference(seed, row, run)
-                words = words53(seed, row, run, run + 1)  # the standard-library words
-                assert words == tuple([word_reference(seed, row, run, w) >> 11] for w in (0, 1))
-    # one call over more runs than two chunks, up to the last run index
-    lo = 2**32 - 16384 - 5
-    wide = rng_mod.run_uniforms(2**64 - 1, cfg_mod.ROW_LIMIT - 1, lo, 2**32)
-    words = words53(2**64 - 1, cfg_mod.ROW_LIMIT - 1, lo, 2**32)
-    assert [len(w) for w in words] == [2**32 - lo] * 2
-    for i in (0, 4095, 4096, 8191, 8192, 16384 - 1, 16384, 2**32 - lo - 1):
-        assert tuple(wide[i]) == uniforms_reference(2**64 - 1, cfg_mod.ROW_LIMIT - 1, lo + i)
-        assert tuple(w[i] for w in words) == tuple(
-            word_reference(2**64 - 1, cfg_mod.ROW_LIMIT - 1, lo + i, w) >> 11 for w in (0, 1))
-    # every word of that call, against the numpy generator's
-    assert [(w * 2.0**-53) for w in words[0]] == wide[:, 0].tolist()
-    assert [(w * 2.0**-53) for w in words[1]] == wide[:, 1].tolist()
-
-
-def test_counter_and_seed_widths_enforced():
-    with pytest.raises(ValueError, match="seed"):
-        rng_mod.run_uniforms(2**64, 0, 0, 1)
-    with pytest.raises(ValueError, match="seed"):
-        rng_mod.run_uniforms(-1, 0, 0, 1)
-    with pytest.raises(ValueError, match="run"):
-        rng_mod.run_uniforms(1, 0, 2**32, 2**32 + 1)
-    with pytest.raises(ValueError, match="seed"):
-        rng_mod.run_words(2**64, 0, 0, 1)
-    with pytest.raises(ValueError, match="seed"):
-        rng_mod.run_words(-1, 0, 0, 1)
-    with pytest.raises(ValueError, match="run"):
-        rng_mod.run_words(1, 0, 2**32, 2**32 + 1)
-    with pytest.raises(ValueError, match="run"):
-        rng_mod.run_words(1, 0, 2**32 - 1, 2**32 + 1)
-    for row in (-1, cfg_mod.ROW_LIMIT):
-        with pytest.raises(ValueError, match="row"):
-            rng_mod.run_words(1, row, 0, 1)
-    with pytest.raises(ValueError, match="run"):
-        rng_mod.run_words(1, 0, -1, 1)
-    assert len(rng_mod.run_words(1, 0, 2**32 - 1, 2**32)) == 32  # the last run: two 16-byte lanes
+    for row in (0, 1, 2, cfg_mod.ROW_LIMIT - 1):
+        for run in edges:
+            args = (seed, row, run, run + 1)
+            assert array_words(*args) == lane_words(*args) == reference_words(*args)
+    # one call over more runs than two chunks of either kernel, up to the
+    # last run index of the last row
+    args = (seed, cfg_mod.ROW_LIMIT - 1, 2**32 - 16384 - 5, 2**32)
+    assert array_words(*args) == lane_words(*args) == reference_words(*args)
 
 
 def test_stdlib_chunk_stays_below_the_mmap_threshold():
@@ -204,41 +180,31 @@ def test_stdlib_chunk_stays_below_the_mmap_threshold():
 
 
 def test_uniform_moments_sane():
-    u = rng_mod.run_uniforms(123, 0, 0, 200_000).ravel()
+    u = rng_mod.run_word_array(123, 0, 0, 200_000).ravel() * 2.0**-64
     assert abs(u.mean() - 0.5) < 2e-3
     assert abs(u.var() - 1.0 / 12.0) < 2e-3
 
 
-def test_row_and_negative_run_enforced():
-    assert rng_mod.run_uniforms(1, cfg_mod.ROW_LIMIT - 1, 0, 1).shape == (1, 2)
-    for row in (-1, cfg_mod.ROW_LIMIT, 2**33):
-        with pytest.raises(ValueError, match="row"):
-            rng_mod.run_uniforms(1, row, 0, 1)
-    with pytest.raises(ValueError, match="run"):
-        rng_mod.run_uniforms(1, 0, -1, 1)
-
-
-def words_of_uniforms(seed, row, lo, hi):
-    """run_uniforms' 53-bit words for runs lo .. hi - 1, one list per word."""
-    u = rng_mod.run_uniforms(seed, row, lo, hi) * 2.0**53
-    return tuple(k.tolist() for k in u.astype(np.uint64).T)
-
-
-@pytest.mark.parametrize("words", [words_of_uniforms, words53],
-                         ids=["run_uniforms", "run_words"])
+@pytest.mark.parametrize("words", GENERATORS)
 def test_generators_share_one_run_range_contract(words):
     # both generators check (seed, row, lo, hi) in rng._start alike
-    for lo, hi in ((5, 4), (-1, 1), (-3, -1), (0, 2**32 + 1), (2**32 - 1, 2**32 + 1)):
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed"):
+            words(seed, 0, 0, 1)
+    for row in (-1, cfg_mod.ROW_LIMIT, 2**33):
+        with pytest.raises(ValueError, match="row"):
+            words(1, row, 0, 1)
+    for lo, hi in ((5, 4), (-1, 1), (-3, -1), (0, 2**32 + 1), (2**32, 2**32 + 1),
+                   (2**32 - 1, 2**32 + 1)):
         with pytest.raises(ValueError, match="run"):
             words(1, 0, lo, hi)
     for lo in (0, 17, 2**32):
         assert words(1, 0, lo, lo) == ([], [])
-    # two chunks of either kernel and a part: u 2^53 of run_uniforms are
-    # run_words' words >> 11
-    lo, hi = 2**32 - 2 * pr._NUMPY_CHUNK - 7, 2**32
-    reference = tuple([word_reference(3, 9, run, w) >> 11 for run in range(lo, hi)]
-                      for w in (0, 1))
-    assert words(3, 9, lo, hi) == words53(3, 9, lo, hi) == reference
+    # the last run of the last row at the last seed, and two chunks of either
+    # kernel and a part
+    for args in ((2**64 - 1, cfg_mod.ROW_LIMIT - 1, 2**32 - 1, 2**32),
+                 (3, 9, 2**32 - 2 * pr._NUMPY_CHUNK - 7, 2**32)):
+        assert words(*args) == reference_words(*args)
 
 
 def test_neighbouring_streams_uncorrelated():
@@ -246,17 +212,17 @@ def test_neighbouring_streams_uncorrelated():
     # neighbouring rows and under neighbouring seeds
     n = 200_000
     bound = 5.0 / math.sqrt(n)
-    base = rng_mod.run_uniforms(99, 4, 0, n + 1)
+    base = rng_mod.run_word_array(99, 4, 0, n + 1)
     pairs = {
-        "next run, word 0": (base[:-1, 0], base[1:, 0]),
-        "next run, word 1": (base[:-1, 1], base[1:, 1]),
-        "word 0 of the next run after word 1": (base[:-1, 1], base[1:, 0]),
-        "the two words of a run": (base[:, 0], base[:, 1]),
+        "next run, word 0": (base[0, :-1], base[0, 1:]),
+        "next run, word 1": (base[1, :-1], base[1, 1:]),
+        "word 0 of the next run after word 1": (base[1, :-1], base[0, 1:]),
+        "the two words of a run": (base[0], base[1]),
     }
-    for label, other in (("next row", rng_mod.run_uniforms(99, 5, 0, n + 1)),
-                         ("next seed", rng_mod.run_uniforms(100, 4, 0, n + 1))):
+    for label, other in (("next row", rng_mod.run_word_array(99, 5, 0, n + 1)),
+                         ("next seed", rng_mod.run_word_array(100, 4, 0, n + 1))):
         for w in (0, 1):
-            pairs[f"{label}, word {w}"] = (base[:, w], other[:, w])
+            pairs[f"{label}, word {w}"] = (base[w], other[w])
     for label, (a, b) in pairs.items():
         assert abs(np.corrcoef(a, b)[0, 1]) < bound, label
 
@@ -268,17 +234,16 @@ def test_neighbouring_streams_uncorrelated():
 
 def per_run_oracle(engine, seed, row, n_runs):
     """Repeat-until-success as a plain loop: each run inverts the geometric
-    tail (1 - p)^t at its first uniform and walks the branch CDF with its
-    second."""
+    tail (1 - p)^t at its first uniform u = w 2^-64 and walks the branch CDF
+    with its second."""
     max_trials = engine.max_trials
     p = engine.p_click
     cdf = branch_cdf(engine.branches)
     trials_used, branch = [], []
     for run in range(n_runs):
-        u_trials, u_branch = uniforms_reference(seed, row, run)
-        if p == 0.0:
-            t = math.inf
-        elif p >= 1.0:
+        u_trials, u_branch = ((word_reference(seed, row, run, w) & WORD_MASK) * 2.0**-64
+                              for w in (0, 1))
+        if p >= 1.0:
             t = 1
         else:
             t = math.floor(math.log1p(-u_trials) / math.log1p(-p)) + 1
@@ -296,7 +261,6 @@ def per_run_oracle(engine, seed, row, n_runs):
     [
         pytest.param(label, engine, n, id=label.replace(" ", "-"))
         for label, engine, n in (
-            ("blind detector", make_engine(eta=0.0, dark=0.0, max_trials=40), 6),
             ("p_click near 1", make_engine(eta=1.0, dark=3.0e6, max_trials=40), 50),
             ("many trials", make_engine(eta=0.9, dark=1e5, max_trials=60), 60),
             ("budget exhausted", make_engine(eta=0.9, dark=1e5, max_trials=7), 80),
@@ -312,11 +276,7 @@ def test_batch_matches_per_run_oracle(label, engine, n_runs):
     expected = per_run_oracle(engine, 13, 2, n_runs)
     assert trials_used.tolist() == expected[0]
     assert branch.tolist() == expected[1]
-    if label == "blind detector":
-        assert engine.p_click == 0.0
-        assert branch.tolist() == [-1] * n_runs
-        assert trials_used.tolist() == [max_trials] * n_runs
-    elif label == "p_click near 1":
+    if label == "p_click near 1":
         assert 0.9 < engine.p_click < 1.0
     elif label == "many trials":
         assert max(trials_used) > 1 and np.all(branch >= 0)
@@ -457,7 +417,7 @@ def test_kernels_agree_on_a_branch_edge():
     # the entries are placed on drawn words instead: a word equal to an entry
     # takes the next branch, and entries below 1/2 need not be multiples of
     # 2^-53, so the words' integer thresholds round up.
-    _, words = words53(3, 0, 0, 64)
+    words = [w >> 11 for w in lane_words(3, 0, 0, 64)[1]]
     k = next(w for w in words if w < 2**52)
     for edge in (k * 2.0**-53, (k + 0.5) * 2.0**-53, (k - 0.5) * 2.0**-53):
         branches = [HeraldBranch("photon", 1, edge), HeraldBranch("photon", 1, 1.0 - edge)]
@@ -470,14 +430,16 @@ def test_kernels_agree_on_a_branch_edge():
 
 
 def feed_words(monkeypatch, first, second):
-    """Make run r of every seed and row draw the 53-bit words first[r] and
-    second[r], in rng.run_uniforms (the numpy kernel's draw) and in
+    """Make run r of every seed and row draw the words first[r] 2^11 and
+    second[r] 2^11 (first and second hold 53-bit k) from one buffer of
+    lanes, in rng.run_word_array (the numpy kernel's draw) and in
     rng.run_words (the standard-library kernel's)."""
-    lanes = b"".join(struct.pack("<4Q", k1 << 11, 0, k2 << 11, 0) for k1, k2 in zip(first, second))
-    uniforms = np.array([first, second], dtype=float).T * 2.0**-53
-    monkeypatch.setattr(rng_mod, "run_words", lambda seed, row, lo, hi: lanes[32 * lo:32 * hi])
-    monkeypatch.setattr(rng_mod, "run_uniforms",
-                        lambda seed, row, lo, hi: uniforms[lo:hi])
+    lanes = np.zeros((len(first), 4), dtype="<u8")
+    lanes[:, 0], lanes[:, 2] = first, second
+    lanes <<= np.uint64(11)
+    monkeypatch.setattr(rng_mod, "run_words", lambda seed, row, lo, hi: lanes[lo:hi].tobytes())
+    monkeypatch.setattr(rng_mod, "run_word_array",
+                        lambda seed, row, lo, hi: lanes[lo:hi, 0::2].T.copy())
 
 
 def near_integer_words(p, max_trials):
@@ -694,22 +656,21 @@ MISS_WORDS = [2**53 - 1, 2**53 - 2**40, 2**52 + 2**51]
 
 
 def check_chunks(monkeypatch, click_branches):
-    """The standard-library kernel's tally of three chunks that hold the
-    edge words of the branches' thresholds as branch words, against
-    word_tally: in the first chunk every run clicks within max_trials, in the
-    second some runs do not, whose words the kernel leaves out of the branch
-    count, and in the third none does."""
+    """Each kernel's tally of three chunks that hold the edge words of the
+    branches' thresholds as branch words, against word_tally: in the first
+    chunk every run clicks within max_trials, in the second some runs do
+    not, whose words the kernels leave out of the branch count, and in the
+    third none does."""
     engine = fake_engine(click_branches, 0.01, 50)
     thresholds = engine.thresholds
     branches = edge_words(thresholds)
     n = len(branches)
     chunks = [[words[i % len(words)] for i in range(n)]
               for words in (HIT_WORDS, HIT_WORDS + MISS_WORDS, MISS_WORDS)]
-    lanes = b"".join(struct.pack("<4Q", k1 << 11, 0, k2 << 11, 0)
-                     for trials in chunks for k1, k2 in zip(trials, branches))
-    monkeypatch.setattr(rng_mod, "run_words", lambda seed, row, lo, hi: lanes[32 * lo:32 * hi])
+    feed_words(monkeypatch, [k for trials in chunks for k in trials], branches * len(chunks))
     tallies = (pr._stdlib_kernel(engine, n, pr._STDLIB_CHUNK),
-               table_kernel(engine, n, pr._STDLIB_CHUNK))
+               table_kernel(engine, n, pr._STDLIB_CHUNK),
+               pr._numpy_kernel(engine, n, pr._NUMPY_CHUNK))
     assert trial_table(engine)[0] is not None
     for i, trials in enumerate(chunks):
         expected = word_tally(engine, trials, branches)
@@ -722,7 +683,7 @@ def check_chunks(monkeypatch, click_branches):
 
 
 @pytest.mark.parametrize("bucket", [0, 1, 100, 127, 128, 254, 255])
-def test_stdlib_kernel_counts_words_on_bucket_edges(monkeypatch, bucket):
+def test_kernels_count_words_on_bucket_edges(monkeypatch, bucket):
     # Thresholds at a bucket's first word, inside it (one that is a multiple
     # of 2^-53 and, below 1/2, one halfway between two words) and at the next
     # bucket's first word; words on every edge of those buckets and next to
@@ -736,7 +697,7 @@ def test_stdlib_kernel_counts_words_on_bucket_edges(monkeypatch, bucket):
     check_chunks(monkeypatch, branches)
 
 
-def test_stdlib_kernel_counts_words_at_the_exact_engine_thresholds(monkeypatch):
+def test_kernels_count_words_at_the_exact_engine_thresholds(monkeypatch):
     # The 23 branches of the exact engine at cutoff 10: nine thresholds share
     # the top byte 246 and six share 255, and seven CDF entries are 1.0, a
     # threshold of 2^53 that no word reaches.
