@@ -9,11 +9,11 @@ two rails (-/+ delta_omega_read), so neither is ever multiplied by 2*pi.
 
 This module imports only the standard library, so resolving and rejecting
 a configuration never loads numpy; build_setup imports the physics types
-when it is called.  SCHEMA checks every configured value once, and
-build_setup rejects the one combination that only the built engine shows;
-the records build_setup fills check nothing again, so this module owns
-every rejection of a configuration's values.  It owns the bounds the physics
-modules share: ENGINES, COUNTER_LIMIT, ROW_LIMIT and SEED_LIMIT.
+when it is called, and no physics module imports this one.  SCHEMA checks
+every configured value once and build_setup rejects the one combination
+that only the built engine shows; nothing below them checks a configured
+value again.  cli checks --seed and the sweep grid size against SEED_LIMIT
+and ROW_LIMIT.
 
 Every resolved value carries a provenance tag:
 
@@ -391,10 +391,11 @@ def build_setup(cfg: ResolvedConfig) -> ProtocolEngine:
 
 
 def with_overrides(cfg: ResolvedConfig, updates: dict[str, object]) -> ResolvedConfig:
-    """A copy of cfg with the given key -> raw value updates applied."""
+    """A copy of cfg with the given key -> raw value updates applied.  cfg
+    was checked when it was loaded, so only the updated keys are checked."""
     values = dict(cfg.values)
     provenance = dict(cfg.provenance)
     for key, raw in updates.items():
         _assign(values, provenance, key, raw)
-    _check(values)
+    _check({key: values[key] for key in updates})
     return ResolvedConfig(values=values, provenance=provenance, preset=cfg.preset)

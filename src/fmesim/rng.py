@@ -12,11 +12,12 @@ only if the shift lands inside the used index range.
 
 A word is the mixed z with its low 11 bits cleared, k 2**11 for k = z >> 11,
 so u = w 2**-64 is exact, a multiple of 2**-53 in [0, 1).  Two generators
-compute the same words of runs lo .. hi - 1 of a row, and check (seed, row,
-lo, hi) alike: run_word_array with numpy uint64 arithmetic, for the numpy
-kernel, and run_words with the standard library, which packs every word of a
-chunk into one 128-bit lane of a Python int, so that each xor-shift and
-multiply is one big-int operation over all lanes.
+compute the same words of runs lo .. hi - 1 of a row: run_word_array with
+numpy uint64 arithmetic, for the numpy kernel, and run_words with the
+standard library, which packs every word of a chunk into one 128-bit lane of
+a Python int, so that each xor-shift and multiply is one big-int operation
+over all lanes.  Neither checks (seed, row, lo, hi): the command line keeps
+seed < 2**64, row < 2**31 and 0 <= lo <= hi <= 2**32 (runs <= 2**32).
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ import sys
 from array import array
 from functools import lru_cache
 from typing import TYPE_CHECKING
-
-from .config import COUNTER_LIMIT, ROW_LIMIT, SEED_LIMIT
 
 if TYPE_CHECKING:
     import numpy as np
@@ -43,16 +42,9 @@ def _mix(z: int) -> int:
     return z ^ z >> 31
 
 
-def _start(seed: int, row: int, lo: int, hi: int) -> int:
-    """key + GAMMA * i mod 2**64 at word 0 of run lo of row, once the seed,
-    the row and the runs lo .. hi - 1 are checked."""
-    seed, row = int(seed), int(row)
-    if not 0 <= seed < SEED_LIMIT:
-        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
-    if not 0 <= row < ROW_LIMIT:
-        raise ValueError(f"row must be in [0, 2**31), got {row}")
-    if not 0 <= lo <= hi <= COUNTER_LIMIT:
-        raise ValueError(f"runs lo .. hi - 1 must lie in [0, 2**32), got lo={lo}, hi={hi}")
+def _start(seed: int, row: int, lo: int) -> int:
+    """key + GAMMA * i mod 2**64 at word 0 of run lo of row; it does not
+    check the bounds of seed, row or lo that the module docstring gives."""
     return _mix(seed) + _GAMMA * ((row << 33) + 2 * lo) & _MASK
 
 
@@ -62,7 +54,7 @@ def run_word_array(seed: int, row: int, lo: int, hi: int) -> np.ndarray:
     click and row 1 its branch, so every numpy call runs over whole rows."""
     import numpy as np
 
-    start = _start(seed, row, lo, hi)
+    start = _start(seed, row, lo)
     offset = np.array([[start], [start + _GAMMA & _MASK]], dtype=np.uint64)
     runs = np.arange(hi - lo, dtype=np.uint64)
     z = runs * np.uint64(2 * _GAMMA & _MASK) + offset  # uint64 wraps mod 2**64
@@ -97,7 +89,7 @@ def run_words(seed: int, row: int, lo: int, hi: int) -> bytes:
     mask is applied after every xor-shift (which moves the next lane's low
     bits into the high half) and every multiply, which leaves each lane its
     value mod 2**64."""
-    start = _start(seed, row, lo, hi)
+    start = _start(seed, row, lo)
     n = 2 * (hi - lo)
     ones, mask, top53, ramp = _lanes(n)
     z = ramp + start * ones & mask

@@ -29,8 +29,6 @@ import math
 import warnings
 from typing import NamedTuple
 
-from .config import ENGINES
-
 ADIABATIC_RATIO_WARN = 0.3
 PERTURBATIVE_P_WARN = 0.3
 
@@ -151,12 +149,9 @@ def write_state(rates: DerivedRates, cutoff: int, engine: str) -> PairState:
         -P_I^2 on (2,2,0),  +sqrt(2) P_I P_II on (2,1,1),  -P_II^2 on (2,0,2)
 
     that model multi-photon false heralds.  It warns outside the weak-drive
-    regime; the exact engine never warns.
+    regime; the exact engine never warns.  engine and cutoff are not checked
+    here: the config schema did.
     """
-    if engine not in ENGINES:
-        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
-    if cutoff < 1:
-        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
     r, u_i, u_ii = _bright_mode(rates.P_I, rates.P_II)
     if engine == "exact":
         th = math.tanh(r)

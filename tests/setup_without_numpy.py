@@ -6,15 +6,16 @@ Every case runs in a fresh interpreter in which numpy cannot be imported
 ImportError.  The set-up path is importing config and cli, resolving the
 configuration of each benchmark workload in bench/spec.json, --help,
 preset-list and the config rejections that exit 2; each set-up case fails if
-it loaded a physics module.  The state commands write-sim, herald and
-retrieve build the write engine, which is standard-library only, so they run
-at both engines and at the largest cutoff.  Monte Carlo invocations of fewer
-than 2**17 runs in all draw them with the standard library, so protocol
---runs 300, 65535 and 131071, the exact golden sweep and the three benchmark
-workloads run too; the control cases, 2**17 runs in one protocol row and
-over two sweep rows, must halt on the numpy import.  Every case also fails if it
-loaded dataclasses or inspect: fmesim's records are NamedTuples, so neither
-path needs them.
+it loaded a physics module.  The physics modules in turn import no config,
+so a fresh import of fmesim.protocol must not load fmesim.config.  The state
+commands write-sim, herald and retrieve build the write engine, which is
+standard-library only, so they run at both engines and at the largest
+cutoff.  Monte Carlo invocations of fewer than 2**17 runs in all draw them
+with the standard library, so protocol --runs 300, 65535 and 131071, the
+exact golden sweep and the three benchmark workloads run too; the control
+cases, 2**17 runs in one protocol row and over two sweep rows, must halt on
+the numpy import.  Every case also fails if it loaded dataclasses or
+inspect: fmesim's records are NamedTuples, so neither path needs them.
 
 Run it with the fmesim to check importable, e.g. from the repository root:
 
@@ -57,6 +58,10 @@ def cases():
     """(name, code, argv, expected exit code, text expected on stderr)."""
     yield "import fmesim.config", "import fmesim.config\n" + SETUP_CHECK, [], 0, ""
     yield "import fmesim.cli", "import fmesim.cli\n" + SETUP_CHECK, [], 0, ""
+    # Only config.build_setup reaches into the physics modules; none of them
+    # imports config.
+    no_config = "import fmesim.protocol\n" + check(("fmesim.config",) + HELPERS)
+    yield "import fmesim.protocol", no_config, [], 0, ""
     with open(SPEC, encoding="utf-8") as fh:
         workloads = json.load(fh)["workloads"]
     for name, workload in workloads.items():

@@ -62,6 +62,12 @@ OUT_OF_RANGE = [
     ("gate_s=0", "gate_s must be > 0, got 0.0"),
     ("retrieval_efficiency_I=1.5", "retrieval_efficiency_I must be in [0, 1], got 1.5"),
     ("retrieval_efficiency_II=-0.5", "retrieval_efficiency_II must be in [0, 1], got -0.5"),
+    # no library function below the command line checks these again
+    ("max_trials=0", "max_trials must be in [1, 2**32], got 0"),
+    ("runs=0", "runs must be in [1, 2**32], got 0"),
+    ("runs=4294967297", "runs must be in [1, 2**32], got 4294967297"),
+    ("cutoff=0", "cutoff must be in [1, 32], got 0"),
+    ("engine=exakt", "engine must be one of ('perturbative', 'exact'), got 'exakt'"),
 ]
 
 
@@ -557,6 +563,19 @@ def test_non_finite_override_value_rejected(key, value, part):
         cfg_mod.with_overrides(BASE_CONFIG, {key: raw})
 
 
+def test_with_overrides_checks_only_the_updated_keys(monkeypatch):
+    # a sweep row's base was checked when it was loaded; each row checks only
+    # its own point, with the message load_config gives
+    checked, check = [], cfg_mod._check
+    monkeypatch.setattr(cfg_mod, "_check", lambda values: checked.append([*values]) or check(values))
+    cfg = cfg_mod.with_overrides(BASE_CONFIG, {"eta": 0.5, "runs": 7})
+    assert checked == [["eta", "runs"]]
+    assert cfg.values == {**BASE_CONFIG.values, "eta": 0.5, "runs": 7}
+    with pytest.raises(ConfigError) as err:
+        cfg_mod.with_overrides(BASE_CONFIG, {"eta": 0.5, "runs": 0})
+    assert str(err.value) == "runs must be in [1, 2**32], got 0"
+
+
 @pytest.mark.parametrize("override", ["dark_rate_hz=NaN", "g_I=NaN"])
 def test_non_finite_override_exits_2(override, capsys):
     assert run_cli("protocol", "--preset", "rb85-87", "--set", override) == 2
@@ -738,7 +757,7 @@ def test_setup_path_imports_no_numpy():
     out = subprocess.run([sys.executable, script], capture_output=True, text=True,
                          env=env, timeout=300)
     assert out.returncode == 0, out.stdout + out.stderr
-    assert out.stdout.count("\nok ") == 24
+    assert out.stdout.count("\nok ") == 25
 
 
 def test_bad_sweep_value_exits_before_any_row(capsys):

@@ -275,18 +275,6 @@ def test_perturbative_state_amplitudes():
     assert np.sum(np.abs(psi.amplitudes) ** 2) == pytest.approx(1.0, abs=1e-15)
 
 
-def test_write_state_rejects_an_empty_chain():
-    for engine in ("perturbative", "exact"):
-        with pytest.raises(ValueError, match="cutoff"):
-            wd.write_state(make_rates(0.1, 0.1), 0, engine)
-
-
-def test_write_state_rejects_an_unknown_engine():
-    # a misspelt engine used to fall through to the perturbative chain
-    with pytest.raises(ValueError, match="engine must be one of .*, got 'exakt'"):
-        wd.write_state(make_rates(0.1, 0.1), 2, "exakt")
-
-
 def test_perturbative_state_vacuum_limit():
     psi = wd.write_state(make_rates(0.0, 0.0), 2, "perturbative")
     np.testing.assert_array_equal(
