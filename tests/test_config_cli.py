@@ -734,6 +734,17 @@ def test_cli_import_loads_no_executor():
     assert out.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("module", ["write_dynamics", "herald", "retrieval", "rng", "protocol"])
+def test_physics_module_imports_no_config(module):
+    # config checks every configured value, so no module below it imports it;
+    # only config.build_setup reaches into them
+    code = f"import sys, fmesim.{module}; print('fmesim.config' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
+
+
 def test_protocol_run_imports_no_dataclasses():
     # the records are NamedTuples, so no run pays for importing dataclasses or building them
     code = (
