@@ -413,7 +413,7 @@ def aggregate(tally: RunTally, engine: ProtocolEngine) -> ProtocolStats:
         photon_yield = qubit.retrieval_efficiency * (one_pair_hits / n_success)
 
     if any(h for h, b in zip(hits, branches) if not b.false_herald):
-        mean_conc = retrieval_mod.concurrence(qubit)  # raises on a no-photon record
+        mean_conc = retrieval_mod.concurrence(qubit)
         mean_fid = retrieval_mod.fidelity_to_bell(qubit)
 
     return ProtocolStats(

@@ -106,17 +106,10 @@ def retrieve_fme(spin: tuple[complex, complex], read: ReadParams) -> FmeQubitSta
 
 def concurrence(q: FmeQubitState) -> float:
     """2 |c1 c2|: the entanglement of the dual-rail qubit (phase-free)."""
-    _require_photon(q)
     return min(2.0 * abs(q.c1) * abs(q.c2), 1.0)
 
 
 def fidelity_to_bell(q: FmeQubitState) -> float:
     """|<Bell+|q>|^2 = |c1 + c2|^2 / 2; unlike concurrence, phase-sensitive."""
-    _require_photon(q)
     return min(abs(q.c1 + q.c2) ** 2 / 2.0, 1.0)
-
-
-def _require_photon(q: FmeQubitState):
-    if not q.has_photon:
-        raise ValueError("no-photon record: entanglement metrics are undefined")
 

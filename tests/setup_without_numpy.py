@@ -6,8 +6,11 @@ Every case runs in a fresh interpreter in which numpy cannot be imported
 ImportError.  The set-up path is importing config and cli, resolving the
 configuration of each benchmark workload in bench/spec.json, --help,
 preset-list and the config rejections that exit 2; each set-up case fails if
-it loaded a physics module.  The physics modules in turn import no config,
-so a fresh import of fmesim.protocol must not load fmesim.config.  The state
+it loaded a physics module.  The import of fmesim.cli also fails if it loaded
+an executor (concurrent) or a test-only module: scipy, hypothesis, pytest or
+the oracles hilbert, write_oracles and polariton.  The physics modules in
+turn import no config, so a fresh import of fmesim.protocol, which loads all
+five, must not load fmesim.config.  The state
 commands write-sim, herald and retrieve build the write engine, which is
 standard-library only, so they run at both engines and at the largest
 cutoff.  Monte Carlo invocations of fewer than 2**17 runs in all draw them
@@ -50,6 +53,11 @@ def check(unloaded):
 
 
 SETUP_CHECK = check(PHYSICS + HELPERS)
+# The runtime depends on numpy alone and ships no test oracle; the process
+# pool's import cost every command about 15 ms, so no command imports an
+# executor.  tests/ may be on sys.path, so an oracle import would succeed.
+TEST_ONLY = ("scipy", "hypothesis", "pytest", "hilbert", "write_oracles", "polariton")
+CLI_CHECK = check(PHYSICS + HELPERS + ("concurrent",) + TEST_ONLY)
 MAIN = CALL_MAIN + SETUP_CHECK
 LOAD = "from fmesim import cli\ncli._load(cli.build_parser().parse_args(sys.argv[1:]))\n" + SETUP_CHECK
 
@@ -57,7 +65,7 @@ LOAD = "from fmesim import cli\ncli._load(cli.build_parser().parse_args(sys.argv
 def cases():
     """(name, code, argv, expected exit code, text expected on stderr)."""
     yield "import fmesim.config", "import fmesim.config\n" + SETUP_CHECK, [], 0, ""
-    yield "import fmesim.cli", "import fmesim.cli\n" + SETUP_CHECK, [], 0, ""
+    yield "import fmesim.cli", "import fmesim.cli\n" + CLI_CHECK, [], 0, ""
     # Only config.build_setup reaches into the physics modules; none of them
     # imports config.
     no_config = "import fmesim.protocol\n" + check(("fmesim.config",) + HELPERS)

@@ -374,6 +374,10 @@ NO_SINGLE_PHOTON = ("error: the click branch table has no detected single photon
 # none of 20 runs clicks
 NO_CLICK = ["--preset", "rb85-87", "--runs", "20", "--set", "max_trials=1", "--seed", "1"]
 
+SWEEP = ["sweep", "--preset", "rb85-87", "--runs", "5"]
+# stands for the test's tmp_path, in which list.json holds a JSON list
+TMP = "<tmp_path>"
+
 
 @pytest.mark.parametrize("argv, code, message", [
     (["protocol", "--preset", "rb85-87", "--set", "eta=2.0"], 2, "error: eta"),
@@ -390,9 +394,25 @@ NO_CLICK = ["--preset", "rb85-87", "--runs", "20", "--set", "max_trials=1", "--s
     # a sweep reports its rows without a success and exits 0
     (["sweep", *NO_CLICK, "--format", "json", "--sweep", "eta=1e-6,0.5"], 0,
      "sweep row 2/2: 20/20 runs"),
+    ([*SWEEP, "--sweep", "eta"], 2, "error: --sweep expects KEY=V1,V2,... got 'eta'"),
+    ([*SWEEP, "--sweep", "eta=[]"], 2, "error: --sweep eta: expected a nonempty JSON list"),
+    ([*SWEEP, "--sweep", "eta=[0.5"], 2, "error: --sweep eta: invalid JSON list: "),
+    ([*SWEEP, "--sweep", "eta=,"], 2, "error: --sweep eta: no values given"),
+    (SWEEP, 2, "error: sweep requires at least one --sweep"),
+    (["protocol", "--preset", "rb85-87", "--set", "eta"], 2,
+     "error: --set expects KEY=VALUE, got 'eta'"),
+    (["protocol", "--config", f"{TMP}/missing.json"], 2,
+     f"error: cannot read config file {TMP}/missing.json: "),
+    (["protocol", "--config", f"{TMP}/list.json"], 2,
+     "error: config file must contain a JSON object"),
 ], ids=["config", "usage", "no-success", "overflow", "oversized-grid", "retrieve-eta-0",
-        "retrieve-no-write-drive", "protocol-no-click", "sweep-no-click"])
+        "retrieve-no-write-drive", "protocol-no-click", "sweep-no-click", "sweep-no-equals",
+        "sweep-empty-list", "sweep-invalid-list", "sweep-no-values", "sweep-no-axis",
+        "set-no-equals", "config-missing", "config-not-object"])
 def test_exit_codes_are_unchanged(tmp_path, argv, code, message):
+    (tmp_path / "list.json").write_text("[1, 2]")
+    argv = [arg.replace(TMP, str(tmp_path)) for arg in argv]
+    message = message.replace(TMP, str(tmp_path))
     res = fmesim(argv, tmp_path)
     assert res.code == code
     assert message in res.stderr and "Traceback" not in res.stderr

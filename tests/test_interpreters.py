@@ -7,10 +7,15 @@ qubit amplitudes) and protocol and sweep runs of fewer than 2^17 runs in all,
 whose trial tables are built from math.expm1, need no numpy, so
 each argv below runs from src under every other python3.N on PATH, bare
 interpreters included, and must print the bytes it prints under this one.
-An interpreter that is absent or cannot start is skipped, with the reason.
-pyenv's shims pick the interpreter that PYENV_VERSION names.
+One child per interpreter runs every argv in process through fmesim.cli.main
+and returns each exit code and stdout; each interpreter also runs the
+rb-protocol workload once as python -m fmesim, so cli.run starts under every
+one of them.  The expected values are taken the same way under this
+interpreter.  An interpreter that is absent or cannot start is skipped, with
+the reason.  pyenv's shims pick the interpreter that PYENV_VERSION names.
 """
 
+import json
 import os
 import shutil
 import subprocess
@@ -22,6 +27,7 @@ from test_cli_process import WORKLOADS
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 TIMEOUT_S = 120.0
 
+RUN_ARGV = [*WORKLOADS["rb-protocol"], "--seed", "1"]
 ARGVS = [
     *([command, "--preset", "rb85-87", "--set", f"engine={engine}", *sets]
       for engine in ("perturbative", "exact")
@@ -29,23 +35,42 @@ ARGVS = [
       for command in ("write-sim", "herald", "retrieve")),
     *(["protocol", "--preset", "rb85-87", "--set", f"engine={engine}", "--runs", "20000",
        "--seed", "3"] for engine in ("perturbative", "exact")),
-    [*WORKLOADS["rb-protocol"], "--seed", "1"],
+    RUN_ARGV,
     [*WORKLOADS["drive-grid"], "--seed", "1"],  # trial tables in rows below 2^15 runs
 ]
 VERSIONS = [f"3.{minor}" for minor in range(10, 14) if minor != sys.version_info.minor]
 
+# prints a JSON list of [exit code, stdout] for the argvs in the JSON list argv[1]
+CHILD = """\
+import io, json, sys
+from fmesim.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    sys.stdout = io.StringIO()
+    results.append([main(argv), sys.stdout.getvalue()])
+sys.stdout = sys.__stdout__
+json.dump(results, sys.stdout)
+"""
 
-def stdout_of(python: str, argv: list[str], env: dict) -> bytes:
-    res = subprocess.run([python, "-m", "fmesim", *argv], capture_output=True, env=env,
+
+def outputs_of(python: str, env: dict) -> tuple[list[bytes], bytes]:
+    """The stdout of each argv of ARGVS, from main in one child, and of
+    RUN_ARGV, from python -m fmesim."""
+    child = subprocess.run([python, "-c", CHILD, json.dumps(ARGVS)], capture_output=True,
+                           text=True, env=env, timeout=TIMEOUT_S)
+    assert child.returncode == 0, (python, child.stderr)
+    results = json.loads(child.stdout)
+    for argv, (code, _) in zip(ARGVS, results):
+        assert code == 0, (python, argv, child.stderr)
+    res = subprocess.run([python, "-m", "fmesim", *RUN_ARGV], capture_output=True, env=env,
                          timeout=TIMEOUT_S)
-    assert res.returncode == 0, (python, argv, res.stderr.decode())
-    return res.stdout
+    assert res.returncode == 0, (python, RUN_ARGV, res.stderr.decode())
+    return [stdout.encode() for _, stdout in results], res.stdout
 
 
 @pytest.fixture(scope="module")
-def expected() -> list[bytes]:
-    env = {**os.environ, "PYTHONPATH": SRC}
-    return [stdout_of(sys.executable, argv, env) for argv in ARGVS]
+def expected() -> tuple[list[bytes], bytes]:
+    return outputs_of(sys.executable, {**os.environ, "PYTHONPATH": SRC})
 
 
 @pytest.mark.parametrize("version", VERSIONS)
@@ -59,5 +84,8 @@ def test_stdout_does_not_depend_on_the_interpreter(version, request):
     if probe.returncode or probe.stdout.strip() != version:
         reason = (probe.stderr.strip().splitlines() or [probe.stdout.strip()])[-1]
         pytest.skip(f"python{version} cannot start: {reason}")
-    for argv, stdout in zip(ARGVS, request.getfixturevalue("expected")):
-        assert stdout_of(python, argv, env) == stdout, argv
+    stdouts, run_stdout = outputs_of(python, env)
+    expected_stdouts, expected_run_stdout = request.getfixturevalue("expected")
+    for argv, stdout, want in zip(ARGVS, stdouts, expected_stdouts):
+        assert stdout == want, argv
+    assert run_stdout == expected_run_stdout, RUN_ARGV

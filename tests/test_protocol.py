@@ -983,13 +983,6 @@ def test_dark_one_pair_click_yields_the_qubit_outside_the_metrics(tally):
     assert both.mean_fidelity_bell == fidelity_to_bell(q)
 
 
-def test_aggregate_rejects_true_herald_without_photon(tally):
-    branches = _branches(TRUE)
-    with pytest.raises(ValueError, match="no-photon"):
-        pr.aggregate(tally(np.ones(3), np.zeros(3), branches),
-                     table(branches, _qubit(0.0, 0.0, 0.0)))
-
-
 # ---------------------------------------------------------------------------
 # sweeps and symmetry
 # ---------------------------------------------------------------------------

@@ -65,8 +65,6 @@ def test_false_herald_dark_branch_gives_no_photon():
     q = rt.retrieve_fme((0j, 0j), rt.ReadParams())
     assert q.retrieval_efficiency == 0.0
     assert not q.has_photon
-    with pytest.raises(ValueError):
-        rt.concurrence(q)
 
 
 def test_partial_efficiencies_reweight_amplitudes():
